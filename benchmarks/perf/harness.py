@@ -2,9 +2,11 @@
 
 Measures *simulated instructions per second* — committed instructions
 divided by the wall time of :meth:`Pipeline.run` — on a small set of
-representative workload/LTP configurations.  Trace generation, oracle
-annotation and cache warming happen outside the timed region, so the
-numbers isolate the cycle-model hot path that PRs optimise.
+representative workload/LTP configurations.  Every pipeline is built by
+:meth:`repro.api.Session.build_pipeline`, the recipe real runs use;
+trace generation, oracle annotation, predecode and warming happen
+there, outside the timed region, so the numbers isolate the
+cycle-model hot path that PRs optimise.
 
 ``scripts/bench.py`` is the command-line entry point; it writes
 ``BENCH_pipeline.json`` at the repo root with the current numbers next
@@ -20,15 +22,10 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core.branch import GsharePredictor
+from repro.api import default_session
 from repro.core.params import CoreParams, baseline_params, ltp_params
-from repro.core.pipeline import Pipeline
-from repro.harness.runner import (_warm_branch_predictor, _warm_hierarchy,
-                                  get_oracle, get_trace)
+from repro.harness.config import SimConfig
 from repro.ltp.config import LTPConfig, no_ltp, proposed_ltp
-from repro.ltp.controller import LTPController
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.workloads import get_workload
 
 #: directory holding the committed seed-baseline snapshot
 PERF_DIR = Path(__file__).resolve().parent
@@ -75,49 +72,22 @@ def run_one(name: str, warmup: int, measure: int, repeats: int,
     """Benchmark one named configuration; returns a result row.
 
     *engine* selects the timing implementation: the reference object
-    pipeline or the columnar kernel (:mod:`repro.core.kernel`).  For
-    the kernel, predecode happens once outside the timed region — the
-    shape one predecode-per-workload sweeps execute.
+    pipeline or the columnar kernel (:mod:`repro.core.kernel`).  The
+    session's trace cache prepares the trace, oracle and (for the
+    kernel) predecode once; each repeat builds and warms a fresh
+    pipeline untimed and times only its ``run()``.
     """
     workload_name, core_kind, ltp_kind = BENCH_CONFIGS[name]
-    core = _core(core_kind)
-    ltp = _ltp(ltp_kind)
-    total = warmup + measure
-    trace = get_trace(workload_name, total)
-    workload = get_workload(workload_name)
-    oracle = (get_oracle(workload_name, total, core, trace)
-              if ltp.enabled else None)
-    warmup_slice = trace[:warmup]
-    measured = trace[warmup:]
-    arrays = None
-    if engine == "kernel":
-        from repro.core.kernel import predecode
-        arrays = predecode(trace).window(warmup)
+    config = SimConfig(workload=workload_name, core=_core(core_kind),
+                       ltp=_ltp(ltp_kind), warmup=warmup, measure=measure,
+                       engine=engine)
+    session = default_session()
 
     _warm_cpu()
     times: List[float] = []
     stats = None
     for _ in range(repeats):
-        # untimed: rebuild and warm the mutable structures for this rep
-        hierarchy = MemoryHierarchy(core.mem)
-        _warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                        warm_regions=workload.warm_regions)
-        bpred = GsharePredictor()
-        _warm_branch_predictor(bpred, warmup_slice)
-        controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-        if ltp.enabled and oracle is not None and warmup:
-            controller.warm_from_trace(warmup_slice,
-                                       oracle.long_latency[:warmup])
-        if engine == "kernel":
-            from repro.core.kernel import KernelPipeline
-            pipeline = KernelPipeline(
-                measured, params=core, ltp=ltp, controller=controller,
-                hierarchy=hierarchy, branch_predictor=bpred,
-                arrays=arrays)
-        else:
-            pipeline = Pipeline(measured, params=core, ltp=ltp,
-                                controller=controller, hierarchy=hierarchy,
-                                branch_predictor=bpred)
+        pipeline = session.build_pipeline(config)
         start = time.perf_counter()
         stats = pipeline.run()
         times.append(time.perf_counter() - start)

@@ -22,8 +22,8 @@ pieces:
   :class:`BatchWorkItem`\\ s: queued futures sharing one trace
   identity (workload + total trace length + cache policy + shard) are
   grouped so each dispatch pays one trace generation, one workload
-  build and one columnar predecode for the whole group (the
-  :class:`~repro.api.session.BatchRunner` amortization).  ``batch_size``
+  build and one columnar predecode for the whole group (the session's
+  trace-cache entry is shared by every point).  ``batch_size``
   caps the group; the pool's legacy ``chunksize`` acts as that cap
   when no ``batch_size`` is given, so tuned call sites keep their
   dispatch granularity.
@@ -395,9 +395,10 @@ def _chunk_worker(
 
     The batched pool dispatches trace-homogeneous chunks (one
     workload, one total trace length, one cache policy), which run
-    through a session :class:`~repro.api.session.BatchRunner`: one
-    trace generation, one workload build, one predecode for the whole
-    chunk.  A per-point failure comes back in-band as a five-tuple
+    through a session :class:`~repro.api.session.BatchRunner`; the
+    session's trace cache makes that one trace generation, one workload
+    build, one predecode for the whole chunk.  A per-point failure
+    comes back in-band as a five-tuple
     ``(index, None, 0.0, "", error)`` — alongside the usual four-tuple
     :data:`Outcome` successes — so one bad point costs one single-item
     retry instead of re-failing the whole chunk.  Heterogeneous chunks
@@ -580,9 +581,10 @@ class ExecutorBackend:
         (shared by the serial executor and the pool's small-batch
         degradation).
 
-        Trace-identical runs of the queue execute through one
-        :class:`~repro.api.session.BatchRunner`, so the trace is
-        generated (and, for kernel points, predecoded) once per batch;
+        Trace-identical runs of the queue execute back to back through
+        one :class:`~repro.api.session.BatchRunner`, so the session's
+        trace cache generates (and, for kernel points, predecodes) the
+        trace once per batch;
         each point still starts, finishes, retries and resolves
         individually, exactly as unbatched execution would.  *limit*
         overrides the executor's own ``batch_size`` cap (the pool
@@ -616,7 +618,7 @@ class ExecutorBackend:
         """One item, in-process, with bounded retries.
 
         With a *runner* (a :class:`~repro.api.session.BatchRunner`),
-        the point executes against the batch's shared trace state;
+        the point is checked against the batch's trace identity;
         semantics are otherwise identical to ``session.run``.
         """
         run = session.run if runner is None else runner.run

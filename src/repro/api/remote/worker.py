@@ -11,13 +11,12 @@ executor turns into a bounded retry.
 
 ``run_batch`` requests carry a whole trace-identity batch of configs;
 the worker drives them through one
-:class:`~repro.api.session.BatchRunner` (one trace generation, one
-predecode) and streams a ``point_done`` frame per point as it
-finishes, then a trailing ``done``.  The server's session is
-persistent across frames and its workload objects are cached in a
-bounded LRU, so sequential runs/batches of the same workload reuse the
-already-built program and predecoded ``TraceArrays`` instead of
-rebuilding per frame.
+:class:`~repro.api.session.BatchRunner` and streams a ``point_done``
+frame per point as it finishes, then a trailing ``done``.  The
+server's session is persistent across frames, so sequential
+runs/batches of the same workload reuse its trace-cache entry
+(workload metadata, trace, predecode, oracle annotations) instead of
+preparing again per frame.
 
 While a simulation is running the connection emits ``heartbeat``
 frames every ``heartbeat_interval`` seconds, so a dispatcher with a
@@ -28,7 +27,7 @@ simulation should take.
 Concurrency model: one thread per connection, but simulations are
 serialized behind a lock — a worker is one simulation slot
 (parallelism comes from running more workers), and the session's
-trace/oracle caches are not thread-safe.  ``port=0`` binds an
+trace cache is not thread-safe.  ``port=0`` binds an
 ephemeral port; the CLI prints the resolved address as
 ``worker listening on HOST:PORT`` so spawners can discover it.
 """
@@ -38,7 +37,6 @@ from __future__ import annotations
 import queue as queue_mod
 import socket
 import threading
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.remote.protocol import (ProtocolError, recv_frame,
@@ -54,7 +52,6 @@ class WorkerServer:
                  session: Optional[Session] = None,
                  heartbeat_interval: float = 2.0) -> None:
         self._session = session or Session()
-        self._install_workload_cache()
         self.heartbeat_interval = heartbeat_interval
         self._run_lock = threading.Lock()
         self._closed = threading.Event()
@@ -65,35 +62,6 @@ class WorkerServer:
         #: the resolved ``(host, port)`` (meaningful with ``port=0``)
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self._accept_thread: Optional[threading.Thread] = None
-
-    def _install_workload_cache(self) -> None:
-        """Cache built workload objects across run/batch frames.
-
-        The session's trace and ``TraceArrays`` LRUs already persist
-        across frames, but every simulation used to rebuild its
-        workload object (program assembly + memory-image generation)
-        from scratch.  Wrapping the session's workload factory in a
-        bounded LRU — sized with the trace LRU it shadows — removes
-        that per-frame redundancy; workload objects are safe to reuse
-        because ``Workload.trace`` builds a fresh interpreter per
-        call.
-        """
-        session = self._session
-        base = session._workload_factory
-        cache: "OrderedDict[str, Any]" = OrderedDict()
-
-        def factory(name: str) -> Any:
-            workload = cache.get(name)
-            if workload is None:
-                workload = base(name)
-                cache[name] = workload
-            cache.move_to_end(name)
-            while len(cache) > session.trace_cache_size:
-                cache.popitem(last=False)
-            return workload
-
-        session._workload_factory = factory
-        self._workload_cache = cache
 
     # ------------------------------------------------------------------
     # lifetime

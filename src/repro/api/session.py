@@ -3,14 +3,19 @@
 A :class:`Session` owns everything that used to live as module-global
 mutable state in :mod:`repro.harness.runner`:
 
-* the bounded in-process **trace cache** (longest trace per workload,
-  LRU beyond a cap),
-* the bounded **oracle cache** (annotations keyed by workload, length,
-  memory geometry and window),
+* the bounded in-process **trace cache**: one :class:`PreparedWorkload`
+  per workload (LRU beyond a cap) holding everything the points of
+  that workload share -- what they need of the built workload, its
+  longest trace, the kernel engine's predecode and the oracle
+  annotations,
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
   (:class:`~repro.api.backends.SerialBackend` by default).
+
+Every simulated point goes through one recipe,
+:meth:`Session.build_pipeline`, so a batch of points sharing a trace
+pays for its preparation once without any batch-specific state.
 
 Sessions are context managers — leaving the ``with`` block drops the
 in-memory caches — and independent sessions never share state, so tests
@@ -22,6 +27,8 @@ working unchanged.
 
 from __future__ import annotations
 
+import copy
+import functools
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -65,6 +72,82 @@ def _as_backend(backend: Any) -> Any:
     return backend
 
 
+class PreparedWorkload:
+    """One workload's trace-cache entry: everything its points share.
+
+    Holds what a point needs of the built workload (category, program
+    length, warm regions; not the workload object itself, whose memory
+    image can run to tens of megabytes), the longest trace generated so
+    far (with the longest length ever requested: a trace shorter than
+    that means the workload halts there and the trace is complete), the
+    kernel engine's columnar predecode of that trace, and oracle
+    annotations keyed by trace length and memory geometry.  Predecode
+    and annotations are computed on first use.  Traces are
+    deterministic, so a shorter trace is a prefix of a longer one:
+    extending the trace drops the predecode but keeps the annotations.
+    """
+
+    __slots__ = ("category", "program_len", "warm_regions", "requested",
+                 "trace", "_arrays", "_oracles")
+
+    def __init__(self, workload: Any, length: int) -> None:
+        self.trace: List[DynInst] = workload.trace(length)
+        self.requested = length
+        self.category: str = workload.category
+        self.program_len = len(workload.program)
+        self.warm_regions = workload.warm_regions
+        self._arrays: Any = None
+        self._oracles: "OrderedDict[Tuple[int, str, int], OracleInfo]" = \
+            OrderedDict()
+
+    def cover(self, length: int, build: Callable[[], Any]) -> None:
+        """Make the trace cover *length* instructions, unless the
+        workload halts sooner; *build* rebuilds the workload to
+        generate the longer trace."""
+        if length <= self.requested:
+            return
+        if len(self.trace) >= self.requested:  # not known to halt
+            self.trace = build().trace(length)
+            self._arrays = None
+        self.requested = length
+
+    def head(self, length: int) -> List[DynInst]:
+        """The first *length* instructions (the shared list itself
+        when it is no longer)."""
+        trace = self.trace
+        return trace if len(trace) <= length else trace[:length]
+
+    def arrays(self, length: int) -> Any:
+        """Columnar predecode (:class:`~repro.core.kernel.TraceArrays`)
+        of the first *length* instructions: a window over one predecode
+        of the whole trace."""
+        from repro.core.kernel import predecode
+        if self._arrays is None:
+            self._arrays = predecode(self.trace)
+        arrays = self._arrays
+        return arrays if arrays.n <= length else arrays.window(0, length)
+
+    def oracle(self, length: int, core: CoreParams,
+               limit: int) -> OracleInfo:
+        """Oracle annotation of the first *length* instructions under
+        *core*'s memory geometry and ROB window (at most *limit*
+        annotations are kept, least recently used dropped first)."""
+        window = min(cap(core.rob_size), 4096)
+        mem = core.mem
+        key = (length, f"{mem.l1d_size}/{mem.l2_size}/{mem.l3_size}/"
+                       f"{mem.prefetch_degree}", window)
+        oracles = self._oracles
+        oracle = oracles.get(key)
+        if oracle is None:
+            oracle = annotate_trace(self.head(length), mem, window=window,
+                                    warm_regions=self.warm_regions)
+            oracles[key] = oracle
+        oracles.move_to_end(key)
+        while len(oracles) > limit:
+            oracles.popitem(last=False)
+        return oracle
+
+
 class Session:
     """Owns simulation caches and executes configurations.
 
@@ -78,8 +161,10 @@ class Session:
         :meth:`sweep` (``SerialBackend`` when omitted).  A string
         names a registered executor
         (:func:`repro.api.executors.build_executor`).
-    trace_cache_size / oracle_cache_size:
-        LRU caps of the in-process memoisation caches.
+    trace_cache_size:
+        LRU cap on the workloads the trace cache holds.
+    oracle_cache_size:
+        LRU cap on the oracle annotations kept per workload.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -93,18 +178,8 @@ class Session:
             _as_backend(backend) or SerialBackend()
         self.trace_cache_size = trace_cache_size
         self.oracle_cache_size = oracle_cache_size
-        #: workload name -> (max length ever requested, longest trace);
-        #: a trace shorter than its requested length means the workload
-        #: halts early and the trace is complete (LRU, bounded)
-        self._trace_cache: "OrderedDict[str, Tuple[int, List[DynInst]]]" = \
-            OrderedDict()
-        #: workload name -> columnar predecode of that workload's cached
-        #: trace (kernel engine); keyed alongside ``_trace_cache`` and
-        #: bounded by the same cap, so arrays never outlive their trace
-        self._arrays_cache: "OrderedDict[str, Any]" = OrderedDict()
-        #: (workload, length, mem key, window) -> oracle annotation
-        self._oracle_cache: \
-            "OrderedDict[Tuple[str, int, str, int], OracleInfo]" = \
+        #: workload name -> its prepared inputs (LRU, bounded)
+        self._trace_cache: "OrderedDict[str, PreparedWorkload]" = \
             OrderedDict()
         self._workload_factory: Callable[[str], Any] = get_workload
 
@@ -117,7 +192,7 @@ class Session:
         return self.results.directory
 
     def clear_memory_caches(self, results: bool = True) -> None:
-        """Drop the in-process trace/oracle (and result) memoisation.
+        """Drop the in-process trace (and result) memoisation.
 
         The caches are cleared in place (never rebound) so references
         handed out earlier keep observing this session's state.  With
@@ -125,8 +200,6 @@ class Session:
         legacy ``runner.clear_memory_caches`` semantics).
         """
         self._trace_cache.clear()
-        self._arrays_cache.clear()
-        self._oracle_cache.clear()
         if results:
             self.results._memory.clear()
 
@@ -147,87 +220,53 @@ class Session:
     # ------------------------------------------------------------------
     # memoised inputs
     # ------------------------------------------------------------------
-    def get_trace(self, workload_name: str, length: int,
-                  factory: Optional[Callable[[str], Any]] = None,
-                  ) -> List[DynInst]:
+    def get_trace(self, workload_name: str, length: int) -> List[DynInst]:
         """Build (and memoise) the first *length* instructions.
 
-        Only the longest trace per workload is retained; shorter
-        requests return a slice of it, so distinct sweep lengths never
-        pile up duplicate copies in memory.
+        The workload's :class:`PreparedWorkload` entry is created on
+        first use (one workload build, one trace generation) and
+        becomes the most recently used.  Only the longest trace per
+        workload is retained; shorter requests return a slice of it,
+        so distinct sweep lengths never pile up duplicate copies in
+        memory.
         """
-        factory = factory or self._workload_factory
         trace_cache = self._trace_cache
-        cached = trace_cache.get(workload_name)
-        if cached is not None:
-            max_requested, full = cached
-            # shorter than an earlier request => the workload halts
-            # there and the trace is complete; never regenerate it
-            complete = len(full) < max_requested
-            if len(full) < length and not complete:
-                full = factory(workload_name).trace(length)
-            if length > max_requested or full is not cached[1]:
-                trace_cache[workload_name] = (max(length, max_requested),
-                                              full)
+        prepared = trace_cache.get(workload_name)
+        if prepared is None:
+            prepared = PreparedWorkload(self._workload_factory(workload_name),
+                                        length)
+            trace_cache[workload_name] = prepared
         else:
-            full = factory(workload_name).trace(length)
-            trace_cache[workload_name] = (length, full)
+            prepared.cover(length, functools.partial(self._workload_factory,
+                                                     workload_name))
         trace_cache.move_to_end(workload_name)
         while len(trace_cache) > self.trace_cache_size:
             trace_cache.popitem(last=False)
-        if len(full) <= length:
-            return full
-        return full[:length]
+        return prepared.head(length)
 
-    def get_trace_arrays(self, workload_name: str, length: int,
-                         factory: Optional[Callable[[str], Any]] = None):
+    def _prepared(self, workload_name: str,
+                  length: int) -> PreparedWorkload:
+        """The workload's trace-cache entry, covering *length*
+        (:meth:`get_trace` is the one place entries are made, extended
+        and evicted)."""
+        self.get_trace(workload_name, length)
+        return self._trace_cache[workload_name]
+
+    def get_trace_arrays(self, workload_name: str, length: int) -> Any:
         """Columnar predecode of the first *length* instructions.
 
-        The kernel engine's :class:`~repro.core.kernel.TraceArrays` for
-        a workload, memoised next to the trace itself: the predecode
-        covers the session's cached (longest) trace, is invalidated
-        whenever that trace object changes, and shorter requests get a
-        columnar window over the shared arrays — so N configurations
-        batched against one workload predecode exactly once.  Bounded
-        by ``trace_cache_size`` like the trace cache it shadows.
+        The kernel engine's :class:`~repro.core.kernel.TraceArrays`,
+        kept on the workload's trace-cache entry: one predecode covers
+        the longest trace, and shorter requests get a window over it.
         """
-        from repro.core.kernel import predecode
-        self.get_trace(workload_name, length, factory)
-        full = self._trace_cache[workload_name][1]
-        arrays_cache = self._arrays_cache
-        arrays = arrays_cache.get(workload_name)
-        if arrays is None or arrays.dyns is not full:
-            arrays = predecode(full)
-            arrays_cache[workload_name] = arrays
-        arrays_cache.move_to_end(workload_name)
-        while len(arrays_cache) > self.trace_cache_size:
-            arrays_cache.popitem(last=False)
-        if arrays.n <= length:
-            return arrays
-        return arrays.window(0, length)
+        return self._prepared(workload_name, length).arrays(length)
 
-    def get_oracle(self, workload_name: str, length: int, core: CoreParams,
-                   trace: List[DynInst],
-                   factory: Optional[Callable[[str], Any]] = None,
-                   ) -> OracleInfo:
-        """Oracle annotation over the full trace (cached, LRU-bounded)."""
-        factory = factory or self._workload_factory
-        window = min(cap(core.rob_size), 4096)
-        mem = core.mem
-        mem_key = (f"{mem.l1d_size}/{mem.l2_size}/{mem.l3_size}/"
-                   f"{mem.prefetch_degree}")
-        key = (workload_name, length, mem_key, window)
-        oracle_cache = self._oracle_cache
-        oracle = oracle_cache.get(key)
-        if oracle is None:
-            workload = factory(workload_name)
-            oracle = annotate_trace(trace, mem, window=window,
-                                    warm_regions=workload.warm_regions)
-            oracle_cache[key] = oracle
-        oracle_cache.move_to_end(key)
-        while len(oracle_cache) > self.oracle_cache_size:
-            oracle_cache.popitem(last=False)
-        return oracle
+    def get_oracle(self, workload_name: str, length: int,
+                   core: CoreParams) -> OracleInfo:
+        """Oracle annotation of the first *length* instructions under
+        *core* (kept on the workload's trace-cache entry)."""
+        return self._prepared(workload_name, length).oracle(
+            length, core, self.oracle_cache_size)
 
     # ------------------------------------------------------------------
     # execution
@@ -235,14 +274,15 @@ class Session:
     def run(self, config: SimConfig, use_cache: bool = True) -> SimResult:
         """Run one configuration in-process; return a typed result."""
         config.validate()
+        return self._run(config, use_cache)
+
+    def _run(self, config: SimConfig, use_cache: bool) -> SimResult:
+        """:meth:`run` for a validated *config*."""
         key = config.key()
         if use_cache:
-            hit = self.results.lookup(key)
-            if hit is not None:
-                stats, where = hit
-                source = SOURCE_MEMORY if where == "memory" else SOURCE_DISK
-                return cached_result(config, key, stats, source,
-                                     backend="cache")
+            cached = self._cached(config, key)
+            if cached is not None:
+                return cached
         start = time.perf_counter()
         stats = self._execute(config)
         elapsed = time.perf_counter() - start
@@ -251,34 +291,24 @@ class Session:
         return SimResult(config=config, stats=stats, key=key,
                          source=SOURCE_SIMULATED, wall_time_s=elapsed)
 
+    def _cached(self, config: SimConfig, key: str) -> Optional[SimResult]:
+        """The result cache's entry for *key* as a result, if any."""
+        hit = self.results.lookup(key)
+        if hit is None:
+            return None
+        stats, where = hit
+        source = SOURCE_MEMORY if where == "memory" else SOURCE_DISK
+        return cached_result(config, key, stats, source, backend="cache")
+
     def batch_runner(self, workload: str, length: int) -> "BatchRunner":
         """A :class:`BatchRunner` for one trace identity.
 
         Executors hand every point of a ``(workload, warmup+measure)``
-        batch to the returned runner; the trace is generated, the
-        workload built, and (for kernel points) the columnar predecode
-        done once for the whole batch instead of once per point.
+        batch to the returned runner, which rejects configs outside
+        the batch; the trace cache prepares the batch's shared inputs
+        once.
         """
         return BatchRunner(self, workload, length)
-
-    def run_batch(self, configs: List[SimConfig],
-                  use_cache: bool = True) -> List[SimResult]:
-        """Run a trace-homogeneous batch of configurations in order.
-
-        Every config must share one workload and one total trace
-        length (``warmup + measure``); a :class:`BatchRunner` amortizes
-        trace generation and predecode across them.  Each point is
-        otherwise identical to :meth:`run` — same cache lookups, same
-        result shape — so the outputs are bit-identical to running the
-        configs one at a time.
-        """
-        if not configs:
-            return []
-        first = configs[0]
-        runner = self.batch_runner(first.workload,
-                                   first.warmup + first.measure)
-        return [runner.run(config, use_cache=use_cache)
-                for config in configs]
 
     def _drive(self, backend: Any, config_list: List[SimConfig],
                submission: Iterable[Tuple[int, Optional[int]]],
@@ -344,14 +374,10 @@ class Session:
                     if inspect is not None:
                         inspect.observe(results[index], index)
                     continue
-                hit = (self.results.lookup(key)
-                       if use_cache and not quarantined else None)
-                if hit is not None:
-                    stats, where = hit
-                    source = (SOURCE_MEMORY if where == "memory"
-                              else SOURCE_DISK)
-                    results[index] = cached_result(config, key, stats,
-                                                   source, backend="cache")
+                cached = (self._cached(config, key)
+                          if use_cache and not quarantined else None)
+                if cached is not None:
+                    results[index] = cached
                     if store is not None:
                         store.add(results[index])
                     if inspect is not None:
@@ -538,28 +564,22 @@ class Session:
     # ------------------------------------------------------------------
     # the simulation itself
     # ------------------------------------------------------------------
-    def _execute(self, config: SimConfig) -> Dict[str, Any]:
-        """Trace, warm, and run the timing pipeline for *config*."""
-        total = config.warmup + config.measure
-        trace = self.get_trace(config.workload, total)
-        workload = self._workload_factory(config.workload)
-        return self._simulate(config, trace, workload)
+    def build_pipeline(self, config: SimConfig) -> Pipeline:
+        """A warmed timing pipeline for *config*, ready to ``run()``.
 
-    def _simulate(self, config: SimConfig, trace: List[DynInst],
-                  workload: Any,
-                  arrays: Any = None) -> Dict[str, Any]:
-        """Warm and run the timing pipeline over prepared inputs.
-
-        The per-point half of :meth:`_execute`: *trace* and *workload*
-        (and, for the kernel engine, optionally the predecoded
-        *arrays*) are supplied by the caller so a
-        :class:`BatchRunner` can share them across every point of a
-        trace-identity batch while each point still warms and
-        simulates independently.
+        The one prepare-and-run recipe every simulated point follows:
+        take the workload's trace-cache entry (trace, workload metadata,
+        oracle annotation iff the policy needs one and, for the kernel
+        engine, the columnar predecode), warm a fresh memory hierarchy,
+        branch predictor and policy on the warmup slice, and build the
+        configured engine over the measured slice.  Everything shared
+        comes from the entry, so points of one trace prepare once;
+        everything mutable is fresh per call.
         """
         total = config.warmup + config.measure
-        oracle = (self.get_oracle(config.workload, total, config.core,
-                                  trace)
+        prepared = self._prepared(config.workload, total)
+        trace = prepared.head(total)
+        oracle = (prepared.oracle(total, config.core, self.oracle_cache_size)
                   if policy_needs_oracle(config.policy, config.ltp)
                   else None)
 
@@ -567,8 +587,8 @@ class Session:
         measured = trace[config.warmup:]
 
         hierarchy = MemoryHierarchy(config.core.mem)
-        warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                       warm_regions=workload.warm_regions)
+        warm_hierarchy(hierarchy, warmup_slice, prepared.program_len,
+                       warm_regions=prepared.warm_regions)
         bpred = GsharePredictor()
         warm_branch_predictor(bpred, warmup_slice)
 
@@ -583,21 +603,20 @@ class Session:
 
         if config.engine == "kernel":
             from repro.core.kernel import KernelPipeline
-            if arrays is None:
-                arrays = self.get_trace_arrays(config.workload, total)
-            pipeline: Pipeline = KernelPipeline(
+            return KernelPipeline(
                 measured, params=config.core, ltp=config.ltp,
                 policy=policy, hierarchy=hierarchy,
                 branch_predictor=bpred,
-                arrays=arrays.window(config.warmup))
-        else:
-            pipeline = Pipeline(measured, params=config.core,
-                                ltp=config.ltp, policy=policy,
-                                hierarchy=hierarchy,
-                                branch_predictor=bpred)
-        stats = pipeline.run().as_dict()
+                arrays=prepared.arrays(total).window(config.warmup))
+        return Pipeline(measured, params=config.core, ltp=config.ltp,
+                        policy=policy, hierarchy=hierarchy,
+                        branch_predictor=bpred)
+
+    def _execute(self, config: SimConfig) -> Dict[str, Any]:
+        """Simulate *config*; return its statistics dict."""
+        stats = self.build_pipeline(config).run().as_dict()
         stats["workload"] = config.workload
-        stats["category"] = workload.category
+        stats["category"] = self._trace_cache[config.workload].category
         return stats
 
     # ------------------------------------------------------------------
@@ -606,43 +625,26 @@ class Session:
     def _with_result_cache(self, results: ResultCache) -> "Session":
         """A view of this session with a different result cache.
 
-        Trace/oracle caches (and their bounds) are shared with the
-        parent; only result caching is redirected.  Used by the legacy
+        The trace cache (and its bounds) is shared with the parent;
+        only result caching is redirected.  Used by the legacy
         ``run_sim`` shims when tests override the module-level cache.
         """
-        view = Session.__new__(Session)
+        view = copy.copy(self)
         view.results = results
-        view.backend = self.backend
-        view.trace_cache_size = self.trace_cache_size
-        view.oracle_cache_size = self.oracle_cache_size
-        view._trace_cache = self._trace_cache
-        view._arrays_cache = self._arrays_cache
-        view._oracle_cache = self._oracle_cache
-        view._workload_factory = self._workload_factory
         return view
 
 
 class BatchRunner:
-    """Execute one trace-identity batch with shared prepared inputs.
+    """:meth:`Session.run` restricted to one trace identity.
 
     Created by :meth:`Session.batch_runner` for a batch of
     configurations sharing a workload and a total trace length — the
     grouping rule behind the executor layer's
-    :class:`~repro.api.exec.BatchWorkItem`.  The first :meth:`run`
-    call that misses the result cache prepares the shared inputs —
-    one trace generation, one workload build, and (for kernel-engine
-    points) one columnar predecode — and every later call reuses
-    them.  This lifts the amortization
-    :func:`repro.core.kernel.simulate_batch` provides at the kernel
-    level up to the session, where result caching, provenance and
-    per-point isolation still apply.
-
-    Each call is otherwise bit-identical to :meth:`Session.run`: the
-    same cache lookup and fill, the same per-point warmup and
-    simulation, the same :class:`~repro.api.result.SimResult` shape.
-    Preparation failures surface on the *calling* point and are
-    re-attempted on the next call, so a transient trace failure costs
-    per-point retries and never poisons the runner.
+    :class:`~repro.api.exec.BatchWorkItem`.  The sharing itself lives
+    in the session's trace cache (one trace generation, one workload
+    build and one predecode per trace), so a runner keeps no state: it
+    checks that each config belongs to its batch and runs it exactly as
+    :meth:`Session.run` would.
     """
 
     def __init__(self, session: Session, workload: str, length: int):
@@ -651,48 +653,16 @@ class BatchRunner:
         self.session = session
         self.workload = workload
         self.length = length
-        self._trace: Optional[List[DynInst]] = None
-        self._workload_obj: Any = None
-        self._arrays: Any = None
 
-    def _check_membership(self, config: SimConfig) -> None:
+    def run(self, config: SimConfig, use_cache: bool = True) -> SimResult:
+        """Run one point of the batch; same result as :meth:`Session.run`."""
+        config.validate()
         total = config.warmup + config.measure
         if config.workload != self.workload or total != self.length:
             raise ValueError(
                 f"config {config.workload!r} (trace length {total}) does "
                 f"not belong to the {self.workload!r}/{self.length} batch")
-
-    def run(self, config: SimConfig, use_cache: bool = True) -> SimResult:
-        """Run one point of the batch; mirrors :meth:`Session.run`."""
-        config.validate()
-        self._check_membership(config)
-        session = self.session
-        key = config.key()
-        if use_cache:
-            hit = session.results.lookup(key)
-            if hit is not None:
-                stats, where = hit
-                source = SOURCE_MEMORY if where == "memory" else SOURCE_DISK
-                return cached_result(config, key, stats, source,
-                                     backend="cache")
-        start = time.perf_counter()
-        if self._trace is None:
-            self._trace = session.get_trace(self.workload, self.length)
-        if self._workload_obj is None:
-            self._workload_obj = session._workload_factory(self.workload)
-        arrays = None
-        if config.engine == "kernel":
-            if self._arrays is None:
-                self._arrays = session.get_trace_arrays(self.workload,
-                                                        self.length)
-            arrays = self._arrays
-        stats = session._simulate(config, self._trace, self._workload_obj,
-                                  arrays=arrays)
-        elapsed = time.perf_counter() - start
-        if use_cache:
-            session.results.put(key, stats)
-        return SimResult(config=config, stats=stats, key=key,
-                         source=SOURCE_SIMULATED, wall_time_s=elapsed)
+        return self.session._run(config, use_cache)
 
 
 # ======================================================================

@@ -10,8 +10,8 @@ seam, same statistics, bit-for-bit — but restructured for speed:
   predecoded once into parallel plain lists (:class:`TraceArrays`,
   built on :func:`repro.isa.trace.predecode_columns`) and indexed by
   position.  One predecode serves any number of configurations
-  (:func:`simulate_batch`; the session layer caches the arrays in its
-  trace LRU), which is the shape sweeps actually execute.
+  (:func:`simulate_batch`; the session keeps the arrays on each
+  trace-cache entry), which is the shape sweeps actually execute.
 * **Integer event heap.**  Completion/tag events are packed into single
   integers ``cycle * SHIFT + rel * 2 + kind`` (``rel`` the trace-window
   index, ``SHIFT = 2 * len(trace)``), preserving the reference heap's

@@ -41,7 +41,7 @@ from repro.ltp.oracle import annotate_trace
 from repro.policies import DEFAULT_POLICY, policy_names
 from repro.util import first_doc_line
 from repro.workloads import (MLP_INSENSITIVE, MLP_SENSITIVE, get_workload,
-                             mlp_insensitive_suite, mlp_sensitive_suite)
+                             suite_names)
 
 ASTAR = "ptrchase_astar"
 MILC = "lattice_milc"
@@ -56,15 +56,13 @@ GROUP_LABELS = {
 }
 
 
-def _suite_names(category: str) -> List[str]:
-    if category == MLP_SENSITIVE:
-        return [w.name for w in mlp_sensitive_suite()]
-    return [w.name for w in mlp_insensitive_suite()]
+def _full_suite_names() -> List[str]:
+    return suite_names(MLP_SENSITIVE) + suite_names(MLP_INSENSITIVE)
 
 
 def _group_members(group: str) -> List[str]:
     if group in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        return _suite_names(group)
+        return suite_names(group)
     return [group]
 
 
@@ -196,7 +194,7 @@ def fig1_motivation(warmup: Optional[int] = None,
     ]
     out: Dict[str, dict] = {"configs": [c[0] for c in configs]}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         per_config = {}
         for label, params, ltp in configs:
             results = [_run(n, params, ltp, warmup, measure) for n in names]
@@ -471,7 +469,7 @@ def fig10_impl_tradeoffs(warmup: Optional[int] = None,
     small_core = ltp_params()
     out: Dict[str, dict] = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base = {n: _run(n, base_core, no_ltp(), warmup, measure)
                 for n in names}
         base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
@@ -538,7 +536,7 @@ def fig11_tickets(warmup: Optional[int] = None,
     small_core = ltp_params()
     out: Dict[str, dict] = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base_cycles = {
             n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
             for n in names}
@@ -590,7 +588,7 @@ def uit_ablation(warmup: Optional[int] = None,
     small_core = ltp_params()
     out = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base_cycles = {
             n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
             for n in names}
@@ -624,7 +622,7 @@ def predictor_ablation(warmup: Optional[int] = None,
     small_core = ltp_params()
     out = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base_cycles = {
             n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
             for n in names}
@@ -665,7 +663,7 @@ def sensitivity_report(warmup: Optional[int] = None,
 
     rows = []
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        for name in _suite_names(category):
+        for name in suite_names(category):
             small = _run(name, core(32), no_ltp(), warmup, measure)
             large = _run(name, core(256), no_ltp(), warmup, measure)
             verdict = classify(SensitivityInputs(
@@ -801,7 +799,7 @@ def headline_summary(warmup: Optional[int] = None,
     small_core = ltp_params()
     out: Dict[str, dict] = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base = {n: _run(n, base_core, no_ltp(), warmup, measure)
                 for n in names}
         base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
@@ -873,7 +871,7 @@ def policy_comparison(warmup: Optional[int] = None,
     ltp = proposed_ltp()
     out: Dict[str, dict] = {}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = _suite_names(category)
+        names = suite_names(category)
         base = {n: _run(n, base_core, no_ltp(), warmup, measure)
                 for n in names}
         base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
@@ -931,8 +929,7 @@ def ltp_queue_sweep(workloads: Optional[Sequence[str]] = None,
     figures, and the sweep CI shards four ways.
     """
     names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+             else _full_suite_names())
     return SweepSpec(
         workloads=names,
         core=ltp_params(),
@@ -955,8 +952,7 @@ def policy_compare_sweep(workloads: Optional[Sequence[str]] = None,
     shardable and resumable like any other sweep.
     """
     names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+             else _full_suite_names())
     return SweepSpec(
         workloads=names,
         core=ltp_params(),
@@ -987,8 +983,7 @@ def learned_compare_sweep(workloads: Optional[Sequence[str]] = None,
     the result down per policy with ED2P deltas against ``ltp``.
     """
     names = (list(workloads) if workloads is not None
-             else [w.name for w in (mlp_sensitive_suite()
-                                    + mlp_insensitive_suite())])
+             else _full_suite_names())
     return SweepSpec(
         workloads=names,
         core=ltp_params(),

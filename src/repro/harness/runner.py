@@ -2,7 +2,7 @@
 
 The paper warms caches for 250 M instructions and then measures a 10 M
 instruction SimPoint.  The execution recipe mirrors that shape (see
-:meth:`repro.api.session.Session._execute`):
+:meth:`repro.api.session.Session.build_pipeline`):
 
 1. generate ``warmup + measure`` dynamic instructions from the workload,
 2. compute the oracle annotation over the *full* trace (miss levels,
@@ -12,18 +12,19 @@ instruction SimPoint.  The execution recipe mirrors that shape (see
    the warmup slice (functionally, no timing),
 4. run the timing pipeline over the measured slice.
 
-All mutable state — the bounded trace/oracle memoisation and the
-memory+disk result cache — is owned by :class:`repro.api.session.Session`
-objects; this module keeps the historical functional API
+All mutable state — the bounded trace cache (whose per-workload
+entries also hold the oracle annotations) and the memory+disk result
+cache — is owned by :class:`repro.api.session.Session` objects; this
+module keeps the historical functional API
 (:func:`run_sim`, :func:`run_sims`, :func:`get_trace`,
 :func:`get_oracle`, :func:`clear_memory_caches`) as shims over the
 process-global default session, so existing call sites and the
 differential-equivalence guarantees keep working unchanged.  The pure
 warm-up helpers live here because they carry no state.
 
-Backward-compatible cache access: attribute reads of ``_trace_cache``,
-``_oracle_cache`` and ``_result_cache`` resolve to the default
-session's objects via module ``__getattr__`` **and emit a
+Backward-compatible cache access: attribute reads of ``_trace_cache``
+and ``_result_cache`` resolve to the default session's objects via
+module ``__getattr__`` **and emit a
 ``DeprecationWarning``** (the tier-1 suite escalates it to an error —
 new code must hold a :class:`repro.api.session.Session` instead);
 assigning ``runner._result_cache`` (as cache-isolation test fixtures
@@ -47,16 +48,13 @@ from repro.memory.cache import block_of
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import get_workload
 
-#: LRU caps of the default in-process memoisation (per session)
+#: LRU caps of the default in-process memoisation (per session: traces
+#: per workload, oracle annotations per trace)
 TRACE_CACHE_MAX = 8
 ORACLE_CACHE_MAX = 16
 
-#: legacy aliases (tests import these)
-_TRACE_CACHE_MAX = TRACE_CACHE_MAX
-_ORACLE_CACHE_MAX = ORACLE_CACHE_MAX
-
 #: module attributes resolved against the default session on first use
-_SESSION_ATTRS = ("_trace_cache", "_oracle_cache", "_result_cache")
+_SESSION_ATTRS = ("_trace_cache", "_result_cache")
 
 #: result caches ever handed out as *the default session's* — a module
 #: global equal to one of these is a restored read-back (e.g. a
@@ -76,11 +74,8 @@ def __getattr__(name: str):
         session = default_session()
         if name == "_result_cache":
             _default_result_caches.add(session.results)
-        return {
-            "_trace_cache": session._trace_cache,
-            "_oracle_cache": session._oracle_cache,
-            "_result_cache": session.results,
-        }[name]
+        return (session.results if name == "_result_cache"
+                else session._trace_cache)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -112,7 +107,7 @@ def _shim_session():
 
 
 # ======================================================================
-# pure warm-up helpers (stateless; also used by the perf bench harness)
+# pure warm-up helpers (stateless)
 # ======================================================================
 def warm_hierarchy(hierarchy: MemoryHierarchy, warmup_slice,
                    program_len: int, warm_regions=()) -> None:
@@ -141,10 +136,6 @@ def warm_branch_predictor(bpred: GsharePredictor, warmup_slice) -> None:
             bpred.predict_and_update(dyn.pc, dyn.taken)
 
 
-#: legacy aliases (the perf bench harness imports the underscored names)
-_warm_hierarchy = warm_hierarchy
-_warm_branch_predictor = warm_branch_predictor
-
 
 # ======================================================================
 # legacy functional API (shims over the default session)
@@ -160,9 +151,13 @@ def get_trace(workload_name: str, length: int) -> List[DynInst]:
 
 
 def get_oracle(workload_name: str, length: int, core: CoreParams,
-               trace: List[DynInst]) -> OracleInfo:
-    """Oracle annotation over the full trace (cached, LRU-bounded)."""
-    return _shim_session().get_oracle(workload_name, length, core, trace)
+               trace: Optional[List[DynInst]] = None) -> OracleInfo:
+    """Oracle annotation of the first *length* instructions (cached).
+
+    *trace* is accepted for backward compatibility; the annotation is
+    always computed over the session's own (identical) trace.
+    """
+    return _shim_session().get_oracle(workload_name, length, core)
 
 
 def run_sim_result(config: SimConfig, use_cache: bool = True):
@@ -213,6 +208,6 @@ def run_sims(configs: Iterable[SimConfig], jobs: Optional[int] = None,
 
 
 def clear_memory_caches() -> None:
-    """Drop in-process trace/oracle caches (tests use this)."""
+    """Drop the in-process trace cache (tests use this)."""
     from repro.api.session import default_session
     default_session().clear_memory_caches(results=False)

@@ -4,7 +4,8 @@ from repro.workloads.base import (CATEGORIES, MLP_INSENSITIVE, MLP_SENSITIVE,
                                   Workload)
 from repro.workloads.mixes import (ALIASES, full_suite, get_workload,
                                    mlp_insensitive_suite,
-                                   mlp_sensitive_suite, workload_names)
+                                   mlp_sensitive_suite, suite_names,
+                                   workload_names)
 
 __all__ = [
     "ALIASES",
@@ -16,5 +17,6 @@ __all__ = [
     "get_workload",
     "mlp_insensitive_suite",
     "mlp_sensitive_suite",
+    "suite_names",
     "workload_names",
 ]

@@ -8,6 +8,7 @@ map to the two individually-plotted checkpoints.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List
 
 from repro.workloads import kernels
@@ -53,14 +54,30 @@ def get_workload(name: str) -> Workload:
         ) from None
 
 
+@functools.lru_cache(maxsize=None)
+def _category_of(factory: Callable[[], Workload]) -> str:
+    """The category *factory* builds (memoised: a build can take a
+    tenth of a second, and the category never changes)."""
+    return factory().category
+
+
+def suite_names(category: str) -> List[str]:
+    """Names of the registered workloads in *category*, registry order.
+
+    Each kernel is built at most once per process to learn its
+    category, so planning or re-rendering a figure never rebuilds the
+    suite.
+    """
+    return [name for name, factory in _FACTORIES.items()
+            if _category_of(factory) == category]
+
+
 def mlp_sensitive_suite() -> List[Workload]:
-    suite = [factory() for factory in _FACTORIES.values()]
-    return [w for w in suite if w.category == MLP_SENSITIVE]
+    return [_FACTORIES[name]() for name in suite_names(MLP_SENSITIVE)]
 
 
 def mlp_insensitive_suite() -> List[Workload]:
-    suite = [factory() for factory in _FACTORIES.values()]
-    return [w for w in suite if w.category == MLP_INSENSITIVE]
+    return [_FACTORIES[name]() for name in suite_names(MLP_INSENSITIVE)]
 
 
 def full_suite() -> List[Workload]:

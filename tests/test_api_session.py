@@ -132,8 +132,6 @@ def test_runner_module_attributes_are_session_state():
     # errors)
     with pytest.warns(DeprecationWarning, match="runner._trace_cache"):
         assert runner_mod._trace_cache is session._trace_cache
-    with pytest.warns(DeprecationWarning, match="runner._oracle_cache"):
-        assert runner_mod._oracle_cache is session._oracle_cache
     with pytest.warns(DeprecationWarning, match="repro.api"):
         assert runner_mod._result_cache is session.results
 

@@ -155,7 +155,7 @@ def test_batch_runner_prep_failure_surfaces_then_retries(tmp_path,
                                                          monkeypatch):
     """A transient trace failure costs the calling point only; the
     next call re-attempts preparation instead of poisoning the
-    runner."""
+    session's trace cache."""
     state = {"tripped": False}
     inner_factory = mixes._FACTORIES["compute_int"]
 
@@ -377,10 +377,10 @@ def test_worker_reuses_workload_objects_across_frames(tmp_path):
             executor = RemoteExecutor([worker.address], batch_size=1)
             with Session(cache_dir=str(tmp_path / "s")) as session:
                 session.sweep(spec, use_cache=False, backend=executor)
-            assert FLAKY in worker._workload_cache
+            assert FLAKY in worker._session._trace_cache
     finally:
         mixes._FACTORIES.pop(FLAKY, None)
-    # two singleton run frames, one workload build (the LRU hit)
+    # two singleton run frames, one workload build (the trace-cache hit)
     assert sum(built) == 1
 
 
@@ -394,8 +394,8 @@ class _TamperingSession(Session):
         super().__init__(**kwargs)
         self._tamper_key = tamper_key
 
-    def _simulate(self, config, trace, workload, arrays=None):
-        stats = super()._simulate(config, trace, workload, arrays=arrays)
+    def _execute(self, config):
+        stats = super()._execute(config)
         if config.key() == self._tamper_key:
             stats = dict(stats)
             stats["cycles"] = max(1, stats["cycles"] // 4)

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from repro.core.branch import GsharePredictor
 from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (_warm_branch_predictor, _warm_hierarchy,
-                                  get_oracle, get_trace)
+from repro.harness.runner import (get_oracle, get_trace,
+                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
@@ -73,10 +73,10 @@ def _run_workload(name, core, ltp, warmup, measure, **kwargs):
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
-    _warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
-                    warm_regions=workload.warm_regions)
+    warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
+                   warm_regions=workload.warm_regions)
     bpred = GsharePredictor()
-    _warm_branch_predictor(bpred, warmup_slice)
+    warm_branch_predictor(bpred, warmup_slice)
     controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
     if ltp.enabled and oracle is not None and warmup:
         controller.warm_from_trace(warmup_slice,

@@ -139,18 +139,18 @@ def test_session_shares_one_predecode_across_configs(tmp_path):
         window = session.get_trace_arrays("lattice_milc", 300)
         assert window.n == 300
         assert window.dyns[0] is first.dyns[0]
-        assert len(session._arrays_cache) == 1
+        assert list(session._trace_cache) == ["lattice_milc"]
 
 
 def test_session_arrays_cache_evicts_with_trace_cache(tmp_path):
     with Session(cache_dir=str(tmp_path), trace_cache_size=2) as session:
         for name in ("lattice_milc", "ptrchase_astar", "stream_triad"):
             session.get_trace_arrays(name, 300)
-        assert len(session._arrays_cache) <= 2
-        assert "lattice_milc" not in session._arrays_cache
-        assert "stream_triad" in session._arrays_cache
+        assert len(session._trace_cache) <= 2
+        assert "lattice_milc" not in session._trace_cache
+        assert "stream_triad" in session._trace_cache
         session.clear_memory_caches()
-        assert not session._arrays_cache
+        assert not session._trace_cache
 
 
 def test_session_arrays_invalidate_when_trace_grows(tmp_path):

@@ -101,7 +101,7 @@ def test_trace_cache_shares_prefixes_and_is_bounded():
     assert short_trace == long_trace[:200]
     # ...and does NOT retain an extra cached copy per distinct length
     assert list(trace_cache) == ["compute_int"]
-    assert len(trace_cache["compute_int"][1]) == 600
+    assert len(trace_cache["compute_int"].trace) == 600
     # an exact-length request returns the shared list itself (no copy)
     assert get_trace("compute_int", 600) is long_trace
     # LRU eviction caps the number of retained workloads
@@ -121,6 +121,10 @@ def test_trace_cache_does_not_regenerate_halting_workloads(monkeypatch):
     calls = []
 
     class HaltingWorkload:
+        category = "mlp_insensitive"
+        program = []
+        warm_regions = ()
+
         def trace(self, length):
             calls.append(length)
             return list(range(min(length, 150)))  # halts at 150 insts

@@ -1,7 +1,7 @@
 """The legacy runner cache shims must warn — and the suite must not
 trip the warning itself.
 
-``runner._trace_cache`` / ``_oracle_cache`` / ``_result_cache`` resolve
+``runner._trace_cache`` / ``_result_cache`` resolve
 through module ``__getattr__`` for backward compatibility; every such
 read now emits a ``DeprecationWarning`` pointing at :mod:`repro.api`.
 The suite-wide pytest filter (``pyproject.toml``) escalates exactly
@@ -16,7 +16,7 @@ import pytest
 
 from repro.harness import runner as runner_mod
 
-LEGACY_ATTRS = ("_trace_cache", "_oracle_cache", "_result_cache")
+LEGACY_ATTRS = ("_trace_cache", "_result_cache")
 
 
 def _without_real_global(name):
