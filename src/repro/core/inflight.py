@@ -41,7 +41,7 @@ class InFlightInst:
         "rf_class", "rf_allocated", "lq_allocated", "sq_allocated",
         "rename_cycle", "release_cycle", "issue_cycle",
         "mem_level", "producer_records",
-        "forced_release", "park_reason",
+        "forced_release", "park_reason", "rejected_at",
     )
 
     def __init__(self, dyn: DynInst) -> None:
@@ -67,6 +67,8 @@ class InFlightInst:
         self.predicted_ll = self.actual_ll = self.ll_listed = False
         self.rf_allocated = self.lq_allocated = self.sq_allocated = False
         self.forced_release = False
+        #: hierarchy ``version`` at this load's last MSHR rejection
+        self.rejected_at = -1
         self.completion_cycle = self.own_ticket = None
         self.rename_cycle = self.release_cycle = self.issue_cycle = None
         self.mem_level = self.park_reason = None

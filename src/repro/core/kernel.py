@@ -301,6 +301,7 @@ class KernelPipeline(Pipeline):
         mshr_expiry = hierarchy.mshrs._expiry
         access_inst = hierarchy.access_inst
         access_data = hierarchy.access_data
+        repeat_rejection = hierarchy.repeat_rejection
         commit_store = hierarchy.commit_store
         bpred_update = self.bpred.predict_and_update
         older_store_state = lsq.older_store_state
@@ -824,9 +825,16 @@ class KernelPipeline(Pipeline):
                                     dyn.pc, entry.pc):
                                 deferred.append(rel)
                                 continue  # wait for the store's address
+                            if record.rejected_at == hierarchy.version:
+                                # nothing the rejection depended on
+                                # has changed since: skip the access
+                                repeat_rejection()
+                                deferred.append(rel)
+                                continue
                             result = access_data(addr, now + lat_agu,
                                                  False, dyn.pc)
                             if result is None:
+                                record.rejected_at = hierarchy.version
                                 deferred.append(rel)
                                 continue  # MSHRs full; retry
                             level = result.level

@@ -864,9 +864,15 @@ class Pipeline:
             self._track_open_load(record, addr)
             return True
 
-        result = self.hierarchy.access_data(addr, now + agu,
-                                            is_store=False, pc=dyn.pc)
+        hierarchy = self.hierarchy
+        if record.rejected_at == hierarchy.version:
+            # nothing the rejection depended on has changed since
+            hierarchy.repeat_rejection()
+            return False
+        result = hierarchy.access_data(addr, now + agu,
+                                       is_store=False, pc=dyn.pc)
         if result is None:
+            record.rejected_at = hierarchy.version
             return False  # MSHRs full; retry
         record.mem_level = result.level
         record.actual_ll = result.long_latency

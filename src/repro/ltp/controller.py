@@ -12,6 +12,10 @@ pipeline drives:
   instructions wake between the ROB head and the second in-flight
   long-latency instruction; Non-Ready instructions wake when their
   tickets clear; the ROB head is always forced out (Section 5.4).
+  Wakeup is event-driven, not an oldest-first scan: a record joins the
+  queue's ready lists when it parks ticket-free or when
+  :meth:`on_tag_known` clears its last ticket, and a release reads the
+  oldest ready entries.
 * completion/commit hooks that feed the UIT, tickets and predictor.
 """
 
@@ -60,6 +64,7 @@ class LTPController:
         #: predicate and bind the classifier hook the rename hot path
         #: consults on every attempt
         self._parks_nr = config.parks_nr
+        self._eager = config.wakeup_policy == "eager"
         self._classify = self.classifier.observe_rename
 
     # ------------------------------------------------------------------
@@ -165,6 +170,8 @@ class LTPController:
 
     def park(self, record: InFlightInst) -> None:
         self.queue.push(record)
+        if self._parks_nr and not record.tickets:
+            self.queue.mark_ready(record)
 
     # ------------------------------------------------------------------
     # wakeup policy
@@ -176,29 +183,39 @@ class LTPController:
         *boundary_seq* is the sequence number of the second-oldest
         in-flight long-latency instruction (Section 3.2's Non-Urgent
         criterion); *force_seq* is the ROB head's sequence number when
-        the head is parked (deadlock avoidance, Section 5.4).
+        the head is parked (deadlock avoidance, Section 5.4).  The head
+        of the queue is then the ROB head, and it leaves first,
+        tickets or not.
+
+        Otherwise a record is eligible once it holds no tickets, and a
+        non-urgent one also only below the boundary.  Urgent records
+        land in LTP only via parked-bit forcing or ticket (NR) parking,
+        so they leave as soon as their tickets clear; draining (monitor
+        off) and the eager ablation drop the ROB-position rule.  The
+        FIFO queue of the NU-only design checks its head; the NR modes
+        read the queue's ready lists, which ``park`` and
+        :meth:`on_tag_known` keep current.
         """
-        if not len(self.queue):
+        queue = self.queue
+        if not len(queue):
             return []
-        draining = not self.is_enabled(now)
-        eager = self.config.wakeup_policy == "eager"
-
-        def eligible(record: InFlightInst) -> bool:
-            if record.seq == force_seq:
-                record.forced_release = True
-                return True
-            if draining:
-                return not record.tickets
-            if record.tickets:
-                return False
-            if eager or record.urgent:
-                # urgent records only land here via parked-bit forcing or
-                # ticket (NR) parking: leave as soon as tickets clear;
-                # the eager ablation ignores the ROB-position rule.
-                return True
-            return record.seq < boundary_seq
-
-        return self.queue.candidates(eligible, limit)
+        head = queue.head()
+        forced = head.seq == force_seq
+        if forced:
+            head.forced_release = True
+            if limit == 1 or queue.fifo_only:
+                return [head]
+        if self._eager or not self.is_enabled(now):
+            boundary_seq = NO_BOUNDARY
+        if queue.fifo_only:
+            if head.tickets or not (head.urgent or head.seq < boundary_seq):
+                return []
+            return [head]
+        if not forced:
+            return queue.ready(limit, boundary_seq)
+        # the forced head, then the oldest other ready records
+        return [head] + [record for record in queue.ready(limit, boundary_seq)
+                         if record is not head][:limit - 1]
 
     def release(self, record: InFlightInst) -> None:
         self.queue.remove(record)
@@ -207,11 +224,18 @@ class LTPController:
     # event hooks
     # ------------------------------------------------------------------
     def on_tag_known(self, record: InFlightInst) -> None:
-        """Early data-return signal: clear the record's ticket."""
-        if record.own_ticket is not None:
-            ticket = record.own_ticket
+        """Early data-return signal: clear the record's ticket.
+
+        Tickets only shrink once a record is renamed, so a parked
+        holder left with none becomes ready exactly here, once.
+        """
+        ticket = record.own_ticket
+        if ticket is not None:
             record.own_ticket = None
-            self.tickets.clear(ticket)
+            mark_ready = self.queue.mark_ready
+            for holder in self.tickets.clear(ticket):
+                if holder.parked and not holder.tickets:
+                    mark_ready(holder)
 
     def on_load_complete(self, record: InFlightInst,
                          was_long_latency: bool) -> None:

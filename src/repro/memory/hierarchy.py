@@ -24,6 +24,14 @@ Outstanding-request accounting integrates the number of in-flight
 past-L2 demand requests over time so Figure 1b's "average outstanding
 requests" can be reported exactly even when the pipeline skips idle
 cycles.
+
+Whether a demand access is rejected for want of an MSHR depends only
+on whether its block is in the L1D, whether the block has an
+outstanding fill and how many demand MSHRs are busy.  ``version``
+counts the changes to that state (MSHR allocations and expiries, L1D
+inserts), so a load rejected at the current version would be rejected
+again: the pipelines skip such retries and account for them with
+:meth:`MemoryHierarchy.repeat_rejection`.
 """
 
 from __future__ import annotations
@@ -131,6 +139,9 @@ class MemoryHierarchy:
         self._outstanding_events: List[int] = []
         self._outstanding_integral = 0
         self._last_advance_cycle = 0
+        #: bumped whenever a rejected demand access could start to
+        #: succeed: MSHR allocate/expire and every L1D insert
+        self.version = 0
 
     # ------------------------------------------------------------------
     # outstanding-request accounting
@@ -156,6 +167,7 @@ class MemoryHierarchy:
         expiry = self.mshrs._expiry
         if expiry and expiry[0][0] <= now:
             self.mshrs.expire(now)
+            self.version += 1
 
     def _track_outstanding(self, start: int, complete: int) -> None:
         self._outstanding += 1
@@ -189,7 +201,8 @@ class MemoryHierarchy:
         """Access the data path at cycle *now*.
 
         Returns the timing result, or ``None`` when every MSHR is busy
-        (the caller must retry the access on a later cycle).
+        (the caller must retry the access on a later cycle, but need
+        not before ``version`` moves).
         """
         p = self.params
         block = block_of(addr)
@@ -203,6 +216,7 @@ class MemoryHierarchy:
             self.stats.mshr_merges += 1
             self.stats.level_hits[fill.level] += 1
             self.l1d.insert(block)
+            self.version += 1
             complete = max(fill.complete_cycle, now + p.l1_latency)
             tag_known = min(fill.tag_known_cycle, complete)
             result = AccessResult(complete, tag_known, fill.level,
@@ -245,10 +259,20 @@ class MemoryHierarchy:
 
         self.l1d.insert(block)
         self.mshrs.allocate(Fill(block, complete, tag_known, level))
+        self.version += 1
         if level in ("l3", "dram"):
             self._track_outstanding(now, complete)
         return self._finish_load_stat(
             AccessResult(complete, tag_known, level), now)
+
+    def repeat_rejection(self) -> None:
+        """Count a retry of an access rejected at the current
+        ``version`` exactly as :meth:`access_data` would: an L1D miss
+        and an MSHR-full rejection."""
+        self.stats.demand_accesses += 1
+        self.stats.mshr_rejections += 1
+        self.mshrs.full_rejections += 1
+        self.l1d.misses += 1
 
     def _finish_load_stat(self, result: AccessResult,
                           now: int) -> AccessResult:
@@ -286,6 +310,7 @@ class MemoryHierarchy:
         block = block_of(addr)
         if not self.l1d.probe(block):
             self.l1d.insert(block)
+            self.version += 1
             if not self.l2.probe(block):
                 self.l2.insert(block)
                 if not self.l3.probe(block):
@@ -346,4 +371,5 @@ class MemoryHierarchy:
             self.l3.insert(block)
             self.l2.insert(block)
         self.l1d.insert(block)
+        self.version += 1
         return level

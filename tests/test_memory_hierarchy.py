@@ -64,6 +64,73 @@ def test_mshr_frees_after_completion():
     assert h.access_data(0x20000, now=first.complete_cycle) is not None
 
 
+def _rejection_counters(h):
+    return (h.stats.demand_accesses, h.stats.mshr_rejections,
+            h.mshrs.full_rejections, h.l1d.misses)
+
+
+def test_rejection_holds_until_version_moves():
+    """A rejected access stays rejected while ``version`` is unchanged,
+    and ``repeat_rejection`` counts a skipped retry exactly as the
+    real retry would."""
+    h = make_hierarchy(mshrs=1)
+    first = h.access_data(0x10000, now=0)
+    version = h.version
+    assert h.access_data(0x20000, now=1) is None
+    assert h.version == version
+    before = _rejection_counters(h)
+    for now in range(2, 40):
+        h.advance(now)                     # no expiry due yet
+        assert h.version == version
+        assert h.access_data(0x20000, now=now) is None
+    real = [after - start for after, start
+            in zip(_rejection_counters(h), before)]
+    assert real == [38] * 4
+    for _ in range(38):
+        h.repeat_rejection()
+    skipped = [after - start for after, start
+               in zip(_rejection_counters(h), before)]
+    assert skipped == [76] * 4
+    h.advance(first.complete_cycle)        # the MSHR frees: version moves
+    assert h.version != version
+    assert h.access_data(0x20000, now=first.complete_cycle) is not None
+
+
+def test_commit_store_to_waiting_block_bumps_version():
+    """A store commit can satisfy a rejected load long before any MSHR
+    frees: a gate that waited for the next expiry would keep rejecting
+    an access that now hits the L1."""
+    h = make_hierarchy(mshrs=1)
+    first = h.access_data(0x10000, now=0)
+    assert h.access_data(0x20000, now=1) is None
+    version = h.version
+    h.commit_store(0x20008)                # same block, still no free MSHR
+    assert h.version != version
+    assert not h.mshrs.can_allocate()
+    retry = h.access_data(0x20000, now=2)
+    assert retry is not None and retry.level == "l1"
+    assert retry.complete_cycle < first.complete_cycle
+    # a store to a block already present changes nothing
+    version = h.version
+    h.commit_store(0x20000)
+    assert h.version == version
+
+
+def test_fill_and_merge_bump_version():
+    h = make_hierarchy(mshrs=2)
+    version = h.version
+    h.access_data(0x10000, now=0)          # miss: L1D insert + MSHR
+    assert h.version > version
+    version = h.version
+    h.access_data(0x10008, now=1)          # merge: L1D insert
+    assert h.version > version
+    result = h.access_data(0x30000, now=2)
+    h.advance(result.complete_cycle)
+    version = h.version
+    h.access_data(0x30000, now=result.complete_cycle)   # L1 hit
+    assert h.version == version
+
+
 def test_outstanding_accounting():
     h = make_hierarchy()
     result = h.access_data(0x4000, now=0)
