@@ -272,6 +272,7 @@ class KernelPipeline(Pipeline):
         parked_store_pcs: Dict[int, int] = {}
         picked: List[int] = []
         deferred: List[int] = []
+        n_gated = 0                     # deferrals at the MSHR gate
 
         # ---- shared structures, pre-bound ---------------------------
         # occupancy counters the loop alone mutates are mirrored into
@@ -348,6 +349,12 @@ class KernelPipeline(Pipeline):
         # replays only its observable work via the controller probe
         observe_probe = (policy.controller.observe_attempt
                          if skip_may_allocate else None)
+        # stall-span jump (see Pipeline._tick): marks around a stalled
+        # rename attempt, for policies that declare it counter-only
+        stall_marks = (policy.stall_marks
+                       if allow_skip and policy.counter_only_stalls
+                       else None)
+        repeat_stall = policy.repeat_stall
         policy_commit = policy.on_commit
         if is_ltp:
             # LTPController.on_commit acts only on long-latency loads
@@ -379,8 +386,10 @@ class KernelPipeline(Pipeline):
         s_enabled_cycles = 0
         s_urgent = s_non_urgent = s_non_ready = 0
         s_ll_loads = 0
-        s_stall_rob = s_stall_iq = s_stall_regs = s_stall_lsq = 0
-        s_stall_ltp_full = s_stall_frontend = 0
+        # rename stalls by stall code: 1 iq, 2 regs, 3 lsq, 4 rob,
+        # 5 ltp-full (index 0 unused)
+        s_stalls = [0] * 6
+        s_stall_frontend = 0
         s_iq_writes = s_rf_reads = s_rf_writes = 0
         s_ltp_writes = s_ltp_reads = 0
         o_rob_i = o_rob_p = o_iq_i = o_iq_p = 0
@@ -554,49 +563,47 @@ class KernelPipeline(Pipeline):
                     progress = True
 
             # ---- rename / dispatch / park ---------------------------
+            # stall_code indexes s_stalls; stall keeps a repeatable
+            # stall as (code, urgent, non_ready, marks before, after)
+            stall = None
             if fe_head < fe_len:
                 renamed = 0
+                stall_code = 0
                 while renamed < rename_width:
                     if fe_head >= fe_len:
                         break
                     if fe_ready[fe_head] > now:
                         break
                     if rob_len >= rob_capacity:
-                        if renamed == 0:
-                            s_stall_rob += 1
+                        stall_code = 4
                         break
                     dyn = dyns[fe_idx[fe_head]]
+                    if stall_marks is not None and renamed == 0:
+                        marks = stall_marks(dyn)
                     if skip_may_allocate:
                         # probe-first: same checks the dispatch branch
                         # performs below, hoisted above the record
                         # construction they would discard
-                        stall = 0
                         if iq_occ >= iq_capacity:
-                            stall = 1
+                            stall_code = 1
                         else:
                             rf_class = dyn.rf_class
                             if (rf_class is not None
                                     and (rfi_free if rf_class == "int"
                                          else rff_free) < rf_need):
-                                stall = 2
+                                stall_code = 2
                             elif ((dyn.is_load and lq_used + lsq_need
                                    > lq_capacity)
                                   or (dyn.is_store
                                       and len(stores_dict) + lsq_need
                                       > sq_capacity)):
-                                stall = 3
-                        if stall:
-                            if observe_probe(dyn):
+                                stall_code = 3
+                        if stall_code:
+                            urgent = observe_probe(dyn)
+                            if urgent:
                                 s_urgent += 1
                             else:
                                 s_non_urgent += 1
-                            if renamed == 0:
-                                if stall == 1:
-                                    s_stall_iq += 1
-                                elif stall == 2:
-                                    s_stall_regs += 1
-                                else:
-                                    s_stall_lsq += 1
                             break
                     # one fresh record per rename *attempt* (ticket-pool
                     # accounting depends on it; see module docstring)
@@ -640,8 +647,7 @@ class KernelPipeline(Pipeline):
                     else:
                         decision = may_allocate(record, now, memdep_forced)
                     if decision == "stall":
-                        if renamed == 0:
-                            s_stall_ltp_full += 1
+                        stall_code = 5
                         break
 
                     if decision == "park":
@@ -658,8 +664,7 @@ class KernelPipeline(Pipeline):
                                     else rff_free) < rf_need:
                                 park_ok = False
                         if not park_ok:
-                            if renamed == 0:
-                                s_stall_lsq += 1
+                            stall_code = 3
                             break
                         if record.is_load and not park_loads:
                             lq_used += 1
@@ -689,25 +694,19 @@ class KernelPipeline(Pipeline):
                             # (the skip path already ran these checks
                             # in the probe above)
                             if iq_occ >= iq_capacity:
-                                if renamed == 0:
-                                    s_stall_iq += 1
+                                stall_code = 1
                                 break
                             if (rf_class is not None
                                     and (rfi_free if rf_class == "int"
                                          else rff_free) < rf_need):
-                                if renamed == 0:
-                                    s_stall_regs += 1
+                                stall_code = 2
                                 break
-                            if (record.is_load
-                                    and lq_used + lsq_need > lq_capacity):
-                                if renamed == 0:
-                                    s_stall_lsq += 1
-                                break
-                            if (record.is_store
-                                    and len(stores_dict) + lsq_need
-                                    > sq_capacity):
-                                if renamed == 0:
-                                    s_stall_lsq += 1
+                            if ((record.is_load
+                                 and lq_used + lsq_need > lq_capacity)
+                                    or (record.is_store
+                                        and len(stores_dict) + lsq_need
+                                        > sq_capacity)):
+                                stall_code = 3
                                 break
                         if rf_class is not None:
                             if rf_class == "int":
@@ -776,6 +775,23 @@ class KernelPipeline(Pipeline):
                     s_renamed += 1
                 if renamed:
                     progress = True
+                elif stall_code:
+                    s_stalls[stall_code] += 1
+                    if stall_code == 4:
+                        if allow_skip:
+                            # no hook ran: a pure counter stall
+                            stall = (4, None, None, None, None)
+                    elif stall_marks is not None:
+                        after = stall_marks(dyn)
+                        if after[0] == marks[0]:
+                            # (with skip_may_allocate every stall other
+                            # than the ROB's comes from the probe)
+                            if skip_may_allocate:
+                                stall = (stall_code, urgent, False,
+                                         marks, after)
+                            else:
+                                stall = (stall_code, record.urgent,
+                                         record.non_ready, marks, after)
 
             # ---- issue / execute ------------------------------------
             if ready_heap:
@@ -783,6 +799,7 @@ class KernelPipeline(Pipeline):
                 del picked[:]
                 del deferred[:]
                 n_picked = 0
+                n_gated = 0
                 while ready_heap and n_picked < issue_width:
                     rel = _heappop(ready_heap)
                     record = records[rel]
@@ -830,12 +847,14 @@ class KernelPipeline(Pipeline):
                                 # has changed since: skip the access
                                 repeat_rejection()
                                 deferred.append(rel)
+                                n_gated += 1
                                 continue
                             result = access_data(addr, now + lat_agu,
                                                  False, dyn.pc)
                             if result is None:
                                 record.rejected_at = hierarchy.version
                                 deferred.append(rel)
+                                n_gated += 1
                                 continue  # MSHRs full; retry
                             level = result.level
                             record.mem_level = level
@@ -879,10 +898,10 @@ class KernelPipeline(Pipeline):
                                 if (load.seq > seq
                                         and load.issue_cycle is not None):
                                     s_violations += 1
-                                    stall = (resolve_cycle
+                                    until = (resolve_cycle
                                              + violation_penalty)
-                                    if stall > commit_stall_until:
-                                        commit_stall_until = stall
+                                    if until > commit_stall_until:
+                                        commit_stall_until = until
                                     train_violation(load.dyn.pc, dyn.pc)
                                     policy_violation(load.dyn.pc, dyn.pc)
                         completion = resolve_cycle + lat_store
@@ -953,7 +972,10 @@ class KernelPipeline(Pipeline):
                             progress = True
 
             # ---- imminent check / idle skip -------------------------
-            if progress or release_pending:
+            # (the stall-span rules of Pipeline._tick)
+            gated = 0
+            if (progress or release_pending
+                    or (events and events[0] < now_limit + SHIFT)):
                 imminent = True
             else:
                 imminent = False
@@ -962,14 +984,15 @@ class KernelPipeline(Pipeline):
                     if record.issued or not record.in_iq:
                         _heappop(ready_heap)
                         continue
-                    imminent = True
+                    # nothing issued: the heap holds what was deferred
+                    gated = n_gated
+                    if not allow_skip or gated != len(ready_heap):
+                        imminent = True
                     break
-                if (not imminent and events
-                        and events[0] < now_limit + SHIFT):
-                    imminent = True
-                if (not imminent and fe_head < fe_len
-                        and fe_ready[fe_head] <= now + 1):
-                    imminent = True
+                if not imminent and fe_head < fe_len:
+                    c = fe_ready[fe_head]
+                    if c <= now + 1 and (c > now or stall is None):
+                        imminent = True
 
             if imminent:
                 step = 1
@@ -977,6 +1000,10 @@ class KernelPipeline(Pipeline):
                 target = events[0] // SHIFT if events else None
                 if fe_head < fe_len:
                     c = fe_ready[fe_head]
+                    if c > now and (target is None or c < target):
+                        target = c
+                if gated and mshr_expiry:
+                    c = mshr_expiry[0][0]
                     if target is None or c < target:
                         target = c
                 if fetch_stall_until > now and fetch_blocked_on is None:
@@ -1007,6 +1034,24 @@ class KernelPipeline(Pipeline):
                 if target <= now:
                     target = now + 1
                 step = target - now if allow_skip else 1
+                if step > 1 and (gated or stall is not None):
+                    # charge the skipped cycles' repeats in bulk
+                    times = step - 1
+                    if stall is not None:
+                        code = stall[0]
+                        s_stalls[code] += times
+                        if code != 4:
+                            if stall[1]:
+                                s_urgent += times
+                            else:
+                                s_non_urgent += times
+                            if stall[2]:
+                                s_non_ready += times
+                            repeat_stall(stall[3], stall[4], times)
+                    if fetch_blocked_on is not None:
+                        s_stall_frontend += times
+                    if gated:
+                        repeat_rejection(gated * times)
 
             # ---- occupancy integration (exact over the step) --------
             o_rob_i += rob_len * step
@@ -1087,11 +1132,8 @@ class KernelPipeline(Pipeline):
         stats.classified_non_urgent = s_non_urgent
         stats.classified_non_ready = s_non_ready
         stats.long_latency_loads = s_ll_loads
-        stats.stall_rob = s_stall_rob
-        stats.stall_iq = s_stall_iq
-        stats.stall_regs = s_stall_regs
-        stats.stall_lsq = s_stall_lsq
-        stats.stall_ltp_full = s_stall_ltp_full
+        (stats.stall_iq, stats.stall_regs, stats.stall_lsq, stats.stall_rob,
+         stats.stall_ltp_full) = s_stalls[1:]
         stats.stall_frontend = s_stall_frontend
         stats.iq_writes = s_iq_writes
         stats.rf_reads = s_rf_reads

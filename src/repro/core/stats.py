@@ -119,9 +119,9 @@ class SimStats:
         (``allow_skip=False``) and idle-jumping execution, and across
         the pre-decoded and reference issue paths.  Per-*attempt*
         counters (stall attribution, classification tallies, UIT
-        activity) are deliberately excluded: strict mode retries blocked
-        rename attempts every cycle that idle-jumping elides, so those
-        counters legitimately differ between modes.
+        activity) are left out; the jump charges the attempts it skips
+        in bulk, and the strict-equivalence tests compare them through
+        :meth:`as_dict`.
         """
         sig: Dict[str, float] = {}
         for key in ("cycles", "committed", "committed_loads",

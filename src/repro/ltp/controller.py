@@ -66,6 +66,8 @@ class LTPController:
         self._parks_nr = config.parks_nr
         self._eager = config.wakeup_policy == "eager"
         self._classify = self.classifier.observe_rename
+        #: the online classifier's table (None for the oracle one)
+        self._uit = getattr(self.classifier, "uit", None)
 
     # ------------------------------------------------------------------
     # enable state
@@ -135,6 +137,65 @@ class LTPController:
                 and not dyn.nonpipelined):
             self.predictor.predict_long_latency(dyn.pc)
         return urgent
+
+    # ------------------------------------------------------------------
+    # stalled rename attempts
+    # ------------------------------------------------------------------
+    def stall_marks(self, dyn) -> tuple:
+        """``(guard, *counters)`` around a rename attempt of *dyn*.
+
+        The attempt's hooks (:meth:`observe_rename` or
+        :meth:`observe_attempt`, then :meth:`decide`) write the
+        discarded record, and otherwise only:
+
+        * counters: classifier lookups and UIT inserts, the hit/miss
+          predictor's lookup tallies, ``park_stalls`` and the ticket
+          pool's ``exhausted``;
+        * the guarded state: UIT fills (an insert that added or evicted
+          an entry), *dyn*'s RAT-extension producer-PC entry and
+          ticket grants (a granted ticket is never released);
+        * inert state: UIT hits and re-inserts of resident PCs refresh
+          LRU stamps, which a repeat re-applies in the same order, and
+          ticket inheritance adds the discarded record to a ticket's
+          holder list, which clearing the ticket later only strips
+          from the record (a record that never parked is never marked
+          ready).
+
+        So an attempt whose guard did not move repeats with the same
+        outcome and the same counter deltas.
+        """
+        pool = self.tickets.pool
+        uit = self._uit
+        if uit is not None:
+            guard = (uit.fills, pool.allocated,
+                     self.classifier._producer_pc.get(dyn.inst.dst))
+            lookups, inserts = uit.lookups, uit.inserts
+        else:
+            guard = pool.allocated
+            lookups, inserts = self.classifier.lookups, 0
+        predictor = self.predictor
+        return (guard, lookups, inserts, self.park_stalls, pool.exhausted,
+                predictor.lookups if predictor else 0,
+                predictor.predicted_misses if predictor else 0)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        """Charge *times* more repeats of an attempt whose
+        :meth:`stall_marks` went from *before* to *after*."""
+        lookups, inserts, park_stalls, exhausted, pred_lookups, pred_misses = (
+            (a - b) * times for a, b in zip(after[1:], before[1:]))
+        uit = self._uit
+        if uit is not None:
+            uit.lookups += lookups
+            uit.inserts += inserts
+        else:
+            self.classifier.lookups += lookups
+        self.park_stalls += park_stalls
+        self.tickets.pool.exhausted += exhausted
+        predictor = self.predictor
+        if predictor is not None:
+            predictor.lookups += pred_lookups
+            predictor.predicted_misses += pred_misses
 
     # ------------------------------------------------------------------
     # parking decision

@@ -30,6 +30,9 @@ class UrgentInstructionTable:
         self._stamp = 0
         self.lookups = 0
         self.inserts = 0
+        #: inserts that added a PC (and possibly evicted one); the
+        #: other inserts only refresh an entry's LRU stamp
+        self.fills = 0
 
     def contains(self, pc: int) -> bool:
         self.lookups += 1
@@ -45,13 +48,16 @@ class UrgentInstructionTable:
     def insert(self, pc: int) -> None:
         self.inserts += 1
         if self.size is None:
-            self._unlimited.add(pc)
+            if pc not in self._unlimited:
+                self._unlimited.add(pc)
+                self.fills += 1
             return
         entry = self._sets[pc % self.num_sets]
         self._stamp += 1
         if pc in entry:
             entry[pc] = self._stamp
             return
+        self.fills += 1
         if len(entry) >= self.ways:
             victim = min(entry, key=entry.get)
             del entry[victim]

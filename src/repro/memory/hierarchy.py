@@ -265,14 +265,14 @@ class MemoryHierarchy:
         return self._finish_load_stat(
             AccessResult(complete, tag_known, level), now)
 
-    def repeat_rejection(self) -> None:
-        """Count a retry of an access rejected at the current
-        ``version`` exactly as :meth:`access_data` would: an L1D miss
-        and an MSHR-full rejection."""
-        self.stats.demand_accesses += 1
-        self.stats.mshr_rejections += 1
-        self.mshrs.full_rejections += 1
-        self.l1d.misses += 1
+    def repeat_rejection(self, times: int = 1) -> None:
+        """Count *times* retries of an access rejected at the current
+        ``version`` exactly as :meth:`access_data` would: each an L1D
+        miss and an MSHR-full rejection."""
+        self.stats.demand_accesses += times
+        self.stats.mshr_rejections += times
+        self.mshrs.full_rejections += times
+        self.l1d.misses += times
 
     def _finish_load_stat(self, result: AccessResult,
                           now: int) -> AccessResult:

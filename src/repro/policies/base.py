@@ -31,6 +31,10 @@ through a narrow hook surface and never looks inside it:
 * :meth:`~AllocationPolicy.stats_extra` — policy-owned statistics
   exported into :class:`~repro.core.stats.SimStats` at the end of a
   run.
+* :meth:`~AllocationPolicy.stall_marks` /
+  :meth:`~AllocationPolicy.repeat_stall` — for policies that declare
+  ``counter_only_stalls``, the counters a stalled rename attempt moves,
+  so the pipeline's idle jump can repeat the attempt in bulk.
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
@@ -102,6 +106,15 @@ class AllocationPolicy:
     #: WIB-style: registers taken at rename even when parked)
     defer_registers = True
 
+    #: the policy's rename hooks, on an attempt that then stalls, change
+    #: nothing but the counters :meth:`stall_marks` reads whenever the
+    #: marks' guard is unchanged.  The idle jump may then skip the
+    #: cycles in which the attempt would only repeat, charging them
+    #: through :meth:`repeat_stall`.  A checked property of the class's
+    #: code, so a class attribute and never a config field (it enters
+    #: no payload or key).
+    counter_only_stalls = False
+
     # -- rename-time hooks ---------------------------------------------
     def observe_rename(self, record: InFlightInst) -> None:
         """Classify *record* (urgency/readiness); base: leave defaults."""
@@ -172,6 +185,19 @@ class AllocationPolicy:
     def stats_extra(self, stats) -> None:
         """Export policy-owned statistics into *stats* at run end."""
         stats.ltp_park_stalls = self.park_stalls
+
+    # -- stalled rename attempts (only with counter_only_stalls) ---------
+    def stall_marks(self, dyn) -> tuple:
+        """``(guard, *counters)`` as they stand around a rename attempt
+        of *dyn*.  The pipeline reads them before and after an attempt
+        that stalls; an unchanged guard means the attempt moved only
+        the counters."""
+        return (None,)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        """Charge *times* more repeats of a stalled attempt whose marks
+        went from *before* to *after*."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"

@@ -65,6 +65,12 @@ class LTPPolicy(AllocationPolicy):
         self.on_commit = controller.on_commit
         self.on_violation = controller.on_violation
         self.on_dram_demand_access = controller.on_dram_demand_access
+        self.stall_marks = controller.stall_marks
+        self.repeat_stall = controller.repeat_stall
+
+    #: checked against LTPController.observe_rename / decide: see
+    #: LTPController.stall_marks for what the guard covers
+    counter_only_stalls = True
 
     @property
     def release_reserve(self) -> int:

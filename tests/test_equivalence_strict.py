@@ -8,14 +8,25 @@ The optimized pipeline must produce bit-identical statistics:
   table-lookup path (``use_predecode``),
 
 over randomized programs, core configurations and LTP modes, and over
-the real paper workloads.  Equality is asserted on
-:meth:`SimStats.equivalence_signature`, which covers cycles, IPC,
-commit/issue counts and the exact per-structure occupancy integrals.
+the real paper workloads.  Equality is asserted on the full
+:meth:`SimStats.as_dict` plus the hierarchy's demand and rejection
+counters: the stall-span jump charges the per-attempt counters (stall
+attribution, classification tallies, UIT activity, MSHR rejections)
+of the cycles it skips in bulk, so they must match strict execution
+too.
+
+One known exception: an idle jump over a fetch blocked on a
+mispredict counts ``stall_frontend`` once per jump instead of once per
+cycle (a ROADMAP item; fixing it moves recorded reference digests).
+The randomized test therefore holds ``stall_frontend`` to at most the
+strict count, and ``test_idle_jump_counts_every_frontend_stall_cycle``
+pins the gap as a strict xfail.
 """
 
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.branch import GsharePredictor
@@ -40,29 +51,66 @@ MODES = (
 )
 
 
-def _run_random(trace, core, ltp, **kwargs):
+def full_stats(pipeline) -> dict:
+    """Run *pipeline*; its full stats plus the hierarchy's counters."""
+    stats = pipeline.run().as_dict()
+    hierarchy = pipeline.hierarchy
+    stats["hier_demand_accesses"] = hierarchy.stats.demand_accesses
+    stats["hier_mshr_rejections"] = hierarchy.stats.mshr_rejections
+    stats["hier_full_rejections"] = hierarchy.mshrs.full_rejections
+    stats["hier_l1d_misses"] = hierarchy.l1d.misses
+    return stats
+
+
+def mismatches(base: dict, other: dict) -> dict:
+    assert set(base) == set(other)
+    return {key: (base[key], other[key])
+            for key in base if base[key] != other[key]}
+
+
+def _pipeline_random(trace, core, ltp, **kwargs):
     oracle = annotate_trace(trace, core.mem,
                             window=min(core.rob_size or 256, 256))
     controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller,
-                        **kwargs)
-    return pipeline.run().equivalence_signature()
+    return Pipeline(trace, params=core, ltp=ltp, controller=controller,
+                    **kwargs)
+
+
+def _random_case(seed):
+    rng = random.Random(seed)
+    asm = random_program(rng, n_body=rng.randrange(3, 8))
+    trace = list(Executor(assemble(asm)).run(400))
+    return trace, random_core(rng), random_ltp(rng)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=12, deadline=None)
 def test_equivalence_random_programs(seed):
-    rng = random.Random(seed)
-    asm = random_program(rng, n_body=rng.randrange(3, 8))
-    trace = list(Executor(assemble(asm)).run(400))
-    core = random_core(rng)
-    ltp = random_ltp(rng)
-    base = _run_random(trace, core, ltp)
+    trace, core, ltp = _random_case(seed)
+    base = full_stats(_pipeline_random(trace, core, ltp))
     for kwargs in MODES:
-        other = _run_random(trace, core, ltp, **kwargs)
-        mismatches = {key: (base[key], other[key])
-                      for key in base if base[key] != other[key]}
-        assert not mismatches, (kwargs, mismatches)
+        other = full_stats(_pipeline_random(trace, core, ltp, **kwargs))
+        diff = mismatches(base, other)
+        frontend = diff.pop("stall_frontend", None)
+        assert not diff, (kwargs, diff)
+        if frontend is not None:
+            # the documented idle-jump undercount, and only that
+            assert kwargs.get("allow_skip") is False, (kwargs, frontend)
+            assert frontend[0] < frontend[1], (kwargs, frontend)
+
+
+@pytest.mark.xfail(strict=True, reason="an idle jump over a fetch "
+                   "blocked on a mispredict counts stall_frontend once "
+                   "per jump (ROADMAP); fixing it moves recorded "
+                   "reference digests")
+def test_idle_jump_counts_every_frontend_stall_cycle():
+    # seed 37's program has idle spans while fetch waits on a
+    # mispredicted branch
+    trace, core, ltp = _random_case(37)
+    skip = full_stats(_pipeline_random(trace, core, ltp))
+    strict = full_stats(_pipeline_random(trace, core, ltp,
+                                         allow_skip=False))
+    assert skip["stall_frontend"] == strict["stall_frontend"]
 
 
 def _run_workload(name, core, ltp, warmup, measure, **kwargs):
@@ -84,7 +132,7 @@ def _run_workload(name, core, ltp, warmup, measure, **kwargs):
     pipeline = Pipeline(trace[warmup:], params=core, ltp=ltp,
                         controller=controller, hierarchy=hierarchy,
                         branch_predictor=bpred, **kwargs)
-    return pipeline.run().equivalence_signature()
+    return full_stats(pipeline)
 
 
 def test_equivalence_paper_workloads():
@@ -98,9 +146,8 @@ def test_equivalence_paper_workloads():
         base = _run_workload(name, core, ltp, 800, 1200)
         for kwargs in MODES:
             other = _run_workload(name, core, ltp, 800, 1200, **kwargs)
-            mismatches = {key: (base[key], other[key])
-                          for key in base if base[key] != other[key]}
-            assert not mismatches, (name, kwargs, mismatches)
+            diff = mismatches(base, other)
+            assert not diff, (name, kwargs, diff)
 
 
 def test_signature_covers_occupancy_integrals():

@@ -11,6 +11,11 @@ existed.  Both engines must still reproduce it exactly.
 The grid covers the ticket-driven release paths (NR+NU with 4 and 128
 tickets, NR only, eager wakeup), the DRAM-timer monitor draining the
 queue (``monitor="auto"``) and a 2-MSHR core that rejects most misses.
+Three stall-heavy points pin the rename-stall spans the idle jump
+covers: an online-classified NR+NU core with a one-way 8-entry UIT
+(insert evictions), unlimited tickets on ``hash_probe``, and the
+``baseline-stall`` policy on a 2-MSHR core (MSHR expiries inside
+stall spans).  They were recorded before the stall-span jump existed.
 
 Re-record (only when a change is *meant* to move results)::
 
@@ -43,10 +48,10 @@ def _fig11_ltp(mode: str, **overrides):
                                park_stores=False, **overrides)
 
 
-def _points() -> Dict[str, Tuple[str, object, object]]:
+def _points() -> Dict[str, Tuple[str, object, object, str]]:
     small = ltp_params()
     two_mshrs = small.but(mem=replace(small.mem, mshrs=2))
-    return {
+    points = {
         "astar-nrnu-t4": ("ptrchase_astar", small,
                           _fig11_ltp("nr+nu", tickets=4, monitor="auto")),
         "milc-nrnu-t128": ("lattice_milc", small,
@@ -65,13 +70,27 @@ def _points() -> Dict[str, Tuple[str, object, object]]:
                                          monitor="auto")),
         "milc-mshr2-proposed": ("lattice_milc", two_mshrs,
                                 proposed_ltp()),
+        "astar-nrnu-uit8x1": ("ptrchase_astar", small,
+                              _fig11_ltp("nr+nu", tickets=16,
+                                         monitor="auto",
+                                         classifier="online",
+                                         ll_predictor="twolevel",
+                                         uit_size=8, uit_ways=1)),
+        "hash-nrnu-unlimited": ("hash_probe", small,
+                                _fig11_ltp("nr+nu", tickets=None,
+                                           monitor="auto")),
     }
+    points = {name: point + ("ltp",) for name, point in points.items()}
+    points["milc-mshr2-baseline"] = ("lattice_milc", two_mshrs,
+                                     proposed_ltp(), "baseline-stall")
+    return points
 
 
-def _run(session: Session, workload: str, core, ltp,
+def _run(session: Session, workload: str, core, ltp, policy: str,
          engine: str) -> dict:
     config = SimConfig(workload=workload, core=core, ltp=ltp,
-                       warmup=WARMUP, measure=MEASURE, engine=engine)
+                       policy=policy, warmup=WARMUP, measure=MEASURE,
+                       engine=engine)
     pipeline = session.build_pipeline(config.validate())
     stats = pipeline.run().as_dict()
     hierarchy = pipeline.hierarchy
@@ -110,15 +129,20 @@ def test_fixture_exercises_the_gated_paths(golden):
                if 0 < point["stats"]["ltp_enabled_cycles"]
                < point["stats"]["cycles"]]
     assert drained
+    points = _points()
     assert all(point["stats"]["ltp_released"] > 0
-               for point in golden.values())
+               for name, point in golden.items()
+               if points[name][3] != "baseline-stall")
+    assert max(point["stats"]["stall_lsq"] + point["stats"]["stall_iq"]
+               + point["stats"]["stall_regs"]
+               for point in golden.values()) > 10_000
 
 
 @pytest.mark.parametrize("engine", ["object", "kernel"])
 @pytest.mark.parametrize("name", sorted(_points()))
 def test_engine_reproduces_golden_point(golden, session, name, engine):
-    workload, core, ltp = _points()[name]
-    got = _run(session, workload, core, ltp, engine)
+    workload, core, ltp, policy = _points()[name]
+    got = _run(session, workload, core, ltp, policy, engine)
     want = golden[name]
     assert got["hierarchy"] == want["hierarchy"], (name, engine)
     mismatches = {key: (want["stats"][key], got["stats"].get(key))
@@ -130,9 +154,8 @@ def test_engine_reproduces_golden_point(golden, session, name, engine):
 
 def record() -> None:
     with Session(cache_dir=None) as session:
-        payload = {name: _run(session, workload, core, ltp, "object")
-                   for name, (workload, core, ltp)
-                   in sorted(_points().items())}
+        payload = {name: _run(session, *point, "object")
+                   for name, point in sorted(_points().items())}
     FIXTURE.write_text(json.dumps(payload, indent=1, sort_keys=True)
                        + "\n")
 

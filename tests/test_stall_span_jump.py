@@ -1,0 +1,333 @@
+"""The stall-span jump: rename-stalled and MSHR-gated cycles.
+
+With skipping on, a tick may jump to the next event while its only
+pending work is a rename attempt stalled on a full structure (whose
+hooks moved nothing but counters) and loads rejected at the current
+MSHR version; the skipped cycles' repeats are charged in bulk.  Strict
+cycle-by-cycle execution (``allow_skip=False``) is the reference: on
+stall-heavy points, strict, jumping and kernel runs must agree on the
+full statistics, the hierarchy's demand/rejection counters and the LTP
+controller's own counters (ticket pool, UIT fills, hit/miss predictor).
+
+The known exception is inherited from the plain idle jump: over a fetch
+blocked on a mispredict it counts ``stall_frontend`` once per jump (see
+``tests/test_equivalence_strict.py``), so the randomized test holds
+that one counter to at most the strict count.
+"""
+
+import random
+from dataclasses import replace
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.api import Session
+from repro.core.kernel import KernelPipeline
+from repro.core.params import ltp_params
+from repro.core.pipeline import Pipeline, SimulationDeadlock
+from repro.harness.config import SimConfig
+from repro.isa.assembler import assemble
+from repro.isa.executor import Executor
+from repro.ltp.config import proposed_ltp
+from repro.ltp.controller import LTPController
+from repro.ltp.oracle import annotate_trace
+from repro.policies import build_policy
+
+from test_equivalence_strict import full_stats, mismatches
+from test_golden_stats import _fig11_ltp
+from test_ltp_controller import make_record
+from test_properties_pipeline import random_core, random_program
+
+WARMUP = 400
+MEASURE = 1200
+
+
+def _points():
+    small = ltp_params()
+    two_mshrs = small.but(mem=replace(small.mem, mshrs=2))
+    online = dict(classifier="online", ll_predictor="twolevel")
+    return {
+        "astar-nrnu-t4": (
+            "ptrchase_astar", small,
+            _fig11_ltp("nr+nu", tickets=4, monitor="auto"), "ltp"),
+        "astar-nrnu-unlimited": (
+            "ptrchase_astar", small,
+            _fig11_ltp("nr+nu", tickets=None, monitor="auto"), "ltp"),
+        "astar-nrnu-online-uit8x1": (
+            "ptrchase_astar", small,
+            _fig11_ltp("nr+nu", tickets=None, monitor="auto",
+                       uit_size=8, uit_ways=1, **online), "ltp"),
+        "milc-nu-auto": (
+            "lattice_milc", small, _fig11_ltp("nu", monitor="auto"), "ltp"),
+        "astar-proposed-uit8x1": (
+            "ptrchase_astar", small,
+            proposed_ltp().but(uit_size=8, uit_ways=1), "ltp"),
+        "hash-proposed-uit4x2": (
+            "hash_probe", small,
+            proposed_ltp().but(uit_size=4, uit_ways=2), "ltp"),
+        "milc-mshr2-baseline": (
+            "lattice_milc", two_mshrs, proposed_ltp(), "baseline-stall"),
+    }
+
+
+def counters(pipeline) -> dict:
+    """Run *pipeline*: :func:`full_stats` plus the LTP controller's own
+    counters, which the bulk charge must keep exact too."""
+    stats = full_stats(pipeline)
+    controller = pipeline.policy.controller
+    pool = controller.tickets.pool
+    stats["pool_allocated"] = pool.allocated
+    stats["pool_exhausted"] = pool.exhausted
+    stats["park_stalls"] = controller.park_stalls
+    classifier = controller.classifier
+    uit = getattr(classifier, "uit", None)
+    if uit is None:
+        stats["classifier_lookups"] = classifier.lookups
+    else:
+        stats["uit_fills"] = uit.fills
+    predictor = controller.predictor
+    if predictor is not None:
+        stats["predictor_lookups"] = predictor.lookups
+        stats["predictor_misses"] = predictor.predicted_misses
+    return stats
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    with Session(cache_dir=str(tmp_path_factory.mktemp("stall"))) as s:
+        yield s
+
+
+def _build(session, name, engine="object", allow_skip=True):
+    workload, core, ltp, policy = _points()[name]
+    config = SimConfig(workload=workload, core=core, ltp=ltp,
+                       policy=policy, warmup=WARMUP, measure=MEASURE,
+                       engine=engine)
+    pipeline = session.build_pipeline(config.validate())
+    pipeline.allow_skip = allow_skip
+    return pipeline
+
+
+class _Spans:
+    """Counts the ticks and the jumped spans of one object pipeline."""
+
+    def __init__(self, pipeline):
+        self.ticks = 0
+        self.stall_spans = 0
+        self.gated_spans = 0
+        self.expiry_bounded = 0
+        tick = pipeline._tick
+        repeat = pipeline._repeat_stalled
+        accumulate = pipeline._accumulate
+
+        def counted_tick():
+            self.ticks += 1
+            tick()
+
+        def counted_repeat(times, gated):
+            self.stall_spans += 1
+            self.gated_spans += gated > 0
+            repeat(times, gated)
+
+        def checked_accumulate(now, step):
+            expiry = pipeline.hierarchy.mshrs._expiry
+            # a jump with loads still ready is a gated span
+            if (step > 1 and pipeline.iq._ready_heap and expiry
+                    and expiry[0][0] == now + step):
+                self.expiry_bounded += 1
+            accumulate(now, step)
+
+        pipeline._tick = counted_tick
+        pipeline._repeat_stalled = counted_repeat
+        pipeline._accumulate = checked_accumulate
+
+
+@pytest.mark.parametrize("name", sorted(_points()))
+def test_strict_equals_jump_equals_kernel(session, name):
+    strict = counters(_build(session, name, allow_skip=False))
+    pipeline = _build(session, name)
+    spans = _Spans(pipeline)
+    jumped = counters(pipeline)
+    kernel = counters(_build(session, name, engine="kernel"))
+    assert not mismatches(strict, jumped), name
+    assert not mismatches(strict, kernel), name
+    assert spans.stall_spans > 0, name
+    if "-uit" in name:
+        # the tiny table evicts, which refuses the jump after an
+        # attempt whose UIT insert replaced an entry
+        uit = pipeline.policy.controller.classifier.uit
+        assert uit.fills > uit.size, name
+    if "mshr2" in name:
+        assert spans.gated_spans > 0
+        assert spans.expiry_bounded > 0
+
+
+def test_jump_takes_effect_on_the_object_engine(session):
+    # measured at 400+1200 instructions: 1018 ticks for 4100 cycles
+    # (the plain idle jump alone ticks 3919 times)
+    pipeline = _build(session, "astar-nrnu-t4")
+    spans = _Spans(pipeline)
+    stats = pipeline.run()
+    assert spans.ticks < 0.5 * stats.cycles
+
+
+def test_undeclared_policy_keeps_ticking_its_attempts(session):
+    """A policy that has not declared ``counter_only_stalls`` never has
+    its stalled attempts repeated in bulk."""
+    workload, core, ltp, _ = _points()["astar-nrnu-t4"]
+    config = SimConfig(workload=workload, core=core, ltp=ltp,
+                       policy="oracle-park", warmup=WARMUP,
+                       measure=MEASURE).validate()
+    pipeline = session.build_pipeline(config)
+    assert not pipeline.policy.counter_only_stalls
+    repeated = []
+    original = pipeline._repeat_stalled
+
+    def recording_repeat(times, gated):
+        repeated.append(pipeline._stall)
+        original(times, gated)
+
+    pipeline._repeat_stalled = recording_repeat
+    pipeline.run()
+    assert repeated
+    assert all(stall is None or stall[0] == "stall_rob"
+               for stall in repeated)
+
+
+# ================================================================
+# the marks' guard: each state change it must catch
+# ================================================================
+def _online(**overrides):
+    return LTPController(proposed_ltp().but(**overrides), dram_latency=100)
+
+
+def _attempt(controller, seq, pc, **inst):
+    """One stalled rename attempt: the marks before and after it."""
+    record = make_record(seq, pc=pc, **inst)
+    before = controller.stall_marks(record.dyn)
+    controller.observe_rename(record)
+    controller.decide(record, now=0)
+    return before, controller.stall_marks(record.dyn)
+
+
+def test_guard_catches_a_changed_producer_pc_entry():
+    controller = _online()
+    before, after = _attempt(controller, 5, pc=40, opcode="addi",
+                             srcs=("r1",))
+    assert before[0] != after[0]
+    before, after = _attempt(controller, 5, pc=40, opcode="addi",
+                             srcs=("r1",))
+    assert before[0] == after[0]
+    assert after[1] - before[1] == 1  # one UIT lookup per attempt
+
+
+def test_guard_catches_uit_fills_and_evictions():
+    controller = _online(uit_size=2, uit_ways=1)  # two one-way sets
+    uit = controller.classifier.uit
+    _attempt(controller, 0, pc=12, opcode="li", dst="r2", srcs=())
+    _attempt(controller, 1, pc=13, opcode="li", dst="r4", srcs=())
+    uit.insert(10)
+    # the urgent store at PC 10 reads r4: inserting PC 13 fills set 1
+    before, after = _attempt(controller, 2, pc=10, opcode="st", dst=None,
+                             srcs=("r5", "r4"))
+    assert before[0] != after[0]
+    before, after = _attempt(controller, 2, pc=10, opcode="st", dst=None,
+                             srcs=("r5", "r4"))
+    assert before[0] == after[0]
+    assert after[2] - before[2] == 1  # the re-insert only restamps
+    # reading r2 instead, inserting PC 12 evicts PC 10 itself, so a
+    # repeat would classify differently
+    before, after = _attempt(controller, 3, pc=10, opcode="st", dst=None,
+                             srcs=("r5", "r2"))
+    assert before[0] != after[0]
+    assert not uit.contains(10)
+
+
+def test_guard_catches_granted_tickets_but_not_refusals():
+    controller = _online(mode="nr", tickets=1)
+    before, after = _attempt(controller, 0, pc=20, opcode="div")
+    assert before[0] != after[0]  # granted, never released
+    before, after = _attempt(controller, 0, pc=20, opcode="div")
+    assert before[0] == after[0]
+    assert after[4] - before[4] == 1  # the pool refused: exhausted
+
+
+def test_repeat_stall_charges_every_counter_per_repeat():
+    controller = _online(mode="nr+nu", tickets=1, entries=1, monitor="on")
+    _attempt(controller, 0, pc=20, opcode="div")  # takes the one ticket
+    controller.queue.push(make_record(9, pc=90))  # fills the queue
+    before, after = _attempt(controller, 1, pc=21, opcode="div")
+    deltas = [a - b for a, b in zip(after[1:], before[1:])]
+    lookups, _, park_stalls, exhausted, _, _ = deltas
+    assert lookups == park_stalls == exhausted == 1
+    controller.repeat_stall(before, after, 3)
+    charged = controller.stall_marks(make_record(1, pc=21).dyn)
+    assert [c - a for c, a in zip(charged[1:], after[1:])] == [
+        3 * d for d in deltas]
+
+
+# ================================================================
+# randomized programs: 1-2 MSHRs, tiny UITs, few tickets
+# ================================================================
+def _random_ltp(rng):
+    return proposed_ltp().but(
+        mode=rng.choice(["nu", "nr", "nr+nu"]),
+        entries=rng.choice([8, 32, 128]),
+        ports=rng.choice([1, 2, 4]),
+        tickets=rng.choice([2, 4, None]),
+        monitor=rng.choice(["auto", "on"]),
+        uit_size=rng.choice([4, 8, 16]),
+        uit_ways=rng.choice([1, 2]))
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=10, deadline=None)
+def test_random_programs_with_gated_loads_and_tiny_uits(seed):
+    rng = random.Random(seed)
+    asm = random_program(rng, n_body=rng.randrange(3, 8))
+    trace = list(Executor(assemble(asm)).run(400))
+    core = random_core(rng)
+    core.mem.mshrs = rng.choice([1, 2])
+    ltp = _random_ltp(rng)
+    oracle = annotate_trace(trace, core.mem,
+                            window=min(core.rob_size or 256, 256))
+    for policy in ("ltp", "baseline-stall"):
+        def run(engine, **kwargs):
+            built = build_policy(policy, ltp, core.mem.dram_latency,
+                                 oracle=oracle)
+            try:
+                return counters(engine(trace, params=core, ltp=ltp,
+                                       policy=built, **kwargs))
+            except SimulationDeadlock:
+                # the model can wedge (e.g. a parked ROB head facing a
+                # full IQ); every mode must then report it
+                return None
+
+        strict = run(Pipeline, allow_skip=False)
+        jumped = run(Pipeline)
+        kernel = run(KernelPipeline)
+        kernel_strict = run(KernelPipeline, allow_skip=False)
+        if strict is None:
+            assert jumped is kernel is kernel_strict is None, policy
+            continue
+        assert not mismatches(jumped, kernel), policy
+        assert not mismatches(strict, kernel_strict), policy
+        diff = mismatches(strict, jumped)
+        frontend = diff.pop("stall_frontend", None)
+        assert not diff, (policy, diff)
+        assert frontend is None or frontend[1] < frontend[0], policy
+
+
+# ================================================================
+# the ticket leak of stalled NR rename attempts (not fixed here)
+# ================================================================
+@pytest.mark.xfail(strict=True, reason="a stalled rename attempt of a "
+                   "predicted-long-latency load in an NR mode is granted "
+                   "a ticket that nothing releases (ROADMAP); fixing it "
+                   "moves fig11's statistics")
+@pytest.mark.parametrize("name", ["astar-nrnu-t4", "astar-nrnu-unlimited"])
+def test_drained_run_leaves_no_live_ticket(session, name):
+    pipeline = _build(session, name)
+    pipeline.run()
+    assert pipeline.policy.controller.tickets.pool.live_count == 0
