@@ -9,8 +9,8 @@ argument of Section 5.6.
 
 import sys
 
-from repro import (SimConfig, baseline_params, ltp_params, no_ltp,
-                   proposed_ltp, run_sim)
+from repro import (Session, SimConfig, baseline_params, ltp_params, no_ltp,
+                   proposed_ltp)
 from repro.energy.model import compute_energy, relative_ed2p
 from repro.harness.charts import bar_chart
 from repro.harness.report import render_table
@@ -24,10 +24,12 @@ def main() -> None:
         ("small + LTP", ltp_params(), proposed_ltp()),
     ]
     results = []
-    for label, core, ltp in configs:
-        run = run_sim(SimConfig(workload=workload, core=core, ltp=ltp))
-        energy = compute_energy(core, ltp, run)
-        results.append((label, run, energy))
+    with Session() as session:
+        for label, core, ltp in configs:
+            run = session.run(SimConfig(workload=workload, core=core,
+                                        ltp=ltp)).stats
+            energy = compute_energy(core, ltp, run)
+            results.append((label, run, energy))
 
     base_energy = results[0][2]
     rows = []

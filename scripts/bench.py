@@ -25,7 +25,7 @@ committed per-engine speedup within :data:`PER_CONFIG_TOLERANCE`; the
 exit code is nonzero if any gate fails.
 
 ``--tune-chunksize`` measures the pool executor's dispatch chunking
-(:class:`repro.api.ProcessPoolBackend`'s ``chunksize``) on the
+(:class:`repro.api.PoolExecutor`'s ``chunksize``) on the
 ``policy-compare`` sweep preset and records the sweep wall times under
 ``notes.pool_chunksize`` in the committed ``BENCH_pipeline.json`` —
 the throughput numbers and the ``--check`` gate reference are left
@@ -150,7 +150,7 @@ def tune_chunksize(args) -> int:
     """Measure pool-dispatch chunking on the policy-compare preset.
 
     Each chunk size runs the whole preset (tiny budgets) through a
-    :class:`repro.api.ProcessPoolBackend` against a scratch cache with
+    :class:`repro.api.PoolExecutor` against a scratch cache with
     caching disabled, so every run simulates every point.  The wall
     times land under ``notes.pool_chunksize`` of the output document
     (merged into the existing file; measured throughput numbers are
@@ -159,9 +159,9 @@ def tune_chunksize(args) -> int:
     import tempfile
     import time as time_mod
 
-    from repro.api import ProcessPoolBackend, Session
+    from repro.api import PoolExecutor, Session
+    from repro.api.exec import default_jobs
     from repro.harness.experiments import sweep_preset
-    from repro.harness.runner import default_jobs
 
     jobs = args.jobs if args.jobs else default_jobs()
     spec = sweep_preset("policy-compare", warmup=300, measure=600)
@@ -169,7 +169,7 @@ def tune_chunksize(args) -> int:
     for chunksize in TUNE_CHUNKSIZES:
         with tempfile.TemporaryDirectory() as scratch, \
                 Session(cache_dir=scratch) as session:
-            backend = ProcessPoolBackend(jobs=jobs, chunksize=chunksize)
+            backend = PoolExecutor(jobs=jobs, chunksize=chunksize)
             start = time_mod.perf_counter()
             results = session.sweep(spec, use_cache=False,
                                     backend=backend)
@@ -219,15 +219,14 @@ def _time_sweep(spec, jobs: int, batch_size,
     import tempfile
     import time as time_mod
 
-    from repro.api import ProcessPoolBackend, Session
+    from repro.api import PoolExecutor, Session
 
     best = None
     points = 0
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as scratch, \
                 Session(cache_dir=scratch) as session:
-            backend = ProcessPoolBackend(jobs=jobs,
-                                         batch_size=batch_size)
+            backend = PoolExecutor(jobs=jobs, batch_size=batch_size)
             start = time_mod.perf_counter()
             results = session.sweep(spec, use_cache=False,
                                     backend=backend)
@@ -239,8 +238,8 @@ def _time_sweep(spec, jobs: int, batch_size,
 
 def sweep_bench(args) -> int:
     """Measure (or gate) batched vs unbatched sweep throughput."""
+    from repro.api.exec import default_jobs
     from repro.harness.experiments import sweep_preset
-    from repro.harness.runner import default_jobs
 
     jobs = args.jobs if args.jobs else default_jobs()
     spec = sweep_preset(SWEEP_PRESET, warmup=SWEEP_WARMUP,

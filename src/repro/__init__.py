@@ -16,7 +16,7 @@ The package layers:
 * :mod:`repro.workloads` — synthetic SPEC-like kernels forming the
   MLP-sensitive and MLP-insensitive suites.
 * :mod:`repro.energy` — first-order IQ/RF/LTP energy and ED2P model.
-* :mod:`repro.harness` — cached simulation runner and one experiment
+* :mod:`repro.harness` — configs, the result cache and one experiment
   function per paper table/figure.
 
 * :mod:`repro.api` — the supported programmatic surface: sessions that
@@ -32,20 +32,15 @@ Quick start::
     with Session() as session:
         result = session.run(config)
     print(result.cpi, result["avg_ltp"])
-
-(the legacy ``run_sim(config) -> dict`` entry point remains available
-and runs on the process-global default session).
 """
 
-from repro.api import (ExecutionBackend, ProcessPoolBackend, SerialBackend,
-                       Session, SimResult, SweepSpec, default_session,
+from repro.api import (Session, SimResult, SweepSpec, default_session,
                        experiment_names, get_experiment, ltp_preset,
                        ltp_preset_names, set_default_session)
 from repro.core.params import CoreParams, baseline_params, ltp_params
 from repro.core.pipeline import Pipeline, SimulationDeadlock, simulate
 from repro.core.stats import SimStats
 from repro.harness.config import SimConfig
-from repro.harness.runner import run_sim, run_sims
 from repro.ltp.config import (LTPConfig, limit_ltp, no_ltp,
                               proposed_ltp, wib_ltp)
 from repro.ltp.oracle import OracleInfo, annotate_trace
@@ -58,14 +53,11 @@ __version__ = "1.1.0"
 
 __all__ = [
     "CoreParams",
-    "ExecutionBackend",
     "LTPConfig",
     "MemParams",
     "MemoryHierarchy",
     "OracleInfo",
     "Pipeline",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "Session",
     "SimConfig",
     "SimResult",
@@ -88,8 +80,6 @@ __all__ = [
     "mlp_sensitive_suite",
     "no_ltp",
     "proposed_ltp",
-    "run_sim",
-    "run_sims",
     "set_default_session",
     "simulate",
     "wib_ltp",

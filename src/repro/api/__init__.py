@@ -4,8 +4,8 @@ The API layer is organised around four ideas:
 
 * :class:`Session` — owns the trace/oracle/result caches and an
   execution backend; the one object services and tests hold on to.
-  :func:`default_session` is the process-global instance behind the
-  legacy ``run_sim``/``run_sims`` shims.
+  :func:`default_session` is the process-global instance the
+  experiment harness and the CLI run on.
 * Declarative specs — :class:`~repro.harness.config.SimConfig`
   round-trips through dicts, and :class:`SweepSpec` expands axis
   products into validated configuration lists.
@@ -18,9 +18,7 @@ The API layer is organised around four ideas:
   ``"mock"`` — from :class:`Session`, :class:`SweepSpec` or the CLI's
   ``--executor`` flag; :func:`build_executor` constructs one.
   :class:`CoordinatorBackend` drives every shard of a sweep from one
-  process (``Session.coordinate`` / ``repro sweep --coordinate``);
-  legacy iterator-style backends are adapted via
-  :class:`LegacyBackendAdapter` (with a ``DeprecationWarning``).
+  process (``Session.coordinate`` / ``repro sweep --coordinate``).
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
@@ -56,15 +54,12 @@ Quick start::
             print(result.config.core.iq_size, result.cpi)
 """
 
-from repro.api.backends import (ExecutionBackend, ProcessPoolBackend,
-                                SerialBackend, backend_for_jobs)
 from repro.api.exec import (CoordinatorBackend, ExecEvent,
                             ExecutionCancelled, ExecutorBackend,
-                            LegacyBackendAdapter, PoolExecutor,
-                            SerialExecutor, SimFuture, WorkerFailure,
-                            as_executor)
-from repro.api.executors import (build_executor, executor_descriptions,
-                                 executor_names)
+                            PoolExecutor, SerialExecutor, SimFuture,
+                            WorkerFailure, as_executor)
+from repro.api.executors import (backend_for_jobs, build_executor,
+                                 executor_descriptions, executor_names)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
 from repro.api.mock import MockExecutor
@@ -89,17 +84,13 @@ __all__ = [
     "DEFAULT_POLICY",
     "ExecEvent",
     "Experiment",
-    "ExecutionBackend",
     "ExecutionCancelled",
     "ExecutorBackend",
     "InspectorConfig",
-    "LegacyBackendAdapter",
     "MockExecutor",
     "PoolExecutor",
-    "ProcessPoolBackend",
     "RemoteExecutor",
     "ResultStore",
-    "SerialBackend",
     "SerialExecutor",
     "Session",
     "SimConfig",

@@ -72,8 +72,7 @@ def register_executor(name: str, description: Optional[str] = None,
 
 def _ensure_builtins() -> None:
     """Import the built-in executor definitions (registers them)."""
-    import repro.api.backends  # noqa: F401  (import side effect)
-    import repro.api.exec  # noqa: F401
+    import repro.api.exec  # noqa: F401  (import side effect)
     import repro.api.mock  # noqa: F401
     import repro.api.remote.executor  # noqa: F401
 
@@ -125,6 +124,28 @@ def build_executor(name: str, **options: Any):
             f"executor {name!r} does not take "
             f"{', '.join(unknown)} (accepted options: {accepted})")
     return info.factory(**options)
+
+
+def backend_for_jobs(jobs: Optional[int],
+                     chunksize: Optional[int] = None,
+                     batch_size: Optional[int] = None) -> Any:
+    """The executor a ``--jobs N`` style flag selects.
+
+    ``1`` is the plain in-process ``"serial"`` executor; anything else
+    (including ``None`` = one worker per CPU and ``0``, its CLI
+    spelling) is ``"process-pool"``, which itself degrades to serial
+    execution when only one worker or work item remains.  Callers
+    wanting any other executor (or explicit options) should use
+    :func:`build_executor` directly.
+    """
+    options: Dict[str, Any] = {}
+    if batch_size is not None:
+        options["batch_size"] = batch_size
+    if jobs == 1:
+        return build_executor("serial", **options)
+    return build_executor("process-pool",
+                          jobs=None if jobs == 0 else jobs,
+                          chunksize=chunksize, **options)
 
 
 def executor_from_options(name: str,

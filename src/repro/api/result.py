@@ -1,7 +1,7 @@
 """Typed simulation results for the API boundary.
 
-:func:`repro.harness.runner.run_sim` historically returned the raw
-flattened statistics dict; :class:`SimResult` wraps that dict with the
+A simulation's raw output is a flattened statistics dict;
+:class:`SimResult` wraps that dict with the
 configuration that produced it, the cache key, where the result came
 from (fresh simulation vs. memory/disk cache), which backend executed
 it and how long the simulation took.  Experiment aggregation code keeps

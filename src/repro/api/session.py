@@ -1,7 +1,6 @@
 """Sessions: explicit ownership of simulation state and execution.
 
-A :class:`Session` owns everything that used to live as module-global
-mutable state in :mod:`repro.harness.runner`:
+A :class:`Session` owns all mutable simulation state:
 
 * the bounded in-process **trace cache**: one :class:`PreparedWorkload`
   per workload (LRU beyond a cap) holding everything the points of
@@ -11,7 +10,7 @@ mutable state in :mod:`repro.harness.runner`:
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
-  (:class:`~repro.api.backends.SerialBackend` by default).
+  (:class:`~repro.api.exec.SerialExecutor` by default).
 
 Every simulated point goes through one recipe,
 :meth:`Session.build_pipeline`, so a batch of points sharing a trace
@@ -20,14 +19,20 @@ pays for its preparation once without any batch-specific state.
 Sessions are context managers — leaving the ``with`` block drops the
 in-memory caches — and independent sessions never share state, so tests
 and services can isolate cache lifetimes explicitly.  A process-global
-default session (:func:`default_session`) backs the legacy
-``run_sim``/``run_sims`` entry points so existing call sites keep
-working unchanged.
+default session (:func:`default_session`) runs the experiment harness,
+the CLI's ``run`` command and pool workers.
+
+The paper warms caches for 250 M instructions and then measures a 10 M
+instruction SimPoint; :meth:`Session.build_pipeline` mirrors that
+shape: generate ``warmup + measure`` instructions, annotate the full
+trace with the oracle when the policy needs it, warm the memory
+hierarchy, branch predictor and policy functionally on the warmup
+slice (:func:`warm_hierarchy`, :func:`warm_branch_predictor`), then
+time the measured slice.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import time
 from collections import OrderedDict
@@ -35,20 +40,18 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
-from repro.api.backends import ExecutionBackend, SerialBackend
 from repro.api.exec import (ExecutionCancelled, ExecutorBackend,
-                            ProgressCallback, as_executor)
+                            ProgressCallback, SerialExecutor, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
 from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, cap
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import CODE_BASE, INST_BYTES, Pipeline
 from repro.harness.cachefile import ResultCache
 from repro.harness.config import SimConfig
-from repro.harness.runner import (ORACLE_CACHE_MAX, TRACE_CACHE_MAX,
-                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo, annotate_trace
+from repro.memory.cache import block_of
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import build_policy, policy_needs_oracle
 from repro.workloads import get_workload
@@ -57,6 +60,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.inspect import SweepInspector
     from repro.api.spec import SweepSpec
     from repro.api.store import ResultStore
+
+#: default LRU caps of a session's in-process memoisation (traces per
+#: workload, oracle annotations per trace)
+TRACE_CACHE_MAX = 8
+ORACLE_CACHE_MAX = 16
+
+
+def warm_hierarchy(hierarchy: MemoryHierarchy, warmup_slice,
+                   program_len: int, warm_regions=()) -> None:
+    """Functionally warm *hierarchy* on the warmup slice."""
+    # Hot metadata a paper-scale warmup (250 M instructions) would leave
+    # resident: the kernels re-walk these small arrays with a period far
+    # longer than our warmup slice, so install them in the L2/L3 first.
+    for base, words in warm_regions:
+        for block in range(block_of(base), block_of(base + words * 8) + 1):
+            hierarchy.l2.insert(block)
+            hierarchy.l3.insert(block)
+    for dyn in warmup_slice:
+        if dyn.is_mem:
+            hierarchy.functional_access(dyn.addr, is_store=dyn.is_store,
+                                        pc=dyn.pc)
+    # warm the instruction path: kernels are tiny, touch every block once
+    for pc in range(program_len):
+        block = block_of(CODE_BASE + pc * INST_BYTES)
+        hierarchy.l1i.insert(block)
+        hierarchy.l2.insert(block)
+        hierarchy.l3.insert(block)
+
+
+def warm_branch_predictor(bpred: GsharePredictor, warmup_slice) -> None:
+    """Train *bpred* on the warmup slice's branches."""
+    for dyn in warmup_slice:
+        if dyn.is_branch:
+            bpred.predict_and_update(dyn.pc, dyn.taken)
 
 
 def _as_backend(backend: Any) -> Any:
@@ -157,9 +194,9 @@ class Session:
         Directory for the disk result cache.  ``None`` falls back to
         ``REPRO_CACHE_DIR`` or the repo-root ``.simcache``.
     backend:
-        Default :class:`ExecutionBackend` for :meth:`run_many` /
-        :meth:`sweep` (``SerialBackend`` when omitted).  A string
-        names a registered executor
+        Default :class:`~repro.api.exec.ExecutorBackend` for
+        :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
+        omitted).  A string names a registered executor
         (:func:`repro.api.executors.build_executor`).
     trace_cache_size:
         LRU cap on the workloads the trace cache holds.
@@ -168,20 +205,19 @@ class Session:
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 backend: Optional[ExecutionBackend] = None,
+                 backend: Optional[ExecutorBackend] = None,
                  trace_cache_size: int = TRACE_CACHE_MAX,
                  oracle_cache_size: int = ORACLE_CACHE_MAX) -> None:
         if trace_cache_size <= 0 or oracle_cache_size <= 0:
             raise ValueError("cache sizes must be positive")
         self.results = ResultCache(cache_dir)
-        self.backend: ExecutionBackend = \
-            _as_backend(backend) or SerialBackend()
+        self.backend: ExecutorBackend = \
+            _as_backend(backend) or SerialExecutor()
         self.trace_cache_size = trace_cache_size
         self.oracle_cache_size = oracle_cache_size
         #: workload name -> its prepared inputs (LRU, bounded)
         self._trace_cache: "OrderedDict[str, PreparedWorkload]" = \
             OrderedDict()
-        self._workload_factory: Callable[[str], Any] = get_workload
 
     # ------------------------------------------------------------------
     # lifetime
@@ -191,17 +227,14 @@ class Session:
         """Directory of the disk result cache."""
         return self.results.directory
 
-    def clear_memory_caches(self, results: bool = True) -> None:
-        """Drop the in-process trace (and result) memoisation.
+    def clear_memory_caches(self) -> None:
+        """Drop the in-process trace and result memoisation.
 
         The caches are cleared in place (never rebound) so references
-        handed out earlier keep observing this session's state.  With
-        ``results=False`` the in-memory result cache is kept (the
-        legacy ``runner.clear_memory_caches`` semantics).
+        handed out earlier keep observing this session's state.
         """
         self._trace_cache.clear()
-        if results:
-            self.results._memory.clear()
+        self.results._memory.clear()
 
     def close(self) -> None:
         """Release in-memory state (the disk cache persists)."""
@@ -233,11 +266,10 @@ class Session:
         trace_cache = self._trace_cache
         prepared = trace_cache.get(workload_name)
         if prepared is None:
-            prepared = PreparedWorkload(self._workload_factory(workload_name),
-                                        length)
+            prepared = PreparedWorkload(get_workload(workload_name), length)
             trace_cache[workload_name] = prepared
         else:
-            prepared.cover(length, functools.partial(self._workload_factory,
+            prepared.cover(length, functools.partial(get_workload,
                                                      workload_name))
         trace_cache.move_to_end(workload_name)
         while len(trace_cache) > self.trace_cache_size:
@@ -449,7 +481,7 @@ class Session:
 
     def run_many(self, configs: Iterable[SimConfig],
                  use_cache: bool = True,
-                 backend: Optional[ExecutionBackend] = None,
+                 backend: Optional[ExecutorBackend] = None,
                  store: Optional["ResultStore"] = None,
                  progress: Optional[ProgressCallback] = None,
                  inspect: Any = None,
@@ -461,11 +493,9 @@ class Session:
         configurations are resolved in-process; each distinct remaining
         configuration is simulated exactly once and duplicates share the
         primary's statistics.  *backend* may be a futures-style
-        :class:`~repro.api.exec.ExecutorBackend`, a registered executor
-        name (``"serial"``, ``"process-pool"``, ``"remote"``, …), or a
-        legacy iterator-style backend (adapted, with a
-        ``DeprecationWarning``);
-        *progress* receives every :class:`~repro.api.exec.ExecEvent`.
+        :class:`~repro.api.exec.ExecutorBackend` or a registered
+        executor name (``"serial"``, ``"process-pool"``, ``"remote"``,
+        …); *progress* receives every :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys
         the store already holds are served from it (``source ==
@@ -491,7 +521,7 @@ class Session:
                            inspect=as_inspector(inspect, store))
 
     def sweep(self, spec: "SweepSpec", use_cache: bool = True,
-              backend: Optional[ExecutionBackend] = None,
+              backend: Optional[ExecutorBackend] = None,
               store: Optional["ResultStore"] = None,
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[ProgressCallback] = None,
@@ -619,20 +649,6 @@ class Session:
         stats["category"] = self._trace_cache[config.workload].category
         return stats
 
-    # ------------------------------------------------------------------
-    # internal: shim support
-    # ------------------------------------------------------------------
-    def _with_result_cache(self, results: ResultCache) -> "Session":
-        """A view of this session with a different result cache.
-
-        The trace cache (and its bounds) is shared with the parent;
-        only result caching is redirected.  Used by the legacy
-        ``run_sim`` shims when tests override the module-level cache.
-        """
-        view = copy.copy(self)
-        view.results = results
-        return view
-
 
 class BatchRunner:
     """:meth:`Session.run` restricted to one trace identity.
@@ -666,13 +682,13 @@ class BatchRunner:
 
 
 # ======================================================================
-# process-global default session (backward compatibility)
+# process-global default session
 # ======================================================================
 _default_session: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The process-global session backing ``run_sim``/``run_sims``."""
+    """The process-global session (created on first use)."""
     global _default_session
     if _default_session is None:
         _default_session = Session()

@@ -53,9 +53,7 @@ annotation rows, and quarantined points re-run on ``--resume``.
 Everything routes through :mod:`repro.api`: the LTP presets come from
 the shared registry in :mod:`repro.ltp.config`, experiments resolve via
 the decorator registry, and simulations run on the process-global
-default :class:`~repro.api.session.Session` (via the shim-aware
-:func:`repro.harness.runner.run_sim_result`, so harness-level test
-overrides apply to the CLI too).
+default :class:`~repro.api.session.Session`.
 """
 
 from __future__ import annotations
@@ -81,8 +79,6 @@ from repro.harness.experiments import (resolve_sweep_spec,
                                        sweep_preset_names)
 from repro.harness.report import (render_json, render_sweep_summary,
                                   render_table)
-from repro.harness.runner import run_sim_result
-from repro.ltp.config import LTP_PRESETS
 from repro.ltp.oracle import annotate_trace
 from repro.policies import DEFAULT_POLICY, policy_names
 from repro.policies.learned import ModelArtifact, ModelArtifactError
@@ -92,9 +88,6 @@ from repro.policies.learned.train import (DEFAULT_EPOCHS,
                                           DEFAULT_TRAIN_WORKLOADS,
                                           train_model)
 from repro.workloads import full_suite, get_workload
-
-#: legacy alias — the presets live in :data:`repro.ltp.config.LTP_PRESETS`
-LTP_CHOICES = LTP_PRESETS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +362,7 @@ def cmd_run(args, out) -> int:
         config.warmup = args.warmup
     if args.measure is not None:
         config.measure = args.measure
-    result = run_sim_result(config, use_cache=not args.no_cache)
+    result = default_session().run(config, use_cache=not args.no_cache)
     if args.json:
         print(render_json(result.to_dict()), file=out)
         return 0

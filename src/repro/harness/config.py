@@ -41,16 +41,24 @@ DEFAULT_ENGINE = "object"
 ENGINES = (DEFAULT_ENGINE, "kernel")
 
 
-def _dataclass_from_dict(cls: type, data: Mapping[str, Any], what: str):
+def _mapping(data: Any, what: str) -> Mapping[str, Any]:
+    """*data* itself if it is a mapping, else ``ValueError``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"bad {what} payload: expected a mapping, got "
+                         f"{type(data).__name__}")
+    return data
+
+
+def _dataclass_from_dict(cls: type, data: Any, what: str):
     try:
-        return cls(**data)
+        return cls(**_mapping(data, what))
     except TypeError as exc:
         raise ValueError(f"bad {what} payload: {exc}") from None
 
 
 def core_from_dict(data: Mapping[str, Any]) -> CoreParams:
     """Rebuild :class:`CoreParams` (including nested memory params)."""
-    payload = dict(data)
+    payload = dict(_mapping(data, "core config"))
     mem_data = payload.pop("mem", None)
     mem = (_dataclass_from_dict(MemParams, mem_data, "memory config")
            if mem_data is not None else MemParams())
@@ -60,7 +68,7 @@ def core_from_dict(data: Mapping[str, Any]) -> CoreParams:
 
 def ltp_from_dict(data: Mapping[str, Any]) -> LTPConfig:
     """Rebuild :class:`LTPConfig` from its ``asdict`` payload."""
-    return _dataclass_from_dict(LTPConfig, dict(data), "LTP config")
+    return _dataclass_from_dict(LTPConfig, data, "LTP config")
 
 
 @dataclass
@@ -134,9 +142,12 @@ class SimConfig:
         """Inverse of :meth:`to_dict`; preserves :meth:`key` exactly.
 
         Tolerates payloads that omit ``core``/``ltp``/budgets (defaults
-        apply); rejects unknown fields inside them.
+        apply); rejects unknown fields inside them, non-string
+        ``workload``/``policy``/``engine``, budgets that are not plain
+        integers and ``core``/``ltp`` sections that are not mappings,
+        all with ``ValueError``.
         """
-        payload = dict(data)
+        payload = dict(_mapping(data, "config"))
         payload.pop("schema", None)
         try:
             workload = payload.pop("workload")
@@ -153,14 +164,23 @@ class SimConfig:
         if payload:
             raise ValueError(
                 f"unknown config fields: {sorted(payload)}")
+        for name, value in (("workload", workload), ("policy", policy),
+                            ("engine", engine)):
+            if not isinstance(value, str):
+                raise ValueError(f"config {name!r} must be a string, got "
+                                 f"{type(value).__name__}")
+        for name, value in (("warmup", warmup), ("measure", measure)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config {name!r} must be an integer, "
+                                 f"got {value!r}")
         config = cls(
             workload=workload,
             core=(core_from_dict(core_data) if core_data is not None
                   else CoreParams()),
             ltp=(ltp_from_dict(ltp_data) if ltp_data is not None
                  else LTPConfig()),
-            warmup=int(warmup), measure=int(measure),
-            policy=str(policy), model=model, engine=str(engine))
+            warmup=warmup, measure=measure,
+            policy=policy, model=model, engine=engine)
         return config.validate()
 
     def key(self) -> str:

@@ -1,17 +1,18 @@
 """One function per paper table/figure; each returns data and renders text.
 
-Every function sweeps configurations through :func:`run_sim` (cached) and
-returns a plain dict; the matching ``render_*`` function prints the rows
-or series the paper's figure plots.  See DESIGN.md for the experiment
-index and EXPERIMENTS.md for paper-vs-measured results.
+Every function sweeps configurations through the default session's
+:meth:`~repro.api.session.Session.run` (cached) and returns a plain
+dict; the matching ``render_*`` function prints the rows or series the
+paper's figure plots.  See DESIGN.md for the experiment index and
+EXPERIMENTS.md for paper-vs-measured results.
 
 Sweeps parallelise via a plan/execute split: :func:`plan_configs` runs
 an experiment function in *planning mode* — :func:`_run` records every
 :class:`SimConfig` it would simulate and returns placeholder statistics
 so the sweep's control flow completes without simulating anything —
 then :func:`run_parallel` executes the recorded configurations across a
-``multiprocessing`` pool (:func:`repro.harness.runner.run_sims`) and
-re-runs the experiment for real, where every point is a cache hit.
+``multiprocessing`` pool (:meth:`~repro.api.session.Session.run_many`)
+and re-runs the experiment for real, where every point is a cache hit.
 
 Each experiment/renderer pair self-registers with the
 :mod:`repro.api.registry` via the ``@experiment(name)`` /
@@ -29,13 +30,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
                                       mean_relative_performance)
 from repro.analysis.mlp_class import SensitivityInputs, classify
+from repro.api.executors import backend_for_jobs
 from repro.api.registry import experiment, renderer
+from repro.api.session import default_session
 from repro.api.spec import SweepSpec
 from repro.core.params import CoreParams, baseline_params, ltp_params
 from repro.energy.model import compute_energy, relative_ed2p
 from repro.harness.config import SimConfig
 from repro.harness.report import render_table, size_label
-from repro.harness.runner import run_sim, run_sims
 from repro.ltp.config import LTPConfig, limit_ltp, no_ltp, proposed_ltp
 from repro.ltp.oracle import annotate_trace
 from repro.policies import DEFAULT_POLICY, policy_names
@@ -95,7 +97,7 @@ def _run(workload: str, core: CoreParams, ltp: LTPConfig,
     if _plan_sink is not None:
         _plan_sink.append(config)
         return _PlanStats()
-    return run_sim(config)
+    return default_session().run(config).stats
 
 
 def plan_configs(experiment: Callable, *args, **kwargs) -> List[SimConfig]:
@@ -130,11 +132,11 @@ def run_parallel(experiment: Callable, *args,
 
     Equivalent to calling the experiment directly (identical return
     value) but wall-clock time scales with cores: the sweep is planned,
-    executed via :func:`repro.harness.runner.run_sims`, and the final
-    in-process pass aggregates from the populated cache.
+    executed on the default session over :func:`backend_for_jobs`, and
+    the final in-process pass aggregates from the populated cache.
     """
     configs = plan_configs(experiment, *args, **kwargs)
-    run_sims(configs, jobs=jobs)
+    default_session().run_many(configs, backend=backend_for_jobs(jobs))
     return experiment(*args, **kwargs)
 
 

@@ -2,28 +2,24 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+from repro.api import Session, set_default_session
 from repro.core.params import CoreParams
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor, Memory
 
 
-def override_legacy_result_cache(monkeypatch, cache):
-    """Install *cache* as the legacy ``runner._result_cache`` override.
-
-    The module ``__getattr__`` shim emits a ``DeprecationWarning`` (the
-    suite escalates it to an error), and ``monkeypatch.setattr`` reads
-    the old value before assigning — so tests that deliberately drive
-    the legacy override path go through this helper, which scopes a
-    suppression around just that read.
-    """
-    from repro.harness import runner as runner_mod
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        monkeypatch.setattr(runner_mod, "_result_cache", cache)
+@pytest.fixture
+def fresh_session(tmp_path):
+    """A fresh :class:`Session` over an empty cache directory, installed
+    as the process-global default for the test's duration."""
+    session = Session(cache_dir=str(tmp_path / "simcache"))
+    previous = set_default_session(session)
+    try:
+        yield session
+    finally:
+        set_default_session(previous)
 
 
 def make_trace(asm: str, max_insts: int = 200, int_regs=None, fp_regs=None,

@@ -2,7 +2,9 @@
 identical statistics (the execution-mode-invariant signature and more)."""
 
 
-from repro.api import ProcessPoolBackend, SerialBackend, Session
+import pytest
+
+from repro.api import PoolExecutor, SerialExecutor, Session, build_executor
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp
@@ -39,9 +41,9 @@ def _signature(stats: dict) -> dict:
 
 def test_serial_and_pool_backends_are_equivalent(tmp_path):
     serial = Session(cache_dir=str(tmp_path / "serial"),
-                     backend=SerialBackend())
+                     backend=SerialExecutor())
     pooled = Session(cache_dir=str(tmp_path / "pooled"),
-                     backend=ProcessPoolBackend(jobs=2))
+                     backend=PoolExecutor(jobs=2))
     serial_results = serial.run_many(_configs(), use_cache=False)
     pooled_results = pooled.run_many(_configs(), use_cache=False)
     for a, b in zip(serial_results, pooled_results):
@@ -53,7 +55,7 @@ def test_serial_and_pool_backends_are_equivalent(tmp_path):
 
 def test_pool_backend_writes_the_sessions_cache_dir(tmp_path):
     session = Session(cache_dir=str(tmp_path / "pool"),
-                      backend=ProcessPoolBackend(jobs=2))
+                      backend=PoolExecutor(jobs=2))
     results = session.run_many(_configs())
     files = list((tmp_path / "pool").glob("*.json"))
     assert len(files) == len(_configs())
@@ -65,7 +67,7 @@ def test_pool_backend_writes_the_sessions_cache_dir(tmp_path):
 
 def test_pool_backend_degrades_to_serial_for_single_item(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = ProcessPoolBackend(jobs=4)
+    backend = PoolExecutor(jobs=4)
     results = session.run_many(_configs()[:1], use_cache=False,
                                backend=backend)
     assert results[0]["committed"] == 150
@@ -73,23 +75,17 @@ def test_pool_backend_degrades_to_serial_for_single_item(tmp_path):
 
 def test_pool_jobs_one_runs_in_process(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = ProcessPoolBackend(jobs=1)
+    backend = PoolExecutor(jobs=1)
     results = session.run_many(_configs(), use_cache=False,
                                backend=backend)
     assert [r["workload"] for r in results] == \
         [c.workload for c in _configs()]
 
 
-def test_backend_protocol_runtime_check():
-    from repro.api import ExecutionBackend
-    assert isinstance(SerialBackend(), ExecutionBackend)
-    assert isinstance(ProcessPoolBackend(), ExecutionBackend)
-
-
 def test_custom_executor_subclass_plugs_in(tmp_path):
-    """A futures-style backend subclasses SerialBackend/ExecutorBackend."""
+    """A futures-style backend subclasses SerialExecutor/ExecutorBackend."""
 
-    class CountingExecutor(SerialBackend):
+    class CountingExecutor(SerialExecutor):
         name = "counting"
 
         def __init__(self):
@@ -107,28 +103,18 @@ def test_custom_executor_subclass_plugs_in(tmp_path):
     assert all(r.backend == "counting" for r in results)
 
 
-def test_legacy_iterator_backend_plugs_in(tmp_path):
-    """A bare `name` + `execute()` object still works (adapted, with a
-    DeprecationWarning)."""
-    import pytest
+def test_iterator_style_backend_is_rejected(tmp_path):
+    """A bare ``name`` + ``execute()`` object is not an executor."""
 
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.calls = 0
+    class IteratorBackend:
+        name = "iterator"
 
         def execute(self, session, items):
-            self.calls += len(items)
-            for index, config, use_cache in items:
-                result = session.run(config, use_cache=use_cache)
-                yield (index, result.stats, result.wall_time_s,
-                       result.source)
+            yield from ()
 
-    backend = CountingBackend()
-    session = Session(cache_dir=str(tmp_path), backend=backend)
-    with pytest.warns(DeprecationWarning,
-                      match="iterator-style execution backends"):
-        results = session.run_many(_configs()[:2], use_cache=False)
-    assert backend.calls == 2
-    assert all(r.backend == "counting" for r in results)
+    session = Session(cache_dir=str(tmp_path))
+    with pytest.raises(TypeError, match="not an execution backend"):
+        session.run_many(_configs()[:1], use_cache=False,
+                         backend=IteratorBackend())
+    assert type(build_executor("serial")) is SerialExecutor
+    assert type(build_executor("process-pool")) is PoolExecutor

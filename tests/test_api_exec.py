@@ -1,5 +1,5 @@
 """The futures-based execution layer: submission, lifecycle events,
-retries, cancellation, the legacy adapter and the sweep coordinator."""
+retries, cancellation and the sweep coordinator."""
 
 import multiprocessing
 import os
@@ -8,9 +8,8 @@ from collections import Counter
 import pytest
 
 from repro.api import (CoordinatorBackend, ExecutionCancelled,
-                       LegacyBackendAdapter, PoolExecutor, ResultStore,
-                       SerialBackend, SerialExecutor, Session, SweepSpec,
-                       WorkerFailure, as_executor)
+                       PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec, WorkerFailure, as_executor)
 from repro.api import exec as exec_mod
 from repro.core.params import baseline_params
 from repro.harness.config import SimConfig
@@ -124,7 +123,7 @@ def test_event_payloads_are_json_ready(tmp_path):
 # ------------------------------------------------------- cancellation
 def test_cancel_mid_sweep_leaves_store_resumable(tmp_path):
     spec = make_spec()
-    backend = SerialBackend()
+    backend = SerialExecutor()
     finished = []
 
     def cancel_after_two(event):
@@ -317,51 +316,7 @@ def test_run_many_raises_worker_failure(tmp_path):
                          backend=SerialExecutor(max_retries=0))
 
 
-# ------------------------------------------------------ legacy adapter
-class OldStyleBackend:
-    """An iterator-protocol backend, as third parties wrote them."""
-
-    name = "old-style"
-
-    def __init__(self):
-        self.calls = 0
-
-    def execute(self, session, items):
-        self.calls += len(items)
-        for index, config, use_cache in items:
-            result = session.run(config, use_cache=use_cache)
-            yield index, result.stats, result.wall_time_s, result.source
-
-
-def test_legacy_backend_adapts_with_deprecation_warning(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    backend = OldStyleBackend()
-    configs = make_configs(2)
-    with pytest.warns(DeprecationWarning,
-                      match="iterator-style execution backends"):
-        results = session.run_many(configs, use_cache=False,
-                                   backend=backend)
-    assert backend.calls == 2
-    assert [r.backend for r in results] == ["old-style", "old-style"]
-    with Session(cache_dir=str(tmp_path / "ref")) as ref:
-        serial = ref.run_many(configs, use_cache=False)
-    assert [r.stats for r in results] == [r.stats for r in serial]
-
-
-def test_legacy_adapter_emits_lifecycle_events(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    with pytest.warns(DeprecationWarning):
-        adapter = LegacyBackendAdapter(OldStyleBackend())
-    events = []
-    session.run_many(make_configs(2), use_cache=False, backend=adapter,
-                     progress=events.append)
-    per_key = {}
-    for event in events:
-        per_key.setdefault(event.key, Counter())[event.kind] += 1
-    for counts in per_key.values():
-        assert counts == Counter(submitted=1, started=1, finished=1)
-
-
+# ------------------------------------------------------------ coercion
 def test_as_executor_rejects_non_backends():
     with pytest.raises(TypeError, match="not an execution backend"):
         as_executor(object())
@@ -388,6 +343,19 @@ def test_pool_chunked_results_match_serial(tmp_path):
             configs, use_cache=False,
             backend=PoolExecutor(jobs=2, chunksize=2))
     assert [r.stats for r in chunked] == [r.stats for r in serial]
+
+
+def test_default_jobs_reads_repro_jobs(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    assert exec_mod.default_jobs() == 3
+    assert PoolExecutor()._resolved_jobs() == 3
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        exec_mod.default_jobs()
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        PoolExecutor()._resolved_jobs()
+    monkeypatch.delenv("REPRO_JOBS")
+    assert exec_mod.default_jobs() == (os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------- coordinator
@@ -459,21 +427,6 @@ def test_session_coordinate_entry_point(tmp_path):
         results = session.coordinate(spec, shards=2, jobs=1)
     assert len(results) == len(spec)
     assert isinstance(results[0].stats["cycles"], int)
-
-
-# -------------------------------------------- protocol compatibility
-def test_new_executors_still_satisfy_iterator_protocol(tmp_path):
-    from repro.api import ExecutionBackend
-    assert isinstance(SerialExecutor(), ExecutionBackend)
-    assert isinstance(PoolExecutor(), ExecutionBackend)
-    session = Session(cache_dir=str(tmp_path))
-    config = make_configs(1)[0]
-    outcomes = list(SerialExecutor().execute(
-        session, [(0, config, False)]))
-    assert len(outcomes) == 1
-    index, stats, wall, source = outcomes[0]
-    assert index == 0 and source == "simulated"
-    assert stats["committed"] == 100
 
 
 def test_unbound_executor_raises():

@@ -65,8 +65,6 @@ def test_renderer_requires_runner_first():
 
 # ------------------------------------------------------------- presets
 def test_ltp_presets_are_the_single_registry():
-    from repro.cli import LTP_CHOICES
-    assert LTP_CHOICES is LTP_PRESETS
     assert set(ltp_preset_names()) == set(LTP_PRESETS)
 
 

@@ -1,11 +1,11 @@
 """Tests for the repro.api session layer: cache ownership, provenance,
-lifetime control, and the default-session shims."""
+lifetime control, and the process-global default session."""
 
 import pytest
 
-from repro.api import Session, SimResult, default_session
+from repro.api import Session, SimResult
+from repro.api import session as session_mod
 from repro.core.params import baseline_params
-from repro.harness import runner as runner_mod
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
 
@@ -75,12 +75,13 @@ def test_context_manager_drops_memory_state(tmp_path):
     assert Session(cache_dir=str(tmp_path)).run(config).source == "disk"
 
 
-def test_clear_memory_caches_keeps_results_when_asked(tmp_path):
+def test_clear_memory_caches_drops_traces_and_results(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     session.run(quick_config())
-    session.clear_memory_caches(results=False)
+    session.clear_memory_caches()
     assert not session._trace_cache
-    assert session.results._memory  # legacy runner semantics
+    assert not session.results._memory
+    assert session.run(quick_config()).source == "disk"
 
 
 def test_cache_size_caps_validated():
@@ -117,28 +118,12 @@ def test_run_many_resolves_cached_in_process(tmp_path):
     assert results[0].backend == "cache"  # no backend executed it
 
 
-# ------------------------------------------------- default-session shims
-def test_run_sim_shim_matches_session_run():
-    config = quick_config()
-    shim = runner_mod.run_sim(config, use_cache=False)
-    direct = default_session().run(config, use_cache=False)
-    assert shim == direct.stats
-
-
-def test_runner_module_attributes_are_session_state():
-    session = default_session()
-    # the legacy attributes still resolve, but deprecated: each read
-    # must say so (the suite-wide filter turns unguarded ones into
-    # errors)
-    with pytest.warns(DeprecationWarning, match="runner._trace_cache"):
-        assert runner_mod._trace_cache is session._trace_cache
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        assert runner_mod._result_cache is session.results
-
-
-def test_run_sim_shim_honours_monkeypatched_get_workload(monkeypatch):
-    """The shims resolve workloads through runner.get_workload at call
-    time, so stubbed workloads reach the whole execution path."""
+# ---------------------------------------------------- default session
+def test_session_honours_monkeypatched_get_workload(fresh_session,
+                                                    monkeypatch):
+    """Sessions resolve workloads through ``repro.api.session``'s
+    ``get_workload`` at call time, so stubbed workloads reach the whole
+    execution path."""
 
     class StubWorkload:
         name = "stub"
@@ -156,45 +141,20 @@ def test_run_sim_shim_honours_monkeypatched_get_workload(monkeypatch):
         calls.append(name)
         return StubWorkload()
 
-    monkeypatch.setattr(runner_mod, "get_workload", stub_factory)
-    result = runner_mod.run_sim(quick_config("not_a_real_workload"),
-                                use_cache=False)
+    monkeypatch.setattr(session_mod, "get_workload", stub_factory)
+    result = fresh_session.run(quick_config("not_a_real_workload"),
+                               use_cache=False)
     assert calls and calls[0] == "not_a_real_workload"
     assert result["committed"] == 150
-    runner_mod.clear_memory_caches()
 
 
-def test_runner_shim_honours_result_cache_override(tmp_path, monkeypatch):
-    from conftest import override_legacy_result_cache
-    from repro.harness.cachefile import ResultCache
-    override = ResultCache(str(tmp_path / "override"))
-    override_legacy_result_cache(monkeypatch, override)
+def test_experiments_follow_set_default_session(fresh_session):
+    """The experiment harness runs on whichever session is the default
+    when a point runs (``fresh_session`` installs one)."""
+    from repro.harness.experiments import _run
+
     config = quick_config()
-    runner_mod.run_sim(config)
-    assert override.lookup(config.key()) is not None
-    assert (tmp_path / "override" / f"{config.key()}.json").is_file()
-
-
-def test_shims_track_default_session_after_override_cycle(tmp_path):
-    """A monkeypatch teardown writes the read-back default cache into
-    the module globals; that must not pin the shims to it — a later
-    set_default_session still redirects run_sim."""
-    import pytest
-    from conftest import override_legacy_result_cache
-    from repro.api import set_default_session
-    from repro.harness.cachefile import ResultCache
-
-    monkeypatch = pytest.MonkeyPatch()
-    override = ResultCache(str(tmp_path / "override"))
-    override_legacy_result_cache(monkeypatch, override)
-    monkeypatch.undo()  # leaves the old default cache as a real global
-
-    replacement = Session(cache_dir=str(tmp_path / "fresh"))
-    previous = set_default_session(replacement)
-    try:
-        config = quick_config()
-        runner_mod.run_sim(config)
-        assert replacement.results.lookup(config.key()) is not None
-        assert (tmp_path / "fresh" / f"{config.key()}.json").is_file()
-    finally:
-        set_default_session(previous)
+    stats = _run(config.workload, config.core, config.ltp,
+                 config.warmup, config.measure)
+    assert fresh_session.results.lookup(config.key())[0] == stats
+    assert (fresh_session.cache_dir / f"{config.key()}.json").is_file()

@@ -34,6 +34,7 @@ def test_roundtrip_preserves_key(index):
     config = sample_configs()[index]
     restored = SimConfig.from_dict(config.to_dict())
     assert restored == config
+    assert restored.to_dict() == config.to_dict()
     assert restored.key() == config.key()
 
 
@@ -72,6 +73,23 @@ def test_from_dict_rejects_unknown_fields():
                              "ltp": {"modes": "nu"}})
     with pytest.raises(ValueError, match="missing 'workload'"):
         SimConfig.from_dict({})
+    with pytest.raises(ValueError, match="bad config payload"):
+        SimConfig.from_dict([("workload", "compute_int")])
+    # wrong types at the parse boundary: ValueError, never a silent
+    # coercion or a TypeError
+    for field, value, match in (
+            ("workload", 5, "'workload' must be a string"),
+            ("policy", 7, "'policy' must be a string"),
+            ("engine", ["kernel"], "'engine' must be a string"),
+            ("warmup", 1.7, "'warmup' must be an integer"),
+            ("warmup", True, "'warmup' must be an integer"),
+            ("measure", "300", "'measure' must be an integer"),
+            ("measure", None, "'measure' must be an integer"),
+            ("core", [1, 2], "bad core config payload"),
+            ("core", {"mem": [1]}, "bad memory config payload"),
+            ("ltp", "nu", "bad LTP config payload")):
+        with pytest.raises(ValueError, match=match):
+            SimConfig.from_dict({"workload": "compute_int", field: value})
 
 
 def test_nested_helpers_roundtrip():

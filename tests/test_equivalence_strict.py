@@ -29,11 +29,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.api import default_session
+from repro.api.session import warm_branch_predictor, warm_hierarchy
 from repro.core.branch import GsharePredictor
 from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (get_oracle, get_trace,
-                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
@@ -115,9 +115,9 @@ def test_idle_jump_counts_every_frontend_stall_cycle():
 
 def _run_workload(name, core, ltp, warmup, measure, **kwargs):
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core)
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)

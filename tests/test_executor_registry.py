@@ -3,10 +3,9 @@ spec integration and string-backend resolution."""
 
 import pytest
 
-from repro.api import (MockExecutor, RemoteExecutor, SerialBackend,
-                       Session, SweepSpec, build_executor,
-                       executor_descriptions, executor_names)
-from repro.api.backends import ProcessPoolBackend
+from repro.api import (MockExecutor, RemoteExecutor, Session, SweepSpec,
+                       build_executor, executor_descriptions,
+                       executor_names)
 from repro.api.exec import PoolExecutor, SerialExecutor
 from repro.api.executors import (check_executor_name,
                                  executor_from_options, executor_info,
@@ -71,11 +70,10 @@ def test_remote_requires_a_fleet():
         build_executor("remote")
 
 
-def test_backend_aliases_are_registry_entries():
-    # the deprecated-in-docs aliases stay import-compatible AND are
-    # the registered classes themselves
-    assert isinstance(build_executor("serial"), SerialBackend)
-    assert isinstance(build_executor("process-pool"), ProcessPoolBackend)
+def test_local_executors_are_registry_entries():
+    # the registered factories are the executor classes themselves
+    assert executor_info("serial").factory is SerialExecutor
+    assert executor_info("process-pool").factory is PoolExecutor
 
 
 def test_session_resolves_string_backends(tmp_path):

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.api import default_session
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.cachefile import ResultCache
 from repro.harness.config import SimConfig
 from repro.harness.report import format_cell, render_table, size_label
-from repro.harness.runner import get_trace, run_sim
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
+
+
+def stats_of(config):
+    return default_session().run(config, use_cache=False).stats
 
 
 def quick_config(workload="compute_int", **kwargs):
@@ -65,7 +69,7 @@ def test_result_cache_corrupt_file(tmp_path):
 
 # -------------------------------------------------------------- runner
 def test_run_sim_produces_metrics():
-    result = run_sim(quick_config(), use_cache=False)
+    result = stats_of(quick_config())
     assert result["committed"] == 300
     assert result["cpi"] > 0
     assert result["workload"] == "compute_int"
@@ -74,8 +78,8 @@ def test_run_sim_produces_metrics():
 
 
 def test_run_sim_deterministic():
-    a = run_sim(quick_config(), use_cache=False)
-    b = run_sim(quick_config(), use_cache=False)
+    a = stats_of(quick_config())
+    b = stats_of(quick_config())
     assert a == b
 
 
@@ -83,7 +87,7 @@ def test_run_sim_with_ltp():
     config = SimConfig(workload="sparse_gather",
                        core=CoreParams(iq_size=16),
                        ltp=limit_ltp("nu"), warmup=600, measure=400)
-    result = run_sim(config, use_cache=False)
+    result = stats_of(config)
     assert result["committed"] == 400
     assert result["ltp_parked"] > 0
 
@@ -93,14 +97,14 @@ def test_run_sim_warmup_affects_results():
                      ltp=no_ltp(), warmup=0, measure=400)
     warm = SimConfig(workload="stream_triad", core=baseline_params(),
                      ltp=no_ltp(), warmup=2000, measure=400)
-    cycles_cold = run_sim(cold, use_cache=False)["cycles"]
-    cycles_warm = run_sim(warm, use_cache=False)["cycles"]
+    cycles_cold = stats_of(cold)["cycles"]
+    cycles_warm = stats_of(warm)["cycles"]
     assert cycles_warm < cycles_cold
 
 
 def test_get_trace_memoises_and_slices():
-    long_trace = get_trace("compute_int", 500)
-    short_trace = get_trace("compute_int", 200)
+    long_trace = default_session().get_trace("compute_int", 500)
+    short_trace = default_session().get_trace("compute_int", 200)
     assert len(long_trace) == 500
     assert len(short_trace) == 200
     assert short_trace[0].pc == long_trace[0].pc

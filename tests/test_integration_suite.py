@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import default_session
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
-from repro.harness.runner import run_sim
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
 from repro.core.params import ltp_params
 from repro.workloads import (MLP_SENSITIVE, full_suite, workload_names)
@@ -14,9 +14,10 @@ MEASURE = 600
 
 
 def quick(workload, core, ltp):
-    return run_sim(SimConfig(workload=workload, core=core, ltp=ltp,
-                             warmup=WARMUP, measure=MEASURE),
-                   use_cache=False)
+    return default_session().run(
+        SimConfig(workload=workload, core=core, ltp=ltp,
+                  warmup=WARMUP, measure=MEASURE),
+        use_cache=False).stats
 
 
 @pytest.mark.parametrize("name", workload_names())

@@ -24,7 +24,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.api import Session
+from repro.api import Session, default_session
 from repro.core.kernel import KernelPipeline, predecode, simulate_batch
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
@@ -103,9 +103,7 @@ def test_kernel_engine_matches_object_engine_through_session(tmp_path_factory,
 # batch execution over one shared predecode
 # ================================================================
 def test_simulate_batch_equals_independent_reference_runs():
-    from repro.harness.runner import get_trace
-
-    trace = get_trace("lattice_milc", 600)
+    trace = default_session().get_trace("lattice_milc", 600)
     configs = [no_ltp(), proposed_ltp(),
                proposed_ltp().but(entries=16, ports=2)]
     arrays = predecode(trace)
@@ -118,9 +116,7 @@ def test_simulate_batch_equals_independent_reference_runs():
 
 
 def test_simulate_batch_rejects_mismatched_arrays():
-    from repro.harness.runner import get_trace
-
-    trace = get_trace("stream_triad", 400)
+    trace = default_session().get_trace("stream_triad", 400)
     arrays = predecode(trace[:200])
     with pytest.raises(ValueError):
         KernelPipeline(trace, arrays=arrays)

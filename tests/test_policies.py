@@ -11,12 +11,11 @@ import json
 
 import pytest
 
-from repro.api import Session, SweepSpec
+from repro.api import Session, SweepSpec, default_session
 from repro.cli import main as cli_main
 from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
-from repro.harness.runner import get_trace
 from repro.ltp.config import no_ltp, proposed_ltp
 from repro.ltp.controller import LTPController
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
@@ -146,14 +145,14 @@ def test_depth_park_tracks_dependence_depth():
 
 
 def test_pipeline_rejects_policy_and_controller_together():
-    trace = get_trace("compute_int", 50)
+    trace = default_session().get_trace("compute_int", 50)
     controller = LTPController(no_ltp(), 190)
     with pytest.raises(ValueError, match="not both"):
         Pipeline(trace, controller=controller, policy="baseline-stall")
 
 
 def test_pipeline_accepts_policy_by_name():
-    trace = get_trace("compute_int", 100)
+    trace = default_session().get_trace("compute_int", 100)
     pipeline = Pipeline(trace, params=ltp_params(), ltp=proposed_ltp(),
                         policy="random-park")
     assert pipeline.policy.name == "random-park"
@@ -241,15 +240,11 @@ def test_learned_compare_preset_registered():
     assert "learned-compare" in sweep_preset_names()
 
 
-def test_policies_experiment_runs_small(tmp_path):
-    from repro.api import get_experiment, set_default_session
-    previous = set_default_session(Session(cache_dir=str(tmp_path)))
-    try:
-        exp = get_experiment("policies")
-        result = exp.run(warmup=250, measure=150,
-                         policies=["baseline-stall", "random-park"])
-    finally:
-        set_default_session(previous)
+def test_policies_experiment_runs_small(fresh_session):
+    from repro.api import get_experiment
+    exp = get_experiment("policies")
+    result = exp.run(warmup=250, measure=150,
+                     policies=["baseline-stall", "random-park"])
     text = exp.render(result)
     assert "random-park" in text and "baseline-stall" in text
     for per_policy in result["by_category"].values():

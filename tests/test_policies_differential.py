@@ -34,12 +34,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.api import Session
+from repro.api import Session, default_session
+from repro.api.session import warm_branch_predictor, warm_hierarchy
 from repro.core.branch import GsharePredictor
 from repro.core.params import baseline_params, ltp_params
 from repro.core.pipeline import Pipeline
-from repro.harness.runner import (get_oracle, get_trace,
-                                  warm_branch_predictor, warm_hierarchy)
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
@@ -127,9 +126,9 @@ def test_baseline_stall_matches_tracked_no_ltp_stats(tmp_path):
 def _legacy_stats(name, core, ltp, warmup, measure):
     """The pre-seam wiring: hand-built controller, explicit warmup."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core)
               if ltp.enabled else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
@@ -150,9 +149,9 @@ def _legacy_stats(name, core, ltp, warmup, measure):
 def _policy_stats(policy, name, core, ltp, warmup, measure):
     """The same run through the policy registry."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
-    oracle = (get_oracle(name, total, core, trace)
+    oracle = (default_session().get_oracle(name, total, core)
               if policy_needs_oracle(policy, ltp) else None)
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
@@ -267,11 +266,11 @@ def _engine_stats(engine_cls, policy_name, name, core, ltp,
                   warmup, measure):
     """One run through *engine_cls*, full ``as_dict`` statistics."""
     total = warmup + measure
-    trace = get_trace(name, total)
+    trace = default_session().get_trace(name, total)
     workload = get_workload(name)
     needs = (policy_needs_oracle(policy_name, ltp)
              or ltp.classifier == "oracle" or ltp.ll_predictor == "oracle")
-    oracle = get_oracle(name, total, core, trace) if needs else None
+    oracle = default_session().get_oracle(name, total, core) if needs else None
     warmup_slice = trace[:warmup]
     hierarchy = MemoryHierarchy(core.mem)
     warm_hierarchy(hierarchy, warmup_slice, len(workload.program),
@@ -317,7 +316,7 @@ def test_policies_skip_equivalent_on_real_workloads():
     for name in policy_names():
         for workload in ("lattice_milc", "sparse_gather"):
             core = ltp_params()
-            full = get_trace(workload, 900)
+            full = default_session().get_trace(workload, 900)
             oracle = None
             if policy_needs_oracle(name, ltp):
                 # annotate the FULL trace (producer seqs are absolute)

@@ -3,9 +3,9 @@ assignment, store-backed resume, and sharded-vs-serial equivalence."""
 
 import pytest
 
-from repro.api import (ResultStore, Session, SweepSpec, backend_for_jobs,
-                       merge_stores, parse_shard)
-from repro.api.backends import ProcessPoolBackend, SerialBackend
+from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec, backend_for_jobs, merge_stores,
+                       parse_shard)
 from repro.api.spec import shard_of
 
 
@@ -181,9 +181,9 @@ def test_sweep_shard_runs_only_that_partition(tmp_path):
 
 # ------------------------------------------------------ backend factory
 def test_backend_for_jobs_selects_policy():
-    assert isinstance(backend_for_jobs(1), SerialBackend)
+    assert isinstance(backend_for_jobs(1), SerialExecutor)
     pool = backend_for_jobs(4)
-    assert isinstance(pool, ProcessPoolBackend) and pool.jobs == 4
+    assert isinstance(pool, PoolExecutor) and pool.jobs == 4
     per_cpu = backend_for_jobs(0)
-    assert isinstance(per_cpu, ProcessPoolBackend) and per_cpu.jobs is None
-    assert isinstance(backend_for_jobs(None), ProcessPoolBackend)
+    assert isinstance(per_cpu, PoolExecutor) and per_cpu.jobs is None
+    assert isinstance(backend_for_jobs(None), PoolExecutor)
