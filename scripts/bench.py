@@ -24,13 +24,6 @@ compared against the speedup recorded in the committed
 committed per-engine speedup within :data:`PER_CONFIG_TOLERANCE`; the
 exit code is nonzero if any gate fails.
 
-``--tune-chunksize`` measures the pool executor's dispatch chunking
-(:class:`repro.api.PoolExecutor`'s ``chunksize``) on the
-``policy-compare`` sweep preset and records the sweep wall times under
-``notes.pool_chunksize`` in the committed ``BENCH_pipeline.json`` —
-the throughput numbers and the ``--check`` gate reference are left
-untouched.
-
 ``--sweep`` measures end-to-end sweep throughput (points/sec on the
 ``ltp-queues`` preset, kernel engine, pool executor) with trace-shared
 batching on versus off, and records both rates plus their ratio under
@@ -140,61 +133,6 @@ def check_regression(document: dict, reference: dict) -> int:
     if not failures:
         print("perf check OK: all per-config gates within tolerance")
     return 1 if failures else 0
-
-
-#: chunk sizes --tune-chunksize sweeps
-TUNE_CHUNKSIZES = (1, 2, 4, 8)
-
-
-def tune_chunksize(args) -> int:
-    """Measure pool-dispatch chunking on the policy-compare preset.
-
-    Each chunk size runs the whole preset (tiny budgets) through a
-    :class:`repro.api.PoolExecutor` against a scratch cache with
-    caching disabled, so every run simulates every point.  The wall
-    times land under ``notes.pool_chunksize`` of the output document
-    (merged into the existing file; measured throughput numbers are
-    preserved).
-    """
-    import tempfile
-    import time as time_mod
-
-    from repro.api import PoolExecutor, Session
-    from repro.api.exec import default_jobs
-    from repro.harness.experiments import sweep_preset
-
-    jobs = args.jobs if args.jobs else default_jobs()
-    spec = sweep_preset("policy-compare", warmup=300, measure=600)
-    timings = {}
-    for chunksize in TUNE_CHUNKSIZES:
-        with tempfile.TemporaryDirectory() as scratch, \
-                Session(cache_dir=scratch) as session:
-            backend = PoolExecutor(jobs=jobs, chunksize=chunksize)
-            start = time_mod.perf_counter()
-            results = session.sweep(spec, use_cache=False,
-                                    backend=backend)
-            elapsed = time_mod.perf_counter() - start
-        timings[str(chunksize)] = round(elapsed, 3)
-        print(f"chunksize {chunksize}: {elapsed:.2f}s "
-              f"({len(results)} points, {jobs} workers)")
-    best = min(timings, key=lambda k: timings[k])
-    document = load_reference(args.output)
-    notes = document.setdefault("notes", {})
-    notes["pool_chunksize"] = {
-        "preset": "policy-compare",
-        "warmup": 300, "measure": 600,
-        "jobs": jobs,
-        "cpus": os.cpu_count(),
-        "wall_seconds": timings,
-        "best": int(best),
-        "generated": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(args.output, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"best chunksize {best} "
-          f"({timings[best]:.2f}s); recorded in {args.output} notes")
-    return 0
 
 
 # --sweep: end-to-end sweep throughput, batched vs unbatched ---------
@@ -324,23 +262,16 @@ def main(argv=None) -> int:
                         help="exit nonzero if the headline speedup "
                              "regressed more than 15%% vs the committed "
                              "BENCH_pipeline.json")
-    parser.add_argument("--tune-chunksize", action="store_true",
-                        help="benchmark pool dispatch chunk sizes on "
-                             "the policy-compare preset and record "
-                             "them under the output's notes")
     parser.add_argument("--sweep", action="store_true",
                         help="benchmark end-to-end sweep throughput "
                              "(ltp-queues preset) batched vs "
                              "unbatched; with --check, gate instead "
                              "of recording")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for --tune-chunksize / "
-                             "--sweep (default: REPRO_JOBS / CPU "
-                             "count)")
+                        help="worker processes for --sweep "
+                             "(default: REPRO_JOBS / CPU count)")
     args = parser.parse_args(argv)
 
-    if args.tune_chunksize:
-        return tune_chunksize(args)
     if args.sweep:
         return sweep_bench(args)
 
@@ -367,12 +298,8 @@ def main(argv=None) -> int:
     else:
         output = args.output
         document = harness.attach_baseline(document)
-        # keep --tune-chunksize notes and the --sweep throughput
-        # record through re-measurements
+        # keep the --sweep throughput record through re-measurements
         committed = load_reference(output)
-        notes = committed.get("notes")
-        if notes:
-            document["notes"] = notes
         sweep_record = committed.get("sweep_points_per_sec")
         if sweep_record:
             document["sweep_points_per_sec"] = sweep_record

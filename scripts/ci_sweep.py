@@ -20,15 +20,16 @@ nothing.  From the repo root::
         --daemon-store daemon.jsonl
     python scripts/ci_sweep.py inspect-check --report inspect.json
 
-``coordinate`` drives every shard from one process (the
-``repro sweep --coordinate`` engine); ``compare`` asserts two stores
-are bit-for-bit interchangeable (same sweep, same keys, identical
-statistics) — CI uses it to prove the coordinated store equals the
-k-invocation shard union.  ``remote`` spawns a real ``repro worker``
-fleet as subprocesses and runs the sweep through ``--executor
-remote`` (``--kill-one`` murders a worker after the first landed
-point, proving retry-on-survivors); ``daemon`` spawns a fleet plus a
-``repro serve`` daemon and submits the sweep as a client.
+``coordinate`` drives every shard from one process
+(``Session.sweep(shards=K)``, what ``repro sweep --coordinate`` runs);
+``compare`` asserts two stores are bit-for-bit interchangeable (same
+sweep, same keys, identical statistics) — CI uses it to prove the
+coordinated store equals the k-invocation shard union.  ``remote``
+spawns a real ``repro worker`` fleet as subprocesses and runs the
+sweep through ``--executor remote`` (``--kill-one`` murders a worker
+after the first landed point, proving retry-on-survivors); ``daemon``
+spawns a fleet plus a ``repro serve`` daemon and submits the sweep as
+a client.
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
@@ -68,9 +69,12 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from repro.api import (CoordinatorBackend, MockExecutor,  # noqa: E402
-                       ResultStore, Session, SweepInspector, SweepSpec,
-                       backend_for_jobs, merge_stores, parse_shard)
+from repro.api import (MockExecutor, ResultStore, Session,  # noqa: E402
+                       SweepInspector, SweepSpec, merge_stores,
+                       parse_shard)
+from repro.api.executors import executor_from_options  # noqa: E402
+from repro.api.spec import (non_negative_int, positive_int,  # noqa: E402
+                            shard_of)
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
 
 
@@ -100,7 +104,8 @@ def add_spec_options(parser: argparse.ArgumentParser) -> None:
 def cmd_run(args) -> int:
     spec = build_spec(args)
     shard = parse_shard(args.shard) if args.shard else None
-    backend = backend_for_jobs(args.jobs, batch_size=args.batch_size)
+    backend = executor_from_options(jobs=args.jobs,
+                                    batch_size=args.batch_size)
     with Session() as session, ResultStore(args.store) as store:
         results = session.sweep(spec, backend=backend,
                                 store=store, shard=shard)
@@ -114,16 +119,18 @@ def cmd_run(args) -> int:
 def cmd_coordinate(args) -> int:
     """Run every shard of the sweep from this one process."""
     spec = build_spec(args)
-    coordinator = CoordinatorBackend(shards=args.shards, jobs=args.jobs,
-                                     chunksize=args.chunksize,
-                                     batch_size=args.batch_size)
+    backend = executor_from_options(jobs=args.jobs,
+                                    batch_size=args.batch_size)
     with Session() as session, ResultStore(args.store) as store:
-        results = coordinator.run(session, spec, store=store)
+        results = session.sweep(spec, backend=backend, store=store,
+                                shards=args.shards)
     simulated = sum(1 for r in results if not r.cached)
-    report = coordinator.last_report
+    per_shard = [0] * args.shards
+    for result in results:
+        per_shard[shard_of(result.key, args.shards)] += 1
     print(f"sweep {spec.sweep_id()} coordinated over "
-          f"{report['shards']} shard(s) "
-          f"({'/'.join(str(n) for n in report['per_shard'])} points): "
+          f"{args.shards} shard(s) "
+          f"({'/'.join(str(n) for n in per_shard)} points): "
           f"{len(results)} points, {simulated} simulated -> "
           f"{args.store}")
     return 0
@@ -525,8 +532,8 @@ def main(argv=None) -> int:
     add_spec_options(run_p)
     run_p.add_argument("--shard", default=None, metavar="I/K")
     run_p.add_argument("--store", type=Path, required=True)
-    run_p.add_argument("--jobs", "-j", type=int, default=1)
-    run_p.add_argument("--batch-size", type=int, default=None,
+    run_p.add_argument("--jobs", "-j", type=non_negative_int, default=1)
+    run_p.add_argument("--batch-size", type=positive_int, default=None,
                        metavar="N",
                        help="cap on trace-identical points executed "
                             "as one batch (1 disables batching)")
@@ -536,11 +543,11 @@ def main(argv=None) -> int:
         "coordinate",
         help="drive every shard from one process into a store")
     add_spec_options(coord_p)
-    coord_p.add_argument("--shards", type=int, default=4)
+    coord_p.add_argument("--shards", type=positive_int, default=4)
     coord_p.add_argument("--store", type=Path, required=True)
-    coord_p.add_argument("--jobs", "-j", type=int, default=None)
-    coord_p.add_argument("--chunksize", type=int, default=None)
-    coord_p.add_argument("--batch-size", type=int, default=None,
+    coord_p.add_argument("--jobs", "-j", type=non_negative_int,
+                         default=None)
+    coord_p.add_argument("--batch-size", type=positive_int, default=None,
                          metavar="N",
                          help="cap on trace-identical points executed "
                               "as one batch (1 disables batching; "
@@ -571,11 +578,12 @@ def main(argv=None) -> int:
     add_spec_options(remote_p)
     remote_p.add_argument("--workers", type=int, default=2,
                           help="worker processes to spawn (default 2)")
-    remote_p.add_argument("--max-retries", type=int, default=2)
+    remote_p.add_argument("--max-retries", type=non_negative_int,
+                          default=2)
     remote_p.add_argument("--kill-one", action="store_true",
                           help="kill one worker after the first "
                                "landed point (retry-on-survivors)")
-    remote_p.add_argument("--batch-size", type=int, default=None,
+    remote_p.add_argument("--batch-size", type=positive_int, default=None,
                           metavar="N",
                           help="cap on trace-identical points sent as "
                                "one run_batch frame (1 disables "

@@ -14,11 +14,9 @@ The API layer is organised around four ideas:
   ``as_completed()``, lifecycle events, bounded retries, graceful
   cancellation.  Concrete executors live in a registry
   (:mod:`repro.api.executors`) and are selectable **by name** —
-  ``"serial"``, ``"process-pool"``, ``"coordinator"``, ``"remote"``,
-  ``"mock"`` — from :class:`Session`, :class:`SweepSpec` or the CLI's
-  ``--executor`` flag; :func:`build_executor` constructs one.
-  :class:`CoordinatorBackend` drives every shard of a sweep from one
-  process (``Session.coordinate`` / ``repro sweep --coordinate``).
+  ``"serial"``, ``"process-pool"``, ``"remote"``, ``"mock"`` — from
+  :class:`Session`, :class:`SweepSpec` or the CLI's ``--executor``
+  flag; :func:`build_executor` constructs one.
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
@@ -31,14 +29,16 @@ The API layer is organised around four ideas:
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
   results; with :meth:`SweepSpec.shard` and ``Session.sweep(store=,
   shard=)`` they make sweeps shardable across machines and resumable
-  (:func:`merge_stores` recombines shard artifacts).
+  (:func:`merge_stores` recombines shard artifacts), and
+  ``Session.sweep(store=, shards=K)`` drives all *K* shards from one
+  process on any executor (``repro sweep --coordinate``).
 * :class:`SweepInspector` — online sweep QA (:mod:`repro.api.inspect`):
   validates every landed result against hard stat invariants and
   per-workload outlier baselines, raises operational alarms from the
   lifecycle-event stream, and persists confirmed anomalies as
   :class:`Annotation` rows that quarantine their key — a resumed
   sweep re-simulates exactly the quarantined points.  Enabled with
-  ``Session.run_many/sweep/coordinate(inspect=True)``.
+  ``Session.run_many/sweep(inspect=True)``.
 * Allocation policies — :mod:`repro.policies` owns *when* resources
   are claimed; ``SimConfig(policy=...)`` / a ``"policy"`` sweep axis
   selects a registered policy (:func:`policy_names`).
@@ -54,12 +54,11 @@ Quick start::
             print(result.config.core.iq_size, result.cpi)
 """
 
-from repro.api.exec import (CoordinatorBackend, ExecEvent,
-                            ExecutionCancelled, ExecutorBackend,
-                            PoolExecutor, SerialExecutor, SimFuture,
-                            WorkerFailure, as_executor)
-from repro.api.executors import (backend_for_jobs, build_executor,
-                                 executor_descriptions, executor_names)
+from repro.api.exec import (ExecEvent, ExecutionCancelled,
+                            ExecutorBackend, PoolExecutor, SerialExecutor,
+                            SimFuture, WorkerFailure, as_executor)
+from repro.api.executors import (build_executor, executor_descriptions,
+                                 executor_names)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
 from repro.api.mock import MockExecutor
@@ -80,7 +79,6 @@ from repro.policies import (DEFAULT_POLICY, AllocationPolicy, build_policy,
 __all__ = [
     "AllocationPolicy",
     "Annotation",
-    "CoordinatorBackend",
     "DEFAULT_POLICY",
     "ExecEvent",
     "Experiment",
@@ -103,7 +101,6 @@ __all__ = [
     "WorkerFleetError",
     "WorkerServer",
     "as_executor",
-    "backend_for_jobs",
     "build_executor",
     "build_policy",
     "default_session",

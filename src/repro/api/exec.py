@@ -1,4 +1,4 @@
-"""Futures-based execution: submission, lifecycle events, coordination.
+"""Futures-based execution: submission, lifecycle events, retries.
 
 This module is the execution layer's supported surface.  The
 submission protocol decomposes execution into observable, controllable
@@ -23,17 +23,11 @@ pieces:
   grouped so each dispatch pays one trace generation, one workload
   build and one columnar predecode for the whole group (the session's
   trace-cache entry is shared by every point).  ``batch_size``
-  caps the group; the pool's legacy ``chunksize`` acts as that cap
-  when no ``batch_size`` is given, so tuned call sites keep their
-  dispatch granularity.
-* :class:`CoordinatorBackend` — expands a
-  :class:`~repro.api.spec.SweepSpec`, partitions it with
-  :meth:`~repro.api.spec.SweepSpec.shard`'s key-stable rule, and
-  drives *all* shards
-  from one process over a worker pool, streaming every landed outcome
-  into a bound :class:`~repro.api.store.ResultStore` — the
-  ``repro sweep --coordinate`` engine that replaces *k* separate CLI
-  invocations.
+  caps the group.
+
+A sharded sweep (``Session.sweep(spec, shards=K)``, ``repro sweep
+--coordinate``) is not an executor of its own: the session tags each
+submission with its key-stable shard, and any executor drives it.
 
 Event-delivery guarantees: every submitted item emits ``submitted``
 once, ``started`` once (its first dispatch), then either ``finished``
@@ -61,8 +55,6 @@ from repro.api.result import SimResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
-    from repro.api.spec import SweepSpec
-    from repro.api.store import ResultStore
     from repro.harness.config import SimConfig
 
 #: a unit of pending work: position in the batch, config, cache policy
@@ -70,10 +62,10 @@ WorkItem = Tuple[int, "SimConfig", bool]
 #: a completed unit: position, stats dict, wall seconds, result source
 Outcome = Tuple[int, Dict[str, Any], float, str]
 
-#: default cap on trace-shared batch size when neither ``batch_size``
-#: nor a legacy ``chunksize`` is given: large enough to amortize trace
-#: generation and predecode, small enough that progress events, retry
-#: granularity and work stealing stay responsive
+#: default cap on trace-shared batch size when no ``batch_size`` is
+#: given: large enough to amortize trace generation and predecode,
+#: small enough that progress events, retry granularity and work
+#: stealing stay responsive
 DEFAULT_BATCH_SIZE = 16
 
 # ----------------------------------------------------------------------
@@ -103,7 +95,7 @@ class ExecEvent:
     index: int
     #: 1-based attempt number at the time of the event (0 = not started)
     attempt: int = 0
-    #: coordinator shard tag, when the submission was shard-partitioned
+    #: shard tag, when the submission came from a sharded sweep
     shard: Optional[int] = None
     #: result provenance, on ``finished`` events
     source: Optional[str] = None
@@ -174,7 +166,7 @@ class SimFuture:
         self.index, self.config, self.use_cache = item
         #: the configuration's stable cache key (provenance)
         self.key = self.config.key()
-        #: coordinator shard tag (``None`` outside coordinated runs)
+        #: shard tag (``None`` outside sharded sweeps)
         self.shard = shard
         #: attempts dispatched so far (grows on retries)
         self.attempts = 0
@@ -293,7 +285,7 @@ class SimFuture:
 def _batch_key(future: SimFuture) -> Tuple[Optional[int], str, int, bool]:
     """The grouping identity for trace-shared batching.
 
-    Futures batch together when they share a coordinator shard, a
+    Futures batch together when they share a shard tag, a
     workload, a total trace length (``warmup + measure``) and a cache
     policy — exactly the inputs one trace generation + one predecode
     can serve.  The engine is deliberately *not* part of the key: the
@@ -365,35 +357,21 @@ def _worker_session(cache_dir: str) -> "Session":
     return session
 
 
-def _pool_worker(item: Tuple[int, "SimConfig", bool, str]) -> Outcome:
-    """Simulate one configuration inside a pool worker."""
-    index, config, use_cache, cache_dir = item
-    result = _worker_session(cache_dir).run(config, use_cache=use_cache)
-    return index, result.stats, result.wall_time_s, result.source
-
-
 def _chunk_worker(
         payloads: Sequence[Tuple[int, "SimConfig", bool, str]]
 ) -> List[Any]:
-    """Simulate a chunk of configurations in one worker round trip.
+    """Simulate one dispatched batch in one worker round trip.
 
-    The batched pool dispatches trace-homogeneous chunks (one
-    workload, one total trace length, one cache policy), which run
-    through a session :class:`~repro.api.session.BatchRunner`; the
-    session's trace cache makes that one trace generation, one workload
-    build, one predecode for the whole chunk.  A per-point failure
-    comes back in-band as a five-tuple
-    ``(index, None, 0.0, "", error)`` — alongside the usual four-tuple
-    :data:`Outcome` successes — so one bad point costs one single-item
-    retry instead of re-failing the whole chunk.  Heterogeneous chunks
-    (legacy dispatchers, hand-built batches) fall back to per-item
-    execution.
+    Every chunk is a trace-homogeneous :class:`BatchWorkItem` (one
+    workload, one total trace length, one cache policy) or a
+    single-point retry, and runs through a session
+    :class:`~repro.api.session.BatchRunner`; the session's trace cache
+    makes that one trace generation, one workload build, one predecode
+    for the whole chunk.  A per-point failure comes back in-band as a
+    five-tuple ``(index, None, 0.0, "", error)`` — alongside the usual
+    four-tuple :data:`Outcome` successes — so one bad point costs one
+    single-item retry instead of re-failing the whole chunk.
     """
-    identities = {(config.workload, config.warmup + config.measure,
-                   use_cache)
-                  for _, config, use_cache, _ in payloads}
-    if len(payloads) < 2 or len(identities) != 1:
-        return [_pool_worker(payload) for payload in payloads]
     _, first, _, cache_dir = payloads[0]
     runner = _worker_session(cache_dir).batch_runner(
         first.workload, first.warmup + first.measure)
@@ -665,8 +643,7 @@ def default_jobs() -> int:
 
 
 @register_executor("process-pool",
-                   options=("jobs", "chunksize", "max_retries",
-                            "batch_size"))
+                   options=("jobs", "max_retries", "batch_size"))
 class PoolExecutor(ExecutorBackend):
     """Fan submitted configurations over a ``multiprocessing`` pool.
 
@@ -677,11 +654,8 @@ class PoolExecutor(ExecutorBackend):
     :class:`BatchWorkItem`: trace-identical queued futures travel
     together (capped by ``batch_size``), and the worker runs the whole
     group through one :class:`~repro.api.session.BatchRunner` — one
-    trace generation, one predecode per dispatch.  The legacy
-    ``chunksize`` knob survives as the batch cap when ``batch_size``
-    is not given (its old heuristic is subsumed by batch sizing; see
-    ``scripts/bench.py --tune-chunksize``).  Per-point failures come
-    back in-band and are redispatched singly with per-point
+    trace generation, one predecode per dispatch.  Per-point failures
+    come back in-band and are redispatched singly with per-point
     ``attempts``, so one bad point cannot re-fail a whole batch.
 
     Retry covers exceptions *raised by* a worker.  A worker process
@@ -691,8 +665,7 @@ class PoolExecutor(ExecutorBackend):
     indefinitely.  Killing the whole run is always safe: a bound
     :class:`~repro.api.store.ResultStore` resumes from everything
     that landed.  Detecting individual worker deaths needs a
-    ``BrokenProcessPool``-style executor (see the ROADMAP's remote
-    executor item).
+    ``BrokenProcessPool``-style executor.
     """
 
     name = "process-pool"
@@ -703,38 +676,26 @@ class PoolExecutor(ExecutorBackend):
 
     def __init__(self, jobs: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 chunksize: Optional[int] = None,
                  max_retries: int = 1,
                  batch_size: Optional[int] = None) -> None:
         super().__init__(max_retries=max_retries, batch_size=batch_size)
         self.jobs = jobs
         self.start_method = start_method
-        self.chunksize = chunksize
 
     def _resolved_jobs(self) -> int:
         if self.jobs is not None:
             return max(1, self.jobs)
         return default_jobs()
 
-    def _resolved_chunksize(self, items: int, workers: int) -> int:
-        if self.chunksize is not None:
-            return max(1, self.chunksize)
-        # deterministic: ~4 chunks per worker, capped so progress
-        # events stay reasonably fine-grained
-        return max(1, min(8, items // (workers * 4)))
-
     def _resolved_batch_size(self, items: int, workers: int) -> int:
         """The cap on one dispatched batch.
 
-        An explicit ``batch_size`` wins; an explicit ``chunksize``
-        keeps acting as the dispatch-granularity cap it always was;
-        otherwise batches grow to :data:`DEFAULT_BATCH_SIZE` (bounded
-        by a fair per-worker share of the queue).
+        An explicit ``batch_size`` wins; otherwise batches grow to
+        :data:`DEFAULT_BATCH_SIZE` (bounded by a fair per-worker share
+        of the queue).
         """
         if self.batch_size is not None:
             return max(1, self.batch_size)
-        if self.chunksize is not None:
-            return self._resolved_chunksize(items, workers)
         return max(1, min(DEFAULT_BATCH_SIZE, items // max(1, workers)))
 
     def as_completed(self) -> Iterator[SimFuture]:
@@ -879,23 +840,7 @@ class PoolExecutor(ExecutorBackend):
 
     def __repr__(self) -> str:
         return (f"PoolExecutor(jobs={self.jobs!r}, "
-                f"chunksize={self.chunksize!r}, "
                 f"batch_size={self.batch_size!r})")
-
-
-@register_executor("coordinator",
-                   options=("jobs", "chunksize", "max_retries",
-                            "batch_size"))
-class CoordinatorExecutor(PoolExecutor):
-    """The worker pool a coordinated sweep drives (shard-tagged).
-
-    Behaviourally a :class:`PoolExecutor`; registered under its own
-    name so ``--executor coordinator`` selects coordinated execution
-    by name, the conformance suite covers the coordinator's executor,
-    and results record which mode produced them.
-    """
-
-    name = "coordinator"
 
 
 def as_executor(backend: Any) -> ExecutorBackend:
@@ -908,117 +853,3 @@ def as_executor(backend: Any) -> ExecutorBackend:
     raise TypeError(
         f"{backend!r} is not an execution backend (subclass "
         f"repro.api.exec.ExecutorBackend: submit()/as_completed())")
-
-
-# ----------------------------------------------------------------------
-# the sharded-sweep coordinator
-# ----------------------------------------------------------------------
-class CoordinatorBackend:
-    """Drive every shard of a sweep from one process.
-
-    Expands a :class:`~repro.api.spec.SweepSpec`, partitions the
-    product with :meth:`~repro.api.spec.SweepSpec.shard`'s key-stable
-    rule (:func:`~repro.api.spec.shard_of` on each config's cache
-    key), and submits all shards —
-    tagged, shard-major — to one futures executor over a worker pool,
-    streaming each landed outcome into the bound
-    :class:`~repro.api.store.ResultStore` as it completes.  The
-    replacement for *k* separate ``repro sweep --shard i/k``
-    invocations: identical partitioning, identical results (the store
-    is bit-for-bit what a serial run or a k-invocation shard union
-    produces), one process, live progress, crash-resume preserved
-    (stored points are served, never re-simulated).
-
-    Parameters
-    ----------
-    shards:
-        Partition count *k* (``None`` = the executor's worker count).
-    jobs / chunksize / batch_size / max_retries:
-        Forwarded to the default :class:`PoolExecutor` when no
-        *executor* is supplied.  Sharding stays key-stable under
-        batching: the partition is computed per config key first, and
-        each shard's points then re-group into their own
-        :class:`BatchWorkItem`\\ s (batches never span shards).
-    executor:
-        An explicit :class:`ExecutorBackend` to drive instead.
-    """
-
-    name = "coordinator"
-
-    def __init__(self, shards: Optional[int] = None,
-                 jobs: Optional[int] = None,
-                 chunksize: Optional[int] = None,
-                 max_retries: int = 1,
-                 executor: Optional[ExecutorBackend] = None,
-                 batch_size: Optional[int] = None) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shard count must be >= 1")
-        self.shards = shards
-        self.jobs = jobs
-        self.chunksize = chunksize
-        self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.executor = executor
-        #: counts of the last run, for reporting ({"shards", "points",
-        #: "per_shard"})
-        self.last_report: Dict[str, Any] = {}
-
-    def _build_executor(self) -> ExecutorBackend:
-        if self.executor is not None:
-            return self.executor
-        from repro.api.executors import build_executor
-        return build_executor("coordinator", jobs=self.jobs,
-                              chunksize=self.chunksize,
-                              batch_size=self.batch_size,
-                              max_retries=self.max_retries)
-
-    def run(self, session: "Session", spec: "SweepSpec",
-            store: Optional["ResultStore"] = None,
-            use_cache: bool = True,
-            progress: Optional[ProgressCallback] = None,
-            inspect: Any = None,
-            ) -> List[SimResult]:
-        """Run the whole sweep; results in :meth:`SweepSpec.expand` order.
-
-        With a *store*, stored points are served without simulating
-        (crash-resume) and every fresh outcome is appended as it lands;
-        the store is bound to the spec's ``sweep_id`` up front so a
-        resume against the wrong spec fails fast.  *inspect* enables
-        online QA over the coordinated drive
-        (:class:`~repro.api.inspect.SweepInspector`); shard tags on
-        the lifecycle events give the inspector its per-shard
-        throughput and dead-shard view.
-        """
-        executor = self._build_executor()
-        resolved_jobs = getattr(executor, "_resolved_jobs", lambda: 1)()
-        count = self.shards if self.shards is not None \
-            else max(1, resolved_jobs)
-
-        configs = spec.expand()
-        if store is not None:
-            store.bind(spec.sweep_id()).touch()
-
-        # one expansion, partitioned with SweepSpec.shard's key-stable
-        # rule (shard_of on each config's cache key): identical
-        # membership and in-shard order to k spec.shard(i, k) calls,
-        # without re-expanding (and re-hashing) the product k times
-        from repro.api.spec import shard_of
-        buckets: List[List[int]] = [[] for _ in range(count)]
-        for index, config in enumerate(configs):
-            buckets[shard_of(config.key(), count)].append(index)
-        submission: List[Tuple[int, Optional[int]]] = [
-            (index, shard_index)
-            for shard_index, bucket in enumerate(buckets)
-            for index in bucket]
-        self.last_report = {"shards": count, "points": len(configs),
-                            "per_shard": [len(bucket)
-                                          for bucket in buckets]}
-        from repro.api.inspect import as_inspector
-        return session._drive(executor, configs, submission,
-                              use_cache=use_cache, store=store,
-                              progress=progress,
-                              inspect=as_inspector(inspect, store))
-
-    def __repr__(self) -> str:
-        return (f"CoordinatorBackend(shards={self.shards!r}, "
-                f"jobs={self.jobs!r})")

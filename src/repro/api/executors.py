@@ -10,16 +10,17 @@ mirroring :mod:`repro.policies.registry`::
 A name then selects the executor end to end — ``Session(backend=
 "serial")``, ``SweepSpec(executor="remote")``, ``repro sweep
 --executor NAME`` — without any layer hard-coding the list.  The
-built-ins (``serial``, ``process-pool``, ``coordinator``, ``remote``,
-``mock``) are imported lazily the first time the registry is queried,
-so module import order never matters.
+built-ins (``serial``, ``process-pool``, ``remote``, ``mock``) are
+imported lazily the first time the registry is queried, so module
+import order never matters.
 
 Each registration names the constructor *options* it accepts;
-:func:`executor_from_options` maps the CLI's ``--jobs`` /
-``--chunksize`` / ``--workers`` flags onto them and rejects
-contradictory combinations (``--executor serial --jobs 4``,
-``--executor remote --jobs 2``, ``--workers`` on a local executor)
-with a message naming what the executor does take.
+:func:`executor_from_options` is the one mapping from the CLI's
+``--executor`` / ``--jobs`` / ``--workers`` / ``--max-retries`` /
+``--batch-size`` flags to an executor, and rejects contradictory
+combinations (``--executor serial --jobs 4``, ``--executor remote
+--jobs 2``, ``--workers`` on a local executor) with a message naming
+what the executor does take.
 """
 
 from __future__ import annotations
@@ -126,47 +127,29 @@ def build_executor(name: str, **options: Any):
     return info.factory(**options)
 
 
-def backend_for_jobs(jobs: Optional[int],
-                     chunksize: Optional[int] = None,
-                     batch_size: Optional[int] = None) -> Any:
-    """The executor a ``--jobs N`` style flag selects.
-
-    ``1`` is the plain in-process ``"serial"`` executor; anything else
-    (including ``None`` = one worker per CPU and ``0``, its CLI
-    spelling) is ``"process-pool"``, which itself degrades to serial
-    execution when only one worker or work item remains.  Callers
-    wanting any other executor (or explicit options) should use
-    :func:`build_executor` directly.
-    """
-    options: Dict[str, Any] = {}
-    if batch_size is not None:
-        options["batch_size"] = batch_size
-    if jobs == 1:
-        return build_executor("serial", **options)
-    return build_executor("process-pool",
-                          jobs=None if jobs == 0 else jobs,
-                          chunksize=chunksize, **options)
-
-
-def executor_from_options(name: str,
+def executor_from_options(name: Optional[str] = None,
                           jobs: Optional[int] = None,
-                          chunksize: Optional[int] = None,
                           workers: Optional[Sequence[str]] = None,
                           max_retries: Optional[int] = None,
                           batch_size: Optional[int] = None):
-    """Build the executor a ``--executor NAME`` style flag selects.
+    """Build the executor the CLI's execution flags select.
+
+    ``name=None`` picks by ``jobs``: ``1`` is the in-process
+    ``"serial"`` executor, anything else is ``"process-pool"``, which
+    itself degrades to in-process execution when one worker or one
+    item remains.  ``jobs`` ``None`` or ``0`` (its CLI spelling) means
+    one worker per CPU, the pool default; ``jobs == 1`` composes with
+    ``serial`` (it *is* one in-process worker).
 
     Maps the CLI-level knobs onto the registration's declared options
     and rejects contradictory combinations: ``jobs`` on an executor
     that has no worker pool (``serial --jobs 4``), ``workers`` on a
-    local executor, pool knobs on the remote executor.  ``jobs == 0``
-    is the CLI spelling of "one worker per CPU" and maps to the pool
-    default; ``jobs == 1`` composes with ``serial`` (it *is* one
-    in-process worker).
+    local executor, pool knobs on the remote executor.
     """
+    if name is None:
+        name = "serial" if jobs == 1 else "process-pool"
     info = executor_info(name)
-    provided: Dict[str, Any] = {"jobs": jobs, "chunksize": chunksize,
-                                "workers": workers,
+    provided: Dict[str, Any] = {"jobs": jobs, "workers": workers,
                                 "max_retries": max_retries,
                                 "batch_size": batch_size}
     if name == "serial" and provided["jobs"] == 1:

@@ -44,6 +44,7 @@ from repro.api.exec import (ExecutionCancelled, ExecutorBackend,
                             ProgressCallback, SerialExecutor, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
+from repro.api.spec import SweepSpec, shard_of
 from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, cap
 from repro.core.pipeline import CODE_BASE, INST_BYTES, Pipeline
@@ -57,8 +58,6 @@ from repro.policies import build_policy, policy_needs_oracle
 from repro.workloads import get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.inspect import SweepInspector
-    from repro.api.spec import SweepSpec
     from repro.api.store import ResultStore
 
 #: default LRU caps of a session's in-process memoisation (traces per
@@ -347,13 +346,14 @@ class Session:
                use_cache: bool = True,
                store: Optional["ResultStore"] = None,
                progress: Optional[ProgressCallback] = None,
-               inspect: Optional["SweepInspector"] = None,
+               inspect: Any = None,
                ) -> List[SimResult]:
         """Resolve cache/store hits and drive the rest as futures.
 
-        *submission* names the batch indices to cover, in submission
-        order, each with an optional coordinator shard tag.  Cached
-        configurations are resolved in-process; each distinct
+        *backend* is an executor, a registered name or ``None`` (the
+        session's own).  *submission* names the batch indices to
+        cover, in submission order, each with an optional shard tag.
+        Cached configurations are resolved in-process; each distinct
         remaining configuration is submitted exactly once (duplicates
         share the primary's result object, so provenance — one
         simulation — stays truthful).  Completed outcomes land in the
@@ -363,18 +363,21 @@ class Session:
         that completed first is preserved, which is what makes a
         cancelled sweep resumable.
 
-        An *inspect*\\ or watches the drive: it joins the executor's
-        progress callbacks (operational alarms) and every landed
-        result — store and cache hits included, which seeds its
-        baselines from history — passes through
+        An inspector (*inspect*, resolved by
+        :func:`~repro.api.inspect.as_inspector`) watches the drive: it
+        joins the executor's progress callbacks (operational alarms)
+        and every landed result — store and cache hits included, which
+        seeds its baselines from history — passes through
         :meth:`~repro.api.inspect.SweepInspector.observe`.  Keys the
         store holds quarantined are treated as not-yet-simulated:
         their store rows are not served, and cache lookups are
         bypassed for them so the re-run regenerates the data instead
         of replaying a poisoned cache entry.
         """
-        executor = as_executor(backend)
+        from repro.api.inspect import as_inspector
+        executor = as_executor(_as_backend(backend) or self.backend)
         executor.bind(self)
+        inspect = as_inspector(inspect, store)
         if progress is not None:
             executor.add_progress_callback(progress)
         if inspect is not None:
@@ -510,86 +513,71 @@ class Session:
         annotations, and keys the store holds quarantined are
         re-simulated instead of served.
         """
-        from repro.api.inspect import as_inspector
         config_list = list(configs)
-        return self._drive(_as_backend(backend) or self.backend,
-                           config_list,
+        return self._drive(backend, config_list,
                            [(index, None)
                             for index in range(len(config_list))],
                            use_cache=use_cache, store=store,
-                           progress=progress,
-                           inspect=as_inspector(inspect, store))
+                           progress=progress, inspect=inspect)
 
-    def sweep(self, spec: "SweepSpec", use_cache: bool = True,
+    def sweep(self, spec: SweepSpec, use_cache: bool = True,
               backend: Optional[ExecutorBackend] = None,
               store: Optional["ResultStore"] = None,
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[ProgressCallback] = None,
               inspect: Any = None,
+              shards: Optional[int] = None,
               ) -> List[SimResult]:
         """Expand a :class:`~repro.api.spec.SweepSpec` and run it.
 
         ``shard=(index, count)`` restricts execution to the spec's
         *index*-th key-stable partition
         (:meth:`~repro.api.spec.SweepSpec.shard`), so independent
-        workers cover a sweep exactly once.  A ``store`` makes the run
-        durable and resumable: stored points are skipped, fresh points
-        are appended as they complete, and the store is bound to the
-        spec's :meth:`~repro.api.spec.SweepSpec.sweep_id` so resuming
-        with a different spec fails fast.  Keys the store holds
-        *quarantined* (an inspector's annotation rows) count as
-        not-yet-simulated: a resumed sweep re-runs exactly them, and
-        the fresh rows lift the quarantine.  *inspect* enables the
-        online QA itself (see :meth:`run_many`).
+        workers cover a sweep exactly once.  ``shards=K`` instead
+        drives *all* K partitions from this one process (``repro sweep
+        --coordinate``): points are submitted shard-major, each tagged
+        with its shard (batches never span shards, and every
+        :class:`~repro.api.exec.ExecEvent` carries the tag), on
+        whatever executor runs the sweep.  Either way results come
+        back in expansion order.
+
+        A ``store`` makes the run durable and resumable: stored points
+        are skipped, fresh points are appended as they complete, and
+        the store is bound to the spec's
+        :meth:`~repro.api.spec.SweepSpec.sweep_id` so resuming with a
+        different spec fails fast.  Keys the store holds *quarantined*
+        (an inspector's annotation rows) count as not-yet-simulated: a
+        resumed sweep re-runs exactly them, and the fresh rows lift the
+        quarantine.  *inspect* enables the online QA itself (see
+        :meth:`run_many`).
         """
+        if shard is not None and shards is not None:
+            raise ValueError("pass shard= (one partition) or shards= "
+                             "(every partition), not both")
+        if shards is not None and shards < 1:
+            raise ValueError("shard count must be >= 1")
         if backend is None and spec.executor is not None:
             # the spec's preference holds only when the caller did not
             # choose; resolved by name so specs stay JSON-serializable
             backend = spec.executor
-        if shard is not None:
-            index, count = shard
-            configs = spec.shard(index, count)
-        else:
-            configs = spec.expand()
+        configs = spec.expand() if shard is None else spec.shard(*shard)
         if store is not None:
             # bind before running so a wrong spec fails fast, and
             # materialise the file so even an empty shard leaves a
             # mergeable artifact
             store.bind(spec.sweep_id()).touch()
-        return self.run_many(configs, use_cache=use_cache,
-                             backend=backend, store=store,
-                             progress=progress, inspect=inspect)
-
-    def coordinate(self, spec: "SweepSpec",
-                   store: Optional["ResultStore"] = None,
-                   shards: Optional[int] = None,
-                   jobs: Optional[int] = None,
-                   chunksize: Optional[int] = None,
-                   batch_size: Optional[int] = None,
-                   use_cache: bool = True,
-                   progress: Optional[ProgressCallback] = None,
-                   executor: Optional[ExecutorBackend] = None,
-                   inspect: Any = None,
-                   ) -> List[SimResult]:
-        """Run every shard of *spec* from this one process.
-
-        The :class:`~repro.api.exec.CoordinatorBackend` entry point:
-        the sweep is partitioned with the same key-stable
-        :meth:`~repro.api.spec.SweepSpec.shard` rule *k* separate
-        ``--shard i/k`` invocations would use, all shards are driven
-        over one worker pool, and each landed outcome streams into
-        *store* (crash-resume preserved).  Results come back in
-        :meth:`~repro.api.spec.SweepSpec.expand` order, identical to a
-        serial run.
-        """
-        from repro.api.exec import CoordinatorBackend
-        coordinator = CoordinatorBackend(shards=shards, jobs=jobs,
-                                         chunksize=chunksize,
-                                         batch_size=batch_size,
-                                         executor=executor)
-        return coordinator.run(self, spec, store=store,
-                               use_cache=use_cache, progress=progress,
-                               inspect=inspect)
+        submission: List[Tuple[int, Optional[int]]] = [
+            (index, None) for index in range(len(configs))]
+        if shards is not None:
+            # SweepSpec.shard's key-stable rule over one expansion; the
+            # stable sort keeps expansion order within each shard
+            submission = sorted(
+                ((index, shard_of(config.key(), shards))
+                 for index, config in enumerate(configs)),
+                key=lambda entry: entry[1])
+        return self._drive(backend, configs, submission,
+                           use_cache=use_cache, store=store,
+                           progress=progress, inspect=inspect)
 
     # ------------------------------------------------------------------
     # the simulation itself

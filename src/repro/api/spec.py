@@ -99,6 +99,29 @@ def parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
+def positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (``--shards``, ``--batch-size``).
+
+    An argparse ``type``: its ``ValueError`` becomes a usage error
+    naming the flag (exit status 2).
+    """
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not a positive integer")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """Parse a count that may be 0 (``--jobs``, ``--max-retries``).
+
+    An argparse ``type``, like :func:`positive_int`.
+    """
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 @dataclass
 class SweepSpec:
     """A declarative cross-product sweep over simulation parameters."""

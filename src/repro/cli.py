@@ -64,14 +64,14 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import (CoordinatorBackend, ResultStore, Session,
-                       SweepDaemon, SweepInspector, SweepSpec,
-                       WorkerServer, backend_for_jobs, default_session,
+from repro.api import (ResultStore, Session, SweepDaemon, SweepInspector,
+                       SweepSpec, WorkerServer, default_session,
                        executor_names, experiment_names, get_experiment,
                        ltp_preset, ltp_preset_names, merge_stores,
                        parse_shard, submit_sweep, summarize)
 from repro.api.executors import executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
+from repro.api.spec import non_negative_int, positive_int, shard_of
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig
 from repro.harness.experiments import (resolve_sweep_spec,
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment to run (see --list)")
     exp_p.add_argument("--list", action="store_true",
                        help="list the registered experiments and exit")
-    exp_p.add_argument("--jobs", "-j", type=int, default=1,
+    exp_p.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                        help="worker processes for the experiment's "
                             "sweeps (default 1 = the serial executor; "
                             "0 = one per CPU; >1 selects the "
@@ -209,22 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "of running a sweep")
     sweep_p.add_argument("--coordinate", action="store_true",
                          help="drive every shard of the sweep from "
-                              "this process over a worker pool "
+                              "this process on the selected executor "
                               "(replaces K separate --shard i/K "
                               "invocations)")
-    sweep_p.add_argument("--shards", type=int, default=None, metavar="K",
+    sweep_p.add_argument("--shards", type=positive_int, default=None,
+                         metavar="K",
                          help="partition count for --coordinate "
                               "(default: the worker count)")
-    sweep_p.add_argument("--jobs", "-j", type=int, default=1,
+    sweep_p.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                          help="worker processes for the sweep "
                               "(default 1 = the serial executor; "
                               "0 = one per CPU; >1 selects the "
                               "process-pool executor)")
-    sweep_p.add_argument("--chunksize", type=int, default=None,
-                         help="work items per pool round trip "
-                              "(default: auto; acts as the batch cap "
-                              "when --batch-size is not given)")
-    sweep_p.add_argument("--batch-size", type=int, default=None,
+    sweep_p.add_argument("--batch-size", type=positive_int, default=None,
                          metavar="N",
                          help="cap on trace-identical points executed "
                               "as one batch (one trace generation + "
@@ -240,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated worker fleet for "
                               "--executor remote (start workers with "
                               "'repro worker')")
-    sweep_p.add_argument("--max-retries", type=int, default=None,
-                         metavar="N",
+    sweep_p.add_argument("--max-retries", type=non_negative_int,
+                         default=None, metavar="N",
                          help="re-dispatch attempts per failed point "
                               "(default 1)")
     sweep_p.add_argument("--daemon", default=None, metavar="HOST:PORT",
@@ -300,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="directory of per-sweep result stores "
                               "(sweep-<id>.jsonl; makes sweeps "
                               "resumable across daemon restarts)")
-    serve_p.add_argument("--batch-size", type=int, default=8,
+    serve_p.add_argument("--batch-size", type=positive_int, default=8,
                          metavar="N",
                          help="points in flight per scheduling round "
                               "(default 8)")
-    serve_p.add_argument("--max-retries", type=int, default=1,
-                         metavar="N",
+    serve_p.add_argument("--max-retries", type=non_negative_int,
+                         default=1, metavar="N",
                          help="re-dispatch attempts per failed point "
                               "(default 1)")
     serve_p.add_argument("--inspect", action="store_true",
@@ -556,7 +553,7 @@ class _ProgressReporter:
 
 def _sweep_document(spec: SweepSpec, results, args,
                     reporter: Optional[_ProgressReporter] = None,
-                    coordinator: Optional[CoordinatorBackend] = None,
+                    coordinate: Optional[dict] = None,
                     inspector: Optional[SweepInspector] = None,
                     ) -> dict:
     counts = {
@@ -575,8 +572,8 @@ def _sweep_document(spec: SweepSpec, results, args,
         "summary": summarize(results),
         "results": [r.to_dict() for r in results],
     }
-    if coordinator is not None:
-        document["coordinate"] = coordinator.last_report
+    if coordinate is not None:
+        document["coordinate"] = coordinate
     if inspector is not None:
         document["inspector"] = inspector.summary()
     if reporter is not None:
@@ -658,7 +655,6 @@ def cmd_sweep(args, out) -> int:
         contradictory = [
             ("--executor", args.executor is not None),
             ("--jobs", args.jobs != 1),
-            ("--chunksize", args.chunksize is not None),
             ("--batch-size", args.batch_size is not None),
             ("--workers", args.workers is not None),
             ("--max-retries", args.max_retries is not None),
@@ -678,24 +674,30 @@ def cmd_sweep(args, out) -> int:
                   "'repro serve --inspect' (anomaly events stream "
                   "back to this client)", file=out)
             return 2
-    if args.coordinate and args.executor not in (None, "coordinator"):
-        print(f"--coordinate uses the coordinator executor; it is "
-              f"incompatible with --executor {args.executor}", file=out)
-        return 2
-    if args.executor == "coordinator" and not args.coordinate:
-        print("--executor coordinator is driven by --coordinate "
-              "(optionally with --shards K)", file=out)
-        return 2
     if args.workers is not None and args.executor != "remote":
         print("--workers only applies to --executor remote", file=out)
         return 2
-    if args.executor is None and args.max_retries is not None \
-            and not args.coordinate:
-        print("--max-retries needs --executor NAME (or --coordinate)",
-              file=out)
-        return 2
     spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
                               measure=args.measure, engine=args.engine)
+
+    backend = shards = None
+    if args.daemon is None:
+        try:
+            backend = executor_from_options(
+                args.executor,
+                # beside an explicit executor, the default --jobs 1
+                # means "not given"
+                jobs=(None if args.executor is not None and args.jobs == 1
+                      else args.jobs),
+                workers=args.workers, max_retries=args.max_retries,
+                batch_size=args.batch_size)
+        except ValueError as exc:
+            print(str(exc), file=out)
+            return 2
+    if args.coordinate:
+        shards = args.shards
+        if shards is None:  # one shard per worker
+            shards = getattr(backend, "_resolved_jobs", lambda: 1)()
 
     store = None
     if args.store is not None:
@@ -709,7 +711,6 @@ def cmd_sweep(args, out) -> int:
     reporter = _ProgressReporter(
         stream=sys.stderr if args.progress else None)
     inspector = SweepInspector(store=store) if args.inspect else None
-    coordinator = None
     try:
         if args.daemon is not None:
             results = submit_sweep(args.daemon, spec,
@@ -720,56 +721,33 @@ def cmd_sweep(args, out) -> int:
                 store.bind(spec.sweep_id()).touch()
                 for result in results:
                     store.add(result)
-        elif args.coordinate:
-            coordinator = CoordinatorBackend(
-                shards=args.shards,
-                jobs=None if args.jobs == 0 else args.jobs,
-                chunksize=args.chunksize,
-                batch_size=args.batch_size,
-                max_retries=(1 if args.max_retries is None
-                             else args.max_retries))
-            results = coordinator.run(session, spec, store=store,
-                                      use_cache=not args.no_cache,
-                                      progress=reporter,
-                                      inspect=inspector)
         else:
-            if args.executor is not None:
-                try:
-                    backend = executor_from_options(
-                        args.executor,
-                        jobs=None if args.jobs == 1 else args.jobs,
-                        chunksize=args.chunksize,
-                        workers=args.workers,
-                        max_retries=args.max_retries,
-                        batch_size=args.batch_size)
-                except ValueError as exc:
-                    print(str(exc), file=out)
-                    return 2
-            else:
-                backend = backend_for_jobs(args.jobs,
-                                           chunksize=args.chunksize,
-                                           batch_size=args.batch_size)
             results = session.sweep(spec, use_cache=not args.no_cache,
                                     backend=backend, store=store,
-                                    shard=args.shard, progress=reporter,
-                                    inspect=inspector)
+                                    shard=args.shard, shards=shards,
+                                    progress=reporter, inspect=inspector)
     finally:
         reporter.close()
         if store is not None:
             store.close()
 
+    coordinate = None
+    if shards is not None:
+        per_shard = [0] * shards
+        for result in results:
+            per_shard[shard_of(result.key, shards)] += 1
+        coordinate = {"shards": shards, "points": len(results),
+                      "per_shard": per_shard}
     if args.json:
         print(render_json(_sweep_document(spec, results, args,
                                           reporter=reporter,
-                                          coordinator=coordinator,
+                                          coordinate=coordinate,
                                           inspector=inspector)),
               file=out)
         return 0
-    if args.coordinate:
-        report = coordinator.last_report
-        note = (f" (coordinated {report['shards']} shards, "
-                f"{'/'.join(str(n) for n in report['per_shard'])} "
-                f"points)")
+    if coordinate is not None:
+        note = (f" (coordinated {shards} shards, "
+                f"{'/'.join(str(n) for n in per_shard)} points)")
     elif args.shard:
         note = f" (shard {args.shard[0]}/{args.shard[1]})"
     else:

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
                                       mean_relative_performance)
 from repro.analysis.mlp_class import SensitivityInputs, classify
-from repro.api.executors import backend_for_jobs
+from repro.api.executors import executor_from_options
 from repro.api.registry import experiment, renderer
 from repro.api.session import default_session
 from repro.api.spec import SweepSpec
@@ -132,11 +132,14 @@ def run_parallel(experiment: Callable, *args,
 
     Equivalent to calling the experiment directly (identical return
     value) but wall-clock time scales with cores: the sweep is planned,
-    executed on the default session over :func:`backend_for_jobs`, and
-    the final in-process pass aggregates from the populated cache.
+    executed on the default session over the executor
+    :func:`~repro.api.executors.executor_from_options` picks for
+    *jobs*, and the final in-process pass aggregates from the populated
+    cache.
     """
     configs = plan_configs(experiment, *args, **kwargs)
-    default_session().run_many(configs, backend=backend_for_jobs(jobs))
+    default_session().run_many(configs,
+                               backend=executor_from_options(jobs=jobs))
     return experiment(*args, **kwargs)
 
 

@@ -1,16 +1,20 @@
 """The futures-based execution layer: submission, lifecycle events,
-retries, cancellation and the sweep coordinator."""
+retries, cancellation and coordinated (all-shard) sweeps."""
 
+import io
+import json
 import multiprocessing
 import os
 from collections import Counter
 
 import pytest
 
-from repro.api import (CoordinatorBackend, ExecutionCancelled,
-                       PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, WorkerFailure, as_executor)
+from repro.api import (ExecutionCancelled, PoolExecutor, ResultStore,
+                       SerialExecutor, Session, SweepSpec, WorkerFailure,
+                       as_executor)
 from repro.api import exec as exec_mod
+from repro.api.spec import shard_of
+from repro.cli import main
 from repro.core.params import baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -97,7 +101,7 @@ def test_progress_events_exactly_once_pool(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     events = []
     configs = make_configs(4)
-    backend = PoolExecutor(jobs=2, chunksize=1)
+    backend = PoolExecutor(jobs=2, batch_size=1)
     session.run_many(configs, use_cache=False, backend=backend,
                      progress=events.append)
     per_key = {}
@@ -180,7 +184,7 @@ def test_cancelled_events_fire_exactly_once(tmp_path):
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
 def test_pool_cancel_drains_in_flight(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    backend = PoolExecutor(jobs=2, chunksize=1)
+    backend = PoolExecutor(jobs=2, batch_size=1)
     events = []
 
     def cancel_after_first(event):
@@ -250,6 +254,10 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
     assert "finished" not in counts
 
 
+#: the real chunk worker, for the crash-once stand-in to delegate to
+_REAL_CHUNK_WORKER = exec_mod._chunk_worker
+
+
 def _crashing_chunk_worker(payloads):
     raise RuntimeError("worker process crashed")
 
@@ -260,12 +268,13 @@ def _crash_once_chunk_worker(payloads):
         with open(marker, "w") as handle:
             handle.write("crashed")
         raise RuntimeError("first-attempt crash")
-    # _pool_worker directly: _chunk_worker is monkeypatched to *this*
-    return [exec_mod._pool_worker(payload) for payload in payloads]
+    # the saved original: exec_mod._chunk_worker is monkeypatched to
+    # *this* function
+    return _REAL_CHUNK_WORKER(payloads)
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_pool_worker_crash_retries_then_surfaces(tmp_path, monkeypatch):
+def test_pool_chunk_crash_retries_then_surfaces(tmp_path, monkeypatch):
     monkeypatch.setattr(exec_mod, "_chunk_worker",
                         _crashing_chunk_worker)
     session = Session(cache_dir=str(tmp_path))
@@ -287,13 +296,13 @@ def test_pool_worker_crash_retries_then_surfaces(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_pool_worker_crash_recovers_on_retry(tmp_path, monkeypatch):
+def test_pool_chunk_crash_recovers_on_retry(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TEST_CRASH_MARKER",
                        str(tmp_path / "crashed.marker"))
     monkeypatch.setattr(exec_mod, "_chunk_worker",
                         _crash_once_chunk_worker)
     session = Session(cache_dir=str(tmp_path / "cache"))
-    backend = PoolExecutor(jobs=2, chunksize=2, max_retries=1)
+    backend = PoolExecutor(jobs=2, batch_size=2, max_retries=1)
     events = []
     results = session.run_many(make_configs(4), use_cache=False,
                                backend=backend, progress=events.append)
@@ -324,16 +333,7 @@ def test_as_executor_rejects_non_backends():
     assert as_executor(executor) is executor
 
 
-# --------------------------------------------------------- chunk sizes
-def test_pool_chunksize_is_deterministic():
-    backend = PoolExecutor(jobs=4, chunksize=3)
-    assert backend._resolved_chunksize(100, 4) == 3
-    auto = PoolExecutor(jobs=4)
-    assert auto._resolved_chunksize(100, 4) == 6
-    assert auto._resolved_chunksize(3, 4) == 1
-    assert auto._resolved_chunksize(1000, 4) == 8
-
-
+# --------------------------------------------------------- batch sizes
 def test_pool_chunked_results_match_serial(tmp_path):
     configs = make_configs(5)
     with Session(cache_dir=str(tmp_path / "serial")) as session:
@@ -341,7 +341,7 @@ def test_pool_chunked_results_match_serial(tmp_path):
     with Session(cache_dir=str(tmp_path / "pool")) as session:
         chunked = session.run_many(
             configs, use_cache=False,
-            backend=PoolExecutor(jobs=2, chunksize=2))
+            backend=PoolExecutor(jobs=2, batch_size=2))
     assert [r.stats for r in chunked] == [r.stats for r in serial]
 
 
@@ -358,26 +358,26 @@ def test_default_jobs_reads_repro_jobs(monkeypatch):
     assert exec_mod.default_jobs() == (os.cpu_count() or 1)
 
 
-# ---------------------------------------------------------- coordinator
+# --------------------------------------------------- coordinated sweeps
 def test_coordinator_matches_serial_run(tmp_path):
     spec = make_spec()
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         serial = session.sweep(spec, use_cache=False)
 
     store_path = tmp_path / "coordinated.jsonl"
-    coordinator = CoordinatorBackend(shards=3, jobs=2)
     events = []
     with Session(cache_dir=str(tmp_path / "coord")) as session, \
             ResultStore(store_path) as store:
-        results = coordinator.run(session, spec, store=store,
-                                  progress=events.append)
+        results = session.sweep(spec, store=store, shards=3,
+                                backend=PoolExecutor(jobs=2),
+                                progress=events.append)
     assert [r.stats for r in results] == [r.stats for r in serial]
-    report = coordinator.last_report
-    assert report["shards"] == 3
-    assert sum(report["per_shard"]) == report["points"] == len(serial)
+    assert all(r.backend == "process-pool" for r in results)
     # every submission carries its shard tag
     shard_tags = {e.shard for e in events if e.kind == "submitted"}
     assert shard_tags <= set(range(3))
+    assert len([e for e in events if e.kind == "submitted"]) \
+        == len(serial)
     # the store holds the full sweep, bound to its id
     with ResultStore(store_path) as store:
         assert store.sweep_id == spec.sweep_id()
@@ -392,12 +392,11 @@ def test_coordinator_resumes_from_store(tmp_path):
     store_path = tmp_path / "store.jsonl"
     with Session(cache_dir=str(tmp_path / "c1")) as session, \
             ResultStore(store_path) as store:
-        CoordinatorBackend(shards=2, jobs=1).run(session, spec,
-                                                 store=store)
+        session.sweep(spec, store=store, shards=2, backend="serial")
     with Session(cache_dir=str(tmp_path / "c2")) as session, \
             ResultStore(store_path) as store:
-        results = CoordinatorBackend(shards=4, jobs=2).run(
-            session, spec, store=store)
+        results = session.sweep(spec, store=store, shards=4,
+                                backend=PoolExecutor(jobs=2))
     assert all(r.source == "store" for r in results)
 
 
@@ -409,24 +408,51 @@ def test_coordinator_refuses_wrong_store(tmp_path):
     with Session(cache_dir=str(tmp_path)) as session, \
             ResultStore(store_path) as store:
         with pytest.raises(ValueError, match="belongs to sweep"):
-            CoordinatorBackend(shards=2).run(session, spec, store=store)
+            session.sweep(spec, store=store, shards=2)
 
 
-def test_coordinator_default_shards_follow_workers(tmp_path):
+def test_coordinator_default_shards_follow_workers(tmp_path,
+                                                   fresh_session):
     spec = make_spec()
-    coordinator = CoordinatorBackend(jobs=2)
-    with Session(cache_dir=str(tmp_path)) as session:
-        results = coordinator.run(session, spec, use_cache=False)
-    assert coordinator.last_report["shards"] == 2
-    assert len(results) == len(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_dict()))
+    out = io.StringIO()
+    assert main(["sweep", str(spec_path), "--no-cache", "--coordinate",
+                 "--jobs", "2", "--json"], out=out) == 0
+    document = json.loads(out.getvalue())
+    assert document["coordinate"]["shards"] == 2
+    assert document["points"] == len(spec)
 
 
 def test_session_coordinate_entry_point(tmp_path):
     spec = make_spec()
     with Session(cache_dir=str(tmp_path)) as session:
-        results = session.coordinate(spec, shards=2, jobs=1)
+        results = session.sweep(spec, shards=2, backend="serial")
     assert len(results) == len(spec)
     assert isinstance(results[0].stats["cycles"], int)
+
+
+@pytest.mark.parametrize("name", [
+    "serial",
+    pytest.param("process-pool",
+                 marks=pytest.mark.skipif(not HAVE_FORK,
+                                          reason="needs fork start method")),
+])
+def test_sweep_shards_tags_every_event(tmp_path, name):
+    spec = make_spec()
+    backend = (SerialExecutor() if name == "serial"
+               else PoolExecutor(jobs=2))
+    events = []
+    with Session(cache_dir=str(tmp_path)) as session:
+        session.sweep(spec, use_cache=False, shards=3, backend=backend,
+                      progress=events.append)
+        with pytest.raises(ValueError, match="not both"):
+            session.sweep(spec, shard=(0, 3), shards=3, backend=backend)
+        with pytest.raises(ValueError, match="shard count"):
+            session.sweep(spec, shards=0, backend=backend)
+    assert len({e.key for e in events}) == len(spec)
+    for event in events:
+        assert event.shard == shard_of(event.key, 3)
 
 
 def test_unbound_executor_raises():

@@ -1,6 +1,6 @@
 """Trace-shared batched execution: batch formation on the queue, the
 session :class:`BatchRunner`, batched-vs-unbatched bit identity across
-serial/pool/remote/coordinator drives, the ``run_batch`` wire dialect
+serial/pool/remote/coordinated drives, the ``run_batch`` wire dialect
 (including a worker dying mid-batch), and the sweep inspector seeing
 batched and unbatched runs identically."""
 
@@ -11,8 +11,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (CoordinatorBackend, RemoteExecutor, ResultStore,
-                       Session, SweepInspector, SweepSpec, WorkerServer,
+from repro.api import (RemoteExecutor, ResultStore, Session,
+                       SweepInspector, SweepSpec, WorkerServer,
                        build_executor)
 from repro.api.exec import DEFAULT_BATCH_SIZE, _batch_key
 from repro.api.remote.protocol import recv_frame, send_frame
@@ -223,9 +223,10 @@ def test_coordinator_batched_matches_serial_across_shards(tmp_path):
     spec = one_identity_spec(4)
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         baseline = session.sweep(spec, use_cache=False)
-    coordinator = CoordinatorBackend(shards=2, jobs=2, batch_size=8)
+    executor = build_executor("process-pool", jobs=2, batch_size=8)
     with Session(cache_dir=str(tmp_path / "coord")) as session:
-        results = coordinator.run(session, spec, use_cache=False)
+        results = session.sweep(spec, use_cache=False, shards=2,
+                                backend=executor)
     assert [r.stats for r in results] == [r.stats for r in baseline]
 
 

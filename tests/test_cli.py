@@ -237,7 +237,7 @@ def test_sweep_command_refuses_existing_store_without_resume(
     assert "--resume" in text
 
 
-def test_sweep_command_argument_errors(tmp_path):
+def test_sweep_command_argument_errors(tmp_path, capsys):
     code, text = run_cli(["sweep"])
     assert code == 2 and "SPEC" in text
     code, text = run_cli(["sweep", "--merge", "x.jsonl"])
@@ -249,6 +249,19 @@ def test_sweep_command_argument_errors(tmp_path):
         run_cli(["sweep", "no-such-preset"])
     with pytest.raises(SystemExit):  # argparse rejects bad shards
         run_cli(["sweep", "x.json", "--shard", "4/4"])
+    # numeric flags are validated at parse time: exit 2, flag named
+    for argv, flag in [
+            (["sweep", "x.json", "--coordinate", "--shards", "0"],
+             "--shards"),
+            (["sweep", "x.json", "--batch-size", "0"], "--batch-size"),
+            (["sweep", "x.json", "--jobs", "-3"], "--jobs"),
+            (["sweep", "x.json", "--max-retries", "-1"], "--max-retries"),
+            (["experiment", "fig7", "--jobs", "-3"], "--jobs")]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_sweep_preset_resolves(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 
 Each test is parametrized over the executor registry
 (:mod:`repro.api.executors`) and drives the same contract through
-every implementation — serial, process-pool, coordinator, remote (two
+every implementation — serial, process-pool, remote (two
 in-process TCP workers) and mock:
 
 * lifecycle events are exactly-once per submitted configuration,
@@ -77,12 +77,7 @@ def _serial(stack, tmp_path, max_retries, fail_indices):
 
 
 def _pool(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("process-pool", jobs=2, chunksize=1,
-                          max_retries=max_retries)
-
-
-def _coordinator(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("coordinator", jobs=2, chunksize=1,
+    return build_executor("process-pool", jobs=2, batch_size=1,
                           max_retries=max_retries)
 
 
@@ -109,16 +104,15 @@ def _mock(stack, tmp_path, max_retries, fail_indices):
 HARNESSES = {
     "serial": _serial,
     "process-pool": _pool,
-    "coordinator": _coordinator,
     "remote": _remote,
     "mock": _mock,
 }
 #: executors that really simulate (stats comparable to serial)
-REAL = ("serial", "process-pool", "coordinator", "remote")
+REAL = ("serial", "process-pool", "remote")
 
 EXECUTORS = [
     pytest.param(name, marks=needs_fork)
-    if name in ("process-pool", "coordinator") else name
+    if name == "process-pool" else name
     for name in sorted(HARNESSES)
 ]
 

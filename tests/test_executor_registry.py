@@ -13,8 +13,8 @@ from repro.api.executors import (check_executor_name,
 
 
 def test_builtin_executors_are_registered():
-    assert executor_names() == ["coordinator", "mock", "process-pool",
-                                "remote", "serial"]
+    assert executor_names() == ["mock", "process-pool", "remote",
+                                "serial"]
     descriptions = executor_descriptions()
     for name in executor_names():
         assert descriptions[name]  # every builtin documents itself

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.api import backend_for_jobs, default_session
+from repro.api import default_session
 from repro.api import session as session_mod
+from repro.api.executors import executor_from_options
 from repro.api.session import TRACE_CACHE_MAX
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.cachefile import ResultCache
@@ -36,8 +37,9 @@ def fresh_cache(fresh_session):
 
 def run_stats(configs, jobs, use_cache=True):
     """Run *configs* on the default session over ``jobs`` workers."""
+    backend = executor_from_options(jobs=jobs)
     results = default_session().run_many(configs, use_cache=use_cache,
-                                         backend=backend_for_jobs(jobs))
+                                         backend=backend)
     return [result.stats for result in results]
 
 

@@ -4,8 +4,8 @@ assignment, store-backed resume, and sharded-vs-serial equivalence."""
 import pytest
 
 from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, backend_for_jobs, merge_stores,
-                       parse_shard)
+                       SweepSpec, merge_stores, parse_shard)
+from repro.api.executors import executor_from_options
 from repro.api.spec import shard_of
 
 
@@ -181,9 +181,10 @@ def test_sweep_shard_runs_only_that_partition(tmp_path):
 
 # ------------------------------------------------------ backend factory
 def test_backend_for_jobs_selects_policy():
-    assert isinstance(backend_for_jobs(1), SerialExecutor)
-    pool = backend_for_jobs(4)
+    # no executor name: --jobs picks serial (1) or the process pool (else)
+    assert isinstance(executor_from_options(jobs=1), SerialExecutor)
+    pool = executor_from_options(jobs=4)
     assert isinstance(pool, PoolExecutor) and pool.jobs == 4
-    per_cpu = backend_for_jobs(0)
+    per_cpu = executor_from_options(jobs=0)
     assert isinstance(per_cpu, PoolExecutor) and per_cpu.jobs is None
-    assert isinstance(backend_for_jobs(None), PoolExecutor)
+    assert isinstance(executor_from_options(jobs=None), PoolExecutor)
