@@ -75,6 +75,7 @@ from repro.api import (MockExecutor, ResultStore, Session,  # noqa: E402
 from repro.api.executors import executor_from_options  # noqa: E402
 from repro.api.spec import (non_negative_int, positive_int,  # noqa: E402
                             shard_of)
+from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
 
 
@@ -94,7 +95,7 @@ def add_spec_options(parser: argparse.ArgumentParser) -> None:
                         help="warmup instruction budget per point")
     parser.add_argument("--measure", type=int, default=None,
                         help="measured instruction budget per point")
-    parser.add_argument("--engine", choices=["object", "kernel"],
+    parser.add_argument("--engine", choices=list(ENGINES),
                         default=None,
                         help="simulation engine for every point "
                              "(every subcommand of one CI leg must "

@@ -289,8 +289,8 @@ def _batch_key(future: SimFuture) -> Tuple[Optional[int], str, int, bool]:
     workload, a total trace length (``warmup + measure``) and a cache
     policy — exactly the inputs one trace generation + one predecode
     can serve.  The engine is deliberately *not* part of the key: the
-    predecode is done lazily, only when a batch member actually uses
-    the kernel engine.
+    trace's one predecode serves every kernel member, and object-engine
+    members (the differential reference) never touch it.
     """
     config = future.config
     return (future.shard, config.workload,

@@ -49,7 +49,7 @@ from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, cap
 from repro.core.pipeline import CODE_BASE, INST_BYTES, Pipeline
 from repro.harness.cachefile import ResultCache
-from repro.harness.config import SimConfig
+from repro.harness.config import DEFAULT_ENGINE, SimConfig
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo, annotate_trace
 from repro.memory.cache import block_of
@@ -590,9 +590,10 @@ class Session:
         oracle annotation iff the policy needs one and, for the kernel
         engine, the columnar predecode), warm a fresh memory hierarchy,
         branch predictor and policy on the warmup slice, and build the
-        configured engine over the measured slice.  Everything shared
-        comes from the entry, so points of one trace prepare once;
-        everything mutable is fresh per call.
+        configured engine (``DEFAULT_ENGINE`` unless the config names
+        one) over the measured slice.  Everything shared comes from the
+        entry, so points of one trace prepare once; everything mutable
+        is fresh per call.
         """
         total = config.warmup + config.measure
         prepared = self._prepared(config.workload, total)
@@ -619,7 +620,7 @@ class Session:
                 oracle.long_latency[:config.warmup]
                 if oracle is not None else None)
 
-        if config.engine == "kernel":
+        if (config.engine or DEFAULT_ENGINE) == "kernel":
             from repro.core.kernel import KernelPipeline
             return KernelPipeline(
                 measured, params=config.core, ltp=config.ltp,

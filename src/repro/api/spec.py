@@ -38,8 +38,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import CoreParams
-from repro.harness.config import (DEFAULT_ENGINE, SimConfig, core_from_dict,
-                                  ltp_from_dict)
+from repro.harness.config import SimConfig, core_from_dict, ltp_from_dict
 from repro.ltp.config import LTPConfig
 from repro.policies.registry import DEFAULT_POLICY
 
@@ -135,8 +134,10 @@ class SweepSpec:
     #: point (the default keeps pre-policy sweep ids stable)
     policy: str = DEFAULT_POLICY
     #: base simulation engine; the ``"engine"`` axis overrides it per
-    #: point (the default keeps pre-engine sweep ids stable)
-    engine: str = DEFAULT_ENGINE
+    #: point.  ``None`` runs the default engine and, like
+    #: ``SimConfig.engine``, is omitted from payloads, so pre-engine
+    #: sweep ids stay stable while a named engine keys separately
+    engine: Optional[str] = None
     #: dotted parameter path -> values; expansion is the cross product
     #: in insertion order, workloads outermost
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
@@ -255,7 +256,7 @@ class SweepSpec:
             # sweep-id stability: default-policy specs serialize exactly
             # as pre-policy ones did
             payload["policy"] = self.policy
-        if self.engine != DEFAULT_ENGINE:
+        if self.engine is not None:
             payload["engine"] = self.engine
         if self.executor is not None:
             payload["executor"] = self.executor
@@ -274,7 +275,7 @@ class SweepSpec:
         warmup = payload.pop("warmup", None)
         measure = payload.pop("measure", None)
         policy = payload.pop("policy", DEFAULT_POLICY)
-        engine = payload.pop("engine", DEFAULT_ENGINE)
+        engine = payload.pop("engine", None)
         executor = payload.pop("executor", None)
         axes = payload.pop("axes", {}) or {}
         if payload:
@@ -287,7 +288,8 @@ class SweepSpec:
                  else LTPConfig()),
             warmup=None if warmup is None else int(warmup),
             measure=None if measure is None else int(measure),
-            policy=str(policy), engine=str(engine),
+            policy=str(policy),
+            engine=None if engine is None else str(engine),
             executor=None if executor is None else str(executor),
             axes={path: list(values) for path, values in axes.items()})
         return spec.validate()

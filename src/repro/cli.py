@@ -109,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_POLICY,
                        help="allocation policy (default: the LTP "
                             "controller path; see repro.policies)")
-    run_p.add_argument("--engine", choices=list(ENGINES),
-                       default=DEFAULT_ENGINE,
+    run_p.add_argument("--engine", choices=list(ENGINES), default=None,
                        help="simulation engine: the reference object "
                             "pipeline or the bit-identical columnar "
-                            "kernel")
+                            f"kernel (default: {DEFAULT_ENGINE}, under "
+                            "the figures' cache keys)")
     run_p.add_argument("--model", type=Path, default=None,
                        metavar="ARTIFACT",
                        help="frozen model artifact for learned "

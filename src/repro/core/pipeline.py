@@ -22,6 +22,11 @@ cycle:
 * 8-wide in-order commit, which frees registers (previous mapping) and
   LQ/SQ entries, and trains the UIT on long-latency loads.
 
+This is the reference engine (``engine="object"``): the readable model
+every differential test is defined against.  Points that name no engine
+run the bit-identical columnar :class:`repro.core.kernel.KernelPipeline`,
+which subclasses this one.
+
 Idle spans (every unit waiting on a future event) are jumped over in one
 step; all time-integrated statistics account for the jump width, so
 results are identical to cycle-by-cycle execution, just faster.  A span
@@ -36,9 +41,7 @@ Performance-sensitive invariants of the main loop (see README.md):
   flags, destination register class, code address) is **pre-decoded**
   on :class:`DynInst` at trace build time and mirrored onto
   :class:`InFlightInst` at rename; the hot loop performs no opcode
-  table lookups or property calls.  ``Pipeline(use_predecode=False)``
-  keeps the original per-use table-lookup path alive as a reference
-  implementation for differential tests.
+  table lookups or property calls.
 * Execution latencies are resolved to a per-``OpClass`` table once at
   pipeline construction.
 * Occupancy statistics are integrated by direct writes to the bound
@@ -72,7 +75,7 @@ from repro.core.params import CoreParams
 from repro.core.regfile import RegisterFile
 from repro.core.rob import ROB
 from repro.core.stats import SimStats
-from repro.isa.instructions import FU_GROUP, NONPIPELINED_CLASSES, OpClass
+from repro.isa.instructions import OpClass
 from repro.isa.trace import CODE_BASE, INST_BYTES, DynInst
 from repro.ltp.config import LTPConfig
 from repro.ltp.controller import NO_BOUNDARY, LTPController
@@ -84,12 +87,6 @@ __all__ = ["CODE_BASE", "INST_BYTES", "Pipeline", "SimulationDeadlock",
 
 _EV_COMPLETE = 0
 _EV_TAG = 1
-
-#: legacy aliases — the authoritative tables live in
-#: :mod:`repro.isa.instructions`; the reference (non-pre-decoded) issue
-#: path and older callers consult them per use.
-_FU_GROUP = FU_GROUP
-_NONPIPELINED = tuple(sorted(NONPIPELINED_CLASSES, key=lambda c: c.value))
 
 _WORD_MASK = ~7
 
@@ -112,7 +109,6 @@ class Pipeline:
                  branch_predictor: Optional[GsharePredictor] = None,
                  warm_code: bool = True,
                  allow_skip: bool = True,
-                 use_predecode: bool = True,
                  policy: Union[AllocationPolicy, str, None] = None) -> None:
         self.params = (params or CoreParams()).validate()
         self.ltp_config = (ltp or LTPConfig(enabled=False)).validate()
@@ -141,9 +137,6 @@ class Pipeline:
         #: False forces strict cycle-by-cycle execution (used by tests to
         #: verify that idle-span jumping never changes results)
         self.allow_skip = allow_skip
-        #: False routes issue/execute through the reference per-use
-        #: table-lookup path (differential testing of the fast path)
-        self.use_predecode = use_predecode
 
         reserve = policy.release_reserve
         self.rob = ROB(self.params.rob_size)
@@ -230,10 +223,6 @@ class Pipeline:
         self._stall: Optional[tuple] = None
         self._gated = 0
         self._stall_marks = None
-
-        if not use_predecode:
-            self._issue = self._issue_reference      # type: ignore
-            self._execute = self._execute_reference  # type: ignore
 
     # ==================================================================
     # public API
@@ -859,66 +848,6 @@ class Pipeline:
                 self._schedule_tag(record, completion - lead)
         record.completion_cycle = completion
         _heappush(self._events, (completion, record.seq, _EV_COMPLETE, record))
-        return True
-
-    # ------------------------------------------------------------------
-    # reference (non-pre-decoded) issue/execute path.  Semantically
-    # identical to the fast path above but derives every piece of
-    # per-instruction metadata from the authoritative opcode tables per
-    # use, exactly like the original implementation.  Differential tests
-    # run both paths and assert bit-identical statistics.
-    # ------------------------------------------------------------------
-    def _issue_reference(self, now: int) -> bool:
-        fu_used: Dict[str, int] = {}
-        params = self.params
-
-        def try_issue(record: InFlightInst) -> bool:
-            group = _FU_GROUP[record.dyn.op_class]
-            if fu_used.get(group, 0) >= params.fu_counts.get(group, 1):
-                return False
-            if record.dyn.op_class in _NONPIPELINED:
-                if now < self._fu_busy_until.get(group, 0):
-                    return False
-            if not self._execute_reference(record, now):
-                return False
-            fu_used[group] = fu_used.get(group, 0) + 1
-            return True
-
-        self._gated = 0
-        picked = self.iq.select(try_issue, params.issue_width)
-        for record in picked:
-            record.issue_cycle = now
-            self.stats.issued += 1
-            self.stats.rf_reads += len(record.dyn.inst.srcs)
-        return bool(picked)
-
-    def _execute_reference(self, record: InFlightInst, now: int) -> bool:
-        dyn = record.dyn
-        op_class = dyn.inst.op_class
-        latencies = self.params.latencies
-
-        if op_class is OpClass.LOAD:
-            return self._execute_load(record, now)
-
-        if op_class is OpClass.STORE:
-            agu = latencies["agu"]
-            addr = dyn.addr
-            resolve_cycle = now + agu
-            self.lsq.store_executed(dyn.seq, addr, resolve_cycle)
-            self._check_violation(record, addr, resolve_cycle)
-            completion = resolve_cycle + latencies["store"]
-            self._schedule_completion(record, completion)
-            return True
-
-        latency = latencies.get(op_class.value, latencies["int_alu"])
-        completion = now + latency
-        if op_class in _NONPIPELINED:
-            group = _FU_GROUP[op_class]
-            self._fu_busy_until[group] = completion
-            if record.own_ticket is not None:
-                lead = min(self.params.mem.dram_wakeup_lead, latency)
-                self._schedule_tag(record, completion - lead)
-        self._schedule_completion(record, completion)
         return True
 
     def _execute_load(self, record: InFlightInst, now: int) -> bool:

@@ -36,9 +36,10 @@ CONFIG_SCHEMA = 3
 
 #: simulation engines: the reference object-graph pipeline and the
 #: columnar struct-of-arrays kernel (:mod:`repro.core.kernel`), which
-#: produces bit-identical statistics
-DEFAULT_ENGINE = "object"
-ENGINES = (DEFAULT_ENGINE, "kernel")
+#: produces bit-identical statistics and runs every point that names
+#: no engine
+ENGINES = ("object", "kernel")
+DEFAULT_ENGINE = "kernel"
 
 
 def _mapping(data: Any, what: str) -> Mapping[str, Any]:
@@ -91,13 +92,14 @@ class SimConfig:
     #: artifact.  The payload's content hash makes different weights
     #: key differently.
     model: Optional[Dict[str, Any]] = None
-    #: simulation engine ("object" or "kernel"); both produce identical
-    #: statistics, so the engine is *not* part of the result identity —
-    #: it is omitted from default payloads and pre-engine configs keep
-    #: their cache keys, while explicit "kernel" payloads key separately
-    #: (a cheap safety net: a kernel-vs-object divergence would surface
-    #: as a cache mismatch rather than silently reusing results)
-    engine: str = DEFAULT_ENGINE
+    #: simulation engine ("object" or "kernel"); ``None`` — the
+    #: default, omitted from payloads so pre-engine configs keep their
+    #: cache keys — runs :data:`DEFAULT_ENGINE`.  Both engines produce
+    #: identical statistics, but a named engine keys separately from
+    #: the default and from the other engine (a cheap safety net: an
+    #: engine divergence surfaces as a cache mismatch rather than
+    #: silently reusing results)
+    engine: Optional[str] = None
 
     def validate(self) -> "SimConfig":
         self.core.validate()
@@ -109,7 +111,7 @@ class SimConfig:
             from repro.policies.learned.artifact import \
                 validate_model_payload
             validate_model_payload(self.model)
-        if self.engine not in ENGINES:
+        if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}: expected one of "
                 f"{', '.join(ENGINES)}")
@@ -133,7 +135,7 @@ class SimConfig:
             payload["policy"] = self.policy
         if self.model is not None:
             payload["model"] = self.model
-        if self.engine != DEFAULT_ENGINE:
+        if self.engine is not None:
             payload["engine"] = self.engine
         return payload
 
@@ -141,11 +143,11 @@ class SimConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "SimConfig":
         """Inverse of :meth:`to_dict`; preserves :meth:`key` exactly.
 
-        Tolerates payloads that omit ``core``/``ltp``/budgets (defaults
-        apply); rejects unknown fields inside them, non-string
-        ``workload``/``policy``/``engine``, budgets that are not plain
-        integers and ``core``/``ltp`` sections that are not mappings,
-        all with ``ValueError``.
+        Tolerates payloads that omit ``core``/``ltp``/budgets/``engine``
+        (defaults apply; no engine is ``engine=None``); rejects unknown
+        fields inside them, non-string ``workload``/``policy``/``engine``,
+        budgets that are not plain integers and ``core``/``ltp``
+        sections that are not mappings, all with ``ValueError``.
         """
         payload = dict(_mapping(data, "config"))
         payload.pop("schema", None)
@@ -160,12 +162,14 @@ class SimConfig:
         measure = payload.pop("measure", DEFAULT_MEASURE)
         policy = payload.pop("policy", DEFAULT_POLICY)
         model = payload.pop("model", None)
-        engine = payload.pop("engine", DEFAULT_ENGINE)
+        engine = payload.pop("engine", None)
         if payload:
             raise ValueError(
                 f"unknown config fields: {sorted(payload)}")
-        for name, value in (("workload", workload), ("policy", policy),
-                            ("engine", engine)):
+        strings = [("workload", workload), ("policy", policy)]
+        if engine is not None:  # absent: the default engine
+            strings.append(("engine", engine))
+        for name, value in strings:
             if not isinstance(value, str):
                 raise ValueError(f"config {name!r} must be a string, got "
                                  f"{type(value).__name__}")

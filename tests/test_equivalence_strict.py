@@ -1,19 +1,14 @@
 """Strict-mode equivalence regression tests.
 
-The optimized pipeline must produce bit-identical statistics:
-
-* with idle-span jumping on vs. strict cycle-by-cycle execution
-  (``allow_skip``), and
-* with the pre-decoded fast path vs. the reference per-use
-  table-lookup path (``use_predecode``),
-
-over randomized programs, core configurations and LTP modes, and over
-the real paper workloads.  Equality is asserted on the full
-:meth:`SimStats.as_dict` plus the hierarchy's demand and rejection
-counters: the stall-span jump charges the per-attempt counters (stall
-attribution, classification tallies, UIT activity, MSHR rejections)
-of the cycles it skips in bulk, so they must match strict execution
-too.
+The optimized pipeline must produce bit-identical statistics with
+idle-span jumping on vs. strict cycle-by-cycle execution
+(``allow_skip``), over randomized programs, core configurations and
+LTP modes, and over the real paper workloads.  Equality is asserted
+on the full :meth:`SimStats.as_dict` plus the hierarchy's demand and
+rejection counters: the stall-span jump charges the per-attempt
+counters (stall attribution, classification tallies, UIT activity,
+MSHR rejections) of the cycles it skips in bulk, so they must match
+strict execution too.
 
 One known exception: an idle jump over a fetch blocked on a
 mispredict counts ``stall_frontend`` once per jump instead of once per
@@ -46,8 +41,6 @@ from test_properties_pipeline import random_core, random_ltp, random_program
 
 MODES = (
     {"allow_skip": False},
-    {"use_predecode": False},
-    {"allow_skip": False, "use_predecode": False},
 )
 
 

@@ -14,8 +14,10 @@ grid in ``test_policies_differential.py``:
   reference runs;
 * the session's trace-arrays LRU: shared predecode across configs,
   eviction alongside the trace cache, invalidation on trace growth;
-* cache-key stability: the default engine serializes exactly as
-  pre-engine configs did, while ``engine="kernel"`` keys separately.
+* cache-key stability: a config that names no engine runs the kernel
+  and serializes exactly as pre-engine configs did, while a named
+  engine keys separately (literal keys pin both); the session builds
+  the engine a config names.
 """
 
 import random
@@ -90,7 +92,7 @@ def test_kernel_engine_matches_object_engine_through_session(tmp_path_factory,
     scratch = tmp_path_factory.mktemp("simcache")
     with Session(cache_dir=str(scratch)) as session:
         base = SimConfig(workload=workload, ltp=ltp,
-                         warmup=warmup, measure=measure)
+                         warmup=warmup, measure=measure, engine="object")
         kernel = SimConfig(workload=workload, ltp=ltp,
                            warmup=warmup, measure=measure,
                            engine="kernel")
@@ -163,15 +165,36 @@ def test_session_arrays_invalidate_when_trace_grows(tmp_path):
 # cache-key and payload stability
 # ================================================================
 def test_engine_field_keeps_default_payloads_and_keys_stable():
-    base = SimConfig(workload="lattice_milc")
+    base = SimConfig(workload="lattice_milc", warmup=6000, measure=2500)
+    assert base.engine is None
     assert "engine" not in base.to_dict()
-    kernel = SimConfig(workload="lattice_milc", engine="kernel")
+    kernel = SimConfig(workload="lattice_milc", warmup=6000, measure=2500,
+                       engine="kernel")
     assert kernel.to_dict()["engine"] == "kernel"
-    assert kernel.key() != base.key()
-    round_trip = SimConfig.from_dict(kernel.to_dict())
-    assert round_trip.engine == "kernel"
-    assert round_trip.key() == kernel.key()
-    assert SimConfig.from_dict(base.to_dict()).engine == "object"
+    obj = SimConfig(workload="lattice_milc", warmup=6000, measure=2500,
+                    engine="object")
+    assert obj.to_dict()["engine"] == "object"
+    # literal keys: default and explicit-kernel configs key exactly as
+    # they did while the object engine was the default, so a change of
+    # the default engine never re-keys stored results
+    assert base.key() == "5104f8c005514a2b20b79e88"
+    assert kernel.key() == "0d831e6b2b70cacc7106a965"
+    # every named engine keys apart from the default and from each other
+    assert len({base.key(), kernel.key(), obj.key()}) == 3
+    for config in (kernel, obj):
+        round_trip = SimConfig.from_dict(config.to_dict())
+        assert round_trip.engine == config.engine
+        assert round_trip.key() == config.key()
+    assert SimConfig.from_dict(base.to_dict()).engine is None
+
+
+@pytest.mark.parametrize("engine, expected", [
+    (None, KernelPipeline), ("kernel", KernelPipeline), ("object", Pipeline)])
+def test_session_builds_the_named_engine(tmp_path, engine, expected):
+    config = SimConfig(workload="stream_triad", warmup=100, measure=100,
+                       engine=engine)
+    with Session(cache_dir=str(tmp_path)) as session:
+        assert type(session.build_pipeline(config)) is expected
 
 
 def test_unknown_engine_rejected():
@@ -184,11 +207,20 @@ def test_sweep_spec_engine_axis_and_id_stability():
 
     default = SweepSpec(workloads=["stream_triad"])
     kernel = SweepSpec(workloads=["stream_triad"], engine="kernel")
-    assert default.sweep_id() != kernel.sweep_id()
+    obj = SweepSpec(workloads=["stream_triad"], engine="object")
+    assert default.engine is None
     assert "engine" not in default.to_dict()
+    # literal ids, pinned from before the default engine changed
+    assert default.sweep_id() == "ef5f92f3f574c884"
+    assert kernel.sweep_id() == "101a20e688be6cb6"
+    assert len({default.sweep_id(), kernel.sweep_id(),
+                obj.sweep_id()}) == 3
+    assert [c.engine for c in default.expand()] == [None]
     axis = SweepSpec(workloads=["stream_triad"],
                      axes={"engine": ["object", "kernel"]})
     assert [c.engine for c in axis.expand()] == ["object", "kernel"]
-    round_trip = SweepSpec.from_dict(kernel.to_dict())
-    assert round_trip.engine == "kernel"
-    assert round_trip.sweep_id() == kernel.sweep_id()
+    for spec in (kernel, obj):
+        round_trip = SweepSpec.from_dict(spec.to_dict())
+        assert round_trip.engine == spec.engine
+        assert round_trip.sweep_id() == spec.sweep_id()
+    assert SweepSpec.from_dict(default.to_dict()).engine is None

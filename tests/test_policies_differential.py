@@ -79,7 +79,9 @@ def test_tracked_cache_exists_for_headline_sweep():
 
 def test_fresh_simulation_reproduces_tracked_stats(tmp_path):
     """The refactored session path is bit-identical to the tracked
-    (pre-policy-seam) results, LTP on and off."""
+    (pre-policy-seam, object-engine) results, LTP on and off, on each
+    engine named explicitly."""
+    import dataclasses
     points = tracked_headline_points()
     # LTP-off coverage: the tracked baseline runs of the headline
     # experiment (default budgets, baseline core)
@@ -95,9 +97,12 @@ def test_fresh_simulation_reproduces_tracked_stats(tmp_path):
     sample = enabled[:3] + disabled[:3]
     with Session(cache_dir=str(tmp_path)) as session:
         for config in sample:
-            fresh = session.run(config, use_cache=False)
-            assert fresh.stats == tracked_stats(config), \
-                (config.workload, config.ltp.enabled)
+            for engine in ("object", "kernel"):
+                fresh = session.run(
+                    dataclasses.replace(config, engine=engine),
+                    use_cache=False)
+                assert fresh.stats == tracked_stats(config), \
+                    (config.workload, config.ltp.enabled, engine)
 
 
 def test_baseline_stall_matches_tracked_no_ltp_stats(tmp_path):

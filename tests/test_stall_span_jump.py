@@ -178,7 +178,7 @@ def test_undeclared_policy_keeps_ticking_its_attempts(session):
     workload, core, ltp, _ = _points()["astar-nrnu-t4"]
     config = SimConfig(workload=workload, core=core, ltp=ltp,
                        policy="oracle-park", warmup=WARMUP,
-                       measure=MEASURE).validate()
+                       measure=MEASURE, engine="object").validate()
     pipeline = session.build_pipeline(config)
     assert not pipeline.policy.counter_only_stalls
     repeated = []
