@@ -17,13 +17,23 @@ pieces:
   is already in flight).
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
   ``multiprocessing`` implementations, registered as ``"serial"`` and
-  ``"process-pool"``.  Both dispatch
-  :class:`BatchWorkItem`\\ s: queued futures sharing one trace
-  identity (workload + total trace length + cache policy + shard) are
-  grouped so each dispatch pays one trace generation, one workload
-  build and one columnar predecode for the whole group (the session's
-  trace-cache entry is shared by every point).  ``batch_size``
-  caps the group.
+  ``"process-pool"``.
+
+One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
+— queued futures sharing one trace identity (workload + total trace
+length + cache policy + shard), capped by ``batch_size`` — and a lone
+point is simply a batch of one.  Each dispatch pays one trace
+generation, one workload build and one columnar predecode for the
+whole group (the session's trace-cache entry is shared by every
+point), whether it runs inline through a
+:class:`~repro.api.session.BatchRunner`, in a pool worker, or over
+one ``run_batch`` frame.
+
+One outcome path: however an executor runs a point, it reports to
+the ``ExecutorBackend`` helpers ``_start``, ``_finish`` and
+``_retry_or_fail`` — the only code that resolves a future, counts its
+attempts, builds its :class:`WorkerFailure` or emits its lifecycle
+events.
 
 A sharded sweep (``Session.sweep(spec, shards=K)``, ``repro sweep
 --coordinate``) is not an executor of its own: the session tags each
@@ -59,8 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: a unit of pending work: position in the batch, config, cache policy
 WorkItem = Tuple[int, "SimConfig", bool]
-#: a completed unit: position, stats dict, wall seconds, result source
-Outcome = Tuple[int, Dict[str, Any], float, str]
+#: a worker's report on one point: ``(error, stats, wall seconds,
+#: source)`` — ``error`` is ``None`` on success; a failure carries its
+#: error (text, or the raised exception) and no stats
+Outcome = Tuple[Any, Optional[Dict[str, Any]], float, str]
 
 #: default cap on trace-shared batch size when no ``batch_size`` is
 #: given: large enough to amortize trace generation and predecode,
@@ -322,14 +334,6 @@ class BatchWorkItem:
         config = self.futures[0].config
         return config.warmup + config.measure
 
-    @property
-    def use_cache(self) -> bool:
-        return self.futures[0].use_cache
-
-    @property
-    def shard(self) -> Optional[int]:
-        return self.futures[0].shard
-
 
 # ----------------------------------------------------------------------
 # pool worker functions (module-level: picklable for any start method)
@@ -358,8 +362,7 @@ def _worker_session(cache_dir: str) -> "Session":
 
 
 def _chunk_worker(
-        payloads: Sequence[Tuple[int, "SimConfig", bool, str]]
-) -> List[Any]:
+        payloads: Sequence[Tuple["SimConfig", bool, str]]) -> List[Outcome]:
     """Simulate one dispatched batch in one worker round trip.
 
     Every chunk is a trace-homogeneous :class:`BatchWorkItem` (one
@@ -367,23 +370,22 @@ def _chunk_worker(
     single-point retry, and runs through a session
     :class:`~repro.api.session.BatchRunner`; the session's trace cache
     makes that one trace generation, one workload build, one predecode
-    for the whole chunk.  A per-point failure comes back in-band as a
-    five-tuple ``(index, None, 0.0, "", error)`` — alongside the usual
-    four-tuple :data:`Outcome` successes — so one bad point costs one
-    single-item retry instead of re-failing the whole chunk.
+    for the whole chunk.  Each point comes back as one
+    :data:`Outcome`, a failure in-band as its error text, so one bad
+    point costs one single-item retry instead of re-failing the whole
+    chunk.
     """
-    _, first, _, cache_dir = payloads[0]
+    first, _, cache_dir = payloads[0]
     runner = _worker_session(cache_dir).batch_runner(
         first.workload, first.warmup + first.measure)
-    outcomes: List[Any] = []
-    for index, config, use_cache, _ in payloads:
+    outcomes: List[Outcome] = []
+    for config, use_cache, _ in payloads:
         try:
             result = runner.run(config, use_cache=use_cache)
         except Exception as exc:  # noqa: BLE001 - reported in-band
-            outcomes.append((index, None, 0.0, "",
-                             f"{type(exc).__name__}: {exc}"))
+            outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0, ""))
         else:
-            outcomes.append((index, result.stats, result.wall_time_s,
+            outcomes.append((None, result.stats, result.wall_time_s,
                              result.source))
     return outcomes
 
@@ -396,7 +398,11 @@ class ExecutorBackend:
 
     Subclasses implement :meth:`as_completed`, the drive loop that
     resolves every submitted future; everything else — submission,
-    progress callbacks, cancellation bookkeeping — is shared here.
+    progress callbacks, cancellation bookkeeping and the outcome path
+    (:meth:`_start`, :meth:`_finish`, :meth:`_retry_or_fail`, the only
+    code that resolves a future or emits its
+    ``started``/``finished``/``retried``/``failed`` events) — is
+    shared here.
 
     Parameters
     ----------
@@ -528,8 +534,46 @@ class ExecutorBackend:
         self._queue.extend(kept)
         return BatchWorkItem(futures)
 
-    def shutdown(self) -> None:
-        """Release executor resources (pools close themselves per drive)."""
+    # -- the outcome path ------------------------------------------------
+    def _start(self, future: SimFuture) -> None:
+        """First dispatch of *future*: attempt 1, running, ``started``."""
+        future.attempts = 1
+        future._set_running()
+        self._emit(EVENT_STARTED, future)
+
+    def _finish(self, future: SimFuture, stats: Dict[str, Any],
+                wall_time_s: float, source: str) -> None:
+        """Resolve *future* with a landed point and emit ``finished``."""
+        future._set_result(SimResult(
+            config=future.config, stats=stats, key=future.key,
+            source=source, wall_time_s=wall_time_s, backend=self.name))
+        self._emit(EVENT_FINISHED, future, source=source,
+                   wall_time_s=wall_time_s)
+
+    def _retry_or_fail(self, future: SimFuture, error: Any,
+                       retry: bool = True) -> bool:
+        """One failed attempt of *future*; ``True`` = redispatch it.
+
+        Within ``max_retries`` (and unless cancelling, or the caller
+        has nowhere to *retry*), emit ``retried`` for the attempt that
+        failed and count the next one.  Otherwise resolve the future
+        with a :class:`WorkerFailure` — chained to *error* when that
+        is a real exception — and emit ``failed``.
+        """
+        if (retry and future.attempts <= self.max_retries
+                and not self._cancelling):
+            self._emit(EVENT_RETRIED, future, error=str(error))
+            future.attempts += 1
+            return True
+        failure = WorkerFailure(
+            f"{future.config.workload} ({future.key}) failed after "
+            f"{future.attempts} attempt(s): {error}",
+            attempts=future.attempts)
+        if isinstance(error, BaseException):
+            failure.__cause__ = error
+        self._emit(EVENT_FAILED, future, error=str(error))
+        future._set_exception(failure)
+        return False
 
     # -- the drive loop --------------------------------------------------
     def as_completed(self) -> Iterator[SimFuture]:
@@ -542,14 +586,13 @@ class ExecutorBackend:
         (shared by the serial executor and the pool's small-batch
         degradation).
 
-        Trace-identical runs of the queue execute back to back through
-        one :class:`~repro.api.session.BatchRunner`, so the session's
+        Every batch — a batch of one included — runs through one
+        :class:`~repro.api.session.BatchRunner`, so the session's
         trace cache generates (and, for kernel points, predecodes) the
-        trace once per batch;
-        each point still starts, finishes, retries and resolves
-        individually, exactly as unbatched execution would.  *limit*
-        overrides the executor's own ``batch_size`` cap (the pool
-        passes its resolved dispatch cap when it degrades inline).
+        trace once per batch; each point still starts, finishes,
+        retries and resolves individually.  *limit* overrides the
+        executor's own ``batch_size`` cap (the pool passes its
+        resolved dispatch cap when it degrades inline).
         """
         if limit is None:
             limit = self.batch_size
@@ -566,44 +609,22 @@ class ExecutorBackend:
                 if future.cancelled():
                     yield future
                     continue
-                if runner is None and len(batch) > 1:
+                if runner is None:
                     runner = session.batch_runner(batch.workload,
                                                   batch.length)
-                future._set_running()
-                self._emit(EVENT_STARTED, future)
-                self._run_one_inline(session, future, runner=runner)
+                self._start(future)
+                while True:
+                    try:
+                        result = runner.run(future.config,
+                                            use_cache=future.use_cache)
+                    except Exception as exc:  # noqa: BLE001 - retried
+                        if self._retry_or_fail(future, exc):
+                            continue
+                    else:
+                        self._finish(future, result.stats,
+                                     result.wall_time_s, result.source)
+                    break
                 yield future
-
-    def _run_one_inline(self, session: "Session", future: SimFuture,
-                        runner: Any = None) -> None:
-        """One item, in-process, with bounded retries.
-
-        With a *runner* (a :class:`~repro.api.session.BatchRunner`),
-        the point is checked against the batch's trace identity;
-        semantics are otherwise identical to ``session.run``.
-        """
-        run = session.run if runner is None else runner.run
-        while True:
-            future.attempts += 1
-            try:
-                result = run(future.config,
-                             use_cache=future.use_cache)
-            except Exception as exc:  # noqa: BLE001 - retried/surfaced
-                if future.attempts <= self.max_retries:
-                    self._emit(EVENT_RETRIED, future, error=str(exc))
-                    continue
-                failure = WorkerFailure(
-                    f"{future.config.workload} ({future.key}) failed "
-                    f"after {future.attempts} attempt(s): {exc}",
-                    attempts=future.attempts)
-                failure.__cause__ = exc
-                self._emit(EVENT_FAILED, future, error=str(exc))
-                future._set_exception(failure)
-                return
-            future._set_result(result)
-            self._emit(EVENT_FINISHED, future, source=result.source,
-                       wall_time_s=result.wall_time_s)
-            return
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -733,15 +754,14 @@ class PoolExecutor(ExecutorBackend):
         def dispatch(pool, futures: Sequence[SimFuture]) -> None:
             nonlocal inflight
             batch = tuple(futures)
-            payload = [(f.index, f.config, f.use_cache, cache_dir)
-                       for f in batch]
+            payload = [(f.config, f.use_cache, cache_dir) for f in batch]
             worker = _chunk_worker  # module global: monkeypatchable
             pool.apply_async(
                 worker, (payload,),
                 callback=lambda outs, fs=batch:
-                    done_q.put(("ok", fs, outs)),
+                    done_q.put((fs, outs)),
                 error_callback=lambda exc, fs=batch:
-                    done_q.put(("err", fs, exc)))
+                    done_q.put((fs, [(exc, None, 0.0, "")] * len(fs))))
             inflight += 1
 
         def fill_window(pool) -> None:
@@ -753,9 +773,7 @@ class PoolExecutor(ExecutorBackend):
                     if future.cancelled():
                         resolved.append(future)
                         continue
-                    future.attempts += 1
-                    future._set_running()
-                    self._emit(EVENT_STARTED, future)
+                    self._start(future)
                     batch.append(future)
                 if batch:
                     dispatch(pool, batch)
@@ -782,61 +800,22 @@ class PoolExecutor(ExecutorBackend):
                         future.cancel()
                     resolved.append(future)
                     continue
-                status, batch, payload = done_q.get()
+                batch, outcomes = done_q.get()
                 inflight -= 1
-                if status == "ok":
-                    for future, outcome in zip(batch, payload):
-                        error = outcome[4] if len(outcome) > 4 else None
-                        if error:
-                            # in-band per-point failure from a batched
-                            # chunk: retry just this point, singly
-                            self._land_point_failure(pool, future, error,
-                                                     resolved, dispatch)
-                            continue
-                        _, stats, wall, source = outcome[:4]
-                        result = SimResult(
-                            config=future.config, stats=stats,
-                            key=future.key, source=source,
-                            wall_time_s=wall, backend=self.name)
-                        future._set_result(result)
-                        self._emit(EVENT_FINISHED, future, source=source,
-                                   wall_time_s=wall)
-                        resolved.append(future)
-                else:
-                    self._handle_failed_chunk(pool, batch, payload,
-                                              resolved, dispatch)
+                for future, (error, stats, wall, source) in zip(batch,
+                                                                outcomes):
+                    if error is None:
+                        self._finish(future, stats, wall, source)
+                    elif self._retry_or_fail(future, error):
+                        # a failed point (or a crashed chunk's every
+                        # point) retries singly
+                        dispatch(pool, (future,))
+                        continue
+                    resolved.append(future)
                 fill_window(pool)
             while resolved:
                 yield resolved.popleft()
                 yielded += 1
-
-    def _handle_failed_chunk(self, pool, batch, exc, resolved,
-                             dispatch) -> None:
-        """Retry each item of a failed chunk singly (bounded), unless
-        cancelling — then the failure surfaces immediately."""
-        for future in batch:
-            self._land_point_failure(pool, future, exc, resolved, dispatch)
-
-    def _land_point_failure(self, pool, future, exc, resolved,
-                            dispatch) -> None:
-        """One point's worker failure: bounded single-item retry, or
-        surface the :class:`WorkerFailure` on its future."""
-        if future.attempts <= self.max_retries and not self._cancelling:
-            # emit before bumping attempts so the event carries the
-            # attempt that failed, matching the serial executor
-            self._emit(EVENT_RETRIED, future, error=str(exc))
-            future.attempts += 1
-            dispatch(pool, (future,))
-        else:
-            failure = WorkerFailure(
-                f"{future.config.workload} ({future.key}) failed "
-                f"after {future.attempts} attempt(s): {exc}",
-                attempts=future.attempts)
-            failure.__cause__ = (exc if isinstance(exc, BaseException)
-                                 else None)
-            self._emit(EVENT_FAILED, future, error=str(exc))
-            future._set_exception(failure)
-            resolved.append(future)
 
     def __repr__(self) -> str:
         return (f"PoolExecutor(jobs={self.jobs!r}, "

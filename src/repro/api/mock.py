@@ -31,11 +31,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.api.exec import (EVENT_FAILED, EVENT_FINISHED, EVENT_RETRIED,
-                            EVENT_STARTED, ExecutorBackend, SimFuture,
-                            WorkerFailure)
+from repro.api.exec import ExecutorBackend, SimFuture
 from repro.api.executors import register_executor
-from repro.api.result import SOURCE_SIMULATED, SimResult
+from repro.api.result import SOURCE_SIMULATED
 
 #: one scripted attempt: a directive string, a delay, or a tagged pair
 Directive = Any
@@ -108,45 +106,25 @@ class MockExecutor(ExecutorBackend):
         self._cancelling = False
         while self._queue:
             future = self._queue.popleft()
-            if future.cancelled():
-                yield future
-                continue
-            future._set_running()
-            self._emit(EVENT_STARTED, future)
-            self._resolve(future)
+            if not future.cancelled():
+                self._start(future)
+                while not self._attempt(future):
+                    pass
             yield future
 
-    def _resolve(self, future: SimFuture) -> None:
-        while True:
-            future.attempts += 1
-            self.dispatched.append((future.index,
-                                    future.config.workload))
-            action, delay, error = self._interpret(
-                self._directive(future.index, future.attempts))
-            delay = delay or self.latency
-            if delay:
-                time.sleep(delay)
-            if action == "ok":
-                result = SimResult(config=future.config,
-                                   stats=self._fabricate(future),
-                                   key=future.key,
-                                   source=SOURCE_SIMULATED,
-                                   wall_time_s=delay, backend=self.name)
-                future._set_result(result)
-                self._emit(EVENT_FINISHED, future, source=result.source,
-                           wall_time_s=result.wall_time_s)
-                return
-            if future.attempts <= self.max_retries and \
-                    not self._cancelling:
-                self._emit(EVENT_RETRIED, future, error=error)
-                continue
-            failure = WorkerFailure(
-                f"{future.config.workload} ({future.key}) failed "
-                f"after {future.attempts} attempt(s): {error}",
-                attempts=future.attempts)
-            self._emit(EVENT_FAILED, future, error=error)
-            future._set_exception(failure)
-            return
+    def _attempt(self, future: SimFuture) -> bool:
+        """Play one scripted attempt; ``True`` once *future* resolved."""
+        self.dispatched.append((future.index, future.config.workload))
+        action, delay, error = self._interpret(
+            self._directive(future.index, future.attempts))
+        delay = delay or self.latency
+        if delay:
+            time.sleep(delay)
+        if action == "ok":
+            self._finish(future, self._fabricate(future), delay,
+                         SOURCE_SIMULATED)
+            return True
+        return not self._retry_or_fail(future, error)
 
     def __repr__(self) -> str:
         return (f"MockExecutor(script={self.script!r}, "

@@ -9,13 +9,15 @@ message queue back to the driving thread — so lifecycle events keep
 their exactly-once guarantees and are delivered on the thread
 iterating ``as_completed()``, exactly like the local executors.
 
-Dispatch is batched: each pop takes a whole
-:class:`~repro.api.exec.BatchWorkItem` (trace-identical futures, up
-to ``batch_size``), shipped as one ``run_batch`` frame so the worker
-pays one trace generation and predecode for the group.  Results come
-back as streamed ``point_done`` sub-frames, so every point still
-starts, finishes, fails and retries individually; a single-future
-batch uses the original ``run`` frame unchanged.
+The dispatch unit is the :class:`~repro.api.exec.BatchWorkItem`:
+each pop takes trace-identical futures (up to ``batch_size``; a lone
+point is a batch of one) and ships them as one ``run_batch`` frame,
+so the worker pays one trace generation and predecode for the group.
+Results come back as streamed ``point_done`` sub-frames, decoded and
+checked by the one frame reader (:meth:`_WorkerLink.run_batch`) into
+the executor layer's :data:`~repro.api.exec.Outcome` shape, so every
+point still starts, finishes, fails and retries individually through
+the shared :class:`~repro.api.exec.ExecutorBackend` outcome path.
 
 Failure semantics:
 
@@ -23,8 +25,10 @@ Failure semantics:
   bounded retry (``max_retries``), re-queued so any healthy worker —
   not necessarily the failing one — picks it up;
 * a worker going silent longer than ``heartbeat_timeout`` (workers
-  heartbeat every couple of seconds while simulating) or dropping the
-  connection marks the *link* dead: its in-flight items are retried on
+  heartbeat every couple of seconds while simulating), dropping the
+  connection or sending a malformed reply (a
+  :class:`~repro.api.remote.protocol.ProtocolError`) marks the *link*
+  dead: its in-flight items are retried on
   the surviving links and the dead link dispatches nothing more this
   drive (the next drive reconnects from scratch).  A worker dying
   mid-batch loses only the batch's *unfinished* points — every
@@ -41,16 +45,15 @@ from __future__ import annotations
 import queue
 import socket
 import threading
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
-from repro.api.exec import (DEFAULT_BATCH_SIZE, EVENT_FAILED,
-                            EVENT_FINISHED, EVENT_RETRIED, EVENT_STARTED,
-                            ExecutorBackend, SimFuture, WorkerFailure)
+from repro.api.exec import (DEFAULT_BATCH_SIZE, ExecutorBackend, Outcome,
+                            SimFuture)
 from repro.api.executors import register_executor
 from repro.api.remote.protocol import (ProtocolError, connect,
                                        format_address, parse_address,
                                        recv_frame, send_frame)
-from repro.api.result import SimResult
 
 WorkerAddress = Union[str, Tuple[str, int]]
 
@@ -86,31 +89,16 @@ class _WorkerLink:
         self._sock = sock
         return True
 
-    def run(self, future: SimFuture) -> dict:
-        """Round-trip one config; heartbeats reset the silence clock."""
-        assert self._sock is not None
-        send_frame(self._sock, {
-            "op": "run", "id": future.key,
-            "config": future.config.to_dict(),
-            "use_cache": future.use_cache})
-        while True:
-            frame = recv_frame(self._sock)
-            if frame is None:
-                raise ProtocolError(
-                    f"worker {self.label} closed the connection "
-                    f"mid-run")
-            if frame.get("op") == "heartbeat":
-                continue  # still simulating; the timeout restarts
-            return frame
-
-    def run_batch(self, futures: Sequence[SimFuture]):
+    def run_batch(self, futures: Sequence[SimFuture]
+                  ) -> Iterator[Tuple[int, Outcome]]:
         """Round-trip one trace-identity batch as a ``run_batch`` frame.
 
-        Yields ``(position, frame)`` for each streamed ``point_done``
-        (``position`` indexes into *futures*), returning after the
-        trailing ``done`` frame.  Heartbeats and point completions
-        both reset the silence clock, so stragglers are judged per
-        point, not per batch.
+        Yields ``(position, outcome)`` for each streamed
+        ``point_done`` (``position`` indexes into *futures*), returning
+        after the trailing ``done`` frame.  Heartbeats and point
+        completions both reset the silence clock, so stragglers are
+        judged per point, not per batch.  A reply that does not decode
+        raises :class:`ProtocolError`.
         """
         assert self._sock is not None
         send_frame(self._sock, {
@@ -128,13 +116,33 @@ class _WorkerLink:
             if op == "heartbeat":
                 continue  # still simulating; the timeout restarts
             if op == "point_done":
-                yield int(frame.get("index", -1)), frame
+                yield self._decode_point(frame)
                 continue
             if op == "done":
                 return  # caller resolves any unfinished leftovers
             raise ProtocolError(
                 f"worker {self.label} sent unexpected {op!r} frame "
                 f"mid-batch")
+
+    def _decode_point(self, frame: Dict[str, Any]) -> Tuple[int, Outcome]:
+        """``(position, outcome)`` of one ``point_done`` frame."""
+        try:
+            index = frame.get("index")
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise ValueError(f"index {index!r} is not an integer")
+            if not frame.get("ok"):
+                return index, (str(frame.get("error", "worker error")),
+                               None, 0.0, "")
+            stats = frame.get("stats") or {}
+            if not isinstance(stats, dict):
+                raise ValueError(f"stats {stats!r} is not an object")
+            return index, (None, stats,
+                           float(frame.get("wall_time_s", 0.0)),
+                           str(frame.get("source", "simulated")))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"worker {self.label} sent a malformed point_done "
+                f"frame: {exc}") from None
 
     def close(self) -> None:
         if self._sock is not None:
@@ -218,58 +226,44 @@ class RemoteExecutor(ExecutorBackend):
                 kind, future, payload = messages.get()
                 if kind == "dispatch":
                     # first dispatch = the item started; redispatches
-                    # already emitted their `retried` event
+                    # already counted their attempt when they retried
                     if future.attempts == 0 and not future.cancelled():
-                        future.attempts = 1
-                        future._set_running()
-                        self._emit(EVENT_STARTED, future)
-                    continue
-                if kind == "drop":  # cancelled before dispatch
-                    yield future
-                    yielded += 1
+                        self._start(future)
                     continue
                 if kind == "lost":
                     # a dead link surfaces once, carrying every future
                     # it still had in flight (a batch loses only its
                     # unfinished points — streamed point_done results
-                    # already resolved through "done"/"error")
+                    # already resolved through "outcome")
                     alive -= 1
                     for item in future:
-                        if item.cancelled():
+                        if (item.cancelled()
+                                or not self._requeue(item, payload,
+                                                     alive, work)):
                             yield item
                             yielded += 1
-                        else:
-                            landed = self._retry_or_fail(
-                                item, payload, alive, work)
-                            if landed is not None:
-                                yield landed
-                                yielded += 1
-                elif future.cancelled():
-                    # cancelled between the dispatcher's pop and now:
-                    # the `cancelled` event already fired, so discard
-                    # the outcome rather than double-resolving
+                elif kind == "drop" or future.cancelled():
+                    # cancelled before dispatch, or between the
+                    # dispatcher's pop and now: the `cancelled` event
+                    # already fired, so any outcome is discarded
                     yield future
                     yielded += 1
-                elif kind == "done":
-                    stats, wall, source = payload
-                    result = SimResult(
-                        config=future.config, stats=stats,
-                        key=future.key, source=source,
-                        wall_time_s=wall, backend=self.name)
-                    future._set_result(result)
-                    self._emit(EVENT_FINISHED, future, source=source,
-                               wall_time_s=wall)
+                else:  # "outcome"
+                    error, stats, wall, source = payload
+                    if error is None:
+                        self._finish(future, stats, wall, source)
+                    elif self._requeue(future, error, alive, work):
+                        continue
                     yield future
                     yielded += 1
-                else:  # "error": retry or surface
-                    landed = self._retry_or_fail(future, payload,
-                                                 alive, work)
-                    if landed is not None:
-                        yield landed
-                        yielded += 1
                 if alive == 0 and yielded < total:
                     # fleet collapsed: nothing queued can ever run
-                    for pending in self._collapse():
+                    while self._queue:
+                        pending = self._queue.popleft()
+                        if not pending.done():
+                            self._retry_or_fail(
+                                pending, "no reachable workers left",
+                                retry=False)
                         yield pending
                         yielded += 1
         finally:
@@ -281,49 +275,25 @@ class RemoteExecutor(ExecutorBackend):
             for thread in threads:
                 thread.join(timeout=2.0)
 
-    def _retry_or_fail(self, future: SimFuture, error: str, alive: int,
-                       work) -> Optional[SimFuture]:
-        """Re-queue a failed point (bounded) or surface its failure.
-
-        Returns the resolved future when it failed terminally, or
-        ``None`` when it went back on the queue for another worker.
-        """
-        if (future.attempts <= self.max_retries
-                and alive > 0 and not self._cancelling):
-            self._emit(EVENT_RETRIED, future, error=error)
-            future.attempts += 1
-            with work:
-                self._queue.append(future)
-                work.notify()
-            return None
-        return self._fail(future, error)
-
-    def _fail(self, future: SimFuture, error: str) -> SimFuture:
-        failure = WorkerFailure(
-            f"{future.config.workload} ({future.key}) failed after "
-            f"{future.attempts} attempt(s): {error}",
-            attempts=future.attempts)
-        self._emit(EVENT_FAILED, future, error=error)
-        future._set_exception(failure)
-        return future
-
-    def _collapse(self) -> Iterator[SimFuture]:
-        """Resolve everything still queued once no links survive."""
-        while self._queue:
-            pending = self._queue.popleft()
-            if pending.cancelled() or pending.done():
-                yield pending
-                continue
-            yield self._fail(pending, "no reachable workers left")
+    def _requeue(self, future: SimFuture, error: str, alive: int,
+                 work) -> bool:
+        """Retry-or-fail a failed point; ``True`` when it went back on
+        the queue for any surviving worker to pick up."""
+        if not self._retry_or_fail(future, error, retry=alive > 0):
+            return False
+        with work:
+            self._queue.append(future)
+            work.notify()
+        return True
 
     def _serve_link(self, link: _WorkerLink, messages, work,
                     stop: threading.Event) -> None:
         """Dispatcher thread: pop queued batches, round-trip them.
 
-        Singleton batches ride the original ``run`` frame; larger ones
-        ship as ``run_batch`` and resolve point by point from the
-        streamed ``point_done`` frames, so a link dying mid-batch
-        reports only the points that had not finished.
+        Every batch ships as one ``run_batch`` frame and resolves
+        point by point from the streamed ``point_done`` frames, so a
+        link dying mid-batch reports only the points that had not
+        finished.  A cancelled future never touches the socket.
         """
         limit = (self.batch_size if self.batch_size is not None
                  else DEFAULT_BATCH_SIZE)
@@ -333,78 +303,34 @@ class RemoteExecutor(ExecutorBackend):
                 if batch is None:
                     work.wait(timeout=0.05)
                     continue
-            futures = batch.futures
-            if len(futures) == 1:
-                if not self._serve_single(link, futures[0], messages):
-                    return  # this link is done for the drive
+            unresolved: Dict[int, SimFuture] = {}
+            for future in batch.futures:
+                if future.cancelled():
+                    messages.put(("drop", future, None))
+                else:
+                    messages.put(("dispatch", future, None))
+                    unresolved[len(unresolved)] = future
+            if not unresolved:
                 continue
-            for future in futures:
-                messages.put(("dispatch", future, None))
-            unresolved = dict(enumerate(futures))
+            futures = list(unresolved.values())
             try:
-                for position, frame in link.run_batch(futures):
+                for position, outcome in link.run_batch(futures):
                     future = unresolved.pop(position, None)
                     if future is None:
                         raise ProtocolError(
                             f"worker {link.label} answered for "
                             f"unknown batch point {position}")
-                    if frame.get("ok"):
-                        messages.put(("done", future, (
-                            frame.get("stats") or {},
-                            float(frame.get("wall_time_s", 0.0)),
-                            str(frame.get("source", "simulated")))))
-                    else:
-                        messages.put((
-                            "error", future,
-                            str(frame.get("error", "worker error"))))
+                    messages.put(("outcome", future, outcome))
+                if unresolved:
+                    raise ProtocolError(
+                        f"worker {link.label} ended a batch with "
+                        f"{len(unresolved)} point(s) unanswered")
             except (OSError, ProtocolError) as exc:
                 link.close()
                 messages.put((
                     "lost", [unresolved[pos] for pos in sorted(unresolved)],
                     f"worker {link.label} lost mid-batch: {exc}"))
                 return
-            if unresolved:
-                # the worker ended the batch early (defensive): treat
-                # the unanswered points exactly like a lost link
-                link.close()
-                messages.put((
-                    "lost", [unresolved[pos] for pos in sorted(unresolved)],
-                    f"worker {link.label} ended a batch with "
-                    f"{len(unresolved)} point(s) unanswered"))
-                return
-
-    def _serve_single(self, link: _WorkerLink, future: SimFuture,
-                      messages) -> bool:
-        """One future over the legacy ``run`` frame; ``False`` when the
-        link died and must stop dispatching."""
-        if future.cancelled():
-            messages.put(("drop", future, None))
-            return True
-        messages.put(("dispatch", future, None))
-        try:
-            frame = link.run(future)
-        except (OSError, ProtocolError) as exc:
-            link.close()
-            messages.put((
-                "lost", [future],
-                f"worker {link.label} lost: {exc}"))
-            return False
-        if frame.get("op") != "done":
-            link.close()
-            messages.put((
-                "lost", [future],
-                f"worker {link.label} sent unexpected "
-                f"{frame.get('op')!r} frame"))
-            return False
-        if frame.get("ok"):
-            messages.put(("done", future, (
-                frame.get("stats") or {},
-                float(frame.get("wall_time_s", 0.0)),
-                str(frame.get("source", "simulated")))))
-        else:
-            messages.put(("error", future,
-                          str(frame.get("error", "worker error"))))
-        return True
 
     def __repr__(self) -> str:
         fleet = ",".join(format_address(a) for a in self.addresses)

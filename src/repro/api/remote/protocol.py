@@ -10,19 +10,17 @@ SimResult` already guarantee; the length prefix makes message
 boundaries explicit, so a reader never depends on TCP segmentation.
 
 Frame payloads are dicts with an ``"op"`` discriminator.  The worker
-dialect: ``run`` (config + use_cache) answered by zero or more
-``heartbeat`` frames and exactly one ``done`` (``ok`` true with
-stats/wall time/source, or false with an error string); ``run_batch``
-(``items``: a list of ``{config, use_cache}`` objects sharing one
-trace identity) answered by heartbeats interleaved with exactly one
-``point_done`` per item (``index`` = the item's position in the
-batch, plus the same ok/stats/wall time/source-or-error payload a
-single ``done`` carries) and then one trailing ``done`` with the
-``completed`` count — per-point results stream as they finish, so
-retry granularity and straggler detection stay per point even though
-the batch shares one trace generation and predecode; ``ping`` /
-``pong``; ``shutdown``.  The daemon dialect: ``sweep`` (spec +
-use_cache) answered by ``accepted``, then streamed ``event`` /
+dialect: ``run_batch`` (``items``: a list of ``{config, use_cache}``
+objects sharing one trace identity; a lone point is a one-item list)
+answered by heartbeats interleaved with exactly one ``point_done`` per
+item (``index`` = the item's position in the batch, plus ``ok`` true
+with stats/wall time/source, or false with an error string) and then
+one trailing ``done`` with the ``completed`` count — per-point results
+stream as they finish, so retry granularity and straggler detection
+stay per point even though the batch shares one trace generation and
+predecode; ``ping`` / ``pong``; ``shutdown``; anything else is
+answered with an ``error`` frame.  The daemon dialect: ``sweep``
+(spec + use_cache) answered by ``accepted``, then streamed ``event`` /
 ``result`` frames, then one ``done`` — or an ``error`` frame if the
 submission is rejected.
 

@@ -2,21 +2,21 @@
 
 A :class:`WorkerServer` accepts connections from
 :class:`~repro.api.remote.executor.RemoteExecutor` (or the daemon's
-fleet), reads framed ``run`` requests carrying a serialized
-:class:`~repro.harness.config.SimConfig`, simulates through an
-ordinary :class:`~repro.api.session.Session`, and answers with a
-``done`` frame holding the statistics, wall time and cache provenance
-— or ``ok: false`` plus the stringified error, which the dispatching
-executor turns into a bounded retry.
-
-``run_batch`` requests carry a whole trace-identity batch of configs;
-the worker drives them through one
-:class:`~repro.api.session.BatchRunner` and streams a ``point_done``
-frame per point as it finishes, then a trailing ``done``.  The
-server's session is persistent across frames, so sequential
-runs/batches of the same workload reuse its trace-cache entry
+fleet) and serves one request type for simulation: ``run_batch``,
+whose ``items`` list carries serialized
+:class:`~repro.harness.config.SimConfig` payloads sharing one trace
+identity (a lone point is a batch of one).  The worker drives them
+through one :class:`~repro.api.session.BatchRunner` of an ordinary
+:class:`~repro.api.session.Session` and streams a ``point_done`` frame
+per point as it finishes — statistics, wall time and cache
+provenance, or ``ok: false`` plus the stringified error, which the
+dispatching executor turns into a bounded retry — then a trailing
+``done``.  The server's session is persistent across frames, so
+sequential batches of the same workload reuse its trace-cache entry
 (workload metadata, trace, predecode, oracle annotations) instead of
-preparing again per frame.
+preparing again per frame.  A request the worker cannot parse — an
+unknown op, or ``items`` that is not a list — is answered with an
+``error`` frame, and the connection keeps serving.
 
 While a simulation is running the connection emits ``heartbeat``
 frames every ``heartbeat_interval`` seconds, so a dispatcher with a
@@ -134,50 +134,13 @@ class WorkerServer:
             send_frame(conn, {"op": "bye", "ok": True})
             self.close()
             return False
-        if op == "run":
-            self._handle_run(conn, frame)
-            return True
-        if op == "run_batch":
+        if op == "run_batch" and isinstance(frame.get("items"), list):
             self._handle_run_batch(conn, frame)
             return True
-        send_frame(conn, {"op": "error", "ok": False,
-                          "error": f"unknown op {op!r}"})
+        error = (f"unknown op {op!r}" if op != "run_batch"
+                 else "run_batch items must be a list")
+        send_frame(conn, {"op": "error", "ok": False, "error": error})
         return True
-
-    def _handle_run(self, conn: socket.socket,
-                    frame: Dict[str, Any]) -> None:
-        request_id = frame.get("id")
-        outcome: Dict[str, Any] = {}
-
-        def simulate() -> None:
-            try:
-                config = SimConfig.from_dict(frame["config"])
-                use_cache = bool(frame.get("use_cache", True))
-                with self._run_lock:
-                    outcome["result"] = self._session.run(
-                        config, use_cache=use_cache)
-            except Exception as exc:  # noqa: BLE001 - reported to peer
-                outcome["error"] = f"{type(exc).__name__}: {exc}"
-
-        thread = threading.Thread(target=simulate,
-                                  name="repro-worker-sim", daemon=True)
-        thread.start()
-        # heartbeat while the simulation runs so the dispatcher's
-        # receive timeout distinguishes slow from dead
-        while True:
-            thread.join(self.heartbeat_interval)
-            if not thread.is_alive():
-                break
-            send_frame(conn, {"op": "heartbeat", "id": request_id})
-        if "error" in outcome:
-            send_frame(conn, {"op": "done", "id": request_id,
-                              "ok": False, "error": outcome["error"]})
-            return
-        result = outcome["result"]
-        send_frame(conn, {"op": "done", "id": request_id, "ok": True,
-                          "stats": result.stats,
-                          "wall_time_s": result.wall_time_s,
-                          "source": result.source})
 
     def _send_point_done(self, conn: socket.socket,
                          payload: Dict[str, Any]) -> None:
@@ -196,7 +159,7 @@ class WorkerServer:
         ``point_done`` frames while later points still simulate.
         """
         request_id = frame.get("id")
-        items = frame.get("items") or []
+        items = frame["items"]
         outcomes: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
 
         def simulate() -> None:

@@ -208,7 +208,8 @@ def test_pool_cancel_drains_in_flight(tmp_path):
 # ------------------------------------------------------------ retries
 def test_serial_retry_recovers_from_transient_failure(tmp_path):
     session = Session(cache_dir=str(tmp_path))
-    real_run = session.run
+    # every inline point runs BatchRunner.run -> Session._run
+    real_run = session._run
     crashes = {"left": 1}
 
     def flaky_run(config, use_cache=True):
@@ -217,7 +218,7 @@ def test_serial_retry_recovers_from_transient_failure(tmp_path):
             raise RuntimeError("simulated worker crash")
         return real_run(config, use_cache=use_cache)
 
-    session.run = flaky_run
+    session._run = flaky_run
     events = []
     results = session.run_many(make_configs(2), use_cache=False,
                                progress=events.append)
@@ -236,7 +237,7 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
     def always_crash(config, use_cache=True):
         raise RuntimeError("persistent crash")
 
-    session.run = always_crash
+    session._run = always_crash
     executor = SerialExecutor(max_retries=2).bind(session)
     events = []
     executor.add_progress_callback(events.append)
@@ -319,7 +320,7 @@ def test_run_many_raises_worker_failure(tmp_path):
     def always_crash(config, use_cache=True):
         raise RuntimeError("boom")
 
-    session.run = always_crash
+    session._run = always_crash
     with pytest.raises(WorkerFailure, match="boom"):
         session.run_many(make_configs(1), use_cache=False,
                          backend=SerialExecutor(max_retries=0))

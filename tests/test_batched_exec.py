@@ -14,7 +14,7 @@ import pytest
 from repro.api import (RemoteExecutor, ResultStore, Session,
                        SweepInspector, SweepSpec, WorkerServer,
                        build_executor)
-from repro.api.exec import DEFAULT_BATCH_SIZE, _batch_key
+from repro.api.exec import _batch_key
 from repro.api.remote.protocol import recv_frame, send_frame
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
@@ -304,8 +304,8 @@ def test_remote_executor_batches_and_matches_serial(tmp_path):
     assert [r.stats for r in results] == [r.stats for r in baseline]
 
 
-def test_remote_singleton_points_use_the_legacy_run_frame(tmp_path):
-    """A batch of one must go out as a plain ``run`` request."""
+def test_remote_singleton_points_travel_as_one_item_batches(tmp_path):
+    """A batch of one goes out as a one-item ``run_batch`` request."""
     spec = SweepSpec(workloads=["compute_int", "stream_triad"],
                      warmup=150, measure=120)
     with _CountingWorker(session=Session(cache_dir=str(tmp_path / "w")),
@@ -315,7 +315,7 @@ def test_remote_singleton_points_use_the_legacy_run_frame(tmp_path):
         with Session(cache_dir=str(tmp_path / "remote")) as session:
             results = session.sweep(spec, use_cache=False,
                                     backend=executor)
-        assert worker.batch_frames == 0
+        assert worker.batch_frames == 2 and worker.batch_items == 2
     assert len(results) == 2
 
 
@@ -381,7 +381,7 @@ def test_worker_reuses_workload_objects_across_frames(tmp_path):
             assert FLAKY in worker._session._trace_cache
     finally:
         mixes._FACTORIES.pop(FLAKY, None)
-    # two singleton run frames, one workload build (the trace-cache hit)
+    # two one-item batch frames, one workload build (the trace-cache hit)
     assert sum(built) == 1
 
 

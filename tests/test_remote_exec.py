@@ -9,12 +9,13 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.api import (RemoteExecutor, ResultStore, Session, SweepSpec,
-                       WorkerFleetError, WorkerServer)
+                       WorkerFailure, WorkerFleetError, WorkerServer)
 from repro.api.remote.protocol import (MAX_FRAME, ProtocolError,
                                        format_address, parse_address,
                                        recv_frame, send_frame)
@@ -107,23 +108,59 @@ def test_worker_ping_and_unknown_op(worker):
     send_frame(sock, {"op": "teleport"})
     reply = recv_frame(sock)
     assert reply["ok"] is False and "teleport" in reply["error"]
+    # the retired single-point frame is just another unknown op
+    send_frame(sock, {"op": "run", "config": {}})
+    reply = recv_frame(sock)
+    assert reply["op"] == "error" and reply["ok"] is False
+    assert "'run'" in reply["error"]
+    # a run_batch whose items are not a list is answered, not fatal
+    send_frame(sock, {"op": "run_batch", "id": "x", "items": 5})
+    reply = recv_frame(sock)
+    assert reply["op"] == "error" and reply["ok"] is False
+    assert "items" in reply["error"]
+    # ... and the connection keeps serving
+    send_frame(sock, {"op": "ping"})
+    assert recv_frame(sock) == {"op": "pong", "ok": True}
     sock.close()
 
 
-def test_worker_runs_config_with_heartbeats(worker, tmp_path):
-    config = make_spec(1).expand()[0]
-    sock = connect_to(worker)
-    send_frame(sock, {"op": "run", "id": config.key(),
-                      "config": config.to_dict(), "use_cache": False})
-    heartbeats = 0
+def run_one_item_batch(sock, request_id, config_payload):
+    """Send a one-item ``run_batch``; return (heartbeats, point_done,
+    trailing done)."""
+    send_frame(sock, {"op": "run_batch", "id": request_id,
+                      "items": [{"config": config_payload,
+                                 "use_cache": False}]})
+    heartbeats, point = 0, None
     while True:
         frame = recv_frame(sock)
         if frame["op"] == "heartbeat":
             heartbeats += 1
             continue
-        break
-    assert frame["op"] == "done" and frame["ok"] is True
+        if frame["op"] == "point_done":
+            assert point is None and frame["index"] == 0
+            point = frame
+            continue
+        return heartbeats, point, frame
+
+
+def test_worker_runs_config_with_heartbeats(worker, tmp_path,
+                                            monkeypatch):
+    config = make_spec(1).expand()[0]
+    real_execute = worker._session._execute
+
+    def slow_execute(sim_config):
+        # outlast several 0.1 s heartbeat intervals
+        time.sleep(0.35)
+        return real_execute(sim_config)
+
+    monkeypatch.setattr(worker._session, "_execute", slow_execute)
+    sock = connect_to(worker)
+    heartbeats, frame, done = run_one_item_batch(sock, config.key(),
+                                                 config.to_dict())
+    assert heartbeats >= 1
+    assert frame["op"] == "point_done" and frame["ok"] is True
     assert frame["id"] == config.key()
+    assert done["op"] == "done" and done["completed"] == 1
     expected = Session(cache_dir=str(tmp_path / "serial")).run(
         config, use_cache=False)
     assert frame["stats"] == expected.stats
@@ -135,14 +172,10 @@ def test_worker_reports_simulation_errors(worker):
     payload = config.to_dict()
     payload["workload"] = "no_such_workload"
     sock = connect_to(worker)
-    send_frame(sock, {"op": "run", "id": "x", "config": payload,
-                      "use_cache": False})
-    while True:
-        frame = recv_frame(sock)
-        if frame["op"] != "heartbeat":
-            break
-    assert frame["op"] == "done" and frame["ok"] is False
+    _, frame, done = run_one_item_batch(sock, "x", payload)
+    assert frame["op"] == "point_done" and frame["ok"] is False
     assert "no_such_workload" in frame["error"]
+    assert done["op"] == "done"
     sock.close()
 
 
@@ -176,6 +209,85 @@ def test_executor_reconnects_across_batches(worker, tmp_path):
         first = session.sweep(make_spec(2), use_cache=False)
         second = session.sweep(make_spec(2), use_cache=False)
     assert [r.stats for r in first] == [r.stats for r in second]
+
+
+class _MalformedWorker:
+    """A fake worker: pongs, then answers every ``run_batch`` item
+    with a ``point_done`` whose fields are overridden by *bad*."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen()
+        self.address = self._sock.getsockname()[:2]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._answer, args=(conn,),
+                             daemon=True).start()
+
+    def _answer(self, conn):
+        with conn:
+            try:
+                while True:
+                    frame = recv_frame(conn)
+                    if frame is None:
+                        return
+                    if frame["op"] == "ping":
+                        send_frame(conn, {"op": "pong", "ok": True})
+                        continue
+                    items = frame["items"]
+                    for position in range(len(items)):
+                        reply = {"op": "point_done", "id": frame["id"],
+                                 "index": position, "ok": True,
+                                 "stats": {}, "wall_time_s": 0.0,
+                                 "source": "simulated"}
+                        reply.update(self.bad)
+                        send_frame(conn, reply)
+                    send_frame(conn, {"op": "done", "id": frame["id"],
+                                      "ok": True,
+                                      "completed": len(items)})
+            except (OSError, ProtocolError):
+                return
+
+    def close(self):
+        self._sock.close()
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+@pytest.mark.parametrize("bad", [{"index": "x"},
+                                 {"wall_time_s": "slow"}])
+def test_malformed_worker_reply_fails_points_instead_of_hanging(
+        tmp_path, bad, batch_size):
+    """A reply field that does not decode is a ProtocolError: the link
+    is lost and, with no survivor, its points end in WorkerFailure."""
+    worker = _MalformedWorker(bad)
+    executor = RemoteExecutor([worker.address], batch_size=batch_size,
+                              heartbeat_timeout=3.0)
+    outcome = {}
+
+    def drive():
+        try:
+            with Session(cache_dir=str(tmp_path / "s")) as session:
+                session.run_many(make_spec(2).expand(), use_cache=False,
+                                 backend=executor)
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=drive, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    worker.close()
+    assert not thread.is_alive(), "remote drive hung on a bad reply"
+    error = outcome.get("error")
+    assert isinstance(error, WorkerFailure)
+    assert "malformed point_done" in str(error)
 
 
 # --------------------------------------------- subprocess acceptance
