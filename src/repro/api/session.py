@@ -5,8 +5,8 @@ A :class:`Session` owns all mutable simulation state:
 * the bounded in-process **trace cache**: one :class:`PreparedWorkload`
   per workload (LRU beyond a cap) holding everything the points of
   that workload share -- what they need of the built workload, its
-  longest trace, the kernel engine's predecode and the oracle
-  annotations,
+  longest trace, the kernel engine's predecode, the oracle annotations
+  and the warmed memory-hierarchy and branch-predictor snapshots,
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
@@ -26,9 +26,14 @@ The paper warms caches for 250 M instructions and then measures a 10 M
 instruction SimPoint; :meth:`Session.build_pipeline` mirrors that
 shape: generate ``warmup + measure`` instructions, annotate the full
 trace with the oracle when the policy needs it, warm the memory
-hierarchy, branch predictor and policy functionally on the warmup
-slice (:func:`warm_hierarchy`, :func:`warm_branch_predictor`), then
-time the measured slice.
+hierarchy and branch predictor functionally on the warmup slice
+(:func:`warm_hierarchy`, :func:`warm_branch_predictor`), warm the
+policy, then time the measured slice.  Like the paper's checkpoint,
+the hierarchy and predictor are warmed once per trace, warmup length
+and memory geometry (:func:`~repro.memory.hierarchy.memory_geometry`,
+the one key of warm snapshots and oracle annotations alike), and each
+point runs on a copy: the copy is built under the point's own
+``MemParams``, so MSHR counts and latencies stay per point.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ from repro.harness.config import DEFAULT_ENGINE, SimConfig
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo, annotate_trace
 from repro.memory.cache import block_of
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import (MemoryHierarchy, MemParams,
+                                    memory_geometry)
 from repro.policies import build_policy, policy_needs_oracle
 from repro.workloads import get_workload
 
@@ -61,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.store import ResultStore
 
 #: default LRU caps of a session's in-process memoisation (traces per
-#: workload, oracle annotations per trace)
+#: workload; oracle annotations, and warm snapshots, per trace)
 TRACE_CACHE_MAX = 8
 ORACLE_CACHE_MAX = 16
 
@@ -116,15 +122,18 @@ class PreparedWorkload:
     image can run to tens of megabytes), the longest trace generated so
     far (with the longest length ever requested: a trace shorter than
     that means the workload halts there and the trace is complete), the
-    kernel engine's columnar predecode of that trace, and oracle
-    annotations keyed by trace length and memory geometry.  Predecode
-    and annotations are computed on first use.  Traces are
-    deterministic, so a shorter trace is a prefix of a longer one:
-    extending the trace drops the predecode but keeps the annotations.
+    kernel engine's columnar predecode of that trace, oracle
+    annotations and warmed ``(hierarchy, branch predictor)`` snapshots.
+    Annotations are keyed by trace length, ROB window and
+    :func:`~repro.memory.hierarchy.memory_geometry`; snapshots by
+    warmup length and the same geometry.  Each is made on first use
+    and kept LRU-bounded.  Traces are deterministic, so a shorter trace
+    is a prefix of a longer one: extending the trace drops the
+    predecode but keeps annotations and snapshots.
     """
 
     __slots__ = ("category", "program_len", "warm_regions", "requested",
-                 "trace", "_arrays", "_oracles")
+                 "trace", "_arrays", "_oracles", "_warmed")
 
     def __init__(self, workload: Any, length: int) -> None:
         self.trace: List[DynInst] = workload.trace(length)
@@ -133,8 +142,9 @@ class PreparedWorkload:
         self.program_len = len(workload.program)
         self.warm_regions = workload.warm_regions
         self._arrays: Any = None
-        self._oracles: "OrderedDict[Tuple[int, str, int], OracleInfo]" = \
-            OrderedDict()
+        self._oracles: "OrderedDict[tuple, OracleInfo]" = OrderedDict()
+        self._warmed: "OrderedDict[tuple, Tuple[MemoryHierarchy, " \
+                      "GsharePredictor]]" = OrderedDict()
 
     def cover(self, length: int, build: Callable[[], Any]) -> None:
         """Make the trace cover *length* instructions, unless the
@@ -169,19 +179,46 @@ class PreparedWorkload:
         *core*'s memory geometry and ROB window (at most *limit*
         annotations are kept, least recently used dropped first)."""
         window = min(cap(core.rob_size), 4096)
-        mem = core.mem
-        key = (length, f"{mem.l1d_size}/{mem.l2_size}/{mem.l3_size}/"
-                       f"{mem.prefetch_degree}", window)
-        oracles = self._oracles
-        oracle = oracles.get(key)
-        if oracle is None:
-            oracle = annotate_trace(self.head(length), mem, window=window,
-                                    warm_regions=self.warm_regions)
-            oracles[key] = oracle
-        oracles.move_to_end(key)
-        while len(oracles) > limit:
-            oracles.popitem(last=False)
-        return oracle
+        return _lru(self._oracles,
+                    (length, memory_geometry(core.mem), window), limit,
+                    lambda: annotate_trace(self.head(length), core.mem,
+                                           window=window,
+                                           warm_regions=self.warm_regions))
+
+    def warmed(self, warmup: int, mem: MemParams,
+               limit: int) -> Tuple[MemoryHierarchy, GsharePredictor]:
+        """A memory hierarchy under *mem* and a branch predictor, both
+        functionally warmed on the first *warmup* instructions.
+
+        One snapshot pair per warmup length and memory geometry is
+        warmed and never run (at most *limit* are kept, least recently
+        used dropped first); every call returns fresh copies of it.
+        """
+        def warm() -> Tuple[MemoryHierarchy, GsharePredictor]:
+            warmup_slice = self.head(warmup)
+            hierarchy = MemoryHierarchy(mem)
+            warm_hierarchy(hierarchy, warmup_slice, self.program_len,
+                           warm_regions=self.warm_regions)
+            bpred = GsharePredictor()
+            warm_branch_predictor(bpred, warmup_slice)
+            return hierarchy, bpred
+
+        hierarchy, bpred = _lru(self._warmed,
+                                (warmup, memory_geometry(mem)), limit, warm)
+        return hierarchy.functional_copy(mem), bpred.copy()
+
+
+def _lru(cache: "OrderedDict[tuple, Any]", key: tuple, limit: int,
+         make: Callable[[], Any]) -> Any:
+    """``cache[key]``, made by *make* on a miss; keeps the *limit* most
+    recently used entries."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+    cache.move_to_end(key)
+    while len(cache) > limit:
+        cache.popitem(last=False)
+    return value
 
 
 class Session:
@@ -200,7 +237,8 @@ class Session:
     trace_cache_size:
         LRU cap on the workloads the trace cache holds.
     oracle_cache_size:
-        LRU cap on the oracle annotations kept per workload.
+        LRU cap on the oracle annotations, and separately on the warm
+        snapshots, kept per workload.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -588,12 +626,13 @@ class Session:
         The one prepare-and-run recipe every simulated point follows:
         take the workload's trace-cache entry (trace, workload metadata,
         oracle annotation iff the policy needs one and, for the kernel
-        engine, the columnar predecode), warm a fresh memory hierarchy,
-        branch predictor and policy on the warmup slice, and build the
-        configured engine (``DEFAULT_ENGINE`` unless the config names
-        one) over the measured slice.  Everything shared comes from the
-        entry, so points of one trace prepare once; everything mutable
-        is fresh per call.
+        engine, the columnar predecode), copy its warmed memory
+        hierarchy and branch predictor, warm a fresh policy on the
+        warmup slice, and build the configured engine
+        (``DEFAULT_ENGINE`` unless the config names one) over the
+        measured slice.  Everything shared comes from the entry, so
+        points of one trace prepare once; everything mutable is fresh
+        per call.
         """
         total = config.warmup + config.measure
         prepared = self._prepared(config.workload, total)
@@ -605,11 +644,8 @@ class Session:
         warmup_slice = trace[:config.warmup]
         measured = trace[config.warmup:]
 
-        hierarchy = MemoryHierarchy(config.core.mem)
-        warm_hierarchy(hierarchy, warmup_slice, prepared.program_len,
-                       warm_regions=prepared.warm_regions)
-        bpred = GsharePredictor()
-        warm_branch_predictor(bpred, warmup_slice)
+        hierarchy, bpred = prepared.warmed(config.warmup, config.core.mem,
+                                           self.oracle_cache_size)
 
         policy = build_policy(config.policy, config.ltp,
                               config.core.mem.dram_latency, oracle=oracle,

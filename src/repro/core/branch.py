@@ -46,6 +46,15 @@ class GsharePredictor:
             self.mispredicts += 1
         return correct
 
+    def copy(self) -> "GsharePredictor":
+        """An independent predictor in this one's trained state."""
+        copy = GsharePredictor(self.history_bits)
+        copy._counters = bytearray(self._counters)
+        copy._history = self._history
+        copy.lookups = self.lookups
+        copy.mispredicts = self.mispredicts
+        return copy
+
     @property
     def accuracy(self) -> float:
         if self.lookups == 0:

@@ -14,15 +14,18 @@ edges without any separate dependence analysis.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+import operator
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import OpClass
 from repro.isa.program import Program
-from repro.isa.trace import DynInst
+from repro.isa.trace import DynInst, static_fields
 
 WORD = 8  # bytes per memory word
 
 _MASK64 = (1 << 64) - 1
+_MIN64 = -(1 << 63)
+_MAX64 = (1 << 63) - 1
 
 
 def _to_signed(value: int) -> int:
@@ -40,8 +43,14 @@ class Memory:
     def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
         self._words: Dict[int, int] = {}
         if initial:
-            for addr, value in initial.items():
-                self.store(addr, value)
+            # one bulk pass, with the effect of store() on each entry
+            # in order: images run to hundreds of thousands of words
+            if min(initial) < 0:
+                self._word_addr(next(a for a in initial if a < 0))
+            self._words = {
+                addr - addr % WORD:
+                    value if _MIN64 <= value <= _MAX64 else _to_signed(value)
+                for addr, value in initial.items()}
 
     @staticmethod
     def _word_addr(addr: int) -> int:
@@ -57,6 +66,67 @@ class Memory:
 
     def __len__(self) -> int:
         return len(self._words)
+
+
+def _div(a: int, b: int, imm: int) -> int:
+    if b == 0:
+        return 0  # architectural choice: div-by-zero yields 0
+    return int(a / b) if (a < 0) != (b < 0) else a // b
+
+
+#: ALU opcode -> its result from the first two source values (0 where
+#: the instruction has fewer sources) and the immediate
+_ALU: Dict[str, Callable[[int, int, int], int]] = {
+    "li": lambda a, b, imm: imm,
+    "mov": lambda a, b, imm: a,
+    "addi": lambda a, b, imm: a + imm,
+    "andi": lambda a, b, imm: a & imm,
+    "slli": lambda a, b, imm: a << (imm & 63),
+    "srli": lambda a, b, imm: (a & _MASK64) >> (imm & 63),
+    "add": lambda a, b, imm: a + b,
+    "sub": lambda a, b, imm: a - b,
+    "and": lambda a, b, imm: a & b,
+    "or": lambda a, b, imm: a | b,
+    "xor": lambda a, b, imm: a ^ b,
+    "sll": lambda a, b, imm: a << (b & 63),
+    "srl": lambda a, b, imm: (a & _MASK64) >> (b & 63),
+    "mul": lambda a, b, imm: a * b,
+    "div": _div,
+    "rem": lambda a, b, imm: a % b if b else 0,
+    "fsqrt": lambda a, b, imm: int(abs(a) ** 0.5),
+}
+# FP registers hold integers: the FP forms compute as the integer ones
+_ALU.update(fli=_ALU["li"], fmov=_ALU["mov"], cvt=_ALU["mov"],
+            fadd=_ALU["add"], fsub=_ALU["sub"], fmul=_ALU["mul"], fdiv=_div)
+
+#: branch opcode -> its direction from the first two source values (the
+#: one-source forms compare with the 0 an absent second source reads)
+_TAKEN: Dict[str, Callable[[int, int], bool]] = {
+    "beq": operator.eq, "bne": operator.ne,
+    "blt": operator.lt, "bge": operator.ge,
+    "bltz": operator.lt, "bgez": operator.ge,
+    "bnez": operator.ne, "beqz": operator.eq,
+}
+
+#: how the interpretation loop executes a static instruction
+_ALU_OP, _LOAD, _STORE, _BRANCH, _JUMP, _NOP, _HALT = range(7)
+_KIND = {OpClass.LOAD: _LOAD, OpClass.STORE: _STORE,
+         OpClass.BRANCH: _BRANCH, OpClass.JUMP: _JUMP, OpClass.NOP: _NOP}
+
+
+def _decode(program: Program) -> List[Tuple]:
+    """The per-PC table the interpretation loop runs from.  A row is
+    (kind, semantics, instruction, its static DynInst fields, dst,
+    first and second register source, number of sources, imm,
+    target); absent registers are None."""
+    table = []
+    for pc, inst in enumerate(program):
+        kind = _HALT if inst.is_halt else _KIND.get(inst.op_class, _ALU_OP)
+        srcs = inst.srcs + (None, None)
+        table.append((kind, _ALU.get(inst.opcode) or _TAKEN.get(inst.opcode),
+                      inst, static_fields(inst, pc), inst.dst, srcs[0],
+                      srcs[1], len(inst.srcs), inst.imm, inst.target))
+    return table
 
 
 class Executor:
@@ -75,138 +145,102 @@ class Executor:
             self.regs[name] = _to_signed(value)
         # last dynamic writer per architectural register; -1 = initial state
         self._last_writer: Dict[str, int] = {}
+        self._table = _decode(program)
         self.pc = 0
         self.seq = 0
         self.halted = False
 
-    def _read(self, reg: str) -> int:
-        return self.regs.get(reg, 0)
-
-    def _effective_address(self, inst: Instruction) -> int:
-        if inst.opcode in ("ld", "fld"):
-            return self._read(inst.srcs[0]) + inst.imm
-        if inst.opcode in ("ldx", "fldx"):
-            return self._read(inst.srcs[0]) + self._read(inst.srcs[1]) * WORD
-        if inst.opcode in ("st", "fst"):
-            # srcs = (base, data)
-            return self._read(inst.srcs[0]) + inst.imm
-        raise ExecutionError(f"not a memory op: {inst}")
-
-    def _alu(self, inst: Instruction) -> int:
-        op = inst.opcode
-        read = self._read
-        if op == "li" or op == "fli":
-            return inst.imm
-        if op == "mov" or op == "fmov" or op == "cvt":
-            return read(inst.srcs[0])
-        if op == "addi":
-            return read(inst.srcs[0]) + inst.imm
-        if op == "andi":
-            return read(inst.srcs[0]) & inst.imm
-        if op == "slli":
-            return read(inst.srcs[0]) << (inst.imm & 63)
-        if op == "srli":
-            return (read(inst.srcs[0]) & _MASK64) >> (inst.imm & 63)
-        a = read(inst.srcs[0])
-        b = read(inst.srcs[1]) if len(inst.srcs) > 1 else 0
-        if op in ("add", "fadd"):
-            return a + b
-        if op in ("sub", "fsub"):
-            return a - b
-        if op == "and":
-            return a & b
-        if op == "or":
-            return a | b
-        if op == "xor":
-            return a ^ b
-        if op == "sll":
-            return a << (b & 63)
-        if op == "srl":
-            return (a & _MASK64) >> (b & 63)
-        if op in ("mul", "fmul"):
-            return a * b
-        if op in ("div", "fdiv"):
-            if b == 0:
-                return 0  # architectural choice: div-by-zero yields 0
-            return int(a / b) if (a < 0) != (b < 0) else a // b
-        if op == "rem":
-            return a % b if b else 0
-        if op == "fsqrt":
-            return int(abs(a) ** 0.5)
-        raise ExecutionError(f"unhandled ALU opcode {op!r}")
-
-    def _branch_taken(self, inst: Instruction) -> bool:
-        read = self._read
-        op = inst.opcode
-        if op == "beq":
-            return read(inst.srcs[0]) == read(inst.srcs[1])
-        if op == "bne":
-            return read(inst.srcs[0]) != read(inst.srcs[1])
-        if op == "blt":
-            return read(inst.srcs[0]) < read(inst.srcs[1])
-        if op == "bge":
-            return read(inst.srcs[0]) >= read(inst.srcs[1])
-        if op == "bltz":
-            return read(inst.srcs[0]) < 0
-        if op == "bgez":
-            return read(inst.srcs[0]) >= 0
-        if op == "bnez":
-            return read(inst.srcs[0]) != 0
-        if op == "beqz":
-            return read(inst.srcs[0]) == 0
-        raise ExecutionError(f"unhandled branch opcode {op!r}")
-
     def step(self) -> Optional[DynInst]:
         """Execute one instruction; return its DynInst or None if halted."""
-        if self.halted:
-            return None
-        if not 0 <= self.pc < len(self.program):
-            raise ExecutionError(f"pc out of range: {self.pc}")
-        inst = self.program[self.pc]
-        producers = tuple(self._last_writer.get(reg, -1) for reg in inst.srcs)
-        addr: Optional[int] = None
-        store_value: Optional[int] = None
-        taken: Optional[bool] = None
-        next_pc = self.pc + 1
-        op_class = inst.op_class
-
-        if inst.is_halt:
-            self.halted = True
-        elif op_class is OpClass.NOP:
-            pass
-        elif inst.is_load:
-            addr = self._effective_address(inst)
-            value = self.memory.load(addr)
-            self.regs[inst.dst] = _to_signed(value)
-        elif inst.is_store:
-            addr = self._effective_address(inst)
-            store_value = self._read(inst.srcs[1])
-            self.memory.store(addr, store_value)
-        elif inst.is_branch:
-            taken = self._branch_taken(inst)
-            if taken:
-                next_pc = inst.target
-        elif op_class is OpClass.JUMP:
-            taken = True
-            next_pc = inst.target
-        else:
-            self.regs[inst.dst] = _to_signed(self._alu(inst))
-
-        dyn = DynInst(seq=self.seq, pc=self.pc, inst=inst,
-                      src_producers=producers, addr=addr,
-                      store_value=store_value, taken=taken, next_pc=next_pc)
-        if inst.dst is not None:
-            self._last_writer[inst.dst] = self.seq
-        self.seq += 1
-        self.pc = next_pc
-        return dyn
+        return next(self.run(1), None)
 
     def run(self, max_insts: int) -> Iterator[DynInst]:
-        """Yield up to *max_insts* dynamic instructions."""
+        """Yield up to *max_insts* dynamic instructions.
+
+        The one interpretation loop.  Each step reads its instruction's
+        row of the per-PC table, so a record is built from the row's
+        static fields without a constructor or property call.  Each
+        step also reads ``pc``, ``seq`` and ``halted`` from the executor
+        and writes them back before its record is yielded: the state
+        always matches the records handed out (so calls to
+        :meth:`step` and :meth:`run` interleave freely), and a fault
+        leaves it at the faulting instruction.
+        """
+        table = self._table
+        n = len(table)
+        regs = self.regs
+        read = regs.get
+        words = self.memory._words
+        last_writer = self._last_writer
+        writer = last_writer.get
+        new = object.__new__
         for _ in range(max_insts):
-            dyn = self.step()
-            if dyn is None:
+            if self.halted:
                 return
+            pc = self.pc
+            seq = self.seq
+            if not 0 <= pc < n:
+                raise ExecutionError(f"pc out of range: {pc}")
+            (kind, semantics, inst, static, dst, src0, src1, n_srcs, imm,
+             target) = table[pc]
+            if n_srcs == 2:
+                producers: Tuple[int, ...] = (writer(src0, -1),
+                                              writer(src1, -1))
+            elif n_srcs:
+                producers = (writer(src0, -1),)
+            else:
+                producers = ()
+            addr = store_value = taken = None
+            next_pc = pc + 1
+            if kind == _ALU_OP:
+                value = semantics(read(src0, 0), read(src1, 0), imm)
+                regs[dst] = (value if _MIN64 <= value <= _MAX64
+                             else _to_signed(value))
+            elif kind == _LOAD:
+                # ld/fld: base + imm; ldx/fldx: base + index words
+                addr = read(src0, 0) + (read(src1, 0) * WORD
+                                        if n_srcs == 2 else imm)
+                if addr < 0:
+                    raise ExecutionError(f"negative address 0x{addr:x}")
+                value = words.get(addr - addr % WORD, 0)
+                regs[dst] = (value if _MIN64 <= value <= _MAX64
+                             else _to_signed(value))
+            elif kind == _STORE:
+                # srcs = (base, data)
+                addr = read(src0, 0) + imm
+                store_value = read(src1, 0)
+                if addr < 0:
+                    raise ExecutionError(f"negative address 0x{addr:x}")
+                words[addr - addr % WORD] = (
+                    store_value if _MIN64 <= store_value <= _MAX64
+                    else _to_signed(store_value))
+            elif kind == _BRANCH:
+                taken = semantics(read(src0, 0), read(src1, 0))
+                if taken:
+                    next_pc = target
+            elif kind == _JUMP:
+                taken = True
+                next_pc = target
+            elif kind == _HALT:
+                self.halted = True
+
+            dyn = new(DynInst)
+            dyn.seq = seq
+            dyn.pc = pc
+            dyn.inst = inst
+            dyn.src_producers = producers
+            dyn.addr = addr
+            dyn.store_value = store_value
+            dyn.taken = taken
+            dyn.next_pc = next_pc
+            (dyn.op_class, dyn.is_load, dyn.is_store, dyn.is_mem,
+             dyn.is_branch, dyn.is_control, dyn.has_dst, dyn.writes_fp,
+             dyn.rf_class, dyn.fu_group, dyn.nonpipelined, dyn.n_srcs,
+             dyn.code_addr) = static
+            if dst is not None:
+                last_writer[dst] = seq
+            self.pc = next_pc
+            self.seq = seq + 1
             yield dyn
 
 

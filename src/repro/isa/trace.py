@@ -71,6 +71,27 @@ def predecode_columns(trace: Sequence["DynInst"]) -> Dict[str, List]:
     }
 
 
+def static_fields(inst: Instruction, pc: int) -> Tuple:
+    """The pre-decoded :class:`DynInst` fields of *inst* at static
+    index *pc*, in slot order (``op_class`` .. ``code_addr``).
+
+    They depend only on the static instruction, so the functional
+    executor computes them once per program counter and copies them
+    into every record it emits.
+    """
+    op_class = inst.op_class
+    is_load = op_class is OpClass.LOAD
+    is_store = op_class is OpClass.STORE
+    is_branch = op_class is OpClass.BRANCH
+    has_dst = inst.dst is not None
+    writes_fp = has_dst and inst.writes_fp
+    return (op_class, is_load, is_store, is_load or is_store, is_branch,
+            is_branch or op_class is OpClass.JUMP, has_dst, writes_fp,
+            ("fp" if writes_fp else "int") if has_dst else None,
+            FU_GROUP[op_class], op_class in NONPIPELINED_CLASSES,
+            len(inst.srcs), CODE_BASE + pc * INST_BYTES)
+
+
 @dataclass(eq=False)
 class DynInst:
     """One dynamic instruction instance.
@@ -88,7 +109,7 @@ class DynInst:
         taken: actual branch direction (branches only).
         next_pc: static index of the successor instruction.
 
-    Pre-decoded (derived from ``inst``/``pc`` in ``__post_init__``):
+    Pre-decoded (derived from ``inst``/``pc`` by :func:`static_fields`):
         op_class, is_load, is_store, is_mem, is_branch, is_control,
         has_dst, writes_fp, rf_class (``"int"``/``"fp"``/``None``),
         fu_group, nonpipelined, n_srcs, and code_addr (the instruction's
@@ -97,7 +118,7 @@ class DynInst:
 
     __slots__ = ("seq", "pc", "inst", "src_producers", "addr",
                  "store_value", "taken", "next_pc",
-                 # pre-decoded metadata (set in __post_init__)
+                 # pre-decoded metadata (static_fields order)
                  "op_class", "is_load", "is_store", "is_mem", "is_branch",
                  "is_control", "has_dst", "writes_fp", "rf_class",
                  "fu_group", "nonpipelined", "n_srcs", "code_addr")
@@ -112,23 +133,10 @@ class DynInst:
     next_pc: int
 
     def __post_init__(self) -> None:
-        inst = self.inst
-        op_class = inst.op_class
-        self.op_class = op_class
-        self.is_load = op_class is OpClass.LOAD
-        self.is_store = op_class is OpClass.STORE
-        self.is_mem = self.is_load or self.is_store
-        self.is_branch = op_class is OpClass.BRANCH
-        self.is_control = self.is_branch or op_class is OpClass.JUMP
-        has_dst = inst.dst is not None
-        self.has_dst = has_dst
-        writes_fp = has_dst and inst.writes_fp
-        self.writes_fp = writes_fp
-        self.rf_class = ("fp" if writes_fp else "int") if has_dst else None
-        self.fu_group = FU_GROUP[op_class]
-        self.nonpipelined = op_class in NONPIPELINED_CLASSES
-        self.n_srcs = len(inst.srcs)
-        self.code_addr = CODE_BASE + self.pc * INST_BYTES
+        (self.op_class, self.is_load, self.is_store, self.is_mem,
+         self.is_branch, self.is_control, self.has_dst, self.writes_fp,
+         self.rf_class, self.fu_group, self.nonpipelined, self.n_srcs,
+         self.code_addr) = static_fields(self.inst, self.pc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DynInst):

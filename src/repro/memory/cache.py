@@ -86,6 +86,14 @@ class Cache:
         entry = self._sets[self._set_index(block)]
         return entry.pop(block, None) is not None
 
+    def copy_from(self, other: "Cache") -> None:
+        """Take *other*'s contents, LRU stamps and hit/miss counts (the
+        geometries must match)."""
+        self._sets = list(map(dict, other._sets))
+        self._stamp = other._stamp
+        self.hits = other.hits
+        self.misses = other.misses
+
     def occupancy(self) -> int:
         """Total number of valid blocks."""
         return sum(len(s) for s in self._sets)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.memory.cache import Cache, block_of
 from repro.memory.dram import DRAMChannel
@@ -80,6 +80,16 @@ class MemParams:
         if self.l3_latency <= self.l2_latency:
             raise ValueError("latencies must increase with level")
         return self
+
+
+def memory_geometry(params: MemParams) -> Tuple[int, ...]:
+    """The fields of *params* a functional pass reads: every cache's
+    size and ways and the prefetcher's degree and table size.  Two
+    parameter sets with equal geometry warm and annotate identically."""
+    return (params.l1i_size, params.l1i_ways, params.l1d_size,
+            params.l1d_ways, params.l2_size, params.l2_ways,
+            params.l3_size, params.l3_ways, params.prefetch_degree,
+            params.prefetch_table)
 
 
 @dataclass
@@ -142,6 +152,22 @@ class MemoryHierarchy:
         #: bumped whenever a rejected demand access could start to
         #: succeed: MSHR allocate/expire and every L1D insert
         self.version = 0
+
+    def functional_copy(self, params: MemParams) -> "MemoryHierarchy":
+        """A fresh hierarchy under *params* holding this one's functional
+        state: cache contents, the prefetcher's table and ``version``.
+
+        That is all a functional pass changes, so a copy of a warmed
+        hierarchy equals one warmed afresh under *params*, which may
+        differ from this one's in anything but :func:`memory_geometry`
+        (MSHRs and latencies stay the copy's own).
+        """
+        copy = MemoryHierarchy(params)
+        for level in ("l1i", "l1d", "l2", "l3"):
+            getattr(copy, level).copy_from(getattr(self, level))
+        copy.prefetcher.copy_from(self.prefetcher)
+        copy.version = self.version
+        return copy
 
     # ------------------------------------------------------------------
     # outstanding-request accounting

@@ -49,6 +49,16 @@ class StridePrefetcher:
         self.trains = 0
         self.issued = 0
 
+    def copy_from(self, other: "StridePrefetcher") -> None:
+        """Take *other*'s stream table (in its replacement order, each
+        entry copied) and counters."""
+        self._table = {pc: _StreamEntry(entry.last_block,
+                                        entry.direction_votes,
+                                        entry.frontier, entry.confidence)
+                       for pc, entry in other._table.items()}
+        self.trains = other.trains
+        self.issued = other.issued
+
     def observe(self, pc: int, addr: int) -> List[int]:
         """Train on a demand access; return block addresses to prefetch."""
         self.trains += 1

@@ -60,7 +60,7 @@ class Workload:
     def executor(self) -> Executor:
         """A fresh functional executor positioned at the kernel entry."""
         return Executor(self.program,
-                        memory=Memory(dict(self.memory_words)),
+                        memory=Memory(self.memory_words),
                         int_regs=dict(self.int_regs),
                         fp_regs=dict(self.fp_regs))
 

@@ -61,3 +61,19 @@ def test_memdep_set_size_bounded():
     for store_pc in range(10):
         md.train_violation(1, store_pc)
     assert len(md.predicted_stores(1)) <= 2
+
+
+def test_gshare_copy_carries_the_trained_state_and_is_independent():
+    bp = GsharePredictor()
+    for i in range(300):
+        bp.predict_and_update(i % 7, i % 3 == 0)
+
+    def state(p):
+        return (bytes(p._counters), p._history, p.lookups, p.mispredicts)
+    before = state(bp)
+    copy = bp.copy()
+    assert state(copy) == before
+    for i in range(300):
+        copy.predict_and_update(i % 5, i % 2 == 0)
+    assert state(copy) != before
+    assert state(bp) == before

@@ -29,6 +29,63 @@ def test_memory_negative_address_raises():
         mem.load(-8)
 
 
+def test_memory_image_is_word_aligned_and_wrapped_like_stores():
+    image = {0x100: 3, 0x104: (1 << 64) + 5, 0x200: -1}
+    bulk = Memory(image)
+    stepped = Memory()
+    for addr, value in image.items():
+        stepped.store(addr, value)
+    assert bulk._words == stepped._words == {0x100: 5, 0x200: -1}
+    with pytest.raises(ExecutionError, match="0x-8"):
+        Memory({0x100: 1, -8: 2, -16: 3})
+
+
+def test_fault_keeps_the_records_before_it_and_the_state_at_it():
+    ex = Executor(assemble("""
+        li r1, 8
+        addi r1, r1, -16
+        ld r2, r1, 0
+        halt
+    """))
+    seen = []
+    with pytest.raises(ExecutionError, match="negative address"):
+        for dyn in ex.run(10):
+            seen.append(dyn.pc)
+    assert seen == [0, 1]
+    assert (ex.pc, ex.seq, "r2" in ex.regs) == (2, 2, False)
+    with pytest.raises(ExecutionError, match="negative address"):
+        ex.step()
+
+
+def test_running_off_the_end_is_a_pc_fault():
+    ex = Executor(assemble("li r1, 1\nst r1, r1, -9"))
+    with pytest.raises(ExecutionError, match="negative address"):
+        list(ex.run(10))
+    ex = Executor(assemble("li r1, 1\nli r2, 2"))
+    seen = []
+    with pytest.raises(ExecutionError, match="pc out of range: 2"):
+        for dyn in ex.run(10):
+            seen.append(dyn.seq)
+    assert seen == [0, 1]
+
+
+def test_step_and_run_continue_one_another():
+    program = assemble("""
+        li r1, 0
+    loop:
+        addi r1, r1, 1
+        nop
+        bne r1, r2, loop
+        halt
+    """)
+    mixed = Executor(program, int_regs={"r2": 3})
+    records = [mixed.step() for _ in range(4)] + list(mixed.run(4))
+    records += list(mixed.run(100))
+    assert mixed.halted and mixed.step() is None
+    whole = list(Executor(program, int_regs={"r2": 3}).run(100))
+    assert records == whole
+
+
 def test_alu_basics():
     ex = run_regs("""
         li r1, 6

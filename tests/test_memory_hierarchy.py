@@ -1,8 +1,11 @@
 """Unit tests for the composed memory hierarchy."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.memory.hierarchy import MemParams, MemoryHierarchy
+from repro.memory.hierarchy import (MemoryHierarchy, MemParams,
+                                    memory_geometry)
 
 
 def make_hierarchy(**overrides):
@@ -201,3 +204,54 @@ def test_load_latency_stats():
     h.access_data(0x6000, now=0)
     assert h.stats.load_count == 1
     assert h.stats.average_load_latency == 226
+
+
+def _functional_state(h):
+    caches = (h.l1i, h.l1d, h.l2, h.l3)
+    return ([[list(entry.items()) for entry in c._sets] for c in caches],
+            [(c._stamp, c.hits, c.misses) for c in caches],
+            [(pc, vars(entry).copy())
+             for pc, entry in h.prefetcher._table.items()],
+            h.prefetcher.trains, h.prefetcher.issued, h.version)
+
+
+def _warm(h, start=0):
+    for i in range(start, start + 4000):
+        # three strided streams, and scattered accesses from two PCs
+        # that keep the 4-entry prefetch table replacing entries
+        if i % 5:
+            addr, pc = (i % 3) * (1 << 22) + (i // 3) * 72, i % 3
+        else:
+            addr, pc = (i * 7919 % 4096) * 64, 3 + i % 2
+        h.functional_access(addr, is_store=i % 11 == 0, pc=pc)
+
+
+def test_functional_copy_equals_a_fresh_warm_and_is_independent():
+    params = MemParams(prefetch_table=4)
+    other = replace(params, mshrs=2, l2_latency=20, dram_latency=300)
+    assert memory_geometry(other) == memory_geometry(params)
+    snapshot = MemoryHierarchy(params)
+    _warm(snapshot)
+    fresh = MemoryHierarchy(other)
+    _warm(fresh)
+    copy = snapshot.functional_copy(other)
+    assert copy.params is other and copy.mshrs.capacity == 2
+    assert _functional_state(copy) == _functional_state(fresh)
+    before = _functional_state(snapshot)
+    _warm(copy, start=4000)
+    assert _functional_state(copy) != before
+    assert _functional_state(snapshot) == before
+
+
+def test_memory_geometry_names_every_functional_field():
+    base = MemParams()
+    for field, value in (("l1i_size", 16 * 1024), ("l1i_ways", 4),
+                         ("l1d_size", 64 * 1024), ("l1d_ways", 4),
+                         ("l2_size", 512 * 1024), ("l2_ways", 4),
+                         ("l3_size", 2 * 1024 * 1024), ("l3_ways", 8),
+                         ("prefetch_degree", 2), ("prefetch_table", 16)):
+        assert memory_geometry(replace(base, **{field: value})) \
+            != memory_geometry(base), field
+    assert memory_geometry(replace(base, mshrs=4, l1_latency=3,
+                                   dram_latency=250)) \
+        == memory_geometry(base)

@@ -1,10 +1,15 @@
 """Tests for the synthetic workload suite."""
 
+import hashlib
+
 import pytest
 
+from repro.isa.trace import DynInst
 from repro.ltp.oracle import annotate_trace
-from repro.workloads import (get_workload, mlp_insensitive_suite,
-                             mlp_sensitive_suite, workload_names)
+from repro.workloads import (MLP_INSENSITIVE, MLP_SENSITIVE, get_workload,
+                             mixes, mlp_insensitive_suite,
+                             mlp_sensitive_suite, suite_names,
+                             workload_names)
 from repro.workloads.builders import (index_array, linked_ring, region_base,
                                       sequential_array)
 
@@ -46,6 +51,72 @@ def test_workload_produces_full_trace(name):
     trace = workload.trace(400)
     assert len(trace) == 400, f"{name} halted early"
     assert [d.seq for d in trace] == list(range(400))
+
+
+#: sha256 over the repr of every DynInst slot of each workload's first
+#: 3000 instructions.  Every golden point, cached result and reference
+#: digest rests on these traces: a change here is a change to them all.
+TRACE_DIGESTS = {
+    "blocked_mm": "dca3bc4f8e29aa657463f9aab5ef5fec"
+                  "870f33e6e705081e7b03c7016b1c62c8",
+    "branchy_compute": "02ff02f32b0599799c6660ca8317848d"
+                       "fa9c63bbfa9e66e6c1d38372ab65ad3b",
+    "btree_probe": "c22ecbefb47abda7e8cd1aa407747594"
+                   "799f84949ec50d9bc225b9072a305a67",
+    "compute_fp": "33be21efad5e854d7c0b5163a1ba350d"
+                  "fa21c4f70076c80ebd4964cd85d27d3e",
+    "compute_int": "a4247e73ebc39d665afde3d41c53eb39"
+                   "8a32dd7cfd874077976a77ce9a4972e1",
+    "hash_probe": "d14a82c2719526e184c0c46b0faa28e6"
+                  "1e0e75d1ba9332ec134ea8dace9d3c42",
+    "indirect_fig2": "57e5a8d5259ff6e1d1d4c4d1ac9717d1"
+                     "e462febb332d04f45df395958a8e6770",
+    "lattice_milc": "13c87daabe519b91f6e90b0996ed0308"
+                    "eb2cfb1c80a72003d4550721d10f8618",
+    "memset_stream": "baaee035b8e6c34d8122195e88fc4c1a"
+                     "7d7a07bcd3d196e51b9b3291c9931f0a",
+    "ptrchase_astar": "490b908f321e779f6cc4c716062e8119"
+                      "329726db3b893ad423ae54b39722c052",
+    "small_ws_ring": "72a6713ee1d66d67ff56b6bcac4d529b"
+                     "5691b969a5cc681272a8f8a6cfd628b8",
+    "sparse_gather": "0ef777e0b941b663cf165a90aae46add"
+                     "19c4eaf76f87a9918db0e6c3cba42249",
+    "spmv_csr": "00a9c02444fb98473bbaffbc021e1373"
+                "1cc6d7bdf3565817567d36ce417c47e7",
+    "stencil_small": "b33345cbb991a563832789e85dcc7ae6"
+                     "a55d1769c3d33a03f15cc9136ad5ce4c",
+    "stream_triad": "f9b46783bdf20a7787ec5ee274a4b640"
+                    "23db4d4ca0a42f1ba6a7f33162c163c9",
+}
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_trace_is_pinned(name):
+    digest = hashlib.sha256()
+    for dyn in get_workload(name).trace(3000):
+        for slot in DynInst.__slots__:
+            digest.update(repr(getattr(dyn, slot)).encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_declared_category_is_the_built_one(name):
+    assert mixes.CATEGORY_OF[name] == get_workload(name).category
+
+
+def test_planning_builds_no_workload(monkeypatch):
+    from repro.harness.experiments import (fig11_tickets, plan_configs,
+                                           sweep_preset)
+
+    def refuse():
+        raise AssertionError("planning built a workload")
+    for name in list(mixes._FACTORIES):
+        monkeypatch.setitem(mixes._FACTORIES, name, refuse)
+    assert len(suite_names(MLP_SENSITIVE)) == 7
+    assert len(suite_names(MLP_INSENSITIVE)) == 8
+    assert len(plan_configs(fig11_tickets)) == 135
+    assert len(sweep_preset("policy-compare").expand()) == 120
 
 
 def test_traces_deterministic():
