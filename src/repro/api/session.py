@@ -39,6 +39,7 @@ point runs on a copy: the copy is built under the point's own
 from __future__ import annotations
 
 import functools
+import gc
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -153,7 +154,7 @@ class PreparedWorkload:
         if length <= self.requested:
             return
         if len(self.trace) >= self.requested:  # not known to halt
-            self.trace = build().trace(length)
+            self.trace = _long_lived(build().trace(length))
             self._arrays = None
         self.requested = length
 
@@ -169,7 +170,7 @@ class PreparedWorkload:
         of the whole trace."""
         from repro.core.kernel import predecode
         if self._arrays is None:
-            self._arrays = predecode(self.trace)
+            self._arrays = _long_lived(predecode(self.trace))
         arrays = self._arrays
         return arrays if arrays.n <= length else arrays.window(0, length)
 
@@ -208,13 +209,23 @@ class PreparedWorkload:
         return hierarchy.functional_copy(mem), bpred.copy()
 
 
+def _long_lived(value: Any) -> Any:
+    """*value*, just prepared for many points, after ``gc.freeze()``
+    moved everything alive (*value* too) out of the collector's full
+    passes.  Frozen objects still die by reference count; one that
+    later dies in a cycle leaks, which freezing once per prepared
+    value, not per point, keeps rare."""
+    gc.freeze()
+    return value
+
+
 def _lru(cache: "OrderedDict[tuple, Any]", key: tuple, limit: int,
          make: Callable[[], Any]) -> Any:
     """``cache[key]``, made by *make* on a miss; keeps the *limit* most
     recently used entries."""
     value = cache.get(key)
     if value is None:
-        value = cache[key] = make()
+        value = cache[key] = _long_lived(make())
     cache.move_to_end(key)
     while len(cache) > limit:
         cache.popitem(last=False)
@@ -303,7 +314,8 @@ class Session:
         trace_cache = self._trace_cache
         prepared = trace_cache.get(workload_name)
         if prepared is None:
-            prepared = PreparedWorkload(get_workload(workload_name), length)
+            prepared = _long_lived(
+                PreparedWorkload(get_workload(workload_name), length))
             trace_cache[workload_name] = prepared
         else:
             prepared.cover(length, functools.partial(get_workload,

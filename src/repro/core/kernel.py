@@ -32,12 +32,27 @@ seam, same statistics, bit-for-bit — but restructured for speed:
 call sequence as the reference: every policy hook that can observe or
 mutate state is invoked with identical arguments in identical order
 (including one fresh :class:`InFlightInst` per rename *attempt*, which
-the ticket tracker's pool accounting depends on).  The only calls it
-elides are ones statically known to be no-ops for the constructed
-policy (e.g. ``may_allocate`` on a disabled LTP controller, which
-returns ``"dispatch"`` unconditionally without side effects).
+the ticket tracker's pool accounting depends on).  It departs from the
+reference's calls only where the result is provably the same:
+
+* hooks statically known to be no-ops for the constructed policy are
+  elided (e.g. ``may_allocate`` on a disabled LTP controller, which
+  returns ``"dispatch"`` unconditionally without side effects);
+* ``ltp_enabled_cycles`` is read once, at run end, from
+  :meth:`~repro.ltp.monitor.DramTimerMonitor.enabled_cycles`, which the
+  monitor integrates at each touch that extends its timer, instead of
+  summing ``enabled_span`` over every step;
+* ``stall_marks`` brackets a stalled first rename attempt only in a
+  tick that has made no progress yet: only such a tick can end in the
+  stall-span jump, the marks' one reader.
+
 Differential tests assert full ``SimStats.as_dict()`` equality across
-every registered policy, LTP preset and workload.
+every registered policy, LTP preset and workload.  (The LTP shortcuts
+both engines share, such as the one-port ready peek and the bound
+enable check, are pinned to their plain forms by unit properties.)
+Writeback drops a record's ``consumers`` once it has walked them, so
+records, which otherwise link only to older producers, form no
+reference cycles and die by reference count.
 """
 
 from __future__ import annotations
@@ -188,11 +203,10 @@ class KernelPipeline(Pipeline):
     def run(self) -> SimStats:
         """Simulate to completion with the cyclic collector suspended.
 
-        The hot loop allocates one :class:`InFlightInst` per rename
-        attempt and links records into producer/consumer cycles; letting
-        generational GC scan those mid-run costs >10% wall time for zero
-        reclamation (records stay reachable until the window drains).
-        Collection resumes — and the cycles are reclaimed — on return.
+        Records form no reference cycles and die by reference count, so
+        a run leaves the collector nothing to reclaim; it stays off
+        because one :class:`InFlightInst` per rename attempt would
+        otherwise trigger passes that rescan the live window.
         """
         gc_enabled = _gc.isenabled()
         if gc_enabled:
@@ -329,7 +343,6 @@ class KernelPipeline(Pipeline):
         park_stores = self._park_stores
         defer_registers = self._defer_registers
         monitor = self._monitor
-        monitor_off = self._monitor_off
         monitor_auto = self._monitor_auto
 
         # hooks statically known to be no-ops are skipped; the gates
@@ -383,7 +396,6 @@ class KernelPipeline(Pipeline):
         s_committed_loads = s_committed_stores = s_committed_branches = 0
         s_mispredicts = s_violations = 0
         s_ltp_parked = s_ltp_released = s_ltp_forced = 0
-        s_enabled_cycles = 0
         s_urgent = s_non_urgent = s_non_ready = 0
         s_ll_loads = 0
         # rename stalls by stall code: 1 iq, 2 regs, 3 lsq, 4 rob,
@@ -432,11 +444,16 @@ class KernelPipeline(Pipeline):
                     record.done = True
                     if record.has_dst:
                         s_rf_writes += 1
-                    for consumer in record.consumers:
-                        waiting = consumer.waiting_on - 1
-                        consumer.waiting_on = waiting
-                        if waiting == 0 and consumer.in_iq:
-                            _heappush(ready_heap, consumer.seq - seq0)
+                    consumers = record.consumers
+                    if consumers:
+                        for consumer in consumers:
+                            waiting = consumer.waiting_on - 1
+                            consumer.waiting_on = waiting
+                            if waiting == 0 and consumer.in_iq:
+                                _heappush(ready_heap, consumer.seq - seq0)
+                        # the only back links: with them gone, records
+                        # form no cycles and die by reference count
+                        record.consumers = ()
                     if record.ll_listed:
                         record.ll_listed = False
                         del ll_seqs[ll_seqs.index(record.seq)]
@@ -569,6 +586,7 @@ class KernelPipeline(Pipeline):
             if fe_head < fe_len:
                 renamed = 0
                 stall_code = 0
+                marks = None
                 while renamed < rename_width:
                     if fe_head >= fe_len:
                         break
@@ -578,7 +596,10 @@ class KernelPipeline(Pipeline):
                         stall_code = 4
                         break
                     dyn = dyns[fe_idx[fe_head]]
-                    if stall_marks is not None and renamed == 0:
+                    if (renamed == 0 and stall_marks is not None
+                            and not progress and not release_pending):
+                        # only a tick that has made no progress can
+                        # end in a jump, the one reader of the marks
                         marks = stall_marks(dyn)
                     if skip_may_allocate:
                         # probe-first: same checks the dispatch branch
@@ -781,7 +802,7 @@ class KernelPipeline(Pipeline):
                         if allow_skip:
                             # no hook ran: a pure counter stall
                             stall = (4, None, None, None, None)
-                    elif stall_marks is not None:
+                    elif marks is not None:
                         after = stall_marks(dyn)
                         if after[0] == marks[0]:
                             # (with skip_may_allocate every stall other
@@ -1092,8 +1113,6 @@ class KernelPipeline(Pipeline):
                 o_lstores_i += level * step
                 if level > o_lstores_p:
                     o_lstores_p = level
-            if not monitor_off:
-                s_enabled_cycles += monitor.enabled_span(now, now + step)
 
             now += step
             if now - last_commit_cycle > deadlock_cycles:
@@ -1127,7 +1146,8 @@ class KernelPipeline(Pipeline):
         stats.ltp_parked = s_ltp_parked
         stats.ltp_released = s_ltp_released
         stats.ltp_forced_releases = s_ltp_forced
-        stats.ltp_enabled_cycles = s_enabled_cycles
+        # integrated by the monitor at each touch that extends it
+        stats.ltp_enabled_cycles = monitor.enabled_cycles(now)
         stats.classified_urgent = s_urgent
         stats.classified_non_urgent = s_non_urgent
         stats.classified_non_ready = s_non_ready

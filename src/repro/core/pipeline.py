@@ -231,11 +231,10 @@ class Pipeline:
         """Run the trace to completion and return the statistics.
 
         The cyclic collector is suspended for the duration: the model
-        allocates one record per rename attempt and links records into
-        producer/consumer reference cycles, so mid-run generational
-        scans cost wall time without reclaiming anything (records stay
-        reachable until the window drains).  Collection resumes — and
-        the cycles are reclaimed — on return.
+        allocates one record per rename attempt, so mid-run
+        generational scans would rescan the live window without
+        reclaiming anything.  Records form no cycles (writeback drops
+        the consumer links) and die by reference count.
         """
         tick = self._tick
         finished = self._finished
@@ -963,6 +962,7 @@ class Pipeline:
             consumer.waiting_on = waiting
             if waiting == 0 and consumer.in_iq:
                 iq_mark_ready(consumer)
+        record.consumers = ()  # walked: drop the links that close cycles
         self._ll_remove(record)
         if record.own_ticket is not None:
             # safety net: clear tickets no later than completion

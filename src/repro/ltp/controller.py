@@ -61,11 +61,15 @@ class LTPController:
         self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
         self.park_stalls = 0
         #: ``config`` is immutable after ``validate()``; cache the mode
-        #: predicate and bind the classifier hook the rename hot path
+        #: predicates and bind the classifier hook the rename hot path
         #: consults on every attempt
         self._parks_nr = config.parks_nr
+        self._parks_nu = config.parks_nu
         self._eager = config.wakeup_policy == "eager"
         self._classify = self.classifier.observe_rename
+        #: :meth:`is_enabled` as one call: a disabled controller's
+        #: monitor is "off", and the monitor's mode is fixed
+        self._enabled_at = self.monitor.predicate()
         #: the online classifier's table (None for the oracle one)
         self._uit = getattr(self.classifier, "uit", None)
 
@@ -214,11 +218,11 @@ class LTPController:
                     reason = "parked-bit"
                     break
         want_park = forced
-        if not want_park and self.is_enabled(now):
-            if self.config.parks_nu and not record.urgent:
+        if not want_park and self._enabled_at(now):
+            if self._parks_nu and not record.urgent:
                 want_park = True
                 reason = "non-urgent"
-            elif self.config.parks_nr and record.non_ready:
+            elif self._parks_nr and record.non_ready:
                 want_park = True
                 reason = "non-ready"
         if not want_park:
@@ -258,15 +262,15 @@ class LTPController:
         :meth:`on_tag_known` keep current.
         """
         queue = self.queue
-        if not len(queue):
-            return []
         head = queue.head()
+        if head is None:
+            return []
         forced = head.seq == force_seq
         if forced:
             head.forced_release = True
             if limit == 1 or queue.fifo_only:
                 return [head]
-        if self._eager or not self.is_enabled(now):
+        if self._eager or not self._enabled_at(now):
             boundary_seq = NO_BOUNDARY
         if queue.fifo_only:
             if head.tickets or not (head.urgent or head.seq < boundary_seq):

@@ -6,10 +6,14 @@ is turned off."
 
 The monitor supports exact accounting of enabled time over arbitrary
 cycle spans so statistics stay correct when the pipeline jumps over idle
-cycles.
+cycles.  The timer moves only on :meth:`DramTimerMonitor.touch`, so the
+enabled time can also be integrated there, once per touch that extends
+it, and read at run end (:meth:`DramTimerMonitor.enabled_cycles`).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 
 class DramTimerMonitor:
@@ -23,13 +27,17 @@ class DramTimerMonitor:
         self.mode = mode
         self.dram_latency = dram_latency
         self._enabled_until = 0
+        #: cycles in ``[0, _enabled_until)`` the timer has covered
+        self._covered = 0
         self.touches = 0
 
     def touch(self, now: int) -> None:
         """A demand access missed in L3: (re)start the timer."""
         self.touches += 1
         expiry = now + self.dram_latency
-        if expiry > self._enabled_until:
+        until = self._enabled_until
+        if expiry > until:
+            self._covered += expiry - (now if now > until else until)
             self._enabled_until = expiry
 
     def is_enabled(self, now: int) -> bool:
@@ -38,6 +46,26 @@ class DramTimerMonitor:
         if self.mode == "off":
             return False
         return now < self._enabled_until
+
+    def predicate(self) -> Callable[[int], bool]:
+        """:meth:`is_enabled`, minus the mode tests in "auto" mode (the
+        mode is fixed per monitor)."""
+        return self._running if self.mode == "auto" else self.is_enabled
+
+    def _running(self, now: int) -> bool:
+        return now < self._enabled_until
+
+    def enabled_cycles(self, end: int) -> int:
+        """Number of cycles in ``[0, end)`` during which LTP is enabled,
+        for a run of cycles ``0..end-1`` that touched the monitor at
+        nondecreasing cycles, none after *end*: the sum of
+        :meth:`enabled_span` over the run's steps."""
+        if self.mode == "on":
+            return end
+        if self.mode == "off":
+            return 0
+        past = self._enabled_until - end
+        return self._covered - past if past > 0 else self._covered
 
     def enabled_span(self, start: int, end: int) -> int:
         """Number of cycles in [start, end) during which LTP is enabled."""

@@ -114,11 +114,16 @@ class LTPQueue:
                 heappop(other)
             if other and other[0][0] < boundary_seq and not (
                     urgent and urgent[0][0] < other[0][0]):
-                taken.append(heappop(other))
+                heap = other
             elif urgent:
-                taken.append(heappop(urgent))
+                heap = urgent
             else:
                 break
+            if limit == 1:  # the one-port read peeks at a heap top
+                return [heap[0][1]]
+            taken.append(heappop(heap))
+        if not taken:
+            return []
         # reading is not releasing: the entries go back
         for entry in taken:
             heappush(urgent if entry[1].urgent else other, entry)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.core.inflight import _NO_TICKETS
+
 
 class TicketPool:
     """Bounded pool of ticket identifiers with recycling."""
@@ -70,15 +72,20 @@ class TicketTracker:
         return ticket
 
     def inherit(self, record, producer_records) -> None:
-        """Give *record* the union of its producers' live tickets."""
-        tickets: Set[int] = set()
+        """Give *record* the union of its producers' live tickets (the
+        shared empty set when they hold none)."""
+        tickets = _NO_TICKETS
         for producer in producer_records:
             if producer is None or producer.done:
                 continue
-            if producer.own_ticket is not None:
-                tickets.add(producer.own_ticket)
-            if producer.tickets:
-                tickets |= producer.tickets
+            own = producer.own_ticket
+            if own is None and not producer.tickets:
+                continue
+            if tickets is _NO_TICKETS:
+                tickets = set()
+            if own is not None:
+                tickets.add(own)
+            tickets |= producer.tickets
         for ticket in tickets:
             holders = self._holders.get(ticket)
             if holders is not None:

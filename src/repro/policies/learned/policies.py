@@ -1,7 +1,7 @@
 """The learned and adaptive parking policies.
 
-Three registered policies close ROADMAP item 3, each approaching the
-oracle from a different direction:
+Three registered policies, each approaching the oracle from a
+different direction:
 
 * :class:`ModelParkPolicy` (``model-park``) — pure inference over a
   frozen offline-trained artifact (:mod:`.artifact`): the feature

@@ -16,15 +16,20 @@ because uniformly drawn scripts reach the rare interleavings (a
 ticket clearing while the monitor drains the queue, an urgent and a
 non-urgent record ready at once) far more often than shrink-friendly
 small ones.
+
+A second property drives an ``LTPQueue`` directly and pins its one-port
+read, a peek at the heap tops, to the general pop-and-restore read.
 """
 
 import random
+from heapq import heappop
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.ltp.config import LTPConfig
 from repro.ltp.controller import NO_BOUNDARY, LTPController
+from repro.ltp.queue import LTPQueue
 
 from tests.test_ltp_controller import make_oracle, make_record
 
@@ -150,3 +155,58 @@ def test_ready_lists_match_linear_scan(mode, wakeup, entries, tickets,
                 (move, limit, now, boundary, force_seq)
             assert all(a is b for a, b in zip(got, want))
             assert got_forced == want_forced
+
+
+def _without_released_tops(heap):
+    """*heap* after the lazy drop every ready read performs."""
+    heap = list(heap)
+    while heap and not heap[0][1].parked:
+        heappop(heap)
+    return heap
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_one_port_read_peeks_at_the_general_answer(seed):
+    """``ready(1, b)`` (the engines' one-port read) answers the first
+    element of the general pop-and-restore path, and only peeks: both
+    ready heaps are left as they were, less released tops."""
+    rng = random.Random(seed)
+    queue = LTPQueue(None, fifo_only=False)
+    not_ready = []
+    next_seq = 0
+    for _ in range(rng.randrange(1, 120)):
+        move = rng.choice(("park", "park", "mark_ready", "release"))
+        if move == "park":
+            record = make_record(next_seq)
+            record.urgent = rng.random() < 0.4
+            next_seq += 1
+            queue.push(record)
+            if rng.random() < 0.5:
+                queue.mark_ready(record)
+            else:
+                not_ready.append(record)
+        elif move == "mark_ready" and not_ready:
+            record = not_ready.pop(rng.randrange(len(not_ready)))
+            if record.parked:
+                queue.mark_ready(record)
+        elif move == "release" and len(queue):
+            queue.remove(rng.choice(list(queue)))
+
+        for boundary in (0, rng.randrange(next_seq + 2), NO_BOUNDARY):
+            urgent = list(queue._ready_urgent)
+            other = list(queue._ready_other)
+            general = LTPQueue(None, fifo_only=False)
+            general._ready_urgent = list(urgent)
+            general._ready_other = list(other)
+            want = general.ready(4, boundary)[:1]
+            assert queue.ready(1, boundary) == want
+            assert queue._ready_urgent == _without_released_tops(urgent)
+            assert queue._ready_other == _without_released_tops(other)
+            # and the answer is the rule's: the oldest ready record that
+            # is urgent or older than the boundary
+            ready = sorted((entry for entry in urgent + other
+                            if entry[1].parked
+                            and (entry[1].urgent or entry[0] < boundary)),
+                           key=lambda entry: entry[0])
+            assert want == [record for _, record in ready[:1]]

@@ -1,10 +1,14 @@
 """Unit tests for UIT, tickets, queue, monitor and hit/miss predictor."""
 
+import random
+
 import pytest
 
 from repro.core.inflight import InFlightInst
 from repro.isa.instructions import Instruction
 from repro.isa.trace import DynInst
+from repro.ltp.config import LTPConfig
+from repro.ltp.controller import LTPController
 from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.predictor import HitMissPredictor
 from repro.ltp.queue import LTPQueue
@@ -209,6 +213,50 @@ def test_monitor_forced_modes():
     off = DramTimerMonitor(dram_latency=10, mode="off")
     assert on.is_enabled(0) and on.enabled_span(0, 5) == 5
     assert not off.is_enabled(0) and off.enabled_span(0, 5) == 0
+
+
+@pytest.mark.parametrize("mode", ["auto", "on", "off"])
+def test_monitor_enabled_cycles_match_per_cycle_sum(mode):
+    """The count integrated at each touch (what the kernel reads at run
+    end) is the per-cycle ``is_enabled`` sum of a run that touches the
+    monitor at those cycles, each cycle's touches before its check.
+
+    (Seeded draws, not Hypothesis: another property test imports this
+    module's helpers from inside its own ``@given``.)"""
+    rng = random.Random(mode)
+    for _ in range(200):
+        latency = rng.randint(1, 40)
+        touches = sorted(rng.randrange(300)
+                         for _ in range(rng.randrange(30)))
+        end = (touches[-1] if touches else 0) + rng.randrange(60)
+        mon = DramTimerMonitor(dram_latency=latency, mode=mode)
+        enabled_at = mon.predicate()
+        pending = list(touches)
+        per_cycle = 0
+        for cycle in range(end):
+            while pending and pending[0] == cycle:
+                mon.touch(pending.pop(0))
+            assert enabled_at(cycle) == mon.is_enabled(cycle)
+            per_cycle += mon.is_enabled(cycle)
+        for cycle in pending:   # touches at the end cycle itself
+            mon.touch(cycle)
+        assert mon.enabled_cycles(end) == per_cycle, (latency, touches)
+
+
+def test_enabled_controller_with_monitor_off_is_never_enabled():
+    """``touch`` still moves the timer of an "off" monitor, so the
+    shortcuts must go through the mode, not read the timer."""
+    config = LTPConfig(enabled=True, mode="nu", monitor="off")
+    controller = LTPController(config, dram_latency=50)
+    for now in (0, 10, 70):
+        controller.on_dram_demand_access(now)
+    monitor = controller.monitor
+    assert monitor.expiry == 120 and monitor.touches == 3
+    assert not any(controller._enabled_at(now) for now in range(130))
+    assert not any(controller.is_enabled(now) for now in range(130))
+    assert monitor.enabled_cycles(100) == 0
+    assert sum(monitor.enabled_span(now, now + 1)
+               for now in range(100)) == 0
 
 
 def test_monitor_validation():
