@@ -16,8 +16,6 @@ nothing.  From the repo root::
     python scripts/ci_sweep.py compare merged.jsonl coordinated.jsonl
     python scripts/ci_sweep.py remote --workers 2 --kill-one \\
         --store remote.jsonl
-    python scripts/ci_sweep.py daemon --workers 2 --store client.jsonl \\
-        --daemon-store daemon.jsonl
     python scripts/ci_sweep.py inspect-check --report inspect.json
 
 ``coordinate`` drives every shard from one process
@@ -27,9 +25,7 @@ sweep, same keys, identical statistics) — CI uses it to prove the
 coordinated store equals the k-invocation shard union.  ``remote``
 spawns a real ``repro worker`` fleet as subprocesses and runs the
 sweep through ``--executor remote`` (``--kill-one`` murders a worker
-after the first landed point, proving retry-on-survivors); ``daemon``
-spawns a fleet plus a ``repro serve`` daemon and submits the sweep as
-a client.
+after the first landed point, proving retry-on-survivors).
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
@@ -57,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -295,54 +290,6 @@ def cmd_remote(args) -> int:
     note = " (one worker killed mid-sweep)" if args.kill_one else ""
     print(f"remote sweep {spec.sweep_id()} over {args.workers} "
           f"worker(s){note}: {len(store)} points -> {args.store}")
-    return 0
-
-
-def cmd_daemon(args) -> int:
-    """Submit the sweep to a spawned ``repro serve`` daemon."""
-    spec = build_spec(args)
-    services = []
-    with tempfile.TemporaryDirectory() as scratch:
-        store_dir = Path(scratch) / "stores"
-        try:
-            fleet = []
-            for i in range(args.workers):
-                proc, addr = _spawn_service(
-                    ["worker", "--listen", "127.0.0.1:0",
-                     "--cache-dir", str(Path(scratch) / f"cache{i}")],
-                    "worker listening on ")
-                services.append(proc)
-                fleet.append(addr)
-            serve, address = _spawn_service(
-                ["serve", "--listen", "127.0.0.1:0",
-                 "--workers", ",".join(fleet),
-                 "--store-dir", str(store_dir)],
-                "serve listening on ")
-            services.append(serve)
-            rc = subprocess.call(
-                [sys.executable, "-m", "repro", *_sweep_argv(args, [
-                    "--daemon", address, "--store", str(args.store),
-                    "--no-cache"])],
-                env=_repro_env())
-        finally:
-            for proc in services:
-                if proc.poll() is None:
-                    proc.kill()
-        if rc != 0:
-            print(f"daemon sweep FAILED with exit code {rc}")
-            return 1
-        if args.daemon_store is not None:
-            daemon_stores = sorted(store_dir.glob("sweep-*.jsonl"))
-            if len(daemon_stores) != 1:
-                print(f"expected exactly one daemon-side store, found "
-                      f"{[p.name for p in daemon_stores]}")
-                return 1
-            args.daemon_store.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(daemon_stores[0], args.daemon_store)
-    store = ResultStore(args.store)
-    print(f"daemon sweep {spec.sweep_id()} via {address} over "
-          f"{args.workers} worker(s): {len(store)} points -> "
-          f"{args.store}")
     return 0
 
 
@@ -591,19 +538,6 @@ def main(argv=None) -> int:
                                "batching)")
     remote_p.add_argument("--store", type=Path, required=True)
     remote_p.set_defaults(func=cmd_remote)
-
-    daemon_p = sub.add_parser(
-        "daemon",
-        help="submit the sweep to a spawned serve daemon as a client")
-    add_spec_options(daemon_p)
-    daemon_p.add_argument("--workers", type=int, default=2,
-                          help="worker processes to spawn (default 2)")
-    daemon_p.add_argument("--store", type=Path, required=True,
-                          help="client-side copy of the results")
-    daemon_p.add_argument("--daemon-store", type=Path, default=None,
-                          help="copy the daemon's own per-sweep store "
-                               "here after the run")
-    daemon_p.set_defaults(func=cmd_daemon)
 
     inspect_p = sub.add_parser(
         "inspect-check",

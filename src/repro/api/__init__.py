@@ -20,10 +20,7 @@ The API layer is organised around four ideas:
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
-  a worker fleet with heartbeats and bounded retries, and
-  :class:`SweepDaemon` (``repro serve``) multiplexes whole sweeps
-  from concurrent clients (:func:`submit_sweep`) over one fleet with
-  durable per-sweep stores.
+  a worker fleet with heartbeats and bounded retries.
 * :class:`SimResult` — typed results with cache provenance and wall
   time, JSON-ready via ``to_dict()``.
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
@@ -64,8 +61,8 @@ from repro.api.inspect import (InspectorConfig, SweepInspector,
 from repro.api.mock import MockExecutor
 from repro.api.registry import (Experiment, experiment, experiment_names,
                                 get_experiment, renderer)
-from repro.api.remote import (RemoteExecutor, SweepDaemon, WorkerFleetError,
-                              WorkerServer, submit_sweep)
+from repro.api.remote import (RemoteExecutor, WorkerFleetError,
+                              WorkerServer)
 from repro.api.result import SimResult
 from repro.api.session import Session, default_session, set_default_session
 from repro.api.spec import SweepSpec, parse_shard
@@ -94,7 +91,6 @@ __all__ = [
     "SimConfig",
     "SimFuture",
     "SimResult",
-    "SweepDaemon",
     "SweepInspector",
     "SweepSpec",
     "WorkerFailure",
@@ -118,6 +114,5 @@ __all__ = [
     "renderer",
     "set_default_session",
     "stat_invariants",
-    "submit_sweep",
     "summarize",
 ]

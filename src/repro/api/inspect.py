@@ -265,8 +265,8 @@ class SweepInspector:
     feed every landed result to :meth:`observe`.  Anomalies are also
     surfaced as synthetic :class:`~repro.api.exec.ExecEvent`\\ s
     (``kind == "anomaly"``) to every sink registered with
-    :meth:`add_sink`, which is how ``--progress`` renderers and the
-    daemon's client streams see them without a second wire format.
+    :meth:`add_sink`, which is how ``--progress`` renderers see them
+    without a second wire format.
     """
 
     def __init__(self, store: Optional["ResultStore"] = None,
@@ -400,8 +400,8 @@ class SweepInspector:
         """Fire time-based alarms (dead shards); safe to call any time.
 
         Event handling calls this on every event, but a *completely*
-        silent shard produces no events — watch loops (``repro watch``,
-        the daemon scheduler) should call it periodically too.
+        silent shard produces no events — watch loops (``repro watch``)
+        should call it periodically too.
         """
         now = self.clock() if now is None else now
         timeout = self.config.dead_shard_timeout_s

@@ -1,14 +1,12 @@
 """A scriptable in-process executor for tests: ``MockExecutor``.
 
-The conformance suite's fault-injection vehicle and the sweep daemon's
-scheduling test double: it implements the full
+The conformance suite's fault-injection vehicle: it implements the full
 :class:`~repro.api.exec.ExecutorBackend` submission protocol —
 lifecycle events, bounded retries, graceful cancellation — but never
 simulates anything.  Results carry fabricated statistics derived from
 the configuration, and a *script* injects latency, failures and
-worker drops per item and per attempt, so retry/exhaustion paths and
-multi-client scheduling can be exercised without real sockets or
-subprocesses.
+worker drops per item and per attempt, so retry/exhaustion paths can
+be exercised without real sockets or subprocesses.
 
 The script maps a submitted item's **batch index** to a sequence of
 per-attempt directives (the last directive repeats for any further
@@ -22,8 +20,8 @@ attempts):
 * a number / ``("delay", seconds)`` — sleep that long, then succeed.
 
 Every dispatch is recorded in :attr:`MockExecutor.dispatched`
-(``(index, workload)`` in dispatch order), which is what the daemon's
-fair-scheduling tests assert on.
+(``(index, workload)`` in dispatch order), which is what dispatch-order
+checks assert on.
 """
 
 from __future__ import annotations

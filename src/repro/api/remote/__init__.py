@@ -13,19 +13,8 @@ protocol (:mod:`repro.api.exec`):
   registered as ``"remote"``: dispatches submitted items across a
   static worker list with heartbeat timeouts and bounded retries that
   reassign failed items to healthy workers.
-* :mod:`~repro.api.remote.daemon` — :class:`SweepDaemon`, the
-  ``repro serve`` process: accepts
-  :class:`~repro.api.spec.SweepSpec` submissions from concurrent
-  clients, multiplexes them over one worker fleet with fair
-  round-robin scheduling, streams lifecycle events back, and persists
-  landed points through append-only
-  :class:`~repro.api.store.ResultStore` files (crash-resumable).
-* :mod:`~repro.api.remote.client` — :func:`submit_sweep`, the thin
-  client the CLI's ``repro sweep --daemon HOST:PORT`` uses.
 """
 
-from repro.api.remote.client import submit_sweep
-from repro.api.remote.daemon import SweepDaemon
 from repro.api.remote.executor import RemoteExecutor, WorkerFleetError
 from repro.api.remote.protocol import (ProtocolError, format_address,
                                        parse_address)
@@ -34,10 +23,8 @@ from repro.api.remote.worker import WorkerServer
 __all__ = [
     "ProtocolError",
     "RemoteExecutor",
-    "SweepDaemon",
     "WorkerFleetError",
     "WorkerServer",
     "format_address",
     "parse_address",
-    "submit_sweep",
 ]

@@ -1,9 +1,8 @@
 """The remote subsystem's wire format: length-prefixed JSON frames.
 
-Every endpoint — worker, remote executor, sweep daemon, client —
-speaks the same framing over a plain TCP stream: a 4-byte big-endian
-unsigned length, then that many bytes of UTF-8 JSON encoding one
-object.  JSON keeps the payloads debuggable and reuses the key-stable
+Both endpoints — worker and remote executor — speak the same framing
+over a plain TCP stream: a 4-byte big-endian unsigned length, then
+that many bytes of UTF-8 JSON encoding one object.  JSON keeps the payloads debuggable and reuses the key-stable
 ``to_dict`` round-trips :class:`~repro.harness.config.SimConfig` /
 :class:`~repro.api.spec.SweepSpec` / :class:`~repro.api.result.
 SimResult` already guarantee; the length prefix makes message
@@ -19,10 +18,7 @@ one trailing ``done`` with the ``completed`` count — per-point results
 stream as they finish, so retry granularity and straggler detection
 stay per point even though the batch shares one trace generation and
 predecode; ``ping`` / ``pong``; ``shutdown``; anything else is
-answered with an ``error`` frame.  The daemon dialect: ``sweep``
-(spec + use_cache) answered by ``accepted``, then streamed ``event`` /
-``result`` frames, then one ``done`` — or an ``error`` frame if the
-submission is rejected.
+answered with an ``error`` frame.
 
 :exc:`ProtocolError` covers everything malformed: torn frames,
 oversized lengths, non-JSON payloads.  A clean EOF *between* frames is

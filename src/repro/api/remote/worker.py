@@ -1,8 +1,7 @@
 """The ``repro worker`` process: simulate configs sent over TCP.
 
 A :class:`WorkerServer` accepts connections from
-:class:`~repro.api.remote.executor.RemoteExecutor` (or the daemon's
-fleet) and serves one request type for simulation: ``run_batch``,
+:class:`~repro.api.remote.executor.RemoteExecutor` and serves one request type for simulation: ``run_batch``,
 whose ``items`` list carries serialized
 :class:`~repro.harness.config.SimConfig` payloads sharing one trace
 identity (a lone point is a batch of one).  The worker drives them

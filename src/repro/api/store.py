@@ -146,20 +146,6 @@ class ResultStore:
         if self.path.is_file():
             self._load_existing()
 
-    @classmethod
-    def for_sweep(cls, directory: PathLike,
-                  sweep_id: str) -> "ResultStore":
-        """The canonical per-sweep store inside *directory*.
-
-        One file per sweep — ``sweep-<id>.jsonl`` — which is how the
-        ``repro serve`` daemon lays out its store directory: any
-        process that knows a spec can derive its
-        :meth:`~repro.api.spec.SweepSpec.sweep_id` and find (or
-        resume) the matching store without coordination.
-        """
-        return cls(Path(directory) / f"sweep-{sweep_id}.jsonl",
-                   sweep_id=sweep_id)
-
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------

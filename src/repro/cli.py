@@ -25,18 +25,11 @@ Commands:
   — drive *all* ``--shards K`` partitions from this one process over
   a worker pool instead of launching K CLI invocations.  Execution is
   selected by registered executor name (``--executor`` +
-  ``--workers`` for the TCP fleet) or submitted to a sweep daemon
-  (``--daemon HOST:PORT``).
+  ``--workers`` for the TCP fleet).
 * ``worker`` — serve simulations over TCP: accepts serialized
-  configurations from ``--executor remote`` dispatchers (or a sweep
-  daemon's fleet) and answers with results, heartbeating during long
-  runs.  Prints ``worker listening on HOST:PORT`` once bound.
-* ``serve`` — the sweep daemon: accepts whole ``SweepSpec``
-  submissions from concurrent clients, multiplexes them over one
-  ``--workers`` fleet with fair round-robin scheduling, and persists
-  landed points to per-sweep stores under ``--store-dir`` (resumable
-  across restarts).  ``--inspect`` attaches a per-sweep
-  :class:`~repro.api.inspect.SweepInspector` to every submission.
+  configurations from ``--executor remote`` dispatchers and answers
+  with results, heartbeating during long runs.  Prints ``worker
+  listening on HOST:PORT`` once bound.
 * ``watch STORE`` — inspect a sweep result store: progress,
   per-workload summary, anomaly annotations and quarantined points;
   ``--follow`` polls the file and prints a line as points land.
@@ -64,11 +57,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import (ResultStore, Session, SweepDaemon, SweepInspector,
-                       SweepSpec, WorkerServer, default_session,
-                       executor_names, experiment_names, get_experiment,
-                       ltp_preset, ltp_preset_names, merge_stores,
-                       parse_shard, submit_sweep, summarize)
+from repro.api import (ResultStore, Session, SweepInspector, SweepSpec,
+                       WorkerServer, default_session, executor_names,
+                       experiment_names, get_experiment, ltp_preset,
+                       ltp_preset_names, merge_stores, parse_shard,
+                       summarize)
 from repro.api.executors import executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
 from repro.api.spec import non_negative_int, positive_int, shard_of
@@ -241,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, metavar="N",
                          help="re-dispatch attempts per failed point "
                               "(default 1)")
-    sweep_p.add_argument("--daemon", default=None, metavar="HOST:PORT",
-                         help="submit the sweep to a 'repro serve' "
-                              "daemon instead of executing locally")
     sweep_p.add_argument("--warmup", type=int, default=None,
                          help="warmup instruction budget per point")
     sweep_p.add_argument("--measure", type=int, default=None,
@@ -269,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker_p = sub.add_parser(
         "worker", help="serve simulations over TCP for --executor "
-                       "remote / a sweep daemon")
+                       "remote")
     worker_p.add_argument("--listen", default="127.0.0.1:0",
                           metavar="HOST:PORT",
                           help="bind address (port 0 = ephemeral; the "
@@ -282,40 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="heartbeat interval while simulating "
                                "(default 2.0)")
 
-    serve_p = sub.add_parser(
-        "serve", help="sweep daemon: accept SweepSpec submissions and "
-                      "run them over a worker fleet")
-    serve_p.add_argument("--listen", default="127.0.0.1:0",
-                         metavar="HOST:PORT",
-                         help="bind address (port 0 = ephemeral; the "
-                              "resolved address is printed)")
-    serve_p.add_argument("--workers", required=True,
-                         metavar="HOST:PORT,...",
-                         help="comma-separated addresses of the "
-                              "'repro worker' fleet to dispatch to")
-    serve_p.add_argument("--store-dir", type=Path, default=None,
-                         help="directory of per-sweep result stores "
-                              "(sweep-<id>.jsonl; makes sweeps "
-                              "resumable across daemon restarts)")
-    serve_p.add_argument("--batch-size", type=positive_int, default=8,
-                         metavar="N",
-                         help="points in flight per scheduling round "
-                              "(default 8)")
-    serve_p.add_argument("--max-retries", type=non_negative_int,
-                         default=1, metavar="N",
-                         help="re-dispatch attempts per failed point "
-                              "(default 1)")
-    serve_p.add_argument("--inspect", action="store_true",
-                         help="attach a per-sweep SweepInspector to "
-                              "every submission: annotations land in "
-                              "the per-sweep store and anomaly events "
-                              "stream to the submitting client")
-
     watch_p = sub.add_parser(
         "watch", help="inspect a sweep result store: progress, "
                       "per-workload summary, anomalies, quarantine")
     watch_p.add_argument("store", type=Path,
-                         help="a --store / daemon sweep-<id>.jsonl file")
+                         help="a sweep --store JSONL file")
     watch_p.add_argument("--follow", action="store_true",
                          help="keep polling the store and print a "
                               "progress line as points land")
@@ -651,49 +612,25 @@ def cmd_sweep(args, out) -> int:
         print("--shards only applies to --coordinate (to run a single "
               "partition of the sweep, use --shard i/k)", file=out)
         return 2
-    if args.daemon is not None:
-        contradictory = [
-            ("--executor", args.executor is not None),
-            ("--jobs", args.jobs != 1),
-            ("--batch-size", args.batch_size is not None),
-            ("--workers", args.workers is not None),
-            ("--max-retries", args.max_retries is not None),
-            ("--shard", args.shard is not None),
-            ("--coordinate", args.coordinate),
-            ("--shards", args.shards is not None),
-        ]
-        clashing = [flag for flag, given in contradictory if given]
-        if clashing:
-            print(f"--daemon submits the sweep to a remote server, "
-                  f"which decides execution itself; drop "
-                  f"{', '.join(clashing)}", file=out)
-            return 2
-        if args.inspect:
-            print("--inspect runs online QA where results land; with "
-                  "--daemon that is the server — start it with "
-                  "'repro serve --inspect' (anomaly events stream "
-                  "back to this client)", file=out)
-            return 2
     if args.workers is not None and args.executor != "remote":
         print("--workers only applies to --executor remote", file=out)
         return 2
     spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
                               measure=args.measure, engine=args.engine)
 
-    backend = shards = None
-    if args.daemon is None:
-        try:
-            backend = executor_from_options(
-                args.executor,
-                # beside an explicit executor, the default --jobs 1
-                # means "not given"
-                jobs=(None if args.executor is not None and args.jobs == 1
-                      else args.jobs),
-                workers=args.workers, max_retries=args.max_retries,
-                batch_size=args.batch_size)
-        except ValueError as exc:
-            print(str(exc), file=out)
-            return 2
+    try:
+        backend = executor_from_options(
+            args.executor,
+            # beside an explicit executor, the default --jobs 1 means
+            # "not given"
+            jobs=(None if args.executor is not None and args.jobs == 1
+                  else args.jobs),
+            workers=args.workers, max_retries=args.max_retries,
+            batch_size=args.batch_size)
+    except ValueError as exc:
+        print(str(exc), file=out)
+        return 2
+    shards = None
     if args.coordinate:
         shards = args.shards
         if shards is None:  # one shard per worker
@@ -712,20 +649,10 @@ def cmd_sweep(args, out) -> int:
         stream=sys.stderr if args.progress else None)
     inspector = SweepInspector(store=store) if args.inspect else None
     try:
-        if args.daemon is not None:
-            results = submit_sweep(args.daemon, spec,
-                                   use_cache=not args.no_cache,
-                                   on_event=reporter)
-            if store is not None:
-                # a local copy of what the daemon (durably) holds
-                store.bind(spec.sweep_id()).touch()
-                for result in results:
-                    store.add(result)
-        else:
-            results = session.sweep(spec, use_cache=not args.no_cache,
-                                    backend=backend, store=store,
-                                    shard=args.shard, shards=shards,
-                                    progress=reporter, inspect=inspector)
+        results = session.sweep(spec, use_cache=not args.no_cache,
+                                backend=backend, store=store,
+                                shard=args.shard, shards=shards,
+                                progress=reporter, inspect=inspector)
     finally:
         reporter.close()
         if store is not None:
@@ -789,34 +716,6 @@ def cmd_worker(args, out) -> int:
         pass
     finally:
         server.close()
-    return 0
-
-
-def cmd_serve(args, out) -> int:
-    try:
-        host, port = parse_address(args.listen)
-        workers = [parse_address(part)
-                   for part in args.workers.split(",") if part]
-    except ValueError as exc:
-        print(str(exc), file=out)
-        return 2
-    if not workers:
-        print("--workers needs at least one HOST:PORT", file=out)
-        return 2
-    daemon = SweepDaemon(
-        workers=workers, host=host, port=port,
-        store_dir=(str(args.store_dir)
-                   if args.store_dir is not None else None),
-        batch_size=args.batch_size, max_retries=args.max_retries,
-        inspect=args.inspect)
-    print(f"serve listening on {format_address(daemon.address)}",
-          file=out, flush=True)
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        daemon.close()
     return 0
 
 
@@ -935,8 +834,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_sweep(args, out)
     if args.command == "worker":
         return cmd_worker(args, out)
-    if args.command == "serve":
-        return cmd_serve(args, out)
     if args.command == "watch":
         return cmd_watch(args, out)
     raise AssertionError("unreachable")

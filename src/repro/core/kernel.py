@@ -185,21 +185,6 @@ class KernelPipeline(Pipeline):
                 hier.l3.insert(block)
 
     # ------------------------------------------------------------------
-    def _kernel_deadlock(self, now: int, iq_len: int,
-                         frontend_len: int) -> None:
-        from repro.core.pipeline import SimulationDeadlock
-        head = self.rob.head()
-        raise SimulationDeadlock(
-            f"no progress at cycle {now}: rob={len(self.rob)} "
-            f"iq={iq_len} policy={self.policy.name!r} "
-            f"parked={len(self.policy.queue)} "
-            f"frontend={frontend_len} head={head!r} "
-            f"free_int={self.regfile.free('int')} "
-            f"free_fp={self.regfile.free('fp')} "
-            f"lq={self.lsq.lq_used} sq={self.lsq.sq_used}"
-        )
-
-    # ------------------------------------------------------------------
     def run(self) -> SimStats:
         """Simulate to completion with the cyclic collector suspended.
 
@@ -1050,8 +1035,8 @@ class KernelPipeline(Pipeline):
                     lsq.lq_used = lq_used
                     rf_free["int"] = rfi_free
                     rf_free["fp"] = rff_free
-                    self._kernel_deadlock(now, iq_occ,
-                                          fe_len - fe_head)
+                    self._raise_deadlock(now, iq_occ,
+                                         fe_len - fe_head)
                 if target <= now:
                     target = now + 1
                 step = target - now if allow_skip else 1
@@ -1119,8 +1104,8 @@ class KernelPipeline(Pipeline):
                 lsq.lq_used = lq_used
                 rf_free["int"] = rfi_free
                 rf_free["fp"] = rff_free
-                self._kernel_deadlock(now - step, iq_occ,
-                                      fe_len - fe_head)
+                self._raise_deadlock(now - step, iq_occ,
+                                     fe_len - fe_head)
 
         # =============================================================
         # flush locals into the shared statistics / structures

@@ -323,7 +323,8 @@ class Pipeline:
             step = 1
             if not imminent and self._next_event_cycle(now) is None:
                 if not self._finished():
-                    self._raise_deadlock(now)
+                    self._raise_deadlock(now, len(self.iq),
+                                         self._frontend_len())
                 return
         else:
             target = self._next_event_cycle(now)
@@ -334,7 +335,8 @@ class Pipeline:
             if target is None:
                 if self._finished():
                     return
-                self._raise_deadlock(now)
+                self._raise_deadlock(now, len(self.iq),
+                                     self._frontend_len())
             step = max(1, target - now)
             if step > 1 and (gated or self._stall is not None):
                 self._repeat_stalled(step - 1, gated)
@@ -343,7 +345,7 @@ class Pipeline:
         self.cycle = now + step
 
         if self.cycle - self._last_commit_cycle > self.params.deadlock_cycles:
-            self._raise_deadlock(now)
+            self._raise_deadlock(now, len(self.iq), self._frontend_len())
 
     def _next_event_cycle(self, now: int) -> Optional[int]:
         candidates: List[int] = []
@@ -394,13 +396,14 @@ class Pipeline:
         if gated:
             self.hierarchy.repeat_rejection(gated * times)
 
-    def _raise_deadlock(self, now: int) -> None:
+    def _raise_deadlock(self, now: int, iq_len: int,
+                        frontend_len: int) -> None:
         head = self.rob.head()
         raise SimulationDeadlock(
             f"no progress at cycle {now}: rob={len(self.rob)} "
-            f"iq={len(self.iq)} policy={self.policy.name!r} "
+            f"iq={iq_len} policy={self.policy.name!r} "
             f"parked={len(self.policy.queue)} "
-            f"frontend={self._frontend_len()} head={head!r} "
+            f"frontend={frontend_len} head={head!r} "
             f"free_int={self.regfile.free('int')} "
             f"free_fp={self.regfile.free('fp')} "
             f"lq={self.lsq.lq_used} sq={self.lsq.sq_used}"

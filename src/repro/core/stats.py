@@ -117,7 +117,7 @@ class SimStats:
 
         Everything here must be bit-identical across strict
         (``allow_skip=False``) and idle-jumping execution, and across
-        the pre-decoded and reference issue paths.  Per-*attempt*
+        the object and kernel engines.  Per-*attempt*
         counters (stall attribution, classification tallies, UIT
         activity) are left out; the jump charges the attempts it skips
         in bulk, and the strict-equivalence tests compare them through

@@ -169,6 +169,7 @@ def test_sweep_command_runs_spec_file(tmp_path, monkeypatch):
     assert payload["shard"] is None
     assert payload["summary"]["workloads"]["compute_int"]["points"] == 2
     assert len(payload["results"]) == 2
+    assert "inspector" not in payload  # no --inspect, no QA section
 
 
 def test_sweep_command_shard_store_resume_merge(tmp_path, monkeypatch):
@@ -222,6 +223,7 @@ def test_sweep_command_table_output(tmp_path, monkeypatch):
     assert code == 0
     assert "2 points (2 simulated" in text
     assert "compute_int" in text
+    assert "inspector:" not in text
 
 
 def test_sweep_command_refuses_existing_store_without_resume(

@@ -1,12 +1,10 @@
 """The observability surface end to end: ``sweep --inspect``, the
-``watch`` command, non-TTY progress rendering, and the daemon's
-per-sweep inspector."""
+``watch`` command and non-TTY progress rendering."""
 
 import io
 import json
 
-from repro.api import (Annotation, MockExecutor, ResultStore,
-                       SweepDaemon, SweepSpec)
+from repro.api import Annotation, ResultStore
 from repro.api.exec import ExecEvent
 from repro.cli import _ProgressReporter, main
 
@@ -110,13 +108,6 @@ def test_sweep_inspect_json_carries_the_summary(tmp_path, monkeypatch):
     assert payload["inspector"]["anomalies"] == []
 
 
-def test_sweep_inspect_refuses_daemon_mode(tmp_path):
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--daemon", "127.0.0.1:1", "--inspect"])
-    assert code == 2
-    assert "repro serve --inspect" in text
-
-
 def test_quarantined_point_reruns_via_resume(tmp_path, monkeypatch):
     """An annotation in the store drives `sweep --resume` re-runs."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -200,71 +191,3 @@ def test_watch_missing_store_errors(tmp_path):
     code, text = run_cli(["watch", str(tmp_path / "absent.jsonl")])
     assert code == 2
     assert "does not exist" in text
-
-
-# -------------------------------------------------------------- daemon
-class _TamperingMock(MockExecutor):
-    """Corrupt the stats of every config matching *predicate*."""
-
-    def __init__(self, predicate, **kwargs):
-        super().__init__(**kwargs)
-        self.predicate = predicate
-
-    def _fabricate(self, future):
-        stats = super()._fabricate(future)
-        if self.predicate(future.config):
-            stats["committed"] += 7  # break measure-window conservation
-        return stats
-
-
-def drain(daemon):
-    while True:
-        batch = daemon._collect_batch()
-        if not batch:
-            return
-        daemon._run_batch(batch)
-
-
-def test_daemon_inspects_and_streams_anomalies(tmp_path):
-    spec = SweepSpec(workloads=["compute_int"], warmup=150, measure=100,
-                     axes={"core.iq_size": [16, 32, 48, 64]})
-    tampered = _TamperingMock(lambda config: config.core.iq_size == 32)
-    daemon = SweepDaemon(executor=tampered, listen=False,
-                         store_dir=str(tmp_path), inspect=True)
-    frames = []
-    job = daemon.submit(spec, use_cache=False, sink=frames.append)
-    drain(daemon)
-    assert job.done.is_set()
-
-    anomalies = [frame["event"] for frame in frames
-                 if frame["op"] == "event"
-                 and frame["event"]["kind"] == "anomaly"]
-    assert len(anomalies) == 1
-    assert "invariant" in anomalies[0]["error"]
-    done = [frame for frame in frames if frame["op"] == "done"][-1]
-    assert done["anomalies"] == 1
-    assert done["quarantined"] == 1
-
-    # the verdict is durable in the daemon's own per-sweep store
-    store = ResultStore.for_sweep(tmp_path, job.sweep_id)
-    assert len(store.quarantined_keys()) == 1
-    bad_key = store.quarantined_keys()[0]
-    assert store.get(bad_key).config.core.iq_size == 32
-    daemon.close()
-
-
-def test_daemon_without_inspect_reports_no_counts(tmp_path):
-    daemon = SweepDaemon(executor=MockExecutor(), listen=False,
-                         store_dir=str(tmp_path))
-    frames = []
-    job = daemon.submit(SweepSpec(workloads=["compute_int"], warmup=150,
-                                  measure=100,
-                                  axes={"core.iq_size": [16, 32]}),
-                        use_cache=False, sink=frames.append)
-    drain(daemon)
-    assert job.done.is_set()
-    done = [frame for frame in frames if frame["op"] == "done"][-1]
-    assert "anomalies" not in done
-    store = ResultStore.for_sweep(tmp_path, job.sweep_id)
-    assert store.quarantined_keys() == []
-    daemon.close()

@@ -38,6 +38,16 @@ def dead_address():
     return address
 
 
+# ----------------------------------------------------------- exports
+def test_every_public_export_resolves():
+    import repro.api
+    import repro.api.remote
+    for module in (repro.api, repro.api.remote):
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, (
+                f"{module.__name__}.__all__ names missing {name!r}")
+
+
 # ---------------------------------------------------------- protocol
 def test_parse_and_format_address():
     assert parse_address("127.0.0.1:7777") == ("127.0.0.1", 7777)
