@@ -11,21 +11,18 @@ nothing.  From the repo root::
     python scripts/ci_sweep.py merge  --store merged.jsonl stores/*.jsonl
     python scripts/ci_sweep.py verify --store merged.jsonl
     python scripts/ci_sweep.py check-resume --store merged.jsonl
-    python scripts/ci_sweep.py coordinate --shards 4 --jobs 4 \\
-        --store coordinated.jsonl
-    python scripts/ci_sweep.py compare merged.jsonl coordinated.jsonl
+    python -m repro sweep ltp-queues --jobs 4 --store pooled.jsonl
+    python scripts/ci_sweep.py compare merged.jsonl pooled.jsonl
     python scripts/ci_sweep.py remote --workers 2 --kill-one \\
         --store remote.jsonl
     python scripts/ci_sweep.py inspect-check --report inspect.json
 
-``coordinate`` drives every shard from one process
-(``Session.sweep(shards=K)``, what ``repro sweep --coordinate`` runs);
 ``compare`` asserts two stores are bit-for-bit interchangeable (same
-sweep, same keys, identical statistics) — CI uses it to prove the
-coordinated store equals the k-invocation shard union.  ``remote``
-spawns a real ``repro worker`` fleet as subprocesses and runs the
-sweep through ``--executor remote`` (``--kill-one`` murders a worker
-after the first landed point, proving retry-on-survivors).
+sweep, same keys, identical statistics) — CI uses it to prove one
+pooled ``repro sweep`` store equals the k-invocation shard union.
+``remote`` spawns a real ``repro worker`` fleet as subprocesses and
+runs the sweep through ``--executor remote`` (``--kill-one`` murders
+a worker after the first landed point, proving retry-on-survivors).
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
@@ -41,9 +38,9 @@ sweep; every subcommand must be given the same values (the store binds
 the spec's ``sweep_id`` and refuses a mismatch).  The driver is plain
 :mod:`repro.api` — anything it does can be scripted directly.
 
-``run``, ``coordinate`` and ``remote`` take ``--batch-size``: the cap
-on how many trace-identical points execute as one trace-shared batch
-(``1`` disables batching).  CI's batched-equivalence job runs the same
+``run`` and ``remote`` take ``--batch-size``: the cap on how many
+trace-identical points execute as one trace-shared batch (``1``
+disables batching).  CI's batched-equivalence job runs the same
 sweep batched and unbatched and ``compare``\\ s the stores, proving
 batching is a pure optimisation.
 """
@@ -68,8 +65,7 @@ from repro.api import (MockExecutor, ResultStore, Session,  # noqa: E402
                        SweepInspector, SweepSpec, merge_stores,
                        parse_shard)
 from repro.api.executors import executor_from_options  # noqa: E402
-from repro.api.spec import (non_negative_int, positive_int,  # noqa: E402
-                            shard_of)
+from repro.api.spec import non_negative_int, positive_int  # noqa: E402
 from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
 
@@ -109,26 +105,6 @@ def cmd_run(args) -> int:
     label = f"shard {args.shard}" if args.shard else "unsharded"
     print(f"sweep {spec.sweep_id()} {label}: {len(results)} points, "
           f"{simulated} simulated -> {args.store}")
-    return 0
-
-
-def cmd_coordinate(args) -> int:
-    """Run every shard of the sweep from this one process."""
-    spec = build_spec(args)
-    backend = executor_from_options(jobs=args.jobs,
-                                    batch_size=args.batch_size)
-    with Session() as session, ResultStore(args.store) as store:
-        results = session.sweep(spec, backend=backend, store=store,
-                                shards=args.shards)
-    simulated = sum(1 for r in results if not r.cached)
-    per_shard = [0] * args.shards
-    for result in results:
-        per_shard[shard_of(result.key, args.shards)] += 1
-    print(f"sweep {spec.sweep_id()} coordinated over "
-          f"{args.shards} shard(s) "
-          f"({'/'.join(str(n) for n in per_shard)} points): "
-          f"{len(results)} points, {simulated} simulated -> "
-          f"{args.store}")
     return 0
 
 
@@ -486,21 +462,6 @@ def main(argv=None) -> int:
                        help="cap on trace-identical points executed "
                             "as one batch (1 disables batching)")
     run_p.set_defaults(func=cmd_run)
-
-    coord_p = sub.add_parser(
-        "coordinate",
-        help="drive every shard from one process into a store")
-    add_spec_options(coord_p)
-    coord_p.add_argument("--shards", type=positive_int, default=4)
-    coord_p.add_argument("--store", type=Path, required=True)
-    coord_p.add_argument("--jobs", "-j", type=non_negative_int,
-                         default=None)
-    coord_p.add_argument("--batch-size", type=positive_int, default=None,
-                         metavar="N",
-                         help="cap on trace-identical points executed "
-                              "as one batch (1 disables batching; "
-                              "batches never span shards)")
-    coord_p.set_defaults(func=cmd_coordinate)
 
     compare_p = sub.add_parser(
         "compare",

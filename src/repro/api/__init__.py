@@ -26,9 +26,7 @@ The API layer is organised around four ideas:
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
   results; with :meth:`SweepSpec.shard` and ``Session.sweep(store=,
   shard=)`` they make sweeps shardable across machines and resumable
-  (:func:`merge_stores` recombines shard artifacts), and
-  ``Session.sweep(store=, shards=K)`` drives all *K* shards from one
-  process on any executor (``repro sweep --coordinate``).
+  (:func:`merge_stores` recombines shard artifacts).
 * :class:`SweepInspector` — online sweep QA (:mod:`repro.api.inspect`):
   validates every landed result against hard stat invariants and
   per-workload outlier baselines, raises operational alarms from the

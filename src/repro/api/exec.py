@@ -6,7 +6,7 @@ pieces:
 
 * :class:`SimFuture` — one submitted configuration's pending outcome:
   ``result()`` / ``exception()`` / ``cancel()`` / ``done()``, carrying
-  provenance (config, cache key, batch index, shard tag, attempts).
+  provenance (config, cache key, batch index, attempts).
 * :class:`ExecutorBackend` — the submission surface every executor
   implements: ``submit(item) -> SimFuture`` plus ``as_completed()``,
   progress callbacks receiving structured :class:`ExecEvent` lifecycle
@@ -21,7 +21,7 @@ pieces:
 
 One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
 — queued futures sharing one trace identity (workload + total trace
-length + cache policy + shard), capped by ``batch_size`` — and a lone
+length + cache policy), capped by ``batch_size`` — and a lone
 point is simply a batch of one.  Each dispatch pays one trace
 generation, one workload build and one columnar predecode for the
 whole group (the session's trace-cache entry is shared by every
@@ -34,10 +34,6 @@ the ``ExecutorBackend`` helpers ``_start``, ``_finish`` and
 ``_retry_or_fail`` — the only code that resolves a future, counts its
 attempts, builds its :class:`WorkerFailure` or emits its lifecycle
 events.
-
-A sharded sweep (``Session.sweep(spec, shards=K)``, ``repro sweep
---coordinate``) is not an executor of its own: the session tags each
-submission with its key-stable shard, and any executor drives it.
 
 Event-delivery guarantees: every submitted item emits ``submitted``
 once, ``started`` once (its first dispatch), then either ``finished``
@@ -107,8 +103,6 @@ class ExecEvent:
     index: int
     #: 1-based attempt number at the time of the event (0 = not started)
     attempt: int = 0
-    #: shard tag, when the submission came from a sharded sweep
-    shard: Optional[int] = None
     #: result provenance, on ``finished`` events
     source: Optional[str] = None
     wall_time_s: Optional[float] = None
@@ -121,7 +115,7 @@ class ExecEvent:
                                    "workload": self.workload,
                                    "index": self.index,
                                    "attempt": self.attempt}
-        for name in ("shard", "source", "wall_time_s", "error"):
+        for name in ("source", "wall_time_s", "error"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -173,13 +167,10 @@ class SimFuture:
     in :meth:`result` from another thread.
     """
 
-    def __init__(self, executor: "ExecutorBackend", item: WorkItem,
-                 shard: Optional[int] = None) -> None:
+    def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
         self.index, self.config, self.use_cache = item
         #: the configuration's stable cache key (provenance)
         self.key = self.config.key()
-        #: shard tag (``None`` outside sharded sweeps)
-        self.shard = shard
         #: attempts dispatched so far (grows on retries)
         self.attempts = 0
         self._executor = executor
@@ -187,7 +178,6 @@ class SimFuture:
         self._result: Optional[SimResult] = None
         self._exception: Optional[BaseException] = None
         self._cond = threading.Condition()
-        self._callbacks: List[Callable[["SimFuture"], None]] = []
 
     # -- state queries ---------------------------------------------------
     def done(self) -> bool:
@@ -198,10 +188,6 @@ class SimFuture:
     def cancelled(self) -> bool:
         with self._cond:
             return self._state == _CANCELLED
-
-    def running(self) -> bool:
-        with self._cond:
-            return self._state == _RUNNING
 
     # -- cancellation ----------------------------------------------------
     def cancel(self) -> bool:
@@ -218,7 +204,6 @@ class SimFuture:
             self._state = _CANCELLED
             self._cond.notify_all()
         self._executor._on_future_cancelled(self)
-        self._invoke_callbacks()
         return True
 
     # -- waiting ---------------------------------------------------------
@@ -252,15 +237,6 @@ class SimFuture:
                     f"simulation of {self.key} was cancelled")
             return self._exception
 
-    def add_done_callback(self,
-                          fn: Callable[["SimFuture"], None]) -> None:
-        """Run *fn(future)* once resolved (immediately if already)."""
-        with self._cond:
-            if self._state not in (_DONE, _CANCELLED):
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
     # -- resolution (executor-internal) ----------------------------------
     def _set_running(self) -> None:
         with self._cond:
@@ -272,19 +248,12 @@ class SimFuture:
             self._result = result
             self._state = _DONE
             self._cond.notify_all()
-        self._invoke_callbacks()
 
     def _set_exception(self, exc: BaseException) -> None:
         with self._cond:
             self._exception = exc
             self._state = _DONE
             self._cond.notify_all()
-        self._invoke_callbacks()
-
-    def _invoke_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
     def __repr__(self) -> str:
         return (f"SimFuture({self.config.workload!r}, key={self.key!r}, "
@@ -294,19 +263,18 @@ class SimFuture:
 # ----------------------------------------------------------------------
 # trace-shared batches
 # ----------------------------------------------------------------------
-def _batch_key(future: SimFuture) -> Tuple[Optional[int], str, int, bool]:
+def _batch_key(future: SimFuture) -> Tuple[str, int, bool]:
     """The grouping identity for trace-shared batching.
 
-    Futures batch together when they share a shard tag, a
-    workload, a total trace length (``warmup + measure``) and a cache
-    policy — exactly the inputs one trace generation + one predecode
-    can serve.  The engine is deliberately *not* part of the key: the
+    Futures batch together when they share a workload, a total trace
+    length (``warmup + measure``) and a cache policy — exactly the
+    inputs one trace generation + one predecode can serve.  The engine is deliberately *not* part of the key: the
     trace's one predecode serves every kernel member, and object-engine
     members (the differential reference) never touch it.
     """
     config = future.config
-    return (future.shard, config.workload,
-            config.warmup + config.measure, future.use_cache)
+    return (config.workload, config.warmup + config.measure,
+            future.use_cache)
 
 
 @dataclass
@@ -466,19 +434,18 @@ class ExecutorBackend:
         event = ExecEvent(kind=kind, key=future.key,
                           workload=future.config.workload,
                           index=future.index, attempt=future.attempts,
-                          shard=future.shard, **extra)
+                          **extra)
         for callback in list(self._callbacks):
             callback(event)
 
     # -- submission ------------------------------------------------------
-    def submit(self, item: WorkItem,
-               shard: Optional[int] = None) -> SimFuture:
+    def submit(self, item: WorkItem) -> SimFuture:
         """Queue one work item; returns its :class:`SimFuture`.
 
         Execution happens while :meth:`as_completed` is iterated —
         ``submit`` never blocks on simulation.
         """
-        future = SimFuture(self, item, shard=shard)
+        future = SimFuture(self, item)
         self._queue.append(future)
         self._emit(EVENT_SUBMITTED, future)
         return future

@@ -3,15 +3,15 @@
 A long sweep is write-only without it: a silently wrong
 :class:`~repro.api.result.SimResult` — a stat-conservation violation
 from a miscompiled worker, an IPC outlier from a misconfigured host, a
-straggling or dead shard — is otherwise only discoverable after the
-run by manual inspection.  The inspector sits on the existing
+straggling or retrying worker — is otherwise only discoverable after
+the run by manual inspection.  The inspector sits on the existing
 execution surfaces and validates the sweep *while it runs*:
 
 * as a :data:`~repro.api.exec.ProgressCallback` it watches every
   lifecycle event (:class:`~repro.api.exec.ExecEvent`) for
   **operational alarms** — stragglers (started→finished latency far
-  above the sweep's own distribution), a retry rate above threshold,
-  and dead shards (submitted work, no events for too long);
+  above the sweep's own distribution) and a retry rate above
+  threshold;
 * via :meth:`SweepInspector.observe` it validates every **landed
   result** — hard stat-conservation invariants lifted from the
   differential-test assertions (:func:`stat_invariants`) and robust
@@ -24,8 +24,8 @@ in the bound :class:`~repro.api.store.ResultStore`.  Data anomalies
 (``invariant``, ``outlier``) quarantine their key — the stored result
 is suspect, and a resumed ``Session.sweep`` re-simulates exactly the
 quarantined points.  Operational alarms (``straggler``,
-``retry-rate``, ``dead-shard``) are recorded without quarantine: the
-landed data is fine, the fleet is not.
+``retry-rate``) are recorded without quarantine: the landed data is
+fine, the fleet is not.
 
 The inspector never touches the simulation loop — it observes the
 event stream and landed results, so the hot path's cost profile is
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
-from repro.api.exec import (EVENT_ANOMALY, EVENT_CANCELLED, EVENT_FAILED,
-                            EVENT_FINISHED, EVENT_RETRIED, EVENT_STARTED,
-                            EVENT_SUBMITTED, ExecEvent, ProgressCallback)
+from repro.api.exec import (EVENT_ANOMALY, EVENT_FAILED, EVENT_FINISHED,
+                            EVENT_RETRIED, EVENT_STARTED, ExecEvent,
+                            ProgressCallback)
 from repro.api.result import SimResult
 from repro.api.store import Annotation
 
@@ -54,7 +54,6 @@ CHECK_INVARIANT = "invariant"
 CHECK_OUTLIER = "outlier"
 CHECK_STRAGGLER = "straggler"
 CHECK_RETRY_RATE = "retry-rate"
-CHECK_DEAD_SHARD = "dead-shard"
 
 #: checks whose anomalies quarantine the key's stored result
 QUARANTINE_CHECKS = (CHECK_INVARIANT, CHECK_OUTLIER)
@@ -204,39 +203,6 @@ class InspectorConfig:
     retry_rate_threshold: float = 0.5
     #: attempts required before the retry-rate alarm can fire
     retry_min_attempts: int = 6
-    #: seconds without events from a shard with outstanding work
-    dead_shard_timeout_s: float = 300.0
-
-
-@dataclass
-class _ShardState:
-    """Per-shard progress counters for throughput and liveness."""
-
-    submitted: int = 0
-    started: int = 0
-    finished: int = 0
-    failed: int = 0
-    retried: int = 0
-    cancelled: int = 0
-    first_event_t: float = 0.0
-    last_event_t: float = 0.0
-    wall_time_s: float = 0.0
-    dead_flagged: bool = False
-
-    @property
-    def outstanding(self) -> int:
-        return self.submitted - self.finished - self.failed \
-            - self.cancelled
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {"submitted": self.submitted, "started": self.started,
-                   "finished": self.finished, "failed": self.failed,
-                   "retried": self.retried, "cancelled": self.cancelled,
-                   "outstanding": self.outstanding}
-        elapsed = self.last_event_t - self.first_event_t
-        if elapsed > 0 and self.finished:
-            payload["throughput_per_s"] = self.finished / elapsed
-        return payload
 
 
 # ----------------------------------------------------------------------
@@ -288,11 +254,14 @@ class SweepInspector:
         #: key -> (clock at started event, attempt)
         self._started_at: Dict[str, float] = {}
         self._latencies: Deque[float] = deque(maxlen=256)
-        self._shards: Dict[Optional[int], _ShardState] = {}
+        self._finished = 0
+        self._failed = 0
         self._attempts = 0
         self._retries = 0
         self._retry_flagged = False
+        #: clocks at the first and the latest lifecycle event
         self._t0: Optional[float] = None
+        self._last_t = 0.0
 
     # ------------------------------------------------------------------
     # wiring
@@ -331,31 +300,19 @@ class SweepInspector:
         now = self.clock()
         if self._t0 is None:
             self._t0 = now
-        shard = self._shards.setdefault(event.shard, _ShardState())
-        if not shard.first_event_t:
-            shard.first_event_t = now
-        shard.last_event_t = now
-        if event.kind == EVENT_SUBMITTED:
-            shard.submitted += 1
-        elif event.kind == EVENT_STARTED:
-            shard.started += 1
+        self._last_t = now
+        if event.kind == EVENT_STARTED:
             self._attempts += 1
             self._started_at[event.key] = now
         elif event.kind == EVENT_FINISHED:
-            shard.finished += 1
-            if event.wall_time_s:
-                shard.wall_time_s += event.wall_time_s
+            self._finished += 1
             self._check_straggler(event, now)
         elif event.kind == EVENT_FAILED:
-            shard.failed += 1
+            self._failed += 1
         elif event.kind == EVENT_RETRIED:
-            shard.retried += 1
             self._attempts += 1
             self._retries += 1
             self._check_retry_rate(event)
-        elif event.kind == EVENT_CANCELLED:
-            shard.cancelled += 1
-        self.check_alarms(now)
 
     def _check_straggler(self, event: ExecEvent, now: float) -> None:
         started = self._started_at.pop(event.key, None)
@@ -376,8 +333,7 @@ class SweepInspector:
                     workload=event.workload, index=event.index,
                     quarantine=False,
                     values={"latency_s": round(latency, 4),
-                            "median_s": round(typical, 4),
-                            "shard": event.shard}))
+                            "median_s": round(typical, 4)}))
         self._latencies.append(latency)
 
     def _check_retry_rate(self, event: ExecEvent) -> None:
@@ -395,32 +351,6 @@ class SweepInspector:
                 values={"retries": self._retries,
                         "attempts": self._attempts,
                         "rate": round(rate, 4)}))
-
-    def check_alarms(self, now: Optional[float] = None) -> None:
-        """Fire time-based alarms (dead shards); safe to call any time.
-
-        Event handling calls this on every event, but a *completely*
-        silent shard produces no events — watch loops (``repro watch``)
-        should call it periodically too.
-        """
-        now = self.clock() if now is None else now
-        timeout = self.config.dead_shard_timeout_s
-        for shard_id, shard in self._shards.items():
-            if shard.dead_flagged or shard_id is None:
-                continue
-            if shard.outstanding > 0 and \
-                    now - shard.last_event_t > timeout:
-                shard.dead_flagged = True
-                self._flag(Annotation(
-                    key=f"alarm:shard-{shard_id}", check=CHECK_DEAD_SHARD,
-                    detail=(f"shard {shard_id} silent for "
-                            f"{now - shard.last_event_t:.0f}s with "
-                            f"{shard.outstanding} points outstanding"),
-                    quarantine=False,
-                    values={"shard": shard_id,
-                            "outstanding": shard.outstanding,
-                            "silent_s": round(now - shard.last_event_t,
-                                              1)}))
 
     # ------------------------------------------------------------------
     # landed results
@@ -498,27 +428,17 @@ class SweepInspector:
         return seen
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-ready report: counters, per-shard state, anomalies."""
-        shards = {("-" if shard_id is None else str(shard_id)):
-                  state.to_dict()
-                  for shard_id, state in sorted(
-                      self._shards.items(),
-                      key=lambda item: (item[0] is None, item[0]))}
-        finished = sum(s.finished for s in self._shards.values())
-        elapsed = 0.0
-        if self._t0 is not None:
-            last = max((s.last_event_t for s in self._shards.values()),
-                       default=self._t0)
-            elapsed = last - self._t0
+        """JSON-ready report: counters and anomalies."""
+        finished = self._finished
+        elapsed = 0.0 if self._t0 is None else self._last_t - self._t0
         payload: Dict[str, Any] = {
             "observed": self.observed,
             "finished": finished,
-            "failed": sum(s.failed for s in self._shards.values()),
+            "failed": self._failed,
             "retried": self._retries,
             "elapsed_s": round(elapsed, 3),
             "anomalies": [a.to_dict() for a in self.anomalies],
             "quarantined": self.quarantined,
-            "shards": shards,
         }
         if elapsed > 0 and finished:
             payload["throughput_per_s"] = round(finished / elapsed, 3)

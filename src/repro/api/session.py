@@ -50,7 +50,7 @@ from repro.api.exec import (ExecutionCancelled, ExecutorBackend,
                             ProgressCallback, SerialExecutor, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
-from repro.api.spec import SweepSpec, shard_of
+from repro.api.spec import SweepSpec
 from repro.core.branch import GsharePredictor
 from repro.core.params import CoreParams, cap
 from repro.core.pipeline import CODE_BASE, INST_BYTES, Pipeline
@@ -392,7 +392,6 @@ class Session:
         return BatchRunner(self, workload, length)
 
     def _drive(self, backend: Any, config_list: List[SimConfig],
-               submission: Iterable[Tuple[int, Optional[int]]],
                use_cache: bool = True,
                store: Optional["ResultStore"] = None,
                progress: Optional[ProgressCallback] = None,
@@ -401,8 +400,7 @@ class Session:
         """Resolve cache/store hits and drive the rest as futures.
 
         *backend* is an executor, a registered name or ``None`` (the
-        session's own).  *submission* names the batch indices to
-        cover, in submission order, each with an optional shard tag.
+        session's own).  Configurations are submitted in list order.
         Cached configurations are resolved in-process; each distinct
         remaining configuration is submitted exactly once (duplicates
         share the primary's result object, so provenance — one
@@ -434,18 +432,16 @@ class Session:
             executor.add_progress_callback(inspect)
             if progress is not None:
                 inspect.add_sink(progress)
-        submission = list(submission)
         # validate everything before anything is submitted: a bad
         # config must not leave earlier items queued on the (shared)
         # executor for an unrelated later batch to execute
-        for index, _ in submission:
-            config_list[index].validate()
+        for config in config_list:
+            config.validate()
         try:
             results: Dict[int, SimResult] = {}
             primary: Dict[str, int] = {}  # key -> index that simulates it
             duplicates: List[Tuple[int, str]] = []
-            for index, shard_tag in submission:
-                config = config_list[index]
+            for index, config in enumerate(config_list):
                 key = config.key()
                 quarantined = store is not None and store.quarantined(key)
                 stored = (store.get(key)
@@ -471,8 +467,7 @@ class Session:
                     duplicates.append((index, key))
                 else:
                     primary[key] = index
-                    executor.submit((index, config, use_cache),
-                                    shard=shard_tag)
+                    executor.submit((index, config, use_cache))
 
             failure: Optional[BaseException] = None
             cancelled = 0
@@ -563,10 +558,7 @@ class Session:
         annotations, and keys the store holds quarantined are
         re-simulated instead of served.
         """
-        config_list = list(configs)
-        return self._drive(backend, config_list,
-                           [(index, None)
-                            for index in range(len(config_list))],
+        return self._drive(backend, list(configs),
                            use_cache=use_cache, store=store,
                            progress=progress, inspect=inspect)
 
@@ -576,20 +568,14 @@ class Session:
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[ProgressCallback] = None,
               inspect: Any = None,
-              shards: Optional[int] = None,
               ) -> List[SimResult]:
         """Expand a :class:`~repro.api.spec.SweepSpec` and run it.
 
         ``shard=(index, count)`` restricts execution to the spec's
         *index*-th key-stable partition
         (:meth:`~repro.api.spec.SweepSpec.shard`), so independent
-        workers cover a sweep exactly once.  ``shards=K`` instead
-        drives *all* K partitions from this one process (``repro sweep
-        --coordinate``): points are submitted shard-major, each tagged
-        with its shard (batches never span shards, and every
-        :class:`~repro.api.exec.ExecEvent` carries the tag), on
-        whatever executor runs the sweep.  Either way results come
-        back in expansion order.
+        workers cover a sweep exactly once.  Results come back in
+        expansion order.
 
         A ``store`` makes the run durable and resumable: stored points
         are skipped, fresh points are appended as they complete, and
@@ -601,11 +587,6 @@ class Session:
         quarantine.  *inspect* enables the online QA itself (see
         :meth:`run_many`).
         """
-        if shard is not None and shards is not None:
-            raise ValueError("pass shard= (one partition) or shards= "
-                             "(every partition), not both")
-        if shards is not None and shards < 1:
-            raise ValueError("shard count must be >= 1")
         if backend is None and spec.executor is not None:
             # the spec's preference holds only when the caller did not
             # choose; resolved by name so specs stay JSON-serializable
@@ -616,16 +597,7 @@ class Session:
             # materialise the file so even an empty shard leaves a
             # mergeable artifact
             store.bind(spec.sweep_id()).touch()
-        submission: List[Tuple[int, Optional[int]]] = [
-            (index, None) for index in range(len(configs))]
-        if shards is not None:
-            # SweepSpec.shard's key-stable rule over one expansion; the
-            # stable sort keeps expansion order within each shard
-            submission = sorted(
-                ((index, shard_of(config.key(), shards))
-                 for index, config in enumerate(configs)),
-                key=lambda entry: entry[1])
-        return self._drive(backend, configs, submission,
+        return self._drive(backend, configs,
                            use_cache=use_cache, store=store,
                            progress=progress, inspect=inspect)
 

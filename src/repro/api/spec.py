@@ -99,7 +99,7 @@ def parse_shard(text: str) -> Tuple[int, int]:
 
 
 def positive_int(text: str) -> int:
-    """Parse a count that must be at least 1 (``--shards``, ``--batch-size``).
+    """Parse a count that must be at least 1 (``--batch-size``).
 
     An argparse ``type``: its ``ValueError`` becomes a usage error
     naming the flag (exit status 2).

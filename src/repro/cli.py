@@ -21,11 +21,9 @@ Commands:
   optional key-stable sharding (``--shard i/k``), a durable result
   store (``--store``), resume (``--resume``), store merging
   (``--merge``), live progress (``--progress``; with ``--json`` the
-  document carries the full lifecycle-event log), and ``--coordinate``
-  — drive *all* ``--shards K`` partitions from this one process over
-  a worker pool instead of launching K CLI invocations.  Execution is
-  selected by registered executor name (``--executor`` +
-  ``--workers`` for the TCP fleet).
+  document carries the full lifecycle-event log).  Execution is
+  selected by ``--jobs`` or by registered executor name
+  (``--executor`` + ``--workers`` for the TCP fleet).
 * ``worker`` — serve simulations over TCP: accepts serialized
   configurations from ``--executor remote`` dispatchers and answers
   with results, heartbeating during long runs.  Prints ``worker
@@ -64,7 +62,7 @@ from repro.api import (ResultStore, Session, SweepInspector, SweepSpec,
                        summarize)
 from repro.api.executors import executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
-from repro.api.spec import non_negative_int, positive_int, shard_of
+from repro.api.spec import non_negative_int, positive_int
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig
 from repro.harness.experiments import (resolve_sweep_spec,
@@ -200,15 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SRC",
                          help="merge these stores into --store instead "
                               "of running a sweep")
-    sweep_p.add_argument("--coordinate", action="store_true",
-                         help="drive every shard of the sweep from "
-                              "this process on the selected executor "
-                              "(replaces K separate --shard i/K "
-                              "invocations)")
-    sweep_p.add_argument("--shards", type=positive_int, default=None,
-                         metavar="K",
-                         help="partition count for --coordinate "
-                              "(default: the worker count)")
     sweep_p.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                          help="worker processes for the sweep "
                               "(default 1 = the serial executor; "
@@ -429,8 +418,6 @@ class _ProgressReporter:
     event (finished/failed/cancelled/anomaly) so logs stay readable
     instead of a wall of carriage returns.  Cache/store hits never
     reach the executor, so the denominator is the *submitted* count.
-    Shard-tagged events (``--coordinate``) accumulate per-shard
-    throughput, reported by :meth:`close`.
     """
 
     def __init__(self, stream=None, clock=time.monotonic) -> None:
@@ -443,8 +430,6 @@ class _ProgressReporter:
                        "retried": 0, "cancelled": 0, "anomaly": 0}
         #: "check: detail" per anomaly event, in arrival order
         self.anomalies: List[str] = []
-        #: shard -> [finished, first event clock, last event clock]
-        self.shards: dict = {}
         self._t0: Optional[float] = None
 
     def _eta(self, done: int) -> Optional[float]:
@@ -463,11 +448,6 @@ class _ProgressReporter:
             self.counts[event.kind] += 1
         if event.kind == "anomaly":
             self.anomalies.append(event.error or event.key)
-        if event.shard is not None:
-            shard = self.shards.setdefault(event.shard, [0, now, now])
-            shard[2] = now
-            if event.kind == "finished":
-                shard[0] += 1
         if self.stream is None:
             return
         counts = self.counts
@@ -497,15 +477,6 @@ class _ProgressReporter:
             return
         if self.live:
             print(file=self.stream)
-        if self.shards:
-            parts = []
-            for shard in sorted(self.shards):
-                finished, first, last = self.shards[shard]
-                rate = (f"{finished / (last - first):.1f}/s"
-                        if finished and last > first else f"{finished}")
-                parts.append(f"s{shard}:{rate}")
-            print(f"shard throughput: {' '.join(parts)}",
-                  file=self.stream)
         if self.anomalies and self.live:
             # plain mode already printed each anomaly as it fired
             for note in self.anomalies:
@@ -514,7 +485,6 @@ class _ProgressReporter:
 
 def _sweep_document(spec: SweepSpec, results, args,
                     reporter: Optional[_ProgressReporter] = None,
-                    coordinate: Optional[dict] = None,
                     inspector: Optional[SweepInspector] = None,
                     ) -> dict:
     counts = {
@@ -533,8 +503,6 @@ def _sweep_document(spec: SweepSpec, results, args,
         "summary": summarize(results),
         "results": [r.to_dict() for r in results],
     }
-    if coordinate is not None:
-        document["coordinate"] = coordinate
     if inspector is not None:
         document["inspector"] = inspector.summary()
     if reporter is not None:
@@ -603,15 +571,6 @@ def cmd_sweep(args, out) -> int:
     if args.resume and args.store is None:
         print("--resume requires --store PATH", file=out)
         return 2
-    if args.coordinate and args.shard is not None:
-        print("--coordinate drives every shard itself; it is "
-              "incompatible with --shard (use --shards K to set the "
-              "partition count)", file=out)
-        return 2
-    if args.shards is not None and not args.coordinate:
-        print("--shards only applies to --coordinate (to run a single "
-              "partition of the sweep, use --shard i/k)", file=out)
-        return 2
     if args.workers is not None and args.executor != "remote":
         print("--workers only applies to --executor remote", file=out)
         return 2
@@ -630,11 +589,6 @@ def cmd_sweep(args, out) -> int:
     except ValueError as exc:
         print(str(exc), file=out)
         return 2
-    shards = None
-    if args.coordinate:
-        shards = args.shards
-        if shards is None:  # one shard per worker
-            shards = getattr(backend, "_resolved_jobs", lambda: 1)()
 
     store = None
     if args.store is not None:
@@ -651,31 +605,20 @@ def cmd_sweep(args, out) -> int:
     try:
         results = session.sweep(spec, use_cache=not args.no_cache,
                                 backend=backend, store=store,
-                                shard=args.shard, shards=shards,
+                                shard=args.shard,
                                 progress=reporter, inspect=inspector)
     finally:
         reporter.close()
         if store is not None:
             store.close()
 
-    coordinate = None
-    if shards is not None:
-        per_shard = [0] * shards
-        for result in results:
-            per_shard[shard_of(result.key, shards)] += 1
-        coordinate = {"shards": shards, "points": len(results),
-                      "per_shard": per_shard}
     if args.json:
         print(render_json(_sweep_document(spec, results, args,
                                           reporter=reporter,
-                                          coordinate=coordinate,
                                           inspector=inspector)),
               file=out)
         return 0
-    if coordinate is not None:
-        note = (f" (coordinated {shards} shards, "
-                f"{'/'.join(str(n) for n in per_shard)} points)")
-    elif args.shard:
+    if args.shard:
         note = f" (shard {args.shard[0]}/{args.shard[1]})"
     else:
         note = ""

@@ -92,9 +92,9 @@ def test_custom_executor_subclass_plugs_in(tmp_path):
             super().__init__()
             self.calls = 0
 
-        def submit(self, item, shard=None):
+        def submit(self, item):
             self.calls += 1
-            return super().submit(item, shard=shard)
+            return super().submit(item)
 
     backend = CountingExecutor()
     session = Session(cache_dir=str(tmp_path), backend=backend)

@@ -1,8 +1,6 @@
 """The futures-based execution layer: submission, lifecycle events,
-retries, cancellation and coordinated (all-shard) sweeps."""
+retries and cancellation."""
 
-import io
-import json
 import multiprocessing
 import os
 from collections import Counter
@@ -13,8 +11,6 @@ from repro.api import (ExecutionCancelled, PoolExecutor, ResultStore,
                        SerialExecutor, Session, SweepSpec, WorkerFailure,
                        as_executor)
 from repro.api import exec as exec_mod
-from repro.api.spec import shard_of
-from repro.cli import main
 from repro.core.params import baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -46,17 +42,11 @@ def test_future_carries_provenance_and_resolves(tmp_path):
     assert future.key == config.key()
     assert future.index == 0
     assert not future.done()
-    done_callbacks = []
-    future.add_done_callback(done_callbacks.append)
     resolved = list(executor.as_completed())
     assert resolved == [future]
     assert future.done() and not future.cancelled()
     assert future.exception() is None
     assert future.result().stats["committed"] == 100
-    assert done_callbacks == [future]
-    # done futures invoke late callbacks immediately
-    future.add_done_callback(done_callbacks.append)
-    assert done_callbacks == [future, future]
 
 
 def test_future_cancel_only_before_start(tmp_path):
@@ -120,7 +110,7 @@ def test_event_payloads_are_json_ready(tmp_path):
     payload = events[-1].to_dict()
     assert payload["kind"] == "finished"
     assert payload["workload"] == "compute_int"
-    assert "shard" not in payload  # None fields are omitted
+    assert "error" not in payload  # None fields are omitted
     assert payload["source"] == "simulated"
 
 
@@ -357,103 +347,6 @@ def test_default_jobs_reads_repro_jobs(monkeypatch):
         PoolExecutor()._resolved_jobs()
     monkeypatch.delenv("REPRO_JOBS")
     assert exec_mod.default_jobs() == (os.cpu_count() or 1)
-
-
-# --------------------------------------------------- coordinated sweeps
-def test_coordinator_matches_serial_run(tmp_path):
-    spec = make_spec()
-    with Session(cache_dir=str(tmp_path / "serial")) as session:
-        serial = session.sweep(spec, use_cache=False)
-
-    store_path = tmp_path / "coordinated.jsonl"
-    events = []
-    with Session(cache_dir=str(tmp_path / "coord")) as session, \
-            ResultStore(store_path) as store:
-        results = session.sweep(spec, store=store, shards=3,
-                                backend=PoolExecutor(jobs=2),
-                                progress=events.append)
-    assert [r.stats for r in results] == [r.stats for r in serial]
-    assert all(r.backend == "process-pool" for r in results)
-    # every submission carries its shard tag
-    shard_tags = {e.shard for e in events if e.kind == "submitted"}
-    assert shard_tags <= set(range(3))
-    assert len([e for e in events if e.kind == "submitted"]) \
-        == len(serial)
-    # the store holds the full sweep, bound to its id
-    with ResultStore(store_path) as store:
-        assert store.sweep_id == spec.sweep_id()
-        assert len(store) == len(serial)
-        stored = store.load()
-        for result in serial:
-            assert stored[result.key].stats == result.stats
-
-
-def test_coordinator_resumes_from_store(tmp_path):
-    spec = make_spec()
-    store_path = tmp_path / "store.jsonl"
-    with Session(cache_dir=str(tmp_path / "c1")) as session, \
-            ResultStore(store_path) as store:
-        session.sweep(spec, store=store, shards=2, backend="serial")
-    with Session(cache_dir=str(tmp_path / "c2")) as session, \
-            ResultStore(store_path) as store:
-        results = session.sweep(spec, store=store, shards=4,
-                                backend=PoolExecutor(jobs=2))
-    assert all(r.source == "store" for r in results)
-
-
-def test_coordinator_refuses_wrong_store(tmp_path):
-    spec = make_spec()
-    store_path = tmp_path / "other.jsonl"
-    with ResultStore(store_path, sweep_id="deadbeef") as store:
-        store.touch()
-    with Session(cache_dir=str(tmp_path)) as session, \
-            ResultStore(store_path) as store:
-        with pytest.raises(ValueError, match="belongs to sweep"):
-            session.sweep(spec, store=store, shards=2)
-
-
-def test_coordinator_default_shards_follow_workers(tmp_path,
-                                                   fresh_session):
-    spec = make_spec()
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec.to_dict()))
-    out = io.StringIO()
-    assert main(["sweep", str(spec_path), "--no-cache", "--coordinate",
-                 "--jobs", "2", "--json"], out=out) == 0
-    document = json.loads(out.getvalue())
-    assert document["coordinate"]["shards"] == 2
-    assert document["points"] == len(spec)
-
-
-def test_session_coordinate_entry_point(tmp_path):
-    spec = make_spec()
-    with Session(cache_dir=str(tmp_path)) as session:
-        results = session.sweep(spec, shards=2, backend="serial")
-    assert len(results) == len(spec)
-    assert isinstance(results[0].stats["cycles"], int)
-
-
-@pytest.mark.parametrize("name", [
-    "serial",
-    pytest.param("process-pool",
-                 marks=pytest.mark.skipif(not HAVE_FORK,
-                                          reason="needs fork start method")),
-])
-def test_sweep_shards_tags_every_event(tmp_path, name):
-    spec = make_spec()
-    backend = (SerialExecutor() if name == "serial"
-               else PoolExecutor(jobs=2))
-    events = []
-    with Session(cache_dir=str(tmp_path)) as session:
-        session.sweep(spec, use_cache=False, shards=3, backend=backend,
-                      progress=events.append)
-        with pytest.raises(ValueError, match="not both"):
-            session.sweep(spec, shard=(0, 3), shards=3, backend=backend)
-        with pytest.raises(ValueError, match="shard count"):
-            session.sweep(spec, shards=0, backend=backend)
-    assert len({e.key for e in events}) == len(spec)
-    for event in events:
-        assert event.shard == shard_of(event.key, 3)
 
 
 def test_unbound_executor_raises():

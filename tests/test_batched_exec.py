@@ -1,6 +1,6 @@
 """Trace-shared batched execution: batch formation on the queue, the
 session :class:`BatchRunner`, batched-vs-unbatched bit identity across
-serial/pool/remote/coordinated drives, the ``run_batch`` wire dialect
+serial/pool/remote drives, the ``run_batch`` wire dialect
 (including a worker dying mid-batch), and the sweep inspector seeing
 batched and unbatched runs identically."""
 
@@ -67,10 +67,8 @@ def test_batch_key_separates_workload_length_cache_and_shard():
                                       False))
     other_length = executor.submit((3, config_for(measure=130), False))
     other_cache = executor.submit((4, config_for(), True))
-    other_shard = executor.submit((5, config_for(), False), shard=1)
     assert _batch_key(base) == _batch_key(same)
-    for future in (other_workload, other_length, other_cache,
-                   other_shard):
+    for future in (other_workload, other_length, other_cache):
         assert _batch_key(future) != _batch_key(base)
 
 
@@ -215,18 +213,6 @@ def test_pool_batched_matches_serial_bit_identical(tmp_path):
     executor = build_executor("process-pool", jobs=2, batch_size=2)
     with Session(cache_dir=str(tmp_path / "pool")) as session:
         results = session.sweep(spec, use_cache=False, backend=executor)
-    assert [r.stats for r in results] == [r.stats for r in baseline]
-
-
-@needs_fork
-def test_coordinator_batched_matches_serial_across_shards(tmp_path):
-    spec = one_identity_spec(4)
-    with Session(cache_dir=str(tmp_path / "serial")) as session:
-        baseline = session.sweep(spec, use_cache=False)
-    executor = build_executor("process-pool", jobs=2, batch_size=8)
-    with Session(cache_dir=str(tmp_path / "coord")) as session:
-        results = session.sweep(spec, use_cache=False, shards=2,
-                                backend=executor)
     assert [r.stats for r in results] == [r.stats for r in baseline]
 
 

@@ -70,7 +70,8 @@ def test_ci_sweep_verify_detects_missing_point(tmp_path):
 
 
 def test_ci_sweep_coordinate_matches_shard_union(tmp_path):
-    """One coordinated run == the k-invocation shard union, bit for bit."""
+    """The CI sweep-merge leg: one pooled ``repro sweep`` run == the
+    k-invocation shard union, bit for bit."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
     stores = []
@@ -85,37 +86,39 @@ def test_ci_sweep_coordinate_matches_shard_union(tmp_path):
     proc = run_driver(["merge", *stores, "--store", str(merged)], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
-    coordinated = tmp_path / "coordinated.jsonl"
-    proc = run_driver(["coordinate", "--spec", str(spec_path),
-                       "--shards", "2", "--jobs", "2",
-                       "--store", str(coordinated)],
-                      tmp_path / "isolated")  # fresh cache: no reuse
+    pooled = tmp_path / "pooled.jsonl"
+    env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "isolated")  # no reuse
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", str(spec_path),
+         "--jobs", "2", "--store", str(pooled), "--progress"],
+        cwd=str(REPO_ROOT), env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "coordinated over 2 shard(s)" in proc.stdout
+    assert "[4/4]" in proc.stderr
 
-    proc = run_driver(["compare", str(merged), str(coordinated)],
-                      tmp_path)
+    proc = run_driver(["compare", str(merged), str(pooled)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "bit-identical" in proc.stdout
 
-    # and the coordinated store verifies against a serial rerun too
+    # and the pooled store verifies against a serial rerun too
     proc = run_driver(["verify", "--spec", str(spec_path),
-                       "--store", str(coordinated)], tmp_path)
+                       "--store", str(pooled)], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_ci_sweep_batched_equivalence(tmp_path):
-    """The CI batched-equivalence leg: the same sweep coordinated
-    batched and unbatched lands bit-identical stores, both equal to a
-    serial rerun."""
+    """The CI batched-equivalence leg: the same sweep pooled batched
+    and unbatched lands bit-identical stores, both equal to a serial
+    rerun."""
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
     stores = {}
     for label, batch in (("batched", "8"), ("unbatched", "1")):
         store = tmp_path / f"{label}.jsonl"
         stores[label] = store
-        proc = run_driver(["coordinate", "--spec", str(spec_path),
-                           "--shards", "2", "--jobs", "2",
+        proc = run_driver(["run", "--spec", str(spec_path),
+                           "--jobs", "2",
                            "--batch-size", batch, "--store", str(store)],
                           tmp_path / label)  # fresh cache per leg
         assert proc.returncode == 0, proc.stdout + proc.stderr

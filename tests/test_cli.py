@@ -253,8 +253,6 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
         run_cli(["sweep", "x.json", "--shard", "4/4"])
     # numeric flags are validated at parse time: exit 2, flag named
     for argv, flag in [
-            (["sweep", "x.json", "--coordinate", "--shards", "0"],
-             "--shards"),
             (["sweep", "x.json", "--batch-size", "0"], "--batch-size"),
             (["sweep", "x.json", "--jobs", "-3"], "--jobs"),
             (["sweep", "x.json", "--max-retries", "-1"], "--max-retries"),
@@ -275,46 +273,30 @@ def test_sweep_preset_resolves(tmp_path, monkeypatch):
     assert len(spec.workloads) == 15
 
 
-def test_sweep_coordinate_matches_serial(tmp_path, monkeypatch):
+def test_sweep_jobs_store_matches_serial_with_event_log(tmp_path,
+                                                        monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     spec = write_spec(tmp_path)
     serial_store = tmp_path / "serial.jsonl"
     code, _ = run_cli(["sweep", str(spec), "--no-cache",
                        "--store", str(serial_store)])
     assert code == 0
-    coord_store = tmp_path / "coordinated.jsonl"
+    pooled_store = tmp_path / "pooled.jsonl"
     code, text = run_cli(["sweep", str(spec), "--no-cache",
-                          "--coordinate", "--shards", "2", "--jobs", "2",
-                          "--store", str(coord_store), "--json"])
+                          "--jobs", "2",
+                          "--store", str(pooled_store), "--json"])
     assert code == 0
     payload = json.loads(text)
     assert payload["points"] == 2
-    assert payload["coordinate"]["shards"] == 2
-    assert sum(payload["coordinate"]["per_shard"]) == 2
     # the lifecycle-event log rides the JSON document
     kinds = [event["kind"] for event in payload["events"]]
     assert kinds.count("submitted") == 2
     assert kinds.count("finished") == 2
     from repro.api import ResultStore
-    with ResultStore(serial_store) as a, ResultStore(coord_store) as b:
+    with ResultStore(serial_store) as a, ResultStore(pooled_store) as b:
         left, right = a.load(), b.load()
         assert set(left) == set(right)
         assert all(left[key].stats == right[key].stats for key in left)
-
-
-def test_sweep_coordinate_table_reports_shards(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--no-cache", "--coordinate", "--shards", "2"])
-    assert code == 0
-    assert "coordinated 2 shards" in text
-
-
-def test_sweep_coordinate_rejects_shard_flag(tmp_path):
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--coordinate", "--shard", "0/2"])
-    assert code == 2
-    assert "incompatible with --shard" in text
 
 
 def test_sweep_progress_renders_line_updates(tmp_path, monkeypatch,
@@ -338,10 +320,3 @@ def test_sweep_budget_overrides_apply(tmp_path, monkeypatch):
     configs = [row["config"] for row in payload["results"]]
     assert all(c["warmup"] == 100 and c["measure"] == 90
                for c in configs)
-
-
-def test_sweep_shards_requires_coordinate(tmp_path):
-    code, text = run_cli(["sweep", str(write_spec(tmp_path)),
-                          "--shards", "4"])
-    assert code == 2
-    assert "--shards only applies to --coordinate" in text

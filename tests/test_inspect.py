@@ -151,24 +151,6 @@ def test_retry_rate_alarm_latches_once():
     assert not flagged[0].quarantine
 
 
-def test_dead_shard_alarm_fires_on_silence():
-    clock = FakeClock()
-    inspector = SweepInspector(clock=clock)
-    inspector(event(EVENT_SUBMITTED, key="k0", shard=1))
-    inspector(event(EVENT_SUBMITTED, key="k1", shard=1))
-    # unsharded work (shard None) never counts as a dead shard
-    inspector(event(EVENT_SUBMITTED, key="k2"))
-    clock.now += inspector.config.dead_shard_timeout_s + 1
-    inspector.check_alarms()
-    flagged = [a for a in inspector.anomalies
-               if a.check == "dead-shard"]
-    assert len(flagged) == 1
-    assert flagged[0].values["shard"] == 1
-    assert flagged[0].values["outstanding"] == 2
-    inspector.check_alarms()  # latched: no duplicate alarm
-    assert len(inspector.anomalies) == 1
-
-
 # --------------------------------------------------------------- sinks
 def test_anomalies_reach_sinks_as_synthetic_events():
     inspector = SweepInspector()
@@ -206,10 +188,10 @@ def test_on_anomaly_callback_receives_annotations():
 def test_summary_counts_events_and_anomalies():
     clock = FakeClock()
     inspector = SweepInspector(clock=clock)
-    inspector(event(EVENT_SUBMITTED, key="k0", shard=0))
-    inspector(event(EVENT_STARTED, key="k0", shard=0))
+    inspector(event(EVENT_SUBMITTED, key="k0"))
+    inspector(event(EVENT_STARTED, key="k0"))
     clock.now += 2.0
-    inspector(event(EVENT_FINISHED, key="k0", shard=0))
+    inspector(event(EVENT_FINISHED, key="k0"))
     inspector.observe(make_result())
     inspector.observe(make_result(committed=107))
     summary = inspector.summary()
@@ -218,7 +200,6 @@ def test_summary_counts_events_and_anomalies():
     assert summary["elapsed_s"] == 2.0
     assert len(summary["anomalies"]) == 1
     assert len(summary["quarantined"]) == 1
-    assert summary["shards"]["0"]["finished"] == 1
 
 
 # ------------------------------------------------------- normalisation

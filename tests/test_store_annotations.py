@@ -203,9 +203,9 @@ def test_merge_keeps_operational_annotations(tmp_path):
     with ResultStore(tmp_path / "a.jsonl", sweep_id="s1") as source:
         source.append(make_result())
         source.annotate(make_annotation(
-            "alarm:shard-2", check="dead-shard", quarantine=False,
-            detail="shard 2 silent for 600s"))
+            "alarm:retry-rate", check="retry-rate", quarantine=False,
+            detail="4/6 attempts were retries (67%)"))
     with merge_stores(tmp_path / "merged.jsonl",
                       [tmp_path / "a.jsonl"]) as merged:
-        assert [a.key for a in merged.annotations()] == ["alarm:shard-2"]
+        assert [a.key for a in merged.annotations()] == ["alarm:retry-rate"]
         assert merged.quarantined_keys() == []

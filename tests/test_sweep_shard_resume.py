@@ -80,11 +80,14 @@ def test_sweep_with_store_persists_then_resumes(tmp_path):
         with ResultStore(tmp_path / "store.jsonl") as store:
             first = session.sweep(spec, store=store, use_cache=False)
         assert all(result.source == "simulated" for result in first)
-        # a fresh session re-running against the store simulates nothing
-        with ResultStore(tmp_path / "store.jsonl") as store:
-            second = session.sweep(spec, store=store, use_cache=False)
-        assert all(result.source == "store" for result in second)
-        assert [r.stats for r in second] == [r.stats for r in first]
+        # re-running against the store simulates nothing, whichever
+        # executor resumes it (the serial executor wrote it)
+        for backend in ("serial", PoolExecutor(jobs=2)):
+            with ResultStore(tmp_path / "store.jsonl") as store:
+                second = session.sweep(spec, store=store,
+                                       use_cache=False, backend=backend)
+            assert all(result.source == "store" for result in second)
+            assert [r.stats for r in second] == [r.stats for r in first]
 
 
 def test_resume_skips_exactly_the_stored_keys(tmp_path):
