@@ -19,7 +19,8 @@ tracking") for how to read the file.
 --check``): the freshly measured headline speedup (the kernel engine
 on ``milc_baseline``) over ``benchmarks/perf/baseline_seed.json`` is
 compared against the speedup recorded in the committed
-``BENCH_pipeline.json`` (read before it is overwritten) within
+``BENCH_pipeline.json`` (read before it is overwritten, and read
+whatever ``--output`` names) within
 :data:`CHECK_TOLERANCE`, and every other config is held to its
 committed per-engine speedup within :data:`PER_CONFIG_TOLERANCE`; the
 exit code is nonzero if any gate fails.
@@ -31,7 +32,9 @@ batching on versus off, and records both rates plus their ratio under
 ``--sweep --check`` gates instead of recording: the fresh
 batched/unbatched ratio must stay within
 :data:`PER_CONFIG_TOLERANCE` of the committed ratio *and* above the
-absolute :data:`SWEEP_SPEEDUP_FLOOR`.
+absolute :data:`SWEEP_SPEEDUP_FLOOR`.  Both gates read the committed
+reference (:data:`COMMITTED`), so ``--output`` only redirects where
+the fresh numbers are written.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
         sys.path.insert(0, entry)
 
 from benchmarks.perf import harness  # noqa: E402
+
+#: the committed reference every ``--check`` gate compares against
+COMMITTED = REPO_ROOT / "BENCH_pipeline.json"
 
 #: --check fails when the headline speedup falls more than this far
 #: below the committed BENCH_pipeline.json value.  Both speedups are
@@ -198,7 +204,7 @@ def sweep_bench(args) -> int:
           f"warmup {SWEEP_WARMUP}, measure {SWEEP_MEASURE})")
 
     if args.check:
-        reference = (load_reference(args.output)
+        reference = (load_reference(COMMITTED)
                      .get("sweep_points_per_sec") or {})
         ref_speedup = reference.get("speedup")
         failures = 0
@@ -253,8 +259,7 @@ def main(argv=None) -> int:
                         help="subset of configs to run (default: all)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny traces and one repeat (CI sanity run)")
-    parser.add_argument("--output", type=Path,
-                        default=REPO_ROOT / "BENCH_pipeline.json")
+    parser.add_argument("--output", type=Path, default=COMMITTED)
     parser.add_argument("--save-baseline", action="store_true",
                         help="write the result as the seed baseline "
                              "snapshot instead of BENCH_pipeline.json")
@@ -275,7 +280,7 @@ def main(argv=None) -> int:
     if args.sweep:
         return sweep_bench(args)
 
-    reference = load_reference(args.output) if args.check else {}
+    reference = load_reference(COMMITTED) if args.check else {}
 
     warmup, measure, repeats = args.warmup, args.measure, args.repeats
     if args.smoke:

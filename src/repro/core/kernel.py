@@ -9,9 +9,9 @@ seam, same statistics, bit-for-bit — but restructured for speed:
   op-class / FU-group ids, non-pipelined flag, source counts) is
   predecoded once into parallel plain lists (:class:`TraceArrays`,
   built on :func:`repro.isa.trace.predecode_columns`) and indexed by
-  position.  One predecode serves any number of configurations
-  (:func:`simulate_batch`; the session keeps the arrays on each
-  trace-cache entry), which is the shape sweeps actually execute.
+  position.  One predecode serves any number of configurations (the
+  session keeps the arrays on each trace-cache entry and passes them
+  as ``arrays=``), which is the shape sweeps actually execute.
 * **Integer event heap.**  Completion/tag events are packed into single
   integers ``cycle * SHIFT + rel * 2 + kind`` (``rel`` the trace-window
   index, ``SHIFT = 2 * len(trace)``), preserving the reference heap's
@@ -46,6 +46,22 @@ reference's calls only where the result is provably the same:
   tick that has made no progress yet: only such a tick can end in the
   stall-span jump, the marks' one reader.
 
+**Loop shortcuts.**  Besides the idle jump of :meth:`Pipeline._tick
+<repro.core.pipeline.Pipeline._tick>`, only the kernel has two, which
+every object-vs-kernel comparison checks against per-cycle retries:
+
+* *MSHR-retry gating*: a load rejected at the MSHR gate keeps the
+  ``MemoryHierarchy.version`` it saw (``rejected_at``); until that
+  moves, a retry skips ``access_data`` and counts through
+  ``repeat_rejection()``.
+* *Stall-span jump*: a tick whose pending work only repeats a first
+  rename attempt stalled with nothing but counters moved (a
+  ``counter_only_stalls`` policy whose ``stall_marks`` guard held, or
+  a ROB stall) and loads gated at the current version jumps to the
+  next event or MSHR expiry, charging the repeats in bulk (stall and
+  classification counts, ``repeat_stall``, ``stall_frontend``,
+  ``repeat_rejection(gated * times)``).
+
 Differential tests assert full ``SimStats.as_dict()`` equality across
 every registered policy, LTP preset and workload.  (The LTP shortcuts
 both engines share, such as the one-port ready peek and the bound
@@ -60,7 +76,7 @@ from __future__ import annotations
 import gc as _gc
 from heapq import heappop as _heappop, heappush as _heappush
 from bisect import insort
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.branch import GsharePredictor
 from repro.core.inflight import InFlightInst
@@ -74,7 +90,7 @@ from repro.ltp.controller import NO_BOUNDARY, LTPController
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import AllocationPolicy, LTPPolicy
 
-__all__ = ["KernelPipeline", "TraceArrays", "predecode", "simulate_batch"]
+__all__ = ["KernelPipeline", "TraceArrays", "predecode"]
 
 _WORD_MASK = ~7
 
@@ -347,7 +363,7 @@ class KernelPipeline(Pipeline):
         # replays only its observable work via the controller probe
         observe_probe = (policy.controller.observe_attempt
                          if skip_may_allocate else None)
-        # stall-span jump (see Pipeline._tick): marks around a stalled
+        # stall-span jump (module docstring): marks around a stalled
         # rename attempt, for policies that declare it counter-only
         stall_marks = (policy.stall_marks
                        if allow_skip and policy.counter_only_stalls
@@ -849,6 +865,7 @@ class KernelPipeline(Pipeline):
                                 deferred.append(rel)
                                 continue  # wait for the store's address
                             if record.rejected_at == hierarchy.version:
+                                # MSHR-retry gating (module docstring):
                                 # nothing the rejection depended on
                                 # has changed since: skip the access
                                 repeat_rejection()
@@ -978,7 +995,8 @@ class KernelPipeline(Pipeline):
                             progress = True
 
             # ---- imminent check / idle skip -------------------------
-            # (the stall-span rules of Pipeline._tick)
+            # (the idle jump of Pipeline._tick plus the stall-span jump
+            # of the module docstring)
             gated = 0
             if (progress or release_pending
                     or (events and events[0] < now_limit + SHIFT)):
@@ -1169,20 +1187,3 @@ class KernelPipeline(Pipeline):
         self._export_activity()
         return stats
 
-
-def simulate_batch(trace: Sequence[DynInst],
-                   runs: Iterable[Dict[str, Any]],
-                   arrays: Optional[TraceArrays] = None) -> List[SimStats]:
-    """Run N configurations against one predecoded trace.
-
-    *runs* is an iterable of keyword-argument dicts for
-    :class:`KernelPipeline` (``params=``, ``ltp=``, ``policy=``,
-    ``allow_skip=``, ...).  The trace is predecoded exactly once (or
-    not at all when *arrays* is passed); each run still builds fresh
-    collaborators unless its kwargs supply them, so results match N
-    independent single runs bit-for-bit.
-    """
-    if arrays is None:
-        arrays = predecode(trace)
-    return [KernelPipeline(trace, arrays=arrays, **kwargs).run()
-            for kwargs in runs]

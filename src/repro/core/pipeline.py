@@ -29,11 +29,10 @@ which subclasses this one.
 
 Idle spans (every unit waiting on a future event) are jumped over in one
 step; all time-integrated statistics account for the jump width, so
-results are identical to cycle-by-cycle execution, just faster.  A span
-may also hold cycles that would only repeat work which changes nothing
-but counters — a rename attempt stalled on a full structure, loads
-rejected at the MSHR gate — and the jump then charges those repeats in
-bulk (see :meth:`Pipeline._tick`).
+results are identical to cycle-by-cycle execution, just faster.  It is
+the only shortcut here: stalled rename attempts and MSHR-rejected loads
+retry every cycle, the plain form the kernel's stall-span jump and
+MSHR-retry gating are checked against (see :mod:`repro.core.kernel`).
 
 Performance-sensitive invariants of the main loop (see README.md):
 
@@ -217,12 +216,6 @@ class Pipeline:
         self._defer_registers = policy.defer_registers
         self._rf_cap_int = self.regfile._capacity["int"]
         self._rf_cap_fp = self.regfile._capacity["fp"]
-        # stall-span jump state: the tick's repeatable rename stall
-        # (blocker, record, marks before, marks after) and how many
-        # ready-heap entries issue found gated at the MSHRs
-        self._stall: Optional[tuple] = None
-        self._gated = 0
-        self._stall_marks = None
 
     # ==================================================================
     # public API
@@ -238,10 +231,6 @@ class Pipeline:
         """
         tick = self._tick
         finished = self._finished
-        policy = self.policy
-        self._stall_marks = (policy.stall_marks
-                             if self.allow_skip
-                             and policy.counter_only_stalls else None)
         gc_enabled = _gc.isenabled()
         if gc_enabled:
             _gc.disable()
@@ -260,11 +249,6 @@ class Pipeline:
     # ==================================================================
     def _frontend_len(self) -> int:
         return len(self._frontend) - self._frontend_head
-
-    def _frontend_peek(self) -> Optional[Tuple[int, DynInst]]:
-        if self._frontend_head < len(self._frontend):
-            return self._frontend[self._frontend_head]
-        return None
 
     def _finished(self) -> bool:
         return (self._trace_idx >= self._trace_len
@@ -291,35 +275,20 @@ class Pipeline:
         progress |= self._issue(now)
         progress |= self._fetch(now)
 
-        # Stall-span jump: with skipping on, two kinds of pending work
-        # do not hold the tick to one cycle, because repeating them
-        # changes nothing but counters until the next event:
-        # * a rename attempt that stalled on a full structure, when its
-        #   hooks left state other than counters untouched (_stall),
-        # * ready loads that issue found rejected at the current MSHR
-        #   version, when nothing else is ready (gated) -- the next
-        #   MSHR expiry, which moves the version, bounds the jump.
-        # The skipped cycles' repeats are charged in bulk.
-        allow_skip = self.allow_skip
+        # Idle jump: with nothing ready to issue or rename and no event
+        # due next cycle, every unit waits on a future event, so the
+        # cycles up to it are skipped in one step.
         imminent = (progress
                     or release_pending
-                    or (events and events[0][0] <= now + 1))
-        gated = 0
-        if not imminent and self.iq.has_ready():
-            # nothing issued, so the heap holds what select deferred
-            gated = self._gated
-            if not allow_skip or gated != len(self.iq._ready_heap):
-                imminent = True
+                    or (events and events[0][0] <= now + 1)
+                    or self.iq.has_ready())
         if not imminent:
             frontend = self._frontend
             head_idx = self._frontend_head
-            if head_idx < len(frontend):
-                ready = frontend[head_idx][0]
-                if ready <= now + 1 and (
-                        ready > now or self._stall is None):
-                    imminent = True
+            if head_idx < len(frontend) and frontend[head_idx][0] <= now + 1:
+                imminent = True
 
-        if imminent or not allow_skip:
+        if imminent or not self.allow_skip:
             step = 1
             if not imminent and self._next_event_cycle(now) is None:
                 if not self._finished():
@@ -328,18 +297,12 @@ class Pipeline:
                 return
         else:
             target = self._next_event_cycle(now)
-            if gated:
-                expiry = self.hierarchy.mshrs._expiry
-                if expiry and (target is None or expiry[0][0] < target):
-                    target = expiry[0][0]
             if target is None:
                 if self._finished():
                     return
                 self._raise_deadlock(now, len(self.iq),
                                      self._frontend_len())
             step = max(1, target - now)
-            if step > 1 and (gated or self._stall is not None):
-                self._repeat_stalled(step - 1, gated)
 
         self._accumulate(now, step)
         self.cycle = now + step
@@ -351,9 +314,10 @@ class Pipeline:
         candidates: List[int] = []
         if self._events:
             candidates.append(self._events[0][0])
-        head = self._frontend_peek()
-        if head is not None and head[0] > now:
-            candidates.append(head[0])
+        if self._frontend_head < len(self._frontend):
+            ready = self._frontend[self._frontend_head][0]
+            if ready > now:
+                candidates.append(ready)
         if self._fetch_stall_until > now and self._fetch_blocked_on is None:
             candidates.append(self._fetch_stall_until)
         if self._commit_stall_until > now:
@@ -367,34 +331,6 @@ class Pipeline:
         if not candidates:
             return None
         return max(now + 1, min(candidates))
-
-    def _repeat_stalled(self, times: int, gated: int) -> None:
-        """Charge *times* skipped cycles of a stall span: each would
-        have repeated the tick's stalled rename attempt, its *gated*
-        MSHR rejections and the frontend's mispredict stall.
-
-        Only spans the stall-span rules opened are charged: an idle
-        jump over a fetch blocked on a mispredict counts
-        ``stall_frontend`` once per jump, as it always has (see
-        ROADMAP).
-        """
-        stats = self.stats
-        stall = self._stall
-        if stall is not None:
-            blocker, record, before, after = stall
-            setattr(stats, blocker, getattr(stats, blocker) + times)
-            if record is not None:
-                if record.urgent:
-                    stats.classified_urgent += times
-                else:
-                    stats.classified_non_urgent += times
-                if record.non_ready:
-                    stats.classified_non_ready += times
-                self.policy.repeat_stall(before, after, times)
-        if self._fetch_blocked_on is not None:
-            stats.stall_frontend += times
-        if gated:
-            self.hierarchy.repeat_rejection(gated * times)
 
     def _raise_deadlock(self, now: int, iq_len: int,
                         frontend_len: int) -> None:
@@ -518,7 +454,6 @@ class Pipeline:
     # rename / dispatch / park
     # ==================================================================
     def _rename(self, now: int) -> bool:
-        self._stall = None
         frontend = self._frontend
         frontend_len = len(frontend)
         if self._frontend_head >= frontend_len:
@@ -533,8 +468,6 @@ class Pipeline:
         scoreboard = self._scoreboard
         scoreboard_get = scoreboard.get
         parked_store_pcs = self._parked_store_pcs
-        stall_marks = self._stall_marks
-        marks = None
         while renamed < width:
             head_idx = self._frontend_head
             if head_idx >= frontend_len:
@@ -545,13 +478,8 @@ class Pipeline:
             if len(rob_entries) >= rob_capacity:
                 if renamed == 0:
                     stats.stall_rob += 1
-                    if self.allow_skip:
-                        # no hook ran: a pure counter stall
-                        self._stall = ("stall_rob", None, None, None)
                 break
             dyn = head[1]
-            if stall_marks is not None and renamed == 0:
-                marks = stall_marks(dyn)
             record = InFlightInst(dyn)
             src_producers = dyn.src_producers
             n_producers = len(src_producers)
@@ -595,10 +523,6 @@ class Pipeline:
             if blocker is not None:
                 if renamed == 0:
                     setattr(stats, blocker, getattr(stats, blocker) + 1)
-                    if marks is not None:
-                        after = stall_marks(dyn)
-                        if after[0] == marks[0]:
-                            self._stall = (blocker, record, marks, after)
                 break
             if decision == "park":
                 self._allocate_park(record, now)
@@ -813,7 +737,6 @@ class Pipeline:
             fu_used[group] = used + 1
             return True
 
-        self._gated = 0
         picked = iq.select(try_issue, self.params.issue_width)
         if not picked:
             return False
@@ -870,17 +793,9 @@ class Pipeline:
             self._track_open_load(record, addr)
             return True
 
-        hierarchy = self.hierarchy
-        if record.rejected_at == hierarchy.version:
-            # nothing the rejection depended on has changed since
-            hierarchy.repeat_rejection()
-            self._gated += 1
-            return False
-        result = hierarchy.access_data(addr, now + agu,
-                                       is_store=False, pc=dyn.pc)
+        result = self.hierarchy.access_data(addr, now + agu,
+                                            is_store=False, pc=dyn.pc)
         if result is None:
-            record.rejected_at = hierarchy.version
-            self._gated += 1
             return False  # MSHRs full; retry
         record.mem_level = result.level
         record.actual_ll = result.long_latency

@@ -30,8 +30,8 @@ on whether its block is in the L1D, whether the block has an
 outstanding fill and how many demand MSHRs are busy.  ``version``
 counts the changes to that state (MSHR allocations and expiries, L1D
 inserts), so a load rejected at the current version would be rejected
-again: the pipelines skip such retries and account for them with
-:meth:`MemoryHierarchy.repeat_rejection`.
+again: the kernel engine skips such retries and accounts for them
+with :meth:`MemoryHierarchy.repeat_rejection`.
 """
 
 from __future__ import annotations

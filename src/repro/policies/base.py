@@ -34,7 +34,8 @@ through a narrow hook surface and never looks inside it:
 * :meth:`~AllocationPolicy.stall_marks` /
   :meth:`~AllocationPolicy.repeat_stall` — for policies that declare
   ``counter_only_stalls``, the counters a stalled rename attempt moves,
-  so the pipeline's idle jump can repeat the attempt in bulk.
+  so the kernel's stall-span jump can repeat the attempt in bulk (the
+  object engine retries it every cycle).
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
@@ -108,11 +109,11 @@ class AllocationPolicy:
 
     #: the policy's rename hooks, on an attempt that then stalls, change
     #: nothing but the counters :meth:`stall_marks` reads whenever the
-    #: marks' guard is unchanged.  The idle jump may then skip the
-    #: cycles in which the attempt would only repeat, charging them
-    #: through :meth:`repeat_stall`.  A checked property of the class's
-    #: code, so a class attribute and never a config field (it enters
-    #: no payload or key).
+    #: marks' guard is unchanged.  The kernel's stall-span jump may
+    #: then skip the cycles in which the attempt would only repeat,
+    #: charging them through :meth:`repeat_stall`.  A checked property
+    #: of the class's code, so a class attribute and never a config
+    #: field (it enters no payload or key).
     counter_only_stalls = False
 
     # -- rename-time hooks ---------------------------------------------
@@ -189,7 +190,7 @@ class AllocationPolicy:
     # -- stalled rename attempts (only with counter_only_stalls) ---------
     def stall_marks(self, dyn) -> tuple:
         """``(guard, *counters)`` as they stand around a rename attempt
-        of *dyn*.  The pipeline reads them before and after an attempt
+        of *dyn*.  The kernel reads them before and after an attempt
         that stalls; an unchanged guard means the attempt moved only
         the counters."""
         return (None,)

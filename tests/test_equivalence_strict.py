@@ -1,14 +1,14 @@
 """Strict-mode equivalence regression tests.
 
-The optimized pipeline must produce bit-identical statistics with
+The object pipeline must produce bit-identical statistics with
 idle-span jumping on vs. strict cycle-by-cycle execution
 (``allow_skip``), over randomized programs, core configurations and
 LTP modes, and over the real paper workloads.  Equality is asserted
 on the full :meth:`SimStats.as_dict` plus the hierarchy's demand and
-rejection counters: the stall-span jump charges the per-attempt
-counters (stall attribution, classification tallies, UIT activity,
-MSHR rejections) of the cycles it skips in bulk, so they must match
-strict execution too.
+rejection counters.  The idle jump is the object engine's only
+shortcut; the kernel's stall-span jump and MSHR-retry gating are
+checked against this engine in ``tests/test_stall_span_jump.py`` and
+``tests/test_kernel_differential.py``.
 
 One known exception: an idle jump over a fetch blocked on a
 mispredict counts ``stall_frontend`` once per jump instead of once per

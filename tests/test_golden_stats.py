@@ -11,8 +11,8 @@ existed.  Both engines must still reproduce it exactly.
 The grid covers the ticket-driven release paths (NR+NU with 4 and 128
 tickets, NR only, eager wakeup), the DRAM-timer monitor draining the
 queue (``monitor="auto"``) and a 2-MSHR core that rejects most misses.
-Three stall-heavy points pin the rename-stall spans the idle jump
-covers: an online-classified NR+NU core with a one-way 8-entry UIT
+Three stall-heavy points pin the rename-stall spans the kernel's
+stall-span jump covers: an online-classified NR+NU core with a one-way 8-entry UIT
 (insert evictions), unlimited tickets on ``hash_probe``, and the
 ``baseline-stall`` policy on a 2-MSHR core (MSHR expiries inside
 stall spans).  They were recorded before the stall-span jump existed.

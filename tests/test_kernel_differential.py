@@ -6,11 +6,14 @@ closeness.  This module holds the evidence beyond the real-workload
 grid in ``test_policies_differential.py``:
 
 * randomized programs/cores across **every registered policy**, strict
-  and idle-skip execution, full ``SimStats.as_dict()`` equality;
+  and idle-skip execution, full ``SimStats.as_dict()`` plus hierarchy
+  counter equality -- including crowded programs whose loads queue at
+  one or two MSHRs, where only the kernel gates retries and jumps
+  over gated stall spans;
 * randomized ``SimConfig``s through the **session path** (trace-array
   cache, warmup windowing, oracle plumbing) — ``engine="kernel"``
   results equal ``engine="object"`` field for field;
-* ``simulate_batch`` over one shared predecode equals N independent
+* N kernel runs over one shared predecode equal N independent
   reference runs;
 * the session's trace-arrays LRU: shared predecode across configs,
   eviction alongside the trace cache, invalidation on trace growth;
@@ -24,10 +27,10 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.api import Session, default_session
-from repro.core.kernel import KernelPipeline, predecode, simulate_batch
+from repro.core.kernel import KernelPipeline, predecode
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
 from repro.isa.assembler import assemble
@@ -36,6 +39,7 @@ from repro.ltp.config import no_ltp, proposed_ltp
 from repro.ltp.oracle import annotate_trace
 from repro.policies import build_policy, policy_names, policy_needs_oracle
 
+from test_equivalence_strict import full_stats
 from test_properties_pipeline import random_core, random_program
 
 
@@ -49,15 +53,28 @@ def _assert_same_stats(ref, ker, context):
 # ================================================================
 # randomized programs x every policy x strict/skip
 # ================================================================
-@given(st.integers(min_value=0, max_value=10_000))
+def _crowd(rng, asm):
+    """Seed the loop's data registers with large values, so its loads
+    and stores spread over many cache blocks."""
+    seeds = [f"li r{reg}, {rng.randrange(1 << 14)}" for reg in range(4, 12)]
+    return "\n".join(seeds + [asm])
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+# loads gated at one MSHR: the kernel jumps over gated stall spans
+@example(27, True)
 @settings(max_examples=6, deadline=None)
-def test_kernel_matches_reference_for_every_policy(seed):
+def test_kernel_matches_reference_for_every_policy(seed, crowded):
     rng = random.Random(seed)
     asm = random_program(rng, n_body=rng.randrange(3, 8))
+    if crowded:
+        asm = _crowd(rng, asm)
     trace = list(Executor(assemble(asm)).run(400))
     core = random_core(rng)
     ltp = proposed_ltp().but(entries=rng.choice([8, 32, 128]),
                              ports=rng.choice([1, 2, 4]))
+    if crowded:
+        core.mem.mshrs = rng.choice([1, 2])
     for name in policy_names():
         oracle = None
         if policy_needs_oracle(name, ltp):
@@ -66,13 +83,14 @@ def test_kernel_matches_reference_for_every_policy(seed):
         for allow_skip in (True, False):
             policies = [build_policy(name, ltp, core.mem.dram_latency,
                                      oracle=oracle) for _ in range(2)]
-            ref = Pipeline(trace, params=core, ltp=ltp,
-                           policy=policies[0],
-                           allow_skip=allow_skip).run().as_dict()
-            ker = KernelPipeline(trace, params=core, ltp=ltp,
-                                 policy=policies[1],
-                                 allow_skip=allow_skip).run().as_dict()
-            _assert_same_stats(ref, ker, (seed, name, allow_skip))
+            ref = full_stats(Pipeline(trace, params=core, ltp=ltp,
+                                      policy=policies[0],
+                                      allow_skip=allow_skip))
+            ker = full_stats(KernelPipeline(trace, params=core, ltp=ltp,
+                                            policy=policies[1],
+                                            allow_skip=allow_skip))
+            _assert_same_stats(ref, ker,
+                               (seed, crowded, name, allow_skip))
 
 
 # ================================================================
@@ -108,9 +126,9 @@ def test_simulate_batch_equals_independent_reference_runs():
     trace = default_session().get_trace("lattice_milc", 600)
     configs = [no_ltp(), proposed_ltp(),
                proposed_ltp().but(entries=16, ports=2)]
-    arrays = predecode(trace)
-    batch = simulate_batch(
-        trace, ({"ltp": ltp} for ltp in configs), arrays=arrays)
+    shared = predecode(trace)
+    batch = [KernelPipeline(trace, ltp=ltp, arrays=shared).run()
+             for ltp in configs]
     singles = [Pipeline(trace, ltp=ltp).run() for ltp in configs]
     for ltp, batched, single in zip(configs, batch, singles):
         _assert_same_stats(single.as_dict(), batched.as_dict(),

@@ -1,13 +1,21 @@
-"""The stall-span jump: rename-stalled and MSHR-gated cycles.
+"""The kernel's stall-span jump: rename-stalled and MSHR-gated cycles.
 
-With skipping on, a tick may jump to the next event while its only
-pending work is a rename attempt stalled on a full structure (whose
-hooks moved nothing but counters) and loads rejected at the current
-MSHR version; the skipped cycles' repeats are charged in bulk.  Strict
-cycle-by-cycle execution (``allow_skip=False``) is the reference: on
-stall-heavy points, strict, jumping and kernel runs must agree on the
-full statistics, the hierarchy's demand/rejection counters and the LTP
-controller's own counters (ticket pool, UIT fills, hit/miss predictor).
+With skipping on, a kernel tick may jump to the next event while its
+only pending work is a rename attempt stalled on a full structure
+(whose hooks moved nothing but counters) and loads rejected at the
+current MSHR version; the skipped cycles' repeats are charged in bulk.
+The object engine has no such jump: it retries the attempt and the
+loads every cycle.  On stall-heavy points, object strict
+(``allow_skip=False``), object jumping (idle jump only), kernel strict
+and kernel jumping runs must agree on the full statistics, the
+hierarchy's demand/rejection counters and the LTP controller's own
+counters (ticket pool, UIT fills, hit/miss predictor).
+
+The kernel's loop keeps all its state in locals, so its spans are
+counted through the collaborators it pre-binds when the loop starts
+(``policy.repeat_stall``, ``hierarchy.repeat_rejection``,
+``hierarchy.advance``): instance attributes set before ``run()`` see
+every call.
 
 The known exception is inherited from the plain idle jump: over a fetch
 blocked on a mispredict it counts ``stall_frontend`` once per jump (see
@@ -110,49 +118,76 @@ def _build(session, name, engine="object", allow_skip=True):
 
 
 class _Spans:
-    """Counts the ticks and the jumped spans of one object pipeline."""
+    """Counts the stall-span jumps of one kernel pipeline.
+
+    Each bulk charge names its span: ``policy.repeat_stall`` charges a
+    stalled rename attempt's hook counters (``times`` skipped cycles)
+    and ``hierarchy.repeat_rejection(n)`` with an argument charges the
+    gated loads' retries (a single gated retry is the argument-free
+    call).  A ROB stall runs no hook, so its spans go uncounted here.
+    The hierarchy's clock (``_last_advance_cycle``) holds the span's
+    first cycle while it is charged.  A gated span leaves the MSHRs
+    full, so the next tick advances the hierarchy first: its cycle is
+    where the span ended.
+    """
 
     def __init__(self, pipeline):
-        self.ticks = 0
-        self.stall_spans = 0
+        self.spans = set()          # first cycles of the charged spans
         self.gated_spans = 0
         self.expiry_bounded = 0
-        tick = pipeline._tick
-        repeat = pipeline._repeat_stalled
-        accumulate = pipeline._accumulate
+        self.charged = 0            # cycles charged via repeat_stall
+        self.stall_calls = 0        # policy.stall_marks calls
+        hierarchy = pipeline.hierarchy
+        policy = pipeline.policy
+        repeat_stall = policy.repeat_stall
+        stall_marks = policy.stall_marks
+        repeat_rejection = hierarchy.repeat_rejection
+        advance = hierarchy.advance
+        gated_until = []            # the MSHR expiry a gated span saw
 
-        def counted_tick():
-            self.ticks += 1
-            tick()
+        def counted_repeat_stall(before, after, times):
+            self.spans.add(hierarchy._last_advance_cycle)
+            self.charged += times
+            repeat_stall(before, after, times)
 
-        def counted_repeat(times, gated):
-            self.stall_spans += 1
-            self.gated_spans += gated > 0
-            repeat(times, gated)
+        def counted_stall_marks(dyn):
+            self.stall_calls += 1
+            return stall_marks(dyn)
 
-        def checked_accumulate(now, step):
-            expiry = pipeline.hierarchy.mshrs._expiry
-            # a jump with loads still ready is a gated span
-            if (step > 1 and pipeline.iq._ready_heap and expiry
-                    and expiry[0][0] == now + step):
-                self.expiry_bounded += 1
-            accumulate(now, step)
+        def counted_repeat_rejection(*times):
+            if times:
+                self.spans.add(hierarchy._last_advance_cycle)
+                self.gated_spans += 1
+                expiry = hierarchy.mshrs._expiry
+                assert expiry, "a gated span with no MSHR busy"
+                gated_until.append(expiry[0][0])
+            repeat_rejection(*times)
 
-        pipeline._tick = counted_tick
-        pipeline._repeat_stalled = counted_repeat
-        pipeline._accumulate = checked_accumulate
+        def checked_advance(now):
+            if gated_until:
+                # the span ended at the next MSHR expiry
+                self.expiry_bounded += gated_until.pop() == now
+            advance(now)
+
+        policy.repeat_stall = counted_repeat_stall
+        policy.stall_marks = counted_stall_marks
+        hierarchy.repeat_rejection = counted_repeat_rejection
+        hierarchy.advance = checked_advance
 
 
 @pytest.mark.parametrize("name", sorted(_points()))
 def test_strict_equals_jump_equals_kernel(session, name):
     strict = counters(_build(session, name, allow_skip=False))
-    pipeline = _build(session, name)
+    jumped = counters(_build(session, name))
+    kernel_strict = counters(_build(session, name, engine="kernel",
+                                    allow_skip=False))
+    pipeline = _build(session, name, engine="kernel")
     spans = _Spans(pipeline)
-    jumped = counters(pipeline)
-    kernel = counters(_build(session, name, engine="kernel"))
+    kernel = counters(pipeline)
     assert not mismatches(strict, jumped), name
+    assert not mismatches(strict, kernel_strict), name
     assert not mismatches(strict, kernel), name
-    assert spans.stall_spans > 0, name
+    assert spans.spans, name
     if "-uit" in name:
         # the tiny table evicts, which refuses the jump after an
         # attempt whose UIT insert replaced an entry
@@ -163,36 +198,38 @@ def test_strict_equals_jump_equals_kernel(session, name):
         assert spans.expiry_bounded > 0
 
 
-def test_jump_takes_effect_on_the_object_engine(session):
-    # measured at 400+1200 instructions: 1018 ticks for 4100 cycles
-    # (the plain idle jump alone ticks 3919 times)
-    pipeline = _build(session, "astar-nrnu-t4")
+def test_jump_takes_effect_on_the_kernel(session):
+    # measured at 400+1200 instructions: 2741 of 4100 cycles are
+    # charged in bulk through repeat_stall alone, so the kernel ticks
+    # fewer than half the cycles (the object engine, with the idle jump
+    # alone, ticks 3919 times)
+    pipeline = _build(session, "astar-nrnu-t4", engine="kernel")
     spans = _Spans(pipeline)
     stats = pipeline.run()
-    assert spans.ticks < 0.5 * stats.cycles
+    assert spans.charged > 0.5 * stats.cycles
 
 
 def test_undeclared_policy_keeps_ticking_its_attempts(session):
     """A policy that has not declared ``counter_only_stalls`` never has
-    its stalled attempts repeated in bulk."""
+    its stalled attempts repeated in bulk by the kernel, and its run
+    still matches the object engine's."""
     workload, core, ltp, _ = _points()["astar-nrnu-t4"]
     config = SimConfig(workload=workload, core=core, ltp=ltp,
                        policy="oracle-park", warmup=WARMUP,
-                       measure=MEASURE, engine="object").validate()
+                       measure=MEASURE, engine="kernel").validate()
     pipeline = session.build_pipeline(config)
     assert not pipeline.policy.counter_only_stalls
-    repeated = []
-    original = pipeline._repeat_stalled
-
-    def recording_repeat(times, gated):
-        repeated.append(pipeline._stall)
-        original(times, gated)
-
-    pipeline._repeat_stalled = recording_repeat
-    pipeline.run()
-    assert repeated
-    assert all(stall is None or stall[0] == "stall_rob"
-               for stall in repeated)
+    spans = _Spans(pipeline)
+    kernel = counters(pipeline)
+    reference = counters(session.build_pipeline(
+        replace(config, engine="object")))
+    assert not mismatches(reference, kernel)
+    stalls = ("stall_iq", "stall_regs", "stall_lsq", "stall_ltp_full")
+    assert sum(kernel[key] for key in stalls) > 0
+    # the kernel still jumps, but only over gated loads
+    assert spans.gated_spans > 0
+    assert spans.stall_calls == 0
+    assert spans.charged == 0
 
 
 # ================================================================
@@ -310,13 +347,15 @@ def test_random_programs_with_gated_loads_and_tiny_uits(seed):
         kernel = run(KernelPipeline)
         kernel_strict = run(KernelPipeline, allow_skip=False)
         if isinstance(strict, str):
-            # both engines report the same wedge; a strict run only
-            # notices it at the no-commit timeout, a jumping run as
-            # soon as no event is left, so only the cycle differs
+            # both engines report the same wedge; a strict run, and an
+            # object run, which retries a stalled rename every cycle,
+            # only notice it at the no-commit timeout, the jumping
+            # kernel as soon as no event is left: only the cycle
+            # differs
             assert strict == kernel_strict, policy
-            assert jumped == kernel, policy
-            assert (strict.split(": ", 1)[1]
-                    == jumped.split(": ", 1)[1]), policy
+            state = strict.split(": ", 1)[1]
+            for other in (jumped, kernel, kernel_strict):
+                assert other.split(": ", 1)[1] == state, policy
             continue
         assert not mismatches(jumped, kernel), policy
         assert not mismatches(strict, kernel_strict), policy
