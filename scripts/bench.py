@@ -19,11 +19,12 @@ tracking") for how to read the file.
 --check``): the freshly measured headline speedup (the kernel engine
 on ``milc_baseline``) over ``benchmarks/perf/baseline_seed.json`` is
 compared against the speedup recorded in the committed
-``BENCH_pipeline.json`` (read before it is overwritten, and read
-whatever ``--output`` names) within
+``BENCH_pipeline.json`` (never the file ``--output`` names) within
 :data:`CHECK_TOLERANCE`, and every other config is held to its
 committed per-engine speedup within :data:`PER_CONFIG_TOLERANCE`; the
-exit code is nonzero if any gate fails.
+exit code is nonzero if any gate fails.  A gate run writes its fresh
+numbers only where ``--output`` says: without it, the committed
+reference is left as it is.
 
 ``--sweep`` measures end-to-end sweep throughput (points/sec on the
 ``ltp-queues`` preset, kernel engine, pool executor) with trace-shared
@@ -225,7 +226,8 @@ def sweep_bench(args) -> int:
             print("sweep check OK")
         return 1 if failures else 0
 
-    document = load_reference(args.output)
+    output = args.output or COMMITTED
+    document = load_reference(output)
     document["sweep_points_per_sec"] = {
         "preset": SWEEP_PRESET,
         "warmup": SWEEP_WARMUP, "measure": SWEEP_MEASURE,
@@ -238,10 +240,10 @@ def sweep_bench(args) -> int:
         "speedup": round(speedup, 3),
         "generated": datetime.now(timezone.utc).isoformat(),
     }
-    with open(args.output, "w") as fh:
+    with open(output, "w") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"recorded sweep_points_per_sec in {args.output}")
+    print(f"recorded sweep_points_per_sec in {output}")
     return 0
 
 
@@ -259,7 +261,10 @@ def main(argv=None) -> int:
                         help="subset of configs to run (default: all)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny traces and one repeat (CI sanity run)")
-    parser.add_argument("--output", type=Path, default=COMMITTED)
+    parser.add_argument("--output", type=Path, default=None,
+                        help="where to write the results (default: "
+                             "BENCH_pipeline.json; with --check, "
+                             "nothing is written unless given)")
     parser.add_argument("--save-baseline", action="store_true",
                         help="write the result as the seed baseline "
                              "snapshot instead of BENCH_pipeline.json")
@@ -301,17 +306,14 @@ def main(argv=None) -> int:
     if args.save_baseline:
         output = harness.BASELINE_SNAPSHOT
     else:
-        output = args.output
+        # a gate run leaves the committed reference alone
+        output = args.output or (None if args.check else COMMITTED)
         document = harness.attach_baseline(document)
         # keep the --sweep throughput record through re-measurements
-        committed = load_reference(output)
-        sweep_record = committed.get("sweep_points_per_sec")
+        sweep_record = (load_reference(output).get("sweep_points_per_sec")
+                        if output is not None else None)
         if sweep_record:
             document["sweep_points_per_sec"] = sweep_record
-
-    with open(output, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     rows = document["configs"]
     width = max(len(name) for name in rows)
@@ -326,7 +328,11 @@ def main(argv=None) -> int:
         engine_col = f"{engine_x:8.2f}x" if engine_x else f"{'--':>9}"
         print(f"{name:<{width}}  {row['insts_per_sec']:>12,.0f}  "
               f"{kernel_col}  {row['ipc']:>7.3f}  {suffix}  {engine_col}")
-    print(f"\nwrote {output}")
+    if output is not None:
+        with open(output, "w") as fh:
+            json.dump(document, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"\nwrote {output}")
     if args.check:
         return check_regression(document, reference)
     return 0

@@ -12,11 +12,13 @@ The API layer is organised around four ideas:
 * :class:`ExecutorBackend` — the futures-based execution layer
   (:mod:`repro.api.exec`): ``submit(item) -> SimFuture``,
   ``as_completed()``, lifecycle events, bounded retries, graceful
-  cancellation.  Concrete executors live in a registry
-  (:mod:`repro.api.executors`) and are selectable **by name** —
-  ``"serial"``, ``"process-pool"``, ``"remote"``, ``"mock"`` — from
-  :class:`Session`, :class:`SweepSpec` or the CLI's ``--executor``
-  flag; :func:`build_executor` constructs one.
+  cancellation.  Three executors have names — ``"serial"``,
+  ``"process-pool"``, ``"remote"`` — usable as ``Session(backend=...)``,
+  the ``backend=`` of ``run_many``/``sweep`` and the CLI's
+  ``--executor`` flag; :func:`repro.api.executors.executor_from_options`
+  is the one function that turns a name into an executor.  Anything
+  else (:class:`MockExecutor`, a custom subclass) is passed as an
+  instance.
 * Remote execution — :mod:`repro.api.remote`: ``repro worker``
   processes (:class:`WorkerServer`) simulate configs sent over
   length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
@@ -52,8 +54,6 @@ Quick start::
 from repro.api.exec import (ExecEvent, ExecutionCancelled,
                             ExecutorBackend, PoolExecutor, SerialExecutor,
                             SimFuture, WorkerFailure, as_executor)
-from repro.api.executors import (build_executor, executor_descriptions,
-                                 executor_names)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
 from repro.api.mock import MockExecutor
@@ -95,11 +95,8 @@ __all__ = [
     "WorkerFleetError",
     "WorkerServer",
     "as_executor",
-    "build_executor",
     "build_policy",
     "default_session",
-    "executor_descriptions",
-    "executor_names",
     "experiment",
     "experiment_names",
     "get_experiment",

@@ -16,8 +16,8 @@ pieces:
   cancellation (``cancel_all`` stops dispatching but drains whatever
   is already in flight).
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
-  ``multiprocessing`` implementations, registered as ``"serial"`` and
-  ``"process-pool"``.
+  ``multiprocessing`` implementations, named ``"serial"`` and
+  ``"process-pool"`` (:mod:`repro.api.executors`).
 
 One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
 — queued futures sharing one trace identity (workload + total trace
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
                     List, Optional, Sequence, Tuple)
 
-from repro.api.executors import register_executor
 from repro.api.result import SimResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -597,7 +596,6 @@ class ExecutorBackend:
         return f"{type(self).__name__}()"
 
 
-@register_executor("serial", options=("max_retries", "batch_size"))
 class SerialExecutor(ExecutorBackend):
     """Run every submitted configuration in-process, submission order.
 
@@ -630,8 +628,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-@register_executor("process-pool",
-                   options=("jobs", "max_retries", "batch_size"))
 class PoolExecutor(ExecutorBackend):
     """Fan submitted configurations over a ``multiprocessing`` pool.
 
@@ -790,10 +786,15 @@ class PoolExecutor(ExecutorBackend):
 
 
 def as_executor(backend: Any) -> ExecutorBackend:
-    """Check that *backend* implements the submission protocol.
+    """Normalise a ``backend=`` argument to an executor.
 
-    Futures executors pass through; anything else raises ``TypeError``.
+    A string names one (:func:`repro.api.executors.executor_from_options`:
+    ``"serial"``, ``"process-pool"`` or ``"remote"``); futures executors
+    pass through; anything else raises ``TypeError``.
     """
+    if isinstance(backend, str):
+        from repro.api.executors import executor_from_options
+        backend = executor_from_options(backend)
     if isinstance(backend, ExecutorBackend):
         return backend
     raise TypeError(

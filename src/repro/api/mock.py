@@ -30,15 +30,12 @@ import time
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.api.exec import ExecutorBackend, SimFuture
-from repro.api.executors import register_executor
 from repro.api.result import SOURCE_SIMULATED
 
 #: one scripted attempt: a directive string, a delay, or a tagged pair
 Directive = Any
 
 
-@register_executor("mock",
-                   options=("script", "max_retries", "latency"))
 class MockExecutor(ExecutorBackend):
     """Scriptable test double: full executor semantics, no simulation."""
 

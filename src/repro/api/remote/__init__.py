@@ -10,7 +10,7 @@ protocol (:mod:`repro.api.exec`):
   :class:`~repro.harness.config.SimConfig` work items and returns
   result/error outcomes, heartbeating during long simulations.
 * :mod:`~repro.api.remote.executor` — :class:`RemoteExecutor`,
-  registered as ``"remote"``: dispatches submitted items across a
+  named ``"remote"``: dispatches submitted items across a
   static worker list with heartbeat timeouts and bounded retries that
   reassign failed items to healthy workers.
 """

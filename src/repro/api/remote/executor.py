@@ -1,13 +1,14 @@
 """``RemoteExecutor``: dispatch submitted configs over a worker fleet.
 
-Registered as ``"remote"``.  A static list of ``HOST:PORT`` worker
-addresses becomes one :class:`~repro.api.exec.ExecutorBackend`: each
-drive (`as_completed`) connects one link per reachable worker, runs a
-dispatcher thread per link that pops queued futures and round-trips
-them, and funnels every dispatcher observation through a single
-message queue back to the driving thread — so lifecycle events keep
-their exactly-once guarantees and are delivered on the thread
-iterating ``as_completed()``, exactly like the local executors.
+Named ``"remote"`` (:mod:`repro.api.executors`).  A static list of
+``HOST:PORT`` worker addresses becomes one
+:class:`~repro.api.exec.ExecutorBackend`: each drive (`as_completed`)
+connects one link per reachable worker, runs a dispatcher thread per
+link that pops queued futures and round-trips them, and funnels every
+dispatcher observation through a single message queue back to the
+driving thread — so lifecycle events keep their exactly-once
+guarantees and are delivered on the thread iterating
+``as_completed()``, exactly like the local executors.
 
 The dispatch unit is the :class:`~repro.api.exec.BatchWorkItem`:
 each pop takes trace-identical futures (up to ``batch_size``; a lone
@@ -50,7 +51,6 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
 
 from repro.api.exec import (DEFAULT_BATCH_SIZE, ExecutorBackend, Outcome,
                             SimFuture)
-from repro.api.executors import register_executor
 from repro.api.remote.protocol import (ProtocolError, connect,
                                        format_address, parse_address,
                                        recv_frame, send_frame)
@@ -153,9 +153,6 @@ class _WorkerLink:
             self._sock = None
 
 
-@register_executor("remote",
-                   options=("workers", "max_retries", "connect_timeout",
-                            "heartbeat_timeout", "batch_size"))
 class RemoteExecutor(ExecutorBackend):
     """Fan submitted configurations over TCP simulation workers."""
 

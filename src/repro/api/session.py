@@ -102,19 +102,6 @@ def warm_branch_predictor(bpred: GsharePredictor, warmup_slice) -> None:
             bpred.predict_and_update(dyn.pc, dyn.taken)
 
 
-def _as_backend(backend: Any) -> Any:
-    """Resolve registered executor names to backend instances.
-
-    Everywhere a backend is accepted, a string names one from
-    :mod:`repro.api.executors` — ``Session(backend="process-pool")``
-    and ``session.run_many(..., backend="serial")`` both work.
-    """
-    if isinstance(backend, str):
-        from repro.api.executors import build_executor
-        return build_executor(backend)
-    return backend
-
-
 class PreparedWorkload:
     """One workload's trace-cache entry: everything its points share.
 
@@ -243,8 +230,9 @@ class Session:
     backend:
         Default :class:`~repro.api.exec.ExecutorBackend` for
         :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
-        omitted).  A string names a registered executor
-        (:func:`repro.api.executors.build_executor`).
+        omitted).  A string names one: ``"serial"``,
+        ``"process-pool"`` or ``"remote"``
+        (:func:`repro.api.exec.as_executor`).
     trace_cache_size:
         LRU cap on the workloads the trace cache holds.
     oracle_cache_size:
@@ -259,8 +247,8 @@ class Session:
         if trace_cache_size <= 0 or oracle_cache_size <= 0:
             raise ValueError("cache sizes must be positive")
         self.results = ResultCache(cache_dir)
-        self.backend: ExecutorBackend = \
-            _as_backend(backend) or SerialExecutor()
+        self.backend: ExecutorBackend = (
+            SerialExecutor() if backend is None else as_executor(backend))
         self.trace_cache_size = trace_cache_size
         self.oracle_cache_size = oracle_cache_size
         #: workload name -> its prepared inputs (LRU, bounded)
@@ -399,7 +387,7 @@ class Session:
                ) -> List[SimResult]:
         """Resolve cache/store hits and drive the rest as futures.
 
-        *backend* is an executor, a registered name or ``None`` (the
+        *backend* is an executor, an executor name or ``None`` (the
         session's own).  Configurations are submitted in list order.
         Cached configurations are resolved in-process; each distinct
         remaining configuration is submitted exactly once (duplicates
@@ -423,7 +411,8 @@ class Session:
         of replaying a poisoned cache entry.
         """
         from repro.api.inspect import as_inspector
-        executor = as_executor(_as_backend(backend) or self.backend)
+        executor = as_executor(self.backend if backend is None
+                               else backend)
         executor.bind(self)
         inspect = as_inspector(inspect, store)
         if progress is not None:
@@ -541,9 +530,9 @@ class Session:
         configurations are resolved in-process; each distinct remaining
         configuration is simulated exactly once and duplicates share the
         primary's statistics.  *backend* may be a futures-style
-        :class:`~repro.api.exec.ExecutorBackend` or a registered
-        executor name (``"serial"``, ``"process-pool"``, ``"remote"``,
-        …); *progress* receives every :class:`~repro.api.exec.ExecEvent`.
+        :class:`~repro.api.exec.ExecutorBackend` or an executor name
+        (``"serial"``, ``"process-pool"`` or ``"remote"``); *progress*
+        receives every :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys
         the store already holds are served from it (``source ==
@@ -587,10 +576,6 @@ class Session:
         quarantine.  *inspect* enables the online QA itself (see
         :meth:`run_many`).
         """
-        if backend is None and spec.executor is not None:
-            # the spec's preference holds only when the caller did not
-            # choose; resolved by name so specs stay JSON-serializable
-            backend = spec.executor
         configs = spec.expand() if shard is None else spec.shard(*shard)
         if store is not None:
             # bind before running so a wrong spec fails fast, and

@@ -141,16 +141,10 @@ class SweepSpec:
     #: dotted parameter path -> values; expansion is the cross product
     #: in insertion order, workloads outermost
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    #: registered executor name the sweep prefers (``None`` = caller's
-    #: choice); an execution detail, so it never enters the sweep id
-    executor: Optional[str] = None
 
     def validate(self) -> "SweepSpec":
         if not self.workloads:
             raise ValueError("a sweep needs at least one workload")
-        if self.executor is not None:
-            from repro.api.executors import check_executor_name
-            check_executor_name(self.executor)
         for path, values in self.axes.items():
             _check_axis(path)
             if not isinstance(values, (list, tuple)) or not values:
@@ -222,14 +216,9 @@ class SweepSpec:
 
         Derived from the same payload as :meth:`to_dict`, so equal specs
         — however constructed — share an id.  Result stores record it to
-        refuse mixing results from different sweeps.  The ``executor``
-        preference is stripped first: *where* a sweep runs must not
-        change *what* it is, or stores could never be shared between
-        serial, pooled and remote runs.
+        refuse mixing results from different sweeps.
         """
-        payload = self.to_dict()
-        payload.pop("executor", None)
-        text = json.dumps(payload, sort_keys=True, default=str)
+        text = json.dumps(self.to_dict(), sort_keys=True, default=str)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def __len__(self) -> int:
@@ -258,8 +247,6 @@ class SweepSpec:
             payload["policy"] = self.policy
         if self.engine is not None:
             payload["engine"] = self.engine
-        if self.executor is not None:
-            payload["executor"] = self.executor
         return payload
 
     @classmethod
@@ -276,7 +263,6 @@ class SweepSpec:
         measure = payload.pop("measure", None)
         policy = payload.pop("policy", DEFAULT_POLICY)
         engine = payload.pop("engine", None)
-        executor = payload.pop("executor", None)
         axes = payload.pop("axes", {}) or {}
         if payload:
             raise ValueError(f"unknown sweep fields: {sorted(payload)}")
@@ -290,6 +276,5 @@ class SweepSpec:
             measure=None if measure is None else int(measure),
             policy=str(policy),
             engine=None if engine is None else str(engine),
-            executor=None if executor is None else str(executor),
             axes={path: list(values) for path, values in axes.items()})
         return spec.validate()

@@ -22,8 +22,8 @@ Commands:
   store (``--store``), resume (``--resume``), store merging
   (``--merge``), live progress (``--progress``; with ``--json`` the
   document carries the full lifecycle-event log).  Execution is
-  selected by ``--jobs`` or by registered executor name
-  (``--executor`` + ``--workers`` for the TCP fleet).
+  selected by ``--jobs`` or by executor name (``--executor serial``,
+  ``process-pool`` or ``remote`` + ``--workers`` for the TCP fleet).
 * ``worker`` — serve simulations over TCP: accepts serialized
   configurations from ``--executor remote`` dispatchers and answers
   with results, heartbeating during long runs.  Prints ``worker
@@ -56,11 +56,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import (ResultStore, Session, SweepInspector, SweepSpec,
-                       WorkerServer, default_session, executor_names,
-                       experiment_names, get_experiment, ltp_preset,
-                       ltp_preset_names, merge_stores, parse_shard,
-                       summarize)
-from repro.api.executors import executor_from_options
+                       WorkerServer, default_session, experiment_names,
+                       get_experiment, ltp_preset, ltp_preset_names,
+                       merge_stores, parse_shard, summarize)
+from repro.api.executors import EXECUTORS, executor_from_options
 from repro.api.remote.protocol import format_address, parse_address
 from repro.api.spec import non_negative_int, positive_int
 from repro.core.params import baseline_params, ltp_params
@@ -209,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "as one batch (one trace generation + "
                               "predecode per batch; 1 disables "
                               "batching; default: auto)")
-    sweep_p.add_argument("--executor", choices=executor_names(),
+    sweep_p.add_argument("--executor", choices=list(EXECUTORS),
                          default=None,
-                         help="run through a registered executor "
+                         help="run through this executor "
                               "(default: serial, or process-pool when "
                               "--jobs > 1)")
     sweep_p.add_argument("--workers", default=None,

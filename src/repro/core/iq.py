@@ -36,9 +36,6 @@ class IssueQueue:
     def full(self) -> bool:
         return self.occupancy >= self.capacity
 
-    def free_slots(self) -> int:
-        return self.capacity - self.occupancy
-
     def insert(self, record) -> None:
         """Dispatch *record* into the IQ; it must carry wait bookkeeping."""
         if self.occupancy >= self.capacity:

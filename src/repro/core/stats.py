@@ -108,10 +108,6 @@ class SimStats:
     def average_occupancy(self, name: str) -> float:
         return self.occupancies[name].average(self.cycles)
 
-    def occupancy_integrals(self) -> Dict[str, int]:
-        """Exact per-structure time integrals (strict equivalence tests)."""
-        return {name: occ.integral for name, occ in self.occupancies.items()}
-
     def equivalence_signature(self) -> Dict[str, float]:
         """The execution-mode-invariant statistics.
 

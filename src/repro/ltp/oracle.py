@@ -51,9 +51,6 @@ class OracleInfo:
             return self.urgent[seq]
         return pc in self.urgent_pcs
 
-    def is_non_ready(self, seq: int) -> bool:
-        return self.non_ready[seq]
-
     def is_long_latency(self, seq: int) -> bool:
         return self.long_latency[seq]
 

@@ -213,15 +213,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
-    def can_accept_miss(self, addr: int) -> bool:
-        """True if a miss to *addr* can be tracked right now."""
-        block = block_of(addr)
-        if self.l1d.probe(block):
-            return True
-        if self.mshrs.outstanding(block) is not None:
-            return True
-        return self.mshrs.can_allocate()
-
     def access_data(self, addr: int, now: int, is_store: bool = False,
                     pc: int = 0) -> Optional[AccessResult]:
         """Access the data path at cycle *now*.

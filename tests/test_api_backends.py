@@ -4,7 +4,7 @@ identical statistics (the execution-mode-invariant signature and more)."""
 
 import pytest
 
-from repro.api import PoolExecutor, SerialExecutor, Session, build_executor
+from repro.api import PoolExecutor, SerialExecutor, Session
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp
@@ -116,5 +116,3 @@ def test_iterator_style_backend_is_rejected(tmp_path):
     with pytest.raises(TypeError, match="not an execution backend"):
         session.run_many(_configs()[:1], use_cache=False,
                          backend=IteratorBackend())
-    assert type(build_executor("serial")) is SerialExecutor
-    assert type(build_executor("process-pool")) is PoolExecutor

@@ -11,9 +11,9 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (RemoteExecutor, ResultStore, Session,
-                       SweepInspector, SweepSpec, WorkerServer,
-                       build_executor)
+from repro.api import (PoolExecutor, RemoteExecutor, ResultStore,
+                       SerialExecutor, Session, SweepInspector, SweepSpec,
+                       WorkerServer)
 from repro.api.exec import _batch_key
 from repro.api.remote.protocol import recv_frame, send_frame
 from repro.core.params import CoreParams
@@ -60,7 +60,7 @@ class _Recorder:
 # batch formation on the submission queue
 # ----------------------------------------------------------------------
 def test_batch_key_separates_workload_length_cache_and_shard():
-    executor = build_executor("serial")
+    executor = SerialExecutor()
     base = executor.submit((0, config_for(), False))
     same = executor.submit((1, config_for(iq=32), False))
     other_workload = executor.submit((2, config_for("stream_triad"),
@@ -73,7 +73,7 @@ def test_batch_key_separates_workload_length_cache_and_shard():
 
 
 def test_next_batch_groups_identity_and_preserves_queue_order():
-    executor = build_executor("serial")
+    executor = SerialExecutor()
     a1 = executor.submit((0, config_for(), False))
     b1 = executor.submit((1, config_for("stream_triad"), False))
     a2 = executor.submit((2, config_for(iq=32), False))
@@ -87,7 +87,7 @@ def test_next_batch_groups_identity_and_preserves_queue_order():
 
 
 def test_next_batch_respects_limit_and_cancelled_head_travels_alone():
-    executor = build_executor("serial")
+    executor = SerialExecutor()
     futures = [executor.submit((i, config_for(iq=16 * (i + 1)), False))
                for i in range(5)]
     assert futures[0].cancel()
@@ -100,7 +100,7 @@ def test_next_batch_respects_limit_and_cancelled_head_travels_alone():
 
 
 def test_next_batch_limit_one_disables_grouping():
-    executor = build_executor("serial", batch_size=1)
+    executor = SerialExecutor(batch_size=1)
     futures = [executor.submit((i, config_for(iq=16 * (i + 1)), False))
                for i in range(3)]
     for future in futures:
@@ -110,7 +110,7 @@ def test_next_batch_limit_one_disables_grouping():
 
 def test_batch_size_validation():
     with pytest.raises(ValueError, match="batch_size"):
-        build_executor("serial", batch_size=0)
+        SerialExecutor(batch_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_serial_batched_matches_unbatched_with_identical_events(tmp_path):
     outcomes = {}
     for label, batch_size in (("batched", None), ("unbatched", 1)):
         recorder = _Recorder()
-        executor = build_executor("serial", batch_size=batch_size)
+        executor = SerialExecutor(batch_size=batch_size)
         with Session(cache_dir=str(tmp_path / label)) as session:
             results = session.sweep(spec, use_cache=False,
                                     backend=executor, progress=recorder)
@@ -210,7 +210,7 @@ def test_pool_batched_matches_serial_bit_identical(tmp_path):
     spec = one_identity_spec(4)
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         baseline = session.sweep(spec, use_cache=False)
-    executor = build_executor("process-pool", jobs=2, batch_size=2)
+    executor = PoolExecutor(jobs=2, batch_size=2)
     with Session(cache_dir=str(tmp_path / "pool")) as session:
         results = session.sweep(spec, use_cache=False, backend=executor)
     assert [r.stats for r in results] == [r.stats for r in baseline]
@@ -406,7 +406,7 @@ def test_inspector_flags_identically_batched_and_unbatched(tmp_path):
     for label, batch_size in (("batched", None), ("unbatched", 1)):
         store = ResultStore(tmp_path / f"{label}.jsonl")
         inspector = SweepInspector(store=store)
-        executor = build_executor("serial", batch_size=batch_size)
+        executor = SerialExecutor(batch_size=batch_size)
         with _TamperingSession(
                 tamper_key,
                 cache_dir=str(tmp_path / f"cache-{label}")) as session:
@@ -431,13 +431,13 @@ def test_quarantined_keys_resume_as_batchable_misses(tmp_path):
             tamper_key, cache_dir=str(tmp_path / "tampered")) as session:
         with store:
             session.sweep(spec, use_cache=False,
-                          backend=build_executor("serial"),
+                          backend=SerialExecutor(),
                           store=store, inspect=inspector)
     assert inspector.quarantined == [tamper_key]
     with Session(cache_dir=str(tmp_path / "clean")) as session:
         with store:
             results = session.sweep(spec, use_cache=False,
-                                    backend=build_executor("serial"),
+                                    backend=SerialExecutor(),
                                     store=store)
     resimulated = [r.key for r in results if not r.cached]
     assert resimulated == [tamper_key]

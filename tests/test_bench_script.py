@@ -56,3 +56,26 @@ def test_sweep_check_gates_against_committed_reference(tmp_path,
     output = tmp_path / "probe.json"
     args = ["--sweep", "--check", "--jobs", "1", "--output", str(output)]
     assert bench.main(args) == 1
+
+
+def test_smoke_check_leaves_committed_reference_alone(tmp_path,
+                                                      monkeypatch):
+    bench = _load_bench()
+    committed = tmp_path / "BENCH_pipeline.json"
+    committed.write_bytes(bench.COMMITTED.read_bytes())
+    before = committed.read_bytes()
+    monkeypatch.setattr(bench, "COMMITTED", committed)
+    reference = bench.load_reference(committed)
+
+    def fast_run_bench(warmup, measure, repeats, names):
+        # far above every committed speedup: the gate passes
+        row = {"insts_per_sec": 1e12, "kernel": {"insts_per_sec": 1e12},
+               "committed": measure, "cycles": measure, "ipc": 1.0}
+        return {"configs": {name: dict(row)
+                            for name in names or reference["configs"]}}
+
+    monkeypatch.setattr(bench.harness, "run_bench", fast_run_bench)
+    assert bench.main(["--smoke", "--check"]) == 0
+    # a gate run without --output writes nothing, least of all the
+    # committed full-run reference
+    assert committed.read_bytes() == before

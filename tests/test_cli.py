@@ -264,6 +264,29 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_sweep_executor_flag_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    store = tmp_path / "mock.jsonl"
+    # the test double is not an --executor choice: its made-up rows
+    # must never land in a store a real run could resume
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["sweep", "ltp-queues", "--executor", "mock",
+                 "--warmup", "100", "--measure", "50",
+                 "--store", str(store)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'mock'" in capsys.readouterr().err
+    assert not store.exists()
+    code, text = run_cli(["sweep", "ltp-queues", "--executor", "serial",
+                          "--jobs", "4", "--store", str(store)])
+    assert code == 2
+    assert "--executor serial does not take --jobs" in text
+    code, text = run_cli(["sweep", "ltp-queues", "--workers", "a:1",
+                          "--store", str(store)])
+    assert code == 2
+    assert "--workers only applies to --executor remote" in text
+    assert not store.exists()
+
+
 def test_sweep_preset_resolves(tmp_path, monkeypatch):
     """Preset names expand without a spec file (shard keeps it tiny)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -1,8 +1,8 @@
-"""Shared conformance suite over every registered executor.
+"""Shared conformance suite over every executor.
 
-Each test is parametrized over the executor registry
-(:mod:`repro.api.executors`) and drives the same contract through
-every implementation — serial, process-pool, remote (two
+Each test is parametrized over the executors — the three named ones
+(:data:`repro.api.executors.EXECUTORS`) and the mock — and drives the
+same contract through every implementation — serial, process-pool, remote (two
 in-process TCP workers) and mock:
 
 * lifecycle events are exactly-once per submitted configuration,
@@ -19,8 +19,9 @@ in-process TCP workers) and mock:
   attempt counts, and cancellation mid-batch still resolves every
   future with one terminal event.
 
-A guard test asserts the harness table covers the full registry, so
-registering a new executor without conformance coverage fails CI.
+A guard test asserts the harness table covers every ``--executor``
+choice and the mock, so naming a new executor without conformance
+coverage fails CI.
 """
 
 import contextlib
@@ -29,8 +30,10 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (ResultStore, Session, SweepSpec, WorkerFailure,
-                       WorkerServer, build_executor, executor_names)
+from repro.api import (MockExecutor, PoolExecutor, RemoteExecutor,
+                       ResultStore, SerialExecutor, Session, SweepSpec,
+                       WorkerFailure, WorkerServer)
+from repro.api import executors
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -73,12 +76,11 @@ def make_configs(count=3, workloads=None):
 # executors fail through the injected BOOM workload instead.
 # ----------------------------------------------------------------------
 def _serial(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("serial", max_retries=max_retries)
+    return SerialExecutor(max_retries=max_retries)
 
 
 def _pool(stack, tmp_path, max_retries, fail_indices):
-    return build_executor("process-pool", jobs=2, batch_size=1,
-                          max_retries=max_retries)
+    return PoolExecutor(jobs=2, batch_size=1, max_retries=max_retries)
 
 
 def _remote(stack, tmp_path, max_retries, fail_indices):
@@ -90,15 +92,13 @@ def _remote(stack, tmp_path, max_retries, fail_indices):
                          heartbeat_interval=0.2))
         server.start()
         servers.append(server)
-    return build_executor("remote",
-                          workers=[s.address for s in servers],
+    return RemoteExecutor(workers=[s.address for s in servers],
                           max_retries=max_retries)
 
 
 def _mock(stack, tmp_path, max_retries, fail_indices):
     script = {index: "fail" for index in fail_indices}
-    return build_executor("mock", script=script or None,
-                          max_retries=max_retries)
+    return MockExecutor(script=script or None, max_retries=max_retries)
 
 
 HARNESSES = {
@@ -118,7 +118,9 @@ EXECUTORS = [
 
 
 def test_every_registered_executor_has_conformance_coverage():
-    assert set(executor_names()) == set(HARNESSES)
+    # every --executor choice, plus the mock (built directly, never
+    # by name)
+    assert set(executors.EXECUTORS) | {"mock"} == set(HARNESSES)
 
 
 class _Recorder:

@@ -1,48 +1,30 @@
-"""The executor registry: names, option validation, CLI flag mapping,
-spec integration and string-backend resolution."""
+"""The executor name table: the three names, CLI flag mapping,
+string-backend resolution, and the spec carrying no executor."""
 
 import pytest
 
 from repro.api import (MockExecutor, RemoteExecutor, Session, SweepSpec,
-                       build_executor, executor_descriptions,
-                       executor_names)
+                       as_executor)
 from repro.api.exec import PoolExecutor, SerialExecutor
-from repro.api.executors import (check_executor_name,
-                                 executor_from_options, executor_info,
-                                 register_executor)
+from repro.api.executors import EXECUTORS, executor_from_options
 
 
 def test_builtin_executors_are_registered():
-    assert executor_names() == ["mock", "process-pool", "remote",
-                                "serial"]
-    descriptions = executor_descriptions()
-    for name in executor_names():
-        assert descriptions[name]  # every builtin documents itself
+    assert list(EXECUTORS) == ["serial", "process-pool", "remote"]
+    # the test double is built from its class, never by name
+    assert "mock" not in EXECUTORS
+    assert MockExecutor not in [cls for cls, _ in EXECUTORS.values()]
 
 
 def test_unknown_name_lists_known_ones():
-    with pytest.raises(KeyError, match="unknown executor 'warp'"):
-        executor_info("warp")
-    with pytest.raises(KeyError, match="serial"):
-        executor_info("warp")
-    with pytest.raises(ValueError, match="must be a string"):
-        check_executor_name(42)
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_executor("serial")(SerialExecutor)
-
-
-def test_build_executor_constructs_and_checks_options():
-    assert isinstance(build_executor("serial"), SerialExecutor)
-    pool = build_executor("process-pool", jobs=3)
-    assert isinstance(pool, PoolExecutor) and pool.jobs == 3
-    assert isinstance(build_executor("mock"), MockExecutor)
-    with pytest.raises(ValueError, match="does not take workers"):
-        build_executor("serial", workers=["x:1"])
-    with pytest.raises(ValueError, match="accepted options"):
-        build_executor("process-pool", script={})
+    with pytest.raises(ValueError, match="unknown executor 'warp'") as exc:
+        executor_from_options("warp")
+    for name in ("serial", "process-pool", "remote"):
+        assert name in str(exc.value)
+    with pytest.raises(ValueError, match="unknown executor 'mock'"):
+        Session(backend="mock")
+    with pytest.raises(TypeError, match="not an execution backend"):
+        as_executor(42)
 
 
 def test_executor_from_options_maps_cli_flags():
@@ -67,49 +49,35 @@ def test_executor_from_options_maps_cli_flags():
 
 def test_remote_requires_a_fleet():
     with pytest.raises(ValueError, match="at least one worker"):
-        build_executor("remote")
+        executor_from_options("remote")
 
 
 def test_local_executors_are_registry_entries():
-    # the registered factories are the executor classes themselves
-    assert executor_info("serial").factory is SerialExecutor
-    assert executor_info("process-pool").factory is PoolExecutor
+    # the table's entries are the executor classes themselves
+    assert EXECUTORS["serial"][0] is SerialExecutor
+    assert EXECUTORS["process-pool"][0] is PoolExecutor
+    assert EXECUTORS["remote"][0] is RemoteExecutor
 
 
 def test_session_resolves_string_backends(tmp_path):
     session = Session(cache_dir=str(tmp_path), backend="serial")
     assert isinstance(session.backend, SerialExecutor)
+    pooled = Session(cache_dir=str(tmp_path), backend="process-pool")
+    assert isinstance(pooled.backend, PoolExecutor)
+    # "remote" resolves to the remote executor, which needs a fleet
+    with pytest.raises(ValueError, match="at least one worker"):
+        Session(cache_dir=str(tmp_path), backend="remote")
     spec = SweepSpec(workloads=["compute_int"], warmup=150, measure=100)
     results = session.sweep(spec, use_cache=False, backend="serial")
     assert len(results) == 1 and results[0].backend == "serial"
 
 
-def test_spec_executor_field_round_trips_and_keeps_sweep_id():
-    plain = SweepSpec(workloads=["compute_int"], warmup=150,
-                      measure=100, axes={"core.iq_size": [16, 32]})
-    tagged = SweepSpec(workloads=["compute_int"], warmup=150,
-                       measure=100, axes={"core.iq_size": [16, 32]},
-                       executor="remote")
-    # execution choice never changes sweep identity (stores must be
-    # shareable between serial, pooled and remote runs)
-    assert plain.sweep_id() == tagged.sweep_id()
-    assert "executor" not in plain.to_dict()
-    assert tagged.to_dict()["executor"] == "remote"
-    rebuilt = SweepSpec.from_dict(tagged.to_dict())
-    assert rebuilt.executor == "remote"
-    with pytest.raises(KeyError, match="unknown executor"):
-        SweepSpec(workloads=["compute_int"],
-                  executor="warp").validate()
-
-
-def test_sweep_uses_spec_executor_preference(tmp_path):
-    spec = SweepSpec(workloads=["compute_int"], warmup=150,
-                     measure=100, executor="mock")
-    with Session(cache_dir=str(tmp_path)) as session:
-        results = session.sweep(spec, use_cache=False)
-    assert [r.backend for r in results] == ["mock"]
-    # an explicit backend still wins over the spec's preference
-    with Session(cache_dir=str(tmp_path)) as session:
-        results = session.sweep(spec, use_cache=False,
-                                backend="serial")
-    assert [r.backend for r in results] == ["serial"]
+def test_spec_executor_field_is_rejected():
+    # where a sweep runs is the caller's choice, not the spec's
+    payload = SweepSpec(workloads=["compute_int"], warmup=150,
+                        measure=100).to_dict()
+    assert "executor" not in payload
+    with pytest.raises(ValueError, match="unknown sweep fields"):
+        SweepSpec.from_dict({**payload, "executor": "remote"})
+    with pytest.raises(TypeError):
+        SweepSpec(workloads=["compute_int"], executor="serial")
