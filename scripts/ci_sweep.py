@@ -13,16 +13,19 @@ nothing.  From the repo root::
     python scripts/ci_sweep.py check-resume --store merged.jsonl
     python -m repro sweep ltp-queues --jobs 4 --store pooled.jsonl
     python scripts/ci_sweep.py compare merged.jsonl pooled.jsonl
-    python scripts/ci_sweep.py remote --workers 2 --kill-one \\
-        --store remote.jsonl
+    python scripts/ci_sweep.py run --jobs 2 --kill-one --max-retries 2 \\
+        --store killed.jsonl
     python scripts/ci_sweep.py inspect-check --report inspect.json
 
 ``compare`` asserts two stores are bit-for-bit interchangeable (same
 sweep, same keys, identical statistics) — CI uses it to prove one
 pooled ``repro sweep`` store equals the k-invocation shard union.
-``remote`` spawns a real ``repro worker`` fleet as subprocesses and
-runs the sweep through ``--executor remote`` (``--kill-one`` murders
-a worker after the first landed point, proving retry-on-survivors).
+``run --kill-one`` runs the sweep as a ``repro sweep --jobs N``
+subprocess and SIGKILLs one of its pool workers once the store holds
+the first landed point, proving that the pool retries the dead
+worker's points instead of hanging (Linux only: the workers are found
+through ``/proc``).  The sweep must finish within
+:data:`SWEEP_TIMEOUT_S`, so a hang fails the step.
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
@@ -38,7 +41,7 @@ sweep; every subcommand must be given the same values (the store binds
 the spec's ``sweep_id`` and refuses a mismatch).  The driver is plain
 :mod:`repro.api` — anything it does can be scripted directly.
 
-``run`` and ``remote`` take ``--batch-size``: the cap on how many
+``run`` takes ``--batch-size``: the cap on how many
 trace-identical points execute as one trace-shared batch (``1``
 disables batching).  CI's batched-equivalence job runs the same
 sweep batched and unbatched and ``compare``\\ s the stores, proving
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -68,6 +72,9 @@ from repro.api.executors import executor_from_options  # noqa: E402
 from repro.api.spec import non_negative_int, positive_int  # noqa: E402
 from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
+
+#: how long ``run --kill-one`` waits on its sweep subprocess
+SWEEP_TIMEOUT_S = 600.0
 
 
 def build_spec(args) -> SweepSpec:
@@ -95,8 +102,11 @@ def add_spec_options(parser: argparse.ArgumentParser) -> None:
 
 def cmd_run(args) -> int:
     spec = build_spec(args)
+    if args.kill_one:
+        return _run_killing_one_worker(args, spec)
     shard = parse_shard(args.shard) if args.shard else None
     backend = executor_from_options(jobs=args.jobs,
+                                    max_retries=args.max_retries,
                                     batch_size=args.batch_size)
     with Session() as session, ResultStore(args.store) as store:
         results = session.sweep(spec, backend=backend,
@@ -185,19 +195,6 @@ def _repro_env() -> dict:
     return env
 
 
-def _spawn_service(argv_tail, banner):
-    """Start ``python -m repro <argv_tail>``; parse its address line."""
-    proc = subprocess.Popen([sys.executable, "-m", "repro", *argv_tail],
-                            stdout=subprocess.PIPE, text=True,
-                            env=_repro_env())
-    line = (proc.stdout.readline() or "").strip()
-    if not line.startswith(banner):
-        proc.kill()
-        raise RuntimeError(
-            f"service printed {line!r}, expected {banner!r}")
-    return proc, line.rsplit(" ", 1)[-1]
-
-
 def _sweep_argv(args, extra):
     argv = ["sweep",
             str(args.spec) if args.spec is not None else args.preset]
@@ -210,62 +207,102 @@ def _sweep_argv(args, extra):
     return argv + extra
 
 
-def _kill_one_mid_sweep(store_path: Path, victim,
-                        timeout: float = 600.0) -> None:
-    """Kill *victim* once the store holds its first landed point."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        lines = 0
+def _landed_points(store_path: Path) -> int:
+    """Result rows in the store so far (every row after the header)."""
+    try:
+        with open(store_path) as handle:
+            return max(0, sum(1 for line in handle if line.strip()) - 1)
+    except OSError:
+        return 0
+
+
+def _pool_workers(pid: int) -> list:
+    """The forked pool workers of process *pid*, read from ``/proc``.
+
+    A forked worker runs its parent's command line, so children
+    running anything else (a helper such as multiprocessing's
+    resource tracker) are never picked.
+    """
+    def cmdline(proc: int):
         try:
-            with open(store_path) as handle:
-                lines = sum(1 for line in handle if line.strip())
+            return Path(f"/proc/{proc}/cmdline").read_bytes()
+        except OSError:
+            return None
+
+    children = []
+    for listing in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            children += [int(child) for child in listing.read_text().split()]
         except OSError:
             pass
-        if lines >= 2:  # the header row plus at least one result
-            victim.kill()
-            print("killed one worker mid-sweep "
-                  f"({lines - 1} point(s) landed)")
-            return
-        time.sleep(0.2)
-    raise RuntimeError("no point landed before the kill timeout")
+    own = cmdline(pid)
+    return [child for child in children
+            if own is not None and cmdline(child) == own]
 
 
-def cmd_remote(args) -> int:
-    """Run the sweep through a spawned ``repro worker`` fleet."""
-    spec = build_spec(args)
-    workers = []
-    with tempfile.TemporaryDirectory() as scratch:
-        try:
-            for i in range(args.workers):
-                proc, addr = _spawn_service(
-                    ["worker", "--listen", "127.0.0.1:0",
-                     "--cache-dir", str(Path(scratch) / f"cache{i}")],
-                    "worker listening on ")
-                workers.append((proc, addr))
-            fleet = ",".join(addr for _, addr in workers)
-            extra = ["--executor", "remote", "--workers", fleet,
-                     "--max-retries", str(args.max_retries),
-                     "--store", str(args.store), "--no-cache"]
-            if args.batch_size is not None:
-                extra += ["--batch-size", str(args.batch_size)]
-            sweep = subprocess.Popen(
-                [sys.executable, "-m", "repro",
-                 *_sweep_argv(args, extra)],
-                env=_repro_env())
-            if args.kill_one:
-                _kill_one_mid_sweep(args.store, workers[0][0])
-            rc = sweep.wait()
-        finally:
-            for proc, _ in workers:
-                if proc.poll() is None:
-                    proc.kill()
+def _kill_one_worker(store_path: Path, sweep, deadline: float) -> bool:
+    """SIGKILL one pool worker of *sweep* once the store holds its first
+    landed point; ``False`` if the sweep ended (or time ran out) first."""
+    while sweep.poll() is None and time.monotonic() < deadline:
+        landed = _landed_points(store_path)
+        workers = _pool_workers(sweep.pid) if landed else []
+        if workers:
+            try:
+                os.kill(workers[0], signal.SIGKILL)
+            except ProcessLookupError:
+                continue  # it exited meanwhile: look again
+            print(f"killed pool worker {workers[0]} mid-sweep "
+                  f"({landed} point(s) landed)")
+            return True
+        time.sleep(0.1)
+    return False
+
+
+def _run_killing_one_worker(args, spec) -> int:
+    """``run --kill-one``: a ``repro sweep --jobs N`` subprocess loses
+    one pool worker mid-sweep and must still land every point."""
+    if args.jobs < 2:
+        print("run --kill-one needs --jobs >= 2 (a pool to kill a "
+              "worker of)")
+        return 2
+    extra = ["--jobs", str(args.jobs), "--store", str(args.store),
+             "--no-cache"]
+    if args.shard:
+        extra += ["--shard", args.shard]
+    if args.max_retries is not None:
+        extra += ["--max-retries", str(args.max_retries)]
+    if args.batch_size is not None:
+        extra += ["--batch-size", str(args.batch_size)]
+    deadline = time.monotonic() + SWEEP_TIMEOUT_S
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "repro", *_sweep_argv(args, extra)],
+        env=_repro_env())
+    try:
+        killed = _kill_one_worker(args.store, sweep, deadline)
+        rc = sweep.wait(timeout=max(0.0, deadline - time.monotonic()))
+    except subprocess.TimeoutExpired:
+        print(f"pooled sweep FAILED: still running after "
+              f"{SWEEP_TIMEOUT_S:.0f}s")
+        return 1
+    finally:
+        if sweep.poll() is None:
+            for worker in _pool_workers(sweep.pid):
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            sweep.kill()
+            sweep.wait()
     if rc != 0:
-        print(f"remote sweep FAILED with exit code {rc}")
+        print(f"pooled sweep FAILED with exit code {rc}")
+        return 1
+    if not killed:
+        print("kill-one FAILED: the sweep finished before a pool "
+              "worker could be killed")
         return 1
     store = ResultStore(args.store)
-    note = " (one worker killed mid-sweep)" if args.kill_one else ""
-    print(f"remote sweep {spec.sweep_id()} over {args.workers} "
-          f"worker(s){note}: {len(store)} points -> {args.store}")
+    print(f"sweep {spec.sweep_id()} over {args.jobs} pool workers (one "
+          f"killed mid-sweep): {len(store)} points -> {args.store}")
     return 0
 
 
@@ -461,6 +498,13 @@ def main(argv=None) -> int:
                        metavar="N",
                        help="cap on trace-identical points executed "
                             "as one batch (1 disables batching)")
+    run_p.add_argument("--max-retries", type=non_negative_int,
+                       default=None, metavar="N",
+                       help="re-dispatch attempts per failed point")
+    run_p.add_argument("--kill-one", action="store_true",
+                       help="run the sweep as a 'repro sweep' "
+                            "subprocess and SIGKILL one pool worker "
+                            "after the first landed point")
     run_p.set_defaults(func=cmd_run)
 
     compare_p = sub.add_parser(
@@ -480,25 +524,6 @@ def main(argv=None) -> int:
     add_spec_options(verify_p)
     verify_p.add_argument("--store", type=Path, required=True)
     verify_p.set_defaults(func=cmd_verify)
-
-    remote_p = sub.add_parser(
-        "remote",
-        help="run the sweep over a spawned TCP worker fleet")
-    add_spec_options(remote_p)
-    remote_p.add_argument("--workers", type=int, default=2,
-                          help="worker processes to spawn (default 2)")
-    remote_p.add_argument("--max-retries", type=non_negative_int,
-                          default=2)
-    remote_p.add_argument("--kill-one", action="store_true",
-                          help="kill one worker after the first "
-                               "landed point (retry-on-survivors)")
-    remote_p.add_argument("--batch-size", type=positive_int, default=None,
-                          metavar="N",
-                          help="cap on trace-identical points sent as "
-                               "one run_batch frame (1 disables "
-                               "batching)")
-    remote_p.add_argument("--store", type=Path, required=True)
-    remote_p.set_defaults(func=cmd_remote)
 
     inspect_p = sub.add_parser(
         "inspect-check",

@@ -12,17 +12,12 @@ The API layer is organised around four ideas:
 * :class:`ExecutorBackend` — the futures-based execution layer
   (:mod:`repro.api.exec`): ``submit(item) -> SimFuture``,
   ``as_completed()``, lifecycle events, bounded retries, graceful
-  cancellation.  Three executors have names — ``"serial"``,
-  ``"process-pool"``, ``"remote"`` — usable as ``Session(backend=...)``,
-  the ``backend=`` of ``run_many``/``sweep`` and the CLI's
-  ``--executor`` flag; :func:`repro.api.executors.executor_from_options`
-  is the one function that turns a name into an executor.  Anything
-  else (:class:`MockExecutor`, a custom subclass) is passed as an
-  instance.
-* Remote execution — :mod:`repro.api.remote`: ``repro worker``
-  processes (:class:`WorkerServer`) simulate configs sent over
-  length-prefixed JSON/TCP, :class:`RemoteExecutor` fans a batch over
-  a worker fleet with heartbeats and bounded retries.
+  cancellation.  Two executors have names — ``"serial"`` and
+  ``"process-pool"`` — usable as ``Session(backend=...)``, the
+  ``backend=`` of ``run_many``/``sweep`` and the CLI's ``--executor``
+  flag; :func:`repro.api.executors.executor_from_options` is the one
+  function that turns a name into an executor.  Anything else
+  (:class:`MockExecutor`, a custom subclass) is passed as an instance.
 * :class:`SimResult` — typed results with cache provenance and wall
   time, JSON-ready via ``to_dict()``.
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
@@ -59,8 +54,6 @@ from repro.api.inspect import (InspectorConfig, SweepInspector,
 from repro.api.mock import MockExecutor
 from repro.api.registry import (Experiment, experiment, experiment_names,
                                 get_experiment, renderer)
-from repro.api.remote import (RemoteExecutor, WorkerFleetError,
-                              WorkerServer)
 from repro.api.result import SimResult
 from repro.api.session import Session, default_session, set_default_session
 from repro.api.spec import SweepSpec, parse_shard
@@ -82,7 +75,6 @@ __all__ = [
     "InspectorConfig",
     "MockExecutor",
     "PoolExecutor",
-    "RemoteExecutor",
     "ResultStore",
     "SerialExecutor",
     "Session",
@@ -92,8 +84,6 @@ __all__ = [
     "SweepInspector",
     "SweepSpec",
     "WorkerFailure",
-    "WorkerFleetError",
-    "WorkerServer",
     "as_executor",
     "build_policy",
     "default_session",

@@ -16,7 +16,7 @@ pieces:
   cancellation (``cancel_all`` stops dispatching but drains whatever
   is already in flight).
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
-  ``multiprocessing`` implementations, named ``"serial"`` and
+  worker-process implementations, named ``"serial"`` and
   ``"process-pool"`` (:mod:`repro.api.executors`).
 
 One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
@@ -26,8 +26,7 @@ point is simply a batch of one.  Each dispatch pays one trace
 generation, one workload build and one columnar predecode for the
 whole group (the session's trace-cache entry is shared by every
 point), whether it runs inline through a
-:class:`~repro.api.session.BatchRunner`, in a pool worker, or over
-one ``run_batch`` frame.
+:class:`~repro.api.session.BatchRunner` or in a pool worker.
 
 One outcome path: however an executor runs a point, it reports to
 the ``ExecutorBackend`` helpers ``_start``, ``_finish`` and
@@ -282,9 +281,8 @@ class BatchWorkItem:
 
     Every member future shares the :func:`_batch_key` identity (a
     cancelled future travels alone), so an executor can run the whole
-    group through one :class:`~repro.api.session.BatchRunner` — or one
-    ``run_batch`` protocol frame — while still resolving each member
-    per point.
+    group through one :class:`~repro.api.session.BatchRunner` while
+    still resolving each member per point.
     """
 
     futures: List[SimFuture]
@@ -629,7 +627,7 @@ def default_jobs() -> int:
 
 
 class PoolExecutor(ExecutorBackend):
-    """Fan submitted configurations over a ``multiprocessing`` pool.
+    """Fan submitted configurations over a pool of worker processes.
 
     ``jobs=None`` uses :func:`default_jobs`
     (``REPRO_JOBS`` env var, else the CPU count).  Queues that would
@@ -642,14 +640,12 @@ class PoolExecutor(ExecutorBackend):
     come back in-band and are redispatched singly with per-point
     ``attempts``, so one bad point cannot re-fail a whole batch.
 
-    Retry covers exceptions *raised by* a worker.  A worker process
-    dying outright (SIGKILL, OOM) is a ``multiprocessing.Pool`` blind
-    spot — the pool respawns the worker but the in-flight task's
-    callbacks never fire, so the drive loop would wait on it
-    indefinitely.  Killing the whole run is always safe: a bound
-    :class:`~repro.api.store.ResultStore` resumes from everything
-    that landed.  Detecting individual worker deaths needs a
-    ``BrokenProcessPool``-style executor.
+    The pool is a ``concurrent.futures.ProcessPoolExecutor`` (``fork``
+    workers where the platform has them).  A worker that dies outright
+    (SIGKILL, OOM) breaks the pool, which fails everything it held
+    with ``BrokenProcessPool``; the drive loop then builds a fresh
+    pool and sends each point that was in flight through the retry
+    path, so a dead worker costs every such point one attempt.
     """
 
     name = "process-pool"
@@ -659,12 +655,10 @@ class PoolExecutor(ExecutorBackend):
     BACKLOG_PER_WORKER = 2
 
     def __init__(self, jobs: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  max_retries: int = 1,
                  batch_size: Optional[int] = None) -> None:
         super().__init__(max_retries=max_retries, batch_size=batch_size)
         self.jobs = jobs
-        self.start_method = start_method
 
     def _resolved_jobs(self) -> int:
         if self.jobs is not None:
@@ -697,38 +691,39 @@ class PoolExecutor(ExecutorBackend):
     def _drive_pool(self, session: "Session", total: int,
                     jobs: int) -> Iterator[SimFuture]:
         import multiprocessing
-        import queue as queue_mod
+        from concurrent.futures import (FIRST_COMPLETED, Future,
+                                        ProcessPoolExecutor, wait)
+        from concurrent.futures.process import BrokenProcessPool
 
         self._cancelling = False
         cache_dir = str(session.results.directory)
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else None
-        ctx = multiprocessing.get_context(method)
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else None)
         workers = min(jobs, total)
         batch_limit = self._resolved_batch_size(total, workers)
         max_inflight = workers * self.BACKLOG_PER_WORKER
 
-        done_q: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
         resolved: "Deque[SimFuture]" = deque()
-        inflight = 0
+        #: pool future -> the batch it runs
+        inflight: "Dict[Future, Tuple[SimFuture, ...]]" = {}
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
-        def dispatch(pool, futures: Sequence[SimFuture]) -> None:
-            nonlocal inflight
+        def dispatch(futures: Sequence[SimFuture]) -> None:
             batch = tuple(futures)
             payload = [(f.config, f.use_cache, cache_dir) for f in batch]
             worker = _chunk_worker  # module global: monkeypatchable
-            pool.apply_async(
-                worker, (payload,),
-                callback=lambda outs, fs=batch:
-                    done_q.put((fs, outs)),
-                error_callback=lambda exc, fs=batch:
-                    done_q.put((fs, [(exc, None, 0.0, "")] * len(fs))))
-            inflight += 1
+            try:
+                handle = pool.submit(worker, payload)
+            except BrokenProcessPool as exc:
+                # a worker died before any future reported it: this
+                # batch fails with the pool, like the ones in flight
+                handle = Future()
+                handle.set_exception(exc)
+            inflight[handle] = batch
 
-        def fill_window(pool) -> None:
-            while (inflight < max_inflight and self._queue
+        def fill_window() -> None:
+            while (len(inflight) < max_inflight and self._queue
                    and not self._cancelling):
                 group = self._next_batch(batch_limit)
                 batch: List[SimFuture] = []
@@ -739,23 +734,46 @@ class PoolExecutor(ExecutorBackend):
                     self._start(future)
                     batch.append(future)
                 if batch:
-                    dispatch(pool, batch)
+                    dispatch(batch)
+
+        def land(handle: Future, retries: List[SimFuture]) -> bool:
+            """Resolve one finished pool future; ``True`` = pool broke."""
+            batch = inflight.pop(handle)
+            # still pending after its broken pool shut down: it was
+            # submitted as the pool broke, and failed with it
+            crash = (handle.exception() if handle.done() else
+                     BrokenProcessPool("a worker terminated abruptly"))
+            if crash is None:
+                outcomes = handle.result()
+            else:
+                # a crashed chunk, or a pool whose worker died: every
+                # point of the batch failed this attempt
+                outcomes = [(crash, None, 0.0, "")] * len(batch)
+            for future, (error, stats, wall, source) in zip(batch,
+                                                            outcomes):
+                if error is None:
+                    self._finish(future, stats, wall, source)
+                elif self._retry_or_fail(future, error):
+                    retries.append(future)  # retries singly
+                    continue
+                resolved.append(future)
+            return isinstance(crash, BrokenProcessPool)
 
         yielded = 0
-        with ctx.Pool(processes=workers) as pool:
-            fill_window(pool)
+        try:
+            fill_window()
             while yielded < total:
                 while resolved:
                     yield resolved.popleft()
                     yielded += 1
                 if yielded >= total:
                     break
-                if inflight == 0:
+                if not inflight:
                     # nothing running: remaining futures are queued
                     # (cancelled, or the window closed) — resolve them
                     if not self._queue:
-                        fill_window(pool)
-                        if inflight == 0 and not resolved:
+                        fill_window()
+                        if not inflight and not resolved:
                             break  # defensive: nothing left to wait on
                         continue
                     future = self._queue.popleft()
@@ -763,22 +781,27 @@ class PoolExecutor(ExecutorBackend):
                         future.cancel()
                     resolved.append(future)
                     continue
-                batch, outcomes = done_q.get()
-                inflight -= 1
-                for future, (error, stats, wall, source) in zip(batch,
-                                                                outcomes):
-                    if error is None:
-                        self._finish(future, stats, wall, source)
-                    elif self._retry_or_fail(future, error):
-                        # a failed point (or a crashed chunk's every
-                        # point) retries singly
-                        dispatch(pool, (future,))
-                        continue
-                    resolved.append(future)
-                fill_window(pool)
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                retries: List[SimFuture] = []
+                broken = False
+                for handle in done:
+                    broken = land(handle, retries) or broken
+                if broken:
+                    # the broken pool has failed (or will fail) all it
+                    # held; once it is shut down, land the rest too
+                    pool.shutdown(wait=True)
+                    for handle in list(inflight):
+                        land(handle, retries)
+                    pool = ProcessPoolExecutor(max_workers=workers,
+                                               mp_context=ctx)
+                for future in retries:
+                    dispatch((future,))
+                fill_window()
             while resolved:
                 yield resolved.popleft()
                 yielded += 1
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def __repr__(self) -> str:
         return (f"PoolExecutor(jobs={self.jobs!r}, "
@@ -789,7 +812,7 @@ def as_executor(backend: Any) -> ExecutorBackend:
     """Normalise a ``backend=`` argument to an executor.
 
     A string names one (:func:`repro.api.executors.executor_from_options`:
-    ``"serial"``, ``"process-pool"`` or ``"remote"``); futures executors
+    ``"serial"`` or ``"process-pool"``); futures executors
     pass through; anything else raises ``TypeError``.
     """
     if isinstance(backend, str):

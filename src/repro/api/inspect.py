@@ -25,7 +25,7 @@ in the bound :class:`~repro.api.store.ResultStore`.  Data anomalies
 is suspect, and a resumed ``Session.sweep`` re-simulates exactly the
 quarantined points.  Operational alarms (``straggler``,
 ``retry-rate``) are recorded without quarantine: the landed data is
-fine, the fleet is not.
+fine, only its execution was slow or flaky.
 
 The inspector never touches the simulation loop — it observes the
 event stream and landed results, so the hot path's cost profile is

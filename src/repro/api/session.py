@@ -230,9 +230,8 @@ class Session:
     backend:
         Default :class:`~repro.api.exec.ExecutorBackend` for
         :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
-        omitted).  A string names one: ``"serial"``,
-        ``"process-pool"`` or ``"remote"``
-        (:func:`repro.api.exec.as_executor`).
+        omitted).  A string names one: ``"serial"`` or
+        ``"process-pool"`` (:func:`repro.api.exec.as_executor`).
     trace_cache_size:
         LRU cap on the workloads the trace cache holds.
     oracle_cache_size:
@@ -531,7 +530,7 @@ class Session:
         configuration is simulated exactly once and duplicates share the
         primary's statistics.  *backend* may be a futures-style
         :class:`~repro.api.exec.ExecutorBackend` or an executor name
-        (``"serial"``, ``"process-pool"`` or ``"remote"``); *progress*
+        (``"serial"`` or ``"process-pool"``); *progress*
         receives every :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys

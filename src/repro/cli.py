@@ -22,12 +22,9 @@ Commands:
   store (``--store``), resume (``--resume``), store merging
   (``--merge``), live progress (``--progress``; with ``--json`` the
   document carries the full lifecycle-event log).  Execution is
-  selected by ``--jobs`` or by executor name (``--executor serial``,
-  ``process-pool`` or ``remote`` + ``--workers`` for the TCP fleet).
-* ``worker`` — serve simulations over TCP: accepts serialized
-  configurations from ``--executor remote`` dispatchers and answers
-  with results, heartbeating during long runs.  Prints ``worker
-  listening on HOST:PORT`` once bound.
+  selected by ``--jobs`` or by executor name (``--executor serial``
+  or ``process-pool``).  A sweep across machines runs one ``--shard
+  I/K`` per machine and recombines the stores with ``--merge``.
 * ``watch STORE`` — inspect a sweep result store: progress,
   per-workload summary, anomaly annotations and quarantined points;
   ``--follow`` polls the file and prints a line as points land.
@@ -55,12 +52,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import (ResultStore, Session, SweepInspector, SweepSpec,
-                       WorkerServer, default_session, experiment_names,
+from repro.api import (ResultStore, SweepInspector, SweepSpec,
+                       default_session, experiment_names,
                        get_experiment, ltp_preset, ltp_preset_names,
                        merge_stores, parse_shard, summarize)
 from repro.api.executors import EXECUTORS, executor_from_options
-from repro.api.remote.protocol import format_address, parse_address
 from repro.api.spec import non_negative_int, positive_int
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig
@@ -213,11 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run through this executor "
                               "(default: serial, or process-pool when "
                               "--jobs > 1)")
-    sweep_p.add_argument("--workers", default=None,
-                         metavar="HOST:PORT,...",
-                         help="comma-separated worker fleet for "
-                              "--executor remote (start workers with "
-                              "'repro worker')")
     sweep_p.add_argument("--max-retries", type=non_negative_int,
                          default=None, metavar="N",
                          help="re-dispatch attempts per failed point "
@@ -244,21 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--json", action="store_true",
                          help="emit the sweep document as JSON "
                               "(includes the lifecycle-event log)")
-
-    worker_p = sub.add_parser(
-        "worker", help="serve simulations over TCP for --executor "
-                       "remote")
-    worker_p.add_argument("--listen", default="127.0.0.1:0",
-                          metavar="HOST:PORT",
-                          help="bind address (port 0 = ephemeral; the "
-                               "resolved address is printed)")
-    worker_p.add_argument("--cache-dir", default=None,
-                          help="disk result-cache directory for this "
-                               "worker's session")
-    worker_p.add_argument("--heartbeat", type=float, default=2.0,
-                          metavar="SECONDS",
-                          help="heartbeat interval while simulating "
-                               "(default 2.0)")
 
     watch_p = sub.add_parser(
         "watch", help="inspect a sweep result store: progress, "
@@ -570,9 +546,6 @@ def cmd_sweep(args, out) -> int:
     if args.resume and args.store is None:
         print("--resume requires --store PATH", file=out)
         return 2
-    if args.workers is not None and args.executor != "remote":
-        print("--workers only applies to --executor remote", file=out)
-        return 2
     spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
                               measure=args.measure, engine=args.engine)
 
@@ -583,7 +556,7 @@ def cmd_sweep(args, out) -> int:
             # "not given"
             jobs=(None if args.executor is not None and args.jobs == 1
                   else args.jobs),
-            workers=args.workers, max_retries=args.max_retries,
+            max_retries=args.max_retries,
             batch_size=args.batch_size)
     except ValueError as exc:
         print(str(exc), file=out)
@@ -637,27 +610,6 @@ def cmd_sweep(args, out) -> int:
         else:
             print(f"inspector: {inspector.observed} result(s) validated, "
                   f"no anomalies", file=out)
-    return 0
-
-
-def cmd_worker(args, out) -> int:
-    try:
-        host, port = parse_address(args.listen)
-    except ValueError as exc:
-        print(str(exc), file=out)
-        return 2
-    server = WorkerServer(host=host, port=port,
-                          session=Session(cache_dir=args.cache_dir),
-                          heartbeat_interval=args.heartbeat)
-    # spawners (CI, scripts) parse this line for the resolved port
-    print(f"worker listening on {format_address(server.address)}",
-          file=out, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.close()
     return 0
 
 
@@ -774,8 +726,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return cmd_experiment(args, out)
     if args.command == "sweep":
         return cmd_sweep(args, out)
-    if args.command == "worker":
-        return cmd_worker(args, out)
     if args.command == "watch":
         return cmd_watch(args, out)
     raise AssertionError("unreachable")

@@ -3,7 +3,10 @@ retries and cancellation."""
 
 import multiprocessing
 import os
+import signal
+import threading
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -302,6 +305,118 @@ def test_pool_chunk_crash_recovers_on_retry(tmp_path, monkeypatch):
     assert counts["finished"] == 4
     assert counts["retried"] >= 1
     assert counts.get("failed", 0) == 0
+
+
+#: the pytest process: the killing stand-ins below only ever kill a
+#: forked pool worker, never this process
+_TEST_PID = os.getpid()
+
+
+def _kill_this_worker(death="sigkill"):
+    assert os.getpid() != _TEST_PID, "a pool worker stand-in ran inline"
+    if death == "exit":
+        os._exit(1)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _kill_once_chunk_worker(payloads):
+    """SIGKILL the worker the first time the chosen point reaches it."""
+    marker = os.environ["REPRO_TEST_KILL_MARKER"]
+    victim = os.environ["REPRO_TEST_KILL_KEY"]
+    if (any(config.key() == victim for config, _, _ in payloads)
+            and not os.path.exists(marker)):
+        with open(marker, "w") as handle:
+            handle.write("killed")
+        _kill_this_worker()
+    return _REAL_CHUNK_WORKER(payloads)
+
+
+def _always_kill_chunk_worker(payloads):
+    _kill_this_worker(os.environ["REPRO_TEST_DEATH"])
+
+
+def _drive_with_timeout(drive, timeout=60.0):
+    """Run *drive* on a thread; fail (instead of hanging the suite)
+    when it has not returned after *timeout* seconds."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = drive()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), (
+        f"the pool drive hung for {timeout}s after a worker died")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_pool_survives_a_killed_worker_and_matches_serial(tmp_path,
+                                                          monkeypatch):
+    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
+                     warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32, 48]})
+    victim = spec.expand()[4].key()
+    marker = tmp_path / "killed.marker"
+    monkeypatch.setenv("REPRO_TEST_KILL_MARKER", str(marker))
+    monkeypatch.setenv("REPRO_TEST_KILL_KEY", victim)
+    monkeypatch.setattr(exec_mod, "_chunk_worker",
+                        _kill_once_chunk_worker)
+    events = []
+
+    def drive():
+        with Session(cache_dir=str(tmp_path / "pool")) as session:
+            return session.sweep(spec, use_cache=False,
+                                 backend=PoolExecutor(jobs=2),
+                                 progress=events.append)
+
+    results = _drive_with_timeout(drive)
+    assert marker.exists()  # the worker really died
+    with Session(cache_dir=str(tmp_path / "serial")) as session:
+        baseline = session.sweep(spec, use_cache=False)
+    assert [r.stats for r in results] == [r.stats for r in baseline]
+    retried = [e for e in events if e.kind == "retried"]
+    assert victim in {e.key for e in retried}
+    assert all("terminated abruptly" in e.error for e in retried)
+    counts = Counter(e.kind for e in events)
+    assert counts["finished"] == len(baseline)
+    assert "failed" not in counts
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+@pytest.mark.parametrize("batch_size", [1, 2])
+@pytest.mark.parametrize("death", ["sigkill", "exit"])
+def test_pool_worker_killed_on_every_attempt_fails_its_points(
+        tmp_path, monkeypatch, death, batch_size):
+    """A worker that dies (by signal or by a bare exit) on every attempt
+    ends its points in WorkerFailure instead of hanging the drive."""
+    monkeypatch.setenv("REPRO_TEST_DEATH", death)
+    monkeypatch.setattr(exec_mod, "_chunk_worker",
+                        _always_kill_chunk_worker)
+    session = Session(cache_dir=str(tmp_path))
+    executor = PoolExecutor(jobs=2, max_retries=2,
+                            batch_size=batch_size).bind(session)
+    events = []
+    executor.add_progress_callback(events.append)
+    futures = [executor.submit((i, c, False))
+               for i, c in enumerate(make_configs(3))]
+    resolved = _drive_with_timeout(lambda: list(executor.as_completed()))
+    assert len(resolved) == 3
+    for future in futures:
+        exc = future.exception()
+        assert isinstance(exc, WorkerFailure)
+        assert exc.attempts == 3  # one attempt + max_retries
+        assert isinstance(exc.__cause__, BrokenProcessPool)
+    counts = Counter(e.kind for e in events)
+    assert counts["retried"] == 6  # two retries per point
+    assert counts["failed"] == 3
+    assert "finished" not in counts
 
 
 def test_run_many_raises_worker_failure(tmp_path):

@@ -16,6 +16,13 @@ def quick_config(workload="compute_int", warmup=200, measure=150):
 
 
 # ------------------------------------------------------------- basics
+def test_every_public_export_resolves():
+    import repro.api
+    for name in repro.api.__all__:
+        assert getattr(repro.api, name, None) is not None, (
+            f"repro.api.__all__ names missing {name!r}")
+
+
 def test_run_returns_typed_result(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     result = session.run(quick_config(), use_cache=False)

@@ -1,21 +1,16 @@
 """Trace-shared batched execution: batch formation on the queue, the
 session :class:`BatchRunner`, batched-vs-unbatched bit identity across
-serial/pool/remote drives, the ``run_batch`` wire dialect
-(including a worker dying mid-batch), and the sweep inspector seeing
-batched and unbatched runs identically."""
+serial and pool drives, and the sweep inspector seeing batched and
+unbatched runs identically."""
 
-import contextlib
 import multiprocessing
-import socket
 from collections import Counter
 
 import pytest
 
-from repro.api import (PoolExecutor, RemoteExecutor, ResultStore,
-                       SerialExecutor, Session, SweepInspector, SweepSpec,
-                       WorkerServer)
+from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepInspector, SweepSpec)
 from repro.api.exec import _batch_key
-from repro.api.remote.protocol import recv_frame, send_frame
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -214,161 +209,6 @@ def test_pool_batched_matches_serial_bit_identical(tmp_path):
     with Session(cache_dir=str(tmp_path / "pool")) as session:
         results = session.sweep(spec, use_cache=False, backend=executor)
     assert [r.stats for r in results] == [r.stats for r in baseline]
-
-
-# ----------------------------------------------------------------------
-# the run_batch wire dialect
-# ----------------------------------------------------------------------
-class _CountingWorker(WorkerServer):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batch_frames = 0
-        self.batch_items = 0
-
-    def _handle_run_batch(self, conn, frame):
-        self.batch_frames += 1
-        self.batch_items += len(frame.get("items") or [])
-        super()._handle_run_batch(conn, frame)
-
-
-class _MidBatchDyingWorker(WorkerServer):
-    """Tears the connection down after streaming one ``point_done``."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._sent = 0
-
-    def _send_point_done(self, conn, payload):
-        super()._send_point_done(conn, payload)
-        self._sent += 1
-        if self._sent == 1:
-            conn.shutdown(socket.SHUT_RDWR)
-
-
-def test_worker_run_batch_streams_point_done_frames(tmp_path):
-    configs = one_identity_spec(2).expand()
-    with WorkerServer(session=Session(cache_dir=str(tmp_path / "w")),
-                      heartbeat_interval=0.1) as worker:
-        worker.start()
-        sock = socket.create_connection(worker.address, timeout=10)
-        sock.settimeout(30)
-        send_frame(sock, {"op": "run_batch", "id": "batch-0",
-                          "items": [{"config": c.to_dict(),
-                                     "use_cache": False}
-                                    for c in configs]})
-        points, done = {}, None
-        while done is None:
-            frame = recv_frame(sock)
-            if frame["op"] == "heartbeat":
-                continue
-            if frame["op"] == "point_done":
-                points[frame["index"]] = frame
-                continue
-            done = frame
-        sock.close()
-    assert sorted(points) == [0, 1]
-    assert done["op"] == "done" and done["completed"] == 2
-    with Session(cache_dir=str(tmp_path / "serial")) as session:
-        for index, config in enumerate(configs):
-            expected = session.run(config, use_cache=False)
-            assert points[index]["ok"] is True
-            assert points[index]["stats"] == expected.stats
-
-
-def test_remote_executor_batches_and_matches_serial(tmp_path):
-    spec = one_identity_spec(4)
-    with Session(cache_dir=str(tmp_path / "serial")) as session:
-        baseline = session.sweep(spec, use_cache=False)
-    with _CountingWorker(session=Session(cache_dir=str(tmp_path / "w")),
-                         heartbeat_interval=0.2) as worker:
-        worker.start()
-        executor = RemoteExecutor([worker.address], batch_size=4)
-        with Session(cache_dir=str(tmp_path / "remote")) as session:
-            results = session.sweep(spec, use_cache=False,
-                                    backend=executor)
-        assert worker.batch_frames == 1 and worker.batch_items == 4
-    assert [r.stats for r in results] == [r.stats for r in baseline]
-
-
-def test_remote_singleton_points_travel_as_one_item_batches(tmp_path):
-    """A batch of one goes out as a one-item ``run_batch`` request."""
-    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
-                     warmup=150, measure=120)
-    with _CountingWorker(session=Session(cache_dir=str(tmp_path / "w")),
-                         heartbeat_interval=0.2) as worker:
-        worker.start()
-        executor = RemoteExecutor([worker.address], batch_size=4)
-        with Session(cache_dir=str(tmp_path / "remote")) as session:
-            results = session.sweep(spec, use_cache=False,
-                                    backend=executor)
-        assert worker.batch_frames == 2 and worker.batch_items == 2
-    assert len(results) == 2
-
-
-def test_remote_mid_batch_death_retries_only_unfinished_points(tmp_path):
-    """A worker dying mid-batch loses only the unanswered points: the
-    landed point keeps its single attempt, the rest re-dispatch (as a
-    batch) on the survivor, and stats stay bit-identical to serial."""
-    spec = one_identity_spec(8)
-    with Session(cache_dir=str(tmp_path / "serial")) as session:
-        baseline = session.sweep(spec, use_cache=False)
-    recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        dying = stack.enter_context(_MidBatchDyingWorker(
-            session=Session(cache_dir=str(tmp_path / "w0")),
-            heartbeat_interval=0.2))
-        survivor = stack.enter_context(WorkerServer(
-            session=Session(cache_dir=str(tmp_path / "w1")),
-            heartbeat_interval=0.2))
-        dying.start()
-        survivor.start()
-        executor = RemoteExecutor([dying.address, survivor.address],
-                                  batch_size=4, max_retries=1)
-        with Session(cache_dir=str(tmp_path / "remote")) as session:
-            results = session.sweep(spec, use_cache=False,
-                                    backend=executor, progress=recorder)
-    assert [r.stats for r in results] == [r.stats for r in baseline]
-    per_key = recorder.per_key()
-    # every point landed exactly once; the dying worker's batch lost
-    # exactly its three unanswered points, each retried exactly once
-    assert all(counts["finished"] == 1 for counts in per_key.values())
-    retried = [key for key, counts in per_key.items()
-               if counts["retried"]]
-    assert len(retried) == 3
-    assert all(per_key[key]["retried"] == 1 for key in retried)
-
-
-def test_worker_reuses_workload_objects_across_frames(tmp_path):
-    """Sequential batches of one workload build its object once."""
-    built = []
-    inner_factory = mixes._FACTORIES["compute_int"]
-
-    class _CountingWorkload:
-        def __init__(self):
-            built.append(1)
-            self._inner = inner_factory()
-
-        def trace(self, length):
-            return self._inner.trace(length)
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-    mixes._FACTORIES[FLAKY] = _CountingWorkload
-    try:
-        spec = SweepSpec(workloads=[FLAKY], warmup=150, measure=120,
-                         axes={"core.iq_size": [16, 32]})
-        with WorkerServer(session=Session(cache_dir=str(tmp_path / "w")),
-                          heartbeat_interval=0.2) as worker:
-            worker.start()
-            executor = RemoteExecutor([worker.address], batch_size=1)
-            with Session(cache_dir=str(tmp_path / "s")) as session:
-                session.sweep(spec, use_cache=False, backend=executor)
-            assert FLAKY in worker._session._trace_cache
-    finally:
-        mixes._FACTORIES.pop(FLAKY, None)
-    # two one-item batch frames, one workload build (the trace-cache hit)
-    assert sum(built) == 1
 
 
 # ----------------------------------------------------------------------

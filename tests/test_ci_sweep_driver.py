@@ -133,6 +133,17 @@ def test_ci_sweep_batched_equivalence(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_ci_sweep_kill_one_needs_a_pool(tmp_path):
+    """``run --kill-one`` kills a pool worker, so it refuses to run
+    without a pool rather than pass having killed nothing."""
+    proc = run_driver(["run", "--kill-one", "--jobs", "1",
+                       "--store", str(tmp_path / "killed.jsonl")],
+                      tmp_path)
+    assert proc.returncode == 2
+    assert "needs --jobs >= 2" in proc.stdout
+    assert not (tmp_path / "killed.jsonl").exists()
+
+
 def test_ci_sweep_compare_detects_divergence(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))

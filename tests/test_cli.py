@@ -280,10 +280,15 @@ def test_sweep_executor_flag_errors(tmp_path, monkeypatch, capsys):
                           "--jobs", "4", "--store", str(store)])
     assert code == 2
     assert "--executor serial does not take --jobs" in text
-    code, text = run_cli(["sweep", "ltp-queues", "--workers", "a:1",
-                          "--store", str(store)])
-    assert code == 2
-    assert "--workers only applies to --executor remote" in text
+    # no --workers flag, no worker command, no remote executor
+    for argv in (["sweep", "ltp-queues", "--workers", "a:1",
+                  "--store", str(store)],
+                 ["sweep", "ltp-queues", "--executor", "remote",
+                  "--store", str(store)],
+                 ["worker", "--listen", "127.0.0.1:0"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
     assert not store.exists()
 
 

@@ -1,9 +1,9 @@
 """Shared conformance suite over every executor.
 
-Each test is parametrized over the executors — the three named ones
+Each test is parametrized over the executors — the two named ones
 (:data:`repro.api.executors.EXECUTORS`) and the mock — and drives the
-same contract through every implementation — serial, process-pool, remote (two
-in-process TCP workers) and mock:
+same contract through every implementation — serial, process-pool and
+mock:
 
 * lifecycle events are exactly-once per submitted configuration,
 * retry exhaustion surfaces :class:`~repro.api.exec.WorkerFailure`
@@ -24,15 +24,13 @@ choice and the mock, so naming a new executor without conformance
 coverage fails CI.
 """
 
-import contextlib
 import multiprocessing
 from collections import Counter
 
 import pytest
 
-from repro.api import (MockExecutor, PoolExecutor, RemoteExecutor,
-                       ResultStore, SerialExecutor, Session, SweepSpec,
-                       WorkerFailure, WorkerServer)
+from repro.api import (MockExecutor, PoolExecutor, ResultStore,
+                       SerialExecutor, Session, SweepSpec, WorkerFailure)
 from repro.api import executors
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
@@ -70,33 +68,20 @@ def make_configs(count=3, workloads=None):
 
 
 # ----------------------------------------------------------------------
-# the harness table: name -> builder(stack, tmp_path, max_retries,
-# fail_indices) -> executor.  `fail_indices` tells script-driven
+# the harness table: name -> builder(max_retries, fail_indices) ->
+# executor.  `fail_indices` tells script-driven
 # executors (mock) which batch indexes must fail permanently; real
 # executors fail through the injected BOOM workload instead.
 # ----------------------------------------------------------------------
-def _serial(stack, tmp_path, max_retries, fail_indices):
+def _serial(max_retries, fail_indices):
     return SerialExecutor(max_retries=max_retries)
 
 
-def _pool(stack, tmp_path, max_retries, fail_indices):
+def _pool(max_retries, fail_indices):
     return PoolExecutor(jobs=2, batch_size=1, max_retries=max_retries)
 
 
-def _remote(stack, tmp_path, max_retries, fail_indices):
-    servers = []
-    for i in range(2):
-        worker_session = Session(cache_dir=str(tmp_path / f"worker{i}"))
-        server = stack.enter_context(
-            WorkerServer(session=worker_session,
-                         heartbeat_interval=0.2))
-        server.start()
-        servers.append(server)
-    return RemoteExecutor(workers=[s.address for s in servers],
-                          max_retries=max_retries)
-
-
-def _mock(stack, tmp_path, max_retries, fail_indices):
+def _mock(max_retries, fail_indices):
     script = {index: "fail" for index in fail_indices}
     return MockExecutor(script=script or None, max_retries=max_retries)
 
@@ -104,11 +89,10 @@ def _mock(stack, tmp_path, max_retries, fail_indices):
 HARNESSES = {
     "serial": _serial,
     "process-pool": _pool,
-    "remote": _remote,
     "mock": _mock,
 }
 #: executors that really simulate (stats comparable to serial)
-REAL = ("serial", "process-pool", "remote")
+REAL = ("serial", "process-pool")
 
 EXECUTORS = [
     pytest.param(name, marks=needs_fork)
@@ -144,12 +128,11 @@ class _Recorder:
 def test_lifecycle_events_exactly_once(name, tmp_path):
     configs = make_configs(3)
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = HARNESSES[name](stack, tmp_path, 1, set())
-        session = Session(cache_dir=str(tmp_path / "session"))
-        results = session.run_many(configs, use_cache=False,
-                                   backend=executor,
-                                   progress=recorder)
+    executor = HARNESSES[name](1, set())
+    session = Session(cache_dir=str(tmp_path / "session"))
+    results = session.run_many(configs, use_cache=False,
+                               backend=executor,
+                               progress=recorder)
     assert len(results) == 3
     per_key = recorder.per_key()
     assert len(per_key) == 3
@@ -165,12 +148,11 @@ def test_retry_exhaustion_surfaces_worker_failure(name, tmp_path,
         SimConfig(workload=BOOM, core=baseline_params(), ltp=no_ltp(),
                   warmup=150, measure=100)]
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = HARNESSES[name](stack, tmp_path, 1, {1})
-        session = Session(cache_dir=str(tmp_path / "session"))
-        with pytest.raises(WorkerFailure) as excinfo:
-            session.run_many(configs, use_cache=False,
-                             backend=executor, progress=recorder)
+    executor = HARNESSES[name](1, {1})
+    session = Session(cache_dir=str(tmp_path / "session"))
+    with pytest.raises(WorkerFailure) as excinfo:
+        session.run_many(configs, use_cache=False,
+                         backend=executor, progress=recorder)
     # one initial attempt + max_retries re-dispatches, then surfaced
     assert excinfo.value.attempts == 2
     boom_key = configs[1].key()
@@ -185,16 +167,15 @@ def test_retry_exhaustion_surfaces_worker_failure(name, tmp_path,
 def test_cancel_drains_in_flight_work(name, tmp_path):
     configs = make_configs(4)
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = HARNESSES[name](stack, tmp_path, 1, set())
-        session = Session(cache_dir=str(tmp_path / "session"))
-        executor.bind(session)
-        executor.add_progress_callback(recorder)
-        futures = [executor.submit((i, config, False))
-                   for i, config in enumerate(configs)]
-        assert futures[2].cancel()
-        assert futures[3].cancel()
-        resolved = list(executor.as_completed())
+    executor = HARNESSES[name](1, set())
+    session = Session(cache_dir=str(tmp_path / "session"))
+    executor.bind(session)
+    executor.add_progress_callback(recorder)
+    futures = [executor.submit((i, config, False))
+               for i, config in enumerate(configs)]
+    assert futures[2].cancel()
+    assert futures[3].cancel()
+    resolved = list(executor.as_completed())
     assert len(resolved) == 4
     assert all(future.done() for future in futures)
     cancelled = sum(1 for f in futures if f.cancelled())
@@ -213,11 +194,9 @@ def test_cancel_drains_in_flight_work(name, tmp_path):
 @pytest.mark.parametrize("name", EXECUTORS)
 def test_bound_store_appends_points_as_they_land(name, tmp_path):
     configs = make_configs(3)
-    with contextlib.ExitStack() as stack:
-        executor = HARNESSES[name](stack, tmp_path, 1, set())
-        session = Session(cache_dir=str(tmp_path / "session"))
-        store = stack.enter_context(
-            ResultStore(tmp_path / "store.jsonl"))
+    executor = HARNESSES[name](1, set())
+    session = Session(cache_dir=str(tmp_path / "session"))
+    with ResultStore(tmp_path / "store.jsonl") as store:
         results = session.run_many(configs, use_cache=False,
                                    backend=executor, store=store)
         assert set(store.keys()) == {c.key() for c in configs}
@@ -235,11 +214,10 @@ def test_stats_bit_identical_to_serial(name, tmp_path):
                      axes={"core.iq_size": [16, 32]})
     with Session(cache_dir=str(tmp_path / "serial")) as session:
         baseline = session.sweep(spec, use_cache=False)
-    with contextlib.ExitStack() as stack:
-        executor = HARNESSES[name](stack, tmp_path, 1, set())
-        with Session(cache_dir=str(tmp_path / "session")) as session:
-            results = session.sweep(spec, use_cache=False,
-                                    backend=executor)
+    executor = HARNESSES[name](1, set())
+    with Session(cache_dir=str(tmp_path / "session")) as session:
+        results = session.sweep(spec, use_cache=False,
+                                backend=executor)
     assert [r.stats for r in results] == [r.stats for r in baseline]
 
 
@@ -254,9 +232,9 @@ def make_batch_configs(count=4, workload="compute_int"):
             for i in range(count)]
 
 
-def build_batched(name, stack, tmp_path, max_retries, fail_indices):
+def build_batched(name, max_retries, fail_indices):
     """The harness executor with batching forced on (cap 4)."""
-    executor = HARNESSES[name](stack, tmp_path, max_retries,
+    executor = HARNESSES[name](max_retries,
                                fail_indices)
     executor.batch_size = 4
     return executor
@@ -268,11 +246,10 @@ def test_batched_lifecycle_events_exactly_once(name, tmp_path):
     triplet per point, never a per-batch event."""
     configs = make_batch_configs(4)
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = build_batched(name, stack, tmp_path, 1, set())
-        session = Session(cache_dir=str(tmp_path / "session"))
-        results = session.run_many(configs, use_cache=False,
-                                   backend=executor, progress=recorder)
+    executor = build_batched(name, 1, set())
+    session = Session(cache_dir=str(tmp_path / "session"))
+    results = session.run_many(configs, use_cache=False,
+                               backend=executor, progress=recorder)
     assert len(results) == 4
     per_key = recorder.per_key()
     assert len(per_key) == 4
@@ -293,12 +270,11 @@ def test_mid_batch_failure_retries_only_failing_points(name, tmp_path,
                   ltp=no_ltp(), warmup=150, measure=120)
         for i in range(2)]
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = build_batched(name, stack, tmp_path, 1, {2, 3})
-        session = Session(cache_dir=str(tmp_path / "session"))
-        with pytest.raises(WorkerFailure) as excinfo:
-            session.run_many(configs, use_cache=False,
-                             backend=executor, progress=recorder)
+    executor = build_batched(name, 1, {2, 3})
+    session = Session(cache_dir=str(tmp_path / "session"))
+    with pytest.raises(WorkerFailure) as excinfo:
+        session.run_many(configs, use_cache=False,
+                         backend=executor, progress=recorder)
     assert excinfo.value.attempts == 2
     per_key = recorder.per_key()
     for config in configs[:2]:
@@ -320,20 +296,19 @@ def test_cancel_mid_batch_resolves_every_future(name, tmp_path):
     batch's not-yet-started remainder cancels)."""
     configs = make_batch_configs(4)
     recorder = _Recorder()
-    with contextlib.ExitStack() as stack:
-        executor = build_batched(name, stack, tmp_path, 1, set())
-        session = Session(cache_dir=str(tmp_path / "session"))
-        executor.bind(session)
-        executor.add_progress_callback(recorder)
+    executor = build_batched(name, 1, set())
+    session = Session(cache_dir=str(tmp_path / "session"))
+    executor.bind(session)
+    executor.add_progress_callback(recorder)
 
-        def cancel_after_first(event):
-            if event.kind == "finished":
-                executor.cancel_all()
+    def cancel_after_first(event):
+        if event.kind == "finished":
+            executor.cancel_all()
 
-        executor.add_progress_callback(cancel_after_first)
-        futures = [executor.submit((i, config, False))
-                   for i, config in enumerate(configs)]
-        resolved = list(executor.as_completed())
+    executor.add_progress_callback(cancel_after_first)
+    futures = [executor.submit((i, config, False))
+               for i, config in enumerate(configs)]
+    resolved = list(executor.as_completed())
     assert len(resolved) == 4
     assert all(future.done() for future in futures)
     for future in futures:
