@@ -108,9 +108,11 @@ def cmd_run(args) -> int:
     backend = executor_from_options(jobs=args.jobs,
                                     max_retries=args.max_retries,
                                     batch_size=args.batch_size)
+    # simulate every point: a leg served from another leg's cache
+    # writes (or the tracked .simcache) would prove nothing
     with Session() as session, ResultStore(args.store) as store:
-        results = session.sweep(spec, backend=backend,
-                                store=store, shard=shard)
+        results = session.sweep(spec, backend=backend, store=store,
+                                shard=shard, use_cache=False)
     simulated = sum(1 for r in results if not r.cached)
     label = f"shard {args.shard}" if args.shard else "unsharded"
     print(f"sweep {spec.sweep_id()} {label}: {len(results)} points, "

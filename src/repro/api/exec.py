@@ -21,12 +21,16 @@ pieces:
 
 One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
 — queued futures sharing one trace identity (workload + total trace
-length + cache policy), capped by ``batch_size`` — and a lone
+length), capped by ``batch_size`` — and a lone
 point is simply a batch of one.  Each dispatch pays one trace
 generation, one workload build and one columnar predecode for the
 whole group (the session's trace-cache entry is shared by every
 point), whether it runs inline through a
 :class:`~repro.api.session.BatchRunner` or in a pool worker.
+
+Executors only simulate: the result cache is read and written by
+``Session._drive`` alone, so every point an executor lands is
+``simulated``.
 
 One outcome path: however an executor runs a point, it reports to
 the ``ExecutorBackend`` helpers ``_start``, ``_finish`` and
@@ -55,18 +59,18 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
                     List, Optional, Sequence, Tuple)
 
-from repro.api.result import SimResult
+from repro.api.result import SOURCE_SIMULATED, SimResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
     from repro.harness.config import SimConfig
 
-#: a unit of pending work: position in the batch, config, cache policy
-WorkItem = Tuple[int, "SimConfig", bool]
-#: a worker's report on one point: ``(error, stats, wall seconds,
-#: source)`` — ``error`` is ``None`` on success; a failure carries its
-#: error (text, or the raised exception) and no stats
-Outcome = Tuple[Any, Optional[Dict[str, Any]], float, str]
+#: a unit of pending work: position in the batch, config
+WorkItem = Tuple[int, "SimConfig"]
+#: a worker's report on one point: ``(error, stats, wall seconds)`` —
+#: ``error`` is ``None`` on success; a failure carries its error (text,
+#: or the raised exception) and no stats
+Outcome = Tuple[Any, Optional[Dict[str, Any]], float]
 
 #: default cap on trace-shared batch size when no ``batch_size`` is
 #: given: large enough to amortize trace generation and predecode,
@@ -166,7 +170,7 @@ class SimFuture:
     """
 
     def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
-        self.index, self.config, self.use_cache = item
+        self.index, self.config = item
         #: the configuration's stable cache key (provenance)
         self.key = self.config.key()
         #: attempts dispatched so far (grows on retries)
@@ -261,18 +265,18 @@ class SimFuture:
 # ----------------------------------------------------------------------
 # trace-shared batches
 # ----------------------------------------------------------------------
-def _batch_key(future: SimFuture) -> Tuple[str, int, bool]:
+def _batch_key(future: SimFuture) -> Tuple[str, int]:
     """The grouping identity for trace-shared batching.
 
-    Futures batch together when they share a workload, a total trace
-    length (``warmup + measure``) and a cache policy — exactly the
-    inputs one trace generation + one predecode can serve.  The engine is deliberately *not* part of the key: the
-    trace's one predecode serves every kernel member, and object-engine
-    members (the differential reference) never touch it.
+    Futures batch together when they share a workload and a total
+    trace length (``warmup + measure``) — exactly the inputs one trace
+    generation + one predecode can serve.  The engine is deliberately
+    *not* part of the key: the trace's one predecode serves every
+    kernel member, and object-engine members (the differential
+    reference) never touch it.
     """
     config = future.config
-    return (config.workload, config.warmup + config.measure,
-            future.use_cache)
+    return (config.workload, config.warmup + config.measure)
 
 
 @dataclass
@@ -303,55 +307,32 @@ class BatchWorkItem:
 # ----------------------------------------------------------------------
 # pool worker functions (module-level: picklable for any start method)
 # ----------------------------------------------------------------------
-#: per-process sessions for pool workers driving a non-default cache dir
-_worker_sessions: Dict[str, "Session"] = {}
-
-
-def _worker_session(cache_dir: str) -> "Session":
-    """The session a pool worker runs against.
-
-    The worker's default session — with ``fork`` this inherits the
-    parent's default session state — unless the parent session uses a
-    different cache directory, in which case a per-directory worker
-    session is created so disk-cache writes land where the parent will
-    look for them.
-    """
-    from repro.api.session import Session, default_session
-    session = default_session()
-    if cache_dir and str(session.results.directory) != cache_dir:
-        session = _worker_sessions.get(cache_dir)
-        if session is None:
-            session = Session(cache_dir=cache_dir)
-            _worker_sessions[cache_dir] = session
-    return session
-
-
-def _chunk_worker(
-        payloads: Sequence[Tuple["SimConfig", bool, str]]) -> List[Outcome]:
+def _chunk_worker(configs: Sequence["SimConfig"]) -> List[Outcome]:
     """Simulate one dispatched batch in one worker round trip.
 
     Every chunk is a trace-homogeneous :class:`BatchWorkItem` (one
-    workload, one total trace length, one cache policy) or a
-    single-point retry, and runs through a session
-    :class:`~repro.api.session.BatchRunner`; the session's trace cache
-    makes that one trace generation, one workload build, one predecode
-    for the whole chunk.  Each point comes back as one
-    :data:`Outcome`, a failure in-band as its error text, so one bad
-    point costs one single-item retry instead of re-failing the whole
-    chunk.
+    workload, one total trace length) or a single-point retry, and
+    runs through a :class:`~repro.api.session.BatchRunner` of the
+    worker's default session (forked from the parent's), which only
+    supplies the trace cache: one trace generation, one workload build,
+    one predecode for the whole chunk.  The worker touches no result
+    cache; the parent's ``Session._drive`` writes it.  Each point comes
+    back as one :data:`Outcome`, a failure in-band as its error text,
+    so one bad point costs one single-item retry instead of re-failing
+    the whole chunk.
     """
-    first, _, cache_dir = payloads[0]
-    runner = _worker_session(cache_dir).batch_runner(
+    from repro.api.session import default_session
+    first = configs[0]
+    runner = default_session().batch_runner(
         first.workload, first.warmup + first.measure)
     outcomes: List[Outcome] = []
-    for config, use_cache, _ in payloads:
+    for config in configs:
         try:
-            result = runner.run(config, use_cache=use_cache)
+            result = runner.run(config)
         except Exception as exc:  # noqa: BLE001 - reported in-band
-            outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0, ""))
+            outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0))
         else:
-            outcomes.append((None, result.stats, result.wall_time_s,
-                             result.source))
+            outcomes.append((None, result.stats, result.wall_time_s))
     return outcomes
 
 
@@ -506,12 +487,13 @@ class ExecutorBackend:
         self._emit(EVENT_STARTED, future)
 
     def _finish(self, future: SimFuture, stats: Dict[str, Any],
-                wall_time_s: float, source: str) -> None:
-        """Resolve *future* with a landed point and emit ``finished``."""
+                wall_time_s: float) -> None:
+        """Resolve *future* with a simulated point and emit ``finished``."""
         future._set_result(SimResult(
             config=future.config, stats=stats, key=future.key,
-            source=source, wall_time_s=wall_time_s, backend=self.name))
-        self._emit(EVENT_FINISHED, future, source=source,
+            source=SOURCE_SIMULATED, wall_time_s=wall_time_s,
+            backend=self.name))
+        self._emit(EVENT_FINISHED, future, source=SOURCE_SIMULATED,
                    wall_time_s=wall_time_s)
 
     def _retry_or_fail(self, future: SimFuture, error: Any,
@@ -579,14 +561,13 @@ class ExecutorBackend:
                 self._start(future)
                 while True:
                     try:
-                        result = runner.run(future.config,
-                                            use_cache=future.use_cache)
+                        result = runner.run(future.config)
                     except Exception as exc:  # noqa: BLE001 - retried
                         if self._retry_or_fail(future, exc):
                             continue
                     else:
                         self._finish(future, result.stats,
-                                     result.wall_time_s, result.source)
+                                     result.wall_time_s)
                     break
                 yield future
 
@@ -639,6 +620,8 @@ class PoolExecutor(ExecutorBackend):
     trace generation, one predecode per dispatch.  Per-point failures
     come back in-band and are redispatched singly with per-point
     ``attempts``, so one bad point cannot re-fail a whole batch.
+    Workers run on their forked default session, which supplies only
+    the trace cache: they never touch a result-cache directory.
 
     The pool is a ``concurrent.futures.ProcessPoolExecutor`` (``fork``
     workers where the platform has them).  A worker that dies outright
@@ -686,17 +669,15 @@ class PoolExecutor(ExecutorBackend):
             yield from self._drain_inline(
                 session, self._resolved_batch_size(total, 1))
             return
-        yield from self._drive_pool(session, total, jobs)
+        yield from self._drive_pool(total, jobs)
 
-    def _drive_pool(self, session: "Session", total: int,
-                    jobs: int) -> Iterator[SimFuture]:
+    def _drive_pool(self, total: int, jobs: int) -> Iterator[SimFuture]:
         import multiprocessing
         from concurrent.futures import (FIRST_COMPLETED, Future,
                                         ProcessPoolExecutor, wait)
         from concurrent.futures.process import BrokenProcessPool
 
         self._cancelling = False
-        cache_dir = str(session.results.directory)
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
@@ -711,10 +692,9 @@ class PoolExecutor(ExecutorBackend):
 
         def dispatch(futures: Sequence[SimFuture]) -> None:
             batch = tuple(futures)
-            payload = [(f.config, f.use_cache, cache_dir) for f in batch]
             worker = _chunk_worker  # module global: monkeypatchable
             try:
-                handle = pool.submit(worker, payload)
+                handle = pool.submit(worker, [f.config for f in batch])
             except BrokenProcessPool as exc:
                 # a worker died before any future reported it: this
                 # batch fails with the pool, like the ones in flight
@@ -748,11 +728,10 @@ class PoolExecutor(ExecutorBackend):
             else:
                 # a crashed chunk, or a pool whose worker died: every
                 # point of the batch failed this attempt
-                outcomes = [(crash, None, 0.0, "")] * len(batch)
-            for future, (error, stats, wall, source) in zip(batch,
-                                                            outcomes):
+                outcomes = [(crash, None, 0.0)] * len(batch)
+            for future, (error, stats, wall) in zip(batch, outcomes):
                 if error is None:
-                    self._finish(future, stats, wall, source)
+                    self._finish(future, stats, wall)
                 elif self._retry_or_fail(future, error):
                     retries.append(future)  # retries singly
                     continue

@@ -30,7 +30,6 @@ import time
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.api.exec import ExecutorBackend, SimFuture
-from repro.api.result import SOURCE_SIMULATED
 
 #: one scripted attempt: a directive string, a delay, or a tagged pair
 Directive = Any
@@ -116,8 +115,7 @@ class MockExecutor(ExecutorBackend):
         if delay:
             time.sleep(delay)
         if action == "ok":
-            self._finish(future, self._fabricate(future), delay,
-                         SOURCE_SIMULATED)
+            self._finish(future, self._fabricate(future), delay)
             return True
         return not self._retry_or_fail(future, error)
 

@@ -232,24 +232,17 @@ class Session:
         :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
         omitted).  A string names one: ``"serial"`` or
         ``"process-pool"`` (:func:`repro.api.exec.as_executor`).
-    trace_cache_size:
-        LRU cap on the workloads the trace cache holds.
-    oracle_cache_size:
-        LRU cap on the oracle annotations, and separately on the warm
-        snapshots, kept per workload.
+
+    The trace cache holds at most :data:`TRACE_CACHE_MAX` workloads,
+    and each keeps at most :data:`ORACLE_CACHE_MAX` oracle annotations
+    and as many warm snapshots (both read when used).
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 backend: Optional[ExecutorBackend] = None,
-                 trace_cache_size: int = TRACE_CACHE_MAX,
-                 oracle_cache_size: int = ORACLE_CACHE_MAX) -> None:
-        if trace_cache_size <= 0 or oracle_cache_size <= 0:
-            raise ValueError("cache sizes must be positive")
+                 backend: Optional[ExecutorBackend] = None) -> None:
         self.results = ResultCache(cache_dir)
         self.backend: ExecutorBackend = (
             SerialExecutor() if backend is None else as_executor(backend))
-        self.trace_cache_size = trace_cache_size
-        self.oracle_cache_size = oracle_cache_size
         #: workload name -> its prepared inputs (LRU, bounded)
         self._trace_cache: "OrderedDict[str, PreparedWorkload]" = \
             OrderedDict()
@@ -308,7 +301,7 @@ class Session:
             prepared.cover(length, functools.partial(get_workload,
                                                      workload_name))
         trace_cache.move_to_end(workload_name)
-        while len(trace_cache) > self.trace_cache_size:
+        while len(trace_cache) > TRACE_CACHE_MAX:
             trace_cache.popitem(last=False)
         return prepared.head(length)
 
@@ -334,7 +327,7 @@ class Session:
         """Oracle annotation of the first *length* instructions under
         *core* (kept on the workload's trace-cache entry)."""
         return self._prepared(workload_name, length).oracle(
-            length, core, self.oracle_cache_size)
+            length, core, ORACLE_CACHE_MAX)
 
     # ------------------------------------------------------------------
     # execution
@@ -342,22 +335,24 @@ class Session:
     def run(self, config: SimConfig, use_cache: bool = True) -> SimResult:
         """Run one configuration in-process; return a typed result."""
         config.validate()
-        return self._run(config, use_cache)
-
-    def _run(self, config: SimConfig, use_cache: bool) -> SimResult:
-        """:meth:`run` for a validated *config*."""
         key = config.key()
         if use_cache:
             cached = self._cached(config, key)
             if cached is not None:
                 return cached
+        result = self._run(config, key)
+        if use_cache:
+            self.results.put(key, result.stats)
+        return result
+
+    def _run(self, config: SimConfig, key: str) -> SimResult:
+        """Simulate a validated *config* (cache *key*); the result cache
+        is not used."""
         start = time.perf_counter()
         stats = self._execute(config)
-        elapsed = time.perf_counter() - start
-        if use_cache:
-            self.results.put(key, stats)
         return SimResult(config=config, stats=stats, key=key,
-                         source=SOURCE_SIMULATED, wall_time_s=elapsed)
+                         source=SOURCE_SIMULATED,
+                         wall_time_s=time.perf_counter() - start)
 
     def _cached(self, config: SimConfig, key: str) -> Optional[SimResult]:
         """The result cache's entry for *key* as a result, if any."""
@@ -372,9 +367,9 @@ class Session:
         """A :class:`BatchRunner` for one trace identity.
 
         Executors hand every point of a ``(workload, warmup+measure)``
-        batch to the returned runner, which rejects configs outside
-        the batch; the trace cache prepares the batch's shared inputs
-        once.
+        batch to the returned runner, which simulates it and rejects
+        configs outside the batch; the trace cache prepares the
+        batch's shared inputs once.
         """
         return BatchRunner(self, workload, length)
 
@@ -388,11 +383,13 @@ class Session:
 
         *backend* is an executor, an executor name or ``None`` (the
         session's own).  Configurations are submitted in list order.
-        Cached configurations are resolved in-process; each distinct
-        remaining configuration is submitted exactly once (duplicates
-        share the primary's result object, so provenance — one
-        simulation — stays truthful).  Completed outcomes land in the
-        session caches (and *store*, if given) as they arrive, then a
+        This is the only reader and writer of the result cache for
+        batched work: executors only simulate.  Cached configurations
+        are resolved in-process; each distinct remaining configuration
+        is submitted exactly once (duplicates share the primary's
+        result object, so provenance — one simulation — stays
+        truthful).  Completed outcomes land in the result cache (with
+        *use_cache*) and *store*, if given, as they arrive, then a
         failure raises the first :class:`WorkerFailure`, and remaining
         cancellations raise :class:`ExecutionCancelled` — everything
         that completed first is preserved, which is what makes a
@@ -406,8 +403,8 @@ class Session:
         :meth:`~repro.api.inspect.SweepInspector.observe`.  Keys the
         store holds quarantined are treated as not-yet-simulated:
         their store rows are not served, and cache lookups are
-        bypassed for them so the re-run regenerates the data instead
-        of replaying a poisoned cache entry.
+        bypassed for them, so the re-run regenerates the data instead
+        of replaying a poisoned cache entry, and overwrites that entry.
         """
         from repro.api.inspect import as_inspector
         executor = as_executor(self.backend if backend is None
@@ -455,7 +452,7 @@ class Session:
                     duplicates.append((index, key))
                 else:
                     primary[key] = index
-                    executor.submit((index, config, use_cache))
+                    executor.submit((index, config))
 
             failure: Optional[BaseException] = None
             cancelled = 0
@@ -468,17 +465,9 @@ class Session:
                     if failure is None:
                         failure = exc
                     continue
-                outcome = future.result()
-                result = SimResult(config=future.config,
-                                   stats=outcome.stats, key=future.key,
-                                   source=outcome.source,
-                                   wall_time_s=outcome.wall_time_s,
-                                   backend=executor.name)
-                results[future.index] = result
+                result = results[future.index] = future.result()
                 if use_cache:
-                    # pool workers already wrote the disk cache; keep
-                    # only the in-memory copy here
-                    self.results.put(future.key, result.stats, disk=False)
+                    self.results.put(future.key, result.stats)
                 if store is not None:
                     # persist as each point lands, so an interrupted
                     # sweep keeps everything it finished
@@ -527,10 +516,12 @@ class Session:
         Results come back in the order of *configs* (deterministic
         aggregation regardless of backend scheduling).  Cached
         configurations are resolved in-process; each distinct remaining
-        configuration is simulated exactly once and duplicates share the
-        primary's statistics.  *backend* may be a futures-style
-        :class:`~repro.api.exec.ExecutorBackend` or an executor name
-        (``"serial"`` or ``"process-pool"``); *progress*
+        configuration is simulated exactly once (by the executor, which
+        never touches the result cache) and duplicates share the
+        primary's statistics.  With *use_cache*, every simulated point
+        is written to the result cache as it lands.  *backend* may be a
+        futures-style :class:`~repro.api.exec.ExecutorBackend` or an
+        executor name (``"serial"`` or ``"process-pool"``); *progress*
         receives every :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys
@@ -544,7 +535,8 @@ class Session:
         or pass a configured inspector.  Every landed result is
         validated as it arrives, confirmed anomalies become store
         annotations, and keys the store holds quarantined are
-        re-simulated instead of served.
+        re-simulated instead of served (from the store or the result
+        cache, whose entry the fresh stats replace).
         """
         return self._drive(backend, list(configs),
                            use_cache=use_cache, store=store,
@@ -605,7 +597,7 @@ class Session:
         total = config.warmup + config.measure
         prepared = self._prepared(config.workload, total)
         trace = prepared.head(total)
-        oracle = (prepared.oracle(total, config.core, self.oracle_cache_size)
+        oracle = (prepared.oracle(total, config.core, ORACLE_CACHE_MAX)
                   if policy_needs_oracle(config.policy, config.ltp)
                   else None)
 
@@ -613,7 +605,7 @@ class Session:
         measured = trace[config.warmup:]
 
         hierarchy, bpred = prepared.warmed(config.warmup, config.core.mem,
-                                           self.oracle_cache_size)
+                                           ORACLE_CACHE_MAX)
 
         policy = build_policy(config.policy, config.ltp,
                               config.core.mem.dram_latency, oracle=oracle,
@@ -644,7 +636,7 @@ class Session:
 
 
 class BatchRunner:
-    """:meth:`Session.run` restricted to one trace identity.
+    """Simulation of one trace identity, for executors.
 
     Created by :meth:`Session.batch_runner` for a batch of
     configurations sharing a workload and a total trace length — the
@@ -652,8 +644,10 @@ class BatchRunner:
     :class:`~repro.api.exec.BatchWorkItem`.  The sharing itself lives
     in the session's trace cache (one trace generation, one workload
     build and one predecode per trace), so a runner keeps no state: it
-    checks that each config belongs to its batch and runs it exactly as
-    :meth:`Session.run` would.
+    checks that each config belongs to its batch and simulates it.  It
+    never reads or writes the result cache (``Session._drive`` does)
+    and does not validate (``_drive`` validated every config it
+    submitted).
     """
 
     def __init__(self, session: Session, workload: str, length: int):
@@ -663,15 +657,15 @@ class BatchRunner:
         self.workload = workload
         self.length = length
 
-    def run(self, config: SimConfig, use_cache: bool = True) -> SimResult:
-        """Run one point of the batch; same result as :meth:`Session.run`."""
-        config.validate()
+    def run(self, config: SimConfig) -> SimResult:
+        """Simulate one point of the batch; same stats as
+        :meth:`Session.run`."""
         total = config.warmup + config.measure
         if config.workload != self.workload or total != self.length:
             raise ValueError(
                 f"config {config.workload!r} (trace length {total}) does "
                 f"not belong to the {self.workload!r}/{self.length} batch")
-        return self.session._run(config, use_cache)
+        return self.session._run(config, config.key())
 
 
 # ======================================================================

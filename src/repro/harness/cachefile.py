@@ -48,10 +48,8 @@ class ResultCache:
         found = self.lookup(key)
         return None if found is None else found[0]
 
-    def put(self, key: str, value: dict, disk: bool = True) -> None:
+    def put(self, key: str, value: dict) -> None:
         self._memory[key] = value
-        if not disk:
-            return
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=str(self.directory),

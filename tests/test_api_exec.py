@@ -41,7 +41,7 @@ def test_future_carries_provenance_and_resolves(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     executor = SerialExecutor().bind(session)
     config = make_configs(1)[0]
-    future = executor.submit((0, config, False))
+    future = executor.submit((0, config))
     assert future.key == config.key()
     assert future.index == 0
     assert not future.done()
@@ -55,7 +55,7 @@ def test_future_carries_provenance_and_resolves(tmp_path):
 def test_future_cancel_only_before_start(tmp_path):
     session = Session(cache_dir=str(tmp_path))
     executor = SerialExecutor().bind(session)
-    futures = [executor.submit((i, c, False))
+    futures = [executor.submit((i, c))
                for i, c in enumerate(make_configs(2))]
     assert futures[1].cancel()
     assert futures[1].cancel()  # idempotent
@@ -158,7 +158,7 @@ def test_cancelled_events_fire_exactly_once(tmp_path):
     executor = SerialExecutor().bind(session)
     events = []
     executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c, False))
+    futures = [executor.submit((i, c))
                for i, c in enumerate(make_configs(3))]
 
     def cancel_rest(event):
@@ -205,11 +205,11 @@ def test_serial_retry_recovers_from_transient_failure(tmp_path):
     real_run = session._run
     crashes = {"left": 1}
 
-    def flaky_run(config, use_cache=True):
+    def flaky_run(config, key):
         if crashes["left"]:
             crashes["left"] -= 1
             raise RuntimeError("simulated worker crash")
-        return real_run(config, use_cache=use_cache)
+        return real_run(config, key)
 
     session._run = flaky_run
     events = []
@@ -227,14 +227,14 @@ def test_serial_retry_recovers_from_transient_failure(tmp_path):
 def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
     session = Session(cache_dir=str(tmp_path))
 
-    def always_crash(config, use_cache=True):
+    def always_crash(config, key):
         raise RuntimeError("persistent crash")
 
     session._run = always_crash
     executor = SerialExecutor(max_retries=2).bind(session)
     events = []
     executor.add_progress_callback(events.append)
-    future = executor.submit((0, make_configs(1)[0], False))
+    future = executor.submit((0, make_configs(1)[0]))
     list(executor.as_completed())
     exc = future.exception()
     assert isinstance(exc, WorkerFailure)
@@ -252,11 +252,11 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
 _REAL_CHUNK_WORKER = exec_mod._chunk_worker
 
 
-def _crashing_chunk_worker(payloads):
+def _crashing_chunk_worker(configs):
     raise RuntimeError("worker process crashed")
 
 
-def _crash_once_chunk_worker(payloads):
+def _crash_once_chunk_worker(configs):
     marker = os.environ["REPRO_TEST_CRASH_MARKER"]
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
@@ -264,7 +264,7 @@ def _crash_once_chunk_worker(payloads):
         raise RuntimeError("first-attempt crash")
     # the saved original: exec_mod._chunk_worker is monkeypatched to
     # *this* function
-    return _REAL_CHUNK_WORKER(payloads)
+    return _REAL_CHUNK_WORKER(configs)
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
@@ -275,7 +275,7 @@ def test_pool_chunk_crash_retries_then_surfaces(tmp_path, monkeypatch):
     executor = PoolExecutor(jobs=2, max_retries=1).bind(session)
     events = []
     executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c, False))
+    futures = [executor.submit((i, c))
                for i, c in enumerate(make_configs(2))]
     list(executor.as_completed())
     for future in futures:
@@ -319,19 +319,19 @@ def _kill_this_worker(death="sigkill"):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _kill_once_chunk_worker(payloads):
+def _kill_once_chunk_worker(configs):
     """SIGKILL the worker the first time the chosen point reaches it."""
     marker = os.environ["REPRO_TEST_KILL_MARKER"]
     victim = os.environ["REPRO_TEST_KILL_KEY"]
-    if (any(config.key() == victim for config, _, _ in payloads)
+    if (any(config.key() == victim for config in configs)
             and not os.path.exists(marker)):
         with open(marker, "w") as handle:
             handle.write("killed")
         _kill_this_worker()
-    return _REAL_CHUNK_WORKER(payloads)
+    return _REAL_CHUNK_WORKER(configs)
 
 
-def _always_kill_chunk_worker(payloads):
+def _always_kill_chunk_worker(configs):
     _kill_this_worker(os.environ["REPRO_TEST_DEATH"])
 
 
@@ -404,7 +404,7 @@ def test_pool_worker_killed_on_every_attempt_fails_its_points(
                             batch_size=batch_size).bind(session)
     events = []
     executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c, False))
+    futures = [executor.submit((i, c))
                for i, c in enumerate(make_configs(3))]
     resolved = _drive_with_timeout(lambda: list(executor.as_completed()))
     assert len(resolved) == 3
@@ -422,7 +422,7 @@ def test_pool_worker_killed_on_every_attempt_fails_its_points(
 def test_run_many_raises_worker_failure(tmp_path):
     session = Session(cache_dir=str(tmp_path))
 
-    def always_crash(config, use_cache=True):
+    def always_crash(config, key):
         raise RuntimeError("boom")
 
     session._run = always_crash
@@ -466,7 +466,7 @@ def test_default_jobs_reads_repro_jobs(monkeypatch):
 
 def test_unbound_executor_raises():
     executor = SerialExecutor()
-    executor.submit((0, make_configs(1)[0], False))
+    executor.submit((0, make_configs(1)[0]))
     with pytest.raises(RuntimeError, match="not bound"):
         list(executor.as_completed())
 

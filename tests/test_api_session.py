@@ -1,8 +1,6 @@
 """Tests for the repro.api session layer: cache ownership, provenance,
 lifetime control, and the process-global default session."""
 
-import pytest
-
 from repro.api import Session, SimResult
 from repro.api import session as session_mod
 from repro.core.params import baseline_params
@@ -91,13 +89,9 @@ def test_clear_memory_caches_drops_traces_and_results(tmp_path):
     assert session.run(quick_config()).source == "disk"
 
 
-def test_cache_size_caps_validated():
-    with pytest.raises(ValueError):
-        Session(trace_cache_size=0)
-
-
-def test_trace_cache_cap_is_per_session(tmp_path):
-    session = Session(cache_dir=str(tmp_path), trace_cache_size=2)
+def test_trace_cache_cap_bounds_workloads(tmp_path, monkeypatch):
+    monkeypatch.setattr(session_mod, "TRACE_CACHE_MAX", 2)
+    session = Session(cache_dir=str(tmp_path))
     for name in ("compute_int", "stream_triad", "lattice_milc"):
         session.get_trace(name, 64)
     assert len(session._trace_cache) == 2

@@ -54,25 +54,23 @@ class _Recorder:
 # ----------------------------------------------------------------------
 # batch formation on the submission queue
 # ----------------------------------------------------------------------
-def test_batch_key_separates_workload_length_cache_and_shard():
+def test_batch_key_separates_workload_and_length():
     executor = SerialExecutor()
-    base = executor.submit((0, config_for(), False))
-    same = executor.submit((1, config_for(iq=32), False))
-    other_workload = executor.submit((2, config_for("stream_triad"),
-                                      False))
-    other_length = executor.submit((3, config_for(measure=130), False))
-    other_cache = executor.submit((4, config_for(), True))
-    assert _batch_key(base) == _batch_key(same)
-    for future in (other_workload, other_length, other_cache):
+    base = executor.submit((0, config_for()))
+    same = executor.submit((1, config_for(iq=32)))
+    other_workload = executor.submit((2, config_for("stream_triad")))
+    other_length = executor.submit((3, config_for(measure=130)))
+    assert _batch_key(base) == _batch_key(same) == ("compute_int", 270)
+    for future in (other_workload, other_length):
         assert _batch_key(future) != _batch_key(base)
 
 
 def test_next_batch_groups_identity_and_preserves_queue_order():
     executor = SerialExecutor()
-    a1 = executor.submit((0, config_for(), False))
-    b1 = executor.submit((1, config_for("stream_triad"), False))
-    a2 = executor.submit((2, config_for(iq=32), False))
-    b2 = executor.submit((3, config_for("stream_triad", iq=32), False))
+    a1 = executor.submit((0, config_for()))
+    b1 = executor.submit((1, config_for("stream_triad")))
+    a2 = executor.submit((2, config_for(iq=32)))
+    b2 = executor.submit((3, config_for("stream_triad", iq=32)))
     first = executor._next_batch(None)
     second = executor._next_batch(None)
     assert first.futures == [a1, a2]
@@ -83,7 +81,7 @@ def test_next_batch_groups_identity_and_preserves_queue_order():
 
 def test_next_batch_respects_limit_and_cancelled_head_travels_alone():
     executor = SerialExecutor()
-    futures = [executor.submit((i, config_for(iq=16 * (i + 1)), False))
+    futures = [executor.submit((i, config_for(iq=16 * (i + 1))))
                for i in range(5)]
     assert futures[0].cancel()
     lone = executor._next_batch(4)
@@ -96,7 +94,7 @@ def test_next_batch_respects_limit_and_cancelled_head_travels_alone():
 
 def test_next_batch_limit_one_disables_grouping():
     executor = SerialExecutor(batch_size=1)
-    futures = [executor.submit((i, config_for(iq=16 * (i + 1)), False))
+    futures = [executor.submit((i, config_for(iq=16 * (i + 1))))
                for i in range(3)]
     for future in futures:
         batch = executor._next_batch(executor.batch_size)
@@ -117,7 +115,7 @@ def test_batch_runner_matches_session_run_bit_identical(tmp_path):
         singles = [session.run(c, use_cache=False) for c in configs]
     with Session(cache_dir=str(tmp_path / "batched")) as session:
         runner = session.batch_runner("compute_int", 270)
-        batched = [runner.run(c, use_cache=False) for c in configs]
+        batched = [runner.run(c) for c in configs]
     assert [r.stats for r in batched] == [r.stats for r in singles]
     assert all(not r.cached for r in batched)
 
@@ -133,15 +131,22 @@ def test_batch_runner_rejects_foreign_configs(tmp_path):
             session.batch_runner("compute_int", 0)
 
 
-def test_batch_runner_fills_and_serves_the_result_cache(tmp_path):
+def test_serial_executor_simulates_a_cached_key(tmp_path):
+    """Executors only simulate: a key the session's result cache holds
+    is still simulated when submitted, and the executor leaves the
+    cache as it found it (``Session._drive`` owns it)."""
     config = config_for()
     with Session(cache_dir=str(tmp_path)) as session:
-        runner = session.batch_runner("compute_int", 270)
-        first = runner.run(config)
-        assert not first.cached
-        assert session.results.lookup(config.key()) is not None
-        again = session.batch_runner("compute_int", 270).run(config)
-        assert again.cached and again.stats == first.stats
+        fresh = session.run(config, use_cache=False).stats
+        poisoned = dict(fresh, cycles=fresh["cycles"] // 2)
+        session.results.put(config.key(), poisoned)
+        executor = SerialExecutor().bind(session)
+        future = executor.submit((0, config))
+        assert list(executor.as_completed()) == [future]
+        result = future.result()
+        assert result.source == "simulated" and not result.cached
+        assert result.stats == fresh
+        assert session.results.get(config.key()) == poisoned
 
 
 def test_batch_runner_prep_failure_surfaces_then_retries(tmp_path,
@@ -170,8 +175,8 @@ def test_batch_runner_prep_failure_surfaces_then_retries(tmp_path,
     with Session(cache_dir=str(tmp_path)) as session:
         runner = session.batch_runner(FLAKY, 270)
         with pytest.raises(RuntimeError, match="flaky"):
-            runner.run(config, use_cache=False)
-        result = runner.run(config, use_cache=False)
+            runner.run(config)
+        result = runner.run(config)
     assert result.stats["committed"] > 0
 
 

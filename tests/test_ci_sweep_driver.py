@@ -133,6 +133,19 @@ def test_ci_sweep_batched_equivalence(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_ci_sweep_run_legs_simulate_not_replay_the_cache(tmp_path):
+    """Two ``run`` legs on one cache directory both simulate every
+    point: a leg served from the other's cache writes would compare
+    cache reads with the rows that wrote them."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    for label in ("first", "second"):
+        proc = run_driver(["run", "--spec", str(spec_path), "--store",
+                           str(tmp_path / f"{label}.jsonl")], tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "4 points, 4 simulated" in proc.stdout
+
+
 def test_ci_sweep_kill_one_needs_a_pool(tmp_path):
     """``run --kill-one`` kills a pool worker, so it refuses to run
     without a pool rather than pass having killed nothing."""

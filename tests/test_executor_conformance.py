@@ -171,7 +171,7 @@ def test_cancel_drains_in_flight_work(name, tmp_path):
     session = Session(cache_dir=str(tmp_path / "session"))
     executor.bind(session)
     executor.add_progress_callback(recorder)
-    futures = [executor.submit((i, config, False))
+    futures = [executor.submit((i, config))
                for i, config in enumerate(configs)]
     assert futures[2].cancel()
     assert futures[3].cancel()
@@ -306,7 +306,7 @@ def test_cancel_mid_batch_resolves_every_future(name, tmp_path):
             executor.cancel_all()
 
     executor.add_progress_callback(cancel_after_first)
-    futures = [executor.submit((i, config, False))
+    futures = [executor.submit((i, config))
                for i, config in enumerate(configs)]
     resolved = list(executor.as_completed())
     assert len(resolved) == 4

@@ -29,6 +29,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import repro.api.session as session_mod
 from repro.api import Session, default_session
 from repro.core.kernel import KernelPipeline, predecode
 from repro.core.pipeline import Pipeline
@@ -158,8 +159,10 @@ def test_session_shares_one_predecode_across_configs(tmp_path):
         assert list(session._trace_cache) == ["lattice_milc"]
 
 
-def test_session_arrays_cache_evicts_with_trace_cache(tmp_path):
-    with Session(cache_dir=str(tmp_path), trace_cache_size=2) as session:
+def test_session_arrays_cache_evicts_with_trace_cache(tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(session_mod, "TRACE_CACHE_MAX", 2)
+    with Session(cache_dir=str(tmp_path)) as session:
         for name in ("lattice_milc", "ptrchase_astar", "stream_triad"):
             session.get_trace_arrays(name, 300)
         assert len(session._trace_cache) <= 2

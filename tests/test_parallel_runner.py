@@ -61,7 +61,10 @@ def test_parallel_ordering_deterministic(fresh_cache):
 
 
 def test_concurrent_writers_leave_cache_consistent(fresh_cache):
-    """Many workers writing the same keys must not corrupt cache files."""
+    """A pooled run with duplicate keys must leave valid cache files.
+
+    Workers write no cache: the driving session writes each distinct
+    key once, as its result lands."""
     configs = _configs() * 3  # duplicate keys -> concurrent same-key writes
     results = run_stats(configs, jobs=4)
     for index in range(len(_configs())):

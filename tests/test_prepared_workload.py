@@ -70,8 +70,9 @@ def test_trace_extension_keeps_annotations_and_repredecodes(tmp_path):
         assert len(session.get_oracle("compute_int", 500, core)) == 500
 
 
-def test_oracle_annotations_per_trace_are_bounded(tmp_path):
-    with Session(cache_dir=str(tmp_path), oracle_cache_size=2) as session:
+def test_oracle_annotations_per_trace_are_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(session_mod, "ORACLE_CACHE_MAX", 2)
+    with Session(cache_dir=str(tmp_path)) as session:
         cores = [CoreParams(rob_size=rob).validate()
                  for rob in (64, 128, 192)]
         first = session.get_oracle("compute_int", 300, cores[0])
@@ -149,7 +150,8 @@ def test_warm_snapshots_per_trace_are_bounded(tmp_path, monkeypatch):
     configs = [SimConfig(workload="compute_int", core=baseline_params(),
                          ltp=no_ltp(), warmup=warmup, measure=300 - warmup)
                for warmup in (100, 200, 100)]
-    with Session(cache_dir=str(tmp_path), oracle_cache_size=1) as session:
+    monkeypatch.setattr(session_mod, "ORACLE_CACHE_MAX", 1)
+    with Session(cache_dir=str(tmp_path)) as session:
         for config in configs:
             session.run(config, use_cache=False)
     assert calls == ["warm_hierarchy"] * 3

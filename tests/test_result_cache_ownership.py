@@ -1,0 +1,96 @@
+"""``Session._drive`` is the only reader and writer of the result cache
+for batched work: executors only simulate, a key the store holds
+quarantined is re-simulated (never served from a poisoned cache entry),
+and pool workers never touch a cache directory."""
+
+import json
+import multiprocessing
+import os
+
+import pytest
+
+from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec)
+from repro.api.store import Annotation
+from repro.harness.cachefile import ResultCache
+
+HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAVE_FORK,
+                                reason="needs fork start method")
+
+
+def stream_points():
+    return SweepSpec(workloads=["stream_triad"], warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32]}).expand()
+
+
+def disk_entry(session, key):
+    with open(session.cache_dir / f"{key}.json") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param(SerialExecutor, id="serial"),
+    pytest.param(lambda: PoolExecutor(jobs=2), marks=needs_fork,
+                 id="process-pool"),
+])
+def test_quarantined_point_resimulates_and_heals_the_cache(tmp_path,
+                                                           backend):
+    configs = stream_points()
+    path = tmp_path / "store.jsonl"
+    cache_dir = str(tmp_path / "cache")
+    with Session(cache_dir=cache_dir) as session, \
+            ResultStore(path) as store:
+        fresh = [r.stats for r in session.run_many(configs, store=store)]
+        # poison both disk entries and quarantine both keys
+        for config, stats in zip(configs, fresh):
+            poisoned = dict(stats, cycles=stats["cycles"] // 2)
+            (session.cache_dir / f"{config.key()}.json").write_text(
+                json.dumps(poisoned))
+            store.annotate(Annotation(key=config.key(), check="invariant",
+                                      detail="poisoned"))
+    with Session(cache_dir=cache_dir) as session, \
+            ResultStore(path) as store:
+        assert sorted(store.quarantined_keys()) == \
+            sorted(c.key() for c in configs)
+        results = session.run_many(configs, store=store,
+                                   backend=backend())
+        assert [r.source for r in results] == ["simulated"] * 2
+        assert [r.stats for r in results] == fresh
+        assert store.quarantined_keys() == []
+        for config, stats in zip(configs, fresh):
+            assert disk_entry(session, config.key()) == stats
+
+
+@needs_fork
+def test_pooled_run_writes_the_session_cache_from_the_parent(tmp_path,
+                                                             monkeypatch):
+    """A pooled ``run_many`` on a non-default session leaves one valid
+    disk entry per distinct key in that session's cache directory, and
+    every result-cache access happens in the driving process."""
+    log = tmp_path / "cache-calls.log"
+
+    def logged(name):
+        original = getattr(ResultCache, name)
+
+        def wrapper(self, key, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {name}\n")
+            return original(self, key, *args, **kwargs)
+        monkeypatch.setattr(ResultCache, name, wrapper)
+
+    logged("lookup")
+    logged("put")
+    configs = SweepSpec(workloads=["compute_int", "stream_triad"],
+                        warmup=150, measure=120,
+                        axes={"core.iq_size": [16, 32]}).expand()
+    with Session(cache_dir=str(tmp_path / "pooled")) as session:
+        results = session.run_many(configs + configs[:2],
+                                   backend=PoolExecutor(jobs=2))
+        entries = sorted(p.stem for p in session.cache_dir.glob("*.json"))
+        assert entries == sorted({c.key() for c in configs})
+        assert not list(session.cache_dir.glob("*.tmp"))
+        for result in results:
+            assert disk_entry(session, result.key) == result.stats
+    callers = {line.split()[0] for line in log.read_text().splitlines()}
+    assert callers == {str(os.getpid())}
