@@ -63,9 +63,14 @@ every object-vs-kernel comparison checks against per-cycle retries:
   ``repeat_rejection(gated * times)``).
 
 Differential tests assert full ``SimStats.as_dict()`` equality across
-every registered policy, LTP preset and workload.  (The LTP shortcuts
-both engines share, such as the one-port ready peek and the bound
-enable check, are pinned to their plain forms by unit properties.)
+every registered policy, LTP preset and workload.  (The shortcuts
+both engines share, which such diffs cannot see, are pinned to their
+plain forms by unit properties: the bound enable check, and the
+event-driven wakeup of every parking policy, whose ready-heap reads
+and ``random-park`` head check are checked against a walk of the
+whole queue; both engines call ``on_parked_ready`` at dependence
+registration and at the writeback that clears a parked record's last
+wait.)
 Writeback drops a record's ``consumers`` once it has walked them, so
 records, which otherwise link only to older producers, form no
 reference cycles and die by reference count.
@@ -332,6 +337,7 @@ class KernelPipeline(Pipeline):
         may_allocate = policy.may_allocate
         policy_park = policy.park
         on_release_scan = policy.on_release_scan
+        parked_ready = policy.on_parked_ready
         policy_release = policy.release
         policy_tag = policy.on_tag_known
         policy_next_event = policy.next_event_cycle
@@ -450,8 +456,13 @@ class KernelPipeline(Pipeline):
                         for consumer in consumers:
                             waiting = consumer.waiting_on - 1
                             consumer.waiting_on = waiting
-                            if waiting == 0 and consumer.in_iq:
-                                _heappush(ready_heap, consumer.seq - seq0)
+                            if waiting == 0:
+                                if consumer.in_iq:
+                                    _heappush(ready_heap,
+                                              consumer.seq - seq0)
+                                elif (parked_ready is not None
+                                        and consumer.parked):
+                                    parked_ready(consumer)
                         # the only back links: with them gone, records
                         # form no cycles and die by reference count
                         record.consumers = ()
@@ -525,11 +536,9 @@ class KernelPipeline(Pipeline):
                     force_seq = -1
                 released = 0
                 while released < release_ports:
-                    candidates = on_release_scan(now, boundary,
-                                                 force_seq, 1)
-                    if not candidates:
+                    record = on_release_scan(now, boundary, force_seq)
+                    if record is None:
                         break
-                    record = candidates[0]
                     if iq_occ >= iq_capacity:
                         break
                     rf_class = record.rf_class
@@ -575,8 +584,8 @@ class KernelPipeline(Pipeline):
                     if record.forced_release:
                         s_ltp_forced += 1
                 if released >= release_ports:
-                    release_pending = bool(on_release_scan(
-                        now, boundary, force_seq, 1))
+                    release_pending = on_release_scan(
+                        now, boundary, force_seq) is not None
                 if released:
                     progress = True
 
@@ -787,8 +796,11 @@ class KernelPipeline(Pipeline):
                                 producer.consumers = [record]
                             waiting += 1
                     record.waiting_on = waiting
-                    if waiting == 0 and record.in_iq:
-                        _heappush(ready_heap, rel)
+                    if waiting == 0:
+                        if record.in_iq:
+                            _heappush(ready_heap, rel)
+                        elif parked_ready is not None and record.parked:
+                            parked_ready(record)
                     record.rename_cycle = now
                     if record.predicted_ll and not record.ll_listed:
                         record.ll_listed = True

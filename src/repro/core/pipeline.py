@@ -626,8 +626,13 @@ class Pipeline:
                     producer.consumers = [record]
                 waiting += 1
         record.waiting_on = waiting
-        if waiting == 0 and record.in_iq:
-            self.iq.mark_ready(record)
+        if waiting == 0:
+            if record.in_iq:
+                self.iq.mark_ready(record)
+            else:
+                parked_ready = self.policy.on_parked_ready
+                if parked_ready is not None and record.parked:
+                    parked_ready(record)
 
     # ==================================================================
     # LTP release (wakeup)
@@ -658,11 +663,9 @@ class Pipeline:
         force_seq = head.seq if head is not None and head.parked else -1
         released = 0
         while released < ports:
-            candidates = policy.on_release_scan(
-                now, boundary, force_seq, 1)
-            if not candidates:
+            record = policy.on_release_scan(now, boundary, force_seq)
+            if record is None:
                 break
-            record = candidates[0]
             if not self._try_release(record, now):
                 break
             released += 1
@@ -670,8 +673,8 @@ class Pipeline:
                 self.stats.ltp_forced_releases += 1
         pending = False
         if released >= ports:
-            pending = bool(policy.on_release_scan(
-                now, boundary, force_seq, 1))
+            pending = policy.on_release_scan(
+                now, boundary, force_seq) is not None
         return released, pending
 
     def _try_release(self, record: InFlightInst, now: int) -> bool:
@@ -875,11 +878,15 @@ class Pipeline:
         if record.has_dst:
             stats.rf_writes += 1
         iq_mark_ready = self.iq.mark_ready
+        parked_ready = self.policy.on_parked_ready
         for consumer in record.consumers:
             waiting = consumer.waiting_on - 1
             consumer.waiting_on = waiting
-            if waiting == 0 and consumer.in_iq:
-                iq_mark_ready(consumer)
+            if waiting == 0:
+                if consumer.in_iq:
+                    iq_mark_ready(consumer)
+                elif parked_ready is not None and consumer.parked:
+                    parked_ready(consumer)
         record.consumers = ()  # walked: drop the links that close cycles
         self._ll_remove(record)
         if record.own_ticket is not None:

@@ -8,20 +8,20 @@ pipeline drives:
   readiness/tickets, long-latency prediction).
 * :meth:`decide` — park / dispatch / stall, honouring parked-bit
   propagation and the memory-dependence interaction of Section 5.3.
-* :meth:`release_candidates` — the wakeup policy: Non-Urgent
+* :meth:`next_release` — the wakeup policy: Non-Urgent
   instructions wake between the ROB head and the second in-flight
   long-latency instruction; Non-Ready instructions wake when their
   tickets clear; the ROB head is always forced out (Section 5.4).
   Wakeup is event-driven, not an oldest-first scan: a record joins the
   queue's ready lists when it parks ticket-free or when
   :meth:`on_tag_known` clears its last ticket, and a release reads the
-  oldest ready entries.
+  oldest ready entry (:meth:`LTPQueue.next_release`).
 * completion/commit hooks that feed the UIT, tickets and predictor.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.inflight import InFlightInst
 from repro.ltp.classifier import OnlineClassifier, OracleClassifier
@@ -29,11 +29,8 @@ from repro.ltp.config import LTPConfig
 from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.oracle import OracleInfo
 from repro.ltp.predictor import HitMissPredictor
-from repro.ltp.queue import LTPQueue
+from repro.ltp.queue import NO_BOUNDARY, LTPQueue
 from repro.ltp.tickets import TicketPool, TicketTracker
-
-#: sentinel for "no boundary" (fewer than two long-latency ops in flight)
-NO_BOUNDARY = 1 << 62
 
 
 class LTPController:
@@ -241,9 +238,9 @@ class LTPController:
     # ------------------------------------------------------------------
     # wakeup policy
     # ------------------------------------------------------------------
-    def release_candidates(self, now: int, boundary_seq: int,
-                           force_seq: int, limit: int) -> List[InFlightInst]:
-        """Records eligible to leave LTP this cycle, oldest first.
+    def next_release(self, now: int, boundary_seq: int,
+                     force_seq: int) -> Optional[InFlightInst]:
+        """The record to release from LTP next, or ``None``.
 
         *boundary_seq* is the sequence number of the second-oldest
         in-flight long-latency instruction (Section 3.2's Non-Urgent
@@ -256,31 +253,14 @@ class LTPController:
         non-urgent one also only below the boundary.  Urgent records
         land in LTP only via parked-bit forcing or ticket (NR) parking,
         so they leave as soon as their tickets clear; draining (monitor
-        off) and the eager ablation drop the ROB-position rule.  The
-        FIFO queue of the NU-only design checks its head; the NR modes
-        read the queue's ready lists, which ``park`` and
-        :meth:`on_tag_known` keep current.
+        off) and the eager ablation drop the ROB-position rule.  The NR
+        modes read the queue's ready lists, which ``park`` and
+        :meth:`on_tag_known` keep current; the FIFO queue of the NU-only
+        design checks its head.
         """
-        queue = self.queue
-        head = queue.head()
-        if head is None:
-            return []
-        forced = head.seq == force_seq
-        if forced:
-            head.forced_release = True
-            if limit == 1 or queue.fifo_only:
-                return [head]
         if self._eager or not self._enabled_at(now):
             boundary_seq = NO_BOUNDARY
-        if queue.fifo_only:
-            if head.tickets or not (head.urgent or head.seq < boundary_seq):
-                return []
-            return [head]
-        if not forced:
-            return queue.ready(limit, boundary_seq)
-        # the forced head, then the oldest other ready records
-        return [head] + [record for record in queue.ready(limit, boundary_seq)
-                         if record is not head][:limit - 1]
+        return self.queue.next_release(force_seq, boundary_seq)
 
     def release(self, record: InFlightInst) -> None:
         self.queue.remove(record)

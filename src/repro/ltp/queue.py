@@ -3,15 +3,15 @@
 For the Non-Urgent-only design this is a plain FIFO queue — the paper's
 headline simplification.  For modes that park Non-Ready instructions the
 structure must release out of order, which the Appendix implements as a
-ticket CAM.  Here that CAM's select is event-driven: the controller
-marks a record *ready* when it parks with no tickets or when the
-broadcast that clears its last ticket arrives, and the queue keeps the
-ready records in two seq-ordered heaps (urgent and non-urgent), so the
-oldest releasable record is found without walking the queue.  Released
-records leave the heaps lazily, when they surface at a heap top.
-
-The generic :meth:`LTPQueue.candidates` scan remains for policies whose
-wakeup predicate is not event-driven (it may read the cycle or an RNG).
+ticket CAM.  Here that CAM's select is event-driven: the owner marks a
+record *ready* at the moment it may wake (for LTP, when it parks with
+no tickets or when the broadcast that clears its last ticket arrives;
+for the data-ready parking policies, when it parks with its operands
+ready or its last operand is written back), and the queue keeps the
+ready records in two seq-ordered heaps (urgent and non-urgent), so
+:meth:`LTPQueue.next_release` finds the oldest releasable record
+without walking the queue.  Released records leave the heaps lazily,
+when they surface at a heap top.
 
 The queue keeps running counts of parked loads, stores and
 register-destination instructions so Figure 7's utilization statistics
@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.core.params import cap
+
+#: sentinel for "no boundary" (fewer than two long-latency ops in flight)
+NO_BOUNDARY = 1 << 62
 
 
 class LTPQueue:
@@ -71,63 +74,49 @@ class LTPQueue:
     def head(self):
         return self._entries[0] if self._entries else None
 
-    def candidates(self, eligible: Callable[[object], bool],
-                   limit: int) -> List[object]:
-        """Return up to *limit* records passing *eligible*, oldest first.
-
-        FIFO mode checks only the head (a queue cannot release from the
-        middle); scan mode walks oldest-to-youngest, testing every
-        record, for wakeup predicates that no event can index.
-        """
-        found: List[object] = []
-        if self.fifo_only:
-            head = self.head()
-            if head is not None and eligible(head):
-                found.append(head)
-            return found
-        for record in self._entries:
-            if len(found) >= limit:
-                break
-            if eligible(record):
-                found.append(record)
-        return found
-
     def mark_ready(self, record) -> None:
-        """*record* is parked and holds no tickets: it may wake.
+        """*record* is parked and may now wake.
 
-        Called once per record, by the controller, when the record
-        parks ticket-free or when its last ticket is cleared.
+        Called at most once per record: by the LTP controller when the
+        record parks ticket-free or its last ticket clears, and by the
+        engines (through a data-ready policy's ``on_parked_ready``)
+        when its last operand is ready.
         """
         heappush(self._ready_urgent if record.urgent else self._ready_other,
                  (record.seq, record))
 
-    def ready(self, limit: int, boundary_seq: int) -> List[object]:
-        """Up to *limit* ready records, oldest first: every urgent one
-        and the non-urgent ones older than *boundary_seq*."""
+    def next_release(self, force_seq: int,
+                     boundary_seq: int = NO_BOUNDARY):
+        """The record to release next, or ``None``.
+
+        The head leaves first when its seq is *force_seq* (the parked
+        ROB head; its ``forced_release`` is set); otherwise the oldest
+        ready record that is urgent or older than *boundary_seq*.  A
+        FIFO queue marks nothing ready and reads only its head, which
+        is ready when it holds no tickets.  Only peeks: the record
+        stays parked until :meth:`remove`.
+        """
+        entries = self._entries
+        if not entries:
+            return None
+        head = entries[0]
+        if head.seq == force_seq:
+            head.forced_release = True
+            return head
+        if self.fifo_only:
+            if head.tickets or not (head.urgent or head.seq < boundary_seq):
+                return None
+            return head
         urgent = self._ready_urgent
         other = self._ready_other
-        taken: List[Tuple[int, object]] = []
-        while len(taken) < limit:
-            while urgent and not urgent[0][1].parked:
-                heappop(urgent)
-            while other and not other[0][1].parked:
-                heappop(other)
-            if other and other[0][0] < boundary_seq and not (
-                    urgent and urgent[0][0] < other[0][0]):
-                heap = other
-            elif urgent:
-                heap = urgent
-            else:
-                break
-            if limit == 1:  # the one-port read peeks at a heap top
-                return [heap[0][1]]
-            taken.append(heappop(heap))
-        if not taken:
-            return []
-        # reading is not releasing: the entries go back
-        for entry in taken:
-            heappush(urgent if entry[1].urgent else other, entry)
-        return [record for _, record in taken]
+        while urgent and not urgent[0][1].parked:
+            heappop(urgent)
+        while other and not other[0][1].parked:
+            heappop(other)
+        if other and other[0][0] < boundary_seq and not (
+                urgent and urgent[0][0] < other[0][0]):
+            return other[0][1]
+        return urgent[0][1] if urgent else None
 
     def remove(self, record) -> None:
         """Release *record* (must be present)."""

@@ -20,8 +20,12 @@ through a narrow hook surface and never looks inside it:
   entry/exit of the parking structure (always an
   :class:`~repro.ltp.queue.LTPQueue`, so occupancy statistics stay
   O(1) per cycle for every policy).
-* :meth:`~AllocationPolicy.on_release_scan` — the wakeup policy: which
-  parked records may leave this cycle, oldest first.
+* :meth:`~AllocationPolicy.on_release_scan` — the wakeup policy: the
+  parked record to release next, or ``None``.
+* ``on_parked_ready`` — ``None``, or a callable the engines invoke with
+  a parked record the moment its last operand is ready (at dependence
+  registration or at the writeback that clears its last wait), so a
+  data-ready wakeup is an event and never a scan of the queue.
 * completion/commit hooks (:meth:`~AllocationPolicy.on_tag_known`,
   :meth:`~AllocationPolicy.on_load_complete`,
   :meth:`~AllocationPolicy.on_commit`,
@@ -52,7 +56,7 @@ session, sweep and CLI layers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.inflight import InFlightInst
 from repro.ltp.config import LTPConfig
@@ -130,16 +134,23 @@ class AllocationPolicy:
         self.queue.push(record)
 
     # -- wakeup ---------------------------------------------------------
-    def on_release_scan(self, now: int, boundary_seq: int, force_seq: int,
-                        limit: int) -> List[InFlightInst]:
-        """Parked records eligible to leave this cycle, oldest first.
+    #: ``None``, or called by the engines with a parked record whose
+    #: last operand just became ready (see the module docstring);
+    #: ``None`` lets the engines skip the ``parked`` test entirely
+    on_parked_ready = None
+
+    def on_release_scan(self, now: int, boundary_seq: int,
+                        force_seq: int) -> Optional[InFlightInst]:
+        """The parked record to release next, or ``None``.
 
         *boundary_seq* is the second-oldest in-flight long-latency
         instruction's sequence number, *force_seq* the ROB head's when
         the head is parked (the deadlock-avoidance rule every parking
-        policy must honour).
+        policy must honour).  The engines call it once per release port
+        per cycle (and once more when every port released) and release
+        the answer if resources allow.
         """
-        return []
+        return None
 
     def release(self, record: InFlightInst) -> None:
         """*record* leaves the parking structure (resources granted)."""
@@ -215,16 +226,23 @@ class ParkingPolicy(AllocationPolicy):
     * **forced head release** — the ROB head is always eligible to
       leave, guaranteeing forward progress.
 
-    Subclasses supply :meth:`wants_park` (who parks) and
-    :meth:`may_release` (who wakes).  The parking structure is sized by
-    the run's :class:`~repro.ltp.config.LTPConfig` (``entries``,
-    ``ports``, ``release_reserve``), so the same sweep axes tune every
-    parking policy.
+    Subclasses supply :meth:`wants_park` (who parks).  Parked records
+    wake on data readiness (``waiting_on == 0``): ``on_parked_ready``
+    is the queue's ``mark_ready``, so the engines file a record in the
+    queue's seq-ordered ready heaps when its last operand is ready, and
+    :meth:`on_release_scan` reads the forced head or the oldest ready
+    record.  A policy with another wakeup rule overrides
+    :meth:`on_release_scan` and sets ``on_parked_ready`` to ``None``.
+    The parking structure is sized by the run's
+    :class:`~repro.ltp.config.LTPConfig` (``entries``, ``ports``,
+    ``release_reserve``), so the same sweep axes tune every parking
+    policy.
     """
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         super().__init__(ltp, dram_latency)
         self.queue = LTPQueue(ltp.entries, fifo_only=False)
+        self.on_parked_ready = self.queue.mark_ready
 
     @property
     def release_reserve(self) -> int:
@@ -236,11 +254,6 @@ class ParkingPolicy(AllocationPolicy):
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         """Does the policy choose to park *record*? (no forcing here)"""
-        raise NotImplementedError
-
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        """Is the parked *record* eligible to wake this cycle?"""
         raise NotImplementedError
 
     def may_allocate(self, record: InFlightInst, now: int,
@@ -261,16 +274,6 @@ class ParkingPolicy(AllocationPolicy):
         record.park_reason = reason or self.name
         return PARK
 
-    def on_release_scan(self, now: int, boundary_seq: int, force_seq: int,
-                        limit: int) -> List[InFlightInst]:
-        if not len(self.queue):
-            return []
-        may_release = self.may_release
-
-        def eligible(record: InFlightInst) -> bool:
-            if record.seq == force_seq:
-                record.forced_release = True
-                return True
-            return may_release(record, now, boundary_seq)
-
-        return self.queue.candidates(eligible, limit)
+    def on_release_scan(self, now: int, boundary_seq: int,
+                        force_seq: int) -> Optional[InFlightInst]:
+        return self.queue.next_release(force_seq)

@@ -19,11 +19,13 @@ different direction:
 
 All three ride on :class:`~repro.policies.base.ParkingPolicy`'s
 soundness machinery (parked-bit propagation, forced head release) and
-wake on data readiness (``waiting_on == 0``), so idle-skip equivalence
+its event-driven data-ready wakeup (a parked record joins the queue's
+ready heap when its last operand is ready), so idle-skip equivalence
 holds by construction: rename attempts only happen on cycles the idle
-jump never skips, and every piece of learned state advances either
-per rename attempt (exactly like the LTP classifier) or keyed by
-sequence number, identically on both simulation engines.
+jump never skips, wakeups happen only at renames and writebacks, and
+every piece of learned state advances either per rename attempt
+(exactly like the LTP classifier) or keyed by sequence number,
+identically on both simulation engines.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class ModelParkPolicy(ParkingPolicy):
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         return self._verdicts.get(record.seq, False)
 
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        return record.waiting_on == 0
-
     def on_load_complete(self, record: InFlightInst,
                          was_long_latency: bool) -> None:
         self._state.note_load_outcome(record.dyn.pc, was_long_latency)
@@ -155,10 +153,6 @@ class ConfidenceParkPolicy(ParkingPolicy):
             return False
         confidence = self._confidence.get(record.dyn.pc, self.CONF_START)
         return confidence >= self.CONF_THRESHOLD
-
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        return record.waiting_on == 0
 
     def on_commit(self, record: InFlightInst) -> None:
         if record.is_load and record.actual_ll:
@@ -256,10 +250,6 @@ class LoadPredParkPolicy(ParkingPolicy):
                     and producer.seq in predicted:
                 return True
         return False
-
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        return record.waiting_on == 0
 
     def on_load_complete(self, record: InFlightInst,
                          was_long_latency: bool) -> None:

@@ -58,7 +58,7 @@ class LTPPolicy(AllocationPolicy):
         self.observe_rename = controller.observe_rename
         self.may_allocate = controller.decide
         self.park = controller.park
-        self.on_release_scan = controller.release_candidates
+        self.on_release_scan = controller.next_release
         self.release = controller.release
         self.on_tag_known = controller.on_tag_known
         self.on_load_complete = controller.on_load_complete

@@ -15,11 +15,15 @@ imply but never simulate directly:
   issue soon anyway) and wake them when their operands are ready — a
   WIB-flavoured "park until ready" design point.
 
-All three ride on :class:`~repro.policies.base.ParkingPolicy`'s
-soundness machinery (parked-bit propagation, forced ROB-head release)
-and are parameterised by the run's LTP config (``entries``, ``ports``,
-``release_reserve``), so the ``policy-compare`` sweep preset can put
-them on the same axes as LTP itself.
+All three share the soundness machinery (parked-bit propagation,
+forced ROB-head release) and are parameterised by the run's LTP config
+(``entries``, ``ports``, ``release_reserve``), so the
+``policy-compare`` sweep preset can put them on the same axes as LTP
+itself.  Every wakeup is event-driven: ``oracle-park`` reuses LTP's
+ready lists, ``depth-park`` inherits
+:class:`~repro.policies.base.ParkingPolicy`'s data-ready wakeup, and
+``random-park`` reads only its queue head, because a countdown from
+rename expires in queue order.
 """
 
 from __future__ import annotations
@@ -86,7 +90,9 @@ class RandomParkPolicy(ParkingPolicy):
     runs are bit-reproducible across processes and machines.  Parked
     records wake ``delay`` cycles after rename (oldest first, ports
     permitting); :meth:`next_event_cycle` exposes the next countdown
-    expiry so the pipeline's idle jump never skips a wakeup.
+    expiry so the pipeline's idle jump never skips a wakeup.  Rename is
+    in order, so ``rename_cycle`` never decreases along the queue and
+    only its head can be the oldest expired record.
     """
 
     #: fraction of instructions parked (out of 65536)
@@ -98,14 +104,23 @@ class RandomParkPolicy(ParkingPolicy):
                  oracle: Optional[OracleInfo] = None) -> None:
         super().__init__(ltp, dram_latency)
         self._threshold = int(self.fraction * 65536)
+        self.on_parked_ready = None  # the countdown ignores operands
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         return _mix(record.seq, record.dyn.pc) < self._threshold
 
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        parked_at = record.rename_cycle
-        return parked_at is not None and now - parked_at >= self.delay
+    def on_release_scan(self, now: int, boundary_seq: int,
+                        force_seq: int) -> Optional[InFlightInst]:
+        head = self.queue.head()
+        if head is None:
+            return None
+        if head.seq == force_seq:
+            head.forced_release = True
+            return head
+        parked_at = head.rename_cycle
+        if parked_at is not None and now - parked_at >= self.delay:
+            return head
+        return None
 
     def next_event_cycle(self, now: int) -> Optional[int]:
         head = self.queue.head()
@@ -154,10 +169,6 @@ class DepthParkPolicy(ParkingPolicy):
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         return self._depths.get(record.seq, 0) >= self.threshold
-
-    def may_release(self, record: InFlightInst, now: int,
-                    boundary_seq: int) -> bool:
-        return record.waiting_on == 0
 
     def on_commit(self, record: InFlightInst) -> None:
         self._depths.pop(record.seq, None)

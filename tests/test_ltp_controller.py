@@ -111,16 +111,14 @@ def test_nu_wakeup_boundary():
         controller.observe_rename(r)
         controller.park(r)
     # boundary at seq 2: only records 0 and 1 eligible, FIFO head first
-    cands = controller.release_candidates(now=0, boundary_seq=2,
-                                          force_seq=-1, limit=4)
-    assert [r.seq for r in cands] == [0]
+    cand = controller.next_release(now=0, boundary_seq=2, force_seq=-1)
+    assert cand.seq == 0
     controller.release(records[0])
-    cands = controller.release_candidates(now=0, boundary_seq=2,
-                                          force_seq=-1, limit=4)
-    assert [r.seq for r in cands] == [1]
+    cand = controller.next_release(now=0, boundary_seq=2, force_seq=-1)
+    assert cand.seq == 1
     controller.release(records[1])
-    assert controller.release_candidates(now=0, boundary_seq=2,
-                                         force_seq=-1, limit=4) == []
+    assert controller.next_release(now=0, boundary_seq=2,
+                                   force_seq=-1) is None
 
 
 def test_forced_release_of_rob_head():
@@ -128,11 +126,10 @@ def test_forced_release_of_rob_head():
     record = make_record(5)
     controller.observe_rename(record)
     controller.park(record)
-    assert controller.release_candidates(0, boundary_seq=0,
-                                         force_seq=-1, limit=1) == []
-    cands = controller.release_candidates(0, boundary_seq=0,
-                                          force_seq=5, limit=1)
-    assert cands == [record]
+    assert controller.next_release(0, boundary_seq=0,
+                                   force_seq=-1) is None
+    cand = controller.next_release(0, boundary_seq=0, force_seq=5)
+    assert cand is record
     assert record.forced_release
 
 
@@ -151,11 +148,10 @@ def test_nr_mode_waits_for_tickets():
     controller.park(child)
 
     # not eligible while the ticket is live
-    assert controller.release_candidates(0, NO_BOUNDARY, -1, 4) == []
+    assert controller.next_release(0, NO_BOUNDARY, -1) is None
     controller.on_tag_known(load)
     assert load.own_ticket is None
-    cands = controller.release_candidates(0, NO_BOUNDARY, -1, 4)
-    assert cands == [child]
+    assert controller.next_release(0, NO_BOUNDARY, -1) is child
 
 
 def test_drain_when_disabled():
@@ -169,9 +165,8 @@ def test_drain_when_disabled():
     controller.observe_rename(record)
     controller.park(record)
     # after the timer expires, parked work drains regardless of boundary
-    cands = controller.release_candidates(now=50, boundary_seq=0,
-                                          force_seq=-1, limit=4)
-    assert cands == [record]
+    cand = controller.next_release(now=50, boundary_seq=0, force_seq=-1)
+    assert cand is record
 
 
 def test_oracle_classifier_required():

@@ -22,9 +22,8 @@ def test_forced_release_overrides_live_tickets():
     controller.park(child)
     assert child.tickets
     # as ROB head, the child must be releasable despite live tickets
-    cands = controller.release_candidates(0, boundary_seq=0,
-                                          force_seq=1, limit=1)
-    assert cands == [child]
+    cand = controller.next_release(0, boundary_seq=0, force_seq=1)
+    assert cand is child
 
 
 def test_ticket_exhaustion_degrades_to_ready():

@@ -1,14 +1,14 @@
 """The LTP ready lists against a linear-scan oracle.
 
-``LTPController.release_candidates`` reads the queue's ready lists,
-which ``park`` and ``on_tag_known`` update as tickets clear, instead of
+``LTPController.next_release`` reads the queue's ready lists, which
+``park`` and ``on_tag_known`` update as tickets clear, instead of
 testing every parked record each cycle.  This property test drives a
 controller through random renames (parking, dispatching and stalling),
-ticket clears, completions, releases, boundary and force changes and
-DRAM-timer monitor flips, and after every move checks the indexed
-answer (``limit`` 1 and 4) against a walk over the whole queue that
-applies the wakeup rule record by record, including which record gets
-``forced_release``.
+ticket clears, completions, releases (of any eligible record, not only
+the oldest), boundary and force changes and DRAM-timer monitor flips,
+and after every move checks the indexed answer against a walk over the
+whole queue that applies the wakeup rule record by record, including
+which record gets ``forced_release``.
 
 Hypothesis picks the controller configuration and a seed; the per-seq
 oracle bits and the move script come from ``random.Random(seed)``,
@@ -17,8 +17,10 @@ ticket clearing while the monitor drains the queue, an urgent and a
 non-urgent record ready at once) far more often than shrink-friendly
 small ones.
 
-A second property drives an ``LTPQueue`` directly and pins its one-port
-read, a peek at the heap tops, to the general pop-and-restore read.
+A second property drives an ``LTPQueue`` directly and pins
+``next_release``, a peek at the heap tops, to the rule over every ready
+entry, and checks that it leaves both heaps as they were, less
+released tops.
 """
 
 import random
@@ -41,14 +43,13 @@ MOVES = ("rename", "rename", "rename", "clear", "clear", "complete",
          "release", "release", "boundary", "force", "touch", "tick")
 
 
-def scan_candidates(controller, now, boundary_seq, force_seq, limit):
-    """The wakeup rule applied to every parked record, oldest first."""
+def scan_candidates(controller, now, boundary_seq, force_seq):
+    """The wakeup rule applied to every parked record, oldest first:
+    every eligible record, and the forced one."""
     draining = not controller.is_enabled(now)
     eager = controller.config.wakeup_policy == "eager"
     found, forced = [], []
     for record in controller.queue:
-        if len(found) >= limit:
-            break
         if record.seq == force_seq:
             forced.append(record)
             found.append(record)
@@ -127,8 +128,7 @@ def test_ready_lists_match_linear_scan(mode, wakeup, entries, tickets,
             # the engines release the oldest candidate; any one is legal
             force_seq = (controller.queue.head().seq
                          if force and len(controller.queue) else -1)
-            cands = controller.release_candidates(now, boundary,
-                                                  force_seq, 1 + arg % 4)
+            cands, _ = scan_candidates(controller, now, boundary, force_seq)
             if cands:
                 controller.release(cands[(arg >> 2) % len(cands)])
         elif move == "boundary":
@@ -143,18 +143,15 @@ def test_ready_lists_match_linear_scan(mode, wakeup, entries, tickets,
 
         force_seq = (controller.queue.head().seq
                      if force and len(controller.queue) else -1)
-        for limit in (1, 4):
-            for record in controller.queue:
-                record.forced_release = False
-            want, want_forced = scan_candidates(controller, now, boundary,
-                                                force_seq, limit)
-            got = controller.release_candidates(now, boundary, force_seq,
-                                                limit)
-            got_forced = [r for r in controller.queue if r.forced_release]
-            assert [r.seq for r in got] == [r.seq for r in want], \
-                (move, limit, now, boundary, force_seq)
-            assert all(a is b for a, b in zip(got, want))
-            assert got_forced == want_forced
+        for record in controller.queue:
+            record.forced_release = False
+        cands, want_forced = scan_candidates(controller, now, boundary,
+                                             force_seq)
+        want = cands[0] if cands else None
+        got = controller.next_release(now, boundary, force_seq)
+        got_forced = [r for r in controller.queue if r.forced_release]
+        assert got is want, (move, now, boundary, force_seq)
+        assert got_forced == want_forced
 
 
 def _without_released_tops(heap):
@@ -167,10 +164,11 @@ def _without_released_tops(heap):
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_one_port_read_peeks_at_the_general_answer(seed):
-    """``ready(1, b)`` (the engines' one-port read) answers the first
-    element of the general pop-and-restore path, and only peeks: both
-    ready heaps are left as they were, less released tops."""
+def test_ready_read_peeks_at_the_oldest_eligible(seed):
+    """``next_release`` answers the oldest ready record that is urgent
+    or older than the boundary, or the head when it is forced, and only
+    peeks: both ready heaps are left as they were, less released tops
+    (untouched when the queue is empty)."""
     rng = random.Random(seed)
     queue = LTPQueue(None, fifo_only=False)
     not_ready = []
@@ -196,17 +194,19 @@ def test_one_port_read_peeks_at_the_general_answer(seed):
         for boundary in (0, rng.randrange(next_seq + 2), NO_BOUNDARY):
             urgent = list(queue._ready_urgent)
             other = list(queue._ready_other)
-            general = LTPQueue(None, fifo_only=False)
-            general._ready_urgent = list(urgent)
-            general._ready_other = list(other)
-            want = general.ready(4, boundary)[:1]
-            assert queue.ready(1, boundary) == want
-            assert queue._ready_urgent == _without_released_tops(urgent)
-            assert queue._ready_other == _without_released_tops(other)
-            # and the answer is the rule's: the oldest ready record that
-            # is urgent or older than the boundary
             ready = sorted((entry for entry in urgent + other
                             if entry[1].parked
                             and (entry[1].urgent or entry[0] < boundary)),
                            key=lambda entry: entry[0])
-            assert want == [record for _, record in ready[:1]]
+            want = ready[0][1] if ready else None
+            assert queue.next_release(-1, boundary) is want
+            if len(queue):  # (an empty queue answers before any read)
+                urgent = _without_released_tops(urgent)
+                other = _without_released_tops(other)
+            assert queue._ready_urgent == urgent
+            assert queue._ready_other == other
+        head = queue.head()
+        if head is not None:
+            head.forced_release = False
+            assert queue.next_release(head.seq, 0) is head
+            assert head.forced_release

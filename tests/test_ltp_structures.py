@@ -134,8 +134,8 @@ def test_queue_fifo_release_order():
     records = [make_record(i) for i in range(3)]
     for r in records:
         queue.push(r)
-    found = queue.candidates(lambda r: True, limit=4)
-    assert found == [records[0]]            # head only in FIFO mode
+    assert queue.head() is records[0]       # head only in FIFO mode
+    assert queue.next_release(-1) is records[0]
     queue.remove(records[0])
     assert not records[0].parked
 
@@ -154,10 +154,14 @@ def test_queue_scan_mode_releases_any_eligible():
     records = [make_record(i) for i in range(4)]
     for r in records:
         queue.push(r)
-    found = queue.candidates(lambda r: r.seq % 2 == 1, limit=8)
-    assert [r.seq for r in found] == [1, 3]
-    queue.remove(records[3])
+    queue.mark_ready(records[3])
+    queue.mark_ready(records[1])
+    assert queue.next_release(-1) is records[1]   # oldest ready first
+    queue.remove(records[3])                      # any record may leave
     assert len(queue) == 3
+    assert queue.next_release(-1) is records[1]
+    queue.remove(records[1])
+    assert queue.next_release(-1) is None         # 3 left the heap too
 
 
 def test_queue_capacity():

@@ -100,7 +100,7 @@ def test_ltp_fifo_releases_in_seq_order(ops):
             seq += 1
             queue.push(record)
         elif len(queue):
-            head = queue.candidates(lambda r: True, 1)[0]
+            head = queue.head()
             queue.remove(head)
             released.append(head.seq)
     assert released == sorted(released)
