@@ -14,23 +14,35 @@ Checks, for every markdown file:
 * cross-document anchors ``[text](path#anchor)`` match a heading slug
   in the target markdown file.
 
+In README.md and ``docs/`` it also resolves, by import, every dotted
+name starting with ``repro.`` inside an inline code span, so a doc that
+names a module or attribute that is gone fails the check.
+
 External links (``http(s)://``, ``mailto:``) are not fetched — this is
 an offline structural check, wired into the CI lint job next to ruff.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
 from typing import List, Set
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+#: where ``repro`` imports from when the docs' names are resolved
+SRC = str(REPO_ROOT / "src")
 
 #: markdown sources checked by default
 DEFAULT_TARGETS = ("README.md", "ROADMAP.md", "CHANGES.md", "docs")
+#: the current-state docs whose ``repro.`` names must resolve (ROADMAP
+#: and CHANGES also record names that are gone)
+NAME_TARGETS = ("README.md", "docs")
 
 _LINK = re.compile(r"(?<!!)\[[^\]^]*\]\(([^)\s]+)\)")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_REPRO_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
 _CODE_FENCE = re.compile(r"^(```|~~~)")
 
@@ -77,16 +89,49 @@ def markdown_files(arguments: List[str]) -> List[Path]:
     return files
 
 
+def resolves(name: str) -> bool:
+    """Does the dotted *name* import: its longest importable module
+    prefix, then attribute lookups for the rest?"""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def checks_names(path: Path) -> bool:
+    return any(path == REPO_ROOT / target
+               or (REPO_ROOT / target) in path.parents
+               for target in NAME_TARGETS)
+
+
 def check_file(path: Path) -> List[str]:
     errors: List[str] = []
     text = path.read_text()
     in_fence = False
+    names = checks_names(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if _CODE_FENCE.match(line):
             in_fence = not in_fence
             continue
         if in_fence:
             continue
+        if names:
+            for span in _CODE_SPAN.finditer(line):
+                for name in _REPRO_NAME.findall(span.group(1)):
+                    if not resolves(name):
+                        errors.append(
+                            f"{path.relative_to(REPO_ROOT)}:{lineno}: "
+                            f"{name!r} does not resolve")
         for match in _LINK.finditer(line):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:")):
@@ -128,7 +173,8 @@ def main(argv: List[str]) -> int:
         print(error)
     checked = ", ".join(str(p.relative_to(REPO_ROOT)) for p in files)
     if errors:
-        print(f"\n{len(errors)} broken link(s)/anchor(s) in: {checked}")
+        print(f"\n{len(errors)} broken link(s)/anchor(s)/name(s) in: "
+              f"{checked}")
         return 1
     print(f"docs OK: {len(files)} file(s) checked ({checked})")
     return 0

@@ -150,15 +150,16 @@ class ResultStore:
     # loading
     # ------------------------------------------------------------------
     def _load_existing(self) -> None:
-        with open(self.path) as handle:
+        with open(self.path, "rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    payload = json.loads(line)
+                    payload = json.loads(line.decode("utf-8"))
                 except ValueError:
-                    # torn trailing write from an interrupted run
+                    # torn trailing write from an interrupted run, or
+                    # bytes that are not UTF-8 (UnicodeDecodeError)
                     self.skipped_rows += 1
                     continue
                 if not isinstance(payload, dict):

@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="none")
     run_p.add_argument("--policy", choices=policy_names(),
                        default=DEFAULT_POLICY,
-                       help="allocation policy (default: the LTP "
-                            "controller path; see repro.policies)")
+                       help="allocation policy (default: ltp, the "
+                            "paper's mechanism; see repro.policies)")
     run_p.add_argument("--engine", choices=list(ENGINES), default=None,
                        help="simulation engine: the reference object "
                             "pipeline or the bit-identical columnar "

@@ -36,7 +36,7 @@ the ticket tracker's pool accounting depends on).  It departs from the
 reference's calls only where the result is provably the same:
 
 * hooks statically known to be no-ops for the constructed policy are
-  elided (e.g. ``may_allocate`` on a disabled LTP controller, which
+  elided (e.g. ``may_allocate`` on a disabled LTP policy, which
   returns ``"dispatch"`` unconditionally without side effects);
 * ``ltp_enabled_cycles`` is read once, at run end, from
   :meth:`~repro.ltp.monitor.DramTimerMonitor.enabled_cycles`, which the
@@ -91,7 +91,7 @@ from repro.core.stats import SimStats
 from repro.isa.instructions import OpClass
 from repro.isa.trace import FU_GROUPS, DynInst, predecode_columns
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import NO_BOUNDARY, LTPController
+from repro.ltp.queue import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import AllocationPolicy, LTPPolicy
 
@@ -175,7 +175,6 @@ class KernelPipeline(Pipeline):
     def __init__(self, trace: Sequence[DynInst],
                  params: Optional[CoreParams] = None,
                  ltp: Optional[LTPConfig] = None,
-                 controller: Optional[LTPController] = None,
                  hierarchy: Optional[MemoryHierarchy] = None,
                  branch_predictor: Optional[GsharePredictor] = None,
                  warm_code: bool = True,
@@ -192,7 +191,7 @@ class KernelPipeline(Pipeline):
         # and hot-path bindings; code warming is replayed here from the
         # predecoded max_pc instead of a per-instruction scan
         super().__init__(trace, params=params, ltp=ltp,
-                         controller=controller, hierarchy=hierarchy,
+                         hierarchy=hierarchy,
                          branch_predictor=branch_predictor,
                          warm_code=False, allow_skip=allow_skip,
                          policy=policy)
@@ -332,7 +331,7 @@ class KernelPipeline(Pipeline):
         must_wait = self.memdep.must_wait
         train_violation = self.memdep.train_violation
 
-        # ---- policy seam (pre-bound attributes) ---------------------
+        # ---- policy seam (hooks bound once per run) -----------------
         observe_rename = policy.observe_rename
         may_allocate = policy.may_allocate
         policy_park = policy.park
@@ -356,18 +355,17 @@ class KernelPipeline(Pipeline):
         # replicate the hook bodies' own guards, so the sequence of
         # *effective* calls is unchanged (bit-identity contract above)
         is_ltp = isinstance(policy, LTPPolicy)
-        skip_may_allocate = (is_ltp
-                             and not policy.controller.config.enabled)
-        # a disabled LTP controller's rename/decide path never reads
+        skip_may_allocate = is_ltp and not policy.ltp_config.enabled
+        # a disabled LTP policy's rename/decide path never reads
         # producer_records (no ticket inheritance, no parked-bit scan),
         # so failed rename attempts need not build the producer tuple —
         # it is deferred to dependence registration on success
         defer_producers = skip_may_allocate
         # same reasoning one step further: a failed attempt's record is
-        # discarded unread, so with a disabled controller the capacity
+        # discarded unread, so with a disabled LTP policy the capacity
         # checks (side-effect free) run first and a stalling attempt
-        # replays only its observable work via the controller probe
-        observe_probe = (policy.controller.observe_attempt
+        # replays only its observable work via the policy's probe
+        observe_probe = (policy.observe_attempt
                          if skip_may_allocate else None)
         # stall-span jump (module docstring): marks around a stalled
         # rename attempt, for policies that declare it counter-only
@@ -377,7 +375,7 @@ class KernelPipeline(Pipeline):
         repeat_stall = policy.repeat_stall
         policy_commit = policy.on_commit
         if is_ltp:
-            # LTPController.on_commit acts only on long-latency loads
+            # LTPPolicy.on_commit acts only on long-latency loads
             commit_always = False
             commit_ll_only = True
         elif (type(policy).on_commit is AllocationPolicy.on_commit
@@ -387,10 +385,9 @@ class KernelPipeline(Pipeline):
             commit_always = True
             commit_ll_only = False
         if is_ltp:
-            # LTPController.on_load_complete acts only with a predictor
+            # LTPPolicy.on_load_complete acts only with a predictor
             load_hook = (policy.on_load_complete
-                         if policy.controller.predictor is not None
-                         else None)
+                         if policy.predictor is not None else None)
         elif (type(policy).on_load_complete
                 is AllocationPolicy.on_load_complete
                 and "on_load_complete" not in policy.__dict__):

@@ -50,12 +50,10 @@ Performance-sensitive invariants of the main loop (see README.md):
 * Stage order inside :meth:`_tick` (writeback, commit, parked release,
   rename, issue, fetch) and every statistics update are load-bearing:
   results must stay bit-identical to strict cycle-by-cycle execution.
-* The allocation policy is driven through pre-bound hook attributes
+* The allocation policy is driven through its hook methods
   (``policy.observe_rename`` / ``policy.may_allocate`` / release and
-  completion hooks); for the default ``ltp`` policy these resolve to
-  the controller's own bound methods, so the seam adds no call
-  overhead and the ``ltp`` / ``baseline-stall`` policies stay
-  bit-identical to the pre-seam monolith.
+  completion hooks); the default ``ltp`` policy holds the whole LTP
+  mechanism, so each hook is one call with no forwarding frame.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from repro.core.stats import SimStats
 from repro.isa.instructions import OpClass
 from repro.isa.trace import CODE_BASE, INST_BYTES, DynInst
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import NO_BOUNDARY, LTPController
+from repro.ltp.queue import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import AllocationPolicy, LTPPolicy, build_policy
 
@@ -103,7 +101,6 @@ class Pipeline:
     def __init__(self, trace: Sequence[DynInst],
                  params: Optional[CoreParams] = None,
                  ltp: Optional[LTPConfig] = None,
-                 controller: Optional[LTPController] = None,
                  hierarchy: Optional[MemoryHierarchy] = None,
                  branch_predictor: Optional[GsharePredictor] = None,
                  warm_code: bool = True,
@@ -114,24 +111,12 @@ class Pipeline:
         self.hierarchy = hierarchy or MemoryHierarchy(self.params.mem)
         self.bpred = branch_predictor or GsharePredictor()
         dram_latency = self.params.mem.dram_latency
-        if controller is not None:
-            # legacy wiring: adopt the caller's controller as an LTP
-            # policy (structural attributes mirror *this* pipeline's
-            # LTP config, exactly as the pre-seam monolith read them)
-            if policy is not None:
-                raise ValueError("pass either controller= or policy=, "
-                                 "not both")
-            policy = LTPPolicy(self.ltp_config, dram_latency,
-                               controller=controller)
-        elif policy is None:
+        if policy is None:
             policy = LTPPolicy(self.ltp_config, dram_latency)
         elif isinstance(policy, str):
             policy = build_policy(policy, self.ltp_config, dram_latency)
         self.policy = policy
         policy.attach_memory(self.hierarchy)
-        #: the wrapped LTP controller when the policy carries one
-        #: (legacy alias; None for non-LTP policies)
-        self.controller = getattr(policy, "controller", None)
         self.stats = SimStats()
         #: False forces strict cycle-by-cycle execution (used by tests to
         #: verify that idle-span jumping never changes results)

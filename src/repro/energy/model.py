@@ -121,7 +121,7 @@ def compute_energy(params: CoreParams, ltp: LTPConfig,
     else:
         charge_queue = policy_parks(policy, ltp)
         charge_uit = policy_uses_uit(policy, ltp)
-        # only the LTP controller's DRAM-timer monitor power-gates the
+        # only the LTP policy's DRAM-timer monitor power-gates the
         # structures; scenario parking policies clock them continuously
         power_gated = policy == DEFAULT_POLICY
 

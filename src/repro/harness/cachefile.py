@@ -27,17 +27,19 @@ class ResultCache:
 
     def lookup(self, key: str) -> Optional[Tuple[dict, str]]:
         """Resolve *key* to ``(value, source)``; source is "memory" or
-        "disk" (the first disk hit promotes the value to memory)."""
+        "disk" (the first disk hit promotes the value to memory).
+
+        A disk entry that is unreadable or not a JSON object is a miss,
+        like an absent one; the next ``put`` overwrites it."""
         if key in self._memory:
             self.hits += 1
             return self._memory[key], "memory"
-        path = self._path(key)
-        if path.is_file():
-            try:
-                with open(path) as handle:
-                    value = json.load(handle)
-            except (OSError, ValueError):
-                return None
+        try:
+            with open(self._path(key)) as handle:
+                value = json.load(handle)
+        except (OSError, ValueError):
+            value = None
+        if isinstance(value, dict):
             self._memory[key] = value
             self.hits += 1
             return value, "disk"

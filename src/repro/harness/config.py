@@ -82,8 +82,8 @@ class SimConfig:
     warmup: int = DEFAULT_WARMUP
     measure: int = DEFAULT_MEASURE
     #: allocation policy name (:mod:`repro.policies`); the default
-    #: ("ltp") is the historical controller path and is omitted from
-    #: payloads, so pre-policy configs keep their cache keys
+    #: ("ltp", the paper's mechanism) is omitted from payloads, so
+    #: pre-policy configs keep their cache keys
     policy: str = DEFAULT_POLICY
     #: frozen model artifact payload for learned policies
     #: (:mod:`repro.policies.learned`); ``None`` — the default, omitted

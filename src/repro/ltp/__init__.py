@@ -10,17 +10,18 @@
 * :mod:`repro.ltp.tickets` — ticket CAM for Non-Ready wakeup.
 * :mod:`repro.ltp.queue` — the parking structure.
 * :mod:`repro.ltp.monitor` — DRAM-timer power management.
-* :mod:`repro.ltp.controller` — the pipeline-facing integration.
+
+The pipeline-facing integration of these structures is
+:class:`repro.policies.LTPPolicy`.
 """
 
 from repro.ltp.classifier import OnlineClassifier, OracleClassifier
 from repro.ltp.config import (LTPConfig, limit_ltp, no_ltp,
                               proposed_ltp, wib_ltp)
-from repro.ltp.controller import NO_BOUNDARY, LTPController, null_controller
 from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.oracle import OracleInfo, annotate_trace
 from repro.ltp.predictor import HitMissPredictor
-from repro.ltp.queue import LTPQueue
+from repro.ltp.queue import NO_BOUNDARY, LTPQueue
 from repro.ltp.tickets import TicketPool, TicketTracker
 from repro.ltp.uit import UrgentInstructionTable
 
@@ -28,7 +29,6 @@ __all__ = [
     "DramTimerMonitor",
     "HitMissPredictor",
     "LTPConfig",
-    "LTPController",
     "LTPQueue",
     "NO_BOUNDARY",
     "OnlineClassifier",
@@ -41,6 +41,5 @@ __all__ = [
     "limit_ltp",
     "no_ltp",
     "wib_ltp",
-    "null_controller",
     "proposed_ltp",
 ]

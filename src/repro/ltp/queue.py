@@ -77,10 +77,11 @@ class LTPQueue:
     def mark_ready(self, record) -> None:
         """*record* is parked and may now wake.
 
-        Called at most once per record: by the LTP controller when the
-        record parks ticket-free or its last ticket clears, and by the
-        engines (through a data-ready policy's ``on_parked_ready``)
-        when its last operand is ready.
+        Called at most once per record: by
+        :class:`~repro.policies.LTPPolicy` when the record parks
+        ticket-free or its last ticket clears, and by the engines
+        (through a data-ready policy's ``on_parked_ready``) when its
+        last operand is ready.
         """
         heappush(self._ready_urgent if record.urgent else self._ready_other,
                  (record.seq, record))

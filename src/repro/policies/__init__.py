@@ -12,7 +12,7 @@ Term Parking is one registered policy among several — see
 Built-in policies:
 
 ========================  ============================================
-``ltp``                   the paper's controller (default; equals the
+``ltp``                   the paper's mechanism (default; equals the
                           baseline when ``ltp.enabled`` is False)
 ``baseline-stall``        rename-time allocation, never parks
 ``oracle-park``           perfect (oracle) Non-Urgent classification

@@ -145,7 +145,7 @@ class ConfidenceParkPolicy(ParkingPolicy):
 
     def observe_rename(self, record: InFlightInst) -> None:
         # one classification (and backward-propagation step) per rename
-        # attempt, exactly like the LTP controller drives the UIT
+        # attempt, exactly like the LTP policy drives the UIT
         record.urgent = self.classifier.observe_rename(record)
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:

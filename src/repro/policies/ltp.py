@@ -1,26 +1,49 @@
 """The two reference policies: the paper's LTP and the stalling baseline.
 
-:class:`LTPPolicy` re-expresses the historical pipeline/controller
-coupling as an :class:`~repro.policies.base.AllocationPolicy`: every
-hook forwards to the wrapped :class:`~repro.ltp.controller.LTPController`
-as a pre-bound method, so the refactored pipeline performs exactly the
-same operations in exactly the same order as the pre-seam monolith —
-the differential tests assert bit-identical statistics.
+:class:`LTPPolicy` is Long Term Parking as one object: it owns the
+parking queue, classifiers, ticket CAM, hit/miss predictor and
+DRAM-timer monitor, and every hook the engines drive is a method of its
+own class:
 
-:class:`BaselineStallPolicy` is the no-LTP machine made explicit: it
-wraps a *disabled* controller, so rename still classifies instructions
-(the UIT activity and urgency tallies the disabled-LTP baseline always
-recorded) but every instruction allocates at rename and stalls when a
-resource is full.
+* :meth:`~LTPPolicy.observe_rename` — classify an instruction at rename
+  (urgency, readiness/tickets, long-latency prediction).
+* :meth:`~LTPPolicy.may_allocate` — park / dispatch / stall, honouring
+  parked-bit propagation and the memory-dependence interaction of
+  Section 5.3.
+* :meth:`~LTPPolicy.on_release_scan` — the wakeup policy: Non-Urgent
+  instructions wake between the ROB head and the second in-flight
+  long-latency instruction; Non-Ready instructions wake when their
+  tickets clear; the ROB head is always forced out (Section 5.4).
+  Wakeup is event-driven, not an oldest-first scan: a record joins the
+  queue's ready lists when it parks ticket-free or when
+  :meth:`~LTPPolicy.on_tag_known` clears its last ticket, and a release
+  reads the oldest ready entry (:meth:`LTPQueue.next_release`).
+* completion/commit hooks that feed the UIT, tickets and predictor.
+
+It is an :class:`~repro.policies.base.AllocationPolicy` and not a
+:class:`~repro.policies.base.ParkingPolicy`: its NU-only design keeps a
+FIFO queue, its release reserve is 0 while disabled, and it wakes by
+ticket and ROB position rather than by data readiness.
+
+:class:`BaselineStallPolicy` is the no-LTP machine made explicit: a
+*disabled* LTP policy, so rename still classifies instructions (the UIT
+activity and urgency tallies the disabled-LTP baseline always recorded)
+but every instruction allocates at rename and stalls when a resource is
+full.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.inflight import InFlightInst
+from repro.ltp.classifier import OnlineClassifier, OracleClassifier
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import LTPController
+from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.oracle import OracleInfo
+from repro.ltp.predictor import HitMissPredictor
+from repro.ltp.queue import NO_BOUNDARY, LTPQueue
+from repro.ltp.tickets import TicketPool, TicketTracker
 from repro.policies.base import AllocationPolicy
 from repro.policies.registry import register_policy
 
@@ -30,46 +53,50 @@ from repro.policies.registry import register_policy
     needs_oracle=lambda ltp: ltp.enabled,
     parks=lambda ltp: ltp.enabled,
     uses_uit=lambda ltp: ltp.enabled,
-    description="the paper's Long Term Parking controller "
+    description="the paper's Long Term Parking mechanism "
                 "(criticality-aware deferred allocation); degrades to "
                 "the stalling baseline when ltp.enabled is False")
 class LTPPolicy(AllocationPolicy):
     """Long Term Parking, driven through the policy seam.
 
-    When *controller* is supplied (legacy ``Pipeline(controller=...)``
-    wiring and tests) it is adopted as-is; otherwise one is built from
-    *ltp*.  Structural attributes (ports, reserve, park flags) mirror
-    *ltp* exactly as the pre-seam pipeline read them off its own
-    config.
+    Structural attributes (ports, reserve, park flags) mirror *ltp*.
     """
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,
-                 oracle: Optional[OracleInfo] = None,
-                 controller: Optional[LTPController] = None) -> None:
+                 oracle: Optional[OracleInfo] = None) -> None:
+        ltp.validate()
+        if ltp.classifier == "oracle" and oracle is None:
+            raise ValueError("oracle classifier requires OracleInfo")
         super().__init__(ltp, dram_latency)
-        if controller is None:
-            controller = LTPController(ltp, dram_latency, oracle=oracle)
-        self.controller = controller
-        self.queue = controller.queue
-        self.monitor = controller.monitor
-        # pre-bound forwarding: the pipeline's per-record calls resolve
-        # to the controller's bound methods with no wrapper frame, so
-        # the hot path costs exactly what the monolith did
-        self.observe_rename = controller.observe_rename
-        self.may_allocate = controller.decide
-        self.park = controller.park
-        self.on_release_scan = controller.next_release
-        self.release = controller.release
-        self.on_tag_known = controller.on_tag_known
-        self.on_load_complete = controller.on_load_complete
-        self.on_commit = controller.on_commit
-        self.on_violation = controller.on_violation
-        self.on_dram_demand_access = controller.on_dram_demand_access
-        self.stall_marks = controller.stall_marks
-        self.repeat_stall = controller.repeat_stall
+        self.oracle = oracle
+        self.queue = LTPQueue(ltp.entries if ltp.enabled else 1,
+                              fifo_only=(ltp.mode == "nu"))
+        if ltp.classifier == "oracle":
+            self.classifier = OracleClassifier(
+                oracle, granularity=ltp.oracle_granularity)
+        else:
+            self.classifier = OnlineClassifier(uit_size=ltp.uit_size,
+                                               uit_ways=ltp.uit_ways)
+        self.predictor = (HitMissPredictor()
+                          if ltp.ll_predictor == "twolevel" else None)
+        self.tickets = TicketTracker(TicketPool(ltp.tickets))
+        monitor_mode = ltp.monitor if ltp.enabled else "off"
+        self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
+        #: ``ltp`` is immutable after ``validate()``; cache the mode
+        #: predicates and bind the classifier hook the rename hot path
+        #: consults on every attempt
+        self._parks_nr = ltp.parks_nr
+        self._parks_nu = ltp.parks_nu
+        self._eager = ltp.wakeup_policy == "eager"
+        self._classify = self.classifier.observe_rename
+        #: :meth:`is_enabled` as one call: a disabled policy's monitor
+        #: is "off", and the monitor's mode is fixed
+        self._enabled_at = self.monitor.predicate()
+        #: the online classifier's table (None for the oracle one)
+        self._uit = getattr(self.classifier, "uit", None)
 
-    #: checked against LTPController.observe_rename / decide: see
-    #: LTPController.stall_marks for what the guard covers
+    #: checked against observe_rename / may_allocate: see stall_marks
+    #: for what the guard covers
     counter_only_stalls = True
 
     @property
@@ -93,19 +120,252 @@ class LTPPolicy(AllocationPolicy):
     def defer_registers(self) -> bool:
         return self.ltp_config.defer_registers
 
+    # ------------------------------------------------------------------
+    # enable state
+    # ------------------------------------------------------------------
+    def is_enabled(self, now: int) -> bool:
+        return self.ltp_config.enabled and self.monitor.is_enabled(now)
+
+    def on_dram_demand_access(self, now: int) -> None:
+        """A demand access missed in L3 — restart the monitor timer."""
+        self.monitor.touch(now)
+
+    # ------------------------------------------------------------------
+    # rename-time classification
+    # ------------------------------------------------------------------
+    def predict_long_latency(self, record: InFlightInst) -> bool:
+        dyn = record.dyn
+        # pre-decoded nonpipelined <=> op class in LONG_FIXED_CLASSES
+        # (both are exactly the divide classes)
+        if dyn.nonpipelined:
+            return True
+        if not dyn.is_load:
+            return False
+        if self.predictor is not None:
+            return self.predictor.predict_long_latency(dyn.pc)
+        if self.oracle is not None:
+            return self.oracle.is_long_latency(record.seq)
+        return False
+
+    def observe_rename(self, record: InFlightInst) -> None:
+        """Classify *record*; set urgency/readiness/ticket state.
+
+        Runs on every rename *attempt* (retried stalls included), so the
+        long-latency prediction is inlined for the common cases: records
+        that are neither loads nor divides keep ``predicted_ll`` at the
+        ``False`` their constructor set, without a predictor call.
+        """
+        record.urgent = self._classify(record)
+        dyn = record.dyn
+        if self._parks_nr:
+            self.tickets.inherit(record, record.producer_records)
+            record.non_ready = bool(record.tickets)
+            predicted = (True if dyn.nonpipelined else
+                         dyn.is_load and self.predict_long_latency(record))
+            record.predicted_ll = predicted
+            if predicted:
+                self.tickets.grant(record)
+        elif dyn.nonpipelined:
+            record.predicted_ll = True
+        elif dyn.is_load:
+            record.predicted_ll = self.predict_long_latency(record)
+
+    def observe_attempt(self, dyn) -> bool:
+        """Replay :meth:`observe_rename`'s observable side effects for
+        a rename attempt whose record is about to be discarded on a
+        capacity stall, without constructing the record.
+
+        Only valid on a *disabled* policy (``parks_nr`` False, so no
+        ticket inheritance): the classifier probe and — for loads — the
+        hit/miss predictor lookup are then the only state the reference
+        attempt mutates; everything else the attempt writes lands on the
+        discarded record.  (The oracle long-latency lookup is a pure
+        list read and is elided.)  Returns the urgency bit so the caller
+        can keep the per-attempt classification counters.
+        """
+        urgent = self.classifier.classify_dyn(dyn)
+        if (self.predictor is not None and dyn.is_load
+                and not dyn.nonpipelined):
+            self.predictor.predict_long_latency(dyn.pc)
+        return urgent
+
+    # ------------------------------------------------------------------
+    # stalled rename attempts
+    # ------------------------------------------------------------------
+    def stall_marks(self, dyn) -> tuple:
+        """``(guard, *counters)`` around a rename attempt of *dyn*.
+
+        The attempt's hooks (:meth:`observe_rename` or
+        :meth:`observe_attempt`, then :meth:`may_allocate`) write the
+        discarded record, and otherwise only:
+
+        * counters: classifier lookups and UIT inserts, the hit/miss
+          predictor's lookup tallies, ``park_stalls`` and the ticket
+          pool's ``exhausted``;
+        * the guarded state: UIT fills (an insert that added or evicted
+          an entry), *dyn*'s RAT-extension producer-PC entry and
+          ticket grants (a granted ticket is never released);
+        * inert state: UIT hits and re-inserts of resident PCs refresh
+          LRU stamps, which a repeat re-applies in the same order, and
+          ticket inheritance adds the discarded record to a ticket's
+          holder list, which clearing the ticket later only strips
+          from the record (a record that never parked is never marked
+          ready).
+
+        So an attempt whose guard did not move repeats with the same
+        outcome and the same counter deltas.
+        """
+        pool = self.tickets.pool
+        uit = self._uit
+        if uit is not None:
+            guard = (uit.fills, pool.allocated,
+                     self.classifier._producer_pc.get(dyn.inst.dst))
+            lookups, inserts = uit.lookups, uit.inserts
+        else:
+            guard = pool.allocated
+            lookups, inserts = self.classifier.lookups, 0
+        predictor = self.predictor
+        return (guard, lookups, inserts, self.park_stalls, pool.exhausted,
+                predictor.lookups if predictor else 0,
+                predictor.predicted_misses if predictor else 0)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        """Charge *times* more repeats of an attempt whose
+        :meth:`stall_marks` went from *before* to *after*."""
+        lookups, inserts, park_stalls, exhausted, pred_lookups, pred_misses = (
+            (a - b) * times for a, b in zip(after[1:], before[1:]))
+        uit = self._uit
+        if uit is not None:
+            uit.lookups += lookups
+            uit.inserts += inserts
+        else:
+            self.classifier.lookups += lookups
+        self.park_stalls += park_stalls
+        self.tickets.pool.exhausted += exhausted
+        predictor = self.predictor
+        if predictor is not None:
+            predictor.lookups += pred_lookups
+            predictor.predicted_misses += pred_misses
+
+    # ------------------------------------------------------------------
+    # parking decision
+    # ------------------------------------------------------------------
+    def may_allocate(self, record: InFlightInst, now: int,
+                     memdep_forced: bool = False) -> str:
+        """Return "park", "dispatch" or "stall" for a renamed record."""
+        if not self.ltp_config.enabled:
+            return "dispatch"
+        forced = memdep_forced
+        reason = "memdep" if memdep_forced else None
+        if not forced:
+            for producer in record.producer_records:
+                if producer is not None and producer.parked:
+                    forced = True
+                    reason = "parked-bit"
+                    break
+        want_park = forced
+        if not want_park and self._enabled_at(now):
+            if self._parks_nu and not record.urgent:
+                want_park = True
+                reason = "non-urgent"
+            elif self._parks_nr and record.non_ready:
+                want_park = True
+                reason = "non-ready"
+        if not want_park:
+            return "dispatch"
+        if self.queue.full:
+            self.park_stalls += 1
+            return "stall"
+        record.park_reason = reason
+        return "park"
+
+    def park(self, record: InFlightInst) -> None:
+        self.queue.push(record)
+        if self._parks_nr and not record.tickets:
+            self.queue.mark_ready(record)
+
+    # ------------------------------------------------------------------
+    # wakeup policy
+    # ------------------------------------------------------------------
+    def on_release_scan(self, now: int, boundary_seq: int,
+                        force_seq: int) -> Optional[InFlightInst]:
+        """The record to release from LTP next, or ``None``.
+
+        *boundary_seq* is the sequence number of the second-oldest
+        in-flight long-latency instruction (Section 3.2's Non-Urgent
+        criterion); *force_seq* is the ROB head's sequence number when
+        the head is parked (deadlock avoidance, Section 5.4).  The head
+        of the queue is then the ROB head, and it leaves first,
+        tickets or not.
+
+        Otherwise a record is eligible once it holds no tickets, and a
+        non-urgent one also only below the boundary.  Urgent records
+        land in LTP only via parked-bit forcing or ticket (NR) parking,
+        so they leave as soon as their tickets clear; draining (monitor
+        off) and the eager ablation drop the ROB-position rule.  The NR
+        modes read the queue's ready lists, which ``park`` and
+        :meth:`on_tag_known` keep current; the FIFO queue of the NU-only
+        design checks its head.
+        """
+        if self._eager or not self._enabled_at(now):
+            boundary_seq = NO_BOUNDARY
+        return self.queue.next_release(force_seq, boundary_seq)
+
+    # ------------------------------------------------------------------
+    # event hooks
+    # ------------------------------------------------------------------
+    def on_tag_known(self, record: InFlightInst) -> None:
+        """Early data-return signal: clear the record's ticket.
+
+        Tickets only shrink once a record is renamed, so a parked
+        holder left with none becomes ready exactly here, once.
+        """
+        ticket = record.own_ticket
+        if ticket is not None:
+            record.own_ticket = None
+            mark_ready = self.queue.mark_ready
+            for holder in self.tickets.clear(ticket):
+                if holder.parked and not holder.tickets:
+                    mark_ready(holder)
+
+    def on_load_complete(self, record: InFlightInst,
+                         was_long_latency: bool) -> None:
+        if self.predictor is not None:
+            self.predictor.update(record.dyn.pc, was_long_latency)
+
+    def on_commit(self, record: InFlightInst) -> None:
+        if record.actual_ll and record.dyn.is_load:
+            self.classifier.on_long_latency_commit(record.dyn.pc)
+
+    def on_violation(self, load_pc: int, store_pc: int) -> None:
+        self.classifier.on_violation(store_pc)
+
+    # ------------------------------------------------------------------
+    # warmup / wrap-up
+    # ------------------------------------------------------------------
     def warm_from_trace(self, warmup_slice: Sequence,
                         long_latency_flags: Optional[Sequence]) -> None:
-        if long_latency_flags is not None and self.ltp_config.enabled:
-            self.controller.warm_from_trace(warmup_slice,
-                                            long_latency_flags)
+        """Pre-train the online classifier and the hit/miss predictor
+        from a warmup slice (an enabled policy with flags only)."""
+        if long_latency_flags is None or not self.ltp_config.enabled:
+            return
+        if isinstance(self.classifier, OnlineClassifier):
+            events = ((dyn.pc, dyn.inst.srcs, dyn.inst.dst, bool(flag))
+                      for dyn, flag in zip(warmup_slice,
+                                           long_latency_flags))
+            self.classifier.warm(events, None)
+        if self.predictor is not None:
+            for dyn, flag in zip(warmup_slice, long_latency_flags):
+                if dyn.is_load:
+                    self.predictor.update(dyn.pc, bool(flag))
 
     def stats_extra(self, stats) -> None:
-        classifier = self.controller.classifier
-        uit = getattr(classifier, "uit", None)
+        uit = self._uit
         if uit is not None:
             stats.uit_lookups = uit.lookups
             stats.uit_inserts = uit.inserts
-        stats.ltp_park_stalls = self.controller.park_stalls
+        stats.ltp_park_stalls = self.park_stalls
 
 
 @register_policy(
@@ -115,10 +375,10 @@ class LTPPolicy(AllocationPolicy):
 class BaselineStallPolicy(LTPPolicy):
     """The conventional machine: rename-time allocation, no parking.
 
-    Built on a disabled controller so classification side effects (UIT
-    lookups, urgency tallies) match the historical no-LTP runs
-    bit-for-bit, while the LTP mechanism itself is forced off even if
-    the run's LTP config says ``enabled=True``.
+    A disabled LTP policy, so classification side effects (UIT lookups,
+    urgency tallies) match the historical no-LTP runs bit-for-bit,
+    while the LTP mechanism itself is forced off even if the run's LTP
+    config says ``enabled=True``.
     """
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,

@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.ltp.config import LTPConfig
 from repro.util import first_doc_line
 
-#: the policy every config uses unless told otherwise — the LTP
-#: controller path, which with ``ltp.enabled=False`` behaves exactly
+#: the policy every config uses unless told otherwise — the paper's
+#: LTP mechanism, which with ``ltp.enabled=False`` behaves exactly
 #: like the stalling baseline.  Configs carrying this default serialize
 #: without a ``policy`` field, so historical payloads and cache keys
 #: are untouched.

@@ -102,6 +102,22 @@ def test_store_skips_non_object_json_rows(tmp_path):
     assert reopened.skipped_rows == 3
 
 
+def test_store_skips_undecodable_rows(tmp_path):
+    """A row that is not UTF-8 is skipped and counted, not a crash."""
+    path = tmp_path / "store.jsonl"
+    with ResultStore(path, sweep_id="s1") as store:
+        store.append(make_result("compute_int"))
+    second = make_result("stream_triad")
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\xfe\n")
+        handle.write(json.dumps(second.to_dict()).encode() + b"\n")
+    with ResultStore(path) as reopened:
+        assert len(reopened) == 2
+        assert reopened.skipped_rows == 1
+        assert reopened.add(make_result("compute_int", measure=200))
+    assert len(ResultStore(path)) == 3
+
+
 def test_store_contains_and_missing_get(tmp_path):
     store = ResultStore(tmp_path / "store.jsonl")
     result = make_result()

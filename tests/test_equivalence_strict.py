@@ -32,7 +32,7 @@ from repro.core.pipeline import Pipeline
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads import get_workload
@@ -64,8 +64,8 @@ def mismatches(base: dict, other: dict) -> dict:
 def _pipeline_random(trace, core, ltp, **kwargs):
     oracle = annotate_trace(trace, core.mem,
                             window=min(core.rob_size or 256, 256))
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    return Pipeline(trace, params=core, ltp=ltp, controller=controller,
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+    return Pipeline(trace, params=core, ltp=ltp, policy=policy,
                     **kwargs)
 
 
@@ -118,12 +118,11 @@ def _run_workload(name, core, ltp, warmup, measure, **kwargs):
                    warm_regions=workload.warm_regions)
     bpred = GsharePredictor()
     warm_branch_predictor(bpred, warmup_slice)
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
     if ltp.enabled and oracle is not None and warmup:
-        controller.warm_from_trace(warmup_slice,
-                                   oracle.long_latency[:warmup])
+        policy.warm_from_trace(warmup_slice, oracle.long_latency[:warmup])
     pipeline = Pipeline(trace[warmup:], params=core, ltp=ltp,
-                        controller=controller, hierarchy=hierarchy,
+                        policy=policy, hierarchy=hierarchy,
                         branch_predictor=bpred, **kwargs)
     return full_stats(pipeline)
 

@@ -1,7 +1,7 @@
 """Golden statistics: both engines against a recorded fixture.
 
 The object-vs-kernel differentials run the same shared code (LTP
-controller, memory hierarchy) on both sides, so a change to that code
+policy, memory hierarchy) on both sides, so a change to that code
 moves both engines together and those tests stay green.  This module
 pins the full ``SimStats.as_dict()`` plus the hierarchy's demand and
 rejection counters of a few small points to ``golden_stats.json``,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.pipeline import Pipeline
 from repro.ltp.config import LTPConfig, limit_ltp, wib_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 
 from tests.test_pipeline_ltp import miss_trace, run_with_ltp, small_core
@@ -37,10 +37,8 @@ def test_wib_allocates_registers_at_rename():
     oracle = annotate_trace(trace, core.mem, window=64)
 
     def run(ltp):
-        controller = LTPController(ltp, core.mem.dram_latency,
-                                   oracle=oracle)
-        pipeline = Pipeline(trace, params=core, ltp=ltp,
-                            controller=controller)
+        policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+        pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
         return pipeline.run()
 
     wib_stats = run(wib_ltp())

@@ -4,44 +4,44 @@ transitions mid-flight, ticket exhaustion, and mixed-mode interactions."""
 
 from repro.core.pipeline import Pipeline
 from repro.ltp.config import limit_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 
 from tests.conftest import make_trace
-from tests.test_ltp_controller import make_record, oracle_controller
+from tests.test_ltp_controller import make_record, oracle_policy
 from tests.test_pipeline_ltp import miss_trace, run_with_ltp, small_core
 
 
 def test_forced_release_overrides_live_tickets():
-    controller = oracle_controller(mode="nr", ll_seqs={0})
+    policy = oracle_policy(mode="nr", ll_seqs={0})
     load = make_record(0, opcode="ld", dst="r1", srcs=("r2",))
-    controller.observe_rename(load)
+    policy.observe_rename(load)
     child = make_record(1)
     child.producer_records = (load, None)
-    controller.observe_rename(child)
-    controller.park(child)
+    policy.observe_rename(child)
+    policy.park(child)
     assert child.tickets
     # as ROB head, the child must be releasable despite live tickets
-    cand = controller.next_release(0, boundary_seq=0, force_seq=1)
+    cand = policy.on_release_scan(0, boundary_seq=0, force_seq=1)
     assert cand is child
 
 
 def test_ticket_exhaustion_degrades_to_ready():
     """With zero free tickets, new LL loads cannot be tracked and their
     descendants are treated Ready (not parked in NR mode)."""
-    controller = oracle_controller(mode="nr", ll_seqs={0, 1})
-    controller.tickets.pool.capacity = 1
+    policy = oracle_policy(mode="nr", ll_seqs={0, 1})
+    policy.tickets.pool.capacity = 1
     first = make_record(0, opcode="ld", dst="r1", srcs=("r2",))
-    controller.observe_rename(first)
+    policy.observe_rename(first)
     assert first.own_ticket is not None
     second = make_record(1, opcode="ld", dst="r3", srcs=("r2",))
-    controller.observe_rename(second)
+    policy.observe_rename(second)
     assert second.own_ticket is None      # pool exhausted
     consumer = make_record(2)
     consumer.producer_records = (second, None)
-    controller.observe_rename(consumer)
+    policy.observe_rename(consumer)
     assert not consumer.tickets
-    assert controller.decide(consumer, now=0) == "dispatch"
+    assert policy.may_allocate(consumer, now=0) == "dispatch"
 
 
 def test_monitor_toggle_mid_run_keeps_correctness():
@@ -67,8 +67,8 @@ def test_monitor_toggle_mid_run_keeps_correctness():
     ltp = limit_ltp("nu").but(monitor="auto", park_loads=False,
                               park_stores=False)
     oracle = annotate_trace(trace, core.mem, window=64)
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     stats = pipeline.run()
     assert stats.committed == len(trace)
     # LTP parked during the miss phase but the compute tail ran with the

@@ -1,16 +1,16 @@
 """The LTP ready lists against a linear-scan oracle.
 
-``LTPController.next_release`` reads the queue's ready lists, which
+``LTPPolicy.on_release_scan`` reads the queue's ready lists, which
 ``park`` and ``on_tag_known`` update as tickets clear, instead of
 testing every parked record each cycle.  This property test drives a
-controller through random renames (parking, dispatching and stalling),
+policy through random renames (parking, dispatching and stalling),
 ticket clears, completions, releases (of any eligible record, not only
 the oldest), boundary and force changes and DRAM-timer monitor flips,
 and after every move checks the indexed answer against a walk over the
 whole queue that applies the wakeup rule record by record, including
 which record gets ``forced_release``.
 
-Hypothesis picks the controller configuration and a seed; the per-seq
+Hypothesis picks the policy configuration and a seed; the per-seq
 oracle bits and the move script come from ``random.Random(seed)``,
 because uniformly drawn scripts reach the rare interleavings (a
 ticket clearing while the monitor drains the queue, an urgent and a
@@ -30,7 +30,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import NO_BOUNDARY, LTPController
+from repro.ltp.queue import NO_BOUNDARY
+from repro.policies import LTPPolicy
 from repro.ltp.queue import LTPQueue
 
 from tests.test_ltp_controller import make_oracle, make_record
@@ -43,13 +44,13 @@ MOVES = ("rename", "rename", "rename", "clear", "clear", "complete",
          "release", "release", "boundary", "force", "touch", "tick")
 
 
-def scan_candidates(controller, now, boundary_seq, force_seq):
+def scan_candidates(policy, now, boundary_seq, force_seq):
     """The wakeup rule applied to every parked record, oldest first:
     every eligible record, and the forced one."""
-    draining = not controller.is_enabled(now)
-    eager = controller.config.wakeup_policy == "eager"
+    draining = not policy.is_enabled(now)
+    eager = policy.ltp_config.wakeup_policy == "eager"
     found, forced = [], []
-    for record in controller.queue:
+    for record in policy.queue:
         if record.seq == force_seq:
             forced.append(record)
             found.append(record)
@@ -85,8 +86,7 @@ def test_ready_lists_match_linear_scan(mode, wakeup, entries, tickets,
                        classifier="oracle", oracle_granularity="dynamic",
                        ll_predictor="oracle", tickets=tickets,
                        monitor="auto", wakeup_policy=wakeup)
-    controller = LTPController(config, dram_latency=DRAM_LATENCY,
-                               oracle=oracle)
+    policy = LTPPolicy(config, dram_latency=DRAM_LATENCY, oracle=oracle)
     renamed = []            # every record that got past rename, in order
     next_seq = 0
     now = 0
@@ -105,51 +105,51 @@ def test_ready_lists_match_linear_scan(mode, wakeup, entries, tickets,
                 recent[(arg >> shift) % len(recent)]
                 if recent and (arg >> shift) & 8 else None
                 for shift in (0, 4)[:len(srcs)])
-            controller.observe_rename(record)
-            verdict = controller.decide(record, now,
-                                        memdep_forced=arg % 11 == 0)
+            policy.observe_rename(record)
+            verdict = policy.may_allocate(record, now,
+                                          memdep_forced=arg % 11 == 0)
             if verdict == "stall":
                 continue     # the attempt's record is discarded
             if verdict == "park":
-                controller.park(record)
+                policy.park(record)
             renamed.append(record)
             next_seq += 1
         elif move == "clear":
             owners = [r for r in renamed if r.own_ticket is not None]
             if owners:
-                controller.on_tag_known(owners[arg % len(owners)])
+                policy.on_tag_known(owners[arg % len(owners)])
         elif move == "complete":
             live = [r for r in renamed if not r.parked and not r.done]
             if live:
                 record = live[arg % len(live)]
                 record.done = True
-                controller.on_tag_known(record)
+                policy.on_tag_known(record)
         elif move == "release":
             # the engines release the oldest candidate; any one is legal
-            force_seq = (controller.queue.head().seq
-                         if force and len(controller.queue) else -1)
-            cands, _ = scan_candidates(controller, now, boundary, force_seq)
+            force_seq = (policy.queue.head().seq
+                         if force and len(policy.queue) else -1)
+            cands, _ = scan_candidates(policy, now, boundary, force_seq)
             if cands:
-                controller.release(cands[(arg >> 2) % len(cands)])
+                policy.release(cands[(arg >> 2) % len(cands)])
         elif move == "boundary":
             boundary = (NO_BOUNDARY if arg % 5 == 0
                         else arg % (next_seq + 3))
         elif move == "force":
             force = not force
         elif move == "touch":
-            controller.on_dram_demand_access(now)
+            policy.on_dram_demand_access(now)
         elif move == "tick":
             now += 1 + (arg % 8 if arg % 5 else DRAM_LATENCY)
 
-        force_seq = (controller.queue.head().seq
-                     if force and len(controller.queue) else -1)
-        for record in controller.queue:
+        force_seq = (policy.queue.head().seq
+                     if force and len(policy.queue) else -1)
+        for record in policy.queue:
             record.forced_release = False
-        cands, want_forced = scan_candidates(controller, now, boundary,
+        cands, want_forced = scan_candidates(policy, now, boundary,
                                              force_seq)
         want = cands[0] if cands else None
-        got = controller.next_release(now, boundary, force_seq)
-        got_forced = [r for r in controller.queue if r.forced_release]
+        got = policy.on_release_scan(now, boundary, force_seq)
+        got_forced = [r for r in policy.queue if r.forced_release]
         assert got is want, (move, now, boundary, force_seq)
         assert got_forced == want_forced
 

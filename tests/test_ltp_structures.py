@@ -8,7 +8,7 @@ from repro.core.inflight import InFlightInst
 from repro.isa.instructions import Instruction
 from repro.isa.trace import DynInst
 from repro.ltp.config import LTPConfig
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.predictor import HitMissPredictor
 from repro.ltp.queue import LTPQueue
@@ -251,13 +251,13 @@ def test_enabled_controller_with_monitor_off_is_never_enabled():
     """``touch`` still moves the timer of an "off" monitor, so the
     shortcuts must go through the mode, not read the timer."""
     config = LTPConfig(enabled=True, mode="nu", monitor="off")
-    controller = LTPController(config, dram_latency=50)
+    policy = LTPPolicy(config, dram_latency=50)
     for now in (0, 10, 70):
-        controller.on_dram_demand_access(now)
-    monitor = controller.monitor
+        policy.on_dram_demand_access(now)
+    monitor = policy.monitor
     assert monitor.expiry == 120 and monitor.touches == 3
-    assert not any(controller._enabled_at(now) for now in range(130))
-    assert not any(controller.is_enabled(now) for now in range(130))
+    assert not any(policy._enabled_at(now) for now in range(130))
+    assert not any(policy.is_enabled(now) for now in range(130))
     assert monitor.enabled_cycles(100) == 0
     assert sum(monitor.enabled_span(now, now + 1)
                for now in range(100)) == 0

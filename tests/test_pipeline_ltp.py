@@ -4,7 +4,7 @@
 from repro.core.params import CoreParams
 from repro.core.pipeline import Pipeline
 from repro.ltp.config import LTPConfig, limit_ltp, no_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 
 from tests.conftest import make_trace
@@ -38,8 +38,8 @@ def run_with_ltp(trace, core=None, ltp=None, window=64):
     core = core or CoreParams()
     ltp = ltp or no_ltp()
     oracle = annotate_trace(trace, core.mem, window=window)
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     return pipeline, pipeline.run()
 
 
@@ -159,8 +159,8 @@ def test_online_classifier_end_to_end():
     ltp = LTPConfig(enabled=True, mode="nu", entries=64, ports=4,
                     classifier="online", uit_size=256,
                     ll_predictor="twolevel", monitor="on").validate()
-    controller = LTPController(ltp, core.mem.dram_latency)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     stats = pipeline.run()
     assert stats.committed == len(trace)
     assert stats.ltp_parked > 0
@@ -182,8 +182,8 @@ def test_invariant_iq_never_waits_on_parked():
     ltp = limit_ltp("nu").but(monitor="on", park_loads=False,
                               park_stores=False)
     oracle = annotate_trace(trace, core.mem, window=64)
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
 
     violations = []
     original_insert = pipeline.iq.insert

@@ -17,7 +17,6 @@ from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp, proposed_ltp
-from repro.ltp.controller import LTPController
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
                             BaselineStallPolicy, LTPPolicy, build_policy,
                             policy_descriptions, policy_info, policy_names,
@@ -144,19 +143,12 @@ def test_depth_park_tracks_dependence_depth():
     assert deep.committed == len(chain)
 
 
-def test_pipeline_rejects_policy_and_controller_together():
-    trace = default_session().get_trace("compute_int", 50)
-    controller = LTPController(no_ltp(), 190)
-    with pytest.raises(ValueError, match="not both"):
-        Pipeline(trace, controller=controller, policy="baseline-stall")
-
-
 def test_pipeline_accepts_policy_by_name():
     trace = default_session().get_trace("compute_int", 100)
     pipeline = Pipeline(trace, params=ltp_params(), ltp=proposed_ltp(),
                         policy="random-park")
     assert pipeline.policy.name == "random-park"
-    assert pipeline.controller is None  # no LTP controller wrapped
+    assert not isinstance(pipeline.policy, LTPPolicy)
     assert pipeline.run().committed == 100
 
 

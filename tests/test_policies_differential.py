@@ -10,9 +10,10 @@ nothing for the behaviors that existed before it:
    proves cache-key stability: if adding ``SimConfig.policy`` had
    perturbed the key, the tracked files would simply not be found.
 2. **Seam-wiring equivalence** — ``policy="ltp"`` /
-   ``policy="baseline-stall"`` through the registry must equal the
-   legacy explicit ``Pipeline(controller=...)`` wiring bit-for-bit
-   over a config grid (workloads x LTP variants x queue sizes).
+   ``policy="baseline-stall"`` through the registry must equal a
+   hand-built :class:`~repro.policies.LTPPolicy` with explicit warmup
+   bit-for-bit over a config grid (workloads x LTP variants x queue
+   sizes).
 3. **Soundness of the whole policy space** — every registered policy,
    over random programs and random cores, runs deadlock-free,
    commits every instruction exactly once, respects structure
@@ -42,7 +43,7 @@ from repro.core.pipeline import Pipeline
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import build_policy, policy_names, policy_needs_oracle
@@ -126,10 +127,10 @@ def test_baseline_stall_matches_tracked_no_ltp_stats(tmp_path):
 
 
 # ================================================================
-# 2. registry path == legacy explicit controller wiring
+# 2. registry path == hand-built LTP policy
 # ================================================================
-def _legacy_stats(name, core, ltp, warmup, measure):
-    """The pre-seam wiring: hand-built controller, explicit warmup."""
+def _hand_built_stats(name, core, ltp, warmup, measure):
+    """A hand-built LTPPolicy with explicit warmup, no registry."""
     total = warmup + measure
     trace = default_session().get_trace(name, total)
     workload = get_workload(name)
@@ -141,12 +142,11 @@ def _legacy_stats(name, core, ltp, warmup, measure):
                    warm_regions=workload.warm_regions)
     bpred = GsharePredictor()
     warm_branch_predictor(bpred, warmup_slice)
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
     if ltp.enabled and oracle is not None and warmup:
-        controller.warm_from_trace(warmup_slice,
-                                   oracle.long_latency[:warmup])
+        policy.warm_from_trace(warmup_slice, oracle.long_latency[:warmup])
     pipeline = Pipeline(trace[warmup:], params=core, ltp=ltp,
-                        controller=controller, hierarchy=hierarchy,
+                        policy=policy, hierarchy=hierarchy,
                         branch_predictor=bpred)
     return pipeline.run().equivalence_signature()
 
@@ -188,20 +188,20 @@ GRID_LTP = (
 @pytest.mark.parametrize("workload", GRID_WORKLOADS)
 @pytest.mark.parametrize("label,ltp", GRID_LTP, ids=[g[0] for g in GRID_LTP])
 def test_ltp_policy_bit_identical_to_legacy_wiring(workload, label, ltp):
-    legacy = _legacy_stats(workload, ltp_params(), ltp, 500, 400)
+    hand_built = _hand_built_stats(workload, ltp_params(), ltp, 500, 400)
     seam = _policy_stats("ltp", workload, ltp_params(), ltp, 500, 400)
-    mismatches = {key: (legacy[key], seam[key])
-                  for key in legacy if legacy[key] != seam[key]}
+    mismatches = {key: (hand_built[key], seam[key])
+                  for key in hand_built if hand_built[key] != seam[key]}
     assert not mismatches, (workload, label, mismatches)
 
 
 def test_baseline_stall_bit_identical_to_disabled_ltp():
     for workload in GRID_WORKLOADS:
-        legacy = _legacy_stats(workload, baseline_params(), no_ltp(),
-                               500, 400)
+        hand_built = _hand_built_stats(workload, baseline_params(),
+                                       no_ltp(), 500, 400)
         seam = _policy_stats("baseline-stall", workload, baseline_params(),
                              no_ltp(), 500, 400)
-        assert legacy == seam, workload
+        assert hand_built == seam, workload
 
 
 # ================================================================

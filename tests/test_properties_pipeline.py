@@ -13,7 +13,7 @@ from repro.core.pipeline import Pipeline
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import LTPConfig, limit_ltp, no_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 
 
@@ -102,8 +102,8 @@ def test_random_program_random_config_completes(seed):
     ltp = random_ltp(rng)
     oracle = annotate_trace(trace, core.mem,
                             window=min(core.rob_size or 256, 256))
-    controller = LTPController(ltp, core.mem.dram_latency, oracle=oracle)
-    pipeline = Pipeline(trace, params=core, ltp=ltp, controller=controller)
+    policy = LTPPolicy(ltp, core.mem.dram_latency, oracle=oracle)
+    pipeline = Pipeline(trace, params=core, ltp=ltp, policy=policy)
     stats = pipeline.run()
     assert stats.committed == len(trace)
     assert stats.occupancies["rob"].peak <= (core.rob_size or 1 << 30)

@@ -94,3 +94,39 @@ def test_pooled_run_writes_the_session_cache_from_the_parent(tmp_path,
             assert disk_entry(session, result.key) == result.stats
     callers = {line.split()[0] for line in log.read_text().splitlines()}
     assert callers == {str(os.getpid())}
+
+
+@pytest.mark.parametrize("entry", ["null", "[1, 2]", "{torn"],
+                         ids=["null", "list", "unreadable"])
+def test_a_disk_entry_that_is_no_object_is_a_miss(tmp_path, entry):
+    (tmp_path / "k.json").write_text(entry)
+    cache = ResultCache(str(tmp_path))
+    assert cache.lookup("k") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    cache.put("k", {"cycles": 1})
+    assert ResultCache(str(tmp_path)).lookup("k") == ({"cycles": 1}, "disk")
+
+
+@pytest.mark.parametrize("entry", ["null", "[1, 2]"], ids=["null", "list"])
+def test_a_non_object_cache_entry_is_resimulated(tmp_path, entry):
+    """``Session.run`` and the batched ``Session._drive`` path both
+    re-simulate over such an entry, overwrite it, and store only the
+    simulated statistics."""
+    config = stream_points()[0]
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    entry_path = cache_dir / f"{config.key()}.json"
+    entry_path.write_text(entry)
+    with Session(cache_dir=str(cache_dir)) as session:
+        result = session.run(config)
+        assert result.source == "simulated"
+        assert isinstance(result.stats, dict) and result.ipc > 0
+        assert disk_entry(session, config.key()) == result.stats
+    entry_path.write_text(entry)
+    with Session(cache_dir=str(cache_dir)) as session, \
+            ResultStore(tmp_path / "store.jsonl") as store:
+        [batched] = session.run_many([config], store=store)
+        assert batched.source == "simulated"
+        assert batched.stats == result.stats
+        assert store.get(config.key()).stats == result.stats
+        assert disk_entry(session, config.key()) == result.stats

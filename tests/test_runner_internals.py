@@ -6,7 +6,7 @@ from repro.api import default_session
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.workloads import get_workload
 
 
@@ -57,11 +57,10 @@ def test_online_warmup_pretrains_uit():
     core = baseline_params()
     oracle = default_session().get_oracle("sparse_gather", 3000, core)
     config = proposed_ltp()
-    controller = LTPController(config, core.mem.dram_latency,
-                               oracle=oracle)
-    controller.warm_from_trace(trace[:2500], oracle.long_latency[:2500])
+    policy = LTPPolicy(config, core.mem.dram_latency, oracle=oracle)
+    policy.warm_from_trace(trace[:2500], oracle.long_latency[:2500])
     gather_pc = next(d.pc for d in trace if d.inst.opcode == "fldx")
-    assert controller.classifier.uit.contains(gather_pc)
+    assert policy.classifier.uit.contains(gather_pc)
 
 
 def test_zero_warmup_allowed():

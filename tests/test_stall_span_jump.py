@@ -8,7 +8,7 @@ The object engine has no such jump: it retries the attempt and the
 loads every cycle.  On stall-heavy points, object strict
 (``allow_skip=False``), object jumping (idle jump only), kernel strict
 and kernel jumping runs must agree on the full statistics, the
-hierarchy's demand/rejection counters and the LTP controller's own
+hierarchy's demand/rejection counters and the LTP policy's own
 counters (ticket pool, UIT fills, hit/miss predictor).
 
 The kernel's loop keeps all its state in locals, so its spans are
@@ -38,7 +38,7 @@ from repro.harness.config import SimConfig
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import proposed_ltp
-from repro.ltp.controller import LTPController
+from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
 from repro.policies import build_policy
 
@@ -80,21 +80,21 @@ def _points():
 
 
 def counters(pipeline) -> dict:
-    """Run *pipeline*: :func:`full_stats` plus the LTP controller's own
+    """Run *pipeline*: :func:`full_stats` plus the LTP policy's own
     counters, which the bulk charge must keep exact too."""
     stats = full_stats(pipeline)
-    controller = pipeline.policy.controller
-    pool = controller.tickets.pool
+    policy = pipeline.policy
+    pool = policy.tickets.pool
     stats["pool_allocated"] = pool.allocated
     stats["pool_exhausted"] = pool.exhausted
-    stats["park_stalls"] = controller.park_stalls
-    classifier = controller.classifier
+    stats["park_stalls"] = policy.park_stalls
+    classifier = policy.classifier
     uit = getattr(classifier, "uit", None)
     if uit is None:
         stats["classifier_lookups"] = classifier.lookups
     else:
         stats["uit_fills"] = uit.fills
-    predictor = controller.predictor
+    predictor = policy.predictor
     if predictor is not None:
         stats["predictor_lookups"] = predictor.lookups
         stats["predictor_misses"] = predictor.predicted_misses
@@ -191,7 +191,7 @@ def test_strict_equals_jump_equals_kernel(session, name):
     if "-uit" in name:
         # the tiny table evicts, which refuses the jump after an
         # attempt whose UIT insert replaced an entry
-        uit = pipeline.policy.controller.classifier.uit
+        uit = pipeline.policy.classifier.uit
         assert uit.fills > uit.size, name
     if "mshr2" in name:
         assert spans.gated_spans > 0
@@ -236,70 +236,70 @@ def test_undeclared_policy_keeps_ticking_its_attempts(session):
 # the marks' guard: each state change it must catch
 # ================================================================
 def _online(**overrides):
-    return LTPController(proposed_ltp().but(**overrides), dram_latency=100)
+    return LTPPolicy(proposed_ltp().but(**overrides), dram_latency=100)
 
 
-def _attempt(controller, seq, pc, **inst):
+def _attempt(policy, seq, pc, **inst):
     """One stalled rename attempt: the marks before and after it."""
     record = make_record(seq, pc=pc, **inst)
-    before = controller.stall_marks(record.dyn)
-    controller.observe_rename(record)
-    controller.decide(record, now=0)
-    return before, controller.stall_marks(record.dyn)
+    before = policy.stall_marks(record.dyn)
+    policy.observe_rename(record)
+    policy.may_allocate(record, now=0)
+    return before, policy.stall_marks(record.dyn)
 
 
 def test_guard_catches_a_changed_producer_pc_entry():
-    controller = _online()
-    before, after = _attempt(controller, 5, pc=40, opcode="addi",
+    policy = _online()
+    before, after = _attempt(policy, 5, pc=40, opcode="addi",
                              srcs=("r1",))
     assert before[0] != after[0]
-    before, after = _attempt(controller, 5, pc=40, opcode="addi",
+    before, after = _attempt(policy, 5, pc=40, opcode="addi",
                              srcs=("r1",))
     assert before[0] == after[0]
     assert after[1] - before[1] == 1  # one UIT lookup per attempt
 
 
 def test_guard_catches_uit_fills_and_evictions():
-    controller = _online(uit_size=2, uit_ways=1)  # two one-way sets
-    uit = controller.classifier.uit
-    _attempt(controller, 0, pc=12, opcode="li", dst="r2", srcs=())
-    _attempt(controller, 1, pc=13, opcode="li", dst="r4", srcs=())
+    policy = _online(uit_size=2, uit_ways=1)  # two one-way sets
+    uit = policy.classifier.uit
+    _attempt(policy, 0, pc=12, opcode="li", dst="r2", srcs=())
+    _attempt(policy, 1, pc=13, opcode="li", dst="r4", srcs=())
     uit.insert(10)
     # the urgent store at PC 10 reads r4: inserting PC 13 fills set 1
-    before, after = _attempt(controller, 2, pc=10, opcode="st", dst=None,
+    before, after = _attempt(policy, 2, pc=10, opcode="st", dst=None,
                              srcs=("r5", "r4"))
     assert before[0] != after[0]
-    before, after = _attempt(controller, 2, pc=10, opcode="st", dst=None,
+    before, after = _attempt(policy, 2, pc=10, opcode="st", dst=None,
                              srcs=("r5", "r4"))
     assert before[0] == after[0]
     assert after[2] - before[2] == 1  # the re-insert only restamps
     # reading r2 instead, inserting PC 12 evicts PC 10 itself, so a
     # repeat would classify differently
-    before, after = _attempt(controller, 3, pc=10, opcode="st", dst=None,
+    before, after = _attempt(policy, 3, pc=10, opcode="st", dst=None,
                              srcs=("r5", "r2"))
     assert before[0] != after[0]
     assert not uit.contains(10)
 
 
 def test_guard_catches_granted_tickets_but_not_refusals():
-    controller = _online(mode="nr", tickets=1)
-    before, after = _attempt(controller, 0, pc=20, opcode="div")
+    policy = _online(mode="nr", tickets=1)
+    before, after = _attempt(policy, 0, pc=20, opcode="div")
     assert before[0] != after[0]  # granted, never released
-    before, after = _attempt(controller, 0, pc=20, opcode="div")
+    before, after = _attempt(policy, 0, pc=20, opcode="div")
     assert before[0] == after[0]
     assert after[4] - before[4] == 1  # the pool refused: exhausted
 
 
 def test_repeat_stall_charges_every_counter_per_repeat():
-    controller = _online(mode="nr+nu", tickets=1, entries=1, monitor="on")
-    _attempt(controller, 0, pc=20, opcode="div")  # takes the one ticket
-    controller.queue.push(make_record(9, pc=90))  # fills the queue
-    before, after = _attempt(controller, 1, pc=21, opcode="div")
+    policy = _online(mode="nr+nu", tickets=1, entries=1, monitor="on")
+    _attempt(policy, 0, pc=20, opcode="div")  # takes the one ticket
+    policy.queue.push(make_record(9, pc=90))  # fills the queue
+    before, after = _attempt(policy, 1, pc=21, opcode="div")
     deltas = [a - b for a, b in zip(after[1:], before[1:])]
     lookups, _, park_stalls, exhausted, _, _ = deltas
     assert lookups == park_stalls == exhausted == 1
-    controller.repeat_stall(before, after, 3)
-    charged = controller.stall_marks(make_record(1, pc=21).dyn)
+    policy.repeat_stall(before, after, 3)
+    charged = policy.stall_marks(make_record(1, pc=21).dyn)
     assert [c - a for c, a in zip(charged[1:], after[1:])] == [
         3 * d for d in deltas]
 
@@ -376,4 +376,4 @@ def test_random_programs_with_gated_loads_and_tiny_uits(seed):
 def test_drained_run_leaves_no_live_ticket(session, name):
     pipeline = _build(session, name)
     pipeline.run()
-    assert pipeline.policy.controller.tickets.pool.live_count == 0
+    assert pipeline.policy.tickets.pool.live_count == 0
