@@ -57,7 +57,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
-                    List, Optional, Sequence, Tuple)
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.api.result import SOURCE_SIMULATED, SimResult
 
@@ -65,8 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
     from repro.harness.config import SimConfig
 
-#: a unit of pending work: position in the batch, config
-WorkItem = Tuple[int, "SimConfig"]
+#: a unit of pending work: position in the batch, config and, if the
+#: submitter has hashed it already (``Session._drive`` has), its key
+WorkItem = Union[Tuple[int, "SimConfig"], Tuple[int, "SimConfig", str]]
 #: a worker's report on one point: ``(error, stats, wall seconds)`` —
 #: ``error`` is ``None`` on success; a failure carries its error (text,
 #: or the raised exception) and no stats
@@ -170,9 +171,9 @@ class SimFuture:
     """
 
     def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
-        self.index, self.config = item
+        self.index, self.config = item[0], item[1]
         #: the configuration's stable cache key (provenance)
-        self.key = self.config.key()
+        self.key = item[2] if len(item) > 2 else self.config.key()
         #: attempts dispatched so far (grows on retries)
         self.attempts = 0
         self._executor = executor
@@ -561,7 +562,7 @@ class ExecutorBackend:
                 self._start(future)
                 while True:
                     try:
-                        result = runner.run(future.config)
+                        result = runner.run(future.config, future.key)
                     except Exception as exc:  # noqa: BLE001 - retried
                         if self._retry_or_fail(future, exc):
                             continue

@@ -382,7 +382,8 @@ class Session:
         """Resolve cache/store hits and drive the rest as futures.
 
         *backend* is an executor, an executor name or ``None`` (the
-        session's own).  Configurations are submitted in list order.
+        session's own).  Configurations are submitted in list order,
+        each with the key hashed here, so a point is hashed once.
         This is the only reader and writer of the result cache for
         batched work: executors only simulate.  Cached configurations
         are resolved in-process; each distinct remaining configuration
@@ -452,7 +453,7 @@ class Session:
                     duplicates.append((index, key))
                 else:
                     primary[key] = index
-                    executor.submit((index, config))
+                    executor.submit((index, config, key))
 
             failure: Optional[BaseException] = None
             cancelled = 0
@@ -657,15 +658,17 @@ class BatchRunner:
         self.workload = workload
         self.length = length
 
-    def run(self, config: SimConfig) -> SimResult:
+    def run(self, config: SimConfig,
+            key: Optional[str] = None) -> SimResult:
         """Simulate one point of the batch; same stats as
-        :meth:`Session.run`."""
+        :meth:`Session.run`.  *key* is the config's key if the caller
+        already has it (else it is computed)."""
         total = config.warmup + config.measure
         if config.workload != self.workload or total != self.length:
             raise ValueError(
                 f"config {config.workload!r} (trace length {total}) does "
                 f"not belong to the {self.workload!r}/{self.length} batch")
-        return self.session._run(config, config.key())
+        return self.session._run(config, key or config.key())
 
 
 # ======================================================================

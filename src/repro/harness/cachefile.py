@@ -18,25 +18,27 @@ class ResultCache:
                 "REPRO_CACHE_DIR",
                 str(Path(__file__).resolve().parents[3] / ".simcache"))
         self.directory = Path(directory)
+        self._prefix = os.path.join(str(self.directory), "")
         self._memory: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def lookup(self, key: str) -> Optional[Tuple[dict, str]]:
         """Resolve *key* to ``(value, source)``; source is "memory" or
         "disk" (the first disk hit promotes the value to memory).
 
-        A disk entry that is unreadable or not a JSON object is a miss,
-        like an absent one; the next ``put`` overwrites it."""
+        A disk entry that is unreadable, not UTF-8 or not a JSON object
+        is a miss, like an absent one; the next ``put`` overwrites it.
+        Disk reads parse the bytes read whole (no ``Path``, no stream)."""
         if key in self._memory:
             self.hits += 1
             return self._memory[key], "memory"
         try:
-            with open(self._path(key)) as handle:
-                value = json.load(handle)
+            with open(self._path(key), "rb") as handle:
+                value = json.loads(handle.read().decode())
         except (OSError, ValueError):
             value = None
         if isinstance(value, dict):

@@ -4,18 +4,20 @@
 around.  It round-trips through plain dicts — ``to_dict`` /
 ``from_dict`` — so sweeps can be declared in JSON/YAML and shipped
 across process or service boundaries, and its :meth:`SimConfig.key`
-content hash (derived from the same dict) keys the result caches.
+content hash (of the same payload shape) keys the result caches.
 Unknown fields in a payload raise ``ValueError`` so schema drift is
 caught at the boundary rather than as silently-ignored settings.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.params import CoreParams
 from repro.ltp.config import LTPConfig
@@ -40,6 +42,25 @@ CONFIG_SCHEMA = 3
 #: no engine
 ENGINES = ("object", "kernel")
 DEFAULT_ENGINE = "kernel"
+
+
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _expand(value: Any) -> Any:
+    """Key-text fallback: a dataclass is the dict of its fields (as
+    ``asdict`` gives it), anything else its ``str``."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {name: getattr(value, name)
+                for name in _field_names(type(value))}
+    return str(value)
+
+
+#: ``json.dumps(<to_dict()>, sort_keys=True, default=str)``'s encoder,
+#: fed the live payload
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=_expand)
 
 
 def _mapping(data: Any, what: str) -> Mapping[str, Any]:
@@ -119,12 +140,12 @@ class SimConfig:
             raise ValueError("warmup must be >= 0, measure > 0")
         return self
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Declarative payload; also the input of :meth:`key`."""
+    def _payload(self) -> Dict[str, Any]:
+        """The payload shape, holding the live ``core``/``ltp``/``model``."""
         payload = {
             "workload": self.workload,
-            "core": asdict(self.core),
-            "ltp": asdict(self.ltp),
+            "core": self.core,
+            "ltp": self.ltp,
             "warmup": self.warmup,
             "measure": self.measure,
             "schema": CONFIG_SCHEMA,
@@ -138,6 +159,13 @@ class SimConfig:
         if self.engine is not None:
             payload["engine"] = self.engine
         return payload
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Declarative payload in fresh plain containers (mutating it
+        never reaches the config); :meth:`key` hashes the same shape."""
+        return {name: asdict(value) if is_dataclass(value)
+                else deepcopy(value)
+                for name, value in self._payload().items()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimConfig":
@@ -188,6 +216,8 @@ class SimConfig:
         return config.validate()
 
     def key(self) -> str:
-        """Stable content hash identifying this configuration."""
-        text = json.dumps(self.to_dict(), sort_keys=True, default=str)
+        """Stable content hash identifying this configuration: that of
+        ``json.dumps(self.to_dict(), sort_keys=True, default=str)``,
+        serialised from the live fields without ``asdict`` copies."""
+        text = _KEY_ENCODER.encode(self._payload())
         return hashlib.sha256(text.encode()).hexdigest()[:24]

@@ -50,7 +50,8 @@ from repro.policies.registry import register_policy
 
 @register_policy(
     "ltp",
-    needs_oracle=lambda ltp: ltp.enabled,
+    # a disabled policy still classifies, with the oracle if named
+    needs_oracle=lambda ltp: ltp.enabled or ltp.classifier == "oracle",
     parks=lambda ltp: ltp.enabled,
     uses_uit=lambda ltp: ltp.enabled,
     description="the paper's Long Term Parking mechanism "
@@ -370,6 +371,7 @@ class LTPPolicy(AllocationPolicy):
 
 @register_policy(
     "baseline-stall",
+    needs_oracle=lambda ltp: ltp.classifier == "oracle",
     description="allocate everything at rename and stall on any full "
                 "resource (LTP off), regardless of the LTP config")
 class BaselineStallPolicy(LTPPolicy):

@@ -16,7 +16,7 @@ from repro.cli import main as cli_main
 from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
-from repro.ltp.config import no_ltp, proposed_ltp
+from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
                             BaselineStallPolicy, LTPPolicy, build_policy,
                             policy_descriptions, policy_info, policy_names,
@@ -73,6 +73,31 @@ def test_policy_needs_oracle_metadata():
     assert policy_needs_oracle("oracle-park", no_ltp()) is True
     assert policy_needs_oracle("baseline-stall", proposed_ltp()) is False
     assert policy_needs_oracle("random-park", proposed_ltp()) is False
+
+
+def test_disabled_ltp_runs_an_oracle_classified_config(tmp_path):
+    """``baseline-stall`` on a limit-study config and a disabled ``ltp``
+    with its oracle classifier get the oracle they classify with (both
+    used to raise "oracle classifier requires OracleInfo"), and run to
+    the same statistics on both engines."""
+    limit = limit_ltp("nu")
+    assert policy_needs_oracle("baseline-stall", limit) is True
+    assert policy_needs_oracle("ltp", limit.but(enabled=False)) is True
+    runs = {}
+    with Session(cache_dir=str(tmp_path)) as session:
+        for policy, ltp in (("baseline-stall", limit),
+                            ("ltp", limit.but(enabled=False))):
+            for engine in ("object", "kernel"):
+                config = SimConfig(workload="compute_int", ltp=ltp,
+                                   warmup=300, measure=250,
+                                   policy=policy, engine=engine)
+                runs[policy, engine] = session.run(config,
+                                                   use_cache=False).stats
+    reference = runs["baseline-stall", "object"]
+    assert reference["committed"] > 0
+    assert reference["ltp_parked"] == 0
+    for context, stats in runs.items():
+        assert stats == reference, context
 
 
 def test_build_policy_types():
