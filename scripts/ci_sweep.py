@@ -29,7 +29,8 @@ through ``/proc``).  The sweep must finish within
 
 ``inspect-check`` is the anomaly-injection gate for the online sweep
 QA (:mod:`repro.api.inspect`): it drives the sweep through a
-tampering ``MockExecutor`` that injects a scripted retry, a
+tampering ``MockExecutor`` (``tests/mock_executor.py``, imported from
+the checkout) that injects a scripted retry, a
 stat-conservation violation and a consistent IPC outlier, then
 asserts the ``SweepInspector`` flags exactly the injected points, the
 store carries their annotation rows, and a resumed sweep
@@ -65,13 +66,13 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from repro.api import (MockExecutor, ResultStore, Session,  # noqa: E402
-                       SweepInspector, SweepSpec, merge_stores,
-                       parse_shard)
-from repro.api.executors import executor_from_options  # noqa: E402
+from repro.api import (ResultStore, Session, SweepInspector,  # noqa: E402
+                       SweepSpec, merge_stores, parse_shard)
+from repro.api.exec import executor_from_options  # noqa: E402
 from repro.api.spec import non_negative_int, positive_int  # noqa: E402
 from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
+from tests.mock_executor import MockExecutor  # noqa: E402
 
 #: how long ``run --kill-one`` waits on its sweep subprocess
 SWEEP_TIMEOUT_S = 600.0

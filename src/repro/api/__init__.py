@@ -15,9 +15,11 @@ The API layer is organised around four ideas:
   cancellation.  Two executors have names — ``"serial"`` and
   ``"process-pool"`` — usable as ``Session(backend=...)``, the
   ``backend=`` of ``run_many``/``sweep`` and the CLI's ``--executor``
-  flag; :func:`repro.api.executors.executor_from_options` is the one
-  function that turns a name into an executor.  Anything else
-  (:class:`MockExecutor`, a custom subclass) is passed as an instance.
+  flag; :func:`repro.api.exec.executor_from_options` is the one
+  function that turns a name into an executor.  Anything else (a
+  custom subclass, a test double) is passed as an instance.  The layer
+  is single-threaded: futures resolve on the thread iterating
+  ``as_completed()``.
 * :class:`SimResult` — typed results with cache provenance and wall
   time, JSON-ready via ``to_dict()``.
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
@@ -47,11 +49,11 @@ Quick start::
 """
 
 from repro.api.exec import (ExecEvent, ExecutionCancelled,
-                            ExecutorBackend, PoolExecutor, SerialExecutor,
-                            SimFuture, WorkerFailure, as_executor)
+                            ExecutorBackend, FutureNotResolved,
+                            PoolExecutor, SerialExecutor, SimFuture,
+                            WorkerFailure, as_executor)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
-from repro.api.mock import MockExecutor
 from repro.api.registry import (Experiment, experiment, experiment_names,
                                 get_experiment, renderer)
 from repro.api.result import SimResult
@@ -72,8 +74,8 @@ __all__ = [
     "Experiment",
     "ExecutionCancelled",
     "ExecutorBackend",
+    "FutureNotResolved",
     "InspectorConfig",
-    "MockExecutor",
     "PoolExecutor",
     "ResultStore",
     "SerialExecutor",

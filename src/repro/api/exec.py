@@ -17,7 +17,12 @@ pieces:
   is already in flight).
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
   worker-process implementations, named ``"serial"`` and
-  ``"process-pool"`` (:mod:`repro.api.executors`).
+  ``"process-pool"`` in :data:`EXECUTORS`; :func:`executor_from_options`
+  is the one function that turns a name into an executor.
+
+Single-threaded: futures resolve on the thread iterating
+``as_completed()``, so asking an unresolved one for its outcome raises
+:class:`FutureNotResolved` at once (nothing else could resolve it).
 
 One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
 — queued futures sharing one trace identity (workload + total trace
@@ -53,11 +58,10 @@ points.
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
-                    List, Optional, Sequence, Tuple, Union)
+                    List, Optional, Sequence, Tuple, Type, Union)
 
 from repro.api.result import SOURCE_SIMULATED, SimResult
 
@@ -88,11 +92,9 @@ EVENT_FINISHED = "finished"
 EVENT_FAILED = "failed"
 EVENT_RETRIED = "retried"
 EVENT_CANCELLED = "cancelled"
-EVENT_KINDS = (EVENT_SUBMITTED, EVENT_STARTED, EVENT_FINISHED,
-               EVENT_FAILED, EVENT_RETRIED, EVENT_CANCELLED)
 #: synthetic event kind injected by the SweepInspector (not part of
-#: the per-future lifecycle, so not in EVENT_KINDS): an anomaly
-#: confirmed online, carrying ``"check: detail"`` in ``error``
+#: the per-future lifecycle): an anomaly confirmed online, carrying
+#: ``"check: detail"`` in ``error``
 EVENT_ANOMALY = "anomaly"
 
 
@@ -152,11 +154,14 @@ class WorkerFailure(RuntimeError):
         self.attempts = attempts
 
 
+class FutureNotResolved(RuntimeError):
+    """The outcome of a future that has not resolved yet was asked for."""
+
+
 # ----------------------------------------------------------------------
 # futures
 # ----------------------------------------------------------------------
 _PENDING = "pending"
-_RUNNING = "running"
 _CANCELLED = "cancelled"
 _DONE = "done"
 
@@ -165,9 +170,8 @@ class SimFuture:
     """The pending outcome of one submitted configuration.
 
     Created by :meth:`ExecutorBackend.submit`; resolved by the
-    executor's ``as_completed`` drive.  Thread-safe: the pool executor
-    resolves futures from its completion loop while callers may wait
-    in :meth:`result` from another thread.
+    executor's ``as_completed`` drive, on the thread iterating it.  A
+    future has started once ``attempts > 0``.
     """
 
     def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
@@ -180,17 +184,14 @@ class SimFuture:
         self._state = _PENDING
         self._result: Optional[SimResult] = None
         self._exception: Optional[BaseException] = None
-        self._cond = threading.Condition()
 
     # -- state queries ---------------------------------------------------
     def done(self) -> bool:
         """True once resolved: result, exception, or cancelled."""
-        with self._cond:
-            return self._state in (_DONE, _CANCELLED)
+        return self._state != _PENDING
 
     def cancelled(self) -> bool:
-        with self._cond:
-            return self._state == _CANCELLED
+        return self._state == _CANCELLED
 
     # -- cancellation ----------------------------------------------------
     def cancel(self) -> bool:
@@ -199,64 +200,39 @@ class SimFuture:
         Returns ``True`` when the future is (now) cancelled.  The
         executor emits the ``cancelled`` lifecycle event.
         """
-        with self._cond:
-            if self._state == _CANCELLED:
-                return True
-            if self._state != _PENDING:
-                return False
-            self._state = _CANCELLED
-            self._cond.notify_all()
-        self._executor._on_future_cancelled(self)
+        if self._state == _CANCELLED:
+            return True
+        if self._state != _PENDING or self.attempts:
+            return False
+        self._state = _CANCELLED
+        self._executor._emit(EVENT_CANCELLED, self)
         return True
 
-    # -- waiting ---------------------------------------------------------
-    def _wait(self, timeout: Optional[float]) -> None:
-        if not self._cond.wait_for(
-                lambda: self._state in (_DONE, _CANCELLED),
-                timeout=timeout):
-            raise TimeoutError(f"future for {self.key} still "
-                               f"{self._state} after {timeout}s")
+    # -- outcome ---------------------------------------------------------
+    def _require_resolved(self) -> None:
+        if self._state == _PENDING:
+            raise FutureNotResolved(
+                f"future for {self.key} is not resolved; iterate its "
+                f"executor's as_completed() first")
 
-    def result(self, timeout: Optional[float] = None) -> SimResult:
+    def result(self) -> SimResult:
         """The :class:`SimResult`; raises the failure or cancellation."""
-        with self._cond:
-            self._wait(timeout)
-            if self._state == _CANCELLED:
-                raise ExecutionCancelled(
-                    f"simulation of {self.key} was cancelled")
-            if self._exception is not None:
-                raise self._exception
-            assert self._result is not None
-            return self._result
+        self._require_resolved()
+        if self._state == _CANCELLED:
+            raise ExecutionCancelled(
+                f"simulation of {self.key} was cancelled")
+        if self._exception is not None:
+            raise self._exception
+        assert self._result is not None
+        return self._result
 
-    def exception(self,
-                  timeout: Optional[float] = None
-                  ) -> Optional[BaseException]:
+    def exception(self) -> Optional[BaseException]:
         """The failure that resolved this future, or ``None``."""
-        with self._cond:
-            self._wait(timeout)
-            if self._state == _CANCELLED:
-                return ExecutionCancelled(
-                    f"simulation of {self.key} was cancelled")
-            return self._exception
-
-    # -- resolution (executor-internal) ----------------------------------
-    def _set_running(self) -> None:
-        with self._cond:
-            if self._state == _PENDING:
-                self._state = _RUNNING
-
-    def _set_result(self, result: SimResult) -> None:
-        with self._cond:
-            self._result = result
-            self._state = _DONE
-            self._cond.notify_all()
-
-    def _set_exception(self, exc: BaseException) -> None:
-        with self._cond:
-            self._exception = exc
-            self._state = _DONE
-            self._cond.notify_all()
+        self._require_resolved()
+        if self._state == _CANCELLED:
+            return ExecutionCancelled(
+                f"simulation of {self.key} was cancelled")
+        return self._exception
 
     def __repr__(self) -> str:
         return (f"SimFuture({self.config.workload!r}, key={self.key!r}, "
@@ -308,8 +284,10 @@ class BatchWorkItem:
 # ----------------------------------------------------------------------
 # pool worker functions (module-level: picklable for any start method)
 # ----------------------------------------------------------------------
-def _chunk_worker(configs: Sequence["SimConfig"]) -> List[Outcome]:
-    """Simulate one dispatched batch in one worker round trip.
+def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
+                  ) -> List[Outcome]:
+    """Simulate one dispatched batch of ``(config, key)`` items in one
+    worker round trip (the parent has hashed every config already).
 
     Every chunk is a trace-homogeneous :class:`BatchWorkItem` (one
     workload, one total trace length) or a single-point retry, and
@@ -323,13 +301,13 @@ def _chunk_worker(configs: Sequence["SimConfig"]) -> List[Outcome]:
     the whole chunk.
     """
     from repro.api.session import default_session
-    first = configs[0]
+    first = items[0][0]
     runner = default_session().batch_runner(
         first.workload, first.warmup + first.measure)
     outcomes: List[Outcome] = []
-    for config in configs:
+    for config, key in items:
         try:
-            result = runner.run(config)
+            result = runner.run(config, key)
         except Exception as exc:  # noqa: BLE001 - reported in-band
             outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0))
         else:
@@ -445,9 +423,6 @@ class ExecutorBackend:
                 cancelled += 1
         return cancelled
 
-    def _on_future_cancelled(self, future: SimFuture) -> None:
-        self._emit(EVENT_CANCELLED, future)
-
     # -- batch formation -------------------------------------------------
     def _next_batch(self,
                     limit: Optional[int] = None
@@ -482,18 +457,18 @@ class ExecutorBackend:
 
     # -- the outcome path ------------------------------------------------
     def _start(self, future: SimFuture) -> None:
-        """First dispatch of *future*: attempt 1, running, ``started``."""
+        """First dispatch of *future*: attempt 1, ``started``."""
         future.attempts = 1
-        future._set_running()
         self._emit(EVENT_STARTED, future)
 
     def _finish(self, future: SimFuture, stats: Dict[str, Any],
                 wall_time_s: float) -> None:
         """Resolve *future* with a simulated point and emit ``finished``."""
-        future._set_result(SimResult(
+        future._result = SimResult(
             config=future.config, stats=stats, key=future.key,
             source=SOURCE_SIMULATED, wall_time_s=wall_time_s,
-            backend=self.name))
+            backend=self.name)
+        future._state = _DONE
         self._emit(EVENT_FINISHED, future, source=SOURCE_SIMULATED,
                    wall_time_s=wall_time_s)
 
@@ -519,7 +494,8 @@ class ExecutorBackend:
         if isinstance(error, BaseException):
             failure.__cause__ = error
         self._emit(EVENT_FAILED, future, error=str(error))
-        future._set_exception(failure)
+        future._exception = failure
+        future._state = _DONE
         return False
 
     # -- the drive loop --------------------------------------------------
@@ -611,7 +587,7 @@ def default_jobs() -> int:
 class PoolExecutor(ExecutorBackend):
     """Fan submitted configurations over a pool of worker processes.
 
-    ``jobs=None`` uses :func:`default_jobs`
+    ``jobs=None`` (or ``0``) uses :func:`default_jobs`
     (``REPRO_JOBS`` env var, else the CPU count).  Queues that would
     not benefit from a pool (one pending item, or one worker) degrade
     to in-process execution.  The unit of worker dispatch is the
@@ -642,12 +618,12 @@ class PoolExecutor(ExecutorBackend):
                  max_retries: int = 1,
                  batch_size: Optional[int] = None) -> None:
         super().__init__(max_retries=max_retries, batch_size=batch_size)
-        self.jobs = jobs
+        if jobs is not None and jobs < 0:
+            raise ValueError("jobs must be >= 0")
+        self.jobs = jobs or None  # 0 = one worker per CPU, as None
 
     def _resolved_jobs(self) -> int:
-        if self.jobs is not None:
-            return max(1, self.jobs)
-        return default_jobs()
+        return self.jobs or default_jobs()
 
     def _resolved_batch_size(self, items: int, workers: int) -> int:
         """The cap on one dispatched batch.
@@ -695,7 +671,8 @@ class PoolExecutor(ExecutorBackend):
             batch = tuple(futures)
             worker = _chunk_worker  # module global: monkeypatchable
             try:
-                handle = pool.submit(worker, [f.config for f in batch])
+                handle = pool.submit(worker,
+                                     [(f.config, f.key) for f in batch])
             except BrokenProcessPool as exc:
                 # a worker died before any future reported it: this
                 # batch fails with the pool, like the ones in flight
@@ -788,15 +765,63 @@ class PoolExecutor(ExecutorBackend):
                 f"batch_size={self.batch_size!r})")
 
 
+#: name -> (executor class, the options its constructor takes from
+#: the CLI flags)
+EXECUTORS: Dict[str, Tuple[Type[ExecutorBackend], Tuple[str, ...]]] = {
+    "serial": (SerialExecutor, ("max_retries", "batch_size")),
+    "process-pool": (PoolExecutor, ("jobs", "max_retries", "batch_size")),
+}
+
+
+def executor_from_options(name: Optional[str] = None,
+                          jobs: Optional[int] = None,
+                          max_retries: Optional[int] = None,
+                          batch_size: Optional[int] = None
+                          ) -> ExecutorBackend:
+    """Build the executor *name* and the CLI's execution flags select.
+
+    The one name->executor function, behind ``Session(backend=NAME)``,
+    ``run_many(..., backend=NAME)`` and ``repro sweep --executor NAME``.
+    ``name=None`` picks by ``jobs``: ``1`` is the in-process
+    ``"serial"`` executor, anything else is ``"process-pool"``, which
+    itself degrades to in-process execution when one worker or one
+    item remains.  ``jobs`` ``None`` or ``0`` (its CLI spelling) means
+    one worker per CPU, the pool default; ``jobs == 1`` composes with
+    ``serial`` (it *is* one in-process worker).
+
+    Rejects an unknown name, and ``jobs`` on an executor that has no
+    worker pool (``serial --jobs 4``), with a message naming what the
+    executor does take.
+    """
+    if name is None:
+        name = "serial" if jobs == 1 else "process-pool"
+    try:
+        cls, accepted = EXECUTORS[name]
+    except KeyError:
+        raise ValueError(f"unknown executor {name!r} (choose from: "
+                         f"{', '.join(EXECUTORS)})") from None
+    if name == "serial" and jobs == 1:
+        jobs = None  # serial is exactly one worker
+    provided = {"jobs": jobs, "max_retries": max_retries,
+                "batch_size": batch_size}
+    options = {key: value for key, value in provided.items()
+               if value is not None}
+    for key in options:
+        if key not in accepted:
+            raise ValueError(
+                f"--executor {name} does not take --{key} "
+                f"(accepted: {', '.join(accepted)})")
+    return cls(**options)
+
+
 def as_executor(backend: Any) -> ExecutorBackend:
     """Normalise a ``backend=`` argument to an executor.
 
-    A string names one (:func:`repro.api.executors.executor_from_options`:
-    ``"serial"`` or ``"process-pool"``); futures executors
-    pass through; anything else raises ``TypeError``.
+    A string names one (:func:`executor_from_options`: ``"serial"`` or
+    ``"process-pool"``); futures executors pass through; anything else
+    raises ``TypeError``.
     """
     if isinstance(backend, str):
-        from repro.api.executors import executor_from_options
         backend = executor_from_options(backend)
     if isinstance(backend, ExecutorBackend):
         return backend

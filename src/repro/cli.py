@@ -56,7 +56,7 @@ from repro.api import (ResultStore, SweepInspector, SweepSpec,
                        default_session, experiment_names,
                        get_experiment, ltp_preset, ltp_preset_names,
                        merge_stores, parse_shard, summarize)
-from repro.api.executors import EXECUTORS, executor_from_options
+from repro.api.exec import EXECUTORS, executor_from_options
 from repro.api.spec import non_negative_int, positive_int
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
                                       mean_relative_performance)
 from repro.analysis.mlp_class import SensitivityInputs, classify
-from repro.api.executors import executor_from_options
+from repro.api.exec import executor_from_options
 from repro.api.registry import experiment, renderer
 from repro.api.session import default_session
 from repro.api.spec import SweepSpec
@@ -133,7 +133,7 @@ def run_parallel(experiment: Callable, *args,
     Equivalent to calling the experiment directly (identical return
     value) but wall-clock time scales with cores: the sweep is planned,
     executed on the default session over the executor
-    :func:`~repro.api.executors.executor_from_options` picks for
+    :func:`~repro.api.exec.executor_from_options` picks for
     *jobs*, and the final in-process pass aggregates from the populated
     cache.
     """

@@ -10,11 +10,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import (ExecutionCancelled, PoolExecutor, ResultStore,
-                       SerialExecutor, Session, SweepSpec, WorkerFailure,
-                       as_executor)
+from repro.api import (ExecutionCancelled, FutureNotResolved, PoolExecutor,
+                       ResultStore, SerialExecutor, Session, SweepSpec,
+                       WorkerFailure, as_executor)
 from repro.api import exec as exec_mod
-from repro.core.params import baseline_params
+from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
 
@@ -65,6 +65,27 @@ def test_future_cancel_only_before_start(tmp_path):
         futures[1].result()
     assert isinstance(futures[1].exception(), ExecutionCancelled)
     assert not futures[0].cancel()  # already finished
+
+
+def test_unresolved_future_raises_instead_of_waiting(tmp_path):
+    # one thread drives and resolves every future, so asking a pending
+    # one for its outcome can only raise (waiting would never end)
+    session = Session(cache_dir=str(tmp_path))
+    executor = SerialExecutor().bind(session)
+    future = executor.submit((0, make_configs(1)[0]))
+    with pytest.raises(FutureNotResolved, match="not resolved"):
+        future.result()
+    with pytest.raises(FutureNotResolved, match="not resolved"):
+        future.exception()
+    # a started (attempts > 0) but unresolved future: neither
+    # cancellable nor resolved
+    executor._start(future)
+    assert not future.cancel() and not future.done()
+    with pytest.raises(FutureNotResolved):
+        future.result()
+    assert list(executor.as_completed()) == [future]
+    assert future.exception() is None
+    assert future.result().stats["committed"] == 100
 
 
 # ------------------------------------------------- lifecycle events
@@ -252,11 +273,11 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
 _REAL_CHUNK_WORKER = exec_mod._chunk_worker
 
 
-def _crashing_chunk_worker(configs):
+def _crashing_chunk_worker(items):
     raise RuntimeError("worker process crashed")
 
 
-def _crash_once_chunk_worker(configs):
+def _crash_once_chunk_worker(items):
     marker = os.environ["REPRO_TEST_CRASH_MARKER"]
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
@@ -264,7 +285,33 @@ def _crash_once_chunk_worker(configs):
         raise RuntimeError("first-attempt crash")
     # the saved original: exec_mod._chunk_worker is monkeypatched to
     # *this* function
-    return _REAL_CHUNK_WORKER(configs)
+    return _REAL_CHUNK_WORKER(items)
+
+
+def test_chunk_worker_takes_keys_and_hashes_nothing(fresh_session,
+                                                    monkeypatch):
+    # the parent hashes each config once and ships its key along;
+    # the worker must not hash it again
+    configs = [SimConfig(workload="compute_int",
+                         core=CoreParams(iq_size=16 * (i + 1)).validate(),
+                         ltp=no_ltp(), warmup=150, measure=100)
+               for i in range(2)]
+    items = [(config, config.key()) for config in configs]
+    calls = []
+    real_key = SimConfig.key
+
+    def counting_key(self):
+        calls.append(self)
+        return real_key(self)
+
+    monkeypatch.setattr(SimConfig, "key", counting_key)
+    outcomes = exec_mod._chunk_worker(items)
+    assert calls == []
+    monkeypatch.setattr(SimConfig, "key", real_key)
+    assert [error for error, _, _ in outcomes] == [None, None]
+    expected = [fresh_session.run(config, use_cache=False).stats
+                for config in configs]
+    assert [stats for _, stats, _ in outcomes] == expected
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
@@ -319,19 +366,19 @@ def _kill_this_worker(death="sigkill"):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _kill_once_chunk_worker(configs):
+def _kill_once_chunk_worker(items):
     """SIGKILL the worker the first time the chosen point reaches it."""
     marker = os.environ["REPRO_TEST_KILL_MARKER"]
     victim = os.environ["REPRO_TEST_KILL_KEY"]
-    if (any(config.key() == victim for config in configs)
+    if (any(key == victim for _, key in items)
             and not os.path.exists(marker)):
         with open(marker, "w") as handle:
             handle.write("killed")
         _kill_this_worker()
-    return _REAL_CHUNK_WORKER(configs)
+    return _REAL_CHUNK_WORKER(items)
 
 
-def _always_kill_chunk_worker(configs):
+def _always_kill_chunk_worker(items):
     _kill_this_worker(os.environ["REPRO_TEST_DEATH"])
 
 

@@ -1,7 +1,7 @@
 """Shared conformance suite over every executor.
 
 Each test is parametrized over the executors — the two named ones
-(:data:`repro.api.executors.EXECUTORS`) and the mock — and drives the
+(:data:`repro.api.exec.EXECUTORS`) and the mock — and drives the
 same contract through every implementation — serial, process-pool and
 mock:
 
@@ -29,13 +29,14 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (MockExecutor, PoolExecutor, ResultStore,
-                       SerialExecutor, Session, SweepSpec, WorkerFailure)
-from repro.api import executors
+from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec, WorkerFailure)
+from repro.api import exec as exec_mod
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
 from repro.workloads import mixes
+from tests.mock_executor import MockExecutor
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK,
@@ -104,7 +105,7 @@ EXECUTORS = [
 def test_every_registered_executor_has_conformance_coverage():
     # every --executor choice, plus the mock (built directly, never
     # by name)
-    assert set(executors.EXECUTORS) | {"mock"} == set(HARNESSES)
+    assert set(exec_mod.EXECUTORS) | {"mock"} == set(HARNESSES)
 
 
 class _Recorder:

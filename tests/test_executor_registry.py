@@ -1,11 +1,15 @@
 """The executor name table: the two names, CLI flag mapping,
 string-backend resolution, and the spec carrying no executor."""
 
+import importlib
+
 import pytest
 
-from repro.api import MockExecutor, Session, SweepSpec, as_executor
-from repro.api.exec import PoolExecutor, SerialExecutor
-from repro.api.executors import EXECUTORS, executor_from_options
+import repro.api
+from repro.api import Session, SweepSpec, as_executor
+from repro.api.exec import (EXECUTORS, PoolExecutor, SerialExecutor,
+                            executor_from_options)
+from tests.mock_executor import MockExecutor
 
 
 def test_builtin_executors_are_registered():
@@ -13,6 +17,15 @@ def test_builtin_executors_are_registered():
     # the test double is built from its class, never by name
     assert "mock" not in EXECUTORS
     assert MockExecutor not in [cls for cls, _ in EXECUTORS.values()]
+
+
+def test_the_package_ships_no_mock_and_one_executor_module():
+    # the mock is a test helper; the names live in repro.api.exec
+    assert not hasattr(repro.api, "MockExecutor")
+    assert "MockExecutor" not in repro.api.__all__
+    for gone in ("repro.api.mock", "repro.api.executors"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
 
 
 def test_unknown_name_lists_known_ones():
@@ -38,6 +51,20 @@ def test_executor_from_options_maps_cli_flags():
     pool = executor_from_options("process-pool", jobs=2, max_retries=3,
                                  batch_size=4)
     assert (pool.jobs, pool.max_retries, pool.batch_size) == (2, 3, 4)
+
+
+def test_pool_jobs_zero_means_one_worker_per_cpu(monkeypatch):
+    # one meaning for 0 everywhere: the constructor, the options
+    # function and --jobs 0 all mean the pool default
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    for pool in (PoolExecutor(jobs=0),
+                 executor_from_options("process-pool", jobs=0)):
+        assert pool.jobs is None
+        assert pool._resolved_jobs() == 3
+    for build in (lambda: PoolExecutor(jobs=-1),
+                  lambda: executor_from_options(jobs=-2)):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            build()
 
 
 def test_remote_is_an_unknown_executor(tmp_path):

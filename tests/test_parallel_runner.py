@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import default_session
 from repro.api import session as session_mod
-from repro.api.executors import executor_from_options
+from repro.api.exec import executor_from_options
 from repro.api.session import TRACE_CACHE_MAX
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.cachefile import ResultCache

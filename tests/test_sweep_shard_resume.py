@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
                        SweepSpec, merge_stores, parse_shard)
-from repro.api.executors import executor_from_options
+from repro.api.exec import executor_from_options
 from repro.api.spec import shard_of
 
 
