@@ -58,6 +58,7 @@ points.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
@@ -352,7 +353,7 @@ class ExecutorBackend:
             raise ValueError("batch_size must be >= 1")
         self.max_retries = max_retries
         self.batch_size = batch_size
-        self._session: Optional["Session"] = None
+        self._session: Optional["weakref.ref[Session]"] = None
         self._callbacks: List[ProgressCallback] = []
         #: submitted futures not yet taken by the drive loop
         self._queue: "Deque[SimFuture]" = deque()
@@ -360,16 +361,19 @@ class ExecutorBackend:
 
     # -- wiring ----------------------------------------------------------
     def bind(self, session: "Session") -> "ExecutorBackend":
-        """Attach the session work is executed against."""
-        self._session = session
+        """Attach the session work is executed against, weakly: its
+        own backend would close a cycle, which ``gc.freeze()`` makes
+        permanent, leaking every trace the session prepared."""
+        self._session = weakref.ref(session)
         return self
 
     def _require_session(self) -> "Session":
-        if self._session is None:
+        session = self._session() if self._session is not None else None
+        if session is None:
             raise RuntimeError(
                 f"{type(self).__name__} is not bound to a Session; call "
                 f"bind(session) (Session.run_many does this for you)")
-        return self._session
+        return session
 
     def add_progress_callback(self,
                               callback: ProgressCallback

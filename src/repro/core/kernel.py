@@ -56,11 +56,11 @@ every object-vs-kernel comparison checks against per-cycle retries:
   ``repeat_rejection()``.
 * *Stall-span jump*: a tick whose pending work only repeats a first
   rename attempt stalled with nothing but counters moved (a
-  ``counter_only_stalls`` policy whose ``stall_marks`` guard held, or
-  a ROB stall) and loads gated at the current version jumps to the
-  next event or MSHR expiry, charging the repeats in bulk (stall and
-  classification counts, ``repeat_stall``, ``stall_frontend``,
-  ``repeat_rejection(gated * times)``).
+  ``counter_only_stalls`` policy, as every registered one is, whose
+  ``stall_marks`` guard held, or a ROB stall) and loads gated at the
+  current version jumps to the next event or MSHR expiry, charging the
+  repeats in bulk (stall and classification counts, ``repeat_stall``,
+  ``stall_frontend``, ``repeat_rejection(gated * times)``).
 
 Differential tests assert full ``SimStats.as_dict()`` equality across
 every registered policy, LTP preset and workload.  (The shortcuts

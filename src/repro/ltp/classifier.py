@@ -100,6 +100,21 @@ class OnlineClassifier:
             self._producer_pc[dyn.inst.dst] = pc
         return urgent
 
+    def stall_marks(self, dyn) -> tuple:
+        """``(guard, lookups, inserts)`` around a rename attempt of
+        *dyn*.  While the UIT's fills and *dyn*'s producer-PC entry
+        hold, a repeat classifies the same and moves only the counters
+        (LRU restamps it re-applies in order)."""
+        uit = self.uit
+        return ((uit.fills, self._producer_pc.get(dyn.inst.dst)),
+                uit.lookups, uit.inserts)
+
+    def repeat_stall(self, lookups: int, inserts: int) -> None:
+        """Charge the lookups and inserts of repeated attempts."""
+        uit = self.uit
+        uit.lookups += lookups
+        uit.inserts += inserts
+
     def on_long_latency_commit(self, pc: int) -> None:
         self.uit.insert(pc)
 
@@ -147,6 +162,13 @@ class OracleClassifier:
         ``seq`` by construction."""
         self.lookups += 1
         return self.oracle.is_urgent(dyn.seq, dyn.pc, self.granularity)
+
+    def stall_marks(self, dyn) -> tuple:
+        """No guard and no inserts: an oracle lookup is a pure read."""
+        return (None, self.lookups, 0)
+
+    def repeat_stall(self, lookups: int, inserts: int) -> None:
+        self.lookups += lookups
 
     def on_long_latency_commit(self, pc: int) -> None:
         pass  # oracle already knows

@@ -37,9 +37,10 @@ through a narrow hook surface and never looks inside it:
   run.
 * :meth:`~AllocationPolicy.stall_marks` /
   :meth:`~AllocationPolicy.repeat_stall` — for policies that declare
-  ``counter_only_stalls``, the counters a stalled rename attempt moves,
-  so the kernel's stall-span jump can repeat the attempt in bulk (the
-  object engine retries it every cycle).
+  ``counter_only_stalls`` (every :class:`ParkingPolicy` and the LTP
+  policies), the counters a stalled rename attempt moves, so the
+  kernel's stall-span jump can repeat the attempt in bulk (the object
+  engine retries it every cycle).
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
@@ -237,7 +238,14 @@ class ParkingPolicy(AllocationPolicy):
     :class:`~repro.ltp.config.LTPConfig` (``entries``, ``ports``,
     ``release_reserve``), so the same sweep axes tune every parking
     policy.
+
+    A stalled attempt moves only ``park_stalls`` while :meth:`wants_park`
+    reads only the record and state that events move, so parking
+    policies declare ``counter_only_stalls``; a subclass whose attempt
+    moves more overrides :meth:`stall_marks` and :meth:`repeat_stall`.
     """
+
+    counter_only_stalls = True
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         super().__init__(ltp, dram_latency)
@@ -277,3 +285,10 @@ class ParkingPolicy(AllocationPolicy):
     def on_release_scan(self, now: int, boundary_seq: int,
                         force_seq: int) -> Optional[InFlightInst]:
         return self.queue.next_release(force_seq)
+
+    def stall_marks(self, dyn) -> tuple:
+        return (None, self.park_stalls)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        self.park_stalls += (after[1] - before[1]) * times

@@ -20,12 +20,15 @@ different direction:
 All three ride on :class:`~repro.policies.base.ParkingPolicy`'s
 soundness machinery (parked-bit propagation, forced head release) and
 its event-driven data-ready wakeup (a parked record joins the queue's
-ready heap when its last operand is ready), so idle-skip equivalence
-holds by construction: rename attempts only happen on cycles the idle
-jump never skips, wakeups happen only at renames and writebacks, and
-every piece of learned state advances either per rename attempt
-(exactly like the LTP classifier) or keyed by sequence number,
-identically on both simulation engines.
+ready heap when its last operand is ready).  Every piece of learned
+state advances either per rename attempt (exactly like the LTP
+classifier) or keyed by sequence number, identically on both
+simulation engines.  The kernel's stall-span jump skips the cycles in
+which a stalled rename attempt only repeats: ``model-park`` and
+``loadpred-park`` memoise their verdict at the first attempt, so a
+repeat moves only ``park_stalls``, and ``confidence-park`` guards its
+UIT exactly as the LTP policy does.  Wakeups still happen only at
+renames and writebacks.
 """
 
 from __future__ import annotations
@@ -147,6 +150,17 @@ class ConfidenceParkPolicy(ParkingPolicy):
         # one classification (and backward-propagation step) per rename
         # attempt, exactly like the LTP policy drives the UIT
         record.urgent = self.classifier.observe_rename(record)
+
+    def stall_marks(self, dyn) -> tuple:
+        # the UIT moves as under LTP, so the same classifier guard
+        return self.classifier.stall_marks(dyn) + (self.park_stalls,)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        lookups, inserts, park_stalls = (
+            (a - b) * times for a, b in zip(after[1:], before[1:]))
+        self.classifier.repeat_stall(lookups, inserts)
+        self.park_stalls += park_stalls
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         if record.urgent:

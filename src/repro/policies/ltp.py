@@ -200,33 +200,25 @@ class LTPPolicy(AllocationPolicy):
         :meth:`observe_attempt`, then :meth:`may_allocate`) write the
         discarded record, and otherwise only:
 
-        * counters: classifier lookups and UIT inserts, the hit/miss
-          predictor's lookup tallies, ``park_stalls`` and the ticket
-          pool's ``exhausted``;
-        * the guarded state: UIT fills (an insert that added or evicted
-          an entry), *dyn*'s RAT-extension producer-PC entry and
-          ticket grants (a granted ticket is never released);
-        * inert state: UIT hits and re-inserts of resident PCs refresh
-          LRU stamps, which a repeat re-applies in the same order, and
-          ticket inheritance adds the discarded record to a ticket's
-          holder list, which clearing the ticket later only strips
-          from the record (a record that never parked is never marked
-          ready).
+        * the classifier's state and counters, under the classifier's
+          own ``stall_marks`` guard, which this one includes;
+        * counters: the hit/miss predictor's lookup tallies,
+          ``park_stalls`` and the ticket pool's ``exhausted``;
+        * the guarded ticket grants (a granted ticket is never
+          released);
+        * inert state: ticket inheritance adds the discarded record to
+          a ticket's holder list, which clearing the ticket later only
+          strips from the record (a record that never parked is never
+          marked ready).
 
         So an attempt whose guard did not move repeats with the same
         outcome and the same counter deltas.
         """
+        guard, lookups, inserts = self.classifier.stall_marks(dyn)
         pool = self.tickets.pool
-        uit = self._uit
-        if uit is not None:
-            guard = (uit.fills, pool.allocated,
-                     self.classifier._producer_pc.get(dyn.inst.dst))
-            lookups, inserts = uit.lookups, uit.inserts
-        else:
-            guard = pool.allocated
-            lookups, inserts = self.classifier.lookups, 0
         predictor = self.predictor
-        return (guard, lookups, inserts, self.park_stalls, pool.exhausted,
+        return ((guard, pool.allocated), lookups, inserts,
+                self.park_stalls, pool.exhausted,
                 predictor.lookups if predictor else 0,
                 predictor.predicted_misses if predictor else 0)
 
@@ -236,12 +228,7 @@ class LTPPolicy(AllocationPolicy):
         :meth:`stall_marks` went from *before* to *after*."""
         lookups, inserts, park_stalls, exhausted, pred_lookups, pred_misses = (
             (a - b) * times for a, b in zip(after[1:], before[1:]))
-        uit = self._uit
-        if uit is not None:
-            uit.lookups += lookups
-            uit.inserts += inserts
-        else:
-            self.classifier.lookups += lookups
+        self.classifier.repeat_stall(lookups, inserts)
         self.park_stalls += park_stalls
         self.tickets.pool.exhausted += exhausted
         predictor = self.predictor

@@ -65,10 +65,6 @@ class OracleParkPolicy(LTPPolicy):
                          uit_size=None)
         super().__init__(config, dram_latency, oracle=oracle)
 
-    #: not inherited from LTPPolicy: no strict-vs-jump test covers this
-    #: policy's stall spans yet
-    counter_only_stalls = False
-
 
 def _mix(seq: int, pc: int) -> int:
     """A tiny deterministic integer hash (no Python hash salting)."""

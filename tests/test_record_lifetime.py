@@ -7,9 +7,14 @@ no reference cycle through its records, and the cyclic collector has
 nothing of a run to find.  The test runs one NR+NU LTP point and one
 baseline point per engine with ``gc.DEBUG_SAVEALL``, which keeps
 everything a collection would free in ``gc.garbage``.
+
+A session dies by reference count too: its executor holds it weakly,
+so a dropped session leaves no cycle for ``gc.freeze()`` to keep alive
+with every trace it prepared.
 """
 
 import gc
+import weakref
 
 import pytest
 
@@ -45,3 +50,12 @@ def test_a_run_leaves_no_record_for_the_collector(tmp_path, engine, core,
         gc.garbage.clear()
     assert stats.committed == 1500
     assert cyclic == 0
+
+
+def test_a_dropped_session_dies_by_reference_count(tmp_path):
+    session = Session(cache_dir=str(tmp_path))
+    config = SimConfig(workload="compute_int", warmup=200, measure=200)
+    assert session.run_many([config])[0].stats["committed"] == 200
+    alive = weakref.ref(session)
+    del session
+    assert alive() is None

@@ -8,8 +8,10 @@ The object engine has no such jump: it retries the attempt and the
 loads every cycle.  On stall-heavy points, object strict
 (``allow_skip=False``), object jumping (idle jump only), kernel strict
 and kernel jumping runs must agree on the full statistics, the
-hierarchy's demand/rejection counters and the LTP policy's own
-counters (ticket pool, UIT fills, hit/miss predictor).
+hierarchy's demand/rejection counters and the policy's own counters
+(``park_stalls``, and the ticket pool, UIT fills and hit/miss
+predictor where the policy has them).  Every registered policy
+declares ``counter_only_stalls``, and each has a point here.
 
 The kernel's loop keeps all its state in locals, so its spans are
 counted through the collaborators it pre-binds when the loop starts
@@ -23,6 +25,7 @@ blocked on a mispredict it counts ``stall_frontend`` once per jump (see
 that one counter to at most the strict count.
 """
 
+import pickle
 import random
 from dataclasses import replace
 
@@ -31,6 +34,8 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.api import Session
+from repro.api.session import warm_branch_predictor, warm_hierarchy
+from repro.core.branch import GsharePredictor
 from repro.core.kernel import KernelPipeline
 from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline, SimulationDeadlock
@@ -38,9 +43,12 @@ from repro.harness.config import SimConfig
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
 from repro.ltp.config import proposed_ltp
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
-from repro.policies import build_policy
+from repro.policies import build_policy, policy_info, policy_names
+from repro.policies.scenarios import OracleParkPolicy
+from repro.workloads import get_workload
 
 from test_equivalence_strict import full_stats, mismatches
 from test_golden_stats import _fig11_ltp
@@ -55,6 +63,9 @@ def _points():
     small = ltp_params()
     two_mshrs = small.but(mem=replace(small.mem, mshrs=2))
     online = dict(classifier="online", ll_predictor="twolevel")
+    # an 8-entry parking queue: every parking policy stalls on it
+    # (stall_ltp_full) for most of the run
+    e8 = proposed_ltp().but(entries=8)
     return {
         "astar-nrnu-t4": (
             "ptrchase_astar", small,
@@ -76,25 +87,41 @@ def _points():
             proposed_ltp().but(uit_size=4, uit_ways=2), "ltp"),
         "milc-mshr2-baseline": (
             "lattice_milc", two_mshrs, proposed_ltp(), "baseline-stall"),
+        "astar-e8-oracle-park": (
+            "ptrchase_astar", small, e8, "oracle-park"),
+        "astar-e8-random-park": (
+            "ptrchase_astar", small, e8, "random-park"),
+        "milc-e8-depth-park": (
+            "lattice_milc", small, e8, "depth-park"),
+        "milc-e8-model-park": (
+            "lattice_milc", small, e8, "model-park"),
+        "astar-e8-confidence-park-uit8x1": (
+            "ptrchase_astar", small, e8.but(uit_size=8, uit_ways=1),
+            "confidence-park"),
+        "astar-e8-loadpred-park": (
+            "ptrchase_astar", small, e8, "loadpred-park"),
     }
 
 
 def counters(pipeline) -> dict:
-    """Run *pipeline*: :func:`full_stats` plus the LTP policy's own
-    counters, which the bulk charge must keep exact too."""
+    """Run *pipeline*: :func:`full_stats` plus the policy's own
+    counters, which the bulk charge must keep exact too:
+    ``park_stalls`` always, the ticket pool, classifier and hit/miss
+    predictor where the policy has them."""
     stats = full_stats(pipeline)
     policy = pipeline.policy
-    pool = policy.tickets.pool
-    stats["pool_allocated"] = pool.allocated
-    stats["pool_exhausted"] = pool.exhausted
     stats["park_stalls"] = policy.park_stalls
-    classifier = policy.classifier
+    tickets = getattr(policy, "tickets", None)
+    if tickets is not None:
+        stats["pool_allocated"] = tickets.pool.allocated
+        stats["pool_exhausted"] = tickets.pool.exhausted
+    classifier = getattr(policy, "classifier", None)
     uit = getattr(classifier, "uit", None)
-    if uit is None:
-        stats["classifier_lookups"] = classifier.lookups
-    else:
+    if uit is not None:
         stats["uit_fills"] = uit.fills
-    predictor = policy.predictor
+    elif classifier is not None:
+        stats["classifier_lookups"] = classifier.lookups
+    predictor = getattr(policy, "predictor", None)
     if predictor is not None:
         stats["predictor_lookups"] = predictor.lookups
         stats["predictor_misses"] = predictor.predicted_misses
@@ -188,6 +215,9 @@ def test_strict_equals_jump_equals_kernel(session, name):
     assert not mismatches(strict, kernel_strict), name
     assert not mismatches(strict, kernel), name
     assert spans.spans, name
+    if "park" in name:
+        # the jump takes effect: repeat_stall charged stalled attempts
+        assert spans.charged > 0, name
     if "-uit" in name:
         # the tiny table evicts, which refuses the jump after an
         # attempt whose UIT insert replaced an entry
@@ -209,20 +239,49 @@ def test_jump_takes_effect_on_the_kernel(session):
     assert spans.charged > 0.5 * stats.cycles
 
 
+def test_every_declared_policy_has_a_strict_vs_jump_point():
+    """A policy may declare ``counter_only_stalls`` only with a point in
+    the four-way comparison above, which checks the declaration."""
+    covered = {point[3] for point in _points().values()}
+    for name in policy_names():
+        if policy_info(name).factory.counter_only_stalls:
+            assert name in covered, name
+
+
+class _UndeclaredOraclePark(OracleParkPolicy):
+    counter_only_stalls = False
+
+
+def _hand_built(session, engine, policy_cls):
+    """The ``astar-nrnu-t4`` point on *engine*, with a *policy_cls*
+    policy built here and passed as ``policy=``."""
+    workload, core, ltp, _ = _points()["astar-nrnu-t4"]
+    total = WARMUP + MEASURE
+    trace = session.get_trace(workload, total)
+    oracle = session.get_oracle(workload, total, core)
+    warmup_slice = trace[:WARMUP]
+    hierarchy = MemoryHierarchy(core.mem)
+    built = get_workload(workload)
+    warm_hierarchy(hierarchy, warmup_slice, len(built.program),
+                   warm_regions=built.warm_regions)
+    bpred = GsharePredictor()
+    warm_branch_predictor(bpred, warmup_slice)
+    policy = policy_cls(ltp, core.mem.dram_latency, oracle=oracle)
+    policy.warm_from_trace(warmup_slice, oracle.long_latency[:WARMUP])
+    return engine(trace[WARMUP:], params=core, ltp=ltp, policy=policy,
+                  hierarchy=hierarchy, branch_predictor=bpred)
+
+
 def test_undeclared_policy_keeps_ticking_its_attempts(session):
     """A policy that has not declared ``counter_only_stalls`` never has
     its stalled attempts repeated in bulk by the kernel, and its run
     still matches the object engine's."""
-    workload, core, ltp, _ = _points()["astar-nrnu-t4"]
-    config = SimConfig(workload=workload, core=core, ltp=ltp,
-                       policy="oracle-park", warmup=WARMUP,
-                       measure=MEASURE, engine="kernel").validate()
-    pipeline = session.build_pipeline(config)
+    pipeline = _hand_built(session, KernelPipeline, _UndeclaredOraclePark)
     assert not pipeline.policy.counter_only_stalls
     spans = _Spans(pipeline)
     kernel = counters(pipeline)
-    reference = counters(session.build_pipeline(
-        replace(config, engine="object")))
+    reference = counters(_hand_built(session, Pipeline,
+                                     _UndeclaredOraclePark))
     assert not mismatches(reference, kernel)
     stalls = ("stall_iq", "stall_regs", "stall_lsq", "stall_ltp_full")
     assert sum(kernel[key] for key in stalls) > 0
@@ -239,6 +298,11 @@ def _online(**overrides):
     return LTPPolicy(proposed_ltp().but(**overrides), dram_latency=100)
 
 
+def _confidence(**overrides):
+    return build_policy("confidence-park", proposed_ltp().but(**overrides),
+                        dram_latency=100)
+
+
 def _attempt(policy, seq, pc, **inst):
     """One stalled rename attempt: the marks before and after it."""
     record = make_record(seq, pc=pc, **inst)
@@ -249,7 +313,22 @@ def _attempt(policy, seq, pc, **inst):
 
 
 def test_guard_catches_a_changed_producer_pc_entry():
-    policy = _online()
+    _producer_pc_guard(_online())
+
+
+def test_confidence_guard_catches_a_changed_producer_pc_entry():
+    _producer_pc_guard(_confidence())
+
+
+def test_guard_catches_uit_fills_and_evictions():
+    _uit_fill_guard(_online(uit_size=2, uit_ways=1))  # two one-way sets
+
+
+def test_confidence_guard_catches_uit_fills_and_evictions():
+    _uit_fill_guard(_confidence(uit_size=2, uit_ways=1))
+
+
+def _producer_pc_guard(policy):
     before, after = _attempt(policy, 5, pc=40, opcode="addi",
                              srcs=("r1",))
     assert before[0] != after[0]
@@ -259,8 +338,7 @@ def test_guard_catches_a_changed_producer_pc_entry():
     assert after[1] - before[1] == 1  # one UIT lookup per attempt
 
 
-def test_guard_catches_uit_fills_and_evictions():
-    policy = _online(uit_size=2, uit_ways=1)  # two one-way sets
+def _uit_fill_guard(policy):
     uit = policy.classifier.uit
     _attempt(policy, 0, pc=12, opcode="li", dst="r2", srcs=())
     _attempt(policy, 1, pc=13, opcode="li", dst="r4", srcs=())
@@ -304,6 +382,68 @@ def test_repeat_stall_charges_every_counter_per_repeat():
         3 * d for d in deltas]
 
 
+def test_confidence_repeat_stall_charges_every_counter_per_repeat():
+    policy = _confidence(entries=1)
+    policy.classifier.uit.insert(21)  # urgent: a lookup and an insert
+    policy.classifier._producer_pc["r2"] = 20
+    _attempt(policy, 1, pc=21)  # moves the producer-PC entry of r1
+    policy.queue.push(make_record(9, pc=90))  # fills the queue
+    record = make_record(1, pc=21)
+    record.producer_records = (_parked_producer(),)
+    before = policy.stall_marks(record.dyn)
+    policy.observe_rename(record)
+    assert policy.may_allocate(record, now=0) == "stall"
+    after = policy.stall_marks(record.dyn)
+    assert before[0] == after[0]
+    deltas = [a - b for a, b in zip(after[1:], before[1:])]
+    assert deltas == [1, 1, 1]  # lookups, inserts, park_stalls
+    policy.repeat_stall(before, after, 3)
+    charged = policy.stall_marks(record.dyn)
+    assert [c - a for c, a in zip(charged[1:], after[1:])] == [3, 3, 3]
+
+
+def _parked_producer():
+    producer = make_record(0, pc=10)
+    producer.parked = True
+    return producer
+
+
+def _policy_state(policy) -> bytes:
+    """Everything a policy holds except ``park_stalls``."""
+    state = dict(vars(policy))
+    del state["park_stalls"]
+    return pickle.dumps(state)
+
+
+@pytest.mark.parametrize("name", ["random-park", "depth-park",
+                                  "model-park", "loadpred-park"])
+def test_parking_repeat_moves_only_park_stalls(name):
+    """A stalled attempt of these policies repeats with ``park_stalls``
+    its one moving part, and :meth:`repeat_stall` charges ``times``
+    of it."""
+    policy = build_policy(name, proposed_ltp().but(entries=1),
+                          dram_latency=100)
+    policy.queue.push(make_record(9, pc=90))  # fills the queue
+    producer = _parked_producer()  # forces the load to park: a stall
+
+    def attempt():
+        record = make_record(1, pc=11, opcode="ld", srcs=("r1",))
+        record.producer_records = (producer,)
+        before = policy.stall_marks(record.dyn)
+        policy.observe_rename(record)
+        assert policy.may_allocate(record, now=0) == "stall"
+        return before, policy.stall_marks(record.dyn)
+
+    attempt()  # the first attempt may memoise a verdict
+    state = _policy_state(policy)
+    before, after = attempt()
+    assert before[0] == after[0]
+    assert [a - b for a, b in zip(after[1:], before[1:])] == [1]
+    assert _policy_state(policy) == state
+    policy.repeat_stall(before, after, 3)
+    assert policy.park_stalls == after[1] + 3
+
+
 # ================================================================
 # randomized programs: 1-2 MSHRs, tiny UITs, few tickets
 # ================================================================
@@ -330,7 +470,7 @@ def test_random_programs_with_gated_loads_and_tiny_uits(seed):
     ltp = _random_ltp(rng)
     oracle = annotate_trace(trace, core.mem,
                             window=min(core.rob_size or 256, 256))
-    for policy in ("ltp", "baseline-stall"):
+    for policy in policy_names():
         def run(engine, **kwargs):
             built = build_policy(policy, ltp, core.mem.dram_latency,
                                  oracle=oracle)
