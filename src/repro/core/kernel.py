@@ -35,9 +35,9 @@ mutate state is invoked with identical arguments in identical order
 the ticket tracker's pool accounting depends on).  It departs from the
 reference's calls only where the result is provably the same:
 
-* hooks statically known to be no-ops for the constructed policy are
-  elided (e.g. ``may_allocate`` on a disabled LTP policy, which
-  returns ``"dispatch"`` unconditionally without side effects);
+* ``on_commit`` and ``on_load_complete`` are not called where the
+  policy's own guards make them no-ops (e.g. an LTP policy's commit
+  hook acts only on long-latency loads);
 * ``ltp_enabled_cycles`` is read once, at run end, from
   :meth:`~repro.ltp.monitor.DramTimerMonitor.enabled_cycles`, which the
   monitor integrates at each touch that extends its timer, instead of
@@ -55,12 +55,13 @@ every object-vs-kernel comparison checks against per-cycle retries:
   moves, a retry skips ``access_data`` and counts through
   ``repeat_rejection()``.
 * *Stall-span jump*: a tick whose pending work only repeats a first
-  rename attempt stalled with nothing but counters moved (a
-  ``counter_only_stalls`` policy, as every registered one is, whose
-  ``stall_marks`` guard held, or a ROB stall) and loads gated at the
-  current version jumps to the next event or MSHR expiry, charging the
-  repeats in bulk (stall and classification counts, ``repeat_stall``,
-  ``stall_frontend``, ``repeat_rejection(gated * times)``).
+  rename attempt stalled with nothing but counters moved (a ROB
+  stall, or one whose ``stall_marks`` guard held: every registered
+  policy overrides the base policy's, whose fresh guard never holds)
+  and loads gated at the current version jumps to the next event or
+  MSHR expiry, charging the repeats in bulk (stall and classification
+  counts, ``repeat_stall``, ``stall_frontend``,
+  ``repeat_rejection(gated * times)``).
 
 Differential tests assert full ``SimStats.as_dict()`` equality across
 every registered policy, LTP preset and workload.  (The shortcuts
@@ -351,28 +352,14 @@ class KernelPipeline(Pipeline):
         monitor = self._monitor
         monitor_auto = self._monitor_auto
 
-        # hooks statically known to be no-ops are skipped; the gates
-        # replicate the hook bodies' own guards, so the sequence of
-        # *effective* calls is unchanged (bit-identity contract above)
-        is_ltp = isinstance(policy, LTPPolicy)
-        skip_may_allocate = is_ltp and not policy.ltp_config.enabled
-        # a disabled LTP policy's rename/decide path never reads
-        # producer_records (no ticket inheritance, no parked-bit scan),
-        # so failed rename attempts need not build the producer tuple —
-        # it is deferred to dependence registration on success
-        defer_producers = skip_may_allocate
-        # same reasoning one step further: a failed attempt's record is
-        # discarded unread, so with a disabled LTP policy the capacity
-        # checks (side-effect free) run first and a stalling attempt
-        # replays only its observable work via the policy's probe
-        observe_probe = (policy.observe_attempt
-                         if skip_may_allocate else None)
         # stall-span jump (module docstring): marks around a stalled
-        # rename attempt, for policies that declare it counter-only
-        stall_marks = (policy.stall_marks
-                       if allow_skip and policy.counter_only_stalls
-                       else None)
+        # rename attempt; the base policy's fresh guard never holds
+        stall_marks = policy.stall_marks if allow_skip else None
         repeat_stall = policy.repeat_stall
+        # commit and load hooks statically known to be no-ops are
+        # skipped; the gates replicate the hook bodies' own guards, so
+        # the sequence of *effective* calls is unchanged
+        is_ltp = isinstance(policy, LTPPolicy)
         policy_commit = policy.on_commit
         if is_ltp:
             # LTPPolicy.on_commit acts only on long-latency loads
@@ -608,52 +595,24 @@ class KernelPipeline(Pipeline):
                         # only a tick that has made no progress can
                         # end in a jump, the one reader of the marks
                         marks = stall_marks(dyn)
-                    if skip_may_allocate:
-                        # probe-first: same checks the dispatch branch
-                        # performs below, hoisted above the record
-                        # construction they would discard
-                        if iq_occ >= iq_capacity:
-                            stall_code = 1
-                        else:
-                            rf_class = dyn.rf_class
-                            if (rf_class is not None
-                                    and (rfi_free if rf_class == "int"
-                                         else rff_free) < rf_need):
-                                stall_code = 2
-                            elif ((dyn.is_load and lq_used + lsq_need
-                                   > lq_capacity)
-                                  or (dyn.is_store
-                                      and len(stores_dict) + lsq_need
-                                      > sq_capacity)):
-                                stall_code = 3
-                        if stall_code:
-                            urgent = observe_probe(dyn)
-                            if urgent:
-                                s_urgent += 1
-                            else:
-                                s_non_urgent += 1
-                            break
                     # one fresh record per rename *attempt* (ticket-pool
                     # accounting depends on it; see module docstring)
                     record = InFlightInst(dyn)
-                    if not defer_producers:
-                        src_producers = dyn.src_producers
-                        n_producers = len(src_producers)
-                        if n_producers == 1:
-                            p0 = src_producers[0]
-                            record.producer_records = (
-                                records[p0 - seq0] if p0 >= seq0
-                                else None,)
-                        elif n_producers == 2:
-                            p0, p1 = src_producers
-                            record.producer_records = (
-                                records[p0 - seq0] if p0 >= seq0 else None,
-                                records[p1 - seq0] if p1 >= seq0
-                                else None)
-                        elif n_producers:
-                            record.producer_records = tuple(
-                                records[p - seq0] if p >= seq0 else None
-                                for p in src_producers)
+                    src_producers = dyn.src_producers
+                    n_producers = len(src_producers)
+                    if n_producers == 1:
+                        p0 = src_producers[0]
+                        record.producer_records = (
+                            records[p0 - seq0] if p0 >= seq0 else None,)
+                    elif n_producers == 2:
+                        p0, p1 = src_producers
+                        record.producer_records = (
+                            records[p0 - seq0] if p0 >= seq0 else None,
+                            records[p1 - seq0] if p1 >= seq0 else None)
+                    elif n_producers:
+                        record.producer_records = tuple(
+                            records[p - seq0] if p >= seq0 else None
+                            for p in src_producers)
 
                     observe_rename(record)
                     if record.urgent:
@@ -670,10 +629,7 @@ class KernelPipeline(Pipeline):
                                 memdep_forced = True
                                 break
 
-                    if skip_may_allocate:
-                        decision = "dispatch"
-                    else:
-                        decision = may_allocate(record, now, memdep_forced)
+                    decision = may_allocate(record, now, memdep_forced)
                     if decision == "stall":
                         stall_code = 5
                         break
@@ -718,24 +674,21 @@ class KernelPipeline(Pipeline):
                                 parked_store_pcs.get(pc, 0) + 1)
                     else:
                         rf_class = record.rf_class
-                        if not skip_may_allocate:
-                            # (the skip path already ran these checks
-                            # in the probe above)
-                            if iq_occ >= iq_capacity:
-                                stall_code = 1
-                                break
-                            if (rf_class is not None
-                                    and (rfi_free if rf_class == "int"
-                                         else rff_free) < rf_need):
-                                stall_code = 2
-                                break
-                            if ((record.is_load
-                                 and lq_used + lsq_need > lq_capacity)
-                                    or (record.is_store
-                                        and len(stores_dict) + lsq_need
-                                        > sq_capacity)):
-                                stall_code = 3
-                                break
+                        if iq_occ >= iq_capacity:
+                            stall_code = 1
+                            break
+                        if (rf_class is not None
+                                and (rfi_free if rf_class == "int"
+                                     else rff_free) < rf_need):
+                            stall_code = 2
+                            break
+                        if ((record.is_load
+                             and lq_used + lsq_need > lq_capacity)
+                                or (record.is_store
+                                    and len(stores_dict) + lsq_need
+                                    > sq_capacity)):
+                            stall_code = 3
+                            break
                         if rf_class is not None:
                             if rf_class == "int":
                                 rfi_free -= 1
@@ -765,24 +718,6 @@ class KernelPipeline(Pipeline):
                         fe_len = len(fe_ready)
                     rel = dyn.seq - seq0
                     records[rel] = record
-                    if defer_producers:
-                        src_producers = dyn.src_producers
-                        n_producers = len(src_producers)
-                        if n_producers == 1:
-                            p0 = src_producers[0]
-                            record.producer_records = (
-                                records[p0 - seq0] if p0 >= seq0
-                                else None,)
-                        elif n_producers == 2:
-                            p0, p1 = src_producers
-                            record.producer_records = (
-                                records[p0 - seq0] if p0 >= seq0 else None,
-                                records[p1 - seq0] if p1 >= seq0
-                                else None)
-                        elif n_producers:
-                            record.producer_records = tuple(
-                                records[p - seq0] if p >= seq0 else None
-                                for p in src_producers)
                     waiting = 0
                     for producer in record.producer_records:
                         if producer is not None and not producer.done:
@@ -815,14 +750,8 @@ class KernelPipeline(Pipeline):
                     elif marks is not None:
                         after = stall_marks(dyn)
                         if after[0] == marks[0]:
-                            # (with skip_may_allocate every stall other
-                            # than the ROB's comes from the probe)
-                            if skip_may_allocate:
-                                stall = (stall_code, urgent, False,
-                                         marks, after)
-                            else:
-                                stall = (stall_code, record.urgent,
-                                         record.non_ready, marks, after)
+                            stall = (stall_code, record.urgent,
+                                     record.non_ready, marks, after)
 
             # ---- issue / execute ------------------------------------
             if ready_heap:

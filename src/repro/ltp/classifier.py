@@ -18,9 +18,10 @@ The oracle classifier answers from a trace pre-pass
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.core.inflight import InFlightInst
+from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo
 from repro.ltp.uit import UrgentInstructionTable
 
@@ -66,40 +67,6 @@ class OnlineClassifier:
             self._producer_pc[dyn.inst.dst] = pc
         return urgent
 
-    def classify_dyn(self, dyn) -> bool:
-        """:meth:`observe_rename` keyed by the dynamic instruction alone.
-
-        The classifier never reads timing state off the record, so a
-        rename attempt that is about to fail its capacity checks (and
-        whose record would be discarded unread) can run the exact same
-        UIT lookup/propagation through this entry point without
-        constructing the record at all.  Kept textually in sync with
-        :meth:`observe_rename`.
-        """
-        pc = dyn.pc
-        uit = self.uit
-        uit.lookups += 1
-        if uit.size is None:
-            urgent = pc in uit._unlimited
-        else:
-            entry = uit._sets[pc % uit.num_sets]
-            if pc in entry:
-                uit._stamp += 1
-                entry[pc] = uit._stamp
-                urgent = True
-            else:
-                urgent = False
-        if urgent:
-            producer_pcs = self._producer_pc
-            uit_insert = uit.insert
-            for reg in dyn.inst.srcs:
-                producer_pc = producer_pcs.get(reg)
-                if producer_pc is not None:
-                    uit_insert(producer_pc)
-        if dyn.has_dst:
-            self._producer_pc[dyn.inst.dst] = pc
-        return urgent
-
     def stall_marks(self, dyn) -> tuple:
         """``(guard, lookups, inserts)`` around a rename attempt of
         *dyn*.  While the UIT's fills and *dyn*'s producer-PC entry
@@ -121,24 +88,25 @@ class OnlineClassifier:
     def on_violation(self, store_pc: int) -> None:
         self.uit.insert(store_pc)
 
-    def warm(self, pcs_with_ll, src_map) -> None:
-        """Pre-train from a warmup trace slice.
-
-        *pcs_with_ll* iterates (pc, srcs, dst, is_long_latency) tuples in
-        program order, mimicking rename+commit during cache warmup.
-        """
-        for pc, srcs, dst, is_ll in pcs_with_ll:
-            if self.uit.contains(pc):
-                for reg in srcs:
-                    producer_pc = self._producer_pc.get(reg)
+    def warm(self, warmup_slice: Sequence[DynInst],
+             long_latency_flags: Sequence) -> None:
+        """Pre-train from a warmup trace slice and its long-latency
+        flags, in program order, mimicking rename+commit during cache
+        warmup."""
+        uit = self.uit
+        producer_pcs = self._producer_pc
+        for dyn, is_ll in zip(warmup_slice, long_latency_flags):
+            pc = dyn.pc
+            inst = dyn.inst
+            if uit.contains(pc):
+                for reg in inst.srcs:
+                    producer_pc = producer_pcs.get(reg)
                     if producer_pc is not None:
-                        self.uit.insert(producer_pc)
-            if dst is not None:
-                self._producer_pc[dst] = pc
+                        uit.insert(producer_pc)
+            if inst.dst is not None:
+                producer_pcs[inst.dst] = pc
             if is_ll:
-                self.uit.insert(pc)
-        # src_map kept for interface symmetry; unused here
-        del src_map
+                uit.insert(pc)
 
 
 class OracleClassifier:
@@ -155,13 +123,6 @@ class OracleClassifier:
         self.lookups += 1
         return self.oracle.is_urgent(record.seq, record.dyn.pc,
                                      self.granularity)
-
-    def classify_dyn(self, dyn) -> bool:
-        """Record-free variant of :meth:`observe_rename` (see the
-        online classifier's docstring); ``dyn.seq`` equals the record's
-        ``seq`` by construction."""
-        self.lookups += 1
-        return self.oracle.is_urgent(dyn.seq, dyn.pc, self.granularity)
 
     def stall_marks(self, dyn) -> tuple:
         """No guard and no inserts: an oracle lookup is a pure read."""

@@ -36,11 +36,12 @@ through a narrow hook surface and never looks inside it:
   exported into :class:`~repro.core.stats.SimStats` at the end of a
   run.
 * :meth:`~AllocationPolicy.stall_marks` /
-  :meth:`~AllocationPolicy.repeat_stall` — for policies that declare
-  ``counter_only_stalls`` (every :class:`ParkingPolicy` and the LTP
-  policies), the counters a stalled rename attempt moves, so the
-  kernel's stall-span jump can repeat the attempt in bulk (the object
-  engine retries it every cycle).
+  :meth:`~AllocationPolicy.repeat_stall` — the counters a stalled
+  rename attempt moves, under a guard, so the kernel's stall-span jump
+  can repeat the attempt in bulk (the object engine retries it every
+  cycle).  The base guard is fresh on every call and never holds; a
+  policy opts in by overriding both, as every :class:`ParkingPolicy`
+  and the LTP policies do.
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
@@ -111,15 +112,6 @@ class AllocationPolicy:
     #: parked instructions defer their register allocation (False =
     #: WIB-style: registers taken at rename even when parked)
     defer_registers = True
-
-    #: the policy's rename hooks, on an attempt that then stalls, change
-    #: nothing but the counters :meth:`stall_marks` reads whenever the
-    #: marks' guard is unchanged.  The kernel's stall-span jump may
-    #: then skip the cycles in which the attempt would only repeat,
-    #: charging them through :meth:`repeat_stall`.  A checked property
-    #: of the class's code, so a class attribute and never a config
-    #: field (it enters no payload or key).
-    counter_only_stalls = False
 
     # -- rename-time hooks ---------------------------------------------
     def observe_rename(self, record: InFlightInst) -> None:
@@ -199,13 +191,18 @@ class AllocationPolicy:
         """Export policy-owned statistics into *stats* at run end."""
         stats.ltp_park_stalls = self.park_stalls
 
-    # -- stalled rename attempts (only with counter_only_stalls) ---------
+    # -- stalled rename attempts ------------------------------------------
     def stall_marks(self, dyn) -> tuple:
         """``(guard, *counters)`` as they stand around a rename attempt
         of *dyn*.  The kernel reads them before and after an attempt
         that stalls; an unchanged guard means the attempt moved only
-        the counters."""
-        return (None,)
+        the counters, so the kernel's stall-span jump may skip the
+        cycles in which the attempt would only repeat, charging them
+        through :meth:`repeat_stall`.  An override states a checked
+        property of the policy's hooks.  This base guard is a fresh
+        object on every call, so the kernel never repeats the attempts
+        of a policy that has not stated what they change."""
+        return (object(),)
 
     def repeat_stall(self, before: tuple, after: tuple,
                      times: int) -> None:
@@ -240,12 +237,11 @@ class ParkingPolicy(AllocationPolicy):
     policy.
 
     A stalled attempt moves only ``park_stalls`` while :meth:`wants_park`
-    reads only the record and state that events move, so parking
-    policies declare ``counter_only_stalls``; a subclass whose attempt
-    moves more overrides :meth:`stall_marks` and :meth:`repeat_stall`.
+    reads only the record and state that events move, so the marks are
+    ``park_stalls`` under a guard that always holds; a subclass whose
+    attempt moves more overrides :meth:`stall_marks` and
+    :meth:`repeat_stall`.
     """
-
-    counter_only_stalls = True
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         super().__init__(ltp, dram_latency)

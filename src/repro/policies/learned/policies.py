@@ -187,9 +187,7 @@ class ConfidenceParkPolicy(ParkingPolicy):
     def warm_from_trace(self, warmup_slice, long_latency_flags) -> None:
         if long_latency_flags is None:
             return
-        events = ((dyn.pc, dyn.inst.srcs, dyn.inst.dst, bool(flag))
-                  for dyn, flag in zip(warmup_slice, long_latency_flags))
-        self.classifier.warm(events, None)
+        self.classifier.warm(warmup_slice, long_latency_flags)
 
     def stats_extra(self, stats) -> None:
         uit = self.classifier.uit

@@ -96,10 +96,6 @@ class LTPPolicy(AllocationPolicy):
         #: the online classifier's table (None for the oracle one)
         self._uit = getattr(self.classifier, "uit", None)
 
-    #: checked against observe_rename / may_allocate: see stall_marks
-    #: for what the guard covers
-    counter_only_stalls = True
-
     @property
     def release_reserve(self) -> int:
         config = self.ltp_config
@@ -171,34 +167,15 @@ class LTPPolicy(AllocationPolicy):
         elif dyn.is_load:
             record.predicted_ll = self.predict_long_latency(record)
 
-    def observe_attempt(self, dyn) -> bool:
-        """Replay :meth:`observe_rename`'s observable side effects for
-        a rename attempt whose record is about to be discarded on a
-        capacity stall, without constructing the record.
-
-        Only valid on a *disabled* policy (``parks_nr`` False, so no
-        ticket inheritance): the classifier probe and — for loads — the
-        hit/miss predictor lookup are then the only state the reference
-        attempt mutates; everything else the attempt writes lands on the
-        discarded record.  (The oracle long-latency lookup is a pure
-        list read and is elided.)  Returns the urgency bit so the caller
-        can keep the per-attempt classification counters.
-        """
-        urgent = self.classifier.classify_dyn(dyn)
-        if (self.predictor is not None and dyn.is_load
-                and not dyn.nonpipelined):
-            self.predictor.predict_long_latency(dyn.pc)
-        return urgent
-
     # ------------------------------------------------------------------
     # stalled rename attempts
     # ------------------------------------------------------------------
     def stall_marks(self, dyn) -> tuple:
         """``(guard, *counters)`` around a rename attempt of *dyn*.
 
-        The attempt's hooks (:meth:`observe_rename` or
-        :meth:`observe_attempt`, then :meth:`may_allocate`) write the
-        discarded record, and otherwise only:
+        The attempt's hooks (:meth:`observe_rename`, then
+        :meth:`may_allocate`) write the discarded record, and otherwise
+        only:
 
         * the classifier's state and counters, under the classifier's
           own ``stall_marks`` guard, which this one includes;
@@ -339,10 +316,7 @@ class LTPPolicy(AllocationPolicy):
         if long_latency_flags is None or not self.ltp_config.enabled:
             return
         if isinstance(self.classifier, OnlineClassifier):
-            events = ((dyn.pc, dyn.inst.srcs, dyn.inst.dst, bool(flag))
-                      for dyn, flag in zip(warmup_slice,
-                                           long_latency_flags))
-            self.classifier.warm(events, None)
+            self.classifier.warm(warmup_slice, long_latency_flags)
         if self.predictor is not None:
             for dyn, flag in zip(warmup_slice, long_latency_flags):
                 if dyn.is_load:

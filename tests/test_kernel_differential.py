@@ -36,7 +36,7 @@ from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
 from repro.isa.assembler import assemble
 from repro.isa.executor import Executor
-from repro.ltp.config import no_ltp, proposed_ltp
+from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
 from repro.ltp.oracle import annotate_trace
 from repro.policies import build_policy, policy_names, policy_needs_oracle
 
@@ -104,8 +104,12 @@ def test_kernel_engine_matches_object_engine_through_session(tmp_path_factory,
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     workload = rng.choice(["lattice_milc", "ptrchase_astar",
                            "stream_triad", "sparse_gather"])
+    # the two disabled configs take the kernel's one rename path with
+    # an online and an oracle classifier
     ltp = rng.choice([no_ltp(), proposed_ltp(),
-                      proposed_ltp().but(entries=16, ports=2)])
+                      proposed_ltp().but(entries=16, ports=2),
+                      proposed_ltp().but(enabled=False),
+                      limit_ltp("nr+nu").but(enabled=False)])
     warmup = rng.choice([0, 200, 500])
     measure = rng.choice([200, 400])
     scratch = tmp_path_factory.mktemp("simcache")

@@ -11,7 +11,8 @@ and kernel jumping runs must agree on the full statistics, the
 hierarchy's demand/rejection counters and the policy's own counters
 (``park_stalls``, and the ticket pool, UIT fills and hit/miss
 predictor where the policy has them).  Every registered policy
-declares ``counter_only_stalls``, and each has a point here.
+overrides ``stall_marks`` (the base policy's guard never holds), and
+each has a point here.
 
 The kernel's loop keeps all its state in locals, so its spans are
 counted through the collaborators it pre-binds when the loop starts
@@ -35,7 +36,10 @@ from hypothesis import example, given, settings
 
 from repro.api import Session
 from repro.api.session import warm_branch_predictor, warm_hierarchy
+import repro.core.kernel as kernel_mod
+import repro.core.pipeline as pipeline_mod
 from repro.core.branch import GsharePredictor
+from repro.core.inflight import InFlightInst
 from repro.core.kernel import KernelPipeline
 from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline, SimulationDeadlock
@@ -46,7 +50,8 @@ from repro.ltp.config import proposed_ltp
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
-from repro.policies import build_policy, policy_info, policy_names
+from repro.policies import (AllocationPolicy, build_policy, policy_info,
+                            policy_names)
 from repro.policies.scenarios import OracleParkPolicy
 from repro.workloads import get_workload
 
@@ -100,6 +105,15 @@ def _points():
             "confidence-park"),
         "astar-e8-loadpred-park": (
             "ptrchase_astar", small, e8, "loadpred-park"),
+        # an 8-entry LQ: loads stall at rename on cold blocks, so each
+        # verdict falls through to the hit/miss predictor
+        "hash-lq8-loadpred-park": (
+            "hash_probe", small.but(lq_size=8), proposed_ltp(),
+            "loadpred-park"),
+        # disabled LTP: capacity stalls on a full IQ, RF or LSQ
+        "astar-disabled-online": (
+            "ptrchase_astar", small, proposed_ltp().but(enabled=False),
+            "ltp"),
     }
 
 
@@ -163,11 +177,9 @@ class _Spans:
         self.gated_spans = 0
         self.expiry_bounded = 0
         self.charged = 0            # cycles charged via repeat_stall
-        self.stall_calls = 0        # policy.stall_marks calls
         hierarchy = pipeline.hierarchy
         policy = pipeline.policy
         repeat_stall = policy.repeat_stall
-        stall_marks = policy.stall_marks
         repeat_rejection = hierarchy.repeat_rejection
         advance = hierarchy.advance
         gated_until = []            # the MSHR expiry a gated span saw
@@ -176,10 +188,6 @@ class _Spans:
             self.spans.add(hierarchy._last_advance_cycle)
             self.charged += times
             repeat_stall(before, after, times)
-
-        def counted_stall_marks(dyn):
-            self.stall_calls += 1
-            return stall_marks(dyn)
 
         def counted_repeat_rejection(*times):
             if times:
@@ -197,7 +205,6 @@ class _Spans:
             advance(now)
 
         policy.repeat_stall = counted_repeat_stall
-        policy.stall_marks = counted_stall_marks
         hierarchy.repeat_rejection = counted_repeat_rejection
         hierarchy.advance = checked_advance
 
@@ -240,16 +247,19 @@ def test_jump_takes_effect_on_the_kernel(session):
 
 
 def test_every_declared_policy_has_a_strict_vs_jump_point():
-    """A policy may declare ``counter_only_stalls`` only with a point in
-    the four-way comparison above, which checks the declaration."""
+    """Every registered policy overrides ``stall_marks``, so each needs
+    a point in the four-way comparison above, which checks it."""
     covered = {point[3] for point in _points().values()}
     for name in policy_names():
-        if policy_info(name).factory.counter_only_stalls:
-            assert name in covered, name
+        assert name in covered, name
+        factory = policy_info(name).factory
+        assert factory.stall_marks is not AllocationPolicy.stall_marks, name
 
 
 class _UndeclaredOraclePark(OracleParkPolicy):
-    counter_only_stalls = False
+    """``oracle-park`` with the base policy's marks."""
+
+    stall_marks = AllocationPolicy.stall_marks
 
 
 def _hand_built(session, engine, policy_cls):
@@ -273,11 +283,10 @@ def _hand_built(session, engine, policy_cls):
 
 
 def test_undeclared_policy_keeps_ticking_its_attempts(session):
-    """A policy that has not declared ``counter_only_stalls`` never has
-    its stalled attempts repeated in bulk by the kernel, and its run
-    still matches the object engine's."""
+    """A policy that inherits the base ``stall_marks`` (a fresh guard on
+    every call) never has its stalled attempts repeated in bulk by the
+    kernel, and its run still matches the object engine's."""
     pipeline = _hand_built(session, KernelPipeline, _UndeclaredOraclePark)
-    assert not pipeline.policy.counter_only_stalls
     spans = _Spans(pipeline)
     kernel = counters(pipeline)
     reference = counters(_hand_built(session, Pipeline,
@@ -287,8 +296,31 @@ def test_undeclared_policy_keeps_ticking_its_attempts(session):
     assert sum(kernel[key] for key in stalls) > 0
     # the kernel still jumps, but only over gated loads
     assert spans.gated_spans > 0
-    assert spans.stall_calls == 0
     assert spans.charged == 0
+
+
+@pytest.mark.parametrize("name", ["astar-disabled-online",
+                                  "milc-mshr2-baseline"])
+def test_one_record_per_rename_attempt_on_both_engines(session, name,
+                                                       monkeypatch):
+    """Strict runs of both engines build one record per rename attempt,
+    the stalled attempts of a disabled LTP policy included."""
+    built = {}
+    for module in (kernel_mod, pipeline_mod):
+        def counted(dyn, _module=module):
+            built[_module] = built.get(_module, 0) + 1
+            return InFlightInst(dyn)
+        monkeypatch.setattr(module, "InFlightInst", counted)
+    stats = {}
+    for engine, module in (("object", pipeline_mod),
+                           ("kernel", kernel_mod)):
+        stats[engine] = _build(session, name, engine=engine,
+                               allow_skip=False).run()
+        assert built.get(module, 0) > 0, engine
+    capacity = ("stall_iq", "stall_regs", "stall_lsq")
+    assert sum(getattr(stats["kernel"], key) for key in capacity) > 0
+    assert built[kernel_mod] == built[pipeline_mod]
+    assert built[kernel_mod] > stats["kernel"].renamed
 
 
 # ================================================================
