@@ -321,9 +321,9 @@ class _TamperingMock(MockExecutor):
         super().__init__(**kwargs)
         self.tamper = dict(tamper)
 
-    def _fabricate(self, future):
-        stats = super()._fabricate(future)
-        patch = self.tamper.get(future.index)
+    def _fabricate(self, point):
+        stats = super()._fabricate(point)
+        patch = self.tamper.get(point.index)
         return patch(stats) if patch else stats
 
 

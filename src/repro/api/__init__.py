@@ -9,17 +9,18 @@ The API layer is organised around four ideas:
 * Declarative specs — :class:`~repro.harness.config.SimConfig`
   round-trips through dicts, and :class:`SweepSpec` expands axis
   products into validated configuration lists.
-* :class:`ExecutorBackend` — the futures-based execution layer
-  (:mod:`repro.api.exec`): ``submit(item) -> SimFuture``,
-  ``as_completed()``, lifecycle events, bounded retries, graceful
-  cancellation.  Two executors have names — ``"serial"`` and
-  ``"process-pool"`` — usable as ``Session(backend=...)``, the
-  ``backend=`` of ``run_many``/``sweep`` and the CLI's ``--executor``
-  flag; :func:`repro.api.exec.executor_from_options` is the one
-  function that turns a name into an executor.  Anything else (a
-  custom subclass, a test double) is passed as an instance.  The layer
-  is single-threaded: futures resolve on the thread iterating
-  ``as_completed()``.
+* :class:`ExecutorBackend` — the execution layer
+  (:mod:`repro.api.exec`): one ``run(session, items, emit)``
+  generator per executor that yields each point's outcome as it
+  lands, with lifecycle events and bounded retries.  Executors keep
+  only their options, no per-call state.  Two executors have names —
+  ``"serial"`` and ``"process-pool"`` — usable as
+  ``Session(backend=...)``, the ``backend=`` of ``run_many``/``sweep``
+  and the CLI's ``--executor`` flag;
+  :func:`repro.api.exec.executor_from_options` is the one function
+  that turns a name into an executor.  Anything else (a custom
+  subclass, a test double) is passed as an instance.  The layer is
+  single-threaded: outcomes land on the thread iterating ``run()``.
 * :class:`SimResult` — typed results with cache provenance and wall
   time, JSON-ready via ``to_dict()``.
 * :class:`ResultStore` — durable, append-only JSONL stores of sweep
@@ -48,10 +49,8 @@ Quick start::
             print(result.config.core.iq_size, result.cpi)
 """
 
-from repro.api.exec import (ExecEvent, ExecutionCancelled,
-                            ExecutorBackend, FutureNotResolved,
-                            PoolExecutor, SerialExecutor, SimFuture,
-                            WorkerFailure, as_executor)
+from repro.api.exec import (ExecEvent, ExecutorBackend, PoolExecutor,
+                            SerialExecutor, WorkerFailure, as_executor)
 from repro.api.inspect import (InspectorConfig, SweepInspector,
                                stat_invariants)
 from repro.api.registry import (Experiment, experiment, experiment_names,
@@ -72,16 +71,13 @@ __all__ = [
     "DEFAULT_POLICY",
     "ExecEvent",
     "Experiment",
-    "ExecutionCancelled",
     "ExecutorBackend",
-    "FutureNotResolved",
     "InspectorConfig",
     "PoolExecutor",
     "ResultStore",
     "SerialExecutor",
     "Session",
     "SimConfig",
-    "SimFuture",
     "SimResult",
     "SweepInspector",
     "SweepSpec",

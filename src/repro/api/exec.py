@@ -1,32 +1,32 @@
-"""Futures-based execution: submission, lifecycle events, retries.
+"""Execution: one ``run()`` generator per executor, lifecycle events,
+retries.
 
-This module is the execution layer's supported surface.  The
-submission protocol decomposes execution into observable, controllable
-pieces:
+This module is the execution layer's supported surface:
 
-* :class:`SimFuture` — one submitted configuration's pending outcome:
-  ``result()`` / ``exception()`` / ``cancel()`` / ``done()``, carrying
-  provenance (config, cache key, batch index, attempts).
-* :class:`ExecutorBackend` — the submission surface every executor
-  implements: ``submit(item) -> SimFuture`` plus ``as_completed()``,
-  progress callbacks receiving structured :class:`ExecEvent` lifecycle
-  events (``submitted``/``started``/``finished``/``failed``/
-  ``retried``/``cancelled``, each delivered exactly once per
-  transition), bounded retry on worker failure, and graceful
-  cancellation (``cancel_all`` stops dispatching but drains whatever
-  is already in flight).
+* :class:`ExecutorBackend` — what every executor implements: one
+  method, ``run(session, items, emit=None)``, a generator over the
+  ``(index, config, key)`` items ``Session._drive`` built.  It calls
+  ``emit`` with each structured :class:`ExecEvent` lifecycle event
+  (``submitted``/``started``/``finished``/``failed``/``retried``) and
+  yields each point's outcome, a :class:`~repro.api.result.SimResult`
+  or a :class:`WorkerFailure`, as it lands.  Failed attempts are
+  redispatched up to ``max_retries`` times.
 * :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
   worker-process implementations, named ``"serial"`` and
   ``"process-pool"`` in :data:`EXECUTORS`; :func:`executor_from_options`
   is the one function that turns a name into an executor.
 
-Single-threaded: futures resolve on the thread iterating
-``as_completed()``, so asking an unresolved one for its outcome raises
-:class:`FutureNotResolved` at once (nothing else could resolve it).
+Stateless executors: an executor keeps only its construction options
+(``max_retries``, ``batch_size``, ``jobs``).  Everything one call needs
+lives in its ``run()`` generator, so an exception anywhere in the
+caller (a callback, the store, ``KeyboardInterrupt``) ends the call by
+closing the generator, whose ``finally`` shuts a worker pool down.
+Nothing is left queued for a later call, and an interrupted sweep
+resumes from whatever its store holds.
 
-One dispatch unit: every executor dispatches :class:`BatchWorkItem` units
-— queued futures sharing one trace identity (workload + total trace
-length), capped by ``batch_size`` — and a lone
+One dispatch unit: :func:`_batches` splits the items into
+trace-homogeneous batches — points sharing one trace identity
+(workload + total trace length), capped by ``batch_size`` — and a lone
 point is simply a batch of one.  Each dispatch pays one trace
 generation, one workload build and one columnar predecode for the
 whole group (the session's trace-cache entry is shared by every
@@ -37,31 +37,29 @@ Executors only simulate: the result cache is read and written by
 ``Session._drive`` alone, so every point an executor lands is
 ``simulated``.
 
-One outcome path: however an executor runs a point, it reports to
-the ``ExecutorBackend`` helpers ``_start``, ``_finish`` and
-``_retry_or_fail`` — the only code that resolves a future, counts its
-attempts, builds its :class:`WorkerFailure` or emits its lifecycle
-events.
+One outcome path: however an executor runs a point, it reports to the
+``ExecutorBackend`` helpers ``_submitted``, ``_start``, ``_finish`` and
+``_retry_or_fail`` — the only code that counts a point's attempts,
+builds its :class:`~repro.api.result.SimResult` or
+:class:`WorkerFailure` and emits its lifecycle events.
 
-Event-delivery guarantees: every submitted item emits ``submitted``
-once, ``started`` once (its first dispatch), then either ``finished``
-or ``failed`` once, with zero or more ``retried`` events in between
-(one per redispatch after a worker failure); an item cancelled before
-it starts emits ``cancelled`` instead.  Events are delivered on the
-thread iterating ``as_completed()``, in a deterministic order for
-serial execution.  Batching never changes any of this: points landing
-from one batch still emit their lifecycle events per point, exactly
-once, and a batch that fails mid-flight retries only its unfinished
-points.
+Event-delivery guarantees: every item emits ``submitted`` once,
+``started`` once (its first dispatch), then either ``finished`` or
+``failed`` once, with zero or more ``retried`` events in between (one
+per redispatch after a worker failure).  ``finished`` is emitted before
+the outcome is yielded.  Events are delivered on the thread iterating
+``run()``, in a deterministic order for serial execution.  Batching
+never changes any of this: points landing from one batch still emit
+their lifecycle events per point, exactly once, and a batch that fails
+mid-flight retries only its unfinished points.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
                     List, Optional, Sequence, Tuple, Type, Union)
 
 from repro.api.result import SOURCE_SIMULATED, SimResult
@@ -70,13 +68,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
     from repro.harness.config import SimConfig
 
-#: a unit of pending work: position in the batch, config and, if the
-#: submitter has hashed it already (``Session._drive`` has), its key
-WorkItem = Union[Tuple[int, "SimConfig"], Tuple[int, "SimConfig", str]]
+#: a unit of pending work: position in the batch, config and its key
+WorkItem = Tuple[int, "SimConfig", str]
 #: a worker's report on one point: ``(error, stats, wall seconds)`` —
 #: ``error`` is ``None`` on success; a failure carries its error (text,
 #: or the raised exception) and no stats
 Outcome = Tuple[Any, Optional[Dict[str, Any]], float]
+#: what ``run()`` yields for one point
+PointOutcome = Union[SimResult, "WorkerFailure"]
 
 #: default cap on trace-shared batch size when no ``batch_size`` is
 #: given: large enough to amortize trace generation and predecode,
@@ -92,9 +91,8 @@ EVENT_STARTED = "started"
 EVENT_FINISHED = "finished"
 EVENT_FAILED = "failed"
 EVENT_RETRIED = "retried"
-EVENT_CANCELLED = "cancelled"
 #: synthetic event kind injected by the SweepInspector (not part of
-#: the per-future lifecycle): an anomaly confirmed online, carrying
+#: the per-point lifecycle): an anomaly confirmed online, carrying
 #: ``"check: detail"`` in ``error``
 EVENT_ANOMALY = "anomaly"
 
@@ -131,22 +129,6 @@ class ExecEvent:
 ProgressCallback = Callable[[ExecEvent], None]
 
 
-class ExecutionCancelled(RuntimeError):
-    """A batch ended with cancelled work still unexecuted.
-
-    ``completed`` maps batch index -> :class:`SimResult` for every
-    point that landed before (or while) the cancellation drained, so a
-    caller can aggregate partial results; everything already appended
-    to a bound :class:`~repro.api.store.ResultStore` stays there, which
-    is what makes a cancelled sweep resumable.
-    """
-
-    def __init__(self, message: str,
-                 completed: Optional[Dict[int, SimResult]] = None) -> None:
-        super().__init__(message)
-        self.completed: Dict[int, SimResult] = completed or {}
-
-
 class WorkerFailure(RuntimeError):
     """A work item kept failing after its bounded retries."""
 
@@ -155,131 +137,61 @@ class WorkerFailure(RuntimeError):
         self.attempts = attempts
 
 
-class FutureNotResolved(RuntimeError):
-    """The outcome of a future that has not resolved yet was asked for."""
+class _Point:
+    """One item's bookkeeping inside a ``run()`` call."""
 
+    __slots__ = ("index", "config", "key", "attempts")
 
-# ----------------------------------------------------------------------
-# futures
-# ----------------------------------------------------------------------
-_PENDING = "pending"
-_CANCELLED = "cancelled"
-_DONE = "done"
-
-
-class SimFuture:
-    """The pending outcome of one submitted configuration.
-
-    Created by :meth:`ExecutorBackend.submit`; resolved by the
-    executor's ``as_completed`` drive, on the thread iterating it.  A
-    future has started once ``attempts > 0``.
-    """
-
-    def __init__(self, executor: "ExecutorBackend", item: WorkItem) -> None:
-        self.index, self.config = item[0], item[1]
-        #: the configuration's stable cache key (provenance)
-        self.key = item[2] if len(item) > 2 else self.config.key()
+    def __init__(self, index: int, config: "SimConfig", key: str) -> None:
+        self.index = index
+        self.config = config
+        self.key = key
         #: attempts dispatched so far (grows on retries)
         self.attempts = 0
-        self._executor = executor
-        self._state = _PENDING
-        self._result: Optional[SimResult] = None
-        self._exception: Optional[BaseException] = None
 
-    # -- state queries ---------------------------------------------------
-    def done(self) -> bool:
-        """True once resolved: result, exception, or cancelled."""
-        return self._state != _PENDING
 
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    # -- cancellation ----------------------------------------------------
-    def cancel(self) -> bool:
-        """Cancel if not yet started; running work is never interrupted.
-
-        Returns ``True`` when the future is (now) cancelled.  The
-        executor emits the ``cancelled`` lifecycle event.
-        """
-        if self._state == _CANCELLED:
-            return True
-        if self._state != _PENDING or self.attempts:
-            return False
-        self._state = _CANCELLED
-        self._executor._emit(EVENT_CANCELLED, self)
-        return True
-
-    # -- outcome ---------------------------------------------------------
-    def _require_resolved(self) -> None:
-        if self._state == _PENDING:
-            raise FutureNotResolved(
-                f"future for {self.key} is not resolved; iterate its "
-                f"executor's as_completed() first")
-
-    def result(self) -> SimResult:
-        """The :class:`SimResult`; raises the failure or cancellation."""
-        self._require_resolved()
-        if self._state == _CANCELLED:
-            raise ExecutionCancelled(
-                f"simulation of {self.key} was cancelled")
-        if self._exception is not None:
-            raise self._exception
-        assert self._result is not None
-        return self._result
-
-    def exception(self) -> Optional[BaseException]:
-        """The failure that resolved this future, or ``None``."""
-        self._require_resolved()
-        if self._state == _CANCELLED:
-            return ExecutionCancelled(
-                f"simulation of {self.key} was cancelled")
-        return self._exception
-
-    def __repr__(self) -> str:
-        return (f"SimFuture({self.config.workload!r}, key={self.key!r}, "
-                f"state={self._state!r})")
+def _event(kind: str, point: _Point, **extra: Any) -> ExecEvent:
+    return ExecEvent(kind=kind, key=point.key,
+                     workload=point.config.workload, index=point.index,
+                     attempt=point.attempts, **extra)
 
 
 # ----------------------------------------------------------------------
 # trace-shared batches
 # ----------------------------------------------------------------------
-def _batch_key(future: SimFuture) -> Tuple[str, int]:
+def _batch_key(config: "SimConfig") -> Tuple[str, int]:
     """The grouping identity for trace-shared batching.
 
-    Futures batch together when they share a workload and a total
+    Points batch together when they share a workload and a total
     trace length (``warmup + measure``) — exactly the inputs one trace
     generation + one predecode can serve.  The engine is deliberately
     *not* part of the key: the trace's one predecode serves every
     kernel member, and object-engine members (the differential
     reference) never touch it.
     """
-    config = future.config
     return (config.workload, config.warmup + config.measure)
 
 
-@dataclass
-class BatchWorkItem:
-    """A trace-homogeneous slice of the queue, dispatched as one unit.
+def _batches(points: Sequence[_Point],
+             limit: Optional[int]) -> List[List[_Point]]:
+    """Split *points* into trace-homogeneous batches, dispatch order.
 
-    Every member future shares the :func:`_batch_key` identity (a
-    cancelled future travels alone), so an executor can run the whole
-    group through one :class:`~repro.api.session.BatchRunner` while
-    still resolving each member per point.
+    Each batch holds points of one :func:`_batch_key` identity, in
+    their order, at most *limit* of them (``None`` = no cap).  Batches
+    come in the order of their first points, so a batch takes the
+    earliest point not yet batched plus the next points sharing its
+    identity.  A sweep's expansion is workload-major, so batching a
+    sweep never reorders how its points land.
     """
-
-    futures: List[SimFuture]
-
-    def __len__(self) -> int:
-        return len(self.futures)
-
-    @property
-    def workload(self) -> str:
-        return self.futures[0].config.workload
-
-    @property
-    def length(self) -> int:
-        config = self.futures[0].config
-        return config.warmup + config.measure
+    groups: Dict[Tuple[str, int], List[_Point]] = {}
+    for point in points:
+        groups.setdefault(_batch_key(point.config), []).append(point)
+    size = limit or len(points)
+    batches = [group[start:start + size] for group in groups.values()
+               for start in range(0, len(group), size)]
+    position = {id(point): n for n, point in enumerate(points)}
+    batches.sort(key=lambda batch: position[id(batch[0])])
+    return batches
 
 
 # ----------------------------------------------------------------------
@@ -290,16 +202,16 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
     """Simulate one dispatched batch of ``(config, key)`` items in one
     worker round trip (the parent has hashed every config already).
 
-    Every chunk is a trace-homogeneous :class:`BatchWorkItem` (one
-    workload, one total trace length) or a single-point retry, and
-    runs through a :class:`~repro.api.session.BatchRunner` of the
-    worker's default session (forked from the parent's), which only
-    supplies the trace cache: one trace generation, one workload build,
-    one predecode for the whole chunk.  The worker touches no result
-    cache; the parent's ``Session._drive`` writes it.  Each point comes
-    back as one :data:`Outcome`, a failure in-band as its error text,
-    so one bad point costs one single-item retry instead of re-failing
-    the whole chunk.
+    Every chunk is a trace-homogeneous batch (one workload, one total
+    trace length) or a single-point retry, and runs through a
+    :class:`~repro.api.session.BatchRunner` of the worker's default
+    session (forked from the parent's), which only supplies the trace
+    cache: one trace generation, one workload build, one predecode for
+    the whole chunk.  The worker touches no result cache; the parent's
+    ``Session._drive`` writes it.  Each point comes back as one
+    :data:`Outcome`, a failure in-band as its error text, so one bad
+    point costs one single-item retry instead of re-failing the whole
+    chunk.
     """
     from repro.api.session import default_session
     first = items[0][0]
@@ -317,29 +229,28 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
 
 
 # ----------------------------------------------------------------------
-# the submission protocol
+# executors
 # ----------------------------------------------------------------------
 class ExecutorBackend:
-    """Base of every futures-style executor.
+    """Base of every executor.
 
-    Subclasses implement :meth:`as_completed`, the drive loop that
-    resolves every submitted future; everything else — submission,
-    progress callbacks, cancellation bookkeeping and the outcome path
-    (:meth:`_start`, :meth:`_finish`, :meth:`_retry_or_fail`, the only
-    code that resolves a future or emits its
-    ``started``/``finished``/``retried``/``failed`` events) — is
-    shared here.
+    Subclasses implement :meth:`run`; the outcome path
+    (:meth:`_submitted`, :meth:`_start`, :meth:`_finish`,
+    :meth:`_retry_or_fail`, the only code that emits a point's
+    lifecycle events or builds its outcome) is shared here.  An
+    executor keeps only its construction options, so one instance can
+    serve any number of calls, one after another.
 
     Parameters
     ----------
     max_retries:
         How many times a failing work item is redispatched before its
-        exception surfaces on the :class:`SimFuture` (default 1, so a
-        transient worker crash costs one retry).
+        :class:`WorkerFailure` is yielded (default 1, so a transient
+        worker crash costs one retry).
     batch_size:
-        Cap on how many trace-identical futures one
-        :class:`BatchWorkItem` groups (``None`` = executor-specific
-        default; ``1`` disables batching entirely).
+        Cap on how many trace-identical points one dispatched batch
+        groups (``None`` = executor-specific default; ``1`` disables
+        batching entirely).
     """
 
     #: short identifier recorded in :class:`repro.api.result.SimResult`
@@ -353,213 +264,103 @@ class ExecutorBackend:
             raise ValueError("batch_size must be >= 1")
         self.max_retries = max_retries
         self.batch_size = batch_size
-        self._session: Optional["weakref.ref[Session]"] = None
-        self._callbacks: List[ProgressCallback] = []
-        #: submitted futures not yet taken by the drive loop
-        self._queue: "Deque[SimFuture]" = deque()
-        self._cancelling = False
 
-    # -- wiring ----------------------------------------------------------
-    def bind(self, session: "Session") -> "ExecutorBackend":
-        """Attach the session work is executed against, weakly: its
-        own backend would close a cycle, which ``gc.freeze()`` makes
-        permanent, leaking every trace the session prepared."""
-        self._session = weakref.ref(session)
-        return self
-
-    def _require_session(self) -> "Session":
-        session = self._session() if self._session is not None else None
-        if session is None:
-            raise RuntimeError(
-                f"{type(self).__name__} is not bound to a Session; call "
-                f"bind(session) (Session.run_many does this for you)")
-        return session
-
-    def add_progress_callback(self,
-                              callback: ProgressCallback
-                              ) -> ProgressCallback:
-        """Register *callback* for every lifecycle event; returns it."""
-        self._callbacks.append(callback)
-        return callback
-
-    def remove_progress_callback(self, callback: ProgressCallback) -> None:
-        """Unregister a callback (missing callbacks are ignored)."""
-        try:
-            self._callbacks.remove(callback)
-        except ValueError:
-            pass
-
-    def _emit(self, kind: str, future: SimFuture, **extra: Any) -> None:
-        if not self._callbacks:
-            return
-        event = ExecEvent(kind=kind, key=future.key,
-                          workload=future.config.workload,
-                          index=future.index, attempt=future.attempts,
-                          **extra)
-        for callback in list(self._callbacks):
-            callback(event)
-
-    # -- submission ------------------------------------------------------
-    def submit(self, item: WorkItem) -> SimFuture:
-        """Queue one work item; returns its :class:`SimFuture`.
-
-        Execution happens while :meth:`as_completed` is iterated —
-        ``submit`` never blocks on simulation.
-        """
-        future = SimFuture(self, item)
-        self._queue.append(future)
-        self._emit(EVENT_SUBMITTED, future)
-        return future
-
-    # -- cancellation ----------------------------------------------------
-    def cancel_all(self) -> int:
-        """Gracefully cancel: stop dispatching, drain in-flight work.
-
-        Every not-yet-started future is cancelled (and emits its
-        ``cancelled`` event); futures already handed to a worker run
-        to completion and still resolve normally.  Returns how many
-        futures were cancelled.
-        """
-        self._cancelling = True
-        cancelled = 0
-        for future in list(self._queue):
-            if future.cancel():
-                cancelled += 1
-        return cancelled
-
-    # -- batch formation -------------------------------------------------
-    def _next_batch(self,
-                    limit: Optional[int] = None
-                    ) -> Optional[BatchWorkItem]:
-        """Pop the next :class:`BatchWorkItem` off the queue.
-
-        Takes the queue head plus every queued future sharing its
-        :func:`_batch_key` identity (up to *limit*); non-matching
-        futures keep their relative order.  A cancelled head travels
-        alone so the drive loops resolve it without touching a batch.
-        Queue order is preserved *within* each trace identity, and a
-        sweep's expansion is workload-major, so batching a sweep never
-        reorders how its points land.
-        """
-        if not self._queue:
-            return None
-        head = self._queue.popleft()
-        if head.cancelled() or (limit is not None and limit <= 1):
-            return BatchWorkItem([head])
-        key = _batch_key(head)
-        futures = [head]
-        kept: "Deque[SimFuture]" = deque()
-        while self._queue:
-            future = self._queue.popleft()
-            if (len(futures) != limit and not future.cancelled()
-                    and _batch_key(future) == key):
-                futures.append(future)
-            else:
-                kept.append(future)
-        self._queue.extend(kept)
-        return BatchWorkItem(futures)
-
-    # -- the outcome path ------------------------------------------------
-    def _start(self, future: SimFuture) -> None:
-        """First dispatch of *future*: attempt 1, ``started``."""
-        future.attempts = 1
-        self._emit(EVENT_STARTED, future)
-
-    def _finish(self, future: SimFuture, stats: Dict[str, Any],
-                wall_time_s: float) -> None:
-        """Resolve *future* with a simulated point and emit ``finished``."""
-        future._result = SimResult(
-            config=future.config, stats=stats, key=future.key,
-            source=SOURCE_SIMULATED, wall_time_s=wall_time_s,
-            backend=self.name)
-        future._state = _DONE
-        self._emit(EVENT_FINISHED, future, source=SOURCE_SIMULATED,
-                   wall_time_s=wall_time_s)
-
-    def _retry_or_fail(self, future: SimFuture, error: Any,
-                       retry: bool = True) -> bool:
-        """One failed attempt of *future*; ``True`` = redispatch it.
-
-        Within ``max_retries`` (and unless cancelling, or the caller
-        has nowhere to *retry*), emit ``retried`` for the attempt that
-        failed and count the next one.  Otherwise resolve the future
-        with a :class:`WorkerFailure` — chained to *error* when that
-        is a real exception — and emit ``failed``.
-        """
-        if (retry and future.attempts <= self.max_retries
-                and not self._cancelling):
-            self._emit(EVENT_RETRIED, future, error=str(error))
-            future.attempts += 1
-            return True
-        failure = WorkerFailure(
-            f"{future.config.workload} ({future.key}) failed after "
-            f"{future.attempts} attempt(s): {error}",
-            attempts=future.attempts)
-        if isinstance(error, BaseException):
-            failure.__cause__ = error
-        self._emit(EVENT_FAILED, future, error=str(error))
-        future._exception = failure
-        future._state = _DONE
-        return False
-
-    # -- the drive loop --------------------------------------------------
-    def as_completed(self) -> Iterator[SimFuture]:
-        """Resolve and yield every submitted future, completion order."""
+    def run(self, session: "Session", items: Iterable[WorkItem],
+            emit: Optional[ProgressCallback] = None
+            ) -> Iterator[PointOutcome]:
+        """Execute *items* against *session*; yield each point's
+        :class:`~repro.api.result.SimResult` or :class:`WorkerFailure`
+        as it lands, calling *emit* with every lifecycle event."""
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def _drain_inline(self, session: "Session",
-                      limit: Optional[int] = None) -> Iterator[SimFuture]:
-        """Run the queue in-process, batched, in submission order
-        (shared by the serial executor and the pool's small-batch
-        degradation).
+    # -- the outcome path ------------------------------------------------
+    def _submitted(self, items: Iterable[WorkItem],
+                   emit: Optional[ProgressCallback]) -> List[_Point]:
+        """One :class:`_Point` per item, each announced ``submitted``."""
+        points = [_Point(*item) for item in items]
+        if emit is not None:
+            for point in points:
+                emit(_event(EVENT_SUBMITTED, point))
+        return points
+
+    def _start(self, point: _Point,
+               emit: Optional[ProgressCallback]) -> None:
+        """First dispatch of *point*: attempt 1, ``started``."""
+        point.attempts = 1
+        if emit is not None:
+            emit(_event(EVENT_STARTED, point))
+
+    def _finish(self, point: _Point, stats: Dict[str, Any],
+                wall_time_s: float,
+                emit: Optional[ProgressCallback]) -> SimResult:
+        """*point*'s simulated result, after emitting ``finished``."""
+        if emit is not None:
+            emit(_event(EVENT_FINISHED, point, source=SOURCE_SIMULATED,
+                        wall_time_s=wall_time_s))
+        return SimResult(config=point.config, stats=stats, key=point.key,
+                         source=SOURCE_SIMULATED, wall_time_s=wall_time_s,
+                         backend=self.name)
+
+    def _retry_or_fail(self, point: _Point, error: Any,
+                       emit: Optional[ProgressCallback]
+                       ) -> Optional[WorkerFailure]:
+        """One failed attempt of *point*; ``None`` = redispatch it.
+
+        Within ``max_retries``, emit ``retried`` for the attempt that
+        failed and count the next one.  Otherwise emit ``failed`` and
+        return a :class:`WorkerFailure`, chained to *error* when that
+        is a real exception.
+        """
+        if point.attempts <= self.max_retries:
+            if emit is not None:
+                emit(_event(EVENT_RETRIED, point, error=str(error)))
+            point.attempts += 1
+            return None
+        failure = WorkerFailure(
+            f"{point.config.workload} ({point.key}) failed after "
+            f"{point.attempts} attempt(s): {error}",
+            attempts=point.attempts)
+        if isinstance(error, BaseException):
+            failure.__cause__ = error
+        if emit is not None:
+            emit(_event(EVENT_FAILED, point, error=str(error)))
+        return failure
+
+    def _run_inline(self, session: "Session", points: List[_Point],
+                    emit: Optional[ProgressCallback],
+                    limit: Optional[int]) -> Iterator[PointOutcome]:
+        """Run *points* in-process, batched, in item order (shared by
+        the serial executor and the pool's small-run degradation).
 
         Every batch — a batch of one included — runs through one
         :class:`~repro.api.session.BatchRunner`, so the session's
         trace cache generates (and, for kernel points, predecodes) the
         trace once per batch; each point still starts, finishes,
-        retries and resolves individually.  *limit* overrides the
-        executor's own ``batch_size`` cap (the pool passes its
-        resolved dispatch cap when it degrades inline).
+        retries and lands individually.  *limit* caps the batch size.
         """
-        if limit is None:
-            limit = self.batch_size
-        self._cancelling = False
-        while self._queue:
-            batch = self._next_batch(limit)
-            runner = None
-            for future in batch.futures:
-                # cancel_all between points of a batch must cancel the
-                # batch's not-yet-started remainder, exactly as it
-                # cancels the queued futures it can still see
-                if self._cancelling and not future.done():
-                    future.cancel()
-                if future.cancelled():
-                    yield future
-                    continue
-                if runner is None:
-                    runner = session.batch_runner(batch.workload,
-                                                  batch.length)
-                self._start(future)
-                while True:
+        for batch in _batches(points, limit):
+            runner = session.batch_runner(*_batch_key(batch[0].config))
+            for point in batch:
+                self._start(point, emit)
+                outcome = None
+                while outcome is None:  # None = retry
                     try:
-                        result = runner.run(future.config, future.key)
+                        result = runner.run(point.config, point.key)
                     except Exception as exc:  # noqa: BLE001 - retried
-                        if self._retry_or_fail(future, exc):
-                            continue
+                        outcome = self._retry_or_fail(point, exc, emit)
                     else:
-                        self._finish(future, result.stats,
-                                     result.wall_time_s)
-                    break
-                yield future
+                        outcome = self._finish(point, result.stats,
+                                               result.wall_time_s, emit)
+                yield outcome
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class SerialExecutor(ExecutorBackend):
-    """Run every submitted configuration in-process, submission order.
+    """Run every item in-process, in item order.
 
-    Trace-identical runs of the queue are batched through one
+    Trace-identical items are batched through one
     :class:`~repro.api.session.BatchRunner` (``batch_size=None``
     groups without bound; ``1`` restores strictly unbatched
     execution).  Results, lifecycle events and completion order are
@@ -569,53 +370,64 @@ class SerialExecutor(ExecutorBackend):
 
     name = "serial"
 
-    def as_completed(self) -> Iterator[SimFuture]:
-        yield from self._drain_inline(self._require_session())
+    def run(self, session: "Session", items: Iterable[WorkItem],
+            emit: Optional[ProgressCallback] = None
+            ) -> Iterator[PointOutcome]:
+        points = self._submitted(items, emit)
+        yield from self._run_inline(session, points, emit,
+                                    self.batch_size)
 
 
 def default_jobs() -> int:
     """Worker count: the ``REPRO_JOBS`` env var, else the CPU count.
 
-    A ``REPRO_JOBS`` value that is not an integer raises ``ValueError``.
+    ``REPRO_JOBS`` means what ``jobs`` does: ``0`` is one worker per
+    CPU, and a negative or non-integer value raises ``ValueError``.
     """
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise ValueError(
                 f"REPRO_JOBS must be an integer, got {env!r}") from None
+        if jobs < 0:
+            raise ValueError(f"REPRO_JOBS must be >= 0, got {env!r}")
+        if jobs:
+            return jobs
     return os.cpu_count() or 1
 
 
 class PoolExecutor(ExecutorBackend):
-    """Fan submitted configurations over a pool of worker processes.
+    """Fan items over a pool of worker processes.
 
     ``jobs=None`` (or ``0``) uses :func:`default_jobs`
-    (``REPRO_JOBS`` env var, else the CPU count).  Queues that would
-    not benefit from a pool (one pending item, or one worker) degrade
-    to in-process execution.  The unit of worker dispatch is the
-    :class:`BatchWorkItem`: trace-identical queued futures travel
-    together (capped by ``batch_size``), and the worker runs the whole
-    group through one :class:`~repro.api.session.BatchRunner` — one
-    trace generation, one predecode per dispatch.  Per-point failures
-    come back in-band and are redispatched singly with per-point
-    ``attempts``, so one bad point cannot re-fail a whole batch.
-    Workers run on their forked default session, which supplies only
-    the trace cache: they never touch a result-cache directory.
+    (``REPRO_JOBS`` env var, else the CPU count).  Runs that would not
+    benefit from a pool (one item, or one worker) degrade to
+    in-process execution.  The unit of worker dispatch is the batch:
+    trace-identical points travel together (capped by ``batch_size``),
+    and the worker runs the whole group through one
+    :class:`~repro.api.session.BatchRunner` — one trace generation,
+    one predecode per dispatch.  Per-point failures come back in-band
+    and are redispatched singly with per-point ``attempts``, so one
+    bad point cannot re-fail a whole batch.  Workers run on their
+    forked default session, which supplies only the trace cache: they
+    never touch a result-cache directory.
 
     The pool is a ``concurrent.futures.ProcessPoolExecutor`` (``fork``
-    workers where the platform has them).  A worker that dies outright
-    (SIGKILL, OOM) breaks the pool, which fails everything it held
-    with ``BrokenProcessPool``; the drive loop then builds a fresh
-    pool and sends each point that was in flight through the retry
-    path, so a dead worker costs every such point one attempt.
+    workers where the platform has them), made per ``run()`` call and
+    shut down when the call's generator ends or is closed.  A worker
+    that dies outright (SIGKILL, OOM) breaks the pool, which fails
+    everything it held with ``BrokenProcessPool``; the drive loop then
+    builds a fresh pool and sends each point that was in flight
+    through the retry path, so a dead worker costs every such point
+    one attempt.
     """
 
     name = "process-pool"
 
-    #: in-flight chunks kept per worker; small enough that cancel_all
-    #: leaves little to drain, large enough to keep workers busy
+    #: in-flight chunks kept per worker: enough to keep workers busy,
+    #: few enough that an interrupted run has little left to wait for
     BACKLOG_PER_WORKER = 2
 
     def __init__(self, jobs: Optional[int] = None,
@@ -634,49 +446,49 @@ class PoolExecutor(ExecutorBackend):
 
         An explicit ``batch_size`` wins; otherwise batches grow to
         :data:`DEFAULT_BATCH_SIZE` (bounded by a fair per-worker share
-        of the queue).
+        of the items).
         """
         if self.batch_size is not None:
             return max(1, self.batch_size)
         return max(1, min(DEFAULT_BATCH_SIZE, items // max(1, workers)))
 
-    def as_completed(self) -> Iterator[SimFuture]:
-        session = self._require_session()
-        total = len(self._queue)
-        if total == 0:
-            return
+    def run(self, session: "Session", items: Iterable[WorkItem],
+            emit: Optional[ProgressCallback] = None
+            ) -> Iterator[PointOutcome]:
+        points = self._submitted(items, emit)
         jobs = self._resolved_jobs()
-        if jobs <= 1 or total == 1:
-            yield from self._drain_inline(
-                session, self._resolved_batch_size(total, 1))
-            return
-        yield from self._drive_pool(total, jobs)
+        if jobs <= 1 or len(points) <= 1:
+            yield from self._run_inline(
+                session, points, emit,
+                self._resolved_batch_size(len(points), 1))
+        else:
+            yield from self._run_pool(points, jobs, emit)
 
-    def _drive_pool(self, total: int, jobs: int) -> Iterator[SimFuture]:
+    def _run_pool(self, points: List[_Point], jobs: int,
+                  emit: Optional[ProgressCallback]
+                  ) -> Iterator[PointOutcome]:
         import multiprocessing
         from concurrent.futures import (FIRST_COMPLETED, Future,
                                         ProcessPoolExecutor, wait)
         from concurrent.futures.process import BrokenProcessPool
 
-        self._cancelling = False
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        workers = min(jobs, total)
-        batch_limit = self._resolved_batch_size(total, workers)
+        workers = min(jobs, len(points))
+        pending = deque(_batches(
+            points, self._resolved_batch_size(len(points), workers)))
         max_inflight = workers * self.BACKLOG_PER_WORKER
 
-        resolved: "Deque[SimFuture]" = deque()
-        #: pool future -> the batch it runs
-        inflight: "Dict[Future, Tuple[SimFuture, ...]]" = {}
+        #: pool future -> the points it runs
+        inflight: "Dict[Future, List[_Point]]" = {}
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
-        def dispatch(futures: Sequence[SimFuture]) -> None:
-            batch = tuple(futures)
+        def dispatch(batch: List[_Point]) -> None:
             worker = _chunk_worker  # module global: monkeypatchable
             try:
                 handle = pool.submit(worker,
-                                     [(f.config, f.key) for f in batch])
+                                     [(p.config, p.key) for p in batch])
             except BrokenProcessPool as exc:
                 # a worker died before any future reported it: this
                 # batch fails with the pool, like the ones in flight
@@ -685,21 +497,16 @@ class PoolExecutor(ExecutorBackend):
             inflight[handle] = batch
 
         def fill_window() -> None:
-            while (len(inflight) < max_inflight and self._queue
-                   and not self._cancelling):
-                group = self._next_batch(batch_limit)
-                batch: List[SimFuture] = []
-                for future in group.futures:
-                    if future.cancelled():
-                        resolved.append(future)
-                        continue
-                    self._start(future)
-                    batch.append(future)
-                if batch:
-                    dispatch(batch)
+            while len(inflight) < max_inflight and pending:
+                batch = pending.popleft()
+                for point in batch:
+                    self._start(point, emit)
+                dispatch(batch)
 
-        def land(handle: Future, retries: List[SimFuture]) -> bool:
-            """Resolve one finished pool future; ``True`` = pool broke."""
+        def land(handle: Future, retries: List[_Point],
+                 landed: List[PointOutcome]) -> bool:
+            """Take one finished pool future's outcomes; ``True`` =
+            the pool broke."""
             batch = inflight.pop(handle)
             # still pending after its broken pool shut down: it was
             # submitted as the pool broke, and failed with it
@@ -711,56 +518,38 @@ class PoolExecutor(ExecutorBackend):
                 # a crashed chunk, or a pool whose worker died: every
                 # point of the batch failed this attempt
                 outcomes = [(crash, None, 0.0)] * len(batch)
-            for future, (error, stats, wall) in zip(batch, outcomes):
+            for point, (error, stats, wall) in zip(batch, outcomes):
                 if error is None:
-                    self._finish(future, stats, wall)
-                elif self._retry_or_fail(future, error):
-                    retries.append(future)  # retries singly
+                    landed.append(self._finish(point, stats, wall, emit))
                     continue
-                resolved.append(future)
+                failure = self._retry_or_fail(point, error, emit)
+                if failure is None:
+                    retries.append(point)  # retries singly
+                else:
+                    landed.append(failure)
             return isinstance(crash, BrokenProcessPool)
 
-        yielded = 0
         try:
             fill_window()
-            while yielded < total:
-                while resolved:
-                    yield resolved.popleft()
-                    yielded += 1
-                if yielded >= total:
-                    break
-                if not inflight:
-                    # nothing running: remaining futures are queued
-                    # (cancelled, or the window closed) — resolve them
-                    if not self._queue:
-                        fill_window()
-                        if not inflight and not resolved:
-                            break  # defensive: nothing left to wait on
-                        continue
-                    future = self._queue.popleft()
-                    if not future.done():
-                        future.cancel()
-                    resolved.append(future)
-                    continue
+            while inflight:
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                retries: List[SimFuture] = []
+                retries: List[_Point] = []
+                landed: List[PointOutcome] = []
                 broken = False
                 for handle in done:
-                    broken = land(handle, retries) or broken
+                    broken = land(handle, retries, landed) or broken
                 if broken:
                     # the broken pool has failed (or will fail) all it
                     # held; once it is shut down, land the rest too
                     pool.shutdown(wait=True)
                     for handle in list(inflight):
-                        land(handle, retries)
+                        land(handle, retries, landed)
                     pool = ProcessPoolExecutor(max_workers=workers,
                                                mp_context=ctx)
-                for future in retries:
-                    dispatch((future,))
+                for point in retries:
+                    dispatch([point])
                 fill_window()
-            while resolved:
-                yield resolved.popleft()
-                yielded += 1
+                yield from landed
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -822,8 +611,8 @@ def as_executor(backend: Any) -> ExecutorBackend:
     """Normalise a ``backend=`` argument to an executor.
 
     A string names one (:func:`executor_from_options`: ``"serial"`` or
-    ``"process-pool"``); futures executors pass through; anything else
-    raises ``TypeError``.
+    ``"process-pool"``); executors pass through; anything else raises
+    ``TypeError``.
     """
     if isinstance(backend, str):
         backend = executor_from_options(backend)
@@ -831,4 +620,4 @@ def as_executor(backend: Any) -> ExecutorBackend:
         return backend
     raise TypeError(
         f"{backend!r} is not an execution backend (subclass "
-        f"repro.api.exec.ExecutorBackend: submit()/as_completed())")
+        f"repro.api.exec.ExecutorBackend and implement run())")

@@ -38,6 +38,7 @@ point runs on a copy: the copy is built under the point's own
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import time
@@ -46,8 +47,8 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
-from repro.api.exec import (ExecutionCancelled, ExecutorBackend,
-                            ProgressCallback, SerialExecutor, as_executor)
+from repro.api.exec import (ExecEvent, ExecutorBackend, ProgressCallback,
+                            SerialExecutor, WorkerFailure, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
 from repro.api.spec import SweepSpec
@@ -379,54 +380,58 @@ class Session:
                progress: Optional[ProgressCallback] = None,
                inspect: Any = None,
                ) -> List[SimResult]:
-        """Resolve cache/store hits and drive the rest as futures.
+        """Resolve cache/store hits and run the rest on an executor.
 
         *backend* is an executor, an executor name or ``None`` (the
-        session's own).  Configurations are submitted in list order,
-        each with the key hashed here, so a point is hashed once.
-        This is the only reader and writer of the result cache for
-        batched work: executors only simulate.  Cached configurations
-        are resolved in-process; each distinct remaining configuration
-        is submitted exactly once (duplicates share the primary's
-        result object, so provenance — one simulation — stays
-        truthful).  Completed outcomes land in the result cache (with
-        *use_cache*) and *store*, if given, as they arrive, then a
-        failure raises the first :class:`WorkerFailure`, and remaining
-        cancellations raise :class:`ExecutionCancelled` — everything
-        that completed first is preserved, which is what makes a
-        cancelled sweep resumable.
+        session's own).  Configurations become ``(index, config,
+        key)`` items in list order, each key hashed here, so a point
+        is hashed once.  This is the only reader and writer of the
+        result cache for batched work: executors only simulate.
+        Cached configurations are resolved in-process; each distinct
+        remaining configuration is run exactly once (duplicates share
+        the primary's result object, so provenance — one simulation —
+        stays truthful).  Completed outcomes land in the result cache
+        (with *use_cache*) and *store*, if given, as they arrive, then
+        a failure raises the first :class:`WorkerFailure`.  An
+        exception anywhere (a callback, the store, an interrupt)
+        closes the executor's ``run()`` generator, which shuts its
+        workers down; everything that landed first is preserved, which
+        is what makes an interrupted sweep resumable.
 
         An inspector (*inspect*, resolved by
         :func:`~repro.api.inspect.as_inspector`) watches the drive: it
-        joins the executor's progress callbacks (operational alarms)
-        and every landed result — store and cache hits included, which
-        seeds its baselines from history — passes through
-        :meth:`~repro.api.inspect.SweepInspector.observe`.  Keys the
-        store holds quarantined are treated as not-yet-simulated:
-        their store rows are not served, and cache lookups are
-        bypassed for them, so the re-run regenerates the data instead
-        of replaying a poisoned cache entry, and overwrites that entry.
+        receives every lifecycle event after *progress* (operational
+        alarms) and every landed result — store and cache hits
+        included, which seeds its baselines from history — passes
+        through :meth:`~repro.api.inspect.SweepInspector.observe`.
+        Keys the store holds quarantined are treated as
+        not-yet-simulated: their store rows are not served, and cache
+        lookups are bypassed for them, so the re-run regenerates the
+        data instead of replaying a poisoned cache entry, and
+        overwrites that entry.
         """
         from repro.api.inspect import as_inspector
         executor = as_executor(self.backend if backend is None
                                else backend)
-        executor.bind(self)
         inspect = as_inspector(inspect, store)
-        if progress is not None:
-            executor.add_progress_callback(progress)
-        if inspect is not None:
-            executor.add_progress_callback(inspect)
-            if progress is not None:
-                inspect.add_sink(progress)
-        # validate everything before anything is submitted: a bad
-        # config must not leave earlier items queued on the (shared)
-        # executor for an unrelated later batch to execute
+        listeners = [listener for listener in (progress, inspect)
+                     if listener is not None]
+        emit: Optional[ProgressCallback] = None
+        if listeners:
+            def emit(event: ExecEvent) -> None:
+                for listener in listeners:
+                    listener(event)
+        # validate everything first: a bad config fails the call before
+        # anything reaches the store or the executor
         for config in config_list:
             config.validate()
+        if inspect is not None and progress is not None:
+            inspect.add_sink(progress)
         try:
             results: Dict[int, SimResult] = {}
             primary: Dict[str, int] = {}  # key -> index that simulates it
             duplicates: List[Tuple[int, str]] = []
+            items: List[Tuple[int, SimConfig, str]] = []
             for index, config in enumerate(config_list):
                 key = config.key()
                 quarantined = store is not None and store.quarantined(key)
@@ -453,57 +458,39 @@ class Session:
                     duplicates.append((index, key))
                 else:
                     primary[key] = index
-                    executor.submit((index, config, key))
+                    items.append((index, config, key))
 
-            failure: Optional[BaseException] = None
-            cancelled = 0
-            for future in executor.as_completed():
-                if future.cancelled():
-                    cancelled += 1
-                    continue
-                exc = future.exception()
-                if exc is not None:
-                    if failure is None:
-                        failure = exc
-                    continue
-                result = results[future.index] = future.result()
-                if use_cache:
-                    self.results.put(future.key, result.stats)
-                if store is not None:
-                    # persist as each point lands, so an interrupted
-                    # sweep keeps everything it finished
-                    store.add(result)
-                if inspect is not None:
-                    # after store.add: a verdict annotation must follow
-                    # the result row it judges in the store timeline
-                    inspect.observe(result, future.index)
+            failure: Optional[WorkerFailure] = None
+            with contextlib.closing(
+                    executor.run(self, items, emit)) as outcomes:
+                for outcome in outcomes:
+                    if isinstance(outcome, WorkerFailure):
+                        if failure is None:
+                            failure = outcome
+                        continue
+                    index = primary[outcome.key]
+                    results[index] = outcome
+                    if use_cache:
+                        self.results.put(outcome.key, outcome.stats)
+                    if store is not None:
+                        # persist as each point lands, so an interrupted
+                        # sweep keeps everything it finished
+                        store.add(outcome)
+                    if inspect is not None:
+                        # after store.add: a verdict annotation must
+                        # follow the result row it judges in the store
+                        # timeline
+                        inspect.observe(outcome, index)
 
             for index, key in duplicates:
                 if primary[key] in results:
                     results[index] = results[primary[key]]
             if failure is not None:
                 raise failure
-            if cancelled:
-                raise ExecutionCancelled(
-                    f"{cancelled} of {len(config_list)} configurations "
-                    f"cancelled before execution "
-                    f"({len(results)} completed)", completed=results)
             return [results[index] for index in range(len(config_list))]
-        except BaseException:
-            # never leave submitted futures queued on the (possibly
-            # session-shared) executor: cancel whatever has not run
-            # and drain, so the next batch starts from a clean queue
-            executor.cancel_all()
-            for _ in executor.as_completed():
-                pass
-            raise
         finally:
-            if progress is not None:
-                executor.remove_progress_callback(progress)
-            if inspect is not None:
-                executor.remove_progress_callback(inspect)
-                if progress is not None:
-                    inspect.remove_sink(progress)
+            if inspect is not None and progress is not None:
+                inspect.remove_sink(progress)
 
     def run_many(self, configs: Iterable[SimConfig],
                  use_cache: bool = True,
@@ -520,10 +507,10 @@ class Session:
         configuration is simulated exactly once (by the executor, which
         never touches the result cache) and duplicates share the
         primary's statistics.  With *use_cache*, every simulated point
-        is written to the result cache as it lands.  *backend* may be a
-        futures-style :class:`~repro.api.exec.ExecutorBackend` or an
-        executor name (``"serial"`` or ``"process-pool"``); *progress*
-        receives every :class:`~repro.api.exec.ExecEvent`.
+        is written to the result cache as it lands.  *backend* may be an
+        :class:`~repro.api.exec.ExecutorBackend` or an executor name
+        (``"serial"`` or ``"process-pool"``); *progress* receives every
+        :class:`~repro.api.exec.ExecEvent`.
 
         With a :class:`~repro.api.store.ResultStore`, points whose keys
         the store already holds are served from it (``source ==
@@ -641,14 +628,14 @@ class BatchRunner:
 
     Created by :meth:`Session.batch_runner` for a batch of
     configurations sharing a workload and a total trace length — the
-    grouping rule behind the executor layer's
-    :class:`~repro.api.exec.BatchWorkItem`.  The sharing itself lives
+    grouping rule behind the executor layer's batches
+    (:func:`repro.api.exec._batches`).  The sharing itself lives
     in the session's trace cache (one trace generation, one workload
     build and one predecode per trace), so a runner keeps no state: it
     checks that each config belongs to its batch and simulates it.  It
     never reads or writes the result cache (``Session._drive`` does)
     and does not validate (``_drive`` validated every config it
-    submitted).
+    hands an executor).
     """
 
     def __init__(self, session: Session, workload: str, length: int):

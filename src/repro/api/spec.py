@@ -251,12 +251,25 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
+        """The spec a :meth:`to_dict` payload describes.
+
+        A payload of the wrong shape raises ``ValueError`` naming the
+        field: ``workloads`` must be a list of names, ``axes`` an
+        object mapping each path to a list of values.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a sweep payload must be an object, got "
+                             f"{type(data).__name__}")
         payload = dict(data)
         try:
-            workloads = list(payload.pop("workloads"))
+            workloads = payload.pop("workloads")
         except KeyError:
             raise ValueError("sweep payload is missing 'workloads'") \
                 from None
+        if (not isinstance(workloads, (list, tuple))
+                or not all(isinstance(name, str) for name in workloads)):
+            raise ValueError(f"sweep field 'workloads' must be a list of "
+                             f"workload names, got {workloads!r}")
         core_data = payload.pop("core", None)
         ltp_data = payload.pop("ltp", None)
         warmup = payload.pop("warmup", None)
@@ -266,8 +279,15 @@ class SweepSpec:
         axes = payload.pop("axes", {}) or {}
         if payload:
             raise ValueError(f"unknown sweep fields: {sorted(payload)}")
+        if not isinstance(axes, Mapping):
+            raise ValueError(f"sweep field 'axes' must map axis paths to "
+                             f"lists of values, got {axes!r}")
+        for path, values in axes.items():
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"sweep axis {path!r} must be a list of "
+                                 f"values, got {values!r}")
         spec = cls(
-            workloads=workloads,
+            workloads=list(workloads),
             core=(core_from_dict(core_data) if core_data is not None
                   else CoreParams()),
             ltp=(ltp_from_dict(ltp_data) if ltp_data is not None

@@ -390,9 +390,11 @@ class _ProgressReporter:
     terminal that is a single ``\\r``-refreshed counter line with
     retry counts, flagged anomalies and an ETA; on a non-TTY stream
     (CI logs, pipes) it degrades to one plain line per *terminal*
-    event (finished/failed/cancelled/anomaly) so logs stay readable
-    instead of a wall of carriage returns.  Cache/store hits never
-    reach the executor, so the denominator is the *submitted* count.
+    event (finished/failed/anomaly) so logs stay readable instead of a
+    wall of carriage returns.  Cache/store hits never reach the
+    executor, so the denominator is the *submitted* count.  An
+    interrupted sweep emits no event for the points it never ran;
+    ``--resume`` runs them.
     """
 
     def __init__(self, stream=None, clock=time.monotonic) -> None:
@@ -402,7 +404,7 @@ class _ProgressReporter:
         self.clock = clock
         self.events: List[dict] = []
         self.counts = {"submitted": 0, "finished": 0, "failed": 0,
-                       "retried": 0, "cancelled": 0, "anomaly": 0}
+                       "retried": 0, "anomaly": 0}
         #: "check: detail" per anomaly event, in arrival order
         self.anomalies: List[str] = []
         self._t0: Optional[float] = None
@@ -426,13 +428,13 @@ class _ProgressReporter:
         if self.stream is None:
             return
         counts = self.counts
-        done = counts["finished"] + counts["failed"] + counts["cancelled"]
+        done = counts["finished"] + counts["failed"]
         if not self.live and event.kind not in (
-                "finished", "failed", "cancelled", "anomaly"):
+                "finished", "failed", "anomaly"):
             return  # non-TTY: only terminal events make a line
         line = (f"[{done}/{counts['submitted']}] "
                 f"{event.kind} {event.workload}")
-        for kind in ("failed", "retried", "cancelled"):
+        for kind in ("failed", "retried"):
             if counts[kind]:
                 line += f" ({kind}: {counts[kind]})"
         if counts["anomaly"]:
@@ -518,11 +520,17 @@ def cmd_sweep(args, out) -> int:
         if args.store is None:
             print("--merge requires --store DEST", file=out)
             return 2
+        try:
+            # a named SPEC validates the merge: shards of a different
+            # sweep must not recombine under its flag
+            sweep_id = (None if args.spec is None
+                        else resolve_sweep_spec(args.spec).sweep_id())
+        except ValueError as exc:
+            print(str(exc), file=out)
+            return 2
         with merge_stores(args.store, args.merge) as merged:
-            if args.spec is not None:
-                # a named SPEC validates the merge: shards of a
-                # different sweep must not recombine under its flag
-                merged.bind(resolve_sweep_spec(args.spec).sweep_id())
+            if sweep_id is not None:
+                merged.bind(sweep_id)
             results = merged.results()
             if args.json:
                 print(render_json({
@@ -546,10 +554,9 @@ def cmd_sweep(args, out) -> int:
     if args.resume and args.store is None:
         print("--resume requires --store PATH", file=out)
         return 2
-    spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
-                              measure=args.measure, engine=args.engine)
-
     try:
+        spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
+                                  measure=args.measure, engine=args.engine)
         backend = executor_from_options(
             args.executor,
             # beside an explicit executor, the default --jobs 1 means

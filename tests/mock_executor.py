@@ -1,8 +1,8 @@
 """``MockExecutor``: a scriptable executor for tests that never simulates.
 
 It runs the full :class:`~repro.api.exec.ExecutorBackend` protocol
-(lifecycle events, bounded retries, graceful cancellation) on
-fabricated statistics.  Its *script* maps a batch index to ``"ok"`` or
+(``run()``, lifecycle events, bounded retries) on fabricated
+statistics.  Its *script* maps a batch index to ``"ok"`` or
 ``"fail"`` for every attempt, or to a sequence with one directive per
 attempt (the last repeats).  :attr:`MockExecutor.dispatched` records
 every dispatch as ``(index, workload)``.  The conformance suite and
@@ -12,9 +12,9 @@ this file (its name does not start with ``test_``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.api.exec import ExecutorBackend, SimFuture
+from repro.api.exec import ExecutorBackend
 
 
 class MockExecutor(ExecutorBackend):
@@ -36,26 +36,24 @@ class MockExecutor(ExecutorBackend):
             raise ValueError(f"unknown mock directive {entry!r}")
         return entry
 
-    def _fabricate(self, future: SimFuture) -> Dict[str, Any]:
-        committed = int(future.config.measure)
+    def _fabricate(self, point) -> Dict[str, Any]:
+        committed = int(point.config.measure)
         return {"committed": committed, "cycles": committed,
                 "cpi": 1.0, "ipc": 1.0,
-                "workload": future.config.workload, "category": "mock"}
+                "workload": point.config.workload, "category": "mock"}
 
-    def as_completed(self) -> Iterator[SimFuture]:
-        self._cancelling = False
-        while self._queue:
-            future = self._queue.popleft()
-            if not future.cancelled():
-                self._start(future)
-                while not self._attempt(future):
-                    pass
-            yield future
+    def run(self, session, items, emit=None):
+        for point in self._submitted(items, emit):
+            self._start(point, emit)
+            outcome = None
+            while outcome is None:
+                outcome = self._attempt(point, emit)
+            yield outcome
 
-    def _attempt(self, future: SimFuture) -> bool:
-        """Play one scripted attempt; ``True`` once *future* resolved."""
-        self.dispatched.append((future.index, future.config.workload))
-        if self._directive(future.index, future.attempts) == "ok":
-            self._finish(future, self._fabricate(future), 0.0)
-            return True
-        return not self._retry_or_fail(future, "scripted failure")
+    def _attempt(self, point, emit):
+        """Play one scripted attempt: its outcome, or ``None`` to
+        retry."""
+        self.dispatched.append((point.index, point.config.workload))
+        if self._directive(point.index, point.attempts) == "ok":
+            return self._finish(point, self._fabricate(point), 0.0, emit)
+        return self._retry_or_fail(point, "scripted failure", emit)

@@ -83,7 +83,7 @@ def test_pool_jobs_one_runs_in_process(tmp_path):
 
 
 def test_custom_executor_subclass_plugs_in(tmp_path):
-    """A futures-style backend subclasses SerialExecutor/ExecutorBackend."""
+    """A custom backend subclasses SerialExecutor/ExecutorBackend."""
 
     class CountingExecutor(SerialExecutor):
         name = "counting"
@@ -92,9 +92,10 @@ def test_custom_executor_subclass_plugs_in(tmp_path):
             super().__init__()
             self.calls = 0
 
-        def submit(self, item):
-            self.calls += 1
-            return super().submit(item)
+        def run(self, session, items, emit=None):
+            items = list(items)
+            self.calls += len(items)
+            return super().run(session, items, emit)
 
     backend = CountingExecutor()
     session = Session(cache_dir=str(tmp_path), backend=backend)

@@ -1,5 +1,5 @@
-"""The futures-based execution layer: submission, lifecycle events,
-retries and cancellation."""
+"""The execution layer: executors' ``run()`` generators, lifecycle
+events, retries, interrupts and stateless executors."""
 
 import multiprocessing
 import os
@@ -10,9 +10,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import (ExecutionCancelled, FutureNotResolved, PoolExecutor,
-                       ResultStore, SerialExecutor, Session, SweepSpec,
-                       WorkerFailure, as_executor)
+from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
+                       SweepSpec, WorkerFailure, as_executor)
 from repro.api import exec as exec_mod
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
@@ -36,56 +35,9 @@ def make_spec():
                      axes={"core.iq_size": [16, 32]})
 
 
-# ---------------------------------------------------------- SimFuture
-def test_future_carries_provenance_and_resolves(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    executor = SerialExecutor().bind(session)
-    config = make_configs(1)[0]
-    future = executor.submit((0, config))
-    assert future.key == config.key()
-    assert future.index == 0
-    assert not future.done()
-    resolved = list(executor.as_completed())
-    assert resolved == [future]
-    assert future.done() and not future.cancelled()
-    assert future.exception() is None
-    assert future.result().stats["committed"] == 100
-
-
-def test_future_cancel_only_before_start(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    executor = SerialExecutor().bind(session)
-    futures = [executor.submit((i, c))
-               for i, c in enumerate(make_configs(2))]
-    assert futures[1].cancel()
-    assert futures[1].cancel()  # idempotent
-    resolved = list(executor.as_completed())
-    assert [f.cancelled() for f in resolved] == [False, True]
-    with pytest.raises(ExecutionCancelled):
-        futures[1].result()
-    assert isinstance(futures[1].exception(), ExecutionCancelled)
-    assert not futures[0].cancel()  # already finished
-
-
-def test_unresolved_future_raises_instead_of_waiting(tmp_path):
-    # one thread drives and resolves every future, so asking a pending
-    # one for its outcome can only raise (waiting would never end)
-    session = Session(cache_dir=str(tmp_path))
-    executor = SerialExecutor().bind(session)
-    future = executor.submit((0, make_configs(1)[0]))
-    with pytest.raises(FutureNotResolved, match="not resolved"):
-        future.result()
-    with pytest.raises(FutureNotResolved, match="not resolved"):
-        future.exception()
-    # a started (attempts > 0) but unresolved future: neither
-    # cancellable nor resolved
-    executor._start(future)
-    assert not future.cancel() and not future.done()
-    with pytest.raises(FutureNotResolved):
-        future.result()
-    assert list(executor.as_completed()) == [future]
-    assert future.exception() is None
-    assert future.result().stats["committed"] == 100
+def items_of(configs):
+    """``run()`` items, as ``Session._drive`` builds them."""
+    return [(i, config, config.key()) for i, config in enumerate(configs)]
 
 
 # ------------------------------------------------- lifecycle events
@@ -138,87 +90,6 @@ def test_event_payloads_are_json_ready(tmp_path):
     assert payload["source"] == "simulated"
 
 
-# ------------------------------------------------------- cancellation
-def test_cancel_mid_sweep_leaves_store_resumable(tmp_path):
-    spec = make_spec()
-    backend = SerialExecutor()
-    finished = []
-
-    def cancel_after_two(event):
-        if event.kind == "finished":
-            finished.append(event.key)
-            if len(finished) == 2:
-                backend.cancel_all()
-
-    store_path = tmp_path / "sweep.jsonl"
-    with Session(cache_dir=str(tmp_path / "c1")) as session, \
-            ResultStore(store_path) as store:
-        with pytest.raises(ExecutionCancelled) as excinfo:
-            session.sweep(spec, backend=backend, store=store,
-                          progress=cancel_after_two)
-    assert len(excinfo.value.completed) == 2
-    with ResultStore(store_path) as store:
-        assert len(store) == 2  # completed points persisted
-
-    # resume: stored points served, only the remainder simulates
-    with Session(cache_dir=str(tmp_path / "c2")) as session, \
-            ResultStore(store_path) as store:
-        results = session.sweep(spec, store=store)
-    sources = [r.source for r in results]
-    assert sources.count("store") == 2
-    assert sources.count("simulated") == 2
-
-    # the resumed union is bit-identical to an uninterrupted serial run
-    with Session(cache_dir=str(tmp_path / "c3")) as session:
-        serial = session.sweep(spec, use_cache=False)
-    assert [r.stats for r in results] == [r.stats for r in serial]
-
-
-def test_cancelled_events_fire_exactly_once(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    executor = SerialExecutor().bind(session)
-    events = []
-    executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c))
-               for i, c in enumerate(make_configs(3))]
-
-    def cancel_rest(event):
-        if event.kind == "finished":
-            executor.cancel_all()
-
-    executor.add_progress_callback(cancel_rest)
-    resolved = list(executor.as_completed())
-    assert len(resolved) == 3
-    counts = Counter(e.kind for e in events)
-    assert counts["cancelled"] == 2
-    assert counts["finished"] == 1
-    assert sum(1 for f in futures if f.cancelled()) == 2
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
-def test_pool_cancel_drains_in_flight(tmp_path):
-    session = Session(cache_dir=str(tmp_path))
-    backend = PoolExecutor(jobs=2, batch_size=1)
-    events = []
-
-    def cancel_after_first(event):
-        events.append(event)
-        if event.kind == "finished" and not backend._cancelling:
-            backend.cancel_all()
-
-    with pytest.raises(ExecutionCancelled) as excinfo:
-        session.run_many(make_configs(6), use_cache=False,
-                         backend=backend, progress=cancel_after_first)
-    completed = excinfo.value.completed
-    # everything that was in flight landed; everything never
-    # dispatched was cancelled — together they cover the batch
-    cancelled = sum(1 for e in events if e.kind == "cancelled")
-    assert cancelled >= 1
-    assert len(completed) + cancelled == 6
-    counts = Counter(e.kind for e in events)
-    assert counts["finished"] == len(completed)
-
-
 # ------------------------------------------------------------ retries
 def test_serial_retry_recovers_from_transient_failure(tmp_path):
     session = Session(cache_dir=str(tmp_path))
@@ -252,17 +123,15 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
         raise RuntimeError("persistent crash")
 
     session._run = always_crash
-    executor = SerialExecutor(max_retries=2).bind(session)
+    executor = SerialExecutor(max_retries=2)
     events = []
-    executor.add_progress_callback(events.append)
-    future = executor.submit((0, make_configs(1)[0]))
-    list(executor.as_completed())
-    exc = future.exception()
+    configs = make_configs(1)
+    [exc] = executor.run(session, items_of(configs), events.append)
     assert isinstance(exc, WorkerFailure)
     assert exc.attempts == 3  # 1 try + 2 retries
     assert "persistent crash" in str(exc)
     with pytest.raises(WorkerFailure):
-        future.result()
+        session.run_many(configs, use_cache=False, backend=executor)
     counts = Counter(e.kind for e in events)
     assert counts["retried"] == 2
     assert counts["failed"] == 1
@@ -319,14 +188,12 @@ def test_pool_chunk_crash_retries_then_surfaces(tmp_path, monkeypatch):
     monkeypatch.setattr(exec_mod, "_chunk_worker",
                         _crashing_chunk_worker)
     session = Session(cache_dir=str(tmp_path))
-    executor = PoolExecutor(jobs=2, max_retries=1).bind(session)
+    executor = PoolExecutor(jobs=2, max_retries=1)
     events = []
-    executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c))
-               for i, c in enumerate(make_configs(2))]
-    list(executor.as_completed())
-    for future in futures:
-        exc = future.exception()
+    outcomes = list(executor.run(session, items_of(make_configs(2)),
+                                 events.append))
+    assert len(outcomes) == 2
+    for exc in outcomes:
         assert isinstance(exc, WorkerFailure)
         assert "worker process crashed" in str(exc)
         assert exc.attempts == 2
@@ -447,16 +314,13 @@ def test_pool_worker_killed_on_every_attempt_fails_its_points(
     monkeypatch.setattr(exec_mod, "_chunk_worker",
                         _always_kill_chunk_worker)
     session = Session(cache_dir=str(tmp_path))
-    executor = PoolExecutor(jobs=2, max_retries=2,
-                            batch_size=batch_size).bind(session)
+    executor = PoolExecutor(jobs=2, max_retries=2, batch_size=batch_size)
     events = []
-    executor.add_progress_callback(events.append)
-    futures = [executor.submit((i, c))
-               for i, c in enumerate(make_configs(3))]
-    resolved = _drive_with_timeout(lambda: list(executor.as_completed()))
+    items = items_of(make_configs(3))
+    resolved = _drive_with_timeout(
+        lambda: list(executor.run(session, items, events.append)))
     assert len(resolved) == 3
-    for future in futures:
-        exc = future.exception()
+    for exc in resolved:
         assert isinstance(exc, WorkerFailure)
         assert exc.attempts == 3  # one attempt + max_retries
         assert isinstance(exc.__cause__, BrokenProcessPool)
@@ -507,30 +371,123 @@ def test_default_jobs_reads_repro_jobs(monkeypatch):
         exec_mod.default_jobs()
     with pytest.raises(ValueError, match="REPRO_JOBS"):
         PoolExecutor()._resolved_jobs()
+    # the env var means what jobs= does: 0 is one worker per CPU, and
+    # a negative count is an error
+    monkeypatch.setenv("REPRO_JOBS", "0")
+    assert exec_mod.default_jobs() == (os.cpu_count() or 1)
+    monkeypatch.setenv("REPRO_JOBS", "-2")
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        exec_mod.default_jobs()
     monkeypatch.delenv("REPRO_JOBS")
     assert exec_mod.default_jobs() == (os.cpu_count() or 1)
 
 
-def test_unbound_executor_raises():
-    executor = SerialExecutor()
-    executor.submit((0, make_configs(1)[0]))
-    with pytest.raises(RuntimeError, match="not bound"):
-        list(executor.as_completed())
-
-
 def test_failed_submission_does_not_leak_queued_futures(tmp_path):
-    """A bad config must not leave earlier items queued on the shared
-    backend for an unrelated later batch to execute."""
+    """A bad config fails the call before anything runs, and a later
+    batch on the same session's executor runs only its own items."""
     session = Session(cache_dir=str(tmp_path))
     good = make_configs(1)[0]
     bad = SimConfig(workload="compute_int", core=baseline_params(),
                     ltp=no_ltp(), warmup=-5, measure=100)
     with pytest.raises(ValueError):
         session.run_many([good, bad], use_cache=False)
-    assert not session.backend._queue  # nothing left behind
     events = []
     other = make_configs(2)[1]
     results = session.run_many([other], use_cache=False,
                                progress=events.append)
     assert [r.config.workload for r in results] == [other.workload]
     assert {e.key for e in events} == {other.key()}
+
+
+# ---------------------------------------------------------- interrupts
+class _Interrupt(Exception):
+    """What the interrupting callbacks below raise."""
+
+
+def _interrupting_progress(store, error):
+    """A progress callback that raises *error* at the first
+    ``finished`` event after a point has landed in *store*."""
+    def progress(event):
+        if event.kind == "finished" and len(store):
+            raise error
+    return progress
+
+
+def _failing_store_add(store, error):
+    """Make *store* raise *error* on every add after its first."""
+    real_add = store.add
+
+    def add(result):
+        if len(store):
+            raise error
+        real_add(result)
+
+    store.add = add
+
+
+INTERRUPTED = [
+    pytest.param(SerialExecutor, id="serial"),
+    # one point per dispatch and more points than the pool keeps in
+    # flight: some point always finishes after the first one landed
+    pytest.param(lambda: PoolExecutor(jobs=2, batch_size=1),
+                 id="process-pool",
+                 marks=pytest.mark.skipif(not HAVE_FORK,
+                                          reason="needs fork start method")),
+]
+
+
+@pytest.mark.parametrize("where", ["progress", "store-add"])
+@pytest.mark.parametrize("make_executor", INTERRUPTED)
+def test_an_interrupted_sweep_stops_cleanly_and_resumes(tmp_path,
+                                                        make_executor,
+                                                        where):
+    """An exception raised by a callback or by the store mid-sweep
+    propagates unchanged, leaves no worker process behind, keeps every
+    point that landed, and a resume simulates only the rest."""
+    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
+                     warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32, 48, 64]})
+    store_path = tmp_path / "sweep.jsonl"
+    error = _Interrupt(where) if where == "progress" else KeyboardInterrupt()
+    with Session(cache_dir=str(tmp_path / "c1")) as session, \
+            ResultStore(store_path) as store:
+        progress = None
+        if where == "progress":
+            progress = _interrupting_progress(store, error)
+        else:
+            _failing_store_add(store, error)
+        with pytest.raises(type(error)) as excinfo:
+            session.sweep(spec, use_cache=False, backend=make_executor(),
+                          store=store, progress=progress)
+        landed = set(store.keys())
+    assert excinfo.value is error
+    assert multiprocessing.active_children() == []
+    assert 1 <= len(landed) < len(spec)
+
+    with ResultStore(store_path) as store:
+        assert set(store.keys()) == landed  # what landed is durable
+    with Session(cache_dir=str(tmp_path / "c2")) as session, \
+            ResultStore(store_path) as store:
+        results = session.sweep(spec, use_cache=False, store=store)
+    assert {r.key for r in results if r.source == "store"} == landed
+    assert sum(r.source == "simulated" for r in results) == \
+        len(spec) - len(landed)
+    with Session(cache_dir=str(tmp_path / "c3")) as session:
+        serial = session.sweep(spec, use_cache=False)
+    assert [r.stats for r in results] == [r.stats for r in serial]
+
+
+@pytest.mark.parametrize("make_executor", INTERRUPTED)
+def test_an_executor_keeps_no_per_call_state(tmp_path, make_executor):
+    executor = make_executor()
+    constructed = dict(vars(executor))
+    session = Session(cache_dir=str(tmp_path))
+
+    def interrupt(event):
+        if event.kind == "finished":
+            raise _Interrupt("stop")
+
+    with pytest.raises(_Interrupt):
+        session.run_many(make_configs(4), use_cache=False,
+                         backend=executor, progress=interrupt)
+    assert vars(executor) == constructed

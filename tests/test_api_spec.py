@@ -156,3 +156,20 @@ def test_sweep_from_dict_rejects_unknown_fields():
         SweepSpec.from_dict({"workloads": ["compute_int"], "axis": {}})
     with pytest.raises(ValueError, match="missing 'workloads'"):
         SweepSpec.from_dict({})
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"workloads": "lattice_milc"}, "'workloads'"),
+    ({"workloads": 5}, "'workloads'"),
+    ({"workloads": ["lattice_milc", 3]}, "'workloads'"),
+    ({"workloads": ["lattice_milc"], "axes": [1]}, "'axes'"),
+    ({"workloads": ["lattice_milc"], "axes": {"core.iq_size": "ab"}},
+     "'core.iq_size'"),
+    (["lattice_milc"], "object"),
+], ids=["workloads-string", "workloads-int", "workloads-mixed",
+        "axes-list", "axis-string", "payload-list"])
+def test_sweep_from_dict_rejects_bad_types(payload, field):
+    """A payload of the wrong shape is a ValueError naming the field,
+    never a spec that silently expands to something else."""
+    with pytest.raises(ValueError, match=field):
+        SweepSpec.from_dict(payload)

@@ -1,4 +1,4 @@
-"""Trace-shared batched execution: batch formation on the queue, the
+"""Trace-shared batched execution: batch formation over the items, the
 session :class:`BatchRunner`, batched-vs-unbatched bit identity across
 serial and pool drives, and the sweep inspector seeing batched and
 unbatched runs identically."""
@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
                        SweepInspector, SweepSpec)
-from repro.api.exec import _batch_key
+from repro.api.exec import _batch_key, _batches, _Point
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -52,53 +52,47 @@ class _Recorder:
 
 
 # ----------------------------------------------------------------------
-# batch formation on the submission queue
+# batch formation over the items
 # ----------------------------------------------------------------------
+def points(*configs):
+    """``run()`` bookkeeping for *configs*, indexed in order."""
+    return [_Point(i, config, config.key())
+            for i, config in enumerate(configs)]
+
+
 def test_batch_key_separates_workload_and_length():
-    executor = SerialExecutor()
-    base = executor.submit((0, config_for()))
-    same = executor.submit((1, config_for(iq=32)))
-    other_workload = executor.submit((2, config_for("stream_triad")))
-    other_length = executor.submit((3, config_for(measure=130)))
+    base, same, other_workload, other_length = (
+        config_for(), config_for(iq=32), config_for("stream_triad"),
+        config_for(measure=130))
     assert _batch_key(base) == _batch_key(same) == ("compute_int", 270)
-    for future in (other_workload, other_length):
-        assert _batch_key(future) != _batch_key(base)
+    for config in (other_workload, other_length):
+        assert _batch_key(config) != _batch_key(base)
 
 
 def test_next_batch_groups_identity_and_preserves_queue_order():
-    executor = SerialExecutor()
-    a1 = executor.submit((0, config_for()))
-    b1 = executor.submit((1, config_for("stream_triad")))
-    a2 = executor.submit((2, config_for(iq=32)))
-    b2 = executor.submit((3, config_for("stream_triad", iq=32)))
-    first = executor._next_batch(None)
-    second = executor._next_batch(None)
-    assert first.futures == [a1, a2]
-    assert first.workload == "compute_int" and first.length == 270
-    assert second.futures == [b1, b2]
-    assert executor._next_batch(None) is None
+    a1, b1, a2, b2 = points(config_for(), config_for("stream_triad"),
+                            config_for(iq=32),
+                            config_for("stream_triad", iq=32))
+    first, second = _batches([a1, b1, a2, b2], None)
+    assert first == [a1, a2]
+    assert _batch_key(first[0].config) == ("compute_int", 270)
+    assert second == [b1, b2]
 
 
-def test_next_batch_respects_limit_and_cancelled_head_travels_alone():
-    executor = SerialExecutor()
-    futures = [executor.submit((i, config_for(iq=16 * (i + 1))))
-               for i in range(5)]
-    assert futures[0].cancel()
-    lone = executor._next_batch(4)
-    assert lone.futures == [futures[0]] and lone.futures[0].cancelled()
-    capped = executor._next_batch(3)
-    assert capped.futures == futures[1:4]
-    rest = executor._next_batch(3)
-    assert rest.futures == futures[4:]
+def test_batches_respect_limit():
+    same = points(*[config_for(iq=16 * (i + 1)) for i in range(5)])
+    capped, rest = _batches(same[1:], 3)
+    assert capped == same[1:4]
+    assert rest == same[4:]
+    # a capped identity resumes after points that came first
+    a1, a2, b1, a3 = points(config_for(), config_for(iq=32),
+                            config_for("stream_triad"), config_for(iq=48))
+    assert _batches([a1, a2, b1, a3], 2) == [[a1, a2], [b1], [a3]]
 
 
 def test_next_batch_limit_one_disables_grouping():
-    executor = SerialExecutor(batch_size=1)
-    futures = [executor.submit((i, config_for(iq=16 * (i + 1))))
-               for i in range(3)]
-    for future in futures:
-        batch = executor._next_batch(executor.batch_size)
-        assert batch.futures == [future]
+    same = points(*[config_for(iq=16 * (i + 1)) for i in range(3)])
+    assert _batches(same, 1) == [[point] for point in same]
 
 
 def test_batch_size_validation():
@@ -140,10 +134,8 @@ def test_serial_executor_simulates_a_cached_key(tmp_path):
         fresh = session.run(config, use_cache=False).stats
         poisoned = dict(fresh, cycles=fresh["cycles"] // 2)
         session.results.put(config.key(), poisoned)
-        executor = SerialExecutor().bind(session)
-        future = executor.submit((0, config))
-        assert list(executor.as_completed()) == [future]
-        result = future.result()
+        [result] = SerialExecutor().run(
+            session, [(0, config, config.key())])
         assert result.source == "simulated" and not result.cached
         assert result.stats == fresh
         assert session.results.get(config.key()) == poisoned

@@ -247,8 +247,8 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
     code, text = run_cli(["sweep", str(tmp_path / "spec.json"),
                           "--resume"])
     assert code == 2 and "--store" in text
-    with pytest.raises(ValueError, match="neither a JSON file nor"):
-        run_cli(["sweep", "no-such-preset"])
+    code, text = run_cli(["sweep", "no-such-preset"])
+    assert code == 2 and "neither a JSON file nor" in text
     with pytest.raises(SystemExit):  # argparse rejects bad shards
         run_cli(["sweep", "x.json", "--shard", "4/4"])
     # numeric flags are validated at parse time: exit 2, flag named
@@ -262,6 +262,29 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
             run_cli(argv)
         assert exit_info.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    ("{not json", "Expecting property name"),
+    (json.dumps({"workloads": "compute_int"}), "'workloads'"),
+    (json.dumps({"workloads": ["compute_int"], "axes": [1]}), "'axes'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"core.iq_size": "ab"}}), "'core.iq_size'"),
+], ids=["bad-json", "workloads-string", "axes-list", "axis-string"])
+@pytest.mark.parametrize("merge", [False, True], ids=["run", "merge"])
+def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
+    """A spec file that does not parse into a sweep is a usage error:
+    its message and exit status 2, no traceback, no store written."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(content)
+    store = tmp_path / "out.jsonl"
+    argv = ["sweep", str(spec), "--store", str(store)]
+    if merge:
+        argv += ["--merge", str(tmp_path / "shard.jsonl")]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert message in text
+    assert not store.exists()
 
 
 def test_sweep_executor_flag_errors(tmp_path, monkeypatch, capsys):

@@ -8,16 +8,12 @@ mock:
 * lifecycle events are exactly-once per submitted configuration,
 * retry exhaustion surfaces :class:`~repro.api.exec.WorkerFailure`
   with the attempt count,
-* cancellation drains in-flight work (every future resolves, one
-  terminal event each),
 * a bound :class:`~repro.api.store.ResultStore` receives every landed
   point,
 * real executors produce statistics bit-identical to a serial run,
 * the batched contract: trace-identical points grouped into one
-  :class:`~repro.api.exec.BatchWorkItem` keep exactly-once events, a
-  mid-batch failure retries only the failing points with per-point
-  attempt counts, and cancellation mid-batch still resolves every
-  future with one terminal event.
+  dispatched batch keep exactly-once events, and a mid-batch failure
+  retries only the failing points with per-point attempt counts.
 
 A guard test asserts the harness table covers every ``--executor``
 choice and the mock, so naming a new executor without conformance
@@ -165,34 +161,6 @@ def test_retry_exhaustion_surfaces_worker_failure(name, tmp_path,
 
 
 @pytest.mark.parametrize("name", EXECUTORS)
-def test_cancel_drains_in_flight_work(name, tmp_path):
-    configs = make_configs(4)
-    recorder = _Recorder()
-    executor = HARNESSES[name](1, set())
-    session = Session(cache_dir=str(tmp_path / "session"))
-    executor.bind(session)
-    executor.add_progress_callback(recorder)
-    futures = [executor.submit((i, config))
-               for i, config in enumerate(configs)]
-    assert futures[2].cancel()
-    assert futures[3].cancel()
-    resolved = list(executor.as_completed())
-    assert len(resolved) == 4
-    assert all(future.done() for future in futures)
-    cancelled = sum(1 for f in futures if f.cancelled())
-    completed = sum(1 for f in futures
-                    if f.done() and not f.cancelled()
-                    and f.exception() is None)
-    assert cancelled == 2 and completed == 2
-    # exactly one terminal event per key
-    for future in futures:
-        counts = recorder.per_key()[future.key]
-        terminal = (counts["finished"] + counts["failed"]
-                    + counts["cancelled"])
-        assert terminal == 1
-
-
-@pytest.mark.parametrize("name", EXECUTORS)
 def test_bound_store_appends_points_as_they_land(name, tmp_path):
     configs = make_configs(3)
     executor = HARNESSES[name](1, set())
@@ -289,31 +257,3 @@ def test_mid_batch_failure_retries_only_failing_points(name, tmp_path,
         assert counts["failed"] == 1
         assert counts["finished"] == 0
 
-
-@pytest.mark.parametrize("name", EXECUTORS)
-def test_cancel_mid_batch_resolves_every_future(name, tmp_path):
-    """cancel_all fired from inside a batch still resolves every
-    future, one terminal event each (in-flight work drains, the
-    batch's not-yet-started remainder cancels)."""
-    configs = make_batch_configs(4)
-    recorder = _Recorder()
-    executor = build_batched(name, 1, set())
-    session = Session(cache_dir=str(tmp_path / "session"))
-    executor.bind(session)
-    executor.add_progress_callback(recorder)
-
-    def cancel_after_first(event):
-        if event.kind == "finished":
-            executor.cancel_all()
-
-    executor.add_progress_callback(cancel_after_first)
-    futures = [executor.submit((i, config))
-               for i, config in enumerate(configs)]
-    resolved = list(executor.as_completed())
-    assert len(resolved) == 4
-    assert all(future.done() for future in futures)
-    for future in futures:
-        counts = recorder.per_key()[future.key]
-        terminal = (counts["finished"] + counts["failed"]
-                    + counts["cancelled"])
-        assert terminal == 1

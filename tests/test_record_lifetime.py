@@ -8,7 +8,8 @@ nothing of a run to find.  The test runs one NR+NU LTP point and one
 baseline point per engine with ``gc.DEBUG_SAVEALL``, which keeps
 everything a collection would free in ``gc.garbage``.
 
-A session dies by reference count too: its executor holds it weakly,
+A session dies by reference count too: its executor holds no
+reference to it (the session is an argument of each ``run()`` call),
 so a dropped session leaves no cycle for ``gc.freeze()`` to keep alive
 with every trace it prepared.
 """
