@@ -366,9 +366,9 @@ def merge_stores(destination: PathLike, sources: Sequence[PathLike],
 
     Rows are deduped by cache key — the first source holding a key
     wins, matching shard semantics where any duplicate row carries
-    identical statistics.  Sweep ids must agree across every source
-    (and *destination*, if it already exists); ``None`` headers are
-    tolerated and adopt the first concrete id seen.  A source path
+    identical statistics.  Sweep ids must agree across every source,
+    *sweep_id* and an existing *destination*, or nothing is written;
+    ``None`` headers adopt the first concrete id seen.  A source path
     that does not exist raises ``FileNotFoundError`` — a typo or an
     unmatched glob must not silently merge into an empty store.
     """
@@ -378,10 +378,14 @@ def merge_stores(destination: PathLike, sources: Sequence[PathLike],
         raise FileNotFoundError(
             f"result store(s) not found: {', '.join(missing)}")
     merged = ResultStore(destination, sweep_id=sweep_id)
-    for source in sources:
-        store = ResultStore(source)
-        if store.sweep_id is not None:
-            merged._adopt_sweep_id(store.sweep_id)
+    stores = [ResultStore(source) for source in sources]
+    # every id agrees before the first row lands
+    for store in stores:
+        if merged.sweep_id is None:
+            merged.sweep_id = store.sweep_id
+        else:
+            store.bind(merged.sweep_id)
+    for store in stores:
         merged.extend(store.results())
         # carry only annotations still standing in their source: a
         # quarantine a later result row already lifted stays lifted
@@ -391,7 +395,6 @@ def merge_stores(destination: PathLike, sources: Sequence[PathLike],
                 continue
             if annotation.key not in merged._annotations:
                 merged.annotate(annotation)
-        store.close()
     return merged
 
 

@@ -523,14 +523,14 @@ def cmd_sweep(args, out) -> int:
         try:
             # a named SPEC validates the merge: shards of a different
             # sweep must not recombine under its flag
-            sweep_id = (None if args.spec is None
-                        else resolve_sweep_spec(args.spec).sweep_id())
+            sweep_id = (None if args.spec is None else resolve_sweep_spec(
+                args.spec, warmup=args.warmup, measure=args.measure,
+                engine=args.engine).sweep_id())
+            merged = merge_stores(args.store, args.merge, sweep_id=sweep_id)
         except ValueError as exc:
             print(str(exc), file=out)
             return 2
-        with merge_stores(args.store, args.merge) as merged:
-            if sweep_id is not None:
-                merged.bind(sweep_id)
+        with merged:
             results = merged.results()
             if args.json:
                 print(render_json({
@@ -586,6 +586,15 @@ def cmd_sweep(args, out) -> int:
                                 backend=backend, store=store,
                                 shard=args.shard,
                                 progress=reporter, inspect=inspector)
+    except KeyboardInterrupt:
+        if store is not None:
+            # reread: ^C can land between a row's write and its count
+            store.close()
+        print("sweep interrupted: " + (
+            "no --store, nothing kept" if store is None else
+            f"store {args.store} holds {len(ResultStore(args.store))} "
+            f"row(s); rerun with --resume to finish it"), file=out)
+        return 130
     finally:
         reporter.close()
         if store is not None:

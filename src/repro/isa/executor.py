@@ -38,19 +38,28 @@ class ExecutionError(RuntimeError):
 
 
 class Memory:
-    """Sparse word-addressed functional memory (8-byte words)."""
+    """Sparse word-addressed functional memory (8-byte words).
+
+    An image in normal form (non-negative word-aligned keys, signed
+    64-bit values) is read in place, not copied: its owner must not
+    mutate it while this memory is in use.  Any other image is
+    normalised into a private copy.  Stores go to a private overlay.
+    """
 
     def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
-        self._words: Dict[int, int] = {}
-        if initial:
-            # one bulk pass, with the effect of store() on each entry
-            # in order: images run to hundreds of thousands of words
-            if min(initial) < 0:
-                self._word_addr(next(a for a in initial if a < 0))
-            self._words = {
+        self._stores: Dict[int, int] = {}
+        self._image = image = initial or {}
+        if image and min(image) < 0:
+            self._word_addr(next(a for a in image if a < 0))
+        # C-speed passes: images run to hundreds of thousands of words
+        if image and (any(map((WORD - 1).__and__, image))
+                      or min(image.values()) < _MIN64
+                      or max(image.values()) > _MAX64):
+            # the effect of store() on each entry, in order
+            self._image = {
                 addr - addr % WORD:
                     value if _MIN64 <= value <= _MAX64 else _to_signed(value)
-                for addr, value in initial.items()}
+                for addr, value in image.items()}
 
     @staticmethod
     def _word_addr(addr: int) -> int:
@@ -59,13 +68,12 @@ class Memory:
         return addr - (addr % WORD)
 
     def load(self, addr: int) -> int:
-        return self._words.get(self._word_addr(addr), 0)
+        word = self._word_addr(addr)
+        value = self._stores.get(word)
+        return self._image.get(word, 0) if value is None else value
 
     def store(self, addr: int, value: int) -> None:
-        self._words[self._word_addr(addr)] = _to_signed(value)
-
-    def __len__(self) -> int:
-        return len(self._words)
+        self._stores[self._word_addr(addr)] = _to_signed(value)
 
 
 def _div(a: int, b: int, imm: int) -> int:
@@ -170,7 +178,8 @@ class Executor:
         n = len(table)
         regs = self.regs
         read = regs.get
-        words = self.memory._words
+        stores = self.memory._stores
+        stored, image = stores.get, self.memory._image.get
         last_writer = self._last_writer
         writer = last_writer.get
         new = object.__new__
@@ -202,7 +211,10 @@ class Executor:
                                         if n_srcs == 2 else imm)
                 if addr < 0:
                     raise ExecutionError(f"negative address 0x{addr:x}")
-                value = words.get(addr - addr % WORD, 0)
+                word = addr - addr % WORD
+                value = stored(word)
+                if value is None:
+                    value = image(word, 0)
                 regs[dst] = (value if _MIN64 <= value <= _MAX64
                              else _to_signed(value))
             elif kind == _STORE:
@@ -211,7 +223,7 @@ class Executor:
                 store_value = read(src1, 0)
                 if addr < 0:
                     raise ExecutionError(f"negative address 0x{addr:x}")
-                words[addr - addr % WORD] = (
+                stores[addr - addr % WORD] = (
                     store_value if _MIN64 <= store_value <= _MAX64
                     else _to_signed(store_value))
             elif kind == _BRANCH:

@@ -58,7 +58,11 @@ class Workload:
         return self._program
 
     def executor(self) -> Executor:
-        """A fresh functional executor positioned at the kernel entry."""
+        """A fresh functional executor positioned at the kernel entry.
+
+        Its memory reads ``memory_words`` in place, so do not mutate
+        ``memory_words`` while one of its executors runs.
+        """
         return Executor(self.program,
                         memory=Memory(self.memory_words),
                         int_regs=dict(self.int_regs),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.api import ResultStore
 from repro.cli import build_parser, main
 from repro.harness.config import SimConfig
 
@@ -208,12 +209,50 @@ def test_sweep_merge_validates_named_spec(tmp_path, monkeypatch):
     # matching spec: merge succeeds
     assert run_cli(["sweep", str(spec), "--merge", str(store),
                     "--store", str(tmp_path / "ok.jsonl")])[0] == 0
-    # different spec: the merge is refused
+    # different spec: the merge is refused before DEST is written
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**SPEC_PAYLOAD, "measure": 130}))
-    with pytest.raises(ValueError, match="belongs to sweep"):
-        run_cli(["sweep", str(other), "--merge", str(store),
-                 "--store", str(tmp_path / "bad.jsonl")])
+    code, text = run_cli(["sweep", str(other), "--merge", str(store),
+                          "--store", str(tmp_path / "bad.jsonl")])
+    assert code == 2
+    assert text.startswith(f"store {store} belongs to sweep ")
+    assert text.count("\n") == 1
+    assert not (tmp_path / "bad.jsonl").exists()
+    # budget flags name the sweep a SPEC means, as in a run
+    code, _ = run_cli(["sweep", str(spec), "--measure", "130", "--merge",
+                       str(store), "--store", str(tmp_path / "bad.jsonl")])
+    assert code == 2
+    assert not (tmp_path / "bad.jsonl").exists()
+    assert run_cli(["sweep", str(other), "--measure", "120", "--merge",
+                    str(store), "--store",
+                    str(tmp_path / "ok2.jsonl")])[0] == 0
+
+
+def test_an_interrupted_sweep_names_its_store_and_resumes(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = write_spec(tmp_path)
+    store = tmp_path / "store.jsonl"
+    add = ResultStore.add
+
+    def add_then_interrupt(self, result):
+        add(self, result)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(ResultStore, "add", add_then_interrupt)
+    try:
+        code, text = run_cli(["sweep", str(spec), "--no-cache",
+                              "--store", str(store)])
+    except KeyboardInterrupt:  # would end the whole test session
+        pytest.fail("the interrupt escaped repro sweep")
+    assert code == 130
+    assert text == (f"sweep interrupted: store {store} holds 1 row(s); "
+                    f"rerun with --resume to finish it\n")
+    monkeypatch.setattr(ResultStore, "add", add)
+    code, text = run_cli(["sweep", str(spec), "--no-cache", "--resume",
+                          "--store", str(store), "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["simulated"], payload["from_store"]) == (1, 1)
 
 
 def test_sweep_command_table_output(tmp_path, monkeypatch):

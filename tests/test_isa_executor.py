@@ -35,9 +35,51 @@ def test_memory_image_is_word_aligned_and_wrapped_like_stores():
     stepped = Memory()
     for addr, value in image.items():
         stepped.store(addr, value)
-    assert bulk._words == stepped._words == {0x100: 5, 0x200: -1}
+    # the words {0x100: 5, 0x200: -1}, and nothing else
+    probes = range(0xF8, 0x210, 4)
+    expected = [5 if a // 8 == 0x20 else -1 if a // 8 == 0x40 else 0
+                for a in probes]
+    assert [bulk.load(a) for a in probes] == expected
+    assert [stepped.load(a) for a in probes] == expected
     with pytest.raises(ExecutionError, match="0x-8"):
         Memory({0x100: 1, -8: 2, -16: 3})
+
+
+@pytest.mark.parametrize("image, word_0x108", [
+    ({0x100: 1, 0x108: 2}, 2),                              # normal form
+    ({0x104: 1, 0x10C: 2}, 2),                              # misaligned
+    ({0x100: 1, 0x108: 1 << 63}, -(1 << 63)),               # > 2**63-1
+    ({0x100: 1, 0x108: -(1 << 63) - 1}, (1 << 63) - 1),     # < -2**63
+])
+def test_memory_leaves_a_callers_image_unmodified(image, word_0x108):
+    before = dict(image)
+    mem = Memory(image)
+    mem.store(0x100, 7)
+    mem.store(0x110, 8)
+    assert image == before
+    assert [mem.load(a) for a in (0x100, 0x108, 0x110)] == [7, word_0x108, 8]
+    fresh = Memory(image)
+    assert [fresh.load(a) for a in (0x100, 0x108, 0x110)] == [
+        1, word_0x108, 0]
+
+
+def test_stores_over_a_shared_image_stay_in_their_executor():
+    image = {0x1000: 5}
+    program = assemble("""
+        li r1, 0x1000
+        ld r2, r1, 0
+        addi r2, r2, 1
+        st r2, r1, 0
+        ld r3, r1, 0
+        halt
+    """)
+    first = Executor(program, memory=Memory(image))
+    list(first.run(10))
+    second = Executor(program, memory=Memory(image))
+    list(second.run(10))
+    assert first.regs["r3"] == second.regs["r3"] == 6
+    assert first.memory.load(0x1000) == 6
+    assert image == {0x1000: 5}
 
 
 def test_fault_keeps_the_records_before_it_and_the_state_at_it():

@@ -1,6 +1,7 @@
 """Tests for the synthetic workload suite."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -90,14 +91,41 @@ TRACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", workload_names())
-def test_trace_is_pinned(name):
+def trace_digest(trace):
     digest = hashlib.sha256()
-    for dyn in get_workload(name).trace(3000):
+    for dyn in trace:
         for slot in DynInst.__slots__:
             digest.update(repr(getattr(dyn, slot)).encode())
             digest.update(b"\0")
-    assert digest.hexdigest() == TRACE_DIGESTS[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_trace_is_pinned(name):
+    assert trace_digest(get_workload(name).trace(3000)) == TRACE_DIGESTS[name]
+
+
+def test_a_trace_reads_the_memory_image_without_copying_it():
+    workload = get_workload("ptrchase_astar")
+    assert len(workload.memory_words) > 200_000
+    tracemalloc.start()
+    try:
+        workload.trace(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["memset_stream", "indirect_fig2"])
+def test_stores_never_reach_the_memory_image(name):
+    workload = get_workload(name)
+    before = dict(workload.memory_words)
+    first = list(workload.executor().run(3000))
+    second = list(workload.executor().run(3000))
+    assert any(dyn.is_store for dyn in first)
+    assert trace_digest(first) == trace_digest(second)
+    assert workload.memory_words == before
 
 
 @pytest.mark.parametrize("name", workload_names())
