@@ -66,9 +66,9 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from repro.api import (ResultStore, Session, SweepInspector,  # noqa: E402
-                       SweepSpec, merge_stores, parse_shard)
-from repro.api.exec import executor_from_options  # noqa: E402
+from repro.api import (PoolExecutor, ResultStore, Session,  # noqa: E402
+                       SweepInspector, SweepSpec, merge_stores,
+                       parse_shard)
 from repro.api.spec import non_negative_int, positive_int  # noqa: E402
 from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
@@ -106,9 +106,8 @@ def cmd_run(args) -> int:
     if args.kill_one:
         return _run_killing_one_worker(args, spec)
     shard = parse_shard(args.shard) if args.shard else None
-    backend = executor_from_options(jobs=args.jobs,
-                                    max_retries=args.max_retries,
-                                    batch_size=args.batch_size)
+    backend = PoolExecutor(jobs=args.jobs, max_retries=args.max_retries,
+                           batch_size=args.batch_size)
     # simulate every point: a leg served from another leg's cache
     # writes (or the tracked .simcache) would prove nothing
     with Session() as session, ResultStore(args.store) as store:
@@ -269,11 +268,9 @@ def _run_killing_one_worker(args, spec) -> int:
               "worker of)")
         return 2
     extra = ["--jobs", str(args.jobs), "--store", str(args.store),
-             "--no-cache"]
+             "--no-cache", "--max-retries", str(args.max_retries)]
     if args.shard:
         extra += ["--shard", args.shard]
-    if args.max_retries is not None:
-        extra += ["--max-retries", str(args.max_retries)]
     if args.batch_size is not None:
         extra += ["--batch-size", str(args.batch_size)]
     deadline = time.monotonic() + SWEEP_TIMEOUT_S
@@ -502,8 +499,9 @@ def main(argv=None) -> int:
                        help="cap on trace-identical points executed "
                             "as one batch (1 disables batching)")
     run_p.add_argument("--max-retries", type=non_negative_int,
-                       default=None, metavar="N",
-                       help="re-dispatch attempts per failed point")
+                       default=1, metavar="N",
+                       help="re-dispatch attempts per failed point "
+                            "(default 1)")
     run_p.add_argument("--kill-one", action="store_true",
                        help="run the sweep as a 'repro sweep' "
                             "subprocess and SIGKILL one pool worker "

@@ -13,13 +13,13 @@ The API layer is organised around four ideas:
   (:mod:`repro.api.exec`): one ``run(session, items, emit)``
   generator per executor that yields each point's outcome as it
   lands, with lifecycle events and bounded retries.  Executors keep
-  only their options, no per-call state.  Two executors have names —
-  ``"serial"`` and ``"process-pool"`` — usable as
-  ``Session(backend=...)``, the ``backend=`` of ``run_many``/``sweep``
-  and the CLI's ``--executor`` flag;
-  :func:`repro.api.exec.executor_from_options` is the one function
-  that turns a name into an executor.  Anything else (a custom
-  subclass, a test double) is passed as an instance.  The layer is
+  only their options, no per-call state.  One class implements it,
+  :class:`PoolExecutor`, chosen by ``jobs`` alone (the CLI's
+  ``--jobs``): ``jobs=1`` runs in-process, anything else over worker
+  processes.  ``Session(backend=...)`` and the ``backend=`` of
+  ``run_many``/``sweep`` also take the names ``"serial"`` (``jobs=1``)
+  and ``"process-pool"`` (one worker per CPU).  Anything else (a
+  custom subclass, a test double) is passed as an instance.  The layer is
   single-threaded: outcomes land on the thread iterating ``run()``.
 * :class:`SimResult` — typed results with cache provenance and wall
   time, JSON-ready via ``to_dict()``.
@@ -50,9 +50,8 @@ Quick start::
 """
 
 from repro.api.exec import (ExecEvent, ExecutorBackend, PoolExecutor,
-                            SerialExecutor, WorkerFailure, as_executor)
-from repro.api.inspect import (InspectorConfig, SweepInspector,
-                               stat_invariants)
+                            WorkerFailure, as_executor)
+from repro.api.inspect import SweepInspector, stat_invariants
 from repro.api.registry import (Experiment, experiment, experiment_names,
                                 get_experiment, renderer)
 from repro.api.result import SimResult
@@ -72,10 +71,8 @@ __all__ = [
     "ExecEvent",
     "Experiment",
     "ExecutorBackend",
-    "InspectorConfig",
     "PoolExecutor",
     "ResultStore",
-    "SerialExecutor",
     "Session",
     "SimConfig",
     "SimResult",

@@ -11,10 +11,10 @@ This module is the execution layer's supported surface:
   yields each point's outcome, a :class:`~repro.api.result.SimResult`
   or a :class:`WorkerFailure`, as it lands.  Failed attempts are
   redispatched up to ``max_retries`` times.
-* :class:`SerialExecutor` / :class:`PoolExecutor` — the in-process and
-  worker-process implementations, named ``"serial"`` and
-  ``"process-pool"`` in :data:`EXECUTORS`; :func:`executor_from_options`
-  is the one function that turns a name into an executor.
+* :class:`PoolExecutor` — the one implementation: ``jobs=1`` runs
+  in-process (results labelled ``"serial"``), any other ``jobs`` fans
+  the items over worker processes (``"process-pool"``).
+  :func:`as_executor` resolves those two labels as ``backend=`` names.
 
 Stateless executors: an executor keeps only its construction options
 (``max_retries``, ``batch_size``, ``jobs``).  Everything one call needs
@@ -60,7 +60,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple, Type, Union)
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.api.result import SOURCE_SIMULATED, SimResult
 
@@ -329,8 +329,8 @@ class ExecutorBackend:
     def _run_inline(self, session: "Session", points: List[_Point],
                     emit: Optional[ProgressCallback],
                     limit: Optional[int]) -> Iterator[PointOutcome]:
-        """Run *points* in-process, batched, in item order (shared by
-        the serial executor and the pool's small-run degradation).
+        """Run *points* in-process, batched, in item order (the
+        ``jobs=1`` path and the pool's small-run degradation).
 
         Every batch — a batch of one included — runs through one
         :class:`~repro.api.session.BatchRunner`, so the session's
@@ -357,27 +357,6 @@ class ExecutorBackend:
         return f"{type(self).__name__}()"
 
 
-class SerialExecutor(ExecutorBackend):
-    """Run every item in-process, in item order.
-
-    Trace-identical items are batched through one
-    :class:`~repro.api.session.BatchRunner` (``batch_size=None``
-    groups without bound; ``1`` restores strictly unbatched
-    execution).  Results, lifecycle events and completion order are
-    identical either way — a sweep's expansion is workload-major, so
-    its batches are exactly the already-adjacent runs of points.
-    """
-
-    name = "serial"
-
-    def run(self, session: "Session", items: Iterable[WorkItem],
-            emit: Optional[ProgressCallback] = None
-            ) -> Iterator[PointOutcome]:
-        points = self._submitted(items, emit)
-        yield from self._run_inline(session, points, emit,
-                                    self.batch_size)
-
-
 def default_jobs() -> int:
     """Worker count: the ``REPRO_JOBS`` env var, else the CPU count.
 
@@ -399,8 +378,19 @@ def default_jobs() -> int:
 
 
 class PoolExecutor(ExecutorBackend):
-    """Fan items over a pool of worker processes.
+    """Run items in-process (``jobs=1``) or over a pool of worker
+    processes (any other ``jobs``).
 
+    ``jobs=1`` runs every item in-process, in item order, through
+    :meth:`ExecutorBackend._run_inline`: trace-identical items batch
+    through one :class:`~repro.api.session.BatchRunner` without bound
+    unless ``batch_size`` caps them (``1`` restores strictly unbatched
+    execution), and results are labelled ``"serial"``.  Results,
+    lifecycle events and completion order are identical whatever the
+    cap: a sweep's expansion is workload-major, so its batches are
+    exactly the already-adjacent runs of points.
+
+    Any other ``jobs`` labels results ``"process-pool"``.
     ``jobs=None`` (or ``0``) uses :func:`default_jobs`
     (``REPRO_JOBS`` env var, else the CPU count).  Runs that would not
     benefit from a pool (one item, or one worker) degrade to
@@ -424,8 +414,6 @@ class PoolExecutor(ExecutorBackend):
     one attempt.
     """
 
-    name = "process-pool"
-
     #: in-flight chunks kept per worker: enough to keep workers busy,
     #: few enough that an interrupted run has little left to wait for
     BACKLOG_PER_WORKER = 2
@@ -437,6 +425,10 @@ class PoolExecutor(ExecutorBackend):
         if jobs is not None and jobs < 0:
             raise ValueError("jobs must be >= 0")
         self.jobs = jobs or None  # 0 = one worker per CPU, as None
+
+    @property
+    def name(self) -> str:
+        return "serial" if self.jobs == 1 else "process-pool"
 
     def _resolved_jobs(self) -> int:
         return self.jobs or default_jobs()
@@ -458,9 +450,9 @@ class PoolExecutor(ExecutorBackend):
         points = self._submitted(items, emit)
         jobs = self._resolved_jobs()
         if jobs <= 1 or len(points) <= 1:
-            yield from self._run_inline(
-                session, points, emit,
-                self._resolved_batch_size(len(points), 1))
+            limit = (self.batch_size if self.jobs == 1 else
+                     self._resolved_batch_size(len(points), 1))
+            yield from self._run_inline(session, points, emit, limit)
         else:
             yield from self._run_pool(points, jobs, emit)
 
@@ -558,64 +550,19 @@ class PoolExecutor(ExecutorBackend):
                 f"batch_size={self.batch_size!r})")
 
 
-#: name -> (executor class, the options its constructor takes from
-#: the CLI flags)
-EXECUTORS: Dict[str, Tuple[Type[ExecutorBackend], Tuple[str, ...]]] = {
-    "serial": (SerialExecutor, ("max_retries", "batch_size")),
-    "process-pool": (PoolExecutor, ("jobs", "max_retries", "batch_size")),
-}
-
-
-def executor_from_options(name: Optional[str] = None,
-                          jobs: Optional[int] = None,
-                          max_retries: Optional[int] = None,
-                          batch_size: Optional[int] = None
-                          ) -> ExecutorBackend:
-    """Build the executor *name* and the CLI's execution flags select.
-
-    The one name->executor function, behind ``Session(backend=NAME)``,
-    ``run_many(..., backend=NAME)`` and ``repro sweep --executor NAME``.
-    ``name=None`` picks by ``jobs``: ``1`` is the in-process
-    ``"serial"`` executor, anything else is ``"process-pool"``, which
-    itself degrades to in-process execution when one worker or one
-    item remains.  ``jobs`` ``None`` or ``0`` (its CLI spelling) means
-    one worker per CPU, the pool default; ``jobs == 1`` composes with
-    ``serial`` (it *is* one in-process worker).
-
-    Rejects an unknown name, and ``jobs`` on an executor that has no
-    worker pool (``serial --jobs 4``), with a message naming what the
-    executor does take.
-    """
-    if name is None:
-        name = "serial" if jobs == 1 else "process-pool"
-    try:
-        cls, accepted = EXECUTORS[name]
-    except KeyError:
-        raise ValueError(f"unknown executor {name!r} (choose from: "
-                         f"{', '.join(EXECUTORS)})") from None
-    if name == "serial" and jobs == 1:
-        jobs = None  # serial is exactly one worker
-    provided = {"jobs": jobs, "max_retries": max_retries,
-                "batch_size": batch_size}
-    options = {key: value for key, value in provided.items()
-               if value is not None}
-    for key in options:
-        if key not in accepted:
-            raise ValueError(
-                f"--executor {name} does not take --{key} "
-                f"(accepted: {', '.join(accepted)})")
-    return cls(**options)
-
-
 def as_executor(backend: Any) -> ExecutorBackend:
     """Normalise a ``backend=`` argument to an executor.
 
-    A string names one (:func:`executor_from_options`: ``"serial"`` or
-    ``"process-pool"``); executors pass through; anything else raises
+    A string names one: ``"serial"`` is ``PoolExecutor(jobs=1)``,
+    ``"process-pool"`` is one worker per CPU; any other string raises
+    ``ValueError``.  Executors pass through; anything else raises
     ``TypeError``.
     """
     if isinstance(backend, str):
-        backend = executor_from_options(backend)
+        if backend not in ("serial", "process-pool"):
+            raise ValueError(f"unknown executor {backend!r} (choose "
+                             f"from: serial, process-pool)")
+        backend = PoolExecutor(jobs=1 if backend == "serial" else None)
     if isinstance(backend, ExecutorBackend):
         return backend
     raise TypeError(

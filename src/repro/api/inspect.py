@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
@@ -60,6 +59,34 @@ QUARANTINE_CHECKS = (CHECK_INVARIANT, CHECK_OUTLIER)
 
 #: MAD -> standard-deviation consistency factor (normal distribution)
 _MAD_SCALE = 1.4826
+
+# Check thresholds, deliberately loose.  The statistical ones trade
+# detection latency for false-positive rate: a baseline needs
+# BASELINE_MIN clean points per workload before outlier verdicts fire,
+# the MAD scale is floored at REL_SCALE_FLOOR of the median (identical
+# baselines otherwise make every deviation infinitely significant),
+# and the z threshold is far outside normal sweep variation.
+
+#: stats fed into the per-workload rolling baselines
+METRICS = ("ipc", "cpi", "energy")
+#: robust z-score above which a point is an outlier
+Z_THRESHOLD = 6.0
+#: baseline samples required before outlier verdicts fire
+BASELINE_MIN = 5
+#: rolling-baseline window per workload/metric
+BASELINE_WINDOW = 64
+#: scale floor as a fraction of the baseline median
+REL_SCALE_FLOOR = 0.02
+#: finished latency > factor x median latency flags a straggler
+STRAGGLER_FACTOR = 4.0
+#: latency samples required before straggler verdicts fire
+STRAGGLER_MIN_SAMPLES = 6
+#: absolute latency floor (seconds) under which nothing straggles
+STRAGGLER_FLOOR_S = 0.5
+#: retried / attempted ratio above which the alarm latches
+RETRY_RATE_THRESHOLD = 0.5
+#: attempts required before the retry-rate alarm can fire
+RETRY_MIN_ATTEMPTS = 6
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +162,15 @@ def stat_invariants(result: SimResult) -> List[str]:
     return problems
 
 
-def _metric_values(result: SimResult,
-                   metrics: Tuple[str, ...]) -> Dict[str, float]:
-    """Extract the baseline metrics present in a result.
+def _metric_values(result: SimResult) -> Dict[str, float]:
+    """Extract the baseline :data:`METRICS` present in a result.
 
     ``"energy"`` is derived through the energy model when the stats
     carry the occupancy averages it consumes; fabricated rows without
     them simply skip the metric.
     """
     values: Dict[str, float] = {}
-    for metric in metrics:
+    for metric in METRICS:
         if metric == "energy":
             try:
                 from repro.energy.model import compute_energy
@@ -169,43 +195,6 @@ def _median(values: List[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-@dataclass
-class InspectorConfig:
-    """Thresholds of the online checks (defaults deliberately loose).
-
-    The statistical knobs trade detection latency for false-positive
-    rate: a baseline needs ``baseline_min`` clean points per workload
-    before outlier verdicts fire, the MAD scale is floored at
-    ``rel_scale_floor`` of the median (identical baselines otherwise
-    make every deviation infinitely significant), and the z threshold
-    is far outside normal sweep variation.
-    """
-
-    #: stats fed into the per-workload rolling baselines
-    metrics: Tuple[str, ...] = ("ipc", "cpi", "energy")
-    #: robust z-score above which a point is an outlier
-    z_threshold: float = 6.0
-    #: baseline samples required before outlier verdicts fire
-    baseline_min: int = 5
-    #: rolling-baseline window per workload/metric
-    baseline_window: int = 64
-    #: scale floor as a fraction of the baseline median
-    rel_scale_floor: float = 0.02
-    #: finished latency > factor x median latency flags a straggler
-    straggler_factor: float = 4.0
-    #: latency samples required before straggler verdicts fire
-    straggler_min_samples: int = 6
-    #: absolute latency floor (seconds) under which nothing straggles
-    straggler_floor_s: float = 0.5
-    #: retried / attempted ratio above which the alarm latches
-    retry_rate_threshold: float = 0.5
-    #: attempts required before the retry-rate alarm can fire
-    retry_min_attempts: int = 6
-
-
-# ----------------------------------------------------------------------
 # the inspector
 # ----------------------------------------------------------------------
 class SweepInspector:
@@ -217,13 +206,12 @@ class SweepInspector:
         Destination for :class:`~repro.api.store.Annotation` rows
         (``None`` keeps verdicts in-process only, on
         :attr:`anomalies`).
-    config:
-        Check thresholds (:class:`InspectorConfig`).
     clock:
         Monotonic time source; injectable for deterministic alarm
         tests.
-    on_anomaly:
-        Called with each confirmed :class:`Annotation` as it fires.
+
+    The check thresholds are this module's constants
+    (:data:`Z_THRESHOLD`, :data:`STRAGGLER_FACTOR`, ...).
 
     The inspector is a valid
     :data:`~repro.api.exec.ProgressCallback` — register it with an
@@ -236,14 +224,9 @@ class SweepInspector:
     """
 
     def __init__(self, store: Optional["ResultStore"] = None,
-                 config: Optional[InspectorConfig] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 on_anomaly: Optional[Callable[[Annotation], None]] = None,
-                 ) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.store = store
-        self.config = config or InspectorConfig()
         self.clock = clock
-        self.on_anomaly = on_anomaly
         #: every confirmed anomaly, in detection order
         self.anomalies: List[Annotation] = []
         #: results validated so far (store hits included)
@@ -280,8 +263,6 @@ class SweepInspector:
         self.anomalies.append(annotation)
         if self.store is not None:
             self.store.annotate(annotation)
-        if self.on_anomaly is not None:
-            self.on_anomaly(annotation)
         event = ExecEvent(kind=EVENT_ANOMALY, key=annotation.key,
                           workload=annotation.workload,
                           index=-1 if annotation.index is None
@@ -320,11 +301,9 @@ class SweepInspector:
                    else event.wall_time_s)
         if latency is None:
             return
-        cfg = self.config
-        if len(self._latencies) >= cfg.straggler_min_samples:
+        if len(self._latencies) >= STRAGGLER_MIN_SAMPLES:
             typical = _median(list(self._latencies))
-            threshold = max(typical * cfg.straggler_factor,
-                            cfg.straggler_floor_s)
+            threshold = max(typical * STRAGGLER_FACTOR, STRAGGLER_FLOOR_S)
             if latency > threshold:
                 self._flag(Annotation(
                     key=event.key, check=CHECK_STRAGGLER,
@@ -337,11 +316,10 @@ class SweepInspector:
         self._latencies.append(latency)
 
     def _check_retry_rate(self, event: ExecEvent) -> None:
-        cfg = self.config
-        if self._retry_flagged or self._attempts < cfg.retry_min_attempts:
+        if self._retry_flagged or self._attempts < RETRY_MIN_ATTEMPTS:
             return
         rate = self._retries / float(self._attempts)
-        if rate > cfg.retry_rate_threshold:
+        if rate > RETRY_RATE_THRESHOLD:
             self._retry_flagged = True
             self._flag(Annotation(
                 key="alarm:retry-rate", check=CHECK_RETRY_RATE,
@@ -381,22 +359,21 @@ class SweepInspector:
             raised.append(annotation)
             return raised  # broken accounting: keep it off the baseline
 
-        cfg = self.config
-        values = _metric_values(result, cfg.metrics)
+        values = _metric_values(result)
         per_workload = self._baselines.setdefault(
             result.config.workload, {})
         outliers: Dict[str, Dict[str, float]] = {}
         for metric, value in values.items():
             baseline = per_workload.setdefault(
-                metric, deque(maxlen=cfg.baseline_window))
-            if len(baseline) >= cfg.baseline_min:
+                metric, deque(maxlen=BASELINE_WINDOW))
+            if len(baseline) >= BASELINE_MIN:
                 history = list(baseline)
                 center = _median(history)
                 mad = _median([abs(v - center) for v in history])
                 scale = max(_MAD_SCALE * mad,
-                            cfg.rel_scale_floor * abs(center), 1e-12)
+                            REL_SCALE_FLOOR * abs(center), 1e-12)
                 z = abs(value - center) / scale
-                if z > cfg.z_threshold:
+                if z > Z_THRESHOLD:
                     outliers[metric] = {
                         "value": value, "median": center,
                         "z": round(z, 2)}

@@ -38,9 +38,9 @@ class Experiment:
     description: str = ""
 
     def run(self, *args, jobs: Optional[int] = 1, **kwargs) -> dict:
-        """Run the experiment; ``jobs`` > 1 (or ``None`` = one worker
-        per CPU) executes the sweep across a process pool."""
-        if jobs is not None and jobs <= 1:
+        """Run the experiment; any ``jobs`` but 1 (``0`` or ``None`` =
+        one worker per CPU) executes the sweep across a process pool."""
+        if jobs == 1:
             return self.runner(*args, **kwargs)
         from repro.harness.experiments import run_parallel
         return run_parallel(self.runner, *args, jobs=jobs, **kwargs)

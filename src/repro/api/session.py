@@ -10,7 +10,8 @@ A :class:`Session` owns all mutable simulation state:
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
-  (:class:`~repro.api.exec.SerialExecutor` by default).
+  (an in-process :class:`~repro.api.exec.PoolExecutor`, ``jobs=1``,
+  by default).
 
 Every simulated point goes through one recipe,
 :meth:`Session.build_pipeline`, so a batch of points sharing a trace
@@ -47,8 +48,8 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
-from repro.api.exec import (ExecEvent, ExecutorBackend, ProgressCallback,
-                            SerialExecutor, WorkerFailure, as_executor)
+from repro.api.exec import (ExecEvent, ExecutorBackend, PoolExecutor,
+                            ProgressCallback, WorkerFailure, as_executor)
 from repro.api.result import (SOURCE_DISK, SOURCE_MEMORY, SOURCE_SIMULATED,
                               SOURCE_STORE, SimResult, cached_result)
 from repro.api.spec import SweepSpec
@@ -230,8 +231,8 @@ class Session:
         ``REPRO_CACHE_DIR`` or the repo-root ``.simcache``.
     backend:
         Default :class:`~repro.api.exec.ExecutorBackend` for
-        :meth:`run_many` / :meth:`sweep` (``SerialExecutor`` when
-        omitted).  A string names one: ``"serial"`` or
+        :meth:`run_many` / :meth:`sweep` (``PoolExecutor(jobs=1)``,
+        in-process, when omitted).  A string names one: ``"serial"`` or
         ``"process-pool"`` (:func:`repro.api.exec.as_executor`).
 
     The trace cache holds at most :data:`TRACE_CACHE_MAX` workloads,
@@ -243,7 +244,8 @@ class Session:
                  backend: Optional[ExecutorBackend] = None) -> None:
         self.results = ResultCache(cache_dir)
         self.backend: ExecutorBackend = (
-            SerialExecutor() if backend is None else as_executor(backend))
+            PoolExecutor(jobs=1) if backend is None
+            else as_executor(backend))
         #: workload name -> its prepared inputs (LRU, bounded)
         self._trace_cache: "OrderedDict[str, PreparedWorkload]" = \
             OrderedDict()

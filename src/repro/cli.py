@@ -21,10 +21,11 @@ Commands:
   optional key-stable sharding (``--shard i/k``), a durable result
   store (``--store``), resume (``--resume``), store merging
   (``--merge``), live progress (``--progress``; with ``--json`` the
-  document carries the full lifecycle-event log).  Execution is
-  selected by ``--jobs`` or by executor name (``--executor serial``
-  or ``process-pool``).  A sweep across machines runs one ``--shard
-  I/K`` per machine and recombines the stores with ``--merge``.
+  document carries the full lifecycle-event log).  ``--jobs`` alone
+  selects where points run: ``1`` (the default) in-process, ``0`` or
+  ``N`` over worker processes.  A sweep across machines runs one
+  ``--shard I/K`` per machine and recombines the stores with
+  ``--merge``.
 * ``watch STORE`` — inspect a sweep result store: progress,
   per-workload summary, anomaly annotations and quarantined points;
   ``--follow`` polls the file and prints a line as points land.
@@ -52,11 +53,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import (ResultStore, SweepInspector, SweepSpec,
-                       default_session, experiment_names,
+from repro.api import (PoolExecutor, ResultStore, SweepInspector,
+                       SweepSpec, default_session, experiment_names,
                        get_experiment, ltp_preset, ltp_preset_names,
                        merge_stores, parse_shard, summarize)
-from repro.api.exec import EXECUTORS, executor_from_options
 from repro.api.spec import non_negative_int, positive_int
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import DEFAULT_ENGINE, ENGINES, SimConfig
@@ -164,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the registered experiments and exit")
     exp_p.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                        help="worker processes for the experiment's "
-                            "sweeps (default 1 = the serial executor; "
-                            "0 = one per CPU; >1 selects the "
-                            "process-pool executor)")
+                            "sweeps (default 1 = in-process; 0 = one "
+                            "per CPU)")
     exp_p.add_argument("--json", action="store_true",
                        help="emit the raw result document as JSON")
 
@@ -195,22 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "of running a sweep")
     sweep_p.add_argument("--jobs", "-j", type=non_negative_int, default=1,
                          help="worker processes for the sweep "
-                              "(default 1 = the serial executor; "
-                              "0 = one per CPU; >1 selects the "
-                              "process-pool executor)")
+                              "(default 1 = in-process; 0 = one per "
+                              "CPU)")
     sweep_p.add_argument("--batch-size", type=positive_int, default=None,
                          metavar="N",
                          help="cap on trace-identical points executed "
                               "as one batch (one trace generation + "
                               "predecode per batch; 1 disables "
                               "batching; default: auto)")
-    sweep_p.add_argument("--executor", choices=list(EXECUTORS),
-                         default=None,
-                         help="run through this executor "
-                              "(default: serial, or process-pool when "
-                              "--jobs > 1)")
     sweep_p.add_argument("--max-retries", type=non_negative_int,
-                         default=None, metavar="N",
+                         default=1, metavar="N",
                          help="re-dispatch attempts per failed point "
                               "(default 1)")
     sweep_p.add_argument("--warmup", type=int, default=None,
@@ -532,17 +525,18 @@ def cmd_sweep(args, out) -> int:
             return 2
         with merged:
             results = merged.results()
+            summary = _stored_summary(results)
             if args.json:
                 print(render_json({
                     "store": str(args.store),
                     "sweep_id": merged.sweep_id,
                     "points": len(results),
                     "sources": [str(p) for p in args.merge],
-                    "summary": summarize(results),
+                    "summary": summary,
                 }), file=out)
             else:
                 print(render_sweep_summary(
-                    summarize(results),
+                    summary,
                     title=f"Merged {len(args.merge)} store(s) -> "
                           f"{args.store}"), file=out)
         return 0
@@ -557,14 +551,6 @@ def cmd_sweep(args, out) -> int:
     try:
         spec = resolve_sweep_spec(args.spec, warmup=args.warmup,
                                   measure=args.measure, engine=args.engine)
-        backend = executor_from_options(
-            args.executor,
-            # beside an explicit executor, the default --jobs 1 means
-            # "not given"
-            jobs=(None if args.executor is not None and args.jobs == 1
-                  else args.jobs),
-            max_retries=args.max_retries,
-            batch_size=args.batch_size)
     except ValueError as exc:
         print(str(exc), file=out)
         return 2
@@ -577,6 +563,8 @@ def cmd_sweep(args, out) -> int:
             return 2
         store = ResultStore(args.store)
 
+    backend = PoolExecutor(jobs=args.jobs, max_retries=args.max_retries,
+                           batch_size=args.batch_size)
     session = default_session()
     reporter = _ProgressReporter(
         stream=sys.stderr if args.progress else None)
@@ -629,6 +617,12 @@ def cmd_sweep(args, out) -> int:
     return 0
 
 
+def _stored_summary(results) -> dict:
+    """:func:`summarize` of rows read back from a store: this command
+    simulated none of them, whatever ``source`` each row recorded."""
+    return dict(summarize(results), simulated=0)
+
+
 def _watch_report(store_path: Path) -> dict:
     """One snapshot of a store: progress, anomalies, quarantine."""
     store = ResultStore(store_path)
@@ -640,7 +634,7 @@ def _watch_report(store_path: Path) -> dict:
             "points": len(results),
             "quarantined": store.quarantined_keys(),
             "annotations": [a.to_dict() for a in store.annotations()],
-            "summary": summarize(results),
+            "summary": _stored_summary(results),
         }
     finally:
         store.close()
@@ -717,8 +711,7 @@ def cmd_experiment(args, out) -> int:
               file=out)
         return 2
     exp = get_experiment(args.name)
-    jobs = args.jobs if args.jobs != 0 else None
-    result = exp.run(jobs=jobs)
+    result = exp.run(jobs=args.jobs)
     if args.json:
         print(render_json({"experiment": exp.name, "result": result}),
               file=out)

@@ -1,8 +1,9 @@
 """ASCII charts for experiment output.
 
 The paper's figures are bar and line charts; these helpers render the
-same data as monospace text so `pytest benchmarks/` output and
-EXPERIMENTS.md can show shapes, not just numbers.
+same data as monospace bar charts (plain and grouped) so `pytest
+benchmarks/` output and EXPERIMENTS.md can show shapes, not just
+numbers.
 """
 
 from __future__ import annotations
@@ -64,64 +65,4 @@ def grouped_bar_chart(groups: "Dict[str, Sequence[Tuple[str, float]]]",
             bar = ("<" if value < 0 else "#") * bar_len
             lines.append(
                 f"  {label:>{label_width}} | {bar} {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def series_chart(x_labels: Sequence[str],
-                 series: Dict[str, Sequence[float]],
-                 height: int = 12, title: Optional[str] = None) -> str:
-    """A line chart: one printable column per x point, one mark per series.
-
-    Marks are the first letter of each series name (uppercased
-    alphabetically to keep them distinct); collisions render ``*``.
-    """
-    if not series:
-        raise ValueError("nothing to chart")
-    lengths = {len(values) for values in series.values()}
-    if lengths != {len(x_labels)}:
-        raise ValueError("series lengths must match x_labels")
-
-    marks = {}
-    used = set()
-    for name in sorted(series):
-        mark = name[0].upper()
-        while mark in used:
-            mark = chr(ord(mark) + 1) if mark < "Z" else "*"
-            if mark == "*":
-                break
-        used.add(mark)
-        marks[name] = mark
-
-    all_values = [v for values in series.values() for v in values]
-    lo, hi = min(all_values), max(all_values)
-    if hi == lo:
-        hi = lo + 1.0
-    col_width = max(len(label) for label in x_labels) + 2
-
-    def row_of(value: float) -> int:
-        return int(round((value - lo) / (hi - lo) * (height - 1)))
-
-    grid = [[" "] * (len(x_labels) * col_width) for _ in range(height)]
-    for name, values in series.items():
-        for i, value in enumerate(values):
-            row = height - 1 - row_of(value)
-            col = i * col_width + col_width // 2
-            cell = grid[row][col]
-            grid[row][col] = marks[name] if cell == " " else "*"
-
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("-" * len(title))
-    for i, row in enumerate(grid):
-        edge_value = hi - (hi - lo) * i / (height - 1)
-        lines.append(f"{edge_value:8.1f} |" + "".join(row))
-    axis = " " * 9 + "+" + "-" * (len(x_labels) * col_width)
-    lines.append(axis)
-    labels_line = " " * 10 + "".join(
-        label.center(col_width) for label in x_labels)
-    lines.append(labels_line)
-    legend = "  ".join(f"{mark}={name}" for name, mark in sorted(
-        marks.items()))
-    lines.append(" " * 10 + legend)
     return "\n".join(lines)

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
                                       mean_relative_performance)
 from repro.analysis.mlp_class import SensitivityInputs, classify
-from repro.api.exec import executor_from_options
+from repro.api.exec import PoolExecutor
 from repro.api.registry import experiment, renderer
 from repro.api.session import default_session
 from repro.api.spec import SweepSpec
@@ -132,14 +132,12 @@ def run_parallel(experiment: Callable, *args,
 
     Equivalent to calling the experiment directly (identical return
     value) but wall-clock time scales with cores: the sweep is planned,
-    executed on the default session over the executor
-    :func:`~repro.api.exec.executor_from_options` picks for
-    *jobs*, and the final in-process pass aggregates from the populated
-    cache.
+    executed on the default session by a
+    :class:`~repro.api.exec.PoolExecutor` of *jobs* workers, and the
+    final in-process pass aggregates from the populated cache.
     """
     configs = plan_configs(experiment, *args, **kwargs)
-    default_session().run_many(configs,
-                               backend=executor_from_options(jobs=jobs))
+    default_session().run_many(configs, backend=PoolExecutor(jobs=jobs))
     return experiment(*args, **kwargs)
 
 

@@ -212,11 +212,10 @@ class Executor:
                 if addr < 0:
                     raise ExecutionError(f"negative address 0x{addr:x}")
                 word = addr - addr % WORD
+                # both store paths wrap and Memory normalises its
+                # image, so every loaded value is already signed 64-bit
                 value = stored(word)
-                if value is None:
-                    value = image(word, 0)
-                regs[dst] = (value if _MIN64 <= value <= _MAX64
-                             else _to_signed(value))
+                regs[dst] = image(word, 0) if value is None else value
             elif kind == _STORE:
                 # srcs = (base, data)
                 addr = read(src0, 0) + imm

@@ -4,7 +4,7 @@ identical statistics (the execution-mode-invariant signature and more)."""
 
 import pytest
 
-from repro.api import PoolExecutor, SerialExecutor, Session
+from repro.api import PoolExecutor, Session
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp
@@ -41,7 +41,7 @@ def _signature(stats: dict) -> dict:
 
 def test_serial_and_pool_backends_are_equivalent(tmp_path):
     serial = Session(cache_dir=str(tmp_path / "serial"),
-                     backend=SerialExecutor())
+                     backend=PoolExecutor(jobs=1))
     pooled = Session(cache_dir=str(tmp_path / "pooled"),
                      backend=PoolExecutor(jobs=2))
     serial_results = serial.run_many(_configs(), use_cache=False)
@@ -83,13 +83,13 @@ def test_pool_jobs_one_runs_in_process(tmp_path):
 
 
 def test_custom_executor_subclass_plugs_in(tmp_path):
-    """A custom backend subclasses SerialExecutor/ExecutorBackend."""
+    """A custom backend subclasses PoolExecutor/ExecutorBackend."""
 
-    class CountingExecutor(SerialExecutor):
+    class CountingExecutor(PoolExecutor):
         name = "counting"
 
         def __init__(self):
-            super().__init__()
+            super().__init__(jobs=1)
             self.calls = 0
 
         def run(self, session, items, emit=None):

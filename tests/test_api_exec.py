@@ -10,8 +10,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, WorkerFailure, as_executor)
+from repro.api import (PoolExecutor, ResultStore, Session, SweepSpec,
+                       WorkerFailure, as_executor)
 from repro.api import exec as exec_mod
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
@@ -123,7 +123,7 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
         raise RuntimeError("persistent crash")
 
     session._run = always_crash
-    executor = SerialExecutor(max_retries=2)
+    executor = PoolExecutor(jobs=1, max_retries=2)
     events = []
     configs = make_configs(1)
     [exc] = executor.run(session, items_of(configs), events.append)
@@ -339,14 +339,14 @@ def test_run_many_raises_worker_failure(tmp_path):
     session._run = always_crash
     with pytest.raises(WorkerFailure, match="boom"):
         session.run_many(make_configs(1), use_cache=False,
-                         backend=SerialExecutor(max_retries=0))
+                         backend=PoolExecutor(jobs=1, max_retries=0))
 
 
 # ------------------------------------------------------------ coercion
 def test_as_executor_rejects_non_backends():
     with pytest.raises(TypeError, match="not an execution backend"):
         as_executor(object())
-    executor = SerialExecutor()
+    executor = PoolExecutor(jobs=1)
     assert as_executor(executor) is executor
 
 
@@ -426,7 +426,7 @@ def _failing_store_add(store, error):
 
 
 INTERRUPTED = [
-    pytest.param(SerialExecutor, id="serial"),
+    pytest.param(lambda: PoolExecutor(jobs=1), id="serial"),
     # one point per dispatch and more points than the pool keeps in
     # flight: some point always finishes after the first one landed
     pytest.param(lambda: PoolExecutor(jobs=2, batch_size=1),

@@ -81,3 +81,16 @@ def test_ltp_preset_instantiates_fresh_configs():
 def test_ltp_preset_unknown_name():
     with pytest.raises(KeyError, match="unknown LTP preset"):
         ltp_preset("turbo")
+
+
+def test_experiment_jobs_other_than_one_run_on_a_pool(monkeypatch):
+    # jobs=0 means one worker per CPU, as everywhere else
+    import repro.harness.experiments as experiments_mod
+    pooled = []
+    monkeypatch.setattr(experiments_mod, "run_parallel",
+                        lambda runner, jobs: pooled.append(jobs) or {})
+    exp = Experiment(name="_inline", runner=lambda: {"inline": True})
+    assert exp.run(jobs=1) == {"inline": True}
+    for jobs in (0, None, 2):
+        exp.run(jobs=jobs)
+    assert pooled == [0, None, 2]

@@ -8,8 +8,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepInspector, SweepSpec)
+from repro.api import (PoolExecutor, ResultStore, Session, SweepInspector,
+                       SweepSpec)
 from repro.api.exec import _batch_key, _batches, _Point
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
@@ -97,7 +97,7 @@ def test_next_batch_limit_one_disables_grouping():
 
 def test_batch_size_validation():
     with pytest.raises(ValueError, match="batch_size"):
-        SerialExecutor(batch_size=0)
+        PoolExecutor(jobs=1, batch_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_serial_executor_simulates_a_cached_key(tmp_path):
         fresh = session.run(config, use_cache=False).stats
         poisoned = dict(fresh, cycles=fresh["cycles"] // 2)
         session.results.put(config.key(), poisoned)
-        [result] = SerialExecutor().run(
+        [result] = PoolExecutor(jobs=1).run(
             session, [(0, config, config.key())])
         assert result.source == "simulated" and not result.cached
         assert result.stats == fresh
@@ -180,7 +180,7 @@ def test_serial_batched_matches_unbatched_with_identical_events(tmp_path):
     outcomes = {}
     for label, batch_size in (("batched", None), ("unbatched", 1)):
         recorder = _Recorder()
-        executor = SerialExecutor(batch_size=batch_size)
+        executor = PoolExecutor(jobs=1, batch_size=batch_size)
         with Session(cache_dir=str(tmp_path / label)) as session:
             results = session.sweep(spec, use_cache=False,
                                     backend=executor, progress=recorder)
@@ -243,7 +243,7 @@ def test_inspector_flags_identically_batched_and_unbatched(tmp_path):
     for label, batch_size in (("batched", None), ("unbatched", 1)):
         store = ResultStore(tmp_path / f"{label}.jsonl")
         inspector = SweepInspector(store=store)
-        executor = SerialExecutor(batch_size=batch_size)
+        executor = PoolExecutor(jobs=1, batch_size=batch_size)
         with _TamperingSession(
                 tamper_key,
                 cache_dir=str(tmp_path / f"cache-{label}")) as session:
@@ -268,13 +268,13 @@ def test_quarantined_keys_resume_as_batchable_misses(tmp_path):
             tamper_key, cache_dir=str(tmp_path / "tampered")) as session:
         with store:
             session.sweep(spec, use_cache=False,
-                          backend=SerialExecutor(),
+                          backend=PoolExecutor(jobs=1),
                           store=store, inspect=inspector)
     assert inspector.quarantined == [tamper_key]
     with Session(cache_dir=str(tmp_path / "clean")) as session:
         with store:
             results = session.sweep(spec, use_cache=False,
-                                    backend=SerialExecutor(),
+                                    backend=PoolExecutor(jobs=1),
                                     store=store)
     resimulated = [r.key for r in results if not r.cached]
     assert resimulated == [tamper_key]

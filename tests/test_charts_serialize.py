@@ -1,12 +1,8 @@
-"""Tests for ASCII charts and trace serialization."""
+"""Tests for the ASCII bar chart."""
 
 import pytest
 
-from repro.harness.charts import bar_chart, series_chart
-from repro.isa.serialize import load_trace, save_trace
-from repro.workloads import get_workload
-
-from tests.conftest import make_trace
+from repro.harness.charts import bar_chart
 
 
 # --------------------------------------------------------------- charts
@@ -35,82 +31,3 @@ def test_bar_chart_empty_rejected():
 def test_bar_chart_zero_values():
     text = bar_chart([("a", 0.0), ("b", 0.0)])
     assert "0.0" in text
-
-
-def test_series_chart_contains_marks_and_labels():
-    text = series_chart(["16", "32", "64"],
-                        {"noltp": [-30.0, -10.0, 0.0],
-                         "ltp": [-2.0, -1.0, 0.0]},
-                        title="sweep")
-    assert "sweep" in text
-    assert "N=noltp" in text
-    assert "L=ltp" in text
-    assert "16" in text and "64" in text
-
-
-def test_series_chart_length_mismatch():
-    with pytest.raises(ValueError):
-        series_chart(["a"], {"s": [1.0, 2.0]})
-
-
-def test_series_chart_flat_series():
-    text = series_chart(["a", "b"], {"s": [5.0, 5.0]})
-    assert "S" in text
-
-
-# ------------------------------------------------------------ serialize
-def test_trace_roundtrip(tmp_path):
-    trace = make_trace("""
-        li r1, 0x1000
-        li r2, 7
-        st r2, r1, 0
-        ld r3, r1, 0
-        beqz r3, end
-        addi r3, r3, 1
-    end:
-        halt
-    """)
-    workload_path = tmp_path / "trace.jsonl"
-    from repro.isa.assembler import assemble
-    program = assemble("""
-        li r1, 0x1000
-        li r2, 7
-        st r2, r1, 0
-        ld r3, r1, 0
-        beqz r3, end
-        addi r3, r3, 1
-    end:
-        halt
-    """)
-    count = save_trace(workload_path, program, trace)
-    assert count == len(trace)
-    loaded = load_trace(workload_path)
-    assert len(loaded) == len(trace)
-    for a, b in zip(trace, loaded):
-        assert a.seq == b.seq
-        assert a.pc == b.pc
-        assert a.src_producers == b.src_producers
-        assert a.addr == b.addr
-        assert a.taken == b.taken
-        assert a.inst.opcode == b.inst.opcode
-
-
-def test_loaded_trace_runs_identically(tmp_path):
-    workload = get_workload("compute_fp")
-    trace = workload.trace(300)
-    path = tmp_path / "wl.jsonl"
-    save_trace(path, workload.program, trace)
-    loaded = load_trace(path)
-
-    from repro.core.pipeline import Pipeline
-    original = Pipeline(trace).run()
-    replayed = Pipeline(loaded).run()
-    assert original.cycles == replayed.cycles
-    assert original.committed == replayed.committed
-
-
-def test_version_check(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"version": 99, "program": [], "labels": {}}\n')
-    with pytest.raises(ValueError):
-        load_trace(path)

@@ -199,6 +199,31 @@ def test_sweep_command_shard_store_resume_merge(tmp_path, monkeypatch):
     assert payload["from_store"] == 2
 
 
+def test_merge_and_watch_count_stored_rows_as_from_store(tmp_path,
+                                                          monkeypatch):
+    """Rows read back from stores were not simulated by the command
+    that reads them, though each keeps the ``source`` it was stored
+    with."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = write_spec(tmp_path)
+    shards = [str(tmp_path / f"shard{index}.jsonl") for index in range(2)]
+    for index, store in enumerate(shards):
+        assert run_cli(["sweep", str(spec), "--no-cache", "--shard",
+                        f"{index}/2", "--store", store])[0] == 0
+    merged = tmp_path / "merged.jsonl"
+    code, text = run_cli(["sweep", "--merge", *shards,
+                          "--store", str(merged)])
+    assert code == 0
+    assert "2 points (0 simulated, 2 from cache/store)" in text
+    with ResultStore(merged) as store:
+        assert [r.source for r in store.results()] == ["simulated"] * 2
+    code, text = run_cli(["watch", str(merged)])
+    assert code == 0
+    assert "2 points (0 simulated, 2 from cache/store)" in text
+    code, text = run_cli(["watch", str(merged), "--json"])
+    assert json.loads(text)["summary"]["simulated"] == 0
+
+
 def test_sweep_merge_validates_named_spec(tmp_path, monkeypatch):
     """SPEC alongside --merge binds the merged store to that sweep."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -329,23 +354,20 @@ def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
 def test_sweep_executor_flag_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     store = tmp_path / "mock.jsonl"
-    # the test double is not an --executor choice: its made-up rows
-    # must never land in a store a real run could resume
-    with pytest.raises(SystemExit) as exit_info:
-        run_cli(["sweep", "ltp-queues", "--executor", "mock",
-                 "--warmup", "100", "--measure", "50",
-                 "--store", str(store)])
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'mock'" in capsys.readouterr().err
+    # --jobs alone picks where a sweep runs: there is no --executor
+    # flag, so the test double can never be chosen and its made-up
+    # rows never land in a store a real run could resume
+    for name in ("mock", "serial", "process-pool", "remote"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["sweep", "ltp-queues", "--executor", name,
+                     "--warmup", "100", "--measure", "50",
+                     "--store", str(store)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --executor" in \
+            capsys.readouterr().err
     assert not store.exists()
-    code, text = run_cli(["sweep", "ltp-queues", "--executor", "serial",
-                          "--jobs", "4", "--store", str(store)])
-    assert code == 2
-    assert "--executor serial does not take --jobs" in text
-    # no --workers flag, no worker command, no remote executor
+    # no --workers flag, no worker command
     for argv in (["sweep", "ltp-queues", "--workers", "a:1",
-                  "--store", str(store)],
-                 ["sweep", "ltp-queues", "--executor", "remote",
                   "--store", str(store)],
                  ["worker", "--listen", "127.0.0.1:0"]):
         with pytest.raises(SystemExit) as exit_info:

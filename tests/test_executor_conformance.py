@@ -1,9 +1,9 @@
 """Shared conformance suite over every executor.
 
-Each test is parametrized over the executors — the two named ones
-(:data:`repro.api.exec.EXECUTORS`) and the mock — and drives the
-same contract through every implementation — serial, process-pool and
-mock:
+Each test is parametrized over three executors — the one executor
+class in-process (``PoolExecutor(jobs=1)``, labelled ``serial``),
+pooled (``jobs=2``, labelled ``process-pool``) and the mock — and
+drives the same contract through each:
 
 * lifecycle events are exactly-once per submitted configuration,
 * retry exhaustion surfaces :class:`~repro.api.exec.WorkerFailure`
@@ -15,9 +15,8 @@ mock:
   dispatched batch keep exactly-once events, and a mid-batch failure
   retries only the failing points with per-point attempt counts.
 
-A guard test asserts the harness table covers every ``--executor``
-choice and the mock, so naming a new executor without conformance
-coverage fails CI.
+A guard test asserts the harness table covers both ``jobs`` modes and
+the mock, under the labels their results carry.
 """
 
 import multiprocessing
@@ -25,9 +24,8 @@ from collections import Counter
 
 import pytest
 
-from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, WorkerFailure)
-from repro.api import exec as exec_mod
+from repro.api import (PoolExecutor, ResultStore, Session, SweepSpec,
+                       WorkerFailure, as_executor)
 from repro.core.params import CoreParams, baseline_params
 from repro.harness.config import SimConfig
 from repro.ltp.config import no_ltp
@@ -71,7 +69,7 @@ def make_configs(count=3, workloads=None):
 # executors fail through the injected BOOM workload instead.
 # ----------------------------------------------------------------------
 def _serial(max_retries, fail_indices):
-    return SerialExecutor(max_retries=max_retries)
+    return PoolExecutor(jobs=1, max_retries=max_retries)
 
 
 def _pool(max_retries, fail_indices):
@@ -91,7 +89,7 @@ HARNESSES = {
 #: executors that really simulate (stats comparable to serial)
 REAL = ("serial", "process-pool")
 
-EXECUTORS = [
+HARNESS_PARAMS = [
     pytest.param(name, marks=needs_fork)
     if name == "process-pool" else name
     for name in sorted(HARNESSES)
@@ -99,9 +97,12 @@ EXECUTORS = [
 
 
 def test_every_registered_executor_has_conformance_coverage():
-    # every --executor choice, plus the mock (built directly, never
-    # by name)
-    assert set(exec_mod.EXECUTORS) | {"mock"} == set(HARNESSES)
+    # both jobs modes of the one executor class (the two backend=
+    # names), plus the mock (built directly, never by name): each
+    # harness row is named by the label its results carry
+    assert {as_executor(name).name for name in REAL} == set(REAL)
+    for name, build in HARNESSES.items():
+        assert build(1, set()).name == name
 
 
 class _Recorder:
@@ -121,7 +122,7 @@ class _Recorder:
 # ----------------------------------------------------------------------
 # the contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("name", HARNESS_PARAMS)
 def test_lifecycle_events_exactly_once(name, tmp_path):
     configs = make_configs(3)
     recorder = _Recorder()
@@ -138,7 +139,7 @@ def test_lifecycle_events_exactly_once(name, tmp_path):
             submitted=1, started=1, finished=1)
 
 
-@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("name", HARNESS_PARAMS)
 def test_retry_exhaustion_surfaces_worker_failure(name, tmp_path,
                                                   boom_workload):
     configs = make_configs(1) + [
@@ -160,7 +161,7 @@ def test_retry_exhaustion_surfaces_worker_failure(name, tmp_path,
     assert counts["finished"] == 0
 
 
-@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("name", HARNESS_PARAMS)
 def test_bound_store_appends_points_as_they_land(name, tmp_path):
     configs = make_configs(3)
     executor = HARNESSES[name](1, set())
@@ -174,7 +175,7 @@ def test_bound_store_appends_points_as_they_land(name, tmp_path):
 
 
 @pytest.mark.parametrize("name",
-                         [n for n in EXECUTORS
+                         [n for n in HARNESS_PARAMS
                           if (n if isinstance(n, str)
                               else n.values[0]) in REAL])
 def test_stats_bit_identical_to_serial(name, tmp_path):
@@ -209,7 +210,7 @@ def build_batched(name, max_retries, fail_indices):
     return executor
 
 
-@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("name", HARNESS_PARAMS)
 def test_batched_lifecycle_events_exactly_once(name, tmp_path):
     """One batch of four points: still one submitted/started/finished
     triplet per point, never a per-batch event."""
@@ -227,7 +228,7 @@ def test_batched_lifecycle_events_exactly_once(name, tmp_path):
             submitted=1, started=1, finished=1)
 
 
-@pytest.mark.parametrize("name", EXECUTORS)
+@pytest.mark.parametrize("name", HARNESS_PARAMS)
 def test_mid_batch_failure_retries_only_failing_points(name, tmp_path,
                                                        boom_workload):
     """Two doomed points share a batch: each fails and retries

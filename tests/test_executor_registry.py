@@ -1,36 +1,48 @@
-"""The executor name table: the two names, CLI flag mapping,
-string-backend resolution, and the spec carrying no executor."""
+"""One executor class chosen by ``jobs``: the two ``backend=`` names,
+``jobs`` semantics, and the spec carrying no executor."""
 
 import importlib
+import io
 
 import pytest
 
 import repro.api
 from repro.api import Session, SweepSpec, as_executor
-from repro.api.exec import (EXECUTORS, PoolExecutor, SerialExecutor,
-                            executor_from_options)
+from repro.api import exec as exec_mod
+from repro.api.exec import ExecutorBackend, PoolExecutor
+from repro.cli import main
 from tests.mock_executor import MockExecutor
 
 
 def test_builtin_executors_are_registered():
-    assert list(EXECUTORS) == ["serial", "process-pool"]
+    # the two names select the two jobs modes, labelled as named
+    for name, jobs in (("serial", 1), ("process-pool", None)):
+        executor = as_executor(name)
+        assert (executor.jobs, executor.name) == (jobs, name)
     # the test double is built from its class, never by name
-    assert "mock" not in EXECUTORS
-    assert MockExecutor not in [cls for cls, _ in EXECUTORS.values()]
+    with pytest.raises(ValueError, match="unknown executor 'mock'"):
+        as_executor("mock")
 
 
 def test_the_package_ships_no_mock_and_one_executor_module():
-    # the mock is a test helper; the names live in repro.api.exec
+    # the mock is a test helper; the executor lives in repro.api.exec
     assert not hasattr(repro.api, "MockExecutor")
     assert "MockExecutor" not in repro.api.__all__
     for gone in ("repro.api.mock", "repro.api.executors"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)
+    # one concrete executor class; MockExecutor is the tests' own
+    concrete = [value for value in vars(exec_mod).values()
+                if isinstance(value, type)
+                and issubclass(value, ExecutorBackend)
+                and value is not ExecutorBackend]
+    assert concrete == [PoolExecutor]
+    assert issubclass(MockExecutor, ExecutorBackend)
 
 
 def test_unknown_name_lists_known_ones():
     with pytest.raises(ValueError, match="unknown executor 'warp'") as exc:
-        executor_from_options("warp")
+        as_executor("warp")
     for name in ("serial", "process-pool"):
         assert name in str(exc.value)
     with pytest.raises(ValueError, match="unknown executor 'mock'"):
@@ -39,37 +51,41 @@ def test_unknown_name_lists_known_ones():
         as_executor(42)
 
 
-def test_executor_from_options_maps_cli_flags():
-    # serial IS one worker: --jobs 1 composes
-    assert isinstance(executor_from_options("serial", jobs=1),
-                      SerialExecutor)
-    with pytest.raises(ValueError, match="does not take --jobs"):
-        executor_from_options("serial", jobs=4)
-    # 0 = one worker per CPU (the pool default)
-    pool = executor_from_options("process-pool", jobs=0)
-    assert pool.jobs is None
-    pool = executor_from_options("process-pool", jobs=2, max_retries=3,
-                                 batch_size=4)
-    assert (pool.jobs, pool.max_retries, pool.batch_size) == (2, 3, 4)
+def test_cli_flags_build_the_executor(fresh_session, monkeypatch):
+    # --jobs, --max-retries and --batch-size go straight to the one
+    # executor class; --jobs 1 (the default) runs in-process
+    built = []
+
+    def sweep(spec, backend=None, **kwargs):
+        built.append(backend)
+        return []
+
+    monkeypatch.setattr(fresh_session, "sweep", sweep)
+    for flags in ([], ["--jobs", "2", "--max-retries", "3",
+                       "--batch-size", "4"], ["--jobs", "0"]):
+        assert main(["sweep", "ltp-queues", *flags],
+                    out=io.StringIO()) == 0
+    assert [(b.jobs, b.max_retries, b.batch_size, b.name)
+            for b in built] == [(1, 1, None, "serial"),
+                                (2, 3, 4, "process-pool"),
+                                (None, 1, None, "process-pool")]
+    assert all(type(b) is PoolExecutor for b in built)
 
 
 def test_pool_jobs_zero_means_one_worker_per_cpu(monkeypatch):
-    # one meaning for 0 everywhere: the constructor, the options
-    # function and --jobs 0 all mean the pool default
+    # one meaning for 0 everywhere: the constructor and --jobs 0 both
+    # mean the pool default
     monkeypatch.setenv("REPRO_JOBS", "3")
-    for pool in (PoolExecutor(jobs=0),
-                 executor_from_options("process-pool", jobs=0)):
-        assert pool.jobs is None
-        assert pool._resolved_jobs() == 3
-    for build in (lambda: PoolExecutor(jobs=-1),
-                  lambda: executor_from_options(jobs=-2)):
-        with pytest.raises(ValueError, match="jobs must be >= 0"):
-            build()
+    pool = PoolExecutor(jobs=0)
+    assert pool.jobs is None
+    assert pool._resolved_jobs() == 3
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        PoolExecutor(jobs=-1)
 
 
 def test_remote_is_an_unknown_executor(tmp_path):
     # "remote" names no executor
-    for build in (lambda: executor_from_options("remote"),
+    for build in (lambda: as_executor("remote"),
                   lambda: Session(cache_dir=str(tmp_path),
                                   backend="remote")):
         with pytest.raises(ValueError,
@@ -79,16 +95,18 @@ def test_remote_is_an_unknown_executor(tmp_path):
 
 
 def test_local_executors_are_registry_entries():
-    # the table's entries are the executor classes themselves
-    assert EXECUTORS["serial"][0] is SerialExecutor
-    assert EXECUTORS["process-pool"][0] is PoolExecutor
+    # each name's entry is the one executor class itself
+    for name in ("serial", "process-pool"):
+        assert type(as_executor(name)) is PoolExecutor
 
 
 def test_session_resolves_string_backends(tmp_path):
     session = Session(cache_dir=str(tmp_path), backend="serial")
-    assert isinstance(session.backend, SerialExecutor)
+    assert isinstance(session.backend, PoolExecutor)
+    assert session.backend.jobs == 1
     pooled = Session(cache_dir=str(tmp_path), backend="process-pool")
     assert isinstance(pooled.backend, PoolExecutor)
+    assert pooled.backend.jobs is None
     spec = SweepSpec(workloads=["compute_int"], warmup=150, measure=100)
     results = session.sweep(spec, use_cache=False, backend="serial")
     assert len(results) == 1 and results[0].backend == "serial"

@@ -4,8 +4,8 @@ sinks, and the ``inspect=`` argument normalisation."""
 
 import pytest
 
-from repro.api import (InspectorConfig, ResultStore, SimConfig,
-                       SimResult, SweepInspector, stat_invariants)
+from repro.api import (ResultStore, SimConfig, SimResult, SweepInspector,
+                       stat_invariants)
 from repro.api.exec import (EVENT_ANOMALY, EVENT_FINISHED,
                             EVENT_RETRIED, EVENT_STARTED,
                             EVENT_SUBMITTED, ExecEvent)
@@ -177,13 +177,6 @@ def test_broken_sink_does_not_fail_the_sweep():
     assert len(raised) == 1  # the verdict still lands
 
 
-def test_on_anomaly_callback_receives_annotations():
-    seen = []
-    inspector = SweepInspector(on_anomaly=seen.append)
-    inspector.observe(make_result(committed=107))
-    assert [a.check for a in seen] == ["invariant"]
-
-
 # ------------------------------------------------------------ reporting
 def test_summary_counts_events_and_anomalies():
     clock = FakeClock()
@@ -220,14 +213,3 @@ def test_as_inspector_normalises_the_inspect_argument(tmp_path):
         as_inspector("yes")
     store.close()
     other.close()
-
-
-def test_inspector_config_overrides_apply():
-    config = InspectorConfig(z_threshold=2.0, baseline_min=2,
-                             metrics=("ipc",))
-    inspector = SweepInspector(config=config)
-    inspector.observe(make_result(cpi=2.0))
-    inspector.observe(make_result(cpi=2.0))
-    raised = inspector.observe(make_result(cpi=1.9))
-    assert [a.check for a in raised] == ["outlier"]
-    assert list(raised[0].values) == ["ipc"]

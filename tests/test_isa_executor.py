@@ -82,6 +82,23 @@ def test_stores_over_a_shared_image_stay_in_their_executor():
     assert image == {0x1000: 5}
 
 
+def test_loads_read_out_of_range_values_back_wrapped():
+    # a value beyond signed 64 bits reaches memory through a store or
+    # through an image not in normal form; a load sees it wrapped
+    memory = Memory({0x1008: 1 << 63, 0x1014: -(1 << 63) - 1})
+    memory.store(0x1000, (1 << 64) + 5)
+    ex = run_regs("""
+        li r1, 0x1000
+        ld r2, r1, 0
+        ld r3, r1, 8
+        li r4, 2
+        ldx r5, r1, r4
+        halt
+    """, memory=memory)
+    assert (ex.regs["r2"], ex.regs["r3"], ex.regs["r5"]) == (
+        5, -(1 << 63), (1 << 63) - 1)
+
+
 def test_fault_keeps_the_records_before_it_and_the_state_at_it():
     ex = Executor(assemble("""
         li r1, 8

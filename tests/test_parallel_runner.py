@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import default_session
 from repro.api import session as session_mod
-from repro.api.exec import executor_from_options
+from repro.api.exec import PoolExecutor
 from repro.api.session import TRACE_CACHE_MAX
 from repro.core.params import baseline_params, ltp_params
 from repro.harness.cachefile import ResultCache
@@ -37,7 +37,7 @@ def fresh_cache(fresh_session):
 
 def run_stats(configs, jobs, use_cache=True):
     """Run *configs* on the default session over ``jobs`` workers."""
-    backend = executor_from_options(jobs=jobs)
+    backend = PoolExecutor(jobs=jobs)
     results = default_session().run_many(configs, use_cache=use_cache,
                                          backend=backend)
     return [result.stats for result in results]

@@ -9,8 +9,7 @@ import os
 
 import pytest
 
-from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec)
+from repro.api import PoolExecutor, ResultStore, Session, SweepSpec
 from repro.api.store import Annotation
 from repro.harness.cachefile import ResultCache
 
@@ -30,7 +29,7 @@ def disk_entry(session, key):
 
 
 @pytest.mark.parametrize("backend", [
-    pytest.param(SerialExecutor, id="serial"),
+    pytest.param(lambda: PoolExecutor(jobs=1), id="serial"),
     pytest.param(lambda: PoolExecutor(jobs=2), marks=needs_fork,
                  id="process-pool"),
 ])

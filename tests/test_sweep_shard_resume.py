@@ -3,9 +3,8 @@ assignment, store-backed resume, and sharded-vs-serial equivalence."""
 
 import pytest
 
-from repro.api import (PoolExecutor, ResultStore, SerialExecutor, Session,
-                       SweepSpec, merge_stores, parse_shard)
-from repro.api.exec import executor_from_options
+from repro.api import (PoolExecutor, ResultStore, Session, SweepSpec,
+                       merge_stores, parse_shard)
 from repro.api.spec import shard_of
 
 
@@ -184,10 +183,10 @@ def test_sweep_shard_runs_only_that_partition(tmp_path):
 
 # ------------------------------------------------------ backend factory
 def test_backend_for_jobs_selects_policy():
-    # no executor name: --jobs picks serial (1) or the process pool (else)
-    assert isinstance(executor_from_options(jobs=1), SerialExecutor)
-    pool = executor_from_options(jobs=4)
-    assert isinstance(pool, PoolExecutor) and pool.jobs == 4
-    per_cpu = executor_from_options(jobs=0)
-    assert isinstance(per_cpu, PoolExecutor) and per_cpu.jobs is None
-    assert isinstance(executor_from_options(jobs=None), PoolExecutor)
+    # --jobs alone picks in-process (1) or the process pool (else)
+    assert PoolExecutor(jobs=1).name == "serial"
+    pool = PoolExecutor(jobs=4)
+    assert pool.jobs == 4 and pool.name == "process-pool"
+    per_cpu = PoolExecutor(jobs=0)
+    assert per_cpu.jobs is None and per_cpu.name == "process-pool"
+    assert PoolExecutor(jobs=None).name == "process-pool"
