@@ -2,13 +2,14 @@
 """CI driver for sharded, resumable sweeps.
 
 Each CI matrix job runs one key-stable shard of the headline LTP sweep
-into its own result store; a final job merges the shard artifacts and
-proves the union is exactly — bit for bit — what an unsharded serial
-run produces, and that resuming from the merged store simulates
-nothing.  From the repo root::
+into its own result store; a final job merges the shard artifacts with
+``repro sweep --merge`` and proves the union is exactly — bit for bit
+— what an unsharded serial run produces, and that resuming from the
+merged store simulates nothing.  From the repo root::
 
     python scripts/ci_sweep.py run    --shard 0/4 --store stores/shard0.jsonl
-    python scripts/ci_sweep.py merge  --store merged.jsonl stores/*.jsonl
+    PYTHONPATH=src python -m repro sweep ltp-queues \\
+        --merge stores/*.jsonl --store merged.jsonl
     python scripts/ci_sweep.py verify --store merged.jsonl
     python scripts/ci_sweep.py check-resume --store merged.jsonl
     python -m repro sweep ltp-queues --jobs 4 --store pooled.jsonl
@@ -67,8 +68,7 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
         sys.path.insert(0, entry)
 
 from repro.api import (PoolExecutor, ResultStore, Session,  # noqa: E402
-                       SweepInspector, SweepSpec, merge_stores,
-                       parse_shard)
+                       SweepInspector, SweepSpec, parse_shard)
 from repro.api.spec import non_negative_int, positive_int  # noqa: E402
 from repro.harness.config import ENGINES  # noqa: E402
 from repro.harness.experiments import resolve_sweep_spec  # noqa: E402
@@ -145,13 +145,6 @@ def cmd_compare(args) -> int:
         return 1
     print(f"compare OK: {len(left_rows)} points bit-identical "
           f"across {args.left} and {args.right}")
-    return 0
-
-
-def cmd_merge(args) -> int:
-    with merge_stores(args.store, args.sources) as merged:
-        print(f"merged {len(args.sources)} store(s) into {args.store}: "
-              f"{len(merged)} points, sweep {merged.sweep_id}")
     return 0
 
 
@@ -514,11 +507,6 @@ def main(argv=None) -> int:
     compare_p.add_argument("left", type=Path)
     compare_p.add_argument("right", type=Path)
     compare_p.set_defaults(func=cmd_compare)
-
-    merge_p = sub.add_parser("merge", help="merge shard stores")
-    merge_p.add_argument("sources", nargs="+", type=Path)
-    merge_p.add_argument("--store", type=Path, required=True)
-    merge_p.set_defaults(func=cmd_merge)
 
     verify_p = sub.add_parser(
         "verify", help="compare a store against an unsharded serial run")

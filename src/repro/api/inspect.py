@@ -23,9 +23,13 @@ Confirmed anomalies become :class:`~repro.api.store.Annotation` rows
 in the bound :class:`~repro.api.store.ResultStore`.  Data anomalies
 (``invariant``, ``outlier``) quarantine their key — the stored result
 is suspect, and a resumed ``Session.sweep`` re-simulates exactly the
-quarantined points.  Operational alarms (``straggler``,
-``retry-rate``) are recorded without quarantine: the landed data is
-fine, only its execution was slow or flaky.
+quarantined points.  A re-simulated point that lands the very values
+its standing ``outlier`` annotation recorded is deterministic, not
+suspect: it is annotated again without quarantine, and once so
+recorded it is not annotated again, so repeated resumes converge.
+Operational alarms (``straggler``, ``retry-rate``) are recorded
+without quarantine: the landed data is fine, only its execution was
+slow or flaky.
 
 The inspector never touches the simulation loop — it observes the
 event stream and landed results, so the hot path's cost profile is
@@ -380,14 +384,27 @@ class SweepInspector:
                     continue  # keep the outlier off the baseline
             baseline.append(value)
         if outliers:
+            # a re-simulation landing the values the standing outlier
+            # annotation recorded is deterministic, not a bad run
+            prior = (self.store.annotation(result.key)
+                     if self.store is not None else None)
+            reproduced = bool(
+                prior and prior.check == CHECK_OUTLIER and prior.values
+                and all(isinstance(info, dict)
+                        and values.get(metric) == info.get("value")
+                        for metric, info in prior.values.items()))
+            if reproduced and not prior.quarantine:
+                return raised  # already recorded: write nothing
             detail = "; ".join(
                 f"{metric}={info['value']:.4g} vs median "
                 f"{info['median']:.4g} (z={info['z']})"
                 for metric, info in sorted(outliers.items()))
+            if reproduced:
+                detail = f"reproduced on re-simulation: {detail}"
             annotation = Annotation(
                 key=result.key, check=CHECK_OUTLIER, detail=detail,
                 workload=result.config.workload, index=index,
-                quarantine=True, values=outliers)
+                quarantine=not reproduced, values=outliers)
             self._flag(annotation)
             raised.append(annotation)
         return raised

@@ -48,6 +48,7 @@ default :class:`~repro.api.session.Session`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -720,24 +721,30 @@ def cmd_experiment(args, out) -> int:
     return 0
 
 
+_COMMANDS = {
+    "list": lambda args, out: cmd_list(out),
+    "run": cmd_run,
+    "classify": cmd_classify,
+    "train": cmd_train,
+    "experiment": cmd_experiment,
+    "sweep": cmd_sweep,
+    "watch": cmd_watch,
+}
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list(out)
-    if args.command == "run":
-        return cmd_run(args, out)
-    if args.command == "classify":
-        return cmd_classify(args, out)
-    if args.command == "train":
-        return cmd_train(args, out)
-    if args.command == "experiment":
-        return cmd_experiment(args, out)
-    if args.command == "sweep":
-        return cmd_sweep(args, out)
-    if args.command == "watch":
-        return cmd_watch(args, out)
-    raise AssertionError("unreachable")
+    try:
+        status = _COMMANDS[args.command](args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader left (``repro list | head -1``): point stdout at
+        # devnull so the interpreter's exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

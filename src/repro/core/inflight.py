@@ -39,7 +39,7 @@ class InFlightInst:
         "ll_listed",
         "tickets", "own_ticket",
         "rf_class", "rf_allocated", "lq_allocated", "sq_allocated",
-        "rename_cycle", "release_cycle", "issue_cycle",
+        "rename_cycle", "issue_cycle",
         "mem_level", "producer_records",
         "forced_release", "park_reason", "rejected_at",
     )
@@ -70,7 +70,7 @@ class InFlightInst:
         #: hierarchy ``version`` at this load's last MSHR rejection
         self.rejected_at = -1
         self.completion_cycle = self.own_ticket = None
-        self.rename_cycle = self.release_cycle = self.issue_cycle = None
+        self.rename_cycle = self.issue_cycle = None
         self.mem_level = self.park_reason = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

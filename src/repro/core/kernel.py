@@ -26,7 +26,11 @@ seam, same statistics, bit-for-bit — but restructured for speed:
   :meth:`KernelPipeline.run` frame; shared collaborator objects
   (hierarchy, branch predictor, LSQ, register file, memory-dependence
   predictor, and the whole policy seam) are driven through pre-bound
-  methods exactly as the reference pipeline drives them.
+  methods exactly as the reference pipeline drives them.  Like the
+  reference, the loop names no policy class: every parking policy,
+  LTP included, decides through ``may_allocate``, and a hook that is
+  ``None`` (``on_parked_ready``, ``on_load_complete``, ``on_commit``)
+  is skipped.
 
 **Bit-identity contract.**  The kernel performs the same *effective*
 call sequence as the reference: every policy hook that can observe or
@@ -35,9 +39,6 @@ mutate state is invoked with identical arguments in identical order
 the ticket tracker's pool accounting depends on).  It departs from the
 reference's calls only where the result is provably the same:
 
-* ``on_commit`` and ``on_load_complete`` are not called where the
-  policy's own guards make them no-ops (e.g. an LTP policy's commit
-  hook acts only on long-latency loads);
 * ``ltp_enabled_cycles`` is read once, at run end, from
   :meth:`~repro.ltp.monitor.DramTimerMonitor.enabled_cycles`, which the
   monitor integrates at each touch that extends its timer, instead of
@@ -94,7 +95,6 @@ from repro.isa.trace import FU_GROUPS, DynInst, predecode_columns
 from repro.ltp.config import LTPConfig
 from repro.ltp.queue import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.policies import AllocationPolicy, LTPPolicy
 
 __all__ = ["KernelPipeline", "TraceArrays", "predecode"]
 
@@ -356,31 +356,9 @@ class KernelPipeline(Pipeline):
         # rename attempt; the base policy's fresh guard never holds
         stall_marks = policy.stall_marks if allow_skip else None
         repeat_stall = policy.repeat_stall
-        # commit and load hooks statically known to be no-ops are
-        # skipped; the gates replicate the hook bodies' own guards, so
-        # the sequence of *effective* calls is unchanged
-        is_ltp = isinstance(policy, LTPPolicy)
+        # inert commit and load hooks are None and skipped
         policy_commit = policy.on_commit
-        if is_ltp:
-            # LTPPolicy.on_commit acts only on long-latency loads
-            commit_always = False
-            commit_ll_only = True
-        elif (type(policy).on_commit is AllocationPolicy.on_commit
-                and "on_commit" not in policy.__dict__):
-            commit_always = commit_ll_only = False
-        else:
-            commit_always = True
-            commit_ll_only = False
-        if is_ltp:
-            # LTPPolicy.on_load_complete acts only with a predictor
-            load_hook = (policy.on_load_complete
-                         if policy.predictor is not None else None)
-        elif (type(policy).on_load_complete
-                is AllocationPolicy.on_load_complete
-                and "on_load_complete" not in policy.__dict__):
-            load_hook = None
-        else:
-            load_hook = policy.on_load_complete
+        load_hook = policy.on_load_complete
 
         # ---- local statistics counters ------------------------------
         s_fetched = s_renamed = s_issued = s_committed = 0
@@ -493,10 +471,7 @@ class KernelPipeline(Pipeline):
                             s_committed_stores += 1
                         elif dyn.is_branch:
                             s_committed_branches += 1
-                        if commit_always:
-                            policy_commit(head)
-                        elif (commit_ll_only and head.actual_ll
-                                and head.is_load):
+                        if policy_commit is not None:
                             policy_commit(head)
                         committed += 1
                         s_committed += 1
@@ -556,7 +531,6 @@ class KernelPipeline(Pipeline):
                             parked_store_pcs.pop(dyn.pc, None)
                         else:
                             parked_store_pcs[dyn.pc] = count - 1
-                    record.release_cycle = now
                     iq_occ += 1
                     record.in_iq = True
                     if record.waiting_on == 0:

@@ -12,9 +12,8 @@ cycle:
   LQ / SQ — or policy-directed parking, which defers the IQ and
   register (and optionally LQ/SQ) allocations exactly as Figure 5
   describes.  *When* resources are claimed is owned by a pluggable
-  :class:`repro.policies.AllocationPolicy` (LTP is the default policy;
-  ``baseline-stall``, ``oracle-park``, ``random-park`` and
-  ``depth-park`` are registered alternatives),
+  :class:`repro.policies.AllocationPolicy` (LTP is the default policy,
+  one parking policy among the registered alternatives),
 * oldest-first issue of up to 6 instructions per cycle over FU pools,
   two-phase loads (AGU + cache access) with store-to-load forwarding,
   memory-dependence prediction and violation penalties,
@@ -77,7 +76,7 @@ from repro.isa.trace import CODE_BASE, INST_BYTES, DynInst
 from repro.ltp.config import LTPConfig
 from repro.ltp.queue import NO_BOUNDARY
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.policies import AllocationPolicy, LTPPolicy, build_policy
+from repro.policies import DEFAULT_POLICY, AllocationPolicy, build_policy
 
 __all__ = ["CODE_BASE", "INST_BYTES", "Pipeline", "SimulationDeadlock",
            "simulate"]
@@ -111,10 +110,9 @@ class Pipeline:
         self.hierarchy = hierarchy or MemoryHierarchy(self.params.mem)
         self.bpred = branch_predictor or GsharePredictor()
         dram_latency = self.params.mem.dram_latency
-        if policy is None:
-            policy = LTPPolicy(self.ltp_config, dram_latency)
-        elif isinstance(policy, str):
-            policy = build_policy(policy, self.ltp_config, dram_latency)
+        if policy is None or isinstance(policy, str):
+            policy = build_policy(policy or DEFAULT_POLICY,
+                                  self.ltp_config, dram_latency)
         self.policy = policy
         policy.attach_memory(self.hierarchy)
         self.stats = SimStats()
@@ -190,8 +188,7 @@ class Pipeline:
         self._lsq_need = 1 + self.lsq.reserve
         self._monitor = policy.monitor
         self._monitor_off = self._monitor.mode == "off"
-        self._monitor_auto = (self.ltp_config.enabled
-                              and self._monitor.mode == "auto")
+        self._monitor_auto = self._monitor.mode == "auto"
         self._ltp_entries = policy.queue._entries
         self._release_ports = policy.ports
         # the park-path flags are immutable per run; snapshot them so
@@ -693,7 +690,6 @@ class Pipeline:
                 self._parked_store_pcs.pop(dyn.pc, None)
             else:
                 self._parked_store_pcs[dyn.pc] = count - 1
-        record.release_cycle = now
         self.iq.insert(record)
         self.stats.ltp_released += 1
         self.stats.ltp_reads += 1
@@ -878,7 +874,9 @@ class Pipeline:
             # safety net: clear tickets no later than completion
             self.policy.on_tag_known(record)
         if record.is_load:
-            self.policy.on_load_complete(record, record.actual_ll)
+            load_hook = self.policy.on_load_complete
+            if load_hook is not None:
+                load_hook(record, record.actual_ll)
         if record.seq == self._fetch_blocked_on:
             self._fetch_blocked_on = None
             self._fetch_stall_until = now + self.params.mispredict_penalty
@@ -916,7 +914,8 @@ class Pipeline:
                 stats.committed_stores += 1
             elif dyn.is_branch:
                 stats.committed_branches += 1
-            policy_commit(head)
+            if policy_commit is not None:
+                policy_commit(head)
             committed += 1
             stats.committed += 1
             if not rob_entries:

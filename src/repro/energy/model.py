@@ -28,8 +28,7 @@ from typing import Optional
 
 from repro.core.params import CoreParams
 from repro.ltp.config import LTPConfig
-from repro.policies.registry import (DEFAULT_POLICY, policy_parks,
-                                     policy_uses_uit)
+from repro.policies.registry import DEFAULT_POLICY, policy_info
 
 #: architectural registers per class (the RF holds available + architectural)
 ARCH_REGS = 32
@@ -83,24 +82,22 @@ def rf_ports(params: CoreParams) -> int:
 
 def compute_energy(params: CoreParams, ltp: LTPConfig,
                    result: dict,
-                   policy: Optional[str] = None) -> EnergyBreakdown:
+                   policy: str = DEFAULT_POLICY) -> EnergyBreakdown:
     """Energy of IQ + RF (+ LTP structures) over a finished run.
 
     *result* is the flattened statistics dict a run produces
     (:meth:`repro.core.stats.SimStats.as_dict`); only the occupancy
     averages, cycle count and LTP-enabled fraction are consumed.
 
-    *policy* makes the model policy-aware: which window structures
-    are charged comes from the :mod:`repro.policies` registry's
-    ``parks`` / ``uses_uit`` metadata (the policy's ``stats_extra``
-    occupancy statistics — ``avg_ltp``, ``ltp_enabled_fraction`` —
-    feed the utilization terms), so ``oracle-park``/``depth-park``
-    runs get queue-energy estimates and ``baseline-stall`` is never
-    charged for a mechanism it forces off.  Only the ``ltp`` policy's
-    DRAM-timer monitor power-gates the queue; other parking policies
-    clock it continuously.  ``policy=None`` (or the default ``ltp``
-    policy) reproduces the original LTP-config-keyed behaviour
-    exactly.
+    *policy* names the run's allocation policy; its class states
+    which window structures are charged (``parks`` / ``uses_uit``)
+    and whether the DRAM-timer monitor power-gates them
+    (``power_gated``).  The run's occupancy statistics — ``avg_ltp``,
+    ``ltp_enabled_fraction`` — feed the utilization terms, so
+    ``oracle-park``/``depth-park`` runs get queue-energy estimates and
+    ``baseline-stall`` is never charged for a mechanism it forces off.
+    Only the ``ltp`` policy's monitor power-gates the queue; other
+    parking policies clock it continuously.
     """
     cycles = max(1, int(result["cycles"]))
 
@@ -115,21 +112,12 @@ def compute_energy(params: CoreParams, ltp: LTPConfig,
                   + _effective(params.fp_regs) + ARCH_REGS)
     rf_energy = COST_RF_RAM * rf_entries * rf_ports(params) * cycles
 
-    if policy is None:
-        charge_queue = charge_uit = ltp.enabled
-        power_gated = True
-    else:
-        charge_queue = policy_parks(policy, ltp)
-        charge_uit = policy_uses_uit(policy, ltp)
-        # only the LTP policy's DRAM-timer monitor power-gates the
-        # structures; scenario parking policies clock them continuously
-        power_gated = policy == DEFAULT_POLICY
-
+    policy_class = policy_info(policy).factory
     ltp_energy = 0.0
     uit_energy = 0.0
-    enabled_frac = (result["ltp_enabled_fraction"] if power_gated
-                    else 1.0)
-    if charge_queue:
+    enabled_frac = (result["ltp_enabled_fraction"]
+                    if policy_class.power_gated else 1.0)
+    if policy_class.parks(ltp):
         ltp_entries = _effective(ltp.entries)
         ltp_static = COST_LTP_RAM * ltp_entries * ltp.ports
         ltp_util = min(1.0, result["avg_ltp"] / max(1, ltp_entries))
@@ -137,7 +125,7 @@ def compute_energy(params: CoreParams, ltp: LTPConfig,
         # always-on share remains
         ltp_energy = ltp_static * cycles * (
             0.1 + enabled_frac * (0.5 + 0.4 * ltp_util))
-    if charge_uit:
+    if policy_class.uses_uit(ltp):
         uit_entries = _effective(ltp.uit_size)
         uit_static = COST_UIT_CAM * uit_entries * 2  # lookup + insert port
         uit_energy = uit_static * cycles * (0.1 + 0.9 * enabled_frac)

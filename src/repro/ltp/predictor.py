@@ -12,7 +12,7 @@ L2)?  The pattern table holds 2-bit saturating counters initialised to
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 
 class HitMissPredictor:
@@ -56,3 +56,11 @@ class HitMissPredictor:
         history = self._histories.get(pc, 0)
         mask = (1 << self.HISTORY_BITS) - 1
         self._histories[pc] = ((history << 1) | int(was_long_latency)) & mask
+
+    def warm(self, warmup_slice: Sequence,
+             long_latency_flags: Sequence) -> None:
+        """Train on a warmup slice's loads with their known outcomes."""
+        update = self.update
+        for dyn, flag in zip(warmup_slice, long_latency_flags):
+            if dyn.is_load:
+                update(dyn.pc, bool(flag))

@@ -5,9 +5,11 @@ The layer between rename and the back-end resources: an
 allocate its IQ slot / physical register / LQ-SQ entries now
 ("dispatch"), defer them into a parking structure ("park"), or stall
 rename; and decides when parked instructions wake.  The paper's Long
-Term Parking is one registered policy among several — see
-:mod:`repro.policies.base` for the hook surface and
-:mod:`repro.policies.registry` for how names resolve.
+Term Parking is one registered policy among several, and one
+:class:`ParkingPolicy` among the parkers — see
+:mod:`repro.policies.base` for the hook surface and the facts each
+policy class states about itself, and :mod:`repro.policies.registry`
+for how names resolve.
 
 Built-in policies:
 
@@ -33,8 +35,8 @@ from repro.policies.ltp import BaselineStallPolicy, LTPPolicy
 from repro.policies.registry import (DEFAULT_POLICY, PolicyInfo,
                                      build_policy, check_policy_name,
                                      policy_descriptions, policy_info,
-                                     policy_names, policy_needs_model,
-                                     policy_needs_oracle, register_policy)
+                                     policy_names, policy_needs_oracle,
+                                     register_policy)
 from repro.policies.scenarios import (DepthParkPolicy, OracleParkPolicy,
                                       RandomParkPolicy)
 
@@ -59,7 +61,6 @@ __all__ = [
     "policy_descriptions",
     "policy_info",
     "policy_names",
-    "policy_needs_model",
     "policy_needs_oracle",
     "register_policy",
 ]

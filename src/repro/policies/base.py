@@ -27,11 +27,12 @@ through a narrow hook surface and never looks inside it:
   registration or at the writeback that clears its last wait), so a
   data-ready wakeup is an event and never a scan of the queue.
 * completion/commit hooks (:meth:`~AllocationPolicy.on_tag_known`,
-  :meth:`~AllocationPolicy.on_load_complete`,
-  :meth:`~AllocationPolicy.on_commit`,
+  ``on_load_complete``, ``on_commit``,
   :meth:`~AllocationPolicy.on_violation`,
   :meth:`~AllocationPolicy.on_dram_demand_access`) that feed whatever
-  the policy learns from.
+  the policy learns from.  ``on_load_complete`` and ``on_commit`` follow
+  the ``on_parked_ready`` rule: an inert hook is ``None`` and the
+  engines skip it.
 * :meth:`~AllocationPolicy.stats_extra` — policy-owned statistics
   exported into :class:`~repro.core.stats.SimStats` at the end of a
   run.
@@ -41,15 +42,18 @@ through a narrow hook surface and never looks inside it:
   can repeat the attempt in bulk (the object engine retries it every
   cycle).  The base guard is fresh on every call and never holds; a
   policy opts in by overriding both, as every :class:`ParkingPolicy`
-  and the LTP policies do.
+  does.
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
-``defer_registers``) size the shared pipeline machinery; the LTP
-policy mirrors them from its :class:`~repro.ltp.config.LTPConfig`, and
-other parking policies reuse the same config fields (``entries``,
-``ports``, ``release_reserve``) so one sweep axis parameterises every
-policy.
+``defer_registers``) size the shared pipeline machinery; every parking
+policy reads them from the run's :class:`~repro.ltp.config.LTPConfig`
+(``entries``, ``ports``, ``release_reserve``), so one sweep axis
+parameterises every policy.
+
+What the session and the energy model need to know about a policy
+(``needs_oracle``, ``needs_model``, ``parks``, ``uses_uit``,
+``power_gated``) is stated once, on its class.
 
 Policies register by name in :mod:`repro.policies.registry`;
 ``SimConfig(policy="...")`` selects one end to end through the
@@ -82,6 +86,26 @@ class AllocationPolicy:
 
     #: registry name (set by the ``@register_policy`` decorator)
     name: str = "?"
+    #: the factory takes the config's frozen model artifact as ``model=``
+    needs_model = False
+    #: the DRAM-timer monitor power-gates the parking structures, so the
+    #: energy model scales their dynamic share by the enabled fraction
+    power_gated = False
+
+    @classmethod
+    def needs_oracle(cls, ltp: LTPConfig) -> bool:
+        """Does a run under *ltp* need the trace oracle annotation?"""
+        return False
+
+    @classmethod
+    def parks(cls, ltp: LTPConfig) -> bool:
+        """Does a run under *ltp* occupy the parking queue?"""
+        return False
+
+    @classmethod
+    def uses_uit(cls, ltp: LTPConfig) -> bool:
+        """Does a run under *ltp* consult the UIT classifier CAM?"""
+        return False
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         self.ltp_config = ltp
@@ -160,12 +184,11 @@ class AllocationPolicy:
     def on_tag_known(self, record: InFlightInst) -> None:
         """A long-latency operation signalled early data return."""
 
-    def on_load_complete(self, record: InFlightInst,
-                         was_long_latency: bool) -> None:
-        """A load finished; *was_long_latency* is the ground truth."""
-
-    def on_commit(self, record: InFlightInst) -> None:
-        """*record* retired."""
+    #: ``None``, or called as ``(record, was_long_latency)`` when a load
+    #: finishes (*was_long_latency* is the ground truth)
+    on_load_complete = None
+    #: ``None``, or called with each record as it retires
+    on_commit = None
 
     def on_violation(self, load_pc: int, store_pc: int) -> None:
         """A memory-order violation was detected."""
@@ -248,6 +271,10 @@ class ParkingPolicy(AllocationPolicy):
         self.queue = LTPQueue(ltp.entries, fifo_only=False)
         self.on_parked_ready = self.queue.mark_ready
 
+    @classmethod
+    def parks(cls, ltp: LTPConfig) -> bool:
+        return True
+
     @property
     def release_reserve(self) -> int:
         return self.ltp_config.release_reserve
@@ -256,26 +283,31 @@ class ParkingPolicy(AllocationPolicy):
     def ports(self) -> int:
         return self.ltp_config.ports
 
-    def wants_park(self, record: InFlightInst, now: int) -> bool:
-        """Does the policy choose to park *record*? (no forcing here)"""
+    def wants_park(self, record: InFlightInst, now: int):
+        """Does the policy choose to park *record*? (no forcing here)
+
+        A false value dispatches; ``True`` parks with the policy's name
+        as the ``park_reason``, and a string parks with that reason.
+        """
         raise NotImplementedError
 
     def may_allocate(self, record: InFlightInst, now: int,
                      memdep_forced: bool = False) -> str:
-        forced = memdep_forced
-        reason = "memdep" if memdep_forced else None
-        if not forced:
+        if memdep_forced:
+            reason = "memdep"
+        else:
             for producer in record.producer_records:
                 if producer is not None and producer.parked:
-                    forced = True
                     reason = "parked-bit"
                     break
-        if not forced and not self.wants_park(record, now):
-            return DISPATCH
+            else:
+                reason = self.wants_park(record, now)
+                if not reason:
+                    return DISPATCH
         if self.queue.full:
             self.park_stalls += 1
             return STALL
-        record.park_reason = reason or self.name
+        record.park_reason = self.name if reason is True else reason
         return PARK
 
     def on_release_scan(self, now: int, boundary_seq: int,

@@ -46,12 +46,11 @@ from repro.policies.learned.artifact import (ModelArtifact,
                                              load_default_payload)
 from repro.policies.learned.features import FeatureState
 from repro.policies.registry import register_policy
+from repro.policies.scenarios import note_depth
 
 
 @register_policy(
     "model-park",
-    parks=True,
-    needs_model=True,
     description="park instructions a frozen offline-trained linear "
                 "model (repro train) classifies Non-Urgent; pure "
                 "integer inference in the hot path")
@@ -67,6 +66,8 @@ class ModelParkPolicy(ParkingPolicy):
     decision is memoised per sequence number so rename retries replay
     it instead of re-deriving it from later state.
     """
+
+    needs_model = True
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None,
@@ -85,14 +86,7 @@ class ModelParkPolicy(ParkingPolicy):
         seq = record.seq
         if seq in self._verdicts:
             return  # a rename retry replays the frozen verdict
-        depth = 0
-        depths = self._depths
-        for producer in record.producer_records:
-            if producer is not None and not producer.done:
-                candidate = depths.get(producer.seq, 0) + 1
-                if candidate > depth:
-                    depth = candidate
-        depths[seq] = depth
+        depth = note_depth(record, self._depths)
         dyn = record.dyn
         state = self._state
         urgent = self.artifact.is_urgent(state.vector(dyn, depth))
@@ -116,8 +110,6 @@ class ModelParkPolicy(ParkingPolicy):
 
 @register_policy(
     "confidence-park",
-    parks=True,
-    uses_uit=True,
     description="UIT urgency classification gated by a per-PC "
                 "saturating confidence table: Non-Urgent instructions "
                 "park only where parking has proven harmless")
@@ -137,6 +129,10 @@ class ConfidenceParkPolicy(ParkingPolicy):
     CONF_START = 4
     CONF_THRESHOLD = 4
     CONF_PENALTY = 2
+
+    @classmethod
+    def uses_uit(cls, ltp: LTPConfig) -> bool:
+        return True
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None) -> None:
@@ -198,7 +194,6 @@ class ConfidenceParkPolicy(ParkingPolicy):
 
 @register_policy(
     "loadpred-park",
-    parks=True,
     description="predict long-latency loads from live cache/MSHR state "
                 "plus the two-level hit/miss predictor, and park their "
                 "dependents until data-ready")
@@ -276,9 +271,5 @@ class LoadPredParkPolicy(ParkingPolicy):
             self._predicted_long.discard(record.seq)
 
     def warm_from_trace(self, warmup_slice, long_latency_flags) -> None:
-        if long_latency_flags is None:
-            return
-        update = self.predictor.update
-        for dyn, flag in zip(warmup_slice, long_latency_flags):
-            if dyn.is_load:
-                update(dyn.pc, bool(flag))
+        if long_latency_flags is not None:
+            self.predictor.warm(warmup_slice, long_latency_flags)

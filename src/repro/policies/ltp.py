@@ -3,13 +3,16 @@
 :class:`LTPPolicy` is Long Term Parking as one object: it owns the
 parking queue, classifiers, ticket CAM, hit/miss predictor and
 DRAM-timer monitor, and every hook the engines drive is a method of its
-own class:
+own class.  It is a :class:`~repro.policies.base.ParkingPolicy`: the
+shared :meth:`~repro.policies.base.ParkingPolicy.may_allocate` applies
+the memory-dependence forcing of Section 5.3 and parked-bit
+propagation, and LTP supplies only the choice:
 
 * :meth:`~LTPPolicy.observe_rename` — classify an instruction at rename
   (urgency, readiness/tickets, long-latency prediction).
-* :meth:`~LTPPolicy.may_allocate` — park / dispatch / stall, honouring
-  parked-bit propagation and the memory-dependence interaction of
-  Section 5.3.
+* :meth:`~LTPPolicy.wants_park` — while the DRAM-timer monitor enables
+  LTP, park Non-Urgent (``"non-urgent"``) or Non-Ready
+  (``"non-ready"``) instructions, as the mode allows.
 * :meth:`~LTPPolicy.on_release_scan` — the wakeup policy: Non-Urgent
   instructions wake between the ROB head and the second in-flight
   long-latency instruction; Non-Ready instructions wake when their
@@ -20,10 +23,9 @@ own class:
   reads the oldest ready entry (:meth:`LTPQueue.next_release`).
 * completion/commit hooks that feed the UIT, tickets and predictor.
 
-It is an :class:`~repro.policies.base.AllocationPolicy` and not a
-:class:`~repro.policies.base.ParkingPolicy`: its NU-only design keeps a
-FIFO queue, its release reserve is 0 while disabled, and it wakes by
-ticket and ROB position rather than by data readiness.
+Unlike the data-ready parkers it keeps a FIFO queue in the NU-only
+design, wakes by ticket and ROB position (``on_parked_ready`` is
+``None``), and reserves no registers while disabled.
 
 :class:`BaselineStallPolicy` is the no-LTP machine made explicit: a
 *disabled* LTP policy, so rename still classifies instructions (the UIT
@@ -44,34 +46,50 @@ from repro.ltp.oracle import OracleInfo
 from repro.ltp.predictor import HitMissPredictor
 from repro.ltp.queue import NO_BOUNDARY, LTPQueue
 from repro.ltp.tickets import TicketPool, TicketTracker
-from repro.policies.base import AllocationPolicy
+from repro.policies.base import ParkingPolicy
 from repro.policies.registry import register_policy
 
 
 @register_policy(
     "ltp",
-    # a disabled policy still classifies, with the oracle if named
-    needs_oracle=lambda ltp: ltp.enabled or ltp.classifier == "oracle",
-    parks=lambda ltp: ltp.enabled,
-    uses_uit=lambda ltp: ltp.enabled,
     description="the paper's Long Term Parking mechanism "
                 "(criticality-aware deferred allocation); degrades to "
                 "the stalling baseline when ltp.enabled is False")
-class LTPPolicy(AllocationPolicy):
+class LTPPolicy(ParkingPolicy):
     """Long Term Parking, driven through the policy seam.
 
-    Structural attributes (ports, reserve, park flags) mirror *ltp*.
+    Structural attributes (reserve, park flags) mirror *ltp*.
     """
+
+    power_gated = True
+
+    @classmethod
+    def configure(cls, ltp: LTPConfig) -> LTPConfig:
+        """The LTP config a policy of this class runs for *ltp*."""
+        return ltp
+
+    @classmethod
+    def needs_oracle(cls, ltp: LTPConfig) -> bool:
+        ltp = cls.configure(ltp)
+        # a disabled policy still classifies, with the oracle if named
+        return ltp.enabled or ltp.classifier == "oracle"
+
+    @classmethod
+    def parks(cls, ltp: LTPConfig) -> bool:
+        return cls.configure(ltp).enabled
+
+    uses_uit = parks  # the UIT is clocked with the queue
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None) -> None:
-        ltp.validate()
+        ltp = self.configure(ltp).validate()
         if ltp.classifier == "oracle" and oracle is None:
             raise ValueError("oracle classifier requires OracleInfo")
         super().__init__(ltp, dram_latency)
         self.oracle = oracle
         self.queue = LTPQueue(ltp.entries if ltp.enabled else 1,
                               fifo_only=(ltp.mode == "nu"))
+        self.on_parked_ready = None  # tickets and ROB position wake
         if ltp.classifier == "oracle":
             self.classifier = OracleClassifier(
                 oracle, granularity=ltp.oracle_granularity)
@@ -80,6 +98,8 @@ class LTPPolicy(AllocationPolicy):
                                                uit_ways=ltp.uit_ways)
         self.predictor = (HitMissPredictor()
                           if ltp.ll_predictor == "twolevel" else None)
+        if self.predictor is None:
+            self.on_load_complete = None  # nothing trains on loads
         self.tickets = TicketTracker(TicketPool(ltp.tickets))
         monitor_mode = ltp.monitor if ltp.enabled else "off"
         self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
@@ -100,10 +120,6 @@ class LTPPolicy(AllocationPolicy):
     def release_reserve(self) -> int:
         config = self.ltp_config
         return config.release_reserve if config.enabled else 0
-
-    @property
-    def ports(self) -> int:
-        return self.ltp_config.ports
 
     @property
     def park_loads(self) -> bool:
@@ -216,34 +232,17 @@ class LTPPolicy(AllocationPolicy):
     # ------------------------------------------------------------------
     # parking decision
     # ------------------------------------------------------------------
-    def may_allocate(self, record: InFlightInst, now: int,
-                     memdep_forced: bool = False) -> str:
-        """Return "park", "dispatch" or "stall" for a renamed record."""
-        if not self.ltp_config.enabled:
-            return "dispatch"
-        forced = memdep_forced
-        reason = "memdep" if memdep_forced else None
-        if not forced:
-            for producer in record.producer_records:
-                if producer is not None and producer.parked:
-                    forced = True
-                    reason = "parked-bit"
-                    break
-        want_park = forced
-        if not want_park and self._enabled_at(now):
-            if self._parks_nu and not record.urgent:
-                want_park = True
-                reason = "non-urgent"
-            elif self._parks_nr and record.non_ready:
-                want_park = True
-                reason = "non-ready"
-        if not want_park:
-            return "dispatch"
-        if self.queue.full:
-            self.park_stalls += 1
-            return "stall"
-        record.park_reason = reason
-        return "park"
+    def wants_park(self, record: InFlightInst, now: int):
+        """``"non-urgent"`` or ``"non-ready"`` while the monitor enables
+        LTP and the mode parks that class, else ``False`` (always, for
+        a disabled policy, which parks neither class)."""
+        if self._parks_nu and not record.urgent:
+            reason = "non-urgent"
+        elif self._parks_nr and record.non_ready:
+            reason = "non-ready"
+        else:
+            return False
+        return reason if self._enabled_at(now) else False
 
     def park(self, record: InFlightInst) -> None:
         self.queue.push(record)
@@ -296,8 +295,7 @@ class LTPPolicy(AllocationPolicy):
 
     def on_load_complete(self, record: InFlightInst,
                          was_long_latency: bool) -> None:
-        if self.predictor is not None:
-            self.predictor.update(record.dyn.pc, was_long_latency)
+        self.predictor.update(record.dyn.pc, was_long_latency)
 
     def on_commit(self, record: InFlightInst) -> None:
         if record.actual_ll and record.dyn.is_load:
@@ -318,9 +316,7 @@ class LTPPolicy(AllocationPolicy):
         if isinstance(self.classifier, OnlineClassifier):
             self.classifier.warm(warmup_slice, long_latency_flags)
         if self.predictor is not None:
-            for dyn, flag in zip(warmup_slice, long_latency_flags):
-                if dyn.is_load:
-                    self.predictor.update(dyn.pc, bool(flag))
+            self.predictor.warm(warmup_slice, long_latency_flags)
 
     def stats_extra(self, stats) -> None:
         uit = self._uit
@@ -332,7 +328,6 @@ class LTPPolicy(AllocationPolicy):
 
 @register_policy(
     "baseline-stall",
-    needs_oracle=lambda ltp: ltp.classifier == "oracle",
     description="allocate everything at rename and stall on any full "
                 "resource (LTP off), regardless of the LTP config")
 class BaselineStallPolicy(LTPPolicy):
@@ -344,7 +339,8 @@ class BaselineStallPolicy(LTPPolicy):
     config says ``enabled=True``.
     """
 
-    def __init__(self, ltp: LTPConfig, dram_latency: int,
-                 oracle: Optional[OracleInfo] = None) -> None:
-        disabled = ltp if not ltp.enabled else ltp.but(enabled=False)
-        super().__init__(disabled, dram_latency, oracle=oracle)
+    power_gated = False  # the monitor is off; there is nothing to gate
+
+    @classmethod
+    def configure(cls, ltp: LTPConfig) -> LTPConfig:
+        return ltp.but(enabled=False) if ltp.enabled else ltp

@@ -14,17 +14,15 @@ The built-in policies live in :mod:`repro.policies.ltp`,
 imported lazily the first time the registry is queried so module
 import order never matters.
 
-``needs_oracle`` metadata tells the session layer whether to compute
-the (expensive) trace oracle annotation before building the policy; it
-may be a plain bool or a predicate over the run's
-:class:`~repro.ltp.config.LTPConfig` (LTP itself only needs the oracle
-while enabled).
+The registry holds names, factories and descriptions only; what a
+policy needs (the trace oracle, a model artifact) and which structures
+it clocks are stated on its class (see :mod:`repro.policies.base`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.ltp.config import LTPConfig
 from repro.util import first_doc_line
@@ -36,44 +34,26 @@ from repro.util import first_doc_line
 #: are untouched.
 DEFAULT_POLICY = "ltp"
 
-OracleNeed = Union[bool, Callable[[LTPConfig], bool]]
-
 
 @dataclass
 class PolicyInfo:
-    """One registered policy: its factory plus registry metadata."""
+    """One registered policy: its name, class and description."""
 
     name: str
     factory: Callable[..., object]
     description: str = ""
-    needs_oracle: OracleNeed = False
-    #: does the policy occupy the parking queue (drives the energy
-    #: model's LTP-structure charge)?  bool, or predicate over the
-    #: run's LTPConfig
-    parks: OracleNeed = False
-    #: does the policy consult the UIT classifier CAM?
-    uses_uit: OracleNeed = False
-    #: does the policy consume a frozen model artifact (the config's
-    #: ``model`` payload is handed to its factory)?
-    needs_model: OracleNeed = False
 
 
 _REGISTRY: Dict[str, PolicyInfo] = {}
 
 
-def register_policy(name: str, description: Optional[str] = None,
-                    needs_oracle: OracleNeed = False,
-                    parks: OracleNeed = False,
-                    uses_uit: OracleNeed = False,
-                    needs_model: OracleNeed = False) -> Callable:
+def register_policy(name: str,
+                    description: Optional[str] = None) -> Callable:
     """Class decorator registering an :class:`AllocationPolicy`.
 
     The decorated class must be constructible as
-    ``factory(ltp_config, dram_latency, oracle=...)``.  ``parks`` and
-    ``uses_uit`` describe which window structures the policy clocks
-    (the energy model charges only those); like ``needs_oracle`` they
-    may be plain bools or predicates over the run's
-    :class:`~repro.ltp.config.LTPConfig`.
+    ``factory(ltp_config, dram_latency, oracle=...)`` (plus
+    ``model=...`` when its ``needs_model`` is set).
     """
 
     def decorate(cls):
@@ -84,10 +64,7 @@ def register_policy(name: str, description: Optional[str] = None,
             doc = first_doc_line(cls.__doc__)
         cls.name = name
         _REGISTRY[name] = PolicyInfo(name=name, factory=cls,
-                                     description=doc,
-                                     needs_oracle=needs_oracle,
-                                     parks=parks, uses_uit=uses_uit,
-                                     needs_model=needs_model)
+                                     description=doc)
         return cls
 
     return decorate
@@ -133,30 +110,9 @@ def policy_descriptions() -> Dict[str, str]:
             for name in sorted(_REGISTRY)}
 
 
-def _resolve_need(need: OracleNeed, ltp: LTPConfig) -> bool:
-    if callable(need):
-        return bool(need(ltp))
-    return bool(need)
-
-
 def policy_needs_oracle(name: str, ltp: LTPConfig) -> bool:
     """Does *name* want the trace oracle annotation for this config?"""
-    return _resolve_need(policy_info(name).needs_oracle, ltp)
-
-
-def policy_parks(name: str, ltp: LTPConfig) -> bool:
-    """Does *name* occupy the parking queue under this config?"""
-    return _resolve_need(policy_info(name).parks, ltp)
-
-
-def policy_uses_uit(name: str, ltp: LTPConfig) -> bool:
-    """Does *name* consult the UIT classifier under this config?"""
-    return _resolve_need(policy_info(name).uses_uit, ltp)
-
-
-def policy_needs_model(name: str, ltp: LTPConfig) -> bool:
-    """Does *name* consume a frozen model artifact under this config?"""
-    return _resolve_need(policy_info(name).needs_model, ltp)
+    return bool(policy_info(name).factory.needs_oracle(ltp))
 
 
 def build_policy(name: str, ltp: LTPConfig, dram_latency: int,
@@ -164,11 +120,10 @@ def build_policy(name: str, ltp: LTPConfig, dram_latency: int,
     """Instantiate the policy registered as *name*.
 
     *model* (a frozen artifact payload, or ``None`` for the committed
-    default) is only forwarded to policies registered with
-    ``needs_model`` — everyone else keeps the historical factory
-    signature.
+    default) is only forwarded to a class whose ``needs_model`` is set
+    — everyone else keeps the historical factory signature.
     """
-    info = policy_info(name)
-    if _resolve_need(info.needs_model, ltp):
-        return info.factory(ltp, dram_latency, oracle=oracle, model=model)
-    return info.factory(ltp, dram_latency, oracle=oracle)
+    factory = policy_info(name).factory
+    if factory.needs_model:
+        return factory(ltp, dram_latency, oracle=oracle, model=model)
+    return factory(ltp, dram_latency, oracle=oracle)

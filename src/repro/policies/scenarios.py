@@ -28,7 +28,7 @@ rename expires in queue order.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.inflight import InFlightInst
 from repro.ltp.config import LTPConfig
@@ -40,8 +40,6 @@ from repro.policies.registry import register_policy
 
 @register_policy(
     "oracle-park",
-    needs_oracle=True,
-    parks=True,
     description="park exactly the oracle's Non-Urgent set (perfect "
                 "classification; the bound learned classifiers chase)")
 class OracleParkPolicy(LTPPolicy):
@@ -54,16 +52,39 @@ class OracleParkPolicy(LTPPolicy):
     the limit study reaches for with learned structures removed.
     """
 
+    #: the monitor is forced "on": nothing power-gates the queue
+    power_gated = False
+
+    @classmethod
+    def configure(cls, ltp: LTPConfig) -> LTPConfig:
+        return ltp.but(enabled=True, classifier="oracle",
+                       ll_predictor="oracle", monitor="on", uit_size=None)
+
+    @classmethod
+    def uses_uit(cls, ltp: LTPConfig) -> bool:
+        return False
+
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None) -> None:
         if oracle is None:
             raise ValueError(
                 "oracle-park requires the trace oracle annotation "
                 "(run it through the session layer)")
-        config = ltp.but(enabled=True, classifier="oracle",
-                         ll_predictor="oracle", monitor="on",
-                         uit_size=None)
-        super().__init__(config, dram_latency, oracle=oracle)
+        super().__init__(ltp, dram_latency, oracle=oracle)
+
+
+def note_depth(record: InFlightInst, depths: Dict[int, int]) -> int:
+    """Record and return *record*'s in-flight dependence depth: one more
+    than its deepest producer still in flight, 0 with none.  *depths*
+    maps the sequence numbers of in-flight records to their depths."""
+    depth = 0
+    for producer in record.producer_records:
+        if producer is not None and not producer.done:
+            candidate = depths.get(producer.seq, 0) + 1
+            if candidate > depth:
+                depth = candidate
+    depths[record.seq] = depth
+    return depth
 
 
 def _mix(seq: int, pc: int) -> int:
@@ -75,7 +96,6 @@ def _mix(seq: int, pc: int) -> int:
 
 @register_policy(
     "random-park",
-    parks=True,
     description="park a deterministic pseudo-random fraction of "
                 "instructions, waking each after a fixed countdown "
                 "(criticality-blind strawman)")
@@ -128,7 +148,6 @@ class RandomParkPolicy(ParkingPolicy):
 
 @register_policy(
     "depth-park",
-    parks=True,
     description="park instructions deep in an in-flight dependence "
                 "chain, waking each when its operands are ready "
                 "(WIB-flavoured park-until-ready)")
@@ -154,14 +173,7 @@ class DepthParkPolicy(ParkingPolicy):
         self._depths = {}
 
     def observe_rename(self, record: InFlightInst) -> None:
-        depth = 0
-        depths = self._depths
-        for producer in record.producer_records:
-            if producer is not None and not producer.done:
-                candidate = depths.get(producer.seq, 0) + 1
-                if candidate > depth:
-                    depth = candidate
-        depths[record.seq] = depth
+        note_depth(record, self._depths)
 
     def wants_park(self, record: InFlightInst, now: int) -> bool:
         return self._depths.get(record.seq, 0) >= self.threshold

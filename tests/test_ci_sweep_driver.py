@@ -1,5 +1,6 @@
 """End-to-end test of scripts/ci_sweep.py — the exact shard/merge/
-verify/check-resume sequence the CI workflow runs, on a tiny spec."""
+verify/check-resume sequence the CI workflow runs (merging with
+``repro sweep --merge``), on a tiny spec."""
 
 import json
 import os
@@ -26,6 +27,19 @@ def run_driver(args, tmp_path):
         env=env, capture_output=True, text=True)
 
 
+def merge(spec_path, stores, merged, tmp_path):
+    """``repro sweep SPEC --merge STORES --store MERGED``, as CI runs it."""
+    env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", str(spec_path),
+         "--merge", *stores, "--store", str(merged), "--json"],
+        cwd=str(REPO_ROOT), env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_ci_sweep_shard_merge_verify_resume(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
@@ -40,9 +54,7 @@ def test_ci_sweep_shard_merge_verify_resume(tmp_path):
         assert "points" in proc.stdout
 
     merged = tmp_path / "merged.jsonl"
-    proc = run_driver(["merge", *stores, "--store", str(merged)], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "4 points" in proc.stdout
+    assert merge(spec_path, stores, merged, tmp_path)["points"] == 4
 
     proc = run_driver(["verify", "--spec", str(spec_path),
                        "--store", str(merged)], tmp_path)
@@ -83,8 +95,7 @@ def test_ci_sweep_coordinate_matches_shard_union(tmp_path):
                           tmp_path)
         assert proc.returncode == 0, proc.stderr
     merged = tmp_path / "merged.jsonl"
-    proc = run_driver(["merge", *stores, "--store", str(merged)], tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    merge(spec_path, stores, merged, tmp_path)
 
     pooled = tmp_path / "pooled.jsonl"
     env = dict(os.environ)

@@ -2,12 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.api import ResultStore
 from repro.cli import build_parser, main
 from repro.harness.config import SimConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -432,3 +438,27 @@ def test_sweep_budget_overrides_apply(tmp_path, monkeypatch):
     configs = [row["config"] for row in payload["results"]]
     assert all(c["warmup"] == 100 and c["measure"] == 90
                for c in configs)
+
+
+@pytest.mark.parametrize("command", ["list", "watch"])
+def test_a_closed_stdout_pipe_exits_quietly(command, tmp_path, monkeypatch):
+    """``repro list | head -1``: a reader that leaves before the output
+    is written ends the command with status 1 and nothing on stderr."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["list"]
+    if command == "watch":
+        store = tmp_path / "store.jsonl"
+        assert run_cli(["sweep", str(write_spec(tmp_path)), "--no-cache",
+                        "--store", str(store)])[0] == 0
+        argv = ["watch", str(store)]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              cwd=str(REPO_ROOT), env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

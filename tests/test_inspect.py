@@ -4,14 +4,15 @@ sinks, and the ``inspect=`` argument normalisation."""
 
 import pytest
 
-from repro.api import (ResultStore, SimConfig, SimResult, SweepInspector,
-                       stat_invariants)
+from repro.api import (ResultStore, Session, SimConfig, SimResult,
+                       SweepInspector, SweepSpec, stat_invariants)
 from repro.api.exec import (EVENT_ANOMALY, EVENT_FINISHED,
                             EVENT_RETRIED, EVENT_STARTED,
                             EVENT_SUBMITTED, ExecEvent)
 from repro.api.inspect import as_inspector
 from repro.core.params import baseline_params
 from repro.ltp.config import no_ltp
+from tests.mock_executor import MockExecutor
 
 
 def make_result(workload="compute_int", measure=100, cpi=2.0,
@@ -119,6 +120,55 @@ def test_baselines_are_per_workload():
         inspector.observe(make_result("compute_int", cpi=2.0))
     # a different workload starts its own baseline: nothing to flag
     assert inspector.observe(make_result("stream_triad", cpi=1.0)) == []
+
+
+class _DeterministicOutlier(MockExecutor):
+    """Fabricates a 2x-IPC point for one key on every simulation."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+        self.simulated = []
+
+    def _fabricate(self, point):
+        self.simulated.append(point.key)
+        stats = super()._fabricate(point)
+        if point.key == self.key:
+            stats["cycles"] //= 2
+            stats["cpi"], stats["ipc"] = 0.5, 2.0
+        return stats
+
+
+def test_resumes_converge_on_a_deterministic_outlier(tmp_path):
+    """A point that re-simulates to the outlier its annotation recorded
+    is quarantined once, re-simulated once, and then left alone."""
+    spec = SweepSpec(workloads=["compute_int"], warmup=50, measure=100,
+                     axes={"core.iq_size": [16, 24, 32, 40, 48, 56]})
+    outlier = spec.expand()[-1].key()  # after a full baseline
+    path = tmp_path / "store.jsonl"
+
+    def resume():
+        executor = _DeterministicOutlier(outlier)
+        with Session(cache_dir=tmp_path / "cache") as session, \
+                ResultStore(path) as store:
+            session.sweep(spec, backend=executor, store=store,
+                          inspect=True, use_cache=False)
+        return executor.simulated, ResultStore(path)
+
+    dispatched, store = resume()
+    assert len(dispatched) == 6
+    assert store.quarantined_keys() == [outlier]
+
+    dispatched, store = resume()
+    assert dispatched == [outlier]  # the quarantined point alone
+    assert store.quarantined_keys() == []
+    annotation = store.annotation(outlier)
+    assert annotation.check == "outlier" and not annotation.quarantine
+    rows = path.read_text()
+
+    dispatched, store = resume()
+    assert dispatched == []
+    assert path.read_text() == rows  # no row written
 
 
 # --------------------------------------------------- operational alarms
