@@ -27,17 +27,18 @@ class ResultCache:
         return f"{self._prefix}{key}.json"
 
     def lookup(self, key: str) -> Optional[Tuple[dict, str]]:
-        """Resolve *key* to ``(value, source)``; source is "memory" or
-        "disk" (the first disk hit promotes the value to memory).
+        """Resolve *key* (a ``SimConfig.key()``, whose ``core``/``ltp``
+        text is reused by ``repr``) to ``(value, source)``; source is
+        "memory" or "disk" (the first disk hit promotes it to memory).
 
         A disk entry that is unreadable, not UTF-8 or not a JSON object
         is a miss, like an absent one; the next ``put`` overwrites it.
-        Disk reads parse the bytes read whole (no ``Path``, no stream)."""
+        Disk reads are one unbuffered read (no ``Path``, no stream)."""
         if key in self._memory:
             self.hits += 1
             return self._memory[key], "memory"
         try:
-            with open(self._path(key), "rb") as handle:
+            with open(self._path(key), "rb", buffering=0) as handle:
                 value = json.loads(handle.read().decode())
         except (OSError, ValueError):
             value = None

@@ -62,6 +62,25 @@ def _expand(value: Any) -> Any:
 #: fed the live payload
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=_expand)
 
+#: key texts of ``core``/``engine``/``ltp`` values by ``repr`` (fig11's
+#: 135 points share 2 core and 8 LTP values), cleared when full
+_FRAGMENTS: Dict[str, str] = {}
+_FRAGMENTS_MAX = 512
+
+
+def _fragment(value: Any) -> str:
+    """``_KEY_ENCODER``'s text for *value*, shared by values of one
+    ``repr``, which lists every dataclass field, tells apart values
+    whose JSON differs (``1``/``1.0``/``True``, ``0.0``/``-0.0``) and
+    is recomputed per call (a value mutated in place misses)."""
+    memo = repr(value)
+    text = _FRAGMENTS.get(memo)
+    if text is None:
+        if len(_FRAGMENTS) >= _FRAGMENTS_MAX:
+            _FRAGMENTS.clear()
+        text = _FRAGMENTS[memo] = _KEY_ENCODER.encode(value)
+    return text
+
 
 def _mapping(data: Any, what: str) -> Mapping[str, Any]:
     """*data* itself if it is a mapping, else ``ValueError``."""
@@ -218,6 +237,17 @@ class SimConfig:
     def key(self) -> str:
         """Stable content hash identifying this configuration: that of
         ``json.dumps(self.to_dict(), sort_keys=True, default=str)``,
-        serialised from the live fields without ``asdict`` copies."""
-        text = _KEY_ENCODER.encode(self._payload())
+        serialised from the live fields without ``asdict`` copies;
+        ``core``, ``engine`` and ``ltp`` are :func:`_fragment` texts (a
+        field whose ``str()`` changes while its ``repr()`` does not
+        keeps its old text)."""
+        payload = self._payload()
+        # sorted, the payload opens "core", ["engine",] "ltp"; every
+        # other key sorts after "ltp"
+        parts = ['{"core": ', _fragment(payload.pop("core"))]
+        if "engine" in payload:
+            parts += ', "engine": ', _fragment(payload.pop("engine"))
+        parts += (', "ltp": ', _fragment(payload.pop("ltp")), ", ",
+                  _KEY_ENCODER.encode(payload)[1:])
+        text = "".join(parts)
         return hashlib.sha256(text.encode()).hexdigest()[:24]

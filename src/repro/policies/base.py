@@ -62,7 +62,7 @@ session, sweep and CLI layers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.inflight import InFlightInst
 from repro.ltp.config import LTPConfig
@@ -112,12 +112,16 @@ class AllocationPolicy:
         #: the parking structure; stays empty for non-parking policies.
         #: Always an LTPQueue so the pipeline's occupancy integration
         #: and ``_ltp_entries`` fast-path gate work unchanged.
-        self.queue = LTPQueue(1, fifo_only=True)
+        self.queue, monitor_mode = self._parking(ltp)
         #: power-management monitor consulted by the pipeline's idle
         #: jump; "off" means the policy never gates on it
-        self.monitor = DramTimerMonitor(dram_latency, mode="off")
+        self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
         #: rename stalls caused by a full parking structure
         self.park_stalls = 0
+
+    def _parking(self, ltp: LTPConfig) -> Tuple[LTPQueue, str]:
+        """The parking queue and DRAM-timer monitor mode under *ltp*."""
+        return LTPQueue(1, fifo_only=True), "off"
 
     # -- structural attributes the pipeline sizes itself from ----------
     @property
@@ -268,8 +272,10 @@ class ParkingPolicy(AllocationPolicy):
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         super().__init__(ltp, dram_latency)
-        self.queue = LTPQueue(ltp.entries, fifo_only=False)
         self.on_parked_ready = self.queue.mark_ready
+
+    def _parking(self, ltp: LTPConfig) -> Tuple[LTPQueue, str]:
+        return LTPQueue(ltp.entries, fifo_only=False), "off"
 
     @classmethod
     def parks(cls, ltp: LTPConfig) -> bool:

@@ -36,12 +36,11 @@ full.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.inflight import InFlightInst
 from repro.ltp.classifier import OnlineClassifier, OracleClassifier
 from repro.ltp.config import LTPConfig
-from repro.ltp.monitor import DramTimerMonitor
 from repro.ltp.oracle import OracleInfo
 from repro.ltp.predictor import HitMissPredictor
 from repro.ltp.queue import NO_BOUNDARY, LTPQueue
@@ -87,8 +86,6 @@ class LTPPolicy(ParkingPolicy):
             raise ValueError("oracle classifier requires OracleInfo")
         super().__init__(ltp, dram_latency)
         self.oracle = oracle
-        self.queue = LTPQueue(ltp.entries if ltp.enabled else 1,
-                              fifo_only=(ltp.mode == "nu"))
         self.on_parked_ready = None  # tickets and ROB position wake
         if ltp.classifier == "oracle":
             self.classifier = OracleClassifier(
@@ -101,8 +98,6 @@ class LTPPolicy(ParkingPolicy):
         if self.predictor is None:
             self.on_load_complete = None  # nothing trains on loads
         self.tickets = TicketTracker(TicketPool(ltp.tickets))
-        monitor_mode = ltp.monitor if ltp.enabled else "off"
-        self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
         #: ``ltp`` is immutable after ``validate()``; cache the mode
         #: predicates and bind the classifier hook the rename hot path
         #: consults on every attempt
@@ -115,6 +110,11 @@ class LTPPolicy(ParkingPolicy):
         self._enabled_at = self.monitor.predicate()
         #: the online classifier's table (None for the oracle one)
         self._uit = getattr(self.classifier, "uit", None)
+
+    def _parking(self, ltp: LTPConfig) -> Tuple[LTPQueue, str]:
+        queue = LTPQueue(ltp.entries if ltp.enabled else 1,
+                         fifo_only=(ltp.mode == "nu"))
+        return queue, ltp.monitor if ltp.enabled else "off"
 
     @property
     def release_reserve(self) -> int:

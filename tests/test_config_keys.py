@@ -9,18 +9,24 @@ default=str)``, cut to 24 hex digits.  They cover a grid of every
 registered policy, every LTP preset, every engine setting and both
 model settings, plus randomized ``CoreParams``/``MemParams``/
 ``LTPConfig`` values, and check that ``to_dict()`` hands out fresh
-containers.
+containers.  ``key()`` reuses the text of ``core`` and ``ltp`` by
+their ``repr``, so the last section checks that an in-place mutation
+after a config was keyed is never served the old text, that every
+field shows in the ``repr`` the reuse reads, that configs sharing a
+core encode it once, and that the reused texts stay within their
+bound.
 """
 
 import copy
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro.harness.config as config_mod
 from repro.core.params import CoreParams
 from repro.harness.config import SimConfig
 from repro.ltp.config import (CLASSIFIERS, GRANULARITIES, LL_PREDICTORS,
@@ -176,3 +182,107 @@ def test_mutating_a_random_payload_leaves_the_config_and_key(config):
         payload["model"]["planted"] = 1
     assert config == before
     assert config.key() == key
+
+
+# ================================================================
+# the reused core/ltp texts: mutations, repr coverage, the bound
+# ================================================================
+def _set(path, value):
+    """A mutation setting the attribute at dotted *path* to *value*."""
+    *owners, name = path.split(".")
+
+    def mutate(config):
+        target = config
+        for owner in owners:
+            target = getattr(target, owner)
+        setattr(target, name, value)
+    return mutate
+
+
+def _set_latency(name, value):
+    def mutate(config):
+        config.core.latencies[name] = value
+    return mutate
+
+
+#: (mutation applied before the first key, mutation after it)
+MUTATIONS = {
+    "int->float": (None, _set("core.rob_size", 256.0)),
+    "int->bool": (_set("core.fetch_width", 1), _set("core.fetch_width",
+                                                    True)),
+    "bool->int": (_set("ltp.enabled", True), _set("ltp.enabled", 1)),
+    "0.0->-0.0": (_set("core.frequency_ghz", 0.0),
+                  _set("core.frequency_ghz", -0.0)),
+    "latency-changed": (None, _set_latency("int_alu", 2)),
+    "latency-added": (None, _set_latency("planted", 1)),
+    "mem-replaced": (None, lambda c: setattr(
+        c.core, "mem", replace(c.core.mem, mshrs=2))),
+    "mem-field": (None, _set("core.mem.l1_latency", 5)),
+    "model-0.0->-0.0": (_set("model", {"w": 0.0}),
+                        _set("model", {"w": -0.0})),
+    "model-str-int": (_set("model", {"w": 1}), _set("model", {"w": "1"})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_a_config_mutated_after_its_key_keys_afresh(name):
+    before, after = MUTATIONS[name]
+    config = SimConfig(workload="compute_int", ltp=proposed_ltp())
+    if before is not None:
+        before(config)
+    old = config.key()
+    assert old == reference_key(config)
+    after(config)
+    assert config.key() == reference_key(config) != old
+    # a fresh config equal to the mutated one gets the same key
+    assert copy.deepcopy(config).key() == config.key()
+
+
+@pytest.mark.parametrize("cls", [CoreParams, MemParams, LTPConfig,
+                                 SimConfig])
+def test_every_field_shows_in_the_repr_the_memo_reads(cls):
+    value = cls("compute_int") if cls is SimConfig else cls()
+    text = repr(value)
+    for f in fields(cls):
+        assert f.repr, f.name
+        assert f"{f.name}={getattr(value, f.name)!r}" in text, f.name
+
+
+class _CountingEncoder:
+    """``_KEY_ENCODER`` that records every value it encodes."""
+
+    def __init__(self):
+        self.encoded = []
+
+    def encode(self, value):
+        self.encoded.append(value)
+        return json.JSONEncoder(sort_keys=True,
+                                default=config_mod._expand).encode(value)
+
+
+def test_configs_sharing_a_core_encode_it_once(monkeypatch):
+    encoder = _CountingEncoder()
+    monkeypatch.setattr(config_mod, "_KEY_ENCODER", encoder)
+    monkeypatch.setattr(config_mod, "_FRAGMENTS", {})
+    core, ltp = CoreParams(iq_size=32), proposed_ltp()
+    configs = [SimConfig(workload=name, core=core, ltp=ltp)
+               for name in ("compute_int", "lattice_milc", "stream")]
+    configs.append(SimConfig(workload="stream", core=copy.deepcopy(core),
+                             ltp=proposed_ltp(), engine="object"))
+    for config in configs:
+        assert config.key() == reference_key(config)
+    assert [type(value) for value in encoder.encoded
+            if is_dataclass(value)] == [CoreParams, LTPConfig]
+
+
+def test_the_reused_texts_stay_within_their_bound(monkeypatch):
+    fragments = {}
+    monkeypatch.setattr(config_mod, "_FRAGMENTS", fragments)
+    monkeypatch.setattr(config_mod, "_FRAGMENTS_MAX", 8)
+    configs = [SimConfig(workload="compute_int",
+                         core=CoreParams(rob_size=64 + size))
+               for size in range(20)]
+    for config in configs:
+        assert config.key() == reference_key(config)
+        assert len(fragments) <= 8
+    assert config.key() == reference_key(config)

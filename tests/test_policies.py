@@ -17,6 +17,9 @@ from repro.core.params import ltp_params
 from repro.core.pipeline import Pipeline
 from repro.harness.config import SimConfig
 from repro.ltp.config import limit_ltp, no_ltp, proposed_ltp
+from repro.ltp.monitor import DramTimerMonitor
+from repro.ltp.oracle import OracleInfo
+from repro.ltp.queue import LTPQueue
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
                             BaselineStallPolicy, LTPPolicy, build_policy,
                             policy_descriptions, policy_info, policy_names,
@@ -119,6 +122,27 @@ def test_build_policy_types():
 def test_oracle_park_requires_oracle():
     with pytest.raises(ValueError, match="oracle"):
         build_policy("oracle-park", proposed_ltp(), 190)
+
+
+@pytest.mark.parametrize("ltp", [no_ltp(), proposed_ltp(),
+                                 limit_ltp("nu")],
+                         ids=["no-ltp", "proposed", "limit-nu"])
+@pytest.mark.parametrize("name", BUILTIN_POLICIES)
+def test_a_policy_builds_one_queue_and_one_monitor(monkeypatch, name, ltp):
+    built = []
+    for cls in (LTPQueue, DramTimerMonitor):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    n = 64
+    oracle = OracleInfo(levels=[None] * n, long_latency=[False] * n,
+                        urgent=[True] * n, non_ready=[False] * n)
+    policy = build_policy(name, ltp, 190, oracle=oracle)
+    assert sorted(built) == ["DramTimerMonitor", "LTPQueue"]
+    # a data-ready wakeup files records in the one queue the policy has
+    wake = policy.on_parked_ready
+    assert wake is None or wake.__self__ is policy.queue
 
 
 # ----------------------------------------------------- policy behaviour

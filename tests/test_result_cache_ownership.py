@@ -106,6 +106,29 @@ def test_a_disk_entry_that_is_no_object_is_a_miss(tmp_path, entry):
     assert ResultCache(str(tmp_path)).lookup("k") == ({"cycles": 1}, "disk")
 
 
+@pytest.mark.parametrize("entry", [b"\xff{}", '{"a": 1}'.encode("utf-16")],
+                         ids=["not-utf8", "utf16-object"])
+def test_a_disk_entry_that_is_not_utf8_is_a_miss(tmp_path, entry):
+    (tmp_path / "k.json").write_bytes(entry)
+    cache = ResultCache(str(tmp_path))
+    assert cache.lookup("k") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_a_directory_in_place_of_an_entry_is_a_miss(tmp_path):
+    (tmp_path / "k.json").mkdir()
+    cache = ResultCache(str(tmp_path))
+    assert cache.lookup("k") is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_a_disk_entry_is_read_whole(tmp_path):
+    """An entry larger than one read still parses (reads run to EOF)."""
+    value = {"blob": "x" * (3 << 16), "cycles": 1}
+    (tmp_path / "k.json").write_text(json.dumps(value))
+    assert ResultCache(str(tmp_path)).lookup("k") == (value, "disk")
+
+
 @pytest.mark.parametrize("entry", ["null", "[1, 2]"], ids=["null", "list"])
 def test_a_non_object_cache_entry_is_resimulated(tmp_path, entry):
     """``Session.run`` and the batched ``Session._drive`` path both

@@ -28,6 +28,7 @@ that one counter to at most the strict count.
 
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -549,3 +550,43 @@ def test_drained_run_leaves_no_live_ticket(session, name):
     pipeline = _build(session, name)
     pipeline.run()
     assert pipeline.policy.tickets.pool.live_count == 0
+
+
+# ================================================================
+# the duplicate ready-heap entry of a record dispatched at rename
+# ================================================================
+@pytest.fixture(scope="module")
+def rejections_per_cycle(session):
+    """``(seq, cycle) -> MSHR rejections`` of every rejected load on a
+    2-MSHR object-engine point.  The engines agree on the rejection
+    counters (``tests/test_equivalence_strict.py``), so the object
+    engine, whose load path sees the record, stands for both."""
+    pipeline = _build(session, "milc-mshr2-baseline")
+    stats = pipeline.hierarchy.stats
+    execute_load = pipeline._execute_load
+    seen = Counter()
+
+    def counting(record, now):
+        before = stats.mshr_rejections
+        issued = execute_load(record, now)
+        if stats.mshr_rejections != before:
+            seen[record.seq, now] += 1
+        return issued
+
+    pipeline._execute_load = counting
+    pipeline.run()
+    return seen
+
+
+def test_the_two_mshr_point_rejects_loads(rejections_per_cycle):
+    assert len(rejections_per_cycle) > 100
+
+
+@pytest.mark.xfail(strict=True, reason="a record dispatched at rename "
+                   "gets a ready-heap entry at IQ insert and another "
+                   "once its dependences register, so select pops a "
+                   "gated load twice a cycle; one entry per record moves "
+                   "the hierarchy counters of tests/golden_stats.json "
+                   "(ROADMAP item 4)")
+def test_no_load_is_rejected_twice_in_one_cycle(rejections_per_cycle):
+    assert max(rejections_per_cycle.values()) == 1
