@@ -1,11 +1,11 @@
 """Functional executor: interprets a Program and emits a dynamic trace.
 
 The executor maintains architectural state (integer registers, FP
-registers modelled as integers for determinism, and a sparse 8-byte-word
-memory) and yields :class:`~repro.isa.trace.DynInst` records in program
-order.  Branches are resolved against real register values, so pointer
-chasing and data-dependent control flow behave exactly as they would on
-hardware.
+registers modelled as integers for determinism, and 8-byte-word memory
+over an immutable initial image) and yields
+:class:`~repro.isa.trace.DynInst` records in program order.  Branches
+are resolved against real register values, so pointer chasing and
+data-dependent control flow behave exactly as they would on hardware.
 
 The executor also tracks, per architectural register, the sequence number
 of the last dynamic writer.  That gives every DynInst its true dataflow
@@ -15,7 +15,11 @@ edges without any separate dependence analysis.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from array import array
+from bisect import bisect_right
+from collections.abc import Mapping
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.isa.instructions import OpClass
 from repro.isa.program import Program
@@ -37,29 +41,80 @@ class ExecutionError(RuntimeError):
     """Raised on functional-execution faults (bad PC, division by zero)."""
 
 
-class Memory:
-    """Sparse word-addressed functional memory (8-byte words).
+class WordImage(Mapping):
+    """An immutable memory image: sorted, non-overlapping runs of
+    consecutive 8-byte words, each a word-aligned byte base and a
+    read-only signed 64-bit array.  As a mapping it holds every word of
+    every run; :meth:`get` reads any other word as *default*."""
 
-    An image in normal form (non-negative word-aligned keys, signed
-    64-bit values) is read in place, not copied: its owner must not
-    mutate it while this memory is in use.  Any other image is
-    normalised into a private copy.  Stores go to a private overlay.
+    def __init__(self, runs: Iterable[Tuple[int, Any]] = ()) -> None:
+        """*runs* are (byte base, values) pairs in any order; a run that
+        is already a read-only view of an image is shared, not copied."""
+        frozen, end = [], 0
+        for base, values in sorted(runs, key=operator.itemgetter(0)):
+            if base % WORD or base < end:
+                raise ValueError(f"misaligned or overlapping run 0x{base:x}")
+            if not (isinstance(values, memoryview)
+                    and isinstance(values.obj, bytes)):
+                values = memoryview(array("q", values).tobytes()).cast("q")
+            frozen.append((base, values))
+            end = base + WORD * len(values)
+        self.runs = tuple(frozen)
+        self._bases = [base for base, _ in frozen]
+
+    @classmethod
+    def from_words(cls, words: Mapping) -> "WordImage":
+        """The image that storing each entry of *words* in order leaves:
+        keys aligned down to their word, values wrapped to signed 64
+        bits, a later entry winning; a negative address raises."""
+        aligned = {Memory._word_addr(addr): _to_signed(value)
+                   for addr, value in words.items()}
+        runs: List[Tuple[int, List[int]]] = []
+        for word in sorted(aligned):
+            if not runs or word != runs[-1][0] + WORD * len(runs[-1][1]):
+                runs.append((word, []))
+            runs[-1][1].append(aligned[word])
+        return cls(runs)
+
+    @classmethod
+    def join(cls, *images: "WordImage") -> "WordImage":
+        """One image holding the runs of every image (none may overlap)."""
+        return cls(run for image in images for run in image.runs)
+
+    def get(self, word: int, default: Any = None) -> Any:
+        """The value at the word-aligned byte address *word*."""
+        i = bisect_right(self._bases, word) - 1
+        if i >= 0:
+            base, values = self.runs[i]
+            offset = (word - base) >> 3
+            if offset < len(values):
+                return values[offset]
+        return default
+
+    def __getitem__(self, word: int) -> int:
+        value = None if word % WORD else self.get(word)
+        if value is None:
+            raise KeyError(word)
+        return value
+
+    def __iter__(self) -> Iterator[int]:
+        for base, values in self.runs:
+            yield from range(base, base + WORD * len(values), WORD)
+
+    def __len__(self) -> int:
+        return sum(len(values) for _, values in self.runs)
+
+
+class Memory:
+    """Word-addressed functional memory (8-byte words): an initial
+    :class:`WordImage`, read in place, under a private overlay of
+    stores.  A word dict is converted by :meth:`WordImage.from_words`.
     """
 
-    def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
+    def __init__(self, initial: Optional[Mapping] = None) -> None:
         self._stores: Dict[int, int] = {}
-        self._image = image = initial or {}
-        if image and min(image) < 0:
-            self._word_addr(next(a for a in image if a < 0))
-        # C-speed passes: images run to hundreds of thousands of words
-        if image and (any(map((WORD - 1).__and__, image))
-                      or min(image.values()) < _MIN64
-                      or max(image.values()) > _MAX64):
-            # the effect of store() on each entry, in order
-            self._image = {
-                addr - addr % WORD:
-                    value if _MIN64 <= value <= _MAX64 else _to_signed(value)
-                for addr, value in image.items()}
+        self._image = (initial if isinstance(initial, WordImage)
+                       else WordImage.from_words(initial or {}))
 
     @staticmethod
     def _word_addr(addr: int) -> int:
@@ -212,8 +267,8 @@ class Executor:
                 if addr < 0:
                     raise ExecutionError(f"negative address 0x{addr:x}")
                 word = addr - addr % WORD
-                # both store paths wrap and Memory normalises its
-                # image, so every loaded value is already signed 64-bit
+                # both store paths wrap and an image holds signed
+                # 64-bit words, so every loaded value is already one
                 value = stored(word)
                 regs[dst] = image(word, 0) if value is None else value
             elif kind == _STORE:

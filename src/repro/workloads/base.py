@@ -15,10 +15,10 @@ LTP mechanism keys on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.isa.assembler import assemble
-from repro.isa.executor import Executor, Memory
+from repro.isa.executor import Executor, Memory, WordImage
 from repro.isa.program import Program
 from repro.isa.trace import DynInst
 
@@ -37,7 +37,8 @@ class Workload:
     asm: str
     int_regs: Dict[str, int] = field(default_factory=dict)
     fp_regs: Dict[str, int] = field(default_factory=dict)
-    memory_words: Dict[int, int] = field(default_factory=dict)
+    #: the initial memory: a read-only WordImage (or a word dict)
+    memory_words: Mapping[int, int] = field(default_factory=WordImage)
     #: paper checkpoint this kernel stands in for (e.g. "astar/rivers")
     alias: Optional[str] = None
     #: (byte base, word count) regions that a paper-scale warmup (250 M
@@ -58,11 +59,7 @@ class Workload:
         return self._program
 
     def executor(self) -> Executor:
-        """A fresh functional executor positioned at the kernel entry.
-
-        Its memory reads ``memory_words`` in place, so do not mutate
-        ``memory_words`` while one of its executors runs.
-        """
+        """A fresh functional executor positioned at the kernel entry."""
         return Executor(self.program,
                         memory=Memory(self.memory_words),
                         int_regs=dict(self.int_regs),

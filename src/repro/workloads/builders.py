@@ -7,7 +7,10 @@ every experiment — are exactly reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from array import array
+from typing import Tuple
+
+from repro.isa.executor import WordImage
 
 WORD = 8
 BLOCK = 64
@@ -24,37 +27,37 @@ def region_base(slot: int) -> int:
 
 
 def index_array(base: int, length: int, max_index: int,
-                seed: int) -> Dict[int, int]:
+                seed: int) -> WordImage:
     """An array of *length* random word indices in [0, max_index)."""
     rng = random.Random(seed)
-    return {base + i * WORD: rng.randrange(max_index)
-            for i in range(length)}
+    return WordImage([(base, [rng.randrange(max_index)
+                              for _ in range(length)])])
 
 
 def sequential_array(base: int, length: int, start: int = 0,
-                     step: int = 1) -> Dict[int, int]:
+                     step: int = 1) -> WordImage:
     """An array of *length* words holding an arithmetic sequence."""
-    return {base + i * WORD: start + i * step for i in range(length)}
+    return WordImage([(base, [start + i * step for i in range(length)])])
 
 
 def linked_ring(base: int, nodes: int, region_blocks: int,
-                seed: int) -> Tuple[Dict[int, int], int]:
+                seed: int) -> Tuple[WordImage, int]:
     """A circular linked list of *nodes* nodes at random block addresses.
 
     Each node occupies its own cache block inside a region of
     *region_blocks* blocks: word 0 holds the byte address of the next
-    node, word 1 holds a payload value.  Returns (memory, head_address).
-    Traversal therefore produces one irregular block access per node —
-    the pointer-chasing pattern of astar-like code.
+    node, word 1 holds a payload value.  Returns (memory, head_address),
+    the memory one dense run over the region.  Traversal therefore
+    produces one irregular block access per node — the pointer-chasing
+    pattern of astar-like code.
     """
     if nodes > region_blocks:
         raise ValueError("need at least one block per node")
     rng = random.Random(seed)
     block_ids = rng.sample(range(region_blocks), nodes)
     addresses = [base + b * BLOCK for b in block_ids]
-    memory: Dict[int, int] = {}
-    for i, addr in enumerate(addresses):
-        nxt = addresses[(i + 1) % nodes]
-        memory[addr] = nxt
-        memory[addr + WORD] = i * 3 + 1
-    return memory, addresses[0]
+    words = array("q", bytes(region_blocks * BLOCK))
+    for i, block in enumerate(block_ids):
+        words[block * (BLOCK // WORD)] = addresses[(i + 1) % nodes]
+        words[block * (BLOCK // WORD) + 1] = i * 3 + 1
+    return WordImage([(base, words)]), addresses[0]

@@ -33,6 +33,7 @@ stay (correctly) predictable, like SPEC loop branches.
 
 from __future__ import annotations
 
+from repro.isa.executor import WordImage
 from repro.workloads.base import MLP_INSENSITIVE, MLP_SENSITIVE, Workload
 from repro.workloads.builders import (index_array, linked_ring, region_base,
                                       sequential_array)
@@ -93,12 +94,12 @@ def ptrchase_astar(seed: int = 23) -> Workload:
     """
     n_chains = 12
     ring_nodes = 8192  # 512 kB per ring, 6 MB total: misses to DRAM
-    memory = {}
+    rings = []
     heads = []
     for chain in range(n_chains):
         ring, head = linked_ring(region_base(3) + chain * (8 << 20),
                                  ring_nodes, ring_nodes, seed + chain)
-        memory.update(ring)
+        rings.append(ring)
         heads.append(head)
     lines = ["loop:"]
     for chain in range(n_chains):
@@ -127,7 +128,8 @@ def ptrchase_astar(seed: int = 23) -> Workload:
     asm = "\n".join(lines)
     base_idx = region_base(22)
     base_n = region_base(23)
-    memory.update(index_array(base_idx, IDX_LEN, GATHER_WORDS, seed + 99))
+    memory = WordImage.join(
+        *rings, index_array(base_idx, IDX_LEN, GATHER_WORDS, seed + 99))
     int_regs = {f"r{chain + 1}": heads[chain] for chain in range(n_chains)}
     int_regs.update({"r26": 0, "r27": base_idx, "r28": base_n, "r29": 0,
                      "r30": 0, "r31": BIG_LIMIT})
@@ -427,9 +429,9 @@ def btree_probe(seed: int = 71) -> Workload:
     base_internal = region_base(25)
     base_leaf = region_base(26)
     internal_words = 1 << 16          # 512 kB
-    memory = index_array(base_root, IDX_LEN, internal_words, seed)
-    memory.update(index_array(base_internal, internal_words,
-                              GATHER_WORDS, seed + 1))
+    memory = WordImage.join(
+        index_array(base_root, IDX_LEN, internal_words, seed),
+        index_array(base_internal, internal_words, GATHER_WORDS, seed + 1))
     asm = """
     loop:
         ldx  r4, r1, r3        # root lookup        (hit, urgent)
@@ -563,6 +565,7 @@ def blocked_mm() -> Workload:
         int_regs={"r1": base_a, "r2": base_b, "r3": 0, "r10": 511,
                   "r30": 0, "r31": BIG_LIMIT},
         fp_regs={"f8": 0, "f9": 0},
-        memory_words={**sequential_array(base_a, 512, start=1),
-                      **sequential_array(base_b, 512, start=3, step=2)},
+        memory_words=WordImage.join(
+            sequential_array(base_a, 512, start=1),
+            sequential_array(base_b, 512, start=3, step=2)),
     )

@@ -1,9 +1,12 @@
 """Unit tests for the functional executor (architectural semantics)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
-from repro.isa.executor import ExecutionError, Executor, Memory, trace_of
+from repro.isa.executor import (ExecutionError, Executor, Memory, WordImage,
+                                trace_of)
 
 from tests.conftest import make_trace
 
@@ -61,6 +64,46 @@ def test_memory_leaves_a_callers_image_unmodified(image, word_0x108):
     fresh = Memory(image)
     assert [fresh.load(a) for a in (0x100, 0x108, 0x110)] == [
         1, word_0x108, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-24, 0x140),
+                          st.integers(-(1 << 66), 1 << 66)), max_size=24))
+@example([(0x100, 1), (-8, 2)])                       # a negative address
+@example([(0x104, 1), (0x10C, 2)])                    # misaligned keys
+@example([(0x100, 1 << 63), (0x108, -(1 << 63) - 1)])  # wrapping
+@example([(0x100, 1), (0x108, 2), (0x104, 3)])        # a later entry wins
+def test_a_dict_image_loads_as_the_normalised_dict(entries):
+    image = dict(entries)
+    negative = [addr for addr in image if addr < 0]
+    if negative:
+        with pytest.raises(ExecutionError,
+                           match=f"negative address 0x{negative[0]:x}$"):
+            Memory(image)
+        return
+    # what the dict images were normalised to: each key aligned down to
+    # its word, each value wrapped to signed 64 bits, a later entry
+    # winning
+    words = {addr - addr % 8: (value + (1 << 63)) % (1 << 64) - (1 << 63)
+             for addr, value in image.items()}
+    memory = Memory(image)
+    assert [memory.load(addr) for addr in range(0, 0x150)] == [
+        words.get(addr - addr % 8, 0) for addr in range(0, 0x150)]
+
+
+def test_a_word_image_is_sorted_runs_that_read_zero_between_them():
+    image = WordImage.join(WordImage([(0x40, [7, 8])]),
+                           WordImage([(0x0, [1, -2, 3])]))
+    assert [base for base, _ in image.runs] == [0x0, 0x40]
+    assert dict(image) == {0x0: 1, 0x8: -2, 0x10: 3, 0x40: 7, 0x48: 8}
+    assert [image.get(addr, 0) for addr in range(0, 0x58, 8)] == [
+        1, -2, 3, 0, 0, 0, 0, 0, 7, 8, 0]
+    assert 0x18 not in image and 0x4 not in image and len(image) == 5
+    for runs in ([(0x4, [1])], [(-8, [1])], [(0, [1, 2]), (0x8, [3])]):
+        with pytest.raises(ValueError):
+            WordImage(runs)
+    with pytest.raises(OverflowError):
+        WordImage([(0, [1 << 63])])
 
 
 def test_stores_over_a_shared_image_stay_in_their_executor():

@@ -1,10 +1,12 @@
 """Tests for the synthetic workload suite."""
 
 import hashlib
+import random
 import tracemalloc
 
 import pytest
 
+from repro.isa.executor import Memory
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import annotate_trace
 from repro.workloads import (MLP_INSENSITIVE, MLP_SENSITIVE, get_workload,
@@ -117,15 +119,122 @@ def test_a_trace_reads_the_memory_image_without_copying_it():
     assert peak < 1 << 20
 
 
+def image_bytes(workload):
+    return [(base, bytes(values))
+            for base, values in workload.memory_words.runs]
+
+
 @pytest.mark.parametrize("name", ["memset_stream", "indirect_fig2"])
 def test_stores_never_reach_the_memory_image(name):
     workload = get_workload(name)
-    before = dict(workload.memory_words)
+    before = image_bytes(workload)
     first = list(workload.executor().run(3000))
     second = list(workload.executor().run(3000))
     assert any(dyn.is_store for dyn in first)
     assert trace_digest(first) == trace_digest(second)
-    assert workload.memory_words == before
+    assert image_bytes(workload) == before
+
+
+def test_a_workload_memory_image_is_read_only():
+    workload = get_workload("small_ws_ring")
+    head = workload.int_regs["r1"]
+    image = workload.memory_words
+    with pytest.raises(TypeError):
+        image[head] = 0
+    for _, values in image.runs:
+        with pytest.raises(TypeError):
+            values[0] = 1
+    assert image[head] != 0
+
+
+def test_building_ptrchase_astar_peaks_under_10_mb():
+    # a dict image of its 213k words peaked at 23.8 MB
+    tracemalloc.start()
+    try:
+        get_workload("ptrchase_astar")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+
+
+# The dict images the kernels were first built as, from the dict
+# builders' formulas written out here: every workload's image must hold
+# exactly these words, and read 0 everywhere else.
+def dict_index_array(base, length, max_index, seed):
+    rng = random.Random(seed)
+    return {base + i * 8: rng.randrange(max_index) for i in range(length)}
+
+
+def dict_sequential_array(base, length, start=0, step=1):
+    return {base + i * 8: start + i * step for i in range(length)}
+
+
+def dict_linked_ring(base, nodes, region_blocks, seed):
+    rng = random.Random(seed)
+    addresses = [base + b * 64
+                 for b in rng.sample(range(region_blocks), nodes)]
+    memory = {}
+    for i, addr in enumerate(addresses):
+        memory[addr] = addresses[(i + 1) % nodes]
+        memory[addr + 8] = i * 3 + 1
+    return memory
+
+
+def dict_ptrchase_astar():
+    memory = {}
+    for chain in range(12):
+        memory.update(dict_linked_ring(region_base(3) + chain * (8 << 20),
+                                       8192, 8192, 23 + chain))
+    memory.update(dict_index_array(region_base(22), 16384, 1 << 20, 122))
+    return memory
+
+
+DICT_IMAGES = {
+    "indirect_fig2": lambda: dict_index_array(region_base(0), 16384,
+                                              1 << 20, 11),
+    "ptrchase_astar": dict_ptrchase_astar,
+    "sparse_gather": lambda: dict_index_array(region_base(5), 16384,
+                                              1 << 20, 37),
+    "hash_probe": dict,
+    "lattice_milc": lambda: dict_index_array(region_base(8), 16384,
+                                             1 << 20, 53),
+    "stream_triad": dict,
+    "compute_fp": lambda: dict_sequential_array(region_base(16), 1024,
+                                                start=1),
+    "compute_int": dict,
+    "small_ws_ring": lambda: dict_linked_ring(region_base(17), 256, 256,
+                                              67),
+    "stencil_small": lambda: dict_sequential_array(region_base(18), 8192,
+                                                   start=2, step=3),
+    "branchy_compute": dict,
+    "btree_probe": lambda: {
+        **dict_index_array(region_base(24), 16384, 1 << 16, 71),
+        **dict_index_array(region_base(25), 1 << 16, 1 << 20, 72)},
+    "spmv_csr": lambda: dict_index_array(region_base(27), 16384, 1 << 20,
+                                         83),
+    "memset_stream": dict,
+    "blocked_mm": lambda: {
+        **dict_sequential_array(region_base(32), 512, start=1),
+        **dict_sequential_array(region_base(33), 512, start=3, step=2)},
+}
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_every_image_holds_the_dict_builders_words(name):
+    words = DICT_IMAGES[name]()
+    memory = Memory(get_workload(name).memory_words)
+    assert [addr for addr, value in words.items()
+            if memory.load(addr) != value] == []
+    rng = random.Random(name)
+    low, high = ((min(words), max(words)) if words
+                 else (region_base(0), region_base(34)))
+    probes = [low - 8, high + 8] + [
+        rng.randrange(max(0, low - (1 << 20)), high + (1 << 20))
+        for _ in range(4000)]
+    outside = [addr for addr in probes if addr - addr % 8 not in words]
+    assert len(outside) > 1000
+    assert [addr for addr in outside if memory.load(addr) != 0] == []
 
 
 @pytest.mark.parametrize("name", workload_names())
@@ -262,7 +371,9 @@ def test_linked_ring_is_a_cycle():
 
 def test_linked_ring_nodes_on_distinct_blocks():
     memory, head = linked_ring(0x10000, nodes=64, region_blocks=64, seed=2)
-    assert len({a // 64 for a in memory}) == 64
+    # a dense image holds every word of the region: count the blocks
+    # whose words a node wrote (no pointer or payload is 0)
+    assert len({a // 64 for a, value in memory.items() if value}) == 64
 
 
 def test_linked_ring_rejects_overfull():
