@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -115,8 +116,14 @@ def cmd_run(args) -> int:
                                 shard=shard, use_cache=False)
     simulated = sum(1 for r in results if not r.cached)
     label = f"shard {args.shard}" if args.shard else "unsharded"
+    workers = ""
+    if args.jobs != 1:
+        # the pool's workers are reaped children by now
+        peak_mb = resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        workers = f" (pool workers' peak RSS {peak_mb:.1f} MB)"
     print(f"sweep {spec.sweep_id()} {label}: {len(results)} points, "
-          f"{simulated} simulated -> {args.store}")
+          f"{simulated} simulated -> {args.store}{workers}")
     return 0
 
 

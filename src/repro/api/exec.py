@@ -31,7 +31,10 @@ point is simply a batch of one.  Each dispatch pays one trace
 generation, one workload build and one columnar predecode for the
 whole group (the session's trace-cache entry is shared by every
 point), whether it runs inline through a
-:class:`~repro.api.session.BatchRunner` or in a pool worker.
+:class:`~repro.api.session.BatchRunner` or in a pool worker.  The
+entry lives only while the drive has a batch left for its workload:
+inline, it is released after the workload's last batch; a pool worker
+drops its own after the chunk the parent marks ``final``.
 
 Executors only simulate: the result cache is read and written by
 ``Session._drive`` alone, so every point an executor lands is
@@ -197,10 +200,12 @@ def _batches(points: Sequence[_Point],
 # ----------------------------------------------------------------------
 # pool worker functions (module-level: picklable for any start method)
 # ----------------------------------------------------------------------
-def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
-                  ) -> List[Outcome]:
+def _chunk_worker(items: Sequence[Tuple["SimConfig", str]],
+                  final: bool = False) -> List[Outcome]:
     """Simulate one dispatched batch of ``(config, key)`` items in one
     worker round trip (the parent has hashed every config already).
+    *final* says no later batch of the drive uses this workload, so the
+    worker drops its trace-cache entry once the chunk is done.
 
     Every chunk is a trace-homogeneous batch (one workload, one total
     trace length) or a single-point retry, and runs through a
@@ -214,9 +219,9 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
     chunk.
     """
     from repro.api.session import default_session
-    first = items[0][0]
-    runner = default_session().batch_runner(
-        first.workload, first.warmup + first.measure)
+    session, first = default_session(), items[0][0]
+    runner = session.batch_runner(first.workload,
+                                  first.warmup + first.measure)
     outcomes: List[Outcome] = []
     for config, key in items:
         try:
@@ -225,6 +230,8 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]]
             outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0))
         else:
             outcomes.append((None, result.stats, result.wall_time_s))
+    if final:
+        session.release(first.workload)
     return outcomes
 
 
@@ -338,7 +345,9 @@ class ExecutorBackend:
         trace once per batch; each point still starts, finishes,
         retries and lands individually.  *limit* caps the batch size.
         """
-        for batch in _batches(points, limit):
+        batches = _batches(points, limit)
+        last = {batch[0].config.workload: batch for batch in batches}
+        for batch in batches:
             runner = session.batch_runner(*_batch_key(batch[0].config))
             for point in batch:
                 self._start(point, emit)
@@ -352,6 +361,8 @@ class ExecutorBackend:
                         outcome = self._finish(point, result.stats,
                                                result.wall_time_s, emit)
                 yield outcome
+            if last[runner.workload] is batch:
+                session.release(runner.workload)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -478,9 +489,13 @@ class PoolExecutor(ExecutorBackend):
 
         def dispatch(batch: List[_Point]) -> None:
             worker = _chunk_worker  # module global: monkeypatchable
+            workload = batch[0].config.workload
+            final = all(later[0].config.workload != workload
+                        for later in pending)
             try:
                 handle = pool.submit(worker,
-                                     [(p.config, p.key) for p in batch])
+                                     [(p.config, p.key) for p in batch],
+                                     final)
             except BrokenProcessPool as exc:
                 # a worker died before any future reported it: this
                 # batch fails with the pool, like the ones in flight

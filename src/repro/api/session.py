@@ -6,7 +6,8 @@ A :class:`Session` owns all mutable simulation state:
   per workload (LRU beyond a cap) holding everything the points of
   that workload share -- what they need of the built workload, its
   longest trace, the kernel engine's predecode, the oracle annotations
-  and the warmed memory-hierarchy and branch-predictor snapshots,
+  and the warmed memory-hierarchy and branch-predictor snapshots; a
+  batched drive releases each entry after its workload's last batch,
 * the **result cache** (memory + disk, directory configurable via
   ``Session(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` env var),
 * the **execution backend** used for batches
@@ -119,7 +120,9 @@ class PreparedWorkload:
     warmup length and the same geometry.  Each is made on first use
     and kept LRU-bounded.  Traces are deterministic, so a shorter trace
     is a prefix of a longer one: extending the trace drops the
-    predecode but keeps annotations and snapshots.
+    predecode but keeps annotations and snapshots.  The entry holds no
+    reference cycle: dropping it frees all of it by reference count,
+    although :func:`_long_lived` exempted it from the collector.
     """
 
     __slots__ = ("category", "program_len", "warm_regions", "requested",
@@ -237,7 +240,8 @@ class Session:
 
     The trace cache holds at most :data:`TRACE_CACHE_MAX` workloads,
     and each keeps at most :data:`ORACLE_CACHE_MAX` oracle annotations
-    and as many warm snapshots (both read when used).
+    and as many warm snapshots (both read when used).  A batched drive
+    also drops each entry after its workload's last batch (:meth:`release`).
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
@@ -315,6 +319,11 @@ class Session:
         and evicted)."""
         self.get_trace(workload_name, length)
         return self._trace_cache[workload_name]
+
+    def release(self, workload_name: str) -> None:
+        """Drop the workload's trace-cache entry, if any: a batched
+        drive calls this once no batch it has left uses the workload."""
+        self._trace_cache.pop(workload_name, None)
 
     def get_trace_arrays(self, workload_name: str, length: int) -> Any:
         """Columnar predecode of the first *length* instructions.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -54,13 +55,22 @@ class ResultCache:
         return None if found is None else found[0]
 
     def put(self, key: str, value: dict) -> None:
+        """Keep *value* under *key* in memory and on disk; a value JSON
+        cannot encode raises first, and a failed write leaves no file."""
+        data = json.dumps(value).encode()
         self._memory[key] = value
+        tmp = None
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                       suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(value, handle)
+            try:
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            except FileNotFoundError:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, self._path(key))
         except OSError:
-            pass  # disk cache is best-effort; memory cache still holds it
+            # disk cache is best-effort; memory cache still holds it
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)

@@ -3,7 +3,9 @@ verify/check-resume sequence the CI workflow runs (merging with
 ``repro sweep --merge``), on a tiny spec."""
 
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,3 +216,22 @@ def test_ci_sweep_inspect_check_gate(tmp_path):
         == sorted(payload["injected"])
     # the kept store ends healed: no standing quarantine
     assert '"record": "annotation"' in store.read_text()
+
+
+def test_ci_sweep_run_reports_pool_workers_peak_rss(tmp_path):
+    """A pooled ``run`` logs its workers' peak RSS (reaped children);
+    an inline run has no workers to report."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    logged = {}
+    for jobs in ("1", "2"):
+        proc = run_driver(["run", "--spec", str(spec_path), "--jobs", jobs,
+                           "--store", str(tmp_path / f"j{jobs}.jsonl")],
+                          tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        logged[jobs] = re.search(r"pool workers' peak RSS (\d+\.\d) MB",
+                                 proc.stdout)
+    assert logged["1"] is None
+    assert logged["2"] is not None
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert float(logged["2"].group(1)) > 0.0

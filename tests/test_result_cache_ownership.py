@@ -6,6 +6,7 @@ and pool workers never touch a cache directory."""
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +153,69 @@ def test_a_non_object_cache_entry_is_resimulated(tmp_path, entry):
         assert batched.stats == result.stats
         assert store.get(config.key()).stats == result.stats
         assert disk_entry(session, config.key()) == result.stats
+
+
+def _old_writer_bytes(path, value):
+    """What ``ResultCache.put`` wrote before it encoded up front."""
+    with open(path, "w") as handle:
+        json.dump(value, handle)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("value", [
+    {"cycles": 1, "ipc": 0.5, "workload": "stream_triad"},
+    {"nested": {"a": [1, 2.25, None, True]}, "text": "café ✓"},
+    {"nan": float("nan"), "inf": float("inf"), "big": 2 ** 70},
+], ids=["flat", "nested-unicode", "non-finite"])
+def test_put_writes_the_old_writers_bytes(tmp_path, value):
+    cache = ResultCache(str(tmp_path / "cache"))
+    cache.put("k", value)
+    written = (tmp_path / "cache" / "k.json").read_bytes()
+    assert written == _old_writer_bytes(tmp_path / "old.json", value)
+
+
+def test_a_tracked_cache_entry_rewrites_byte_identical(tmp_path):
+    tracked = sorted((Path(__file__).resolve().parents[1]
+                      / ".simcache").glob("*.json"))
+    assert tracked, "the tracked .simcache holds differential fixtures"
+    value = json.loads(tracked[0].read_text())
+    ResultCache(str(tmp_path)).put("k", value)
+    assert (tmp_path / "k.json").read_bytes() == _old_writer_bytes(
+        tmp_path / "old.json", value)
+
+
+def test_a_value_json_cannot_encode_leaves_nothing_behind(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    with pytest.raises(TypeError):
+        cache.put("k", {"a": {1, 2}})
+    assert list(tmp_path.iterdir()) == []
+    assert cache.lookup("k") is None
+
+
+def test_a_failed_disk_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = ResultCache(str(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cache.put("k", {"cycles": 1})
+    assert list(tmp_path.iterdir()) == []
+    # best-effort disk: the memory cache still serves the value
+    assert cache.lookup("k") == ({"cycles": 1}, "memory")
+
+
+def test_put_makes_the_directory_only_when_missing(tmp_path, monkeypatch):
+    made = []
+    real_mkdir = type(tmp_path).mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
+    cache = ResultCache(str(tmp_path / "cache"))
+    for n in range(3):
+        cache.put(f"k{n}", {"cycles": n})
+    assert made == [tmp_path / "cache"]
+    assert ResultCache(str(tmp_path / "cache")).get("k2") == {"cycles": 2}
