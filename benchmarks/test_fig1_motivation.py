@@ -39,7 +39,8 @@ def test_fig1_motivation(benchmark, results_dir):
     # idle at IQ 256.  (The paper also reports lower IQ usage; our
     # insensitive suite includes an L1-resident dependent-load ring
     # whose chain legitimately fills the IQ, so IQ usage is not
-    # asserted — see EXPERIMENTS.md.)
+    # asserted; benchmarks/results/fig1_motivation.txt holds the
+    # measured table, and docs/architecture.md the workload layer.)
     assert (insensitive["IQ:256"]["avg_rf"]
             < sensitive["IQ:256"]["avg_rf"])
     assert (insensitive["IQ:256"]["avg_lq"]

@@ -34,7 +34,7 @@ point), whether it runs inline through a
 :class:`~repro.api.session.BatchRunner` or in a pool worker.  The
 entry lives only while the drive has a batch left for its workload:
 inline, it is released after the workload's last batch; a pool worker
-drops its own after the chunk the parent marks ``final``.
+drops the entries of every workload a chunk names as ``finished``.
 
 Executors only simulate: the result cache is read and written by
 ``Session._drive`` alone, so every point an executor lands is
@@ -201,11 +201,12 @@ def _batches(points: Sequence[_Point],
 # pool worker functions (module-level: picklable for any start method)
 # ----------------------------------------------------------------------
 def _chunk_worker(items: Sequence[Tuple["SimConfig", str]],
-                  final: bool = False) -> List[Outcome]:
+                  finished: Sequence[str] = ()) -> List[Outcome]:
     """Simulate one dispatched batch of ``(config, key)`` items in one
     worker round trip (the parent has hashed every config already).
-    *final* says no later batch of the drive uses this workload, so the
-    worker drops its trace-cache entry once the chunk is done.
+    *finished* names the workloads no later batch of the drive uses,
+    this chunk's own included once it is their last: the worker drops
+    their trace-cache entries once the chunk is done.
 
     Every chunk is a trace-homogeneous batch (one workload, one total
     trace length) or a single-point retry, and runs through a
@@ -230,8 +231,8 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]],
             outcomes.append((f"{type(exc).__name__}: {exc}", None, 0.0))
         else:
             outcomes.append((None, result.stats, result.wall_time_s))
-    if final:
-        session.release(first.workload)
+    for workload in finished:
+        session.release(workload)
     return outcomes
 
 
@@ -479,6 +480,7 @@ class PoolExecutor(ExecutorBackend):
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
         workers = min(jobs, len(points))
+        workloads = {point.config.workload for point in points}
         pending = deque(_batches(
             points, self._resolved_batch_size(len(points), workers)))
         max_inflight = workers * self.BACKLOG_PER_WORKER
@@ -489,13 +491,12 @@ class PoolExecutor(ExecutorBackend):
 
         def dispatch(batch: List[_Point]) -> None:
             worker = _chunk_worker  # module global: monkeypatchable
-            workload = batch[0].config.workload
-            final = all(later[0].config.workload != workload
-                        for later in pending)
+            finished = sorted(workloads - {later[0].config.workload
+                                           for later in pending})
             try:
                 handle = pool.submit(worker,
                                      [(p.config, p.key) for p in batch],
-                                     final)
+                                     finished)
             except BrokenProcessPool as exc:
                 # a worker died before any future reported it: this
                 # batch fails with the pool, like the ones in flight

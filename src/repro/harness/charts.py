@@ -2,8 +2,9 @@
 
 The paper's figures are bar and line charts; these helpers render the
 same data as monospace bar charts (plain and grouped) so `pytest
-benchmarks/` output and EXPERIMENTS.md can show shapes, not just
-numbers.
+benchmarks/` output and sweep summaries can show shapes, not just
+numbers.  README "Parallel sweeps" and ``docs/architecture.md`` say
+where experiments and sweeps come from.
 """
 
 from __future__ import annotations

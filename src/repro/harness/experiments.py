@@ -3,8 +3,8 @@
 Every function sweeps configurations through the default session's
 :meth:`~repro.api.session.Session.run` (cached) and returns a plain
 dict; the matching ``render_*`` function prints the rows or series the
-paper's figure plots.  See DESIGN.md for the experiment index and
-EXPERIMENTS.md for paper-vs-measured results.
+paper's figure plots.  README "Parallel sweeps" shows how to run
+them and ``docs/architecture.md`` where they sit among the layers.
 
 Sweeps parallelise via a plan/execute split: :func:`plan_configs` runs
 an experiment function in *planning mode* — :func:`_run` records every
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.aggregate import (arithmetic_mean, geometric_mean,
-                                      mean_relative_performance)
+from repro.analysis.aggregate import arithmetic_mean, mean_relative_performance
 from repro.analysis.mlp_class import SensitivityInputs, classify
 from repro.api.exec import PoolExecutor
 from repro.api.registry import experiment, renderer
@@ -141,15 +140,51 @@ def run_parallel(experiment: Callable, *args,
     return experiment(*args, **kwargs)
 
 
+def _baselines(names: Sequence[str], core: CoreParams,
+               warmup: Optional[int], measure: Optional[int]
+               ) -> Dict[str, dict]:
+    """Each of *names*' no-LTP run on *core*: what a figure normalises to."""
+    return {n: _run(n, core, no_ltp(), warmup, measure) for n in names}
+
+
+def _compare(group: str, core: CoreParams, ltp: LTPConfig,
+             base: Dict[str, dict], warmup: Optional[int],
+             measure: Optional[int], policy: str = DEFAULT_POLICY,
+             base_core: Optional[CoreParams] = None,
+             ) -> Tuple[List[dict], float, Optional[float]]:
+    """*group*'s runs on *core*/*ltp* under *policy*, against *base*.
+
+    Returns the runs, their mean relative performance and, given the
+    core *base* ran on, their mean IQ/RF ED2P delta (both in %); each
+    workload is normalised to its own baseline first.
+    """
+    names = _group_members(group)
+    runs = [_run(n, core, ltp, warmup, measure, policy) for n in names]
+    perf = mean_relative_performance([int(r["cycles"]) for r in runs],
+                                     [int(base[n]["cycles"]) for n in names])
+    if base_core is None:
+        return runs, perf, None
+    ed2p = arithmetic_mean([
+        relative_ed2p(compute_energy(core, ltp, run, policy=policy),
+                      compute_energy(base_core, no_ltp(), base[name]))
+        for name, run in zip(names, runs)])
+    return runs, perf, ed2p
+
+
 def _group_perf(group: str, core: CoreParams, ltp: LTPConfig,
-                base_cycles: Dict[str, int],
+                base: Dict[str, dict],
                 warmup: Optional[int], measure: Optional[int]) -> float:
     """Mean relative performance of *group* vs. per-workload baselines."""
-    names = _group_members(group)
-    test = [int(_run(n, core, ltp, warmup, measure)["cycles"])
-            for n in names]
-    base = [base_cycles[n] for n in names]
-    return mean_relative_performance(test, base)
+    return _compare(group, core, ltp, base, warmup, measure)[1]
+
+
+def _suites(warmup: Optional[int], measure: Optional[int]
+            ) -> Iterator[Tuple[str, Dict[str, dict]]]:
+    """Each suite with its IQ64/RF128 no-LTP runs, the base of every
+    figure that shrinks the core to IQ32/RF96."""
+    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
+        yield category, _baselines(suite_names(category), baseline_params(),
+                                   warmup, measure)
 
 
 # ======================================================================
@@ -184,16 +219,10 @@ def fig1_motivation(warmup: Optional[int] = None,
     Matches the paper's setup: infinite RF, LQ, SQ and MSHRs, prefetcher
     enabled, so the IQ is the only limiter.
     """
-    def core(iq: Optional[int]) -> CoreParams:
-        params = CoreParams(iq_size=iq, int_regs=None, fp_regs=None,
-                            lq_size=None, sq_size=None)
-        params.mem.mshrs = None
-        return params
-
     configs = [
-        ("IQ:32", core(32), no_ltp()),
-        ("IQ:32+LTP", core(32), limit_ltp("nr+nu")),
-        ("IQ:256", core(256), no_ltp()),
+        ("IQ:32", _limit_core("iq", 32), no_ltp()),
+        ("IQ:32+LTP", _limit_core("iq", 32), limit_ltp("nr+nu")),
+        ("IQ:256", _limit_core("iq", 256), no_ltp()),
     ]
     out: Dict[str, dict] = {"configs": [c[0] for c in configs]}
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
@@ -367,12 +396,9 @@ def fig6_limit_study(resources: Sequence[str] = ("iq", "rf", "lq", "sq"),
     out: Dict[str, dict] = {}
     for resource in resources:
         sizes = SWEEP_SIZES[resource]
-        base_core = _limit_core(resource, SWEEP_BASELINE[resource])
-        base_cycles = {
-            name: int(_run(name, base_core, no_ltp(), warmup,
-                           measure)["cycles"])
-            for group in groups for name in _group_members(group)
-        }
+        base = _baselines([n for g in groups for n in _group_members(g)],
+                          _limit_core(resource, SWEEP_BASELINE[resource]),
+                          warmup, measure)
         table: Dict[str, dict] = {}
         for group in groups:
             series: Dict[str, List[float]] = {}
@@ -380,7 +406,7 @@ def fig6_limit_study(resources: Sequence[str] = ("iq", "rf", "lq", "sq"),
                 ltp = no_ltp() if mode is None else limit_ltp(mode)
                 series[label] = [
                     _group_perf(group, _limit_core(resource, size), ltp,
-                                base_cycles, warmup, measure)
+                                base, warmup, measure)
                     for size in sizes
                 ]
             table[group] = series
@@ -468,40 +494,19 @@ def fig10_impl_tradeoffs(warmup: Optional[int] = None,
     LTP.  The LTP design is the practical one: online UIT-256
     classification, NU-only, DRAM-timer monitor.
     """
-    base_core = baseline_params()
     small_core = ltp_params()
     out: Dict[str, dict] = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base = {n: _run(n, base_core, no_ltp(), warmup, measure)
-                for n in names}
-        base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
-        base_energy = {n: compute_energy(base_core, no_ltp(), r)
-                       for n, r in base.items()}
+    for category, base in _suites(warmup, measure):
+        def point(ltp: LTPConfig) -> dict:
+            _, perf, ed2p = _compare(category, small_core, ltp, base, warmup,
+                                     measure, base_core=baseline_params())
+            return {"perf": perf, "ed2p": ed2p}
 
-        def evaluate(core: CoreParams, ltp: LTPConfig) -> Tuple[float, float]:
-            perfs, ed2ps = [], []
-            for name in names:
-                result = _run(name, core, ltp, warmup, measure)
-                perfs.append(base_cycles[name] / int(result["cycles"]))
-                energy = compute_energy(core, ltp, result)
-                ed2ps.append(relative_ed2p(energy, base_energy[name]))
-            perf_pct = (geometric_mean(perfs) - 1.0) * 100.0
-            return perf_pct, arithmetic_mean(ed2ps)
-
-        series = {}
-        for ports in FIG10_PORTS:
-            row = []
-            for entries in FIG10_ENTRIES:
-                ltp = proposed_ltp().but(entries=entries, ports=ports)
-                perf, ed2p = evaluate(small_core, ltp)
-                row.append({"entries": entries, "perf": perf, "ed2p": ed2p})
-            series[f"{ports}p"] = row
-        no_ltp_perf, no_ltp_ed2p = evaluate(small_core, no_ltp())
-        out[category] = {
-            "series": series,
-            "no_ltp": {"perf": no_ltp_perf, "ed2p": no_ltp_ed2p},
-        }
+        series = {f"{ports}p": [
+            {"entries": entries,
+             **point(proposed_ltp().but(entries=entries, ports=ports))}
+            for entries in FIG10_ENTRIES] for ports in FIG10_PORTS}
+        out[category] = {"series": series, "no_ltp": point(no_ltp())}
     return {"entries": FIG10_ENTRIES, "by_category": out}
 
 
@@ -535,30 +540,22 @@ FIG11_TICKETS = [128, 64, 32, 16, 8, 4]
 def fig11_tickets(warmup: Optional[int] = None,
                   measure: Optional[int] = None) -> dict:
     """Performance vs number of tickets for the NR+NU design."""
-    base_core = baseline_params()
     small_core = ltp_params()
     out: Dict[str, dict] = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base_cycles = {
-            n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
-            for n in names}
-        nr_nu = []
-        for tickets in FIG11_TICKETS:
-            ltp = limit_ltp("nr+nu").but(
-                entries=128, ports=4, tickets=tickets,
-                park_loads=False, park_stores=False, monitor="auto")
-            nr_nu.append(_group_perf(category, small_core, ltp,
-                                     base_cycles, warmup, measure))
-        nu_ltp = limit_ltp("nu").but(entries=128, ports=4,
-                                     park_loads=False, park_stores=False,
-                                     monitor="auto")
-        nu_line = _group_perf(category, small_core, nu_ltp,
-                              base_cycles, warmup, measure)
-        no_ltp_line = _group_perf(category, small_core, no_ltp(),
-                                  base_cycles, warmup, measure)
-        out[category] = {"nr+nu": nr_nu, "nu": nu_line,
-                         "no_ltp": no_ltp_line}
+    for category, base in _suites(warmup, measure):
+        def perf(ltp: LTPConfig) -> float:
+            return _group_perf(category, small_core, ltp, base, warmup,
+                               measure)
+
+        out[category] = {
+            "nr+nu": [perf(limit_ltp("nr+nu").but(
+                entries=128, ports=4, tickets=tickets, park_loads=False,
+                park_stores=False, monitor="auto"))
+                for tickets in FIG11_TICKETS],
+            "nu": perf(limit_ltp("nu").but(
+                entries=128, ports=4, park_loads=False, park_stores=False,
+                monitor="auto")),
+            "no_ltp": perf(no_ltp())}
     return {"tickets": FIG11_TICKETS, "by_category": out}
 
 
@@ -587,20 +584,12 @@ UIT_SIZES = [None, 512, 256, 128, 64]
 def uit_ablation(warmup: Optional[int] = None,
                  measure: Optional[int] = None) -> dict:
     """Performance vs UIT size for the practical NU-only design."""
-    base_core = baseline_params()
     small_core = ltp_params()
-    out = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base_cycles = {
-            n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
-            for n in names}
-        series = []
-        for uit_size in UIT_SIZES:
-            ltp = proposed_ltp().but(uit_size=uit_size)
-            series.append(_group_perf(category, small_core, ltp,
-                                      base_cycles, warmup, measure))
-        out[category] = series
+    out = {category: [_group_perf(category, small_core,
+                                  proposed_ltp().but(uit_size=uit_size),
+                                  base, warmup, measure)
+                      for uit_size in UIT_SIZES]
+           for category, base in _suites(warmup, measure)}
     return {"sizes": UIT_SIZES, "by_category": out}
 
 
@@ -621,23 +610,17 @@ def render_uit_ablation(result: dict) -> str:
 def predictor_ablation(warmup: Optional[int] = None,
                        measure: Optional[int] = None) -> dict:
     """Oracle vs two-level long-latency prediction (paper: <2 points)."""
-    base_core = baseline_params()
     small_core = ltp_params()
     out = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base_cycles = {
-            n: int(_run(n, base_core, no_ltp(), warmup, measure)["cycles"])
-            for n in names}
-        values = {}
-        for predictor in ("oracle", "twolevel"):
-            ltp = limit_ltp("nr+nu").but(
-                entries=128, ports=4, tickets=128,
-                ll_predictor=predictor,
-                park_loads=False, park_stores=False, monitor="auto")
-            values[predictor] = _group_perf(category, small_core, ltp,
-                                            base_cycles, warmup, measure)
-        out[category] = values
+    for category, base in _suites(warmup, measure):
+        out[category] = {
+            predictor: _group_perf(
+                category, small_core, limit_ltp("nr+nu").but(
+                    entries=128, ports=4, tickets=128,
+                    ll_predictor=predictor, park_loads=False,
+                    park_stores=False, monitor="auto"),
+                base, warmup, measure)
+            for predictor in ("oracle", "twolevel")}
     return out
 
 
@@ -658,17 +641,13 @@ def render_predictor_ablation(result: dict) -> str:
 def sensitivity_report(warmup: Optional[int] = None,
                        measure: Optional[int] = None) -> dict:
     """Apply the Section 4.1 rule to every workload."""
-    def core(iq: Optional[int]) -> CoreParams:
-        params = CoreParams(iq_size=iq, int_regs=None, fp_regs=None,
-                            lq_size=None, sq_size=None)
-        params.mem.mshrs = None
-        return params
-
     rows = []
     for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
         for name in suite_names(category):
-            small = _run(name, core(32), no_ltp(), warmup, measure)
-            large = _run(name, core(256), no_ltp(), warmup, measure)
+            small = _run(name, _limit_core("iq", 32), no_ltp(), warmup,
+                         measure)
+            large = _run(name, _limit_core("iq", 256), no_ltp(), warmup,
+                         measure)
             verdict = classify(SensitivityInputs(
                 cycles_small_iq=int(small["cycles"]),
                 cycles_large_iq=int(large["cycles"]),
@@ -716,19 +695,15 @@ def alternatives_comparison(warmup: Optional[int] = None,
 
     out: Dict[str, dict] = {}
     for resource, size in (("iq", 16), ("iq", 32), ("rf", 64), ("rf", 48)):
-        base_core = _limit_core(resource, SWEEP_BASELINE[resource])
+        base = _baselines(suite_names(MLP_SENSITIVE),
+                          _limit_core(resource, SWEEP_BASELINE[resource]),
+                          warmup, measure)
         swept_core = _limit_core(resource, size)
-        base_cycles = {
-            name: int(_run(name, base_core, no_ltp(), warmup,
-                           measure)["cycles"])
-            for name in _group_members(MLP_SENSITIVE)
-        }
-        row = {}
-        for label, ltp in (("no-ltp", no_ltp()), ("wib", wib_ltp()),
-                           ("ltp-nr+nu", limit_ltp("nr+nu"))):
-            row[label] = _group_perf(MLP_SENSITIVE, swept_core, ltp,
-                                     base_cycles, warmup, measure)
-        out[f"{resource}:{size}"] = row
+        out[f"{resource}:{size}"] = {
+            label: _group_perf(MLP_SENSITIVE, swept_core, ltp, base, warmup,
+                               measure)
+            for label, ltp in (("no-ltp", no_ltp()), ("wib", wib_ltp()),
+                               ("ltp-nr+nu", limit_ltp("nr+nu")))}
     return out
 
 
@@ -758,20 +733,16 @@ def wakeup_policy_ablation(warmup: Optional[int] = None,
     out: Dict[str, dict] = {}
     for rf_size in (96, 64, 48):
         core = _limit_core("rf", rf_size)
-        base_core = _limit_core("rf", SWEEP_BASELINE["rf"])
-        base_cycles = {
-            name: int(_run(name, base_core, no_ltp(), warmup,
-                           measure)["cycles"])
-            for name in _group_members(MLP_SENSITIVE)
-        }
-        row = {}
-        for policy in ("rob-position", "eager"):
-            ltp = limit_ltp("nu").but(wakeup_policy=policy,
-                                      park_loads=False, park_stores=False,
-                                      monitor="on")
-            row[policy] = _group_perf(MLP_SENSITIVE, core, ltp,
-                                      base_cycles, warmup, measure)
-        out[f"rf:{rf_size}"] = row
+        base = _baselines(suite_names(MLP_SENSITIVE),
+                          _limit_core("rf", SWEEP_BASELINE["rf"]),
+                          warmup, measure)
+        out[f"rf:{rf_size}"] = {
+            policy: _group_perf(
+                MLP_SENSITIVE, core, limit_ltp("nu").but(
+                    wakeup_policy=policy, park_loads=False,
+                    park_stores=False, monitor="on"),
+                base, warmup, measure)
+            for policy in ("rob-position", "eager")}
     return out
 
 
@@ -798,35 +769,19 @@ def headline_summary(warmup: Optional[int] = None,
     Baseline IQ64/RF128 vs the shrunken IQ32/RF96 core with and without
     the proposed LTP: performance and IQ/RF ED2P deltas.
     """
-    base_core = baseline_params()
     small_core = ltp_params()
     out: Dict[str, dict] = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base = {n: _run(n, base_core, no_ltp(), warmup, measure)
-                for n in names}
-        base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
-        base_energy = {n: compute_energy(base_core, no_ltp(), r)
-                       for n, r in base.items()}
-
-        def evaluate(ltp: LTPConfig) -> dict:
-            perfs, ed2ps, enabled = [], [], []
-            for name in names:
-                result = _run(name, small_core, ltp, warmup, measure)
-                perfs.append(base_cycles[name] / int(result["cycles"]))
-                energy = compute_energy(small_core, ltp, result)
-                ed2ps.append(relative_ed2p(energy, base_energy[name]))
-                enabled.append(result["ltp_enabled_fraction"])
-            return {
-                "perf_pct": (geometric_mean(perfs) - 1.0) * 100.0,
-                "ed2p_pct": arithmetic_mean(ed2ps),
-                "enabled_pct": 100.0 * arithmetic_mean(enabled),
-            }
-
-        out[category] = {
-            "no_ltp": evaluate(no_ltp()),
-            "proposed": evaluate(proposed_ltp()),
-        }
+    for category, base in _suites(warmup, measure):
+        out[category] = {}
+        for label, ltp in (("no_ltp", no_ltp()),
+                           ("proposed", proposed_ltp())):
+            runs, perf, ed2p = _compare(category, small_core, ltp, base,
+                                        warmup, measure,
+                                        base_core=baseline_params())
+            out[category][label] = {
+                "perf_pct": perf, "ed2p_pct": ed2p,
+                "enabled_pct": 100.0 * arithmetic_mean(
+                    [r["ltp_enabled_fraction"] for r in runs])}
     return out
 
 
@@ -869,35 +824,21 @@ def policy_comparison(warmup: Optional[int] = None,
     sweep axis.
     """
     chosen = list(policies) if policies is not None else policy_names()
-    base_core = baseline_params()
     small_core = ltp_params()
     ltp = proposed_ltp()
     out: Dict[str, dict] = {}
-    for category in (MLP_SENSITIVE, MLP_INSENSITIVE):
-        names = suite_names(category)
-        base = {n: _run(n, base_core, no_ltp(), warmup, measure)
-                for n in names}
-        base_cycles = {n: int(r["cycles"]) for n, r in base.items()}
-        base_energy = {n: compute_energy(base_core, no_ltp(), r)
-                       for n, r in base.items()}
-        per_policy: Dict[str, dict] = {}
+    for category, base in _suites(warmup, measure):
+        out[category] = {}
         for policy in chosen:
-            perfs, parked, ed2ps = [], [], []
-            for name in names:
-                result = _run(name, small_core, ltp, warmup, measure,
-                              policy=policy)
-                perfs.append(base_cycles[name] / int(result["cycles"]))
-                committed = max(1, int(result["committed"]))
-                parked.append(result["ltp_parked"] / committed)
-                energy = compute_energy(small_core, ltp, result,
-                                        policy=policy)
-                ed2ps.append(relative_ed2p(energy, base_energy[name]))
-            per_policy[policy] = {
-                "perf_pct": (geometric_mean(perfs) - 1.0) * 100.0,
-                "parked_frac": arithmetic_mean(parked),
-                "ed2p_pct": arithmetic_mean(ed2ps),
-            }
-        out[category] = per_policy
+            runs, perf, ed2p = _compare(category, small_core, ltp, base,
+                                        warmup, measure, policy,
+                                        baseline_params())
+            out[category][policy] = {
+                "perf_pct": perf,
+                "parked_frac": arithmetic_mean(
+                    [r["ltp_parked"] / max(1, int(r["committed"]))
+                     for r in runs]),
+                "ed2p_pct": ed2p}
     return {"policies": chosen, "by_category": out}
 
 
@@ -921,6 +862,18 @@ def render_policy_comparison(result: dict) -> str:
 # ======================================================================
 # named sweep presets (``repro sweep NAME`` / scripts/ci_sweep.py)
 # ======================================================================
+def _preset(workloads: Optional[Sequence[str]], ltp: LTPConfig,
+            axes: Dict[str, list], warmup: Optional[int],
+            measure: Optional[int]) -> SweepSpec:
+    """A sweep of *axes* on the IQ32/RF96 core over *workloads* (the
+    full kernel suite when ``None``)."""
+    return SweepSpec(
+        workloads=(list(workloads) if workloads is not None
+                   else _full_suite_names()),
+        core=ltp_params(), ltp=ltp, warmup=warmup, measure=measure,
+        axes=axes)
+
+
 def ltp_queue_sweep(workloads: Optional[Sequence[str]] = None,
                     warmup: Optional[int] = None,
                     measure: Optional[int] = None) -> SweepSpec:
@@ -931,15 +884,9 @@ def ltp_queue_sweep(workloads: Optional[Sequence[str]] = None,
     kernel suite — the axis product behind the paper's headline
     figures, and the sweep CI shards four ways.
     """
-    names = (list(workloads) if workloads is not None
-             else _full_suite_names())
-    return SweepSpec(
-        workloads=names,
-        core=ltp_params(),
-        ltp=proposed_ltp().but(enabled=False),
-        warmup=warmup, measure=measure,
-        axes={"core.iq_size": [16, 32, 64],
-              "ltp.enabled": [False, True]})
+    return _preset(workloads, proposed_ltp().but(enabled=False),
+                   {"core.iq_size": [16, 32, 64],
+                    "ltp.enabled": [False, True]}, warmup, measure)
 
 
 def policy_compare_sweep(workloads: Optional[Sequence[str]] = None,
@@ -954,15 +901,9 @@ def policy_compare_sweep(workloads: Optional[Sequence[str]] = None,
     (oracle / random / depth parking) on identical cores and budgets,
     shardable and resumable like any other sweep.
     """
-    names = (list(workloads) if workloads is not None
-             else _full_suite_names())
-    return SweepSpec(
-        workloads=names,
-        core=ltp_params(),
-        ltp=proposed_ltp(),
-        warmup=warmup, measure=measure,
-        axes={"policy": (list(policies) if policies is not None
-                         else policy_names())})
+    return _preset(workloads, proposed_ltp(),
+                   {"policy": (list(policies) if policies is not None
+                               else policy_names())}, warmup, measure)
 
 
 #: the ``learned-compare`` contenders: both reference points (perfect
@@ -985,15 +926,10 @@ def learned_compare_sweep(workloads: Optional[Sequence[str]] = None,
     in between.  Identical cores and budgets; ``summarize()`` breaks
     the result down per policy with ED2P deltas against ``ltp``.
     """
-    names = (list(workloads) if workloads is not None
-             else _full_suite_names())
-    return SweepSpec(
-        workloads=names,
-        core=ltp_params(),
-        ltp=proposed_ltp(),
-        warmup=warmup, measure=measure,
-        axes={"policy": (list(policies) if policies is not None
-                         else list(LEARNED_COMPARE_POLICIES))})
+    return _preset(workloads, proposed_ltp(),
+                   {"policy": list(policies if policies is not None
+                                   else LEARNED_COMPARE_POLICIES)},
+                   warmup, measure)
 
 
 #: name -> zero-config SweepSpec factory; ``repro sweep <name>`` and the
@@ -1042,20 +978,16 @@ def resolve_sweep_spec(text: str, warmup: Optional[int] = None,
     if path.is_file():
         with open(path) as handle:
             spec = SweepSpec.from_dict(json.load(handle))
-        if warmup is not None:
-            spec.warmup = warmup
-        if measure is not None:
-            spec.measure = measure
-        if engine is not None:
-            spec.engine = engine
-        return spec
-    try:
-        spec = sweep_preset(text, warmup=warmup, measure=measure)
-        if engine is not None:
-            spec.engine = engine
-        return spec
-    except KeyError:
-        presets = ", ".join(sweep_preset_names()) or "none"
-        raise ValueError(
-            f"sweep spec {text!r} is neither a JSON file nor a "
-            f"registered preset (presets: {presets})") from None
+    else:
+        try:
+            spec = sweep_preset(text)
+        except KeyError:
+            presets = ", ".join(sweep_preset_names()) or "none"
+            raise ValueError(
+                f"sweep spec {text!r} is neither a JSON file nor a "
+                f"registered preset (presets: {presets})") from None
+    for name, value in (("warmup", warmup), ("measure", measure),
+                        ("engine", engine)):
+        if value is not None:
+            setattr(spec, name, value)
+    return spec

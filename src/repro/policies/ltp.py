@@ -77,7 +77,11 @@ class LTPPolicy(ParkingPolicy):
     def parks(cls, ltp: LTPConfig) -> bool:
         return cls.configure(ltp).enabled
 
-    uses_uit = parks  # the UIT is clocked with the queue
+    @classmethod
+    def uses_uit(cls, ltp: LTPConfig) -> bool:
+        # clocked with the queue; only the online classifier has a UIT
+        ltp = cls.configure(ltp)
+        return ltp.enabled and ltp.classifier == "online"
 
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None) -> None:

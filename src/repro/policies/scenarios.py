@@ -60,10 +60,6 @@ class OracleParkPolicy(LTPPolicy):
         return ltp.but(enabled=True, classifier="oracle",
                        ll_predictor="oracle", monitor="on", uit_size=None)
 
-    @classmethod
-    def uses_uit(cls, ltp: LTPConfig) -> bool:
-        return False
-
     def __init__(self, ltp: LTPConfig, dram_latency: int,
                  oracle: Optional[OracleInfo] = None) -> None:
         if oracle is None:

@@ -142,11 +142,11 @@ def test_serial_retries_exhaust_and_surface_on_future(tmp_path):
 _REAL_CHUNK_WORKER = exec_mod._chunk_worker
 
 
-def _crashing_chunk_worker(items, final=False):
+def _crashing_chunk_worker(items, finished=()):
     raise RuntimeError("worker process crashed")
 
 
-def _crash_once_chunk_worker(items, final=False):
+def _crash_once_chunk_worker(items, finished=()):
     marker = os.environ["REPRO_TEST_CRASH_MARKER"]
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
@@ -154,7 +154,7 @@ def _crash_once_chunk_worker(items, final=False):
         raise RuntimeError("first-attempt crash")
     # the saved original: exec_mod._chunk_worker is monkeypatched to
     # *this* function
-    return _REAL_CHUNK_WORKER(items, final)
+    return _REAL_CHUNK_WORKER(items, finished)
 
 
 def test_chunk_worker_takes_keys_and_hashes_nothing(fresh_session,
@@ -233,7 +233,7 @@ def _kill_this_worker(death="sigkill"):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _kill_once_chunk_worker(items, final=False):
+def _kill_once_chunk_worker(items, finished=()):
     """SIGKILL the worker the first time the chosen point reaches it."""
     marker = os.environ["REPRO_TEST_KILL_MARKER"]
     victim = os.environ["REPRO_TEST_KILL_KEY"]
@@ -242,10 +242,10 @@ def _kill_once_chunk_worker(items, final=False):
         with open(marker, "w") as handle:
             handle.write("killed")
         _kill_this_worker()
-    return _REAL_CHUNK_WORKER(items, final)
+    return _REAL_CHUNK_WORKER(items, finished)
 
 
-def _always_kill_chunk_worker(items, final=False):
+def _always_kill_chunk_worker(items, finished=()):
     _kill_this_worker(os.environ["REPRO_TEST_DEATH"])
 
 

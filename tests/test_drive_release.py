@@ -1,11 +1,12 @@
 """A batched drive keeps a workload's trace-cache entry only while a
 batch it has left uses that workload: inline it releases the entry
-after the workload's last batch, and a pool worker drops its entry
-after the final chunk the parent sends it."""
+after the workload's last batch, and a pool worker drops the entries
+of the workloads each chunk names as finished."""
 
 import gc
 import multiprocessing
 import os
+import time
 import tracemalloc
 
 import pytest
@@ -108,9 +109,9 @@ def test_chunk_worker_drops_its_entry_after_the_final_chunk(
     items = [(config, config.key())
              for config in (config_for("compute_int"),
                             config_for("compute_int", iq=32))]
-    exec_mod._chunk_worker(items[:1], False)
+    exec_mod._chunk_worker(items[:1], ())
     assert list(fresh_session._trace_cache) == ["compute_int"]
-    outcomes = exec_mod._chunk_worker(items[1:], True)
+    outcomes = exec_mod._chunk_worker(items[1:], ["compute_int"])
     assert [error for error, _, _ in outcomes] == [None]
     assert not fresh_session._trace_cache
 
@@ -118,10 +119,22 @@ def test_chunk_worker_drops_its_entry_after_the_final_chunk(
 _REAL_CHUNK_WORKER = exec_mod._chunk_worker
 
 
-def _recording_chunk_worker(items, final=False):
+def _recording_chunk_worker(items, finished=()):
+    final = items[0][0].workload in finished
     with open(os.environ["REPRO_TEST_CHUNK_LOG"], "a") as log:
         log.write(f"{items[0][1]} {int(final)}\n")
-    return _REAL_CHUNK_WORKER(items, final)
+    return _REAL_CHUNK_WORKER(items, finished)
+
+
+def _holding_chunk_worker(items, finished=()):
+    """Run the chunk, then log its first key and the workloads whose
+    entries this worker still holds."""
+    outcomes = _REAL_CHUNK_WORKER(items, finished)
+    held = " ".join(sorted(session_mod.default_session()._trace_cache))
+    with open(os.environ["REPRO_TEST_CHUNK_LOG"], "a") as log:
+        log.write(f"{items[0][1]} {held}\n")
+    time.sleep(0.05)  # let the other worker take the next chunk
+    return outcomes
 
 
 @pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
@@ -140,3 +153,29 @@ def test_pool_marks_only_each_workloads_last_chunk_final(tmp_path,
     final = dict(line.split() for line in chunk_log.read_text().splitlines())
     assert final == {config.key(): "1" if n in (2, 5) else "0"
                      for n, config in enumerate(configs)}
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_no_worker_keeps_a_workload_after_its_last_chunk_went_out(
+        fresh_session, tmp_path, monkeypatch):
+    """Chunks go out in batch order; after chunk *i*, a worker holds
+    only workloads with a batch after *i*, whichever worker ran the
+    earlier chunks of a workload.  (Workers fork the default session,
+    which ``fresh_session`` empties.)"""
+    chunk_log = tmp_path / "chunks.log"
+    monkeypatch.setenv("REPRO_TEST_CHUNK_LOG", str(chunk_log))
+    monkeypatch.setattr(exec_mod, "_chunk_worker", _holding_chunk_worker)
+    spec = SweepSpec(workloads=["compute_int", "lattice_milc",
+                                "stream_triad"],
+                     warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32, 48, 64]})
+    configs = spec.expand()
+    chunk_of = {config.key(): n // 2 for n, config in enumerate(configs)}
+    last_chunk = {config.workload: n // 2
+                  for n, config in enumerate(configs)}
+    fresh_session.sweep(spec, use_cache=False,
+                        backend=PoolExecutor(jobs=2, batch_size=2))
+    lines = [line.split() for line in chunk_log.read_text().splitlines()]
+    assert sorted(chunk_of[key] for key, *_ in lines) == list(range(6))
+    for key, *held in lines:
+        assert [w for w in held if last_chunk[w] <= chunk_of[key]] == []

@@ -33,7 +33,7 @@ T, F = True, False
 #: charges the UIT)
 FACTS = {
     "ltp": {"no-ltp": (F, F, F), "proposed": (T, T, T),
-            "limit": (T, T, T), "oracle-disabled": (T, F, F)},
+            "limit": (T, T, F), "oracle-disabled": (T, F, F)},
     "baseline-stall": {"no-ltp": (F, F, F), "proposed": (F, F, F),
                        "limit": (T, F, F), "oracle-disabled": (T, F, F)},
     "oracle-park": dict.fromkeys(CONFIGS, (T, T, F)),
