@@ -200,6 +200,13 @@ def _batches(points: Sequence[_Point],
 # ----------------------------------------------------------------------
 # pool worker functions (module-level: picklable for any start method)
 # ----------------------------------------------------------------------
+def _worker_init() -> None:
+    """Pool initializer: empty the memory caches of the default session
+    a worker forked, so it holds only what its own chunks prepare."""
+    from repro.api.session import default_session
+    default_session().clear_memory_caches()
+
+
 def _chunk_worker(items: Sequence[Tuple["SimConfig", str]],
                   finished: Sequence[str] = ()) -> List[Outcome]:
     """Simulate one dispatched batch of ``(config, key)`` items in one
@@ -211,9 +218,10 @@ def _chunk_worker(items: Sequence[Tuple["SimConfig", str]],
     Every chunk is a trace-homogeneous batch (one workload, one total
     trace length) or a single-point retry, and runs through a
     :class:`~repro.api.session.BatchRunner` of the worker's default
-    session (forked from the parent's), which only supplies the trace
-    cache: one trace generation, one workload build, one predecode for
-    the whole chunk.  The worker touches no result cache; the parent's
+    session (forked from the parent's and emptied by
+    :func:`_worker_init`), which only supplies the trace cache: one
+    trace generation, one workload build, one predecode for the whole
+    chunk.  The worker touches no result cache; the parent's
     ``Session._drive`` writes it.  Each point comes back as one
     :data:`Outcome`, a failure in-band as its error text, so one bad
     point costs one single-item retry instead of re-failing the whole
@@ -413,8 +421,9 @@ class PoolExecutor(ExecutorBackend):
     one predecode per dispatch.  Per-point failures come back in-band
     and are redispatched singly with per-point ``attempts``, so one
     bad point cannot re-fail a whole batch.  Workers run on their
-    forked default session, which supplies only the trace cache: they
-    never touch a result-cache directory.
+    forked default session, emptied as each worker starts, which
+    supplies only the trace cache: they never touch a result-cache
+    directory.
 
     The pool is a ``concurrent.futures.ProcessPoolExecutor`` (``fork``
     workers where the platform has them), made per ``run()`` call and
@@ -485,9 +494,13 @@ class PoolExecutor(ExecutorBackend):
             points, self._resolved_batch_size(len(points), workers)))
         max_inflight = workers * self.BACKLOG_PER_WORKER
 
+        def new_pool() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                       initializer=_worker_init)
+
         #: pool future -> the points it runs
         inflight: "Dict[Future, List[_Point]]" = {}
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        pool = new_pool()
 
         def dispatch(batch: List[_Point]) -> None:
             worker = _chunk_worker  # module global: monkeypatchable
@@ -552,8 +565,7 @@ class PoolExecutor(ExecutorBackend):
                     pool.shutdown(wait=True)
                     for handle in list(inflight):
                         land(handle, retries, landed)
-                    pool = ProcessPoolExecutor(max_workers=workers,
-                                               mp_context=ctx)
+                    pool = new_pool()
                 for point in retries:
                     dispatch([point])
                 fill_window()

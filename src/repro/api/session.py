@@ -110,7 +110,8 @@ class PreparedWorkload:
 
     Holds what a point needs of the built workload (category, program
     length, warm regions; not the workload object itself, whose memory
-    image can run to tens of megabytes), the longest trace generated so
+    image runs to 6.1 MiB for ``ptrchase_astar`` and 7.3 MiB over all
+    15 workloads), the longest trace generated so
     far (with the longest length ever requested: a trace shorter than
     that means the workload halts there and the trace is complete), the
     kernel engine's columnar predecode of that trace, oracle

@@ -38,9 +38,10 @@ from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import CoreParams
-from repro.harness.config import SimConfig, core_from_dict, ltp_from_dict
+from repro.harness.config import (ENGINES, SimConfig, core_from_dict,
+                                  ltp_from_dict)
 from repro.ltp.config import LTPConfig
-from repro.policies.registry import DEFAULT_POLICY
+from repro.policies.registry import DEFAULT_POLICY, policy_names
 
 #: axis paths that address the simulation budgets directly
 _BUDGET_AXES = ("warmup", "measure")
@@ -143,6 +144,9 @@ class SweepSpec:
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
 
     def validate(self) -> "SweepSpec":
+        """Check the spec's shape, its budgets (plain integers) and its
+        policy and engine names, base and axis values alike, raising
+        ``ValueError``."""
         if not self.workloads:
             raise ValueError("a sweep needs at least one workload")
         for path, values in self.axes.items():
@@ -150,7 +154,30 @@ class SweepSpec:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(
                     f"axis {path!r} needs a non-empty list of values")
+        for path in _BUDGET_AXES:
+            for value in self._values(path):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"sweep {path!r} must be an integer, "
+                                     f"got {value!r}")
+        known = policy_names()
+        for policy in self._values(_POLICY_AXIS):
+            if policy not in known:
+                raise ValueError(
+                    f"unknown allocation policy {policy!r} "
+                    f"(registered: {', '.join(known)})")
+        for engine in self._values(_ENGINE_AXIS):
+            if engine not in ENGINES:
+                raise ValueError(
+                    f"unknown engine {engine!r}: expected one of "
+                    f"{', '.join(ENGINES)}")
         return self
+
+    def _values(self, path: str) -> tuple:
+        """The base field *path* names (unless ``None``), then the
+        values of its axis."""
+        base = getattr(self, path)
+        return ((base,) if base is not None else ()) + tuple(
+            self.axes.get(path, ()))
 
     def expand(self) -> List[SimConfig]:
         """The sweep's validated configurations, in deterministic order."""
@@ -170,9 +197,9 @@ class SweepSpec:
                     if path in _BUDGET_AXES:
                         budgets[path] = value
                     elif path == _POLICY_AXIS:
-                        policy = str(value)
+                        policy = value
                     elif path == _ENGINE_AXIS:
-                        engine = str(value)
+                        engine = value
                     elif prefix == "core":
                         core_overrides[name] = value
                     else:
@@ -189,7 +216,7 @@ class SweepSpec:
                 if self.measure is not None:
                     config.measure = self.measure
                 for name, value in budgets.items():
-                    setattr(config, name, int(value))
+                    setattr(config, name, value)
                 configs.append(config.validate())
         return configs
 
@@ -254,8 +281,9 @@ class SweepSpec:
         """The spec a :meth:`to_dict` payload describes.
 
         A payload of the wrong shape raises ``ValueError`` naming the
-        field: ``workloads`` must be a list of names, ``axes`` an
-        object mapping each path to a list of values.
+        field: ``workloads`` must be a list of names, ``warmup`` and
+        ``measure`` plain integers (or absent), ``axes`` an object
+        mapping each path to a list of values.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a sweep payload must be an object, got "
@@ -292,9 +320,6 @@ class SweepSpec:
                   else CoreParams()),
             ltp=(ltp_from_dict(ltp_data) if ltp_data is not None
                  else LTPConfig()),
-            warmup=None if warmup is None else int(warmup),
-            measure=None if measure is None else int(measure),
-            policy=str(policy),
-            engine=None if engine is None else str(engine),
+            warmup=warmup, measure=measure, policy=policy, engine=engine,
             axes={path: list(values) for path, values in axes.items()})
         return spec.validate()

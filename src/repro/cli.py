@@ -306,18 +306,8 @@ def cmd_classify(args, out) -> int:
     workload = get_workload(args.workload)
     trace = workload.trace(args.insts)
     oracle = annotate_trace(trace, warm_regions=workload.warm_regions)
-    per_pc = {}
-    for i, dyn in enumerate(trace):
-        entry = per_pc.setdefault(dyn.pc, [0, 0, 0])
-        entry[0] += 1
-        entry[1] += oracle.urgent[i]
-        entry[2] += oracle.non_ready[i]
-    rows = []
-    for pc in sorted(per_pc):
-        count, urgent, non_ready = per_pc[pc]
-        label = (("U" if urgent / count > 0.5 else "NU") + "+"
-                 + ("NR" if non_ready / count > 0.5 else "R"))
-        rows.append([pc, workload.program[pc].render(), label, count])
+    rows = [[pc, workload.program[pc].render(), label, count]
+            for pc, (label, count) in oracle.pc_classes(trace).items()]
     print(render_table(["pc", "instruction", "class", "executions"],
                        rows, title=f"Classification of {workload.name}"),
           file=out)

@@ -57,8 +57,8 @@ every object-vs-kernel comparison checks against per-cycle retries:
   ``repeat_rejection()``.
 * *Stall-span jump*: a tick whose pending work only repeats a first
   rename attempt stalled with nothing but counters moved (a ROB
-  stall, or one whose ``stall_marks`` guard held: every registered
-  policy overrides the base policy's, whose fresh guard never holds)
+  stall, or one whose ``stall_marks`` guard held; a policy whose
+  guard is a fresh object on every call never qualifies)
   and loads gated at the current version jumps to the next event or
   MSHR expiry, charging the repeats in bulk (stall and classification
   counts, ``repeat_stall``, ``stall_frontend``,
@@ -353,7 +353,7 @@ class KernelPipeline(Pipeline):
         monitor_auto = self._monitor_auto
 
         # stall-span jump (module docstring): marks around a stalled
-        # rename attempt; the base policy's fresh guard never holds
+        # rename attempt; a guard that is fresh on every call never holds
         stall_marks = policy.stall_marks if allow_skip else None
         repeat_stall = policy.repeat_stall
         # inert commit and load hooks are None and skipped

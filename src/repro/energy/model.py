@@ -28,7 +28,7 @@ from typing import Optional
 
 from repro.core.params import CoreParams
 from repro.ltp.config import LTPConfig
-from repro.policies.registry import DEFAULT_POLICY, policy_info
+from repro.policies.registry import DEFAULT_POLICY, policy_class
 
 #: architectural registers per class (the RF holds available + architectural)
 ARCH_REGS = 32
@@ -112,12 +112,12 @@ def compute_energy(params: CoreParams, ltp: LTPConfig,
                   + _effective(params.fp_regs) + ARCH_REGS)
     rf_energy = COST_RF_RAM * rf_entries * rf_ports(params) * cycles
 
-    policy_class = policy_info(policy).factory
+    cls = policy_class(policy)
     ltp_energy = 0.0
     uit_energy = 0.0
     enabled_frac = (result["ltp_enabled_fraction"]
-                    if policy_class.power_gated else 1.0)
-    if policy_class.parks(ltp):
+                    if cls.power_gated else 1.0)
+    if cls.parks(ltp):
         ltp_entries = _effective(ltp.entries)
         ltp_static = COST_LTP_RAM * ltp_entries * ltp.ports
         ltp_util = min(1.0, result["avg_ltp"] / max(1, ltp_entries))
@@ -125,7 +125,7 @@ def compute_energy(params: CoreParams, ltp: LTPConfig,
         # always-on share remains
         ltp_energy = ltp_static * cycles * (
             0.1 + enabled_frac * (0.5 + 0.4 * ltp_util))
-    if policy_class.uses_uit(ltp):
+    if cls.uses_uit(ltp):
         uit_entries = _effective(ltp.uit_size)
         uit_static = COST_UIT_CAM * uit_entries * 2  # lookup + insert port
         uit_energy = uit_static * cycles * (0.1 + 0.9 * enabled_frac)

@@ -276,30 +276,9 @@ def fig2_classification(measure: int = 4000) -> dict:
     workload = get_workload("indirect_fig2")
     trace = workload.trace(measure)
     oracle = annotate_trace(trace)
-    program = workload.program
-    n_static = len(program)
-    urgent_votes = [0] * n_static
-    nonready_votes = [0] * n_static
-    counts = [0] * n_static
-    for i, dyn in enumerate(trace):
-        counts[dyn.pc] += 1
-        if oracle.urgent[i]:
-            urgent_votes[dyn.pc] += 1
-        if oracle.non_ready[i]:
-            nonready_votes[dyn.pc] += 1
-    rows = []
-    for pc in range(n_static):
-        if counts[pc] == 0:
-            continue
-        urgent = urgent_votes[pc] / counts[pc] > 0.5
-        nonready = nonready_votes[pc] / counts[pc] > 0.5
-        label = ("U" if urgent else "NU") + "+" + ("NR" if nonready else "R")
-        rows.append({
-            "pc": pc,
-            "text": program[pc].render(),
-            "class": label,
-        })
-    return {"rows": rows}
+    return {"rows": [
+        {"pc": pc, "text": workload.program[pc].render(), "class": label}
+        for pc, (label, _) in oracle.pc_classes(trace).items()]}
 
 
 @renderer("fig2")

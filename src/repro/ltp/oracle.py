@@ -24,7 +24,7 @@ granularity is what an unlimited UIT converges to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instructions import OpClass
 from repro.isa.trace import DynInst
@@ -53,6 +53,27 @@ class OracleInfo:
 
     def is_long_latency(self, seq: int) -> bool:
         return self.long_latency[seq]
+
+    def pc_classes(self, trace: Sequence[DynInst]
+                   ) -> Dict[int, Tuple[str, int]]:
+        """Per static PC of *trace* (the trace this annotates), in PC
+        order: its majority class (``"U"``/``"NU"`` + ``"NR"``/``"R"``,
+        each by a strict majority of its executions) and its execution
+        count."""
+        votes: Dict[int, List[int]] = {}
+        for dyn, urgent, non_ready in zip(trace, self.urgent,
+                                          self.non_ready):
+            entry = votes.setdefault(dyn.pc, [0, 0, 0])
+            entry[0] += 1
+            entry[1] += urgent
+            entry[2] += non_ready
+        classes = {}
+        for pc in sorted(votes):
+            count, urgent, non_ready = votes[pc]
+            label = (("U" if urgent / count > 0.5 else "NU") + "+"
+                     + ("NR" if non_ready / count > 0.5 else "R"))
+            classes[pc] = (label, count)
+        return classes
 
     def summary(self) -> dict:
         n = max(1, len(self.long_latency))

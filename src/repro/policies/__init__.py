@@ -5,8 +5,9 @@ The layer between rename and the back-end resources: an
 allocate its IQ slot / physical register / LQ-SQ entries now
 ("dispatch"), defer them into a parking structure ("park"), or stall
 rename; and decides when parked instructions wake.  The paper's Long
-Term Parking is one registered policy among several, and one
-:class:`ParkingPolicy` among the parkers — see
+Term Parking is one registered policy among several, all
+:class:`AllocationPolicy` subclasses that differ in who parks and how
+parked instructions wake — see
 :mod:`repro.policies.base` for the hook surface and the facts each
 policy class states about itself, and :mod:`repro.policies.registry`
 for how names resolve.
@@ -27,16 +28,14 @@ Built-in policies:
 ========================  ============================================
 """
 
-from repro.policies.base import (DISPATCH, PARK, STALL, AllocationPolicy,
-                                 ParkingPolicy)
+from repro.policies.base import DISPATCH, PARK, STALL, AllocationPolicy
 from repro.policies.learned import (ConfidenceParkPolicy,
                                     LoadPredParkPolicy, ModelParkPolicy)
 from repro.policies.ltp import BaselineStallPolicy, LTPPolicy
-from repro.policies.registry import (DEFAULT_POLICY, PolicyInfo,
-                                     build_policy, check_policy_name,
-                                     policy_descriptions, policy_info,
-                                     policy_names, policy_needs_oracle,
-                                     register_policy)
+from repro.policies.registry import (DEFAULT_POLICY, build_policy,
+                                     check_policy_name, policy_class,
+                                     policy_descriptions, policy_names,
+                                     policy_needs_oracle, register_policy)
 from repro.policies.scenarios import (DepthParkPolicy, OracleParkPolicy,
                                       RandomParkPolicy)
 
@@ -52,14 +51,12 @@ __all__ = [
     "ModelParkPolicy",
     "OracleParkPolicy",
     "PARK",
-    "ParkingPolicy",
-    "PolicyInfo",
     "RandomParkPolicy",
     "STALL",
     "build_policy",
     "check_policy_name",
+    "policy_class",
     "policy_descriptions",
-    "policy_info",
     "policy_names",
     "policy_needs_oracle",
     "register_policy",

@@ -8,46 +8,27 @@ allocation for non-critical instructions, and a whole family of other
 strategies (oracle classification, random deferral, readiness-based
 deferral) occupy the same design space.
 
-:class:`AllocationPolicy` is that seam.  The pipeline drives a policy
-through a narrow hook surface and never looks inside it:
-
-* :meth:`~AllocationPolicy.observe_rename` — classify a freshly renamed
-  record (urgency, readiness, long-latency prediction).
-* :meth:`~AllocationPolicy.may_allocate` — ``"dispatch"`` (allocate
-  everything now), ``"park"`` (defer into the policy's queue) or
-  ``"stall"`` (rename can make no progress this cycle).
-* :meth:`~AllocationPolicy.park` / :meth:`~AllocationPolicy.release` —
-  entry/exit of the parking structure (always an
-  :class:`~repro.ltp.queue.LTPQueue`, so occupancy statistics stay
-  O(1) per cycle for every policy).
-* :meth:`~AllocationPolicy.on_release_scan` — the wakeup policy: the
-  parked record to release next, or ``None``.
-* ``on_parked_ready`` — ``None``, or a callable the engines invoke with
-  a parked record the moment its last operand is ready (at dependence
-  registration or at the writeback that clears its last wait), so a
-  data-ready wakeup is an event and never a scan of the queue.
-* completion/commit hooks (:meth:`~AllocationPolicy.on_tag_known`,
-  ``on_load_complete``, ``on_commit``,
-  :meth:`~AllocationPolicy.on_violation`,
-  :meth:`~AllocationPolicy.on_dram_demand_access`) that feed whatever
-  the policy learns from.  ``on_load_complete`` and ``on_commit`` follow
-  the ``on_parked_ready`` rule: an inert hook is ``None`` and the
-  engines skip it.
-* :meth:`~AllocationPolicy.stats_extra` — policy-owned statistics
-  exported into :class:`~repro.core.stats.SimStats` at the end of a
-  run.
-* :meth:`~AllocationPolicy.stall_marks` /
-  :meth:`~AllocationPolicy.repeat_stall` — the counters a stalled
-  rename attempt moves, under a guard, so the kernel's stall-span jump
-  can repeat the attempt in bulk (the object engine retries it every
-  cycle).  The base guard is fresh on every call and never holds; a
-  policy opts in by overriding both, as every :class:`ParkingPolicy`
-  does.
+:class:`AllocationPolicy` is that seam, and every policy is a parking
+policy: one that never parks (``baseline-stall``) is one whose
+:meth:`~AllocationPolicy.wants_park` never says yes.  The engines drive
+a policy only through the hooks of this class and never look inside
+it: classification at rename (``observe_rename``), the
+dispatch/park/stall verdict (``may_allocate``), entry to and exit from
+the parking queue (``park``, ``release``; always an
+:class:`~repro.ltp.queue.LTPQueue`, so occupancy statistics stay O(1)
+per cycle), the wakeup rule (``on_release_scan``, ``on_parked_ready``,
+``next_event_cycle``), completion and commit hooks that feed whatever
+the policy learns from, policy-owned statistics (``stats_extra``) and
+the marks of a stalled rename attempt (``stall_marks``,
+``repeat_stall``), which let the kernel's stall-span jump repeat the
+attempt in bulk.  A hook attribute that is ``None``
+(``on_parked_ready``, ``on_load_complete``, ``on_commit``) is inert,
+and the engines skip it.
 
 Structural attributes (``queue``, ``monitor``, ``ports``,
 ``release_reserve``, ``park_loads``/``park_stores``/
-``defer_registers``) size the shared pipeline machinery; every parking
-policy reads them from the run's :class:`~repro.ltp.config.LTPConfig`
+``defer_registers``) size the shared pipeline machinery; every policy
+reads them from the run's :class:`~repro.ltp.config.LTPConfig`
 (``entries``, ``ports``, ``release_reserve``), so one sweep axis
 parameterises every policy.
 
@@ -77,16 +58,36 @@ STALL = "stall"
 
 
 class AllocationPolicy:
-    """Base policy: allocate everything at rename, never park.
+    """Base policy: park what :meth:`wants_park` chooses, soundly.
 
-    Subclasses override the hooks they care about.  The base class is
-    deliberately inert — an empty queue, an always-off monitor, no
-    classification — so a policy only pays for what it uses.
+    Implements the two invariants every sound parking policy needs:
+
+    * **parked-bit propagation** — a consumer of a parked instruction
+      is force-parked too, so nothing in the issue queue can wait on a
+      parked producer (the deadlock LTP's Section 5.3 closes), and
+    * **forced head release** — the ROB head is always eligible to
+      leave, guaranteeing forward progress.
+
+    Subclasses supply :meth:`wants_park` (who parks).  Parked records
+    wake on data readiness (``waiting_on == 0``): ``on_parked_ready``
+    is the queue's ``mark_ready``, so the engines file a record in the
+    queue's seq-ordered ready heaps when its last operand is ready, and
+    :meth:`on_release_scan` reads the forced head or the oldest ready
+    record.  A policy with another wakeup rule overrides
+    :meth:`on_release_scan` and sets ``on_parked_ready`` to ``None``.
+
+    A stalled attempt moves only ``park_stalls`` while :meth:`wants_park`
+    reads only the record and state that events move, so the marks are
+    ``park_stalls`` under a guard that always holds; a subclass whose
+    attempt moves more overrides :meth:`stall_marks` and
+    :meth:`repeat_stall`.
     """
 
-    #: registry name (set by the ``@register_policy`` decorator)
+    #: registry name and one-line description (set by the
+    #: ``@register_policy`` decorator)
     name: str = "?"
-    #: the factory takes the config's frozen model artifact as ``model=``
+    description: str = ""
+    #: the class takes the config's frozen model artifact as ``model=``
     needs_model = False
     #: the DRAM-timer monitor power-gates the parking structures, so the
     #: energy model scales their dynamic share by the enabled fraction
@@ -100,7 +101,7 @@ class AllocationPolicy:
     @classmethod
     def parks(cls, ltp: LTPConfig) -> bool:
         """Does a run under *ltp* occupy the parking queue?"""
-        return False
+        return True
 
     @classmethod
     def uses_uit(cls, ltp: LTPConfig) -> bool:
@@ -109,31 +110,29 @@ class AllocationPolicy:
 
     def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
         self.ltp_config = ltp
-        #: the parking structure; stays empty for non-parking policies.
-        #: Always an LTPQueue so the pipeline's occupancy integration
-        #: and ``_ltp_entries`` fast-path gate work unchanged.
+        #: the parking structure.  Always an LTPQueue so the pipeline's
+        #: occupancy integration and ``_ltp_entries`` fast-path gate
+        #: work unchanged.
         self.queue, monitor_mode = self._parking(ltp)
         #: power-management monitor consulted by the pipeline's idle
         #: jump; "off" means the policy never gates on it
         self.monitor = DramTimerMonitor(dram_latency, mode=monitor_mode)
+        #: releases per cycle out of the parking structure, and the
+        #: registers / LSQ entries reserved for parked-release progress
+        self.ports = ltp.ports
+        self.release_reserve = ltp.release_reserve
         #: rename stalls caused by a full parking structure
         self.park_stalls = 0
+        #: ``None``, or called by the engines with a parked record whose
+        #: last operand just became ready (see the module docstring);
+        #: ``None`` lets the engines skip the ``parked`` test entirely
+        self.on_parked_ready = self.queue.mark_ready
 
     def _parking(self, ltp: LTPConfig) -> Tuple[LTPQueue, str]:
         """The parking queue and DRAM-timer monitor mode under *ltp*."""
-        return LTPQueue(1, fifo_only=True), "off"
+        return LTPQueue(ltp.entries, fifo_only=False), "off"
 
     # -- structural attributes the pipeline sizes itself from ----------
-    @property
-    def release_reserve(self) -> int:
-        """Registers / LSQ entries reserved for parked-release progress."""
-        return 0
-
-    @property
-    def ports(self) -> int:
-        """Releases per cycle out of the parking structure."""
-        return 1
-
     #: parked memory operations also defer their LQ/SQ allocation
     park_loads = False
     park_stores = False
@@ -145,21 +144,41 @@ class AllocationPolicy:
     def observe_rename(self, record: InFlightInst) -> None:
         """Classify *record* (urgency/readiness); base: leave defaults."""
 
+    def wants_park(self, record: InFlightInst, now: int):
+        """Does the policy choose to park *record*? (no forcing here)
+
+        A false value dispatches; ``True`` parks with the policy's name
+        as the ``park_reason``, and a string parks with that reason.
+        """
+        raise NotImplementedError
+
     def may_allocate(self, record: InFlightInst, now: int,
                      memdep_forced: bool = False) -> str:
-        """Decide *record*'s fate at rename; base: always dispatch."""
-        return DISPATCH
+        """Decide *record*'s fate at rename: a memory-dependence victim
+        or a consumer of a parked record parks, anything else as
+        :meth:`wants_park` says; a park into a full queue stalls."""
+        if memdep_forced:
+            reason = "memdep"
+        else:
+            for producer in record.producer_records:
+                if producer is not None and producer.parked:
+                    reason = "parked-bit"
+                    break
+            else:
+                reason = self.wants_park(record, now)
+                if not reason:
+                    return DISPATCH
+        if self.queue.full:
+            self.park_stalls += 1
+            return STALL
+        record.park_reason = self.name if reason is True else reason
+        return PARK
 
     def park(self, record: InFlightInst) -> None:
         """Accept *record* into the parking structure."""
         self.queue.push(record)
 
     # -- wakeup ---------------------------------------------------------
-    #: ``None``, or called by the engines with a parked record whose
-    #: last operand just became ready (see the module docstring);
-    #: ``None`` lets the engines skip the ``parked`` test entirely
-    on_parked_ready = None
-
     def on_release_scan(self, now: int, boundary_seq: int,
                         force_seq: int) -> Optional[InFlightInst]:
         """The parked record to release next, or ``None``.
@@ -171,7 +190,7 @@ class AllocationPolicy:
         per cycle (and once more when every port released) and release
         the answer if resources allow.
         """
-        return None
+        return self.queue.next_release(force_seq)
 
     def release(self, record: InFlightInst) -> None:
         """*record* leaves the parking structure (resources granted)."""
@@ -226,103 +245,14 @@ class AllocationPolicy:
         the counters, so the kernel's stall-span jump may skip the
         cycles in which the attempt would only repeat, charging them
         through :meth:`repeat_stall`.  An override states a checked
-        property of the policy's hooks.  This base guard is a fresh
-        object on every call, so the kernel never repeats the attempts
-        of a policy that has not stated what they change."""
-        return (object(),)
+        property of the policy's hooks."""
+        return (None, self.park_stalls)
 
     def repeat_stall(self, before: tuple, after: tuple,
                      times: int) -> None:
         """Charge *times* more repeats of a stalled attempt whose marks
         went from *before* to *after*."""
+        self.park_stalls += (after[1] - before[1]) * times
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class ParkingPolicy(AllocationPolicy):
-    """Shared machinery for policies that actually park.
-
-    Implements the two invariants every sound parking policy needs:
-
-    * **parked-bit propagation** — a consumer of a parked instruction
-      is force-parked too, so nothing in the issue queue can wait on a
-      parked producer (the deadlock LTP's Section 5.3 closes), and
-    * **forced head release** — the ROB head is always eligible to
-      leave, guaranteeing forward progress.
-
-    Subclasses supply :meth:`wants_park` (who parks).  Parked records
-    wake on data readiness (``waiting_on == 0``): ``on_parked_ready``
-    is the queue's ``mark_ready``, so the engines file a record in the
-    queue's seq-ordered ready heaps when its last operand is ready, and
-    :meth:`on_release_scan` reads the forced head or the oldest ready
-    record.  A policy with another wakeup rule overrides
-    :meth:`on_release_scan` and sets ``on_parked_ready`` to ``None``.
-    The parking structure is sized by the run's
-    :class:`~repro.ltp.config.LTPConfig` (``entries``, ``ports``,
-    ``release_reserve``), so the same sweep axes tune every parking
-    policy.
-
-    A stalled attempt moves only ``park_stalls`` while :meth:`wants_park`
-    reads only the record and state that events move, so the marks are
-    ``park_stalls`` under a guard that always holds; a subclass whose
-    attempt moves more overrides :meth:`stall_marks` and
-    :meth:`repeat_stall`.
-    """
-
-    def __init__(self, ltp: LTPConfig, dram_latency: int) -> None:
-        super().__init__(ltp, dram_latency)
-        self.on_parked_ready = self.queue.mark_ready
-
-    def _parking(self, ltp: LTPConfig) -> Tuple[LTPQueue, str]:
-        return LTPQueue(ltp.entries, fifo_only=False), "off"
-
-    @classmethod
-    def parks(cls, ltp: LTPConfig) -> bool:
-        return True
-
-    @property
-    def release_reserve(self) -> int:
-        return self.ltp_config.release_reserve
-
-    @property
-    def ports(self) -> int:
-        return self.ltp_config.ports
-
-    def wants_park(self, record: InFlightInst, now: int):
-        """Does the policy choose to park *record*? (no forcing here)
-
-        A false value dispatches; ``True`` parks with the policy's name
-        as the ``park_reason``, and a string parks with that reason.
-        """
-        raise NotImplementedError
-
-    def may_allocate(self, record: InFlightInst, now: int,
-                     memdep_forced: bool = False) -> str:
-        if memdep_forced:
-            reason = "memdep"
-        else:
-            for producer in record.producer_records:
-                if producer is not None and producer.parked:
-                    reason = "parked-bit"
-                    break
-            else:
-                reason = self.wants_park(record, now)
-                if not reason:
-                    return DISPATCH
-        if self.queue.full:
-            self.park_stalls += 1
-            return STALL
-        record.park_reason = self.name if reason is True else reason
-        return PARK
-
-    def on_release_scan(self, now: int, boundary_seq: int,
-                        force_seq: int) -> Optional[InFlightInst]:
-        return self.queue.next_release(force_seq)
-
-    def stall_marks(self, dyn) -> tuple:
-        return (None, self.park_stalls)
-
-    def repeat_stall(self, before: tuple, after: tuple,
-                     times: int) -> None:
-        self.park_stalls += (after[1] - before[1]) * times

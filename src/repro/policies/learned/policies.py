@@ -17,7 +17,7 @@ different direction:
   Appendix-A two-level hit/miss predictor, and parks the dependents of
   predicted-long loads until their operands are ready.
 
-All three ride on :class:`~repro.policies.base.ParkingPolicy`'s
+All three ride on :class:`~repro.policies.base.AllocationPolicy`'s
 soundness machinery (parked-bit propagation, forced head release) and
 its event-driven data-ready wakeup (a parked record joins the queue's
 ready heap when its last operand is ready).  Every piece of learned
@@ -41,7 +41,7 @@ from repro.ltp.config import LTPConfig
 from repro.ltp.oracle import OracleInfo
 from repro.ltp.predictor import HitMissPredictor
 from repro.memory.cache import block_of
-from repro.policies.base import ParkingPolicy
+from repro.policies.base import AllocationPolicy
 from repro.policies.learned.artifact import (ModelArtifact,
                                              load_default_payload)
 from repro.policies.learned.features import FeatureState
@@ -54,7 +54,7 @@ from repro.policies.scenarios import note_depth
     description="park instructions a frozen offline-trained linear "
                 "model (repro train) classifies Non-Urgent; pure "
                 "integer inference in the hot path")
-class ModelParkPolicy(ParkingPolicy):
+class ModelParkPolicy(AllocationPolicy):
     """Frozen-model parking: offline training, inference-only runs.
 
     The config's embedded artifact payload (``SimConfig.model``) — or
@@ -113,7 +113,7 @@ class ModelParkPolicy(ParkingPolicy):
     description="UIT urgency classification gated by a per-PC "
                 "saturating confidence table: Non-Urgent instructions "
                 "park only where parking has proven harmless")
-class ConfidenceParkPolicy(ParkingPolicy):
+class ConfidenceParkPolicy(AllocationPolicy):
     """Confidence-weighted parking over the online UIT classifier.
 
     The Section 5.2 classifier supplies the urgency verdict; a per-PC
@@ -197,7 +197,7 @@ class ConfidenceParkPolicy(ParkingPolicy):
     description="predict long-latency loads from live cache/MSHR state "
                 "plus the two-level hit/miss predictor, and park their "
                 "dependents until data-ready")
-class LoadPredParkPolicy(ParkingPolicy):
+class LoadPredParkPolicy(AllocationPolicy):
     """Load-latency-predicted parking from memory-hierarchy state.
 
     At a load's first rename attempt the policy consults the pipeline's

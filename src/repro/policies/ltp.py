@@ -3,8 +3,8 @@
 :class:`LTPPolicy` is Long Term Parking as one object: it owns the
 parking queue, classifiers, ticket CAM, hit/miss predictor and
 DRAM-timer monitor, and every hook the engines drive is a method of its
-own class.  It is a :class:`~repro.policies.base.ParkingPolicy`: the
-shared :meth:`~repro.policies.base.ParkingPolicy.may_allocate` applies
+own class.  It is an :class:`~repro.policies.base.AllocationPolicy`: the
+shared :meth:`~repro.policies.base.AllocationPolicy.may_allocate` applies
 the memory-dependence forcing of Section 5.3 and parked-bit
 propagation, and LTP supplies only the choice:
 
@@ -45,7 +45,7 @@ from repro.ltp.oracle import OracleInfo
 from repro.ltp.predictor import HitMissPredictor
 from repro.ltp.queue import NO_BOUNDARY, LTPQueue
 from repro.ltp.tickets import TicketPool, TicketTracker
-from repro.policies.base import ParkingPolicy
+from repro.policies.base import AllocationPolicy
 from repro.policies.registry import register_policy
 
 
@@ -54,7 +54,7 @@ from repro.policies.registry import register_policy
     description="the paper's Long Term Parking mechanism "
                 "(criticality-aware deferred allocation); degrades to "
                 "the stalling baseline when ltp.enabled is False")
-class LTPPolicy(ParkingPolicy):
+class LTPPolicy(AllocationPolicy):
     """Long Term Parking, driven through the policy seam.
 
     Structural attributes (reserve, park flags) mirror *ltp*.
@@ -89,6 +89,11 @@ class LTPPolicy(ParkingPolicy):
         if ltp.classifier == "oracle" and oracle is None:
             raise ValueError("oracle classifier requires OracleInfo")
         super().__init__(ltp, dram_latency)
+        if not ltp.enabled:
+            self.release_reserve = 0
+        self.park_loads = ltp.park_loads
+        self.park_stores = ltp.park_stores
+        self.defer_registers = ltp.defer_registers
         self.oracle = oracle
         self.on_parked_ready = None  # tickets and ROB position wake
         if ltp.classifier == "oracle":
@@ -119,23 +124,6 @@ class LTPPolicy(ParkingPolicy):
         queue = LTPQueue(ltp.entries if ltp.enabled else 1,
                          fifo_only=(ltp.mode == "nu"))
         return queue, ltp.monitor if ltp.enabled else "off"
-
-    @property
-    def release_reserve(self) -> int:
-        config = self.ltp_config
-        return config.release_reserve if config.enabled else 0
-
-    @property
-    def park_loads(self) -> bool:
-        return self.ltp_config.park_loads
-
-    @property
-    def park_stores(self) -> bool:
-        return self.ltp_config.park_stores
-
-    @property
-    def defer_registers(self) -> bool:
-        return self.ltp_config.defer_registers
 
     # ------------------------------------------------------------------
     # enable state

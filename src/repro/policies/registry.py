@@ -3,7 +3,7 @@
 Policies self-register with the :func:`register_policy` decorator::
 
     @register_policy("random-park", description="...")
-    class RandomParkPolicy(ParkingPolicy):
+    class RandomParkPolicy(AllocationPolicy):
         ...
 
 ``SimConfig(policy="random-park")`` then selects the policy end to end
@@ -14,14 +14,14 @@ The built-in policies live in :mod:`repro.policies.ltp`,
 imported lazily the first time the registry is queried so module
 import order never matters.
 
-The registry holds names, factories and descriptions only; what a
-policy needs (the trace oracle, a model artifact) and which structures
-it clocks are stated on its class (see :mod:`repro.policies.base`).
+The registry maps each name to its class; the decorator writes the
+name and description on the class, and what a policy needs (the trace
+oracle, a model artifact) and which structures it clocks are stated
+there too (see :mod:`repro.policies.base`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.ltp.config import LTPConfig
@@ -34,17 +34,8 @@ from repro.util import first_doc_line
 #: are untouched.
 DEFAULT_POLICY = "ltp"
 
-
-@dataclass
-class PolicyInfo:
-    """One registered policy: its name, class and description."""
-
-    name: str
-    factory: Callable[..., object]
-    description: str = ""
-
-
-_REGISTRY: Dict[str, PolicyInfo] = {}
+#: name -> registered policy class
+_REGISTRY: Dict[str, type] = {}
 
 
 def register_policy(name: str,
@@ -52,19 +43,18 @@ def register_policy(name: str,
     """Class decorator registering an :class:`AllocationPolicy`.
 
     The decorated class must be constructible as
-    ``factory(ltp_config, dram_latency, oracle=...)`` (plus
-    ``model=...`` when its ``needs_model`` is set).
+    ``cls(ltp_config, dram_latency, oracle=...)`` (plus ``model=...``
+    when its ``needs_model`` is set).  *description* defaults to the
+    first line of the class docstring.
     """
 
     def decorate(cls):
         if name in _REGISTRY:
             raise ValueError(f"policy {name!r} is already registered")
-        doc = description
-        if doc is None:
-            doc = first_doc_line(cls.__doc__)
         cls.name = name
-        _REGISTRY[name] = PolicyInfo(name=name, factory=cls,
-                                     description=doc)
+        cls.description = (first_doc_line(cls.__doc__)
+                           if description is None else description)
+        _REGISTRY[name] = cls
         return cls
 
     return decorate
@@ -77,8 +67,8 @@ def _ensure_builtins() -> None:
     import repro.policies.learned  # noqa: F401
 
 
-def policy_info(name: str) -> PolicyInfo:
-    """Look up a registered policy's metadata by name."""
+def policy_class(name: str) -> type:
+    """The policy class registered as *name*."""
     _ensure_builtins()
     try:
         return _REGISTRY[name]
@@ -93,7 +83,7 @@ def check_policy_name(name: str) -> str:
     """Validate *name* against the registry (returns it unchanged)."""
     if not isinstance(name, str):
         raise ValueError(f"policy must be a string, got {type(name)}")
-    policy_info(name)
+    policy_class(name)
     return name
 
 
@@ -112,7 +102,7 @@ def policy_descriptions() -> Dict[str, str]:
 
 def policy_needs_oracle(name: str, ltp: LTPConfig) -> bool:
     """Does *name* want the trace oracle annotation for this config?"""
-    return bool(policy_info(name).factory.needs_oracle(ltp))
+    return bool(policy_class(name).needs_oracle(ltp))
 
 
 def build_policy(name: str, ltp: LTPConfig, dram_latency: int,
@@ -121,9 +111,9 @@ def build_policy(name: str, ltp: LTPConfig, dram_latency: int,
 
     *model* (a frozen artifact payload, or ``None`` for the committed
     default) is only forwarded to a class whose ``needs_model`` is set
-    — everyone else keeps the historical factory signature.
+    — everyone else keeps the historical constructor signature.
     """
-    factory = policy_info(name).factory
-    if factory.needs_model:
-        return factory(ltp, dram_latency, oracle=oracle, model=model)
-    return factory(ltp, dram_latency, oracle=oracle)
+    cls = policy_class(name)
+    if cls.needs_model:
+        return cls(ltp, dram_latency, oracle=oracle, model=model)
+    return cls(ltp, dram_latency, oracle=oracle)

@@ -21,7 +21,7 @@ forced ROB-head release) and are parameterised by the run's LTP config
 ``policy-compare`` sweep preset can put them on the same axes as LTP
 itself.  Every wakeup is event-driven: ``oracle-park`` reuses LTP's
 ready lists, ``depth-park`` inherits
-:class:`~repro.policies.base.ParkingPolicy`'s data-ready wakeup, and
+:class:`~repro.policies.base.AllocationPolicy`'s data-ready wakeup, and
 ``random-park`` reads only its queue head, because a countdown from
 rename expires in queue order.
 """
@@ -33,7 +33,7 @@ from typing import Dict, Optional
 from repro.core.inflight import InFlightInst
 from repro.ltp.config import LTPConfig
 from repro.ltp.oracle import OracleInfo
-from repro.policies.base import ParkingPolicy
+from repro.policies.base import AllocationPolicy
 from repro.policies.ltp import LTPPolicy
 from repro.policies.registry import register_policy
 
@@ -95,7 +95,7 @@ def _mix(seq: int, pc: int) -> int:
     description="park a deterministic pseudo-random fraction of "
                 "instructions, waking each after a fixed countdown "
                 "(criticality-blind strawman)")
-class RandomParkPolicy(ParkingPolicy):
+class RandomParkPolicy(AllocationPolicy):
     """Criticality-blind parking: a fixed fraction, a fixed countdown.
 
     Parking decisions hash the instruction's (sequence number, PC) so
@@ -147,7 +147,7 @@ class RandomParkPolicy(ParkingPolicy):
     description="park instructions deep in an in-flight dependence "
                 "chain, waking each when its operands are ready "
                 "(WIB-flavoured park-until-ready)")
-class DepthParkPolicy(ParkingPolicy):
+class DepthParkPolicy(AllocationPolicy):
     """Dependence-depth parking with readiness-based wakeup.
 
     An instruction whose chain of *in-flight* producers is at least

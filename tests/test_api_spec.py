@@ -166,8 +166,21 @@ def test_sweep_from_dict_rejects_unknown_fields():
     ({"workloads": ["lattice_milc"], "axes": {"core.iq_size": "ab"}},
      "'core.iq_size'"),
     (["lattice_milc"], "object"),
+    ({"workloads": ["lattice_milc"], "measure": 100.9}, "'measure'"),
+    ({"workloads": ["lattice_milc"], "measure": "300"}, "'measure'"),
+    ({"workloads": ["lattice_milc"], "warmup": True}, "'warmup'"),
+    ({"workloads": ["lattice_milc"], "axes": {"measure": [100, 100.9]}},
+     "'measure'"),
+    ({"workloads": ["lattice_milc"], "policy": "teleport"}, "'teleport'"),
+    ({"workloads": ["lattice_milc"], "axes": {"policy": ["ltp", "teleport"]}},
+     "'teleport'"),
+    ({"workloads": ["lattice_milc"], "engine": "warp"}, "'warp'"),
+    ({"workloads": ["lattice_milc"], "axes": {"engine": ["kernel", "warp"]}},
+     "'warp'"),
 ], ids=["workloads-string", "workloads-int", "workloads-mixed",
-        "axes-list", "axis-string", "payload-list"])
+        "axes-list", "axis-string", "payload-list", "budget-float",
+        "budget-string", "budget-bool", "budget-axis-float", "policy-unknown",
+        "policy-axis-unknown", "engine-unknown", "engine-axis-unknown"])
 def test_sweep_from_dict_rejects_bad_types(payload, field):
     """A payload of the wrong shape is a ValueError naming the field,
     never a spec that silently expands to something else."""

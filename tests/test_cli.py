@@ -340,7 +340,14 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
     (json.dumps({"workloads": ["compute_int"], "axes": [1]}), "'axes'"),
     (json.dumps({"workloads": ["compute_int"],
                  "axes": {"core.iq_size": "ab"}}), "'core.iq_size'"),
-], ids=["bad-json", "workloads-string", "axes-list", "axis-string"])
+    (json.dumps({"workloads": ["compute_int"], "measure": 100.9}),
+     "'measure'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"policy": ["teleport"]}}), "'teleport'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"engine": ["warp"]}}), "'warp'"),
+], ids=["bad-json", "workloads-string", "axes-list", "axis-string",
+        "budget-float", "policy-axis-unknown", "engine-axis-unknown"])
 @pytest.mark.parametrize("merge", [False, True], ids=["run", "merge"])
 def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
     """A spec file that does not parse into a sweep is a usage error:
@@ -353,7 +360,7 @@ def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
         argv += ["--merge", str(tmp_path / "shard.jsonl")]
     code, text = run_cli(argv)
     assert code == 2
-    assert message in text
+    assert message in text and len(text.splitlines()) == 1
     assert not store.exists()
 
 

@@ -179,3 +179,24 @@ def test_no_worker_keeps_a_workload_after_its_last_chunk_went_out(
     assert sorted(chunk_of[key] for key, *_ in lines) == list(range(6))
     for key, *held in lines:
         assert [w for w in held if last_chunk[w] <= chunk_of[key]] == []
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+def test_no_worker_keeps_a_workload_it_inherited_at_fork(
+        fresh_session, tmp_path, monkeypatch):
+    """A lone point leaves its workload in the default session's trace
+    cache; the pool workers of a later drive over other workloads fork
+    that session, and none of them holds the lone point's workload."""
+    fresh_session.run(config_for("lattice_milc"), use_cache=False)
+    assert list(fresh_session._trace_cache) == ["lattice_milc"]
+    chunk_log = tmp_path / "chunks.log"
+    monkeypatch.setenv("REPRO_TEST_CHUNK_LOG", str(chunk_log))
+    monkeypatch.setattr(exec_mod, "_chunk_worker", _holding_chunk_worker)
+    spec = SweepSpec(workloads=["compute_int", "stream_triad"],
+                     warmup=150, measure=120,
+                     axes={"core.iq_size": [16, 32, 48, 64]})
+    fresh_session.sweep(spec, use_cache=False,
+                        backend=PoolExecutor(jobs=2, batch_size=2))
+    lines = [line.split() for line in chunk_log.read_text().splitlines()]
+    assert len(lines) == 4
+    assert [held for _, *held in lines if "lattice_milc" in held] == []

@@ -22,7 +22,7 @@ from repro.ltp.oracle import OracleInfo
 from repro.ltp.queue import LTPQueue
 from repro.policies import (DEFAULT_POLICY, AllocationPolicy,
                             BaselineStallPolicy, LTPPolicy, build_policy,
-                            policy_descriptions, policy_info, policy_names,
+                            policy_class, policy_descriptions, policy_names,
                             policy_needs_oracle)
 
 BUILTIN_POLICIES = ("baseline-stall", "confidence-park", "depth-park",
@@ -63,7 +63,7 @@ def test_first_doc_line_handles_blank_docstrings():
 
 def test_unknown_policy_rejected_everywhere():
     with pytest.raises(KeyError, match="unknown allocation policy"):
-        policy_info("teleport")
+        policy_class("teleport")
     with pytest.raises(KeyError, match="registered:"):
         build_policy("teleport", no_ltp(), 190)
     with pytest.raises(KeyError):

@@ -51,8 +51,7 @@ from repro.ltp.config import proposed_ltp
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import LTPPolicy
 from repro.ltp.oracle import annotate_trace
-from repro.policies import (AllocationPolicy, build_policy, policy_info,
-                            policy_names)
+from repro.policies import build_policy, policy_names
 from repro.policies.scenarios import OracleParkPolicy
 from repro.workloads import get_workload
 
@@ -248,19 +247,24 @@ def test_jump_takes_effect_on_the_kernel(session):
 
 
 def test_every_declared_policy_has_a_strict_vs_jump_point():
-    """Every registered policy overrides ``stall_marks``, so each needs
-    a point in the four-way comparison above, which checks it."""
+    """Every registered policy's ``stall_marks`` (the base class's or
+    an override) lets the kernel jump, so each needs a point in the
+    four-way comparison above, which checks it."""
     covered = {point[3] for point in _points().values()}
     for name in policy_names():
         assert name in covered, name
-        factory = policy_info(name).factory
-        assert factory.stall_marks is not AllocationPolicy.stall_marks, name
 
 
 class _UndeclaredOraclePark(OracleParkPolicy):
-    """``oracle-park`` with the base policy's marks."""
+    """``oracle-park`` with marks that state nothing: a fresh guard on
+    every call, which never holds, and no counters to repeat."""
 
-    stall_marks = AllocationPolicy.stall_marks
+    def stall_marks(self, dyn) -> tuple:
+        return (object(),)
+
+    def repeat_stall(self, before: tuple, after: tuple,
+                     times: int) -> None:
+        pass
 
 
 def _hand_built(session, engine, policy_cls):
@@ -284,8 +288,8 @@ def _hand_built(session, engine, policy_cls):
 
 
 def test_undeclared_policy_keeps_ticking_its_attempts(session):
-    """A policy that inherits the base ``stall_marks`` (a fresh guard on
-    every call) never has its stalled attempts repeated in bulk by the
+    """A policy whose ``stall_marks`` guard is fresh on every call
+    never has its stalled attempts repeated in bulk by the
     kernel, and its run still matches the object engine's."""
     pipeline = _hand_built(session, KernelPipeline, _UndeclaredOraclePark)
     spans = _Spans(pipeline)
