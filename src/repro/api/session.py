@@ -61,7 +61,6 @@ from repro.harness.cachefile import ResultCache
 from repro.harness.config import DEFAULT_ENGINE, SimConfig
 from repro.isa.trace import DynInst
 from repro.ltp.oracle import OracleInfo, annotate_trace
-from repro.memory.cache import block_of
 from repro.memory.hierarchy import (MemoryHierarchy, MemParams,
                                     memory_geometry)
 from repro.policies import build_policy, policy_needs_oracle
@@ -83,19 +82,14 @@ def warm_hierarchy(hierarchy: MemoryHierarchy, warmup_slice,
     # resident: the kernels re-walk these small arrays with a period far
     # longer than our warmup slice, so install them in the L2/L3 first.
     for base, words in warm_regions:
-        for block in range(block_of(base), block_of(base + words * 8) + 1):
-            hierarchy.l2.insert(block)
-            hierarchy.l3.insert(block)
+        hierarchy.install(base, base + words * 8)
     for dyn in warmup_slice:
         if dyn.is_mem:
             hierarchy.functional_access(dyn.addr, is_store=dyn.is_store,
                                         pc=dyn.pc)
     # warm the instruction path: kernels are tiny, touch every block once
-    for pc in range(program_len):
-        block = block_of(CODE_BASE + pc * INST_BYTES)
-        hierarchy.l1i.insert(block)
-        hierarchy.l2.insert(block)
-        hierarchy.l3.insert(block)
+    hierarchy.install(CODE_BASE, CODE_BASE + (program_len - 1) * INST_BYTES,
+                      code=True)
 
 
 def warm_branch_predictor(bpred: GsharePredictor, warmup_slice) -> None:

@@ -12,10 +12,13 @@ the values to sweep — and expands their cross product into validated
 6
 
 Axis paths address ``core.<field>``, ``ltp.<field>``, the allocation
-``policy`` (:func:`repro.policies.policy_names`), or the ``warmup`` /
-``measure`` budgets; unknown paths raise ``ValueError`` at expansion
-time.  Specs round-trip through :meth:`to_dict` / :meth:`from_dict`, so
-a sweep can live in a JSON file and be handed to
+``policy`` (:func:`repro.policies.policy_names`), the ``engine``, or the
+``warmup`` / ``measure`` budgets.  Each axis value is read like the same
+field of a config payload and each point is checked by
+:meth:`~repro.harness.config.SimConfig.validate`: an unknown path or a
+bad value raises ``ValueError`` at expansion time.  Specs round-trip
+through :meth:`to_dict` / :meth:`from_dict`, so a sweep can live in a
+JSON file and be handed to
 :meth:`repro.api.session.Session.sweep` as the user-facing entry point
 — replacing the implicit plan/execute dance for ad-hoc sweeps.
 
@@ -33,42 +36,26 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.params import CoreParams
-from repro.harness.config import (ENGINES, SimConfig, core_from_dict,
-                                  ltp_from_dict)
+from repro.harness.config import SimConfig
 from repro.ltp.config import LTPConfig
-from repro.policies.registry import DEFAULT_POLICY, policy_names
+from repro.policies.registry import DEFAULT_POLICY
+from repro.workloads import ALIASES, workload_names
 
-#: axis paths that address the simulation budgets directly
-_BUDGET_AXES = ("warmup", "measure")
-#: axis path that addresses the allocation policy
-_POLICY_AXIS = "policy"
-#: axis path that addresses the simulation engine
-_ENGINE_AXIS = "engine"
-
-
-def _axis_fields(cls: type) -> frozenset:
-    return frozenset(f.name for f in dataclass_fields(cls))
-
-_CORE_FIELDS = _axis_fields(CoreParams)
-_LTP_FIELDS = _axis_fields(LTPConfig)
-
-
-def _check_axis(path: str) -> None:
-    if path in _BUDGET_AXES or path in (_POLICY_AXIS, _ENGINE_AXIS):
-        return
-    prefix, _, name = path.partition(".")
-    if prefix == "core" and name in _CORE_FIELDS:
-        return
-    if prefix == "ltp" and name in _LTP_FIELDS:
-        return
-    raise ValueError(
-        f"unknown sweep axis {path!r}: use 'core.<field>', 'ltp.<field>', "
-        f"'policy', 'engine', 'warmup' or 'measure'")
+#: the fields an axis path may address, by section ("" is the config
+#: itself): ``core.<field>``, ``ltp.<field>`` and four config fields
+_AXIS_FIELDS = {
+    "": frozenset(("warmup", "measure", "policy", "engine")),
+    "core": frozenset(f.name for f in dataclass_fields(CoreParams)),
+    "ltp": frozenset(f.name for f in dataclass_fields(LTPConfig)),
+}
+#: a payload's fields besides ``workloads`` and ``axes``: the base
+_BASE_FIELDS = _AXIS_FIELDS[""] | {"core", "ltp"}
 
 
 def shard_of(key: str, count: int) -> int:
@@ -144,80 +131,53 @@ class SweepSpec:
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
 
     def validate(self) -> "SweepSpec":
-        """Check the spec's shape, its budgets (plain integers) and its
-        policy and engine names, base and axis values alike, raising
-        ``ValueError``."""
-        if not self.workloads:
-            raise ValueError("a sweep needs at least one workload")
-        for path, values in self.axes.items():
-            _check_axis(path)
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ValueError(
-                    f"axis {path!r} needs a non-empty list of values")
-        for path in _BUDGET_AXES:
-            for value in self._values(path):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"sweep {path!r} must be an integer, "
-                                     f"got {value!r}")
-        known = policy_names()
-        for policy in self._values(_POLICY_AXIS):
-            if policy not in known:
-                raise ValueError(
-                    f"unknown allocation policy {policy!r} "
-                    f"(registered: {', '.join(known)})")
-        for engine in self._values(_ENGINE_AXIS):
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {engine!r}: expected one of "
-                    f"{', '.join(ENGINES)}")
+        """Check the spec's own shape (registered workloads, known axis
+        paths, non-empty value lists), then each point it expands to by
+        :meth:`SimConfig.validate`; raises ``ValueError`` naming the
+        field."""
+        self.expand()
         return self
 
-    def _values(self, path: str) -> tuple:
-        """The base field *path* names (unless ``None``), then the
-        values of its axis."""
-        base = getattr(self, path)
-        return ((base,) if base is not None else ()) + tuple(
-            self.axes.get(path, ()))
-
     def expand(self) -> List[SimConfig]:
-        """The sweep's validated configurations, in deterministic order."""
-        self.validate()
-        axis_paths = list(self.axes)
-        value_lists = [self.axes[path] for path in axis_paths]
+        """The sweep's validated configurations, in deterministic order;
+        each is read like a config payload (:meth:`SimConfig.from_dict`):
+        the base fields with the point's axis values in place."""
+        if not isinstance(self.workloads, (list, tuple)):
+            raise ValueError(f"sweep field 'workloads' must be a list of "
+                             f"workload names, got {self.workloads!r}")
+        if not self.workloads:
+            raise ValueError("a sweep needs at least one workload")
+        known = set(workload_names()) | set(ALIASES)  # as they stand now
+        for name in self.workloads:
+            if not isinstance(name, str) or name not in known:
+                raise ValueError(
+                    f"sweep field 'workloads' names unknown workload "
+                    f"{name!r} (registered: {', '.join(workload_names())})")
+        if not isinstance(self.axes, Mapping):
+            raise ValueError(f"sweep field 'axes' must map axis paths to "
+                             f"lists of values, got {self.axes!r}")
+        for path, values in self.axes.items():
+            section, _, name = str(path).rpartition(".")
+            if name not in _AXIS_FIELDS.get(section, ()):
+                raise ValueError(
+                    f"unknown sweep axis {path!r}: use 'core.<field>', "
+                    f"'ltp.<field>', 'policy', 'engine', 'warmup' or "
+                    f"'measure'")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(
+                    f"sweep axis {path!r} needs a non-empty list of values")
+        base = {name: value for name, value in self.to_dict().items()
+                if name in _BASE_FIELDS and value is not None}
+        paths = [path.rpartition(".") for path in self.axes]
         configs: List[SimConfig] = []
         for workload in self.workloads:
-            for combo in itertools.product(*value_lists):
-                core_overrides: Dict[str, Any] = {}
-                ltp_overrides: Dict[str, Any] = {}
-                budgets: Dict[str, Any] = {}
-                policy = self.policy
-                engine = self.engine
-                for path, value in zip(axis_paths, combo):
-                    prefix, _, name = path.partition(".")
-                    if path in _BUDGET_AXES:
-                        budgets[path] = value
-                    elif path == _POLICY_AXIS:
-                        policy = value
-                    elif path == _ENGINE_AXIS:
-                        engine = value
-                    elif prefix == "core":
-                        core_overrides[name] = value
-                    else:
-                        ltp_overrides[name] = value
-                config = SimConfig(
-                    workload=workload,
-                    core=(self.core.but(**core_overrides)
-                          if core_overrides else self.core),
-                    ltp=(self.ltp.but(**ltp_overrides)
-                         if ltp_overrides else self.ltp),
-                    policy=policy, engine=engine)
-                if self.warmup is not None:
-                    config.warmup = self.warmup
-                if self.measure is not None:
-                    config.measure = self.measure
-                for name, value in budgets.items():
-                    setattr(config, name, value)
-                configs.append(config.validate())
+            for combo in itertools.product(*self.axes.values()):
+                payload = dict(base, workload=workload,
+                               core=dict(base["core"]),
+                               ltp=dict(base["ltp"]))
+                for (section, _, name), value in zip(paths, combo):
+                    (payload[section] if section else payload)[name] = value
+                configs.append(SimConfig.from_dict(payload))
         return configs
 
     def shard(self, index: int, count: int) -> List[SimConfig]:
@@ -230,11 +190,9 @@ class SweepSpec:
         Expansion order is preserved within a shard.  Shards of an
         uneven split differ in size; some may be empty.
         """
-        if count < 1:
-            raise ValueError("shard count must be >= 1")
         if not 0 <= index < count:
-            raise ValueError(
-                f"shard index {index} out of range for count {count}")
+            raise ValueError(f"shard {index}/{count}: need 0 <= index < "
+                             f"count")
         return [config for config in self.expand()
                 if shard_of(config.key(), count) == index]
 
@@ -250,10 +208,7 @@ class SweepSpec:
 
     def __len__(self) -> int:
         """Number of configurations :meth:`expand` will produce."""
-        points = 1
-        for values in self.axes.values():
-            points *= len(values)
-        return len(self.workloads) * points
+        return len(self.workloads) * math.prod(map(len, self.axes.values()))
 
     # ------------------------------------------------------------------
     # (de)serialization
@@ -278,12 +233,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        """The spec a :meth:`to_dict` payload describes.
-
-        A payload of the wrong shape raises ``ValueError`` naming the
-        field: ``workloads`` must be a list of names, ``warmup`` and
-        ``measure`` plain integers (or absent), ``axes`` an object
-        mapping each path to a list of values.
+        """The spec a :meth:`to_dict` payload describes, validated; its
+        base fields are read like a config payload (``null``: the
+        default).  A bad payload raises ``ValueError`` naming the field.
         """
         if not isinstance(data, Mapping):
             raise ValueError(f"a sweep payload must be an object, got "
@@ -294,32 +246,15 @@ class SweepSpec:
         except KeyError:
             raise ValueError("sweep payload is missing 'workloads'") \
                 from None
-        if (not isinstance(workloads, (list, tuple))
-                or not all(isinstance(name, str) for name in workloads)):
-            raise ValueError(f"sweep field 'workloads' must be a list of "
-                             f"workload names, got {workloads!r}")
-        core_data = payload.pop("core", None)
-        ltp_data = payload.pop("ltp", None)
-        warmup = payload.pop("warmup", None)
-        measure = payload.pop("measure", None)
-        policy = payload.pop("policy", DEFAULT_POLICY)
-        engine = payload.pop("engine", None)
-        axes = payload.pop("axes", {}) or {}
-        if payload:
-            raise ValueError(f"unknown sweep fields: {sorted(payload)}")
-        if not isinstance(axes, Mapping):
-            raise ValueError(f"sweep field 'axes' must map axis paths to "
-                             f"lists of values, got {axes!r}")
-        for path, values in axes.items():
-            if not isinstance(values, (list, tuple)):
-                raise ValueError(f"sweep axis {path!r} must be a list of "
-                                 f"values, got {values!r}")
-        spec = cls(
-            workloads=list(workloads),
-            core=(core_from_dict(core_data) if core_data is not None
-                  else CoreParams()),
-            ltp=(ltp_from_dict(ltp_data) if ltp_data is not None
-                 else LTPConfig()),
-            warmup=warmup, measure=measure, policy=policy, engine=engine,
-            axes={path: list(values) for path, values in axes.items()})
-        return spec.validate()
+        axes = payload.pop("axes", None) or {}
+        unknown = payload.keys() - _BASE_FIELDS
+        if unknown:
+            raise ValueError(f"unknown sweep fields: {sorted(unknown)}")
+        # the base names no workload: the spec's workloads come later
+        base = SimConfig.from_dict(dict(
+            {name: value for name, value in payload.items()
+             if value is not None}, workload=""))
+        return cls(workloads=workloads, core=base.core, ltp=base.ltp,
+                   warmup=payload.get("warmup"),
+                   measure=payload.get("measure"), policy=base.policy,
+                   engine=base.engine, axes=axes).validate()

@@ -52,7 +52,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.api import (PoolExecutor, ResultStore, SweepInspector,
                        SweepSpec, default_session, experiment_names,
@@ -471,35 +471,24 @@ def _sweep_document(spec: SweepSpec, results, args,
     return document
 
 
-def cmd_list_experiments(args, out) -> int:
-    entries = [(name, get_experiment(name).description)
-               for name in experiment_names()]
+def _list_registry(args, out, noun: str, title: str,
+                   descriptions: Dict[str, str]) -> int:
+    """Print a registry's names and descriptions (a table or JSON)."""
     if args.json:
-        print(render_json({"experiments": [
-            {"name": name, "description": description}
-            for name, description in entries]}), file=out)
-        return 0
-    print(render_table(["experiment", "description"], entries,
-                       title="Registered experiments"), file=out)
-    return 0
-
-
-def cmd_list_presets(args, out) -> int:
-    descriptions = sweep_preset_descriptions()
-    if args.json:
-        print(render_json({"presets": [
+        print(render_json({f"{noun}s": [
             {"name": name, "description": description}
             for name, description in descriptions.items()]}), file=out)
-        return 0
-    rows = list(descriptions.items())
-    print(render_table(["preset", "description"], rows,
-                       title="Registered sweep presets"), file=out)
+    else:
+        print(render_table([noun, "description"], descriptions.items(),
+                           title=title), file=out)
     return 0
 
 
 def cmd_sweep(args, out) -> int:
     if args.list_presets:
-        return cmd_list_presets(args, out)
+        return _list_registry(args, out, "preset",
+                              "Registered sweep presets",
+                              sweep_preset_descriptions())
     if args.merge is not None:
         if args.store is None:
             print("--merge requires --store DEST", file=out)
@@ -696,7 +685,10 @@ def cmd_watch(args, out) -> int:
 
 def cmd_experiment(args, out) -> int:
     if args.list:
-        return cmd_list_experiments(args, out)
+        return _list_registry(args, out, "experiment",
+                              "Registered experiments",
+                              {name: get_experiment(name).description
+                               for name in experiment_names()})
     if args.name is None:
         print("experiment needs a NAME (or --list to enumerate them)",
               file=out)

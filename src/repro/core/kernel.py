@@ -197,13 +197,8 @@ class KernelPipeline(Pipeline):
                          warm_code=False, allow_skip=allow_skip,
                          policy=policy)
         if warm_code and arrays.n:
-            hier = self.hierarchy
-            for block in range(CODE_BASE >> 6,
-                               ((CODE_BASE + arrays.max_pc * INST_BYTES)
-                                >> 6) + 1):
-                hier.l1i.insert(block)
-                hier.l2.insert(block)
-                hier.l3.insert(block)
+            self.hierarchy.install(
+                CODE_BASE, CODE_BASE + arrays.max_pc * INST_BYTES, code=True)
 
     # ------------------------------------------------------------------
     def run(self) -> SimStats:

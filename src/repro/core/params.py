@@ -18,9 +18,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.memory.hierarchy import MemParams
+from repro.util import ConfigError, check_fields
 
 #: sentinel capacity for "unlimited" structures
 UNLIMITED = 1 << 30
+
+#: the ``latencies`` both engines read by name (others default to int_alu)
+NAMED_LATENCIES = frozenset(("int_alu", "agu", "store", "forward"))
 
 
 def cap(value: Optional[int]) -> int:
@@ -72,17 +76,18 @@ class CoreParams:
     #: watchdog: abort if a run exceeds this many cycles with no commit
     deadlock_cycles: int = 200_000
 
+    #: rules besides the declared types' (:func:`repro.util.check_fields`)
+    _RULES = {"mispredict_penalty": 0, "violation_penalty": 0,
+              "mem": MemParams}
+
     def validate(self) -> "CoreParams":
-        for name in ("fetch_width", "rename_width", "issue_width",
-                     "commit_width", "frontend_depth"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("rob_size", "iq_size", "lq_size", "sq_size",
-                     "int_regs", "fp_regs"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
-        self.mem.validate()
+        """Check every field's rule (``mem`` too) and that ``latencies``
+        names what the engines read (``ValueError`` naming the field)."""
+        check_fields(self, "core.")
+        missing = NAMED_LATENCIES.difference(self.latencies)
+        if missing:
+            raise ConfigError(f"'core.latencies' must name "
+                              f"{', '.join(sorted(missing))}")
         return self
 
     def but(self, **overrides) -> "CoreParams":

@@ -133,11 +133,8 @@ class Pipeline:
             # kernels are tiny; pre-warm the instruction path so short
             # traces are not dominated by a one-off cold L1I DRAM fill
             max_pc = max(dyn.pc for dyn in trace)
-            for block in range(CODE_BASE >> 6,
-                               ((CODE_BASE + max_pc * INST_BYTES) >> 6) + 1):
-                self.hierarchy.l1i.insert(block)
-                self.hierarchy.l2.insert(block)
-                self.hierarchy.l3.insert(block)
+            self.hierarchy.install(CODE_BASE, CODE_BASE + max_pc * INST_BYTES,
+                                   code=True)
 
         self._trace_seq: Sequence[DynInst] = trace
         self._trace_idx = 0

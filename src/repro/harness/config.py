@@ -22,7 +22,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.core.params import CoreParams
 from repro.ltp.config import LTPConfig
 from repro.memory.hierarchy import MemParams
-from repro.policies.registry import DEFAULT_POLICY, check_policy_name
+from repro.policies.registry import DEFAULT_POLICY, policy_class
+from repro.util import check_fields
 
 #: default instruction budgets; the paper warms for 250 M and measures
 #: 10 M per SimPoint on gem5 — a pure-Python cycle model is ~4 orders of
@@ -90,26 +91,34 @@ def _mapping(data: Any, what: str) -> Mapping[str, Any]:
     return data
 
 
-def _dataclass_from_dict(cls: type, data: Any, what: str):
-    try:
-        return cls(**_mapping(data, what))
-    except TypeError as exc:
-        raise ValueError(f"bad {what} payload: {exc}") from None
+#: how a payload error names each section
+_SECTIONS = {CoreParams: "core config", MemParams: "memory config",
+             LTPConfig: "LTP config"}
+
+
+def _read(cls: type, data: Any, what: str) -> Any:
+    """A *cls* from payload *data*, its sections read the same way (a
+    ``None`` section takes its default)."""
+    payload = dict(_mapping(data, what))
+    unknown = payload.keys() - set(_field_names(cls))
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    for name, rule in cls._RULES.items():
+        if rule in _SECTIONS and name in payload:
+            section = payload.pop(name)
+            if section is not None:
+                payload[name] = _read(rule, section, _SECTIONS[rule])
+    return cls(**payload)
 
 
 def core_from_dict(data: Mapping[str, Any]) -> CoreParams:
     """Rebuild :class:`CoreParams` (including nested memory params)."""
-    payload = dict(_mapping(data, "core config"))
-    mem_data = payload.pop("mem", None)
-    mem = (_dataclass_from_dict(MemParams, mem_data, "memory config")
-           if mem_data is not None else MemParams())
-    payload["mem"] = mem
-    return _dataclass_from_dict(CoreParams, payload, "core config")
+    return _read(CoreParams, data, "core config")
 
 
 def ltp_from_dict(data: Mapping[str, Any]) -> LTPConfig:
     """Rebuild :class:`LTPConfig` from its ``asdict`` payload."""
-    return _dataclass_from_dict(LTPConfig, data, "LTP config")
+    return _read(LTPConfig, data, "LTP config")
 
 
 @dataclass
@@ -141,22 +150,24 @@ class SimConfig:
     #: silently reusing results)
     engine: Optional[str] = None
 
+    #: rules besides the declared types' (:func:`repro.util.check_fields`)
+    _RULES = {"core": CoreParams, "ltp": LTPConfig, "warmup": 0,
+              "engine": ENGINES}
+
     def validate(self) -> "SimConfig":
-        self.core.validate()
-        self.ltp.validate()
-        check_policy_name(self.policy)
+        """The one statement of the config rules, for payloads, sweeps
+        and runs alike: every field's, the sections' cross-field rules,
+        a registered ``policy``, a sound ``model``.  Raises
+        :class:`~repro.util.ConfigError`, a ``ValueError`` (and
+        ``KeyError``) naming the field."""
+        check_fields(self, "")
+        policy_class(self.policy)
         if self.model is not None:
             # deferred import: the learned package registers policies,
             # which pulls in this module
             from repro.policies.learned.artifact import \
                 validate_model_payload
             validate_model_payload(self.model)
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected one of "
-                f"{', '.join(ENGINES)}")
-        if self.warmup < 0 or self.measure <= 0:
-            raise ValueError("warmup must be >= 0, measure > 0")
         return self
 
     def _payload(self) -> Dict[str, Any]:
@@ -190,49 +201,16 @@ class SimConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "SimConfig":
         """Inverse of :meth:`to_dict`; preserves :meth:`key` exactly.
 
-        Tolerates payloads that omit ``core``/``ltp``/budgets/``engine``
-        (defaults apply; no engine is ``engine=None``); rejects unknown
-        fields inside them, non-string ``workload``/``policy``/``engine``,
-        budgets that are not plain integers and ``core``/``ltp``
-        sections that are not mappings, all with ``ValueError``.
+        Omitted (or ``None``) sections and omitted fields take their
+        defaults; unknown fields, in the sections too, non-mapping
+        sections and whatever :meth:`validate` rejects raise
+        ``ValueError``.
         """
         payload = dict(_mapping(data, "config"))
         payload.pop("schema", None)
-        try:
-            workload = payload.pop("workload")
-        except KeyError:
-            raise ValueError("config payload is missing 'workload'") \
-                from None
-        core_data = payload.pop("core", None)
-        ltp_data = payload.pop("ltp", None)
-        warmup = payload.pop("warmup", DEFAULT_WARMUP)
-        measure = payload.pop("measure", DEFAULT_MEASURE)
-        policy = payload.pop("policy", DEFAULT_POLICY)
-        model = payload.pop("model", None)
-        engine = payload.pop("engine", None)
-        if payload:
-            raise ValueError(
-                f"unknown config fields: {sorted(payload)}")
-        strings = [("workload", workload), ("policy", policy)]
-        if engine is not None:  # absent: the default engine
-            strings.append(("engine", engine))
-        for name, value in strings:
-            if not isinstance(value, str):
-                raise ValueError(f"config {name!r} must be a string, got "
-                                 f"{type(value).__name__}")
-        for name, value in (("warmup", warmup), ("measure", measure)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"config {name!r} must be an integer, "
-                                 f"got {value!r}")
-        config = cls(
-            workload=workload,
-            core=(core_from_dict(core_data) if core_data is not None
-                  else CoreParams()),
-            ltp=(ltp_from_dict(ltp_data) if ltp_data is not None
-                 else LTPConfig()),
-            warmup=warmup, measure=measure,
-            policy=policy, model=model, engine=engine)
-        return config.validate()
+        if "workload" not in payload:
+            raise ValueError("config payload is missing 'workload'")
+        return _read(cls, payload, "config").validate()
 
     def key(self) -> str:
         """Stable content hash identifying this configuration: that of

@@ -951,7 +951,9 @@ def resolve_sweep_spec(text: str, warmup: Optional[int] = None,
     The one place ``repro sweep`` and ``scripts/ci_sweep.py`` share, so
     spec-format and preset changes land once.  Budget and engine
     overrides apply to both forms (``None`` keeps the file's or
-    factory's value; an ``"engine"`` axis still wins per point).
+    factory's value; an ``"engine"`` axis still wins per point).  The
+    spec is validated after the overrides apply, so a bad file, preset
+    or flag value raises ``ValueError`` before any point runs.
     """
     path = Path(text)
     if path.is_file():
@@ -969,4 +971,4 @@ def resolve_sweep_spec(text: str, warmup: Optional[int] = None,
                         ("engine", engine)):
         if value is not None:
             setattr(spec, name, value)
-    return spec
+    return spec.validate()

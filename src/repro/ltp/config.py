@@ -10,11 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
+from repro.ltp.uit import check_size
+from repro.util import check_fields
+
 MODES = ("nu", "nr", "nr+nu")
 CLASSIFIERS = ("online", "oracle")
 LL_PREDICTORS = ("oracle", "twolevel")
 MONITORS = ("auto", "on", "off")
 GRANULARITIES = ("pc", "dynamic")
+WAKEUP_POLICIES = ("rob-position", "eager")
 
 
 @dataclass
@@ -60,28 +64,16 @@ class LTPConfig:
     #: ("eager") — an ablation of the late-wakeup design choice
     wakeup_policy: str = "rob-position"
 
+    #: rules besides the declared types' (:func:`repro.util.check_fields`)
+    _RULES = {"mode": MODES, "classifier": CLASSIFIERS,
+              "oracle_granularity": GRANULARITIES,
+              "ll_predictor": LL_PREDICTORS, "monitor": MONITORS,
+              "wakeup_policy": WAKEUP_POLICIES, "release_reserve": 0}
+
     def validate(self) -> "LTPConfig":
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.classifier not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}")
-        if self.ll_predictor not in LL_PREDICTORS:
-            raise ValueError(f"ll_predictor must be one of {LL_PREDICTORS}")
-        if self.monitor not in MONITORS:
-            raise ValueError(f"monitor must be one of {MONITORS}")
-        if self.oracle_granularity not in GRANULARITIES:
-            raise ValueError(
-                f"oracle_granularity must be one of {GRANULARITIES}")
-        if self.ports <= 0:
-            raise ValueError("ports must be positive")
-        if self.entries is not None and self.entries <= 0:
-            raise ValueError("entries must be positive or None")
-        if self.tickets is not None and self.tickets <= 0:
-            raise ValueError("tickets must be positive or None")
-        if self.release_reserve < 0:
-            raise ValueError("release_reserve must be >= 0")
-        if self.wakeup_policy not in ("rob-position", "eager"):
-            raise ValueError("wakeup_policy must be rob-position/eager")
+        """Check every field's rule and the UIT's sets (``ValueError``)."""
+        check_fields(self, "ltp.")
+        check_size(self.uit_size, self.uit_ways, name="'ltp.uit_size'")
         return self
 
     def but(self, **overrides) -> "LTPConfig":

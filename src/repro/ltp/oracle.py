@@ -100,9 +100,7 @@ def annotate_trace(trace: Sequence[DynInst],
     params = mem_params or MemParams()
     hierarchy = MemoryHierarchy(params)
     for base, words in warm_regions:
-        for block in range(base >> 6, ((base + words * 8) >> 6) + 1):
-            hierarchy.l2.insert(block)
-            hierarchy.l3.insert(block)
+        hierarchy.install(base, base + words * 8)
     n = len(trace)
 
     levels: List[Optional[str]] = [None] * n

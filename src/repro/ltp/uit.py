@@ -13,13 +13,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 
+def check_size(size: Optional[int], ways: int, name: str = "size") -> None:
+    """Raise ``ValueError`` unless *size* (None: unlimited) fills sets."""
+    if size is not None and (size <= 0 or ways <= 0 or size % ways != 0):
+        raise ValueError(f"{name} must be a positive multiple of ways "
+                         f"({ways}), got {size}")
+
+
 class UrgentInstructionTable:
     """Set-associative table of Urgent PCs with LRU replacement."""
 
     def __init__(self, size: Optional[int] = 256, ways: int = 4) -> None:
-        if size is not None:
-            if size <= 0 or ways <= 0 or size % ways != 0:
-                raise ValueError("size must be a positive multiple of ways")
+        check_size(size, ways)
         self.size = size
         self.ways = ways
         self._unlimited: Set[int] = set()

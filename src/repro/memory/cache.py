@@ -20,6 +20,15 @@ def block_of(addr: int) -> int:
     return addr >> BLOCK_SHIFT
 
 
+def check_geometry(name: str, size_bytes: int, ways: int,
+                   block_bytes: int = BLOCK_BYTES) -> None:
+    """Raise ``ValueError`` unless *size_bytes* fills whole sets."""
+    if size_bytes % (ways * block_bytes) != 0:
+        raise ValueError(
+            f"{name}: size {size_bytes} not divisible by "
+            f"ways*block ({ways}*{block_bytes})")
+
+
 class Cache:
     """A set-associative, true-LRU, tag-only cache.
 
@@ -32,11 +41,7 @@ class Cache:
 
     def __init__(self, name: str, size_bytes: int, ways: int,
                  block_bytes: int = BLOCK_BYTES) -> None:
-        if size_bytes % (ways * block_bytes) != 0:
-            raise ValueError(
-                f"{name}: size {size_bytes} not divisible by "
-                f"ways*block ({ways}*{block_bytes})"
-            )
+        check_geometry(name, size_bytes, ways, block_bytes)
         self.name = name
         self.size_bytes = size_bytes
         self.ways = ways

@@ -27,15 +27,21 @@ class DRAMTiming:
     tag_known_cycle: int
 
 
+def check_timing(latency: int, issue_interval: int, wakeup_lead: int,
+                 prefix: str = "") -> None:
+    """Raise ``ValueError`` unless the channel timing is sound."""
+    if latency <= 0 or issue_interval <= 0 or not 0 <= wakeup_lead <= latency:
+        raise ValueError(f"{prefix}latency and {prefix}issue_interval must "
+                         f"be positive, {prefix}wakeup_lead within "
+                         f"[0, {prefix}latency]")
+
+
 class DRAMChannel:
     """Single-channel DRAM with a minimum interval between burst starts."""
 
     def __init__(self, latency: int = 190, issue_interval: int = 6,
                  wakeup_lead: int = 8) -> None:
-        if latency <= 0 or issue_interval <= 0:
-            raise ValueError("latency and issue_interval must be positive")
-        if wakeup_lead < 0 or wakeup_lead > latency:
-            raise ValueError("wakeup_lead must be within [0, latency]")
+        check_timing(latency, issue_interval, wakeup_lead)
         self.latency = latency
         self.issue_interval = issue_interval
         self.wakeup_lead = wakeup_lead

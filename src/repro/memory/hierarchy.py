@@ -40,10 +40,11 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.memory.cache import Cache, block_of
-from repro.memory.dram import DRAMChannel
+from repro.memory.cache import Cache, block_of, check_geometry
+from repro.memory.dram import DRAMChannel, check_timing
 from repro.memory.mshr import Fill, MSHRFile
 from repro.memory.prefetcher import StridePrefetcher
+from repro.util import ConfigError, check_fields
 
 #: level ordering for comparisons
 LEVELS = ("l1", "l2", "l3", "dram")
@@ -74,11 +75,24 @@ class MemParams:
     prefetch_degree: int = 4
     prefetch_table: int = 256
 
+    #: rules besides the declared types' (:func:`repro.util.check_fields`)
+    _RULES = {"dram_wakeup_lead": 0, "tag_lead": 0, "prefetch_degree": 0}
+
     def validate(self) -> "MemParams":
-        if self.l1_latency <= 0 or self.l2_latency <= self.l1_latency:
-            raise ValueError("latencies must increase with level")
-        if self.l3_latency <= self.l2_latency:
-            raise ValueError("latencies must increase with level")
+        """Check every field's rule, each cache's sets, the DRAM timing
+        and that latencies increase with level (``ValueError``)."""
+        check_fields(self, "core.mem.")
+        for name, size, ways in (
+                ("'core.mem.l1i_size'", self.l1i_size, self.l1i_ways),
+                ("'core.mem.l1d_size'", self.l1d_size, self.l1d_ways),
+                ("'core.mem.l2_size'", self.l2_size, self.l2_ways),
+                ("'core.mem.l3_size'", self.l3_size, self.l3_ways)):
+            check_geometry(name, size, ways)
+        check_timing(self.dram_latency, self.dram_issue_interval,
+                     self.dram_wakeup_lead, prefix="core.mem.dram_")
+        if not self.l1_latency < self.l2_latency < self.l3_latency:
+            raise ConfigError("'core.mem' latencies must increase with "
+                              "level (l1_latency < l2_latency < l3_latency)")
         return self
 
 
@@ -152,6 +166,14 @@ class MemoryHierarchy:
         #: bumped whenever a rejected demand access could start to
         #: succeed: MSHR allocate/expire and every L1D insert
         self.version = 0
+
+    def install(self, first: int, last: int, code: bool = False) -> None:
+        """Insert the blocks holding bytes *first* to *last*, in order,
+        into the L2 and L3 (and the L1I for *code*)."""
+        caches = (self.l1i, self.l2, self.l3) if code else (self.l2, self.l3)
+        for block in range(block_of(first), block_of(last) + 1):
+            for cache in caches:
+                cache.insert(block)
 
     def functional_copy(self, params: MemParams) -> "MemoryHierarchy":
         """A fresh hierarchy under *params* holding this one's functional

@@ -33,7 +33,7 @@ from repro.policies.learned import (ConfidenceParkPolicy,
                                     LoadPredParkPolicy, ModelParkPolicy)
 from repro.policies.ltp import BaselineStallPolicy, LTPPolicy
 from repro.policies.registry import (DEFAULT_POLICY, build_policy,
-                                     check_policy_name, policy_class,
+                                     policy_class,
                                      policy_descriptions, policy_names,
                                      policy_needs_oracle, register_policy)
 from repro.policies.scenarios import (DepthParkPolicy, OracleParkPolicy,
@@ -54,7 +54,6 @@ __all__ = [
     "RandomParkPolicy",
     "STALL",
     "build_policy",
-    "check_policy_name",
     "policy_class",
     "policy_descriptions",
     "policy_names",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.ltp.config import LTPConfig
-from repro.util import first_doc_line
+from repro.util import ConfigError, first_doc_line
 
 #: the policy every config uses unless told otherwise — the paper's
 #: LTP mechanism, which with ``ltp.enabled=False`` behaves exactly
@@ -68,23 +68,19 @@ def _ensure_builtins() -> None:
 
 
 def policy_class(name: str) -> type:
-    """The policy class registered as *name*."""
+    """The policy class registered as *name*; an unknown name raises
+    :class:`~repro.util.ConfigError` (a ``KeyError`` and a
+    ``ValueError``)."""
+    if name in _REGISTRY:  # once per point: skip the import checks
+        return _REGISTRY[name]
     _ensure_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise KeyError(
+        raise ConfigError(
             f"unknown allocation policy {name!r} "
             f"(registered: {known})") from None
-
-
-def check_policy_name(name: str) -> str:
-    """Validate *name* against the registry (returns it unchanged)."""
-    if not isinstance(name, str):
-        raise ValueError(f"policy must be a string, got {type(name)}")
-    policy_class(name)
-    return name
 
 
 def policy_names() -> List[str]:

@@ -87,9 +87,24 @@ def test_from_dict_rejects_unknown_fields():
             ("measure", None, "'measure' must be an integer"),
             ("core", [1, 2], "bad core config payload"),
             ("core", {"mem": [1]}, "bad memory config payload"),
-            ("ltp", "nu", "bad LTP config payload")):
+            ("ltp", "nu", "bad LTP config payload"),
+            ("core", {"iq_size": "32"}, "'core.iq_size' must be an integer"),
+            ("ltp", {"entries": "x"}, "'ltp.entries' must be an integer")):
         with pytest.raises(ValueError, match=match):
             SimConfig.from_dict({"workload": "compute_int", field: value})
+
+
+def test_validate_checks_fields_set_after_construction():
+    """Rules run in validate(), so a field mutated after construction
+    (as the limit-study cores are) is checked too."""
+    config = SimConfig(workload="compute_int")
+    config.core.iq_size = "32"
+    with pytest.raises(ValueError, match="'core.iq_size'"):
+        config.validate()
+    config.core.iq_size = None
+    config.core.mem.l2_ways = 3
+    with pytest.raises(ValueError, match="'core.mem.l2_size'"):
+        config.validate()
 
 
 def test_nested_helpers_roundtrip():
@@ -177,12 +192,63 @@ def test_sweep_from_dict_rejects_unknown_fields():
     ({"workloads": ["lattice_milc"], "engine": "warp"}, "'warp'"),
     ({"workloads": ["lattice_milc"], "axes": {"engine": ["kernel", "warp"]}},
      "'warp'"),
+    ({"workloads": ["lattice_milc"], "core": {"iq_size": "32"}},
+     "'core.iq_size'"),
+    ({"workloads": ["lattice_milc"], "ltp": {"entries": "x"}},
+     "'ltp.entries'"),
+    ({"workloads": ["lattice_milc"], "axes": {"core.iq_size": ["x"]}},
+     "'core.iq_size'"),
+    ({"workloads": ["lattice_milc"], "axes": {"core.mem": [{"mshrs": 0}]}},
+     "'core.mem.mshrs'"),
+    ({"workloads": ["lattice_milc"], "axes": {"core.iq_size": [-1]}},
+     "'core.iq_size'"),
+    ({"workloads": ["lattice_milc"], "warmup": -5}, "'warmup'"),
+    ({"workloads": ["lattice_milc"], "core": {"mem": {"l1d_size": 1000}}},
+     "'core.mem.l1d_size'"),
+    ({"workloads": ["lattice_milc"], "axes": {"ltp.uit_ways": [0]}},
+     "'ltp.uit_ways'"),
+    ({"workloads": ["nope"]}, "'nope'"),
+    ({"workloads": ["lattice_milc"], "core": {"iq_size": True}},
+     "'core.iq_size'"),
+    ({"workloads": ["lattice_milc"], "core": {"rob_size": 1.5}},
+     "'core.rob_size'"),
+    ({"workloads": ["lattice_milc"], "core": {"latencies": 5}},
+     "'core.latencies'"),
+    ({"workloads": ["lattice_milc"], "axes": {"ltp.enabled": ["yes"]}},
+     "'ltp.enabled'"),
 ], ids=["workloads-string", "workloads-int", "workloads-mixed",
         "axes-list", "axis-string", "payload-list", "budget-float",
         "budget-string", "budget-bool", "budget-axis-float", "policy-unknown",
-        "policy-axis-unknown", "engine-unknown", "engine-axis-unknown"])
+        "policy-axis-unknown", "engine-unknown", "engine-axis-unknown",
+        "core-field-string", "ltp-field-string", "axis-value-string",
+        "mem-axis-bad", "axis-value-negative", "budget-negative",
+        "cache-geometry", "uit-ways-zero", "workload-unknown",
+        "int-field-bool", "int-field-float", "latencies-int",
+        "bool-axis-string"])
 def test_sweep_from_dict_rejects_bad_types(payload, field):
     """A payload of the wrong shape is a ValueError naming the field,
     never a spec that silently expands to something else."""
     with pytest.raises(ValueError, match=field):
         SweepSpec.from_dict(payload)
+
+
+def test_sweep_mem_axis_is_read_like_a_payload():
+    """A ``core.mem`` axis value is a memory-config object, read like
+    the same field of a config payload (unnamed fields default)."""
+    spec = SweepSpec(workloads=["compute_int"], axes={
+        "core.mem": [{"mshrs": 2}, {"l2_size": 512 * 1024}]})
+    configs = spec.expand()
+    assert [c.core.mem for c in configs] == \
+        [MemParams(mshrs=2), MemParams(l2_size=512 * 1024)]
+
+
+def test_sweep_workloads_are_checked_at_call_time(monkeypatch):
+    """Workload names are checked against the registry as it stands
+    when the spec is validated: aliases and late registrations pass."""
+    from repro.workloads import mixes
+    SweepSpec(workloads=["milc", "astar"]).validate()
+    with pytest.raises(ValueError, match="'late_kernel'"):
+        SweepSpec(workloads=["late_kernel"]).validate()
+    monkeypatch.setitem(mixes._FACTORIES, "late_kernel",
+                        mixes._FACTORIES["compute_int"])
+    SweepSpec(workloads=["late_kernel"]).validate()

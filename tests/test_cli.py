@@ -346,8 +346,39 @@ def test_sweep_command_argument_errors(tmp_path, capsys):
                  "axes": {"policy": ["teleport"]}}), "'teleport'"),
     (json.dumps({"workloads": ["compute_int"],
                  "axes": {"engine": ["warp"]}}), "'warp'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "core": {"iq_size": "32"}}), "'core.iq_size'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "ltp": {"entries": "x"}}), "'ltp.entries'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"core.iq_size": ["x"]}}), "got 'x'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"core.mem": [{"mshrs": 0}]}}), "'core.mem.mshrs'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"core.iq_size": [-1]}}), "got -1"),
+    (json.dumps({"workloads": ["compute_int"], "warmup": -5}),
+     "'warmup'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "core": {"mem": {"l1d_size": 1000}}}),
+     "'core.mem.l1d_size'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"ltp.uit_ways": [0]}}), "'ltp.uit_ways'"),
+    (json.dumps({"workloads": ["nope"]}), "'nope'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "core": {"iq_size": True}}), "got True"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "core": {"rob_size": 1.5}}), "'core.rob_size'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "core": {"latencies": 5}}), "'core.latencies'"),
+    (json.dumps({"workloads": ["compute_int"],
+                 "axes": {"ltp.enabled": ["yes"]}}), "'ltp.enabled'"),
 ], ids=["bad-json", "workloads-string", "axes-list", "axis-string",
-        "budget-float", "policy-axis-unknown", "engine-axis-unknown"])
+        "budget-float", "policy-axis-unknown", "engine-axis-unknown",
+        "core-field-string", "ltp-field-string", "axis-value-string",
+        "mem-axis-bad", "axis-value-negative", "budget-negative",
+        "cache-geometry", "uit-ways-zero", "workload-unknown",
+        "int-field-bool", "int-field-float", "latencies-int",
+        "bool-axis-string"])
 @pytest.mark.parametrize("merge", [False, True], ids=["run", "merge"])
 def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
     """A spec file that does not parse into a sweep is a usage error:
@@ -361,6 +392,17 @@ def test_sweep_bad_spec_file_exits_2(tmp_path, content, message, merge):
     code, text = run_cli(argv)
     assert code == 2
     assert message in text and len(text.splitlines()) == 1
+    assert not store.exists()
+
+
+def test_sweep_bad_budget_flag_exits_2(tmp_path):
+    """A budget flag a preset cannot take is the same usage error as a
+    bad spec file: the spec is validated after the flags apply."""
+    store = tmp_path / "out.jsonl"
+    code, text = run_cli(["sweep", "ltp-queues", "--warmup", "-5",
+                          "--store", str(store)])
+    assert code == 2
+    assert "'warmup'" in text and len(text.splitlines()) == 1
     assert not store.exists()
 
 
